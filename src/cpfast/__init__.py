@@ -38,6 +38,7 @@ from .synth import (
     collinearity_angles,
     gen_collinear,
     medsae,
+    medsae_pair,
     spectrum,
 )
 from .cptn import read_tensor, write_tensor
@@ -77,6 +78,7 @@ __all__ = [
     "khatri_rao_excl",
     "kronecker",
     "medsae",
+    "medsae_pair",
     "mttkrp",
     "phi_density",
     "read_tensor",

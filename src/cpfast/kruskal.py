@@ -17,6 +17,7 @@ from .tensor import (
     COMPLEX,
     DenseTensor,
     fold,
+    khatri_rao,
     khatri_rao_excl,
     kind_of,
     require_same_kind,
@@ -83,9 +84,13 @@ def model_from_vector(vec: np.ndarray, dims, rank: int) -> KruskalModel:
 
 
 def reconstruct(model: KruskalModel) -> DenseTensor:
-    """Sum of R weighted rank-one outer products, as a dense tensor."""
+    """Sum of R weighted rank-one outer products, as a dense tensor.
+
+    The mode-1 unfolding is built as (W A^(1)^T)^T, which is Fortran-ordered,
+    so folding it back is a reshape view and the tensor is written once.
+    """
     a1 = model.factors[0] * model.effective_weights()[None, :]
-    mat = a1 @ khatri_rao_excl(model.factors, 1).T
+    mat = (khatri_rao_excl(model.factors, 1) @ a1.T).T
     return fold(mat, 1, model.dims)
 
 
@@ -123,16 +128,82 @@ def build_gram_cache(model: KruskalModel) -> GramCache:
     return GramCache(C, gamma_excl, gamma_pair, hprod(set()))
 
 
-def mttkrp(y: DenseTensor, model: KruskalModel, n: int) -> np.ndarray:
-    """Matricized tensor times Khatri-Rao product for mode n (1-based).
+def _khatri_rao_of(factors) -> np.ndarray:
+    """Khatri-Rao product whose row index runs over ``factors``, first fastest."""
+    return reduce(khatri_rao, factors[::-1])
 
-    For complex data the Khatri-Rao factors are conjugated, matching the
-    Hermitian normal equations; for real data the conjugation is a no-op.
+
+def _contract_all_but(zt: np.ndarray, factors, k: int) -> np.ndarray:
+    """Contract every mode of a partial product except mode k (0-based).
+
+    Row r of ``zt`` (R x prod I_m) is the column-major vectorization of an
+    array over the modes of ``factors``; each mode m != k is contracted with
+    conj(column r of its factor).  Returns the I_k x R result.  Batched matmul
+    over r keeps the cost at one pass over ``zt`` without copying it.
     """
+    dims = [f.shape[0] for f in factors]
+    r = zt.shape[0]
+    left = int(np.prod(dims[:k], dtype=np.int64))
+    right = int(np.prod(dims[k + 1 :], dtype=np.int64))
+    x = zt.reshape((r, right, dims[k] * left))
+    if right > 1:
+        kq = _khatri_rao_of(factors[k + 1 :]).conj().T
+        x = kq[:, None, :] @ x
+    x = x.reshape((r, dims[k], left))
+    if left > 1:
+        kl = _khatri_rao_of(factors[:k]).conj().T
+        x = x @ kl[:, :, None]
+    return x.reshape((r, dims[k])).T
+
+
+def _last_mode_rows(y: DenseTensor) -> np.ndarray:
+    """Y viewed (no copy) as (J / I_N) x I_N: the transposed mode-N unfolding."""
+    return y.data.reshape((-1, y.dims[-1]), order="F")
+
+
+def _check_pair(y: DenseTensor, model: KruskalModel) -> None:
     if y.dims != model.dims:
         raise ValueError(f"tensor dims {y.dims} do not match model {model.dims}")
     require_same_kind(y.data, *model.factors)
-    return unfold(y, n) @ khatri_rao_excl(model.factors, n).conj()
+
+
+def mttkrp(y: DenseTensor, model: KruskalModel, n: int) -> np.ndarray:
+    """Matricized tensor times Khatri-Rao product for mode n (1-based).
+
+    Equals ``unfold(y, n) @ khatri_rao_excl(model.factors, n).conj()`` but
+    reads the Fortran-ordered tensor through reshape views, never copying an
+    unfolding: one matmul contracts the modes after n (for n = N, the modes
+    before it), then a small batched contraction handles the modes before n.
+    For complex data the Khatri-Rao factors are conjugated, matching the
+    Hermitian normal equations; for real data the conjugation is a no-op.
+    """
+    _check_pair(y, model)
+    factors = model.factors
+    if n == model.order:
+        return _last_mode_rows(y).T @ khatri_rao_excl(factors, n).conj()
+    trailing = int(np.prod(y.dims[n:], dtype=np.int64))
+    lead = y.data.reshape((-1, trailing), order="F")
+    zt = _khatri_rao_of(factors[n:]).conj().T @ lead.T
+    return _contract_all_but(zt, factors[:n], n - 1)
+
+
+def mttkrp_all(
+    y: DenseTensor, model: KruskalModel, last: np.ndarray | None = None
+) -> list:
+    """All N MTTKRPs of one model in two passes over the tensor.
+
+    Pass one is the mode-N MTTKRP (skipped when ``last`` already holds it).
+    Pass two is the partial product P = Y x_N conj(A^(N)), of size
+    (J / I_N) x R; modes 1..N-1 are then contractions of P alone (Phan,
+    Tichavsky & Cichocki, IEEE TSP 2013).
+    """
+    _check_pair(y, model)
+    factors = model.factors
+    if last is None:
+        last = mttkrp(y, model, model.order)
+    pt = factors[-1].conj().T @ _last_mode_rows(y).T
+    head = factors[:-1]
+    return [_contract_all_but(pt, head, k) for k in range(len(head))] + [last]
 
 
 def gradient(
@@ -165,6 +236,24 @@ def relative_error(y: DenseTensor, model: KruskalModel) -> float:
     if ynorm == 0.0:
         raise ZeroDivisionError("relative error undefined for a zero tensor")
     return residual_norm(y, model) / ynorm
+
+
+def gram_relative_error(
+    ynorm: float, model: KruskalModel, last: np.ndarray
+) -> float:
+    """Relative error from ||Y||, the mode-N MTTKRP and the Gram matrices.
+
+    ||Y - Yhat||^2 = ||Y||^2 - 2 Re<A^(N) diag(w), M^(N)> + w^H Gamma_full w,
+    where ``last`` is M^(N) = mttkrp(y, model, N).  No dense tensor is formed.
+    The terms are O(||Y||^2) and cancel: the squared residual carries an
+    absolute error of a few eps ||Y||^2, i.e. ~eps / relerr in the result, so
+    small errors need :func:`relative_error` instead.
+    """
+    w = model.effective_weights()
+    gamma_full = reduce(np.multiply, [f.conj().T @ f for f in model.factors])
+    cross = np.vdot(model.factors[-1] * w[None, :], last).real
+    model_sq = np.vdot(w, gamma_full @ w).real
+    return float(np.sqrt(max(ynorm**2 - 2.0 * cross + model_sq, 0.0)) / ynorm)
 
 
 def normalize_equal_energy(model: KruskalModel) -> KruskalModel:
@@ -224,21 +313,58 @@ def random_init(dims, rank: int, rng, scalar_kind="real") -> KruskalModel:
     return KruskalModel(factors)
 
 
+def _phase_fixed(u: np.ndarray) -> np.ndarray:
+    """Scale each column so its largest-magnitude entry is real and positive."""
+    top = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    return u / (top / np.abs(top))[None, :]
+
+
+def _leading_left_vectors(mat: np.ndarray, rank: int) -> np.ndarray:
+    """Up to ``rank`` leading left singular vectors from the smaller Gram.
+
+    Wide matrices use the eigenvectors of M M^H.  Tall ones use M^H M = V S^2
+    V^H and U = M V S^{-1}, kept only where S^2 exceeds the Gram's rounding
+    level eps * rows * S_max^2, so fewer than ``rank`` columns can come back.
+    """
+    rows, cols = mat.shape
+    if rows <= cols:
+        _, v = np.linalg.eigh(mat @ mat.conj().T)
+        return v[:, ::-1][:, :rank]
+    lam, v = np.linalg.eigh(mat.conj().T @ mat)
+    lam, v = lam[::-1][:rank], v[:, ::-1][:, :rank]
+    keep = lam > np.finfo(np.float64).eps * rows * lam[0]
+    return (mat @ v[:, keep]) / np.sqrt(lam[keep])[None, :]
+
+
 def svd_init(y: DenseTensor, rank: int, rng) -> KruskalModel:
-    """Leading mode-n left singular vectors; extra columns (R > I_n) are random
-    unit-norm draws from ``rng``."""
+    """Leading mode-n left singular vectors, from ``eigh`` of the smaller Gram
+    of each unfolding (I_n x I_n when wide, (J/I_n) x (J/I_n) when tall).
+
+    Missing columns (R above the unfolding's rank) are random unit-norm draws
+    from ``rng``.  Signs/phases follow a fixed rule, so the init does not
+    depend on which LAPACK routine produced the vectors: in modes 1..N-1 each
+    singular vector's largest-magnitude entry is real and positive; in mode N
+    each column is rotated so that its rank-one term has a real, positive
+    inner product with Y, i.e. every component starts out pointing toward the
+    data rather than away from it.
+    """
     factors = []
     for n in range(1, y.order + 1):
-        u, _, _ = np.linalg.svd(unfold(y, n), full_matrices=False)
-        k = min(rank, u.shape[1])
-        cols = [u[:, :k]]
-        if k < rank:
-            extra = rng.standard_normal((u.shape[0], rank - k))
+        u = _phase_fixed(_leading_left_vectors(unfold(y, n), rank))
+        cols = [u]
+        if u.shape[1] < rank:
+            extra = rng.standard_normal((u.shape[0], rank - u.shape[1]))
             if y.scalar_kind == COMPLEX:
                 extra = extra + 1j * rng.standard_normal(extra.shape)
             extra = extra / np.linalg.norm(extra, axis=0, keepdims=True)
             cols.append(extra.astype(u.dtype))
         factors.append(np.hstack(cols))
+    last = factors[-1]
+    inner = np.sum(last.conj() * mttkrp(y, KruskalModel(factors), y.order), axis=0)
+    phase = np.ones_like(inner)
+    nonzero = inner != 0
+    phase[nonzero] = inner[nonzero] / np.abs(inner[nonzero])
+    factors[-1] = last * phase[None, :]
     return KruskalModel(factors)
 
 
@@ -267,19 +393,19 @@ def als_step(y: DenseTensor, model: KruskalModel) -> KruskalModel:
 
 def als_line_search_step(
     y: DenseTensor, model: KruskalModel, history: KruskalModel | None, t: int = 1
-) -> KruskalModel:
+) -> tuple[KruskalModel, float]:
     """ALS sweep with extrapolation against the previous iterate.
 
     Candidates A_prev + s (A_als - A_prev) for s in {1, 1.1, t^(1/3)} are
-    scored by relative error; the best one wins.  With no history this is a
-    plain ALS sweep.  The recipe is a documented stand-in: the classical
-    "ALS with line search" baseline defers to toolbox internals.
+    scored by relative error; the best one wins and is returned with its
+    error.  With no history this is a plain ALS sweep.  The recipe is a
+    documented stand-in: the classical "ALS with line search" baseline defers
+    to toolbox internals.
     """
     stepped = als_step(y, model)
+    best, best_err = stepped, relative_error(y, stepped)
     if history is None:
-        return stepped
-    best = stepped
-    best_err = relative_error(y, stepped)
+        return best, best_err
     for s in (1.1, float(t) ** (1.0 / 3.0)):
         cand = KruskalModel(
             [
@@ -290,4 +416,4 @@ def als_line_search_step(
         err = relative_error(y, cand)
         if err < best_err:
             best, best_err = cand, err
-    return best
+    return best, best_err

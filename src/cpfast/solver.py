@@ -14,7 +14,7 @@ for real data.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,8 +32,10 @@ from .kruskal import (
     als_line_search_step,
     als_step,
     build_gram_cache,
+    gram_relative_error,
     model_from_vector,
     mttkrp,
+    mttkrp_all,
     normalize_equal_energy,
     normalize_unit_modes,
     random_init,
@@ -46,6 +48,10 @@ VARIANTS = ("flm-a", "flm-b", "auto", "als", "als-ls", "dgn-oracle")
 
 MU_OVERFLOW = 1e30
 RHO_DENOM_GUARD = 1e-30
+# Below this accepted relative error the candidate error comes from the dense
+# residual: the Gram identity's cancellation error (~eps / relerr) must stay
+# far under the 1e-8 differences the tol rule compares.
+GRAM_ERROR_GUARD = 1e-3
 
 
 @dataclass
@@ -54,8 +60,6 @@ class LmState:
 
     mu: float
     growth: float = 2.0
-    err_history: list = field(default_factory=list)
-    iter: int = 0
     accepted: bool = False
 
 
@@ -204,7 +208,7 @@ def flm_step(
     """
     cache = cache or build_gram_cache(model)
     if mttkrps is None:
-        mttkrps = [mttkrp(y, model, n) for n in range(1, model.order + 1)]
+        mttkrps = mttkrp_all(y, model)
     damped = [
         damped_als_factor(y, model, cache, n + 1, mu, mttkrps[n])
         for n in range(model.order)
@@ -245,7 +249,7 @@ def nielsen_update(state: LmState, rho: float) -> LmState:
         mu = state.mu * state.growth
         growth = 2.0 * state.growth
         accepted = False
-    return LmState(mu, growth, state.err_history, state.iter, accepted)
+    return LmState(mu, growth, accepted)
 
 
 def _gradient_from_mttkrps(model, cache, mttkrps) -> np.ndarray:
@@ -280,8 +284,11 @@ def fit(y: DenseTensor, config: FitConfig) -> FitResult:
 
     Stops when ten consecutive relative-error differences fall below
     ``config.tol``, the iteration budget runs out, or (LM family) the damping
-    parameter overflows 1e30.
+    parameter overflows 1e30.  Raises ``ValueError`` for NaN or infinite
+    entries.
     """
+    if not np.isfinite(y.data).all():
+        raise ValueError("tensor has NaN or infinite entries")
     t0 = time.monotonic()
     if config.variant in ("als", "als-ls"):
         result = _fit_als(y, config)
@@ -302,11 +309,11 @@ def _fit_als(y: DenseTensor, config: FitConfig) -> FitResult:
     for t in range(1, config.max_iters + 1):
         prev = model
         if config.variant == "als-ls":
-            model = als_line_search_step(y, model, history, t)
+            model, new_err = als_line_search_step(y, model, history, t)
         else:
             model = als_step(y, model)
+            new_err = relative_error(y, model)
         history = prev
-        new_err = relative_error(y, model)
         trace.append(IterRecord(t, new_err, 0.0, True))
         deltas.append(abs(err - new_err))
         err = new_err
@@ -316,7 +323,32 @@ def _fit_als(y: DenseTensor, config: FitConfig) -> FitResult:
     return FitResult(model, trace, stop_reason)
 
 
+def _rescaled_last_mttkrp(
+    last: np.ndarray, before: KruskalModel, after: KruskalModel
+) -> np.ndarray:
+    """Mode-N MTTKRP of ``after`` from that of ``before``.
+
+    ``after`` = ``before`` with column scales s_n per mode whose product is
+    one (the reconstruction is unchanged), so M^(N) picks up
+    conj(prod_{n<N} s_n) = 1 / conj(s_N).
+    """
+    old, new = before.factors[-1], after.factors[-1]
+    s_last = np.sum(old.conj() * new, axis=0) / np.sum(old.conj() * old, axis=0)
+    return last / s_last.conj()[None, :]
+
+
 def _fit_lm(y: DenseTensor, config: FitConfig) -> FitResult:
+    """Damped Gauss-Newton loop shared by flm-a, flm-b, auto and dgn-oracle.
+
+    Cost per iteration in passes over the tensor: a candidate is scored with
+    :func:`gram_relative_error` from its mode-N MTTKRP (one pass); if it is
+    accepted, that MTTKRP is rescaled through the normalization and
+    :func:`mttkrp_all` adds the partial product for modes 1..N-1 (a second
+    pass).  Once the accepted relative error is below ``GRAM_ERROR_GUARD``
+    the identity cancels, so candidates are scored by the dense
+    :func:`relative_error` instead; the path is chosen from the current error,
+    so no iteration computes both.
+    """
     rng = np.random.default_rng([config.seed, 0])
     model = normalize_equal_energy(_init_model(y, config, rng))
     ynorm = y.norm()
@@ -327,7 +359,7 @@ def _fit_lm(y: DenseTensor, config: FitConfig) -> FitResult:
     state = LmState(mu=mu_init(cache, config.tau))
 
     cache = build_gram_cache(model)
-    mttkrps = [mttkrp(y, model, n) for n in range(1, model.order + 1)]
+    mttkrps = mttkrp_all(y, model)
     err = relative_error(y, model)
     err_sq = (err * ynorm) ** 2
 
@@ -351,19 +383,23 @@ def _fit_lm(y: DenseTensor, config: FitConfig) -> FitResult:
                 model, trace, f"error at iteration {t}: {exc}"
             )
 
-        cand_err = relative_error(y, candidate)
+        if err >= GRAM_ERROR_GUARD:
+            cand_last = mttkrp(y, candidate, model.order)
+            cand_err = gram_relative_error(ynorm, candidate, cand_last)
+        else:
+            cand_last = None
+            cand_err = relative_error(y, candidate)
         cand_sq = (cand_err * ynorm) ** 2
         g = _gradient_from_mttkrps(model, cache, mttkrps)
         rho = _gain_ratio(err_sq, cand_sq, delta, g, state.mu)
         state = nielsen_update(state, rho)
-        state.iter = t
 
         if state.accepted and cand_err < err:
             model = normalize_equal_energy(candidate)
+            if cand_last is not None:
+                cand_last = _rescaled_last_mttkrp(cand_last, candidate, model)
             cache = build_gram_cache(model)
-            mttkrps = [
-                mttkrp(y, model, n) for n in range(1, model.order + 1)
-            ]
+            mttkrps = mttkrp_all(y, model, cand_last)
             deltas.append(abs(err - cand_err))
             err, err_sq = cand_err, cand_sq
             accepted = True
@@ -373,7 +409,6 @@ def _fit_lm(y: DenseTensor, config: FitConfig) -> FitResult:
             accepted = False
 
         trace.append(IterRecord(t, err, state.mu, accepted))
-        state.err_history.append(err)
 
         if _stop_on_tol(deltas, config.tol):
             stop_reason = "tol"

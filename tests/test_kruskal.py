@@ -12,8 +12,10 @@ from cpfast.kruskal import (
     als_step,
     build_gram_cache,
     gradient,
+    gram_relative_error,
     model_from_vector,
     mttkrp,
+    mttkrp_all,
     normalize_equal_energy,
     normalize_unit_modes,
     random_init,
@@ -32,6 +34,13 @@ def random_model(rng, dims, rank, kind=REAL, weights=False):
             w = w + 1j * rng.standard_normal(rank)
         model = KruskalModel(model.factors, w)
     return model
+
+
+def random_tensor(rng, dims, kind=REAL):
+    data = rng.standard_normal(dims)
+    if kind == COMPLEX:
+        data = data + 1j * rng.standard_normal(dims)
+    return DenseTensor(data)
 
 
 def reconstruct_oracle(model):
@@ -138,6 +147,27 @@ class TestMttkrpGradient:
             expected = unfold(y, n) @ khatri_rao_excl(m.factors, n).conj()
             np.testing.assert_allclose(mttkrp(y, m, n), expected)
 
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    @pytest.mark.parametrize(
+        "dims", [(4, 5), (3, 4, 5), (3, 2, 4, 5), (2, 3, 2, 3, 2)]
+    )
+    def test_shared_mttkrps_dense_oracle(self, dims, kind):
+        """mttkrp and mttkrp_all match the unfolding oracle for N = 2..5."""
+        rng = np.random.default_rng(61)
+        m = random_model(rng, dims, 3, kind)
+        y = random_tensor(rng, dims, kind)
+        expected = [
+            unfold(y, n) @ khatri_rao_excl(m.factors, n).conj()
+            for n in range(1, len(dims) + 1)
+        ]
+        shared = mttkrp_all(y, m)
+        given = mttkrp_all(y, m, last=expected[-1])
+        assert given[-1] is expected[-1]
+        for n, ref in enumerate(expected, start=1):
+            np.testing.assert_allclose(mttkrp(y, m, n), ref, atol=1e-12)
+            np.testing.assert_allclose(shared[n - 1], ref, atol=1e-12)
+            np.testing.assert_allclose(given[n - 1], ref, atol=1e-12)
+
     def test_gradient_zero_at_exact_fit(self):
         rng = np.random.default_rng(7)
         m = random_model(rng, (3, 4, 5), 2, COMPLEX)
@@ -157,6 +187,20 @@ class TestErrorsAndNormalization:
         m = random_model(rng, (2, 2), 1)
         with pytest.raises(ZeroDivisionError):
             relative_error(DenseTensor(np.zeros((2, 2))), m)
+
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    @pytest.mark.parametrize("target", [1e-1, 1e-2, 1e-3])
+    def test_gram_error_matches_dense(self, kind, target):
+        rng = np.random.default_rng(62)
+        m = random_model(rng, (5, 6, 7), 3, kind, weights=True)
+        clean = reconstruct(m).data
+        noise = random_tensor(rng, m.dims, kind).data
+        noise *= target * np.linalg.norm(clean) / np.linalg.norm(noise)
+        y = DenseTensor(clean + noise)
+        dense = relative_error(y, m)
+        gram = gram_relative_error(y.norm(), m, mttkrp(y, m, m.order))
+        assert dense == pytest.approx(target, rel=0.2)
+        assert gram == pytest.approx(dense, rel=1e-9)
 
     def test_equal_energy_preserves_reconstruction(self):
         rng = np.random.default_rng(10)
@@ -208,6 +252,47 @@ class TestInitAndAls:
         )
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    @pytest.mark.parametrize(
+        "dims, rank",
+        [
+            ((7, 8, 9), 3),  # wide unfoldings: eigh of Y_(n) Y_(n)^H
+            ((30, 2, 3), 3),  # mode 1 tall: eigh of Y_(1)^H Y_(1)
+            ((2, 6, 6), 4),  # R > I_1: random padding
+            ((30, 2, 2), 5),  # tall with R > J/I_1: random padding
+        ],
+    )
+    def test_svd_init_matches_phase_fixed_svd(self, dims, rank, kind):
+        """Leading columns equal the SVD's up to the phase rule: largest entry
+        real-positive in modes 1..N-1, real-positive <Y, rank-one term> in
+        mode N.  The remaining columns are unit-norm padding."""
+        rng = np.random.default_rng(63)
+        truth = random_model(rng, dims, rank, kind)
+        truth = KruskalModel(truth.factors, 10.0 * 0.5 ** np.arange(rank))
+        noise = 1e-3 * random_tensor(rng, dims, kind).data
+        y = DenseTensor(reconstruct(truth).data + noise)
+        m = svd_init(y, rank, rng)
+        last = mttkrp(y, m, m.order)  # independent of the mode-N factor
+        inner = np.sum(m.factors[-1].conj() * last, axis=0)
+        assert np.all(np.abs(inner.imag) <= 1e-12 * np.abs(inner))
+        assert np.all(inner.real > 0)
+        for n in range(1, len(dims) + 1):
+            u = np.linalg.svd(unfold(y, n), full_matrices=False)[0]
+            k = min(rank, u.shape[1])
+            u = u[:, :k]
+            if n < len(dims):
+                top = u[np.argmax(np.abs(u), axis=0), np.arange(k)]
+                u = u / (top / np.abs(top))
+            else:
+                c = np.sum(u.conj() * last[:, :k], axis=0)
+                u = u * (c / np.abs(c))
+            got = m.factors[n - 1]
+            assert got.shape == (dims[n - 1], rank)
+            np.testing.assert_allclose(got[:, :k], u, atol=1e-10)
+            np.testing.assert_allclose(
+                np.linalg.norm(got[:, k:], axis=0), np.ones(rank - k)
+            )
+
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
     def test_als_decreases_error(self, kind):
         rng = np.random.default_rng(14)
         truth = random_model(rng, (6, 6, 6), 3, kind)
@@ -233,6 +318,6 @@ class TestInitAndAls:
         m = random_init(y.dims, 3, rng)
         prev = None
         for t in range(1, 6):
-            nxt = als_line_search_step(y, m, prev, t)
+            nxt, _ = als_line_search_step(y, m, prev, t)
             assert relative_error(y, nxt) <= relative_error(y, als_step(y, m)) + 1e-12
             prev, m = m, nxt

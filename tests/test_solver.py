@@ -6,10 +6,12 @@ import pytest
 import scipy.linalg
 
 from cpfast.hessian import b_matrix, dense_damped_solve, kernel_is_invertible
+import cpfast.solver
 from cpfast.kruskal import (
     build_gram_cache,
     gradient,
     mttkrp,
+    normalize_equal_energy,
     normalize_unit_modes,
     pinv_psd,
     random_init,
@@ -18,8 +20,10 @@ from cpfast.kruskal import (
 )
 from cpfast.solver import (
     FitConfig,
+    GRAM_ERROR_GUARD,
     LmState,
     MU_OVERFLOW,
+    _rescaled_last_mttkrp,
     compute_w,
     damped_als_factor,
     fit,
@@ -29,6 +33,7 @@ from cpfast.solver import (
     nielsen_update,
     solve_B,
 )
+from cpfast.synth import CollinearSpec, gen_collinear
 from cpfast.tensor import COMPLEX, DenseTensor, REAL
 
 
@@ -258,6 +263,48 @@ class TestFit:
     def test_zero_tensor_rejected(self):
         with pytest.raises(ZeroDivisionError):
             fit(DenseTensor(np.zeros((3, 3, 3))), FitConfig(rank=1))
+
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("variant", ["auto", "als-ls"])
+    def test_non_finite_entries_rejected(self, kind, bad, variant):
+        rng = np.random.default_rng(19)
+        y, _ = noisy_instance(rng, (4, 4, 4), 2, kind)
+        data = y.data.copy()
+        data[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            fit(DenseTensor(data), FitConfig(rank=2, variant=variant))
+
+    @pytest.mark.parametrize("kind, seed", [(REAL, 0), (COMPLEX, 1)])
+    def test_error_guard_crossing_keeps_dense_trajectory(
+        self, kind, seed, monkeypatch
+    ):
+        """Noiseless swamp fits pass from the Gram-identity error to the dense
+        one, reach relerr <= 1e-12 and take as many iterations as a fit that
+        scores every candidate densely."""
+        spec = CollinearSpec((20, 20, 20), 3, 0.1, None, seed, kind)
+        _, y = gen_collinear(spec)
+        config = FitConfig(rank=3, variant="auto")
+        result = fit(y, config)
+        assert result.trace[0].relerr > GRAM_ERROR_GUARD
+        assert result.final_relerr <= 1e-12
+        assert result.stop_reason == "tol"
+        monkeypatch.setattr(cpfast.solver, "GRAM_ERROR_GUARD", np.inf)
+        dense = fit(y, config)
+        assert dense.stop_reason == "tol"
+        assert dense.iters == result.iters
+
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    def test_rescaled_last_mttkrp(self, kind):
+        rng = np.random.default_rng(20)
+        y, m = noisy_instance(rng, (3, 4, 5), 2, kind)
+        m = type(m)([f * rng.uniform(0.5, 2.0, 2) for f in m.factors])
+        normalized = normalize_equal_energy(m)
+        np.testing.assert_allclose(
+            _rescaled_last_mttkrp(mttkrp(y, m, 3), m, normalized),
+            mttkrp(y, normalized, 3),
+            atol=1e-12,
+        )
 
     def test_mu_overflow_constant(self):
         assert MU_OVERFLOW == 1e30
