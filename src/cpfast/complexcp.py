@@ -42,8 +42,9 @@ def complex_gradient(y: DenseTensor, model: KruskalModel) -> np.ndarray:
 
 def complex_flm_step(
     y: DenseTensor, model: KruskalModel, mu: float, variant: str = "auto"
-) -> KruskalModel:
-    """One fast damped Gauss-Newton candidate for complex factors."""
+) -> np.ndarray:
+    """One fast damped Gauss-Newton step (stacked factor change) for complex
+    factors."""
     _require_complex(y, model)
     return flm_step(y, model, mu, variant)
 

@@ -2,6 +2,11 @@
 structured low-rank machinery: G + Z K Z^H decomposition, kernel inverse,
 fast damped inverse, and the densities of the two small linear systems.
 
+The solver's path is :func:`damped_core`: one batched inverse gives the N
+damped Gram inverses, the NR^2 x NR^2 core system is filled by index and
+broadcasting (no dense commutation or block matrices), and its LU factors
+serve every right-hand side of the step.
+
 Dense paths are deliberately size-guarded: they exist to verify the fast
 paths at desk scale, not to run at production scale.
 """
@@ -82,21 +87,15 @@ def kernel_is_invertible(cache: GramCache, rtol: float = 1e-10) -> bool:
     """Magnitude proxy for invertibility of K: every entry of every pairwise
     Gamma^(n,m) must be nonzero relative to the largest one."""
     n_modes = len(cache.C)
-    mags = [
-        np.abs(cache.gamma_pair[n][m])
-        for n in range(n_modes)
-        for m in range(n_modes)
-        if n != m
-    ]
-    top = max(m.max() for m in mags)
-    if top == 0.0:
-        return False
-    return all(m.min() > rtol * top for m in mags)
+    mags = np.abs(np.array(cache.gamma_pair))[~np.eye(n_modes, dtype=bool)]
+    top = mags.max()
+    return bool(top > 0.0 and mags.min() > rtol * top)
 
 
 def kernel_inverse(cache: GramCache) -> np.ndarray:
     """Closed-form inverse of K: blocks (1/(N-1) - delta) diag(vec(C^(n) *
-    C^(m) / Gamma)) P_R.  Requires nonzero pairwise Gamma entries and N >= 2."""
+    C^(m) / Gamma)) P_R, i.e. the flm-b core system at Psi = 0.  Requires
+    nonzero pairwise Gamma entries and N >= 2."""
     n_modes = len(cache.C)
     if n_modes < 2:
         raise ValueError("kernel inverse needs at least two modes")
@@ -105,18 +104,7 @@ def kernel_inverse(cache: GramCache) -> np.ndarray:
             "a pairwise Gamma entry vanishes; K is singular"
         )
     r = cache.gamma_full.shape[0]
-    p = commutation(r, r)
-    blocks = []
-    for n in range(n_modes):
-        row = []
-        for m in range(n_modes):
-            coeff = 1.0 / (n_modes - 1) - (1.0 if n == m else 0.0)
-            d = (cache.C[n] * cache.C[m] / cache.gamma_full).reshape(
-                -1, order="F"
-            )
-            row.append(coeff * d[:, None] * p)
-        blocks.append(row)
-    return np.block(blocks)
+    return _core_system(cache, np.zeros((n_modes, r, r)), "flm-b")[0]
 
 
 def hessian_block(
@@ -182,33 +170,95 @@ def dense_damped_solve(y: DenseTensor, model: KruskalModel, mu: float) -> np.nda
     return np.linalg.solve(h + mu * np.eye(h.shape[0]), g)
 
 
-def psi_blocks(cache: GramCache, mu: float) -> list:
-    """Psi_mu diagonal blocks (Gamma^(n) + mu I)^{-1} kron C^(n), each R^2 x R^2."""
-    r = cache.gamma_full.shape[0]
-    eye = np.eye(r)
-    out = []
-    for n in range(len(cache.C)):
-        gt = np.linalg.inv(cache.gamma_excl[n] + mu * eye)
-        out.append(np.kron(gt, cache.C[n]))
-    return out
+@dataclass
+class DampedCore:
+    """The pieces of (H + mu I)^{-1} that every stage of one fLM step shares.
 
-
-def b_matrix(cache: GramCache, mu: float, use_kernel_inverse: bool) -> np.ndarray:
-    """B_mu, the small NR^2 x NR^2 core of the damped inverse.
-
-    ``use_kernel_inverse`` selects (K^{-1} + Psi)^{-1}; otherwise the always
-    available K (I + Psi K)^{-1} form is used.  Solved by dense LU; NR^2 is
-    small by assumption.
+    ``gtilde[n]`` is (Gamma^(n) + mu I)^{-1}, stacked N x R x R.  Gamma^(n) is
+    Hermitian, so (Gamma^(n)^T + mu I)^{-1}, which right-multiplies factors, is
+    ``gtilde[n].conj()`` (a no-op for real data), not a second inverse.  ``lu``
+    factors the NR^2 x NR^2 core system once; ``kernel`` holds the pairwise
+    Gammas that apply K after the solve on the flm-a path and is None on
+    flm-b.
     """
-    psi = scipy.linalg.block_diag(*psi_blocks(cache, mu))
-    k = kernel_matrix(cache)
-    eye = np.eye(k.shape[0])
-    if use_kernel_inverse:
-        return np.linalg.inv(kernel_inverse(cache) + psi)
-    try:
-        return k @ np.linalg.solve(eye + psi @ k, eye)
-    except np.linalg.LinAlgError as exc:
-        raise SingularKernelError(f"I + Psi K numerically singular: {exc}")
+
+    gtilde: np.ndarray
+    lu: tuple
+    kernel: np.ndarray | None
+
+    def solve(self, w: np.ndarray) -> np.ndarray:
+        """The N frontal R x R slices F_n of vec(F) = B_mu w, where B_mu is
+        (K^{-1} + Psi)^{-1} on flm-b and K (I + Psi K)^{-1} on flm-a."""
+        n_modes, r = self.gtilde.shape[:2]
+        z = scipy.linalg.lu_solve(self.lu, w, check_finite=False)
+        z = z.reshape(n_modes, r, r).transpose(0, 2, 1)
+        if self.kernel is None:
+            return z
+        # K^(n,m) vec(Z) = P_R vec(Gamma^(n,m) * Z) = vec((Gamma^(n,m) * Z)^T).
+        return (self.kernel * z[None]).sum(axis=1).transpose(0, 2, 1)
+
+
+def damped_gram_inverses(cache: GramCache, mu: float) -> np.ndarray:
+    """(Gamma^(n) + mu I)^{-1} for all modes, from one batched inverse."""
+    r = cache.gamma_full.shape[0]
+    return np.linalg.inv(np.stack(cache.gamma_excl) + mu * np.eye(r))
+
+
+def _core_system(cache: GramCache, gtilde: np.ndarray, variant: str):
+    """The NR^2 x NR^2 core matrix Phi_2 = K^{-1} + Psi ("flm-b") or
+    Phi_1 = I + Psi K ("flm-a"), and the kernel Gammas flm-a applies after.
+
+    Row and column (n, b, a) address entry (a, b) of mode n's R x R block, so
+    the matrix is filled as an (N, R, R, N, R, R) array.  K and K^{-1} are
+    permuted diagonals, so K^{-1} is scattered by index; a Psi block
+    (Gamma^(n) + mu I)^{-1} kron C^(n) is an outer product, and so is each
+    block Psi_n K^(n,m), so both are written by broadcasting.
+    """
+    n_modes, r = gtilde.shape[:2]
+    c = np.stack(cache.C)
+    modes = np.arange(n_modes)
+    size = n_modes * r * r
+    if variant == "flm-b":
+        core = np.zeros((n_modes, r, r) * 2, dtype=np.result_type(gtilde, c))
+        core[modes, :, :, modes] = gtilde[:, :, None, :, None] * c[:, None, :, None, :]
+        # K^{-1} block (n, m): (1/(N-1) - delta) diag(vec(C^(n) * C^(m) / Gamma)) P_R.
+        coeff = 1.0 / (n_modes - 1) - np.eye(n_modes)
+        n, m = modes[:, None, None, None], modes[None, :, None, None]
+        a = np.arange(r)[:, None]
+        b = a.T
+        core[n, b, a, m, a, b] += coeff[:, :, None, None] * (
+            c[:, None] * c[None, :] / cache.gamma_full
+        )
+        return core.reshape(size, size), None
+    kernel = np.array(cache.gamma_pair)
+    kernel[modes, modes] = 0.0
+    # Block (n, m) of Psi K is G~_n[b, a'] C^(n)[a, b'] Gamma^(n,m)[a', b'].
+    core = (
+        gtilde[:, :, None, None, None, :]
+        * c[:, None, :, None, :, None]
+        * kernel.transpose(0, 1, 3, 2)[:, None, None]
+    ).reshape(size, size)
+    core.flat[:: size + 1] += 1.0
+    return core, kernel
+
+
+def damped_core(cache: GramCache, mu: float, variant: str = "auto") -> DampedCore:
+    """The damped Gram inverses and the core system, each factored once.
+
+    "flm-b" uses the closed-form K^{-1} (errors if K is singular); "flm-a"
+    uses the always-available I + Psi K; "auto" picks "flm-b" exactly when
+    the kernel invertibility proxy holds.
+    """
+    if variant == "auto":
+        variant = "flm-b" if kernel_is_invertible(cache) else "flm-a"
+    elif variant == "flm-b" and not kernel_is_invertible(cache):
+        raise SingularKernelError("flm-b requested but K is singular")
+    gtilde = damped_gram_inverses(cache, mu)
+    core, kernel = _core_system(cache, gtilde, variant)
+    lu, piv = scipy.linalg.lu_factor(core, overwrite_a=True, check_finite=False)
+    if not np.diagonal(lu).all():
+        raise SingularKernelError(f"{variant} core system is singular")
+    return DampedCore(gtilde, (lu, piv), kernel)
 
 
 @dataclass
@@ -243,9 +293,7 @@ def fast_damped_inverse(
         use_kernel_inverse = kernel_is_invertible(cache)
     r = cache.gamma_full.shape[0]
     eye = np.eye(r)
-    gamma_tilde = [
-        np.linalg.inv(g + mu * eye) for g in cache.gamma_excl
-    ]
+    gamma_tilde = list(damped_gram_inverses(cache, mu))
     # The core grid is the congruence (Gt kron I) B (Gt kron I) with
     # Gt = (Gamma^(n) + mu I)^{-1}.  Forming B first and scaling afterwards
     # loses digits when mu is far below the top eigenvalue (Psi_mu ~ 1/mu), so
@@ -326,26 +374,21 @@ def apply_damped_hessian(cache: GramCache, factors, vec: np.ndarray, mu: float):
     return np.concatenate(blocks)
 
 
-def apply_damped_inverse(
-    cache: GramCache, factors, b: np.ndarray, vec: np.ndarray, mu: float
-):
-    """(H + mu I)^{-1} v from the binomial-inverse pieces (b = B_mu)."""
-    r = cache.gamma_full.shape[0]
-    eye = np.eye(r)
-    x = _split_blocks(vec, factors)
-    gt_inv = [np.linalg.inv(g.T + mu * eye) for g in cache.gamma_excl]
-    t = [xn @ gi for xn, gi in zip(x, gt_inv)]
-    w = np.concatenate(
-        [(f.conj().T @ tn).reshape(-1, order="F") for f, tn in zip(factors, t)]
+def apply_damped_inverse(core: DampedCore, factors, vec: np.ndarray):
+    """(H + mu I)^{-1} v through the binomial inverse, from a factored core."""
+    gt_inv = core.gtilde.conj()
+    t = [xn @ gi for xn, gi in zip(_split_blocks(vec, factors), gt_inv)]
+    y = core.solve(
+        np.concatenate(
+            [(f.conj().T @ tn).reshape(-1, order="F") for f, tn in zip(factors, t)]
+        )
     )
-    y = b @ w
-    r2 = r * r
-    blocks = []
-    for n in range(len(factors)):
-        yn = y[n * r2 : (n + 1) * r2].reshape((r, r), order="F")
-        out = t[n] - factors[n] @ yn @ gt_inv[n]
-        blocks.append(out.reshape(-1, order="F"))
-    return np.concatenate(blocks)
+    return np.concatenate(
+        [
+            (tn - f @ yn @ gi).reshape(-1, order="F")
+            for tn, f, yn, gi in zip(t, factors, y, gt_inv)
+        ]
+    )
 
 
 def phi_density(n_modes: int, rank: int, variant: str) -> Fraction:
@@ -366,10 +409,7 @@ def phi_density(n_modes: int, rank: int, variant: str) -> Fraction:
 
 def assemble_phi(cache: GramCache, mu: float, variant: str) -> np.ndarray:
     """Dense Phi_1 = I + Psi K or Phi_2 = K^{-1} + Psi, for density checks."""
-    psi = scipy.linalg.block_diag(*psi_blocks(cache, mu))
-    if variant == "phi1":
-        k = kernel_matrix(cache)
-        return np.eye(k.shape[0]) + psi @ k
-    if variant == "phi2":
-        return kernel_inverse(cache) + psi
-    raise ValueError(f"unknown variant {variant!r}")
+    core_variant = {"phi1": "flm-a", "phi2": "flm-b"}.get(variant)
+    if core_variant is None:
+        raise ValueError(f"unknown variant {variant!r}")
+    return _core_system(cache, damped_gram_inverses(cache, mu), core_variant)[0]

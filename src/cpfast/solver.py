@@ -1,14 +1,18 @@
 """Fast damped Gauss-Newton iteration for CP decomposition.
 
-One iteration computes, per mode: the damped ALS factor, a small projected
-residual w, the solution F of an NR^2 x NR^2 system, and a rank-R correction
-to the factor.  The candidate is accepted only if it lowers the residual;
-the damping parameter follows the Nielsen gain-ratio schedule.
+One iteration builds one :class:`~cpfast.hessian.DampedCore` from the Gram
+cache and mu: the N damped Gram inverses from one batched inverse, and one LU
+factorization of the NR^2 x NR^2 core system.  Every stage shares it: per
+mode, the damped ALS factor, a small projected residual w, the solution F of
+the core system, and a rank-R correction to the factor; then two rounds of
+structured refinement solve with the same LU factors.  The gradient is formed
+once per accepted model.  The candidate is accepted only if it lowers the
+residual; the damping parameter follows the Nielsen gain-ratio schedule.
 
 The same code path serves real and complex tensors: Gram matrices are
 Hermitian, and every place where a damped Gamma inverse right-multiplies a
-factor uses (Gamma^(n)^T + mu I)^{-1}, which reduces to the symmetric form
-for real data.
+factor uses (Gamma^(n)^T + mu I)^{-1} = conj((Gamma^(n) + mu I)^{-1}), which
+reduces to the symmetric form for real data.
 """
 
 from __future__ import annotations
@@ -22,9 +26,8 @@ from .hessian import (
     SingularKernelError,
     apply_damped_hessian,
     apply_damped_inverse,
-    b_matrix,
+    damped_core,
     dense_damped_solve,
-    kernel_is_invertible,
 )
 from .kruskal import (
     GramCache,
@@ -32,12 +35,12 @@ from .kruskal import (
     als_line_search_step,
     als_step,
     build_gram_cache,
+    gradient,
     gram_relative_error,
     model_from_vector,
     mttkrp,
     mttkrp_all,
     normalize_equal_energy,
-    normalize_unit_modes,
     random_init,
     relative_error,
     svd_init,
@@ -111,81 +114,46 @@ class FitResult:
 def damped_als_factor(
     y: DenseTensor,
     model: KruskalModel,
-    cache: GramCache,
+    gtilde: np.ndarray,
     n: int,
-    mu: float,
     mttkrp_n: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Damped ALS update for mode n (1-based): mttkrp . (Gamma^(n)^T + mu I)^{-1}."""
+    """Damped ALS update for mode n (1-based): mttkrp . (Gamma^(n)^T + mu I)^{-1}.
+
+    ``gtilde`` stacks the damped Gram inverses (Gamma^(k) + mu I)^{-1}.
+    """
     m = mttkrp_n if mttkrp_n is not None else mttkrp(y, model, n)
-    r = model.rank
-    gt = cache.gamma_excl[n - 1].T
-    return m @ np.linalg.inv(gt + mu * np.eye(r))
+    return m @ gtilde[n - 1].conj()
 
 
 def compute_w(
-    model: KruskalModel, cache: GramCache, damped_factors, mu: float
+    model: KruskalModel, cache: GramCache, damped_factors, gtilde: np.ndarray
 ) -> np.ndarray:
     """Projected residual w = L_mu^H g, stacked blocks of length R^2.
 
     Block n is vec(A^(n)^H A_mu^(n) - C^(n) Gamma^(n)^T (Gamma^(n)^T + mu I)^{-1}).
     """
-    r = model.rank
-    eye = np.eye(r)
     blocks = []
     for n in range(model.order):
-        gt = cache.gamma_excl[n].T
-        gt_damped_inv = np.linalg.inv(gt + mu * eye)
         w_n = (
             model.factors[n].conj().T @ damped_factors[n]
-            - cache.C[n] @ gt @ gt_damped_inv
+            - cache.C[n] @ cache.gamma_excl[n].T @ gtilde[n].conj()
         )
         blocks.append(w_n.reshape(-1, order="F"))
     return np.concatenate(blocks)
 
 
-def _core_matrix(cache: GramCache, mu: float, variant: str) -> np.ndarray:
-    if variant == "auto":
-        variant = "flm-b" if kernel_is_invertible(cache) else "flm-a"
-    if variant == "flm-b" and not kernel_is_invertible(cache):
-        raise SingularKernelError("flm-b requested but K is singular")
-    return b_matrix(cache, mu, use_kernel_inverse=(variant == "flm-b"))
-
-
-def _frontal_slices(cache: GramCache, f: np.ndarray) -> list:
-    r = cache.gamma_full.shape[0]
-    return [
-        f[n * r * r : (n + 1) * r * r].reshape((r, r), order="F")
-        for n in range(len(cache.C))
-    ]
-
-
-def solve_B(
-    cache: GramCache, w: np.ndarray, mu: float, variant: str = "auto"
-) -> list:
-    """Solve vec(F) = B_mu w and return the N frontal R x R slices F_n.
-
-    "flm-b" uses the explicit kernel inverse (errors if K is singular);
-    "flm-a" uses the always-available K (I + Psi K)^{-1} form; "auto" picks
-    "flm-b" exactly when the kernel invertibility proxy holds.
-    """
-    b = _core_matrix(cache, mu, variant)
-    return _frontal_slices(cache, b @ w)
-
-
 def flm_update(
-    model: KruskalModel, damped_factors, F, cache: GramCache, mu: float
+    model: KruskalModel, damped_factors, F, cache: GramCache, gtilde: np.ndarray
 ) -> KruskalModel:
     """Candidate factors A_mu^(n) + A^(n) (I - (F_n + Gamma^(n)^T) Gtilde^T)."""
-    r = model.rank
-    eye = np.eye(r)
+    eye = np.eye(model.rank)
     factors = []
     for n in range(model.order):
-        gt = cache.gamma_excl[n].T
-        gt_damped_inv = np.linalg.inv(gt + mu * eye)
         factors.append(
             damped_factors[n]
-            + model.factors[n] @ (eye - (F[n] + gt) @ gt_damped_inv)
+            + model.factors[n]
+            @ (eye - (F[n] + cache.gamma_excl[n].T) @ gtilde[n].conj())
         )
     return KruskalModel(factors)
 
@@ -197,46 +165,45 @@ def flm_step(
     variant: str = "auto",
     cache: GramCache | None = None,
     mttkrps: list | None = None,
+    grad: np.ndarray | None = None,
     refine_steps: int = 2,
-) -> KruskalModel:
-    """One fast dGN candidate (all factors updated simultaneously).
+) -> np.ndarray:
+    """One fast dGN step: the change of the stacked factor vector, with all
+    factors updated simultaneously (compare :func:`dense_damped_solve`).
 
-    After the factored update, a few rounds of structured iterative refinement
-    (residual recomputed through the G + Z K Z^H form, correction through the
-    binomial inverse) remove the forward error the inverse-application route
-    accumulates when mu is far below the top Hessian eigenvalue.
+    Every stage shares one :class:`DampedCore`, so the damped Gram inverses
+    and the core system are each factored once per step.  After the factored
+    update, a few rounds of structured iterative refinement (residual
+    recomputed through the G + Z K Z^H form, correction through the binomial
+    inverse) remove the forward error the inverse-application route
+    accumulates when mu is far below the top Hessian eigenvalue.  ``grad``
+    is the gradient at ``model`` when the caller already has it.
     """
     cache = cache or build_gram_cache(model)
     if mttkrps is None:
         mttkrps = mttkrp_all(y, model)
+    core = damped_core(cache, mu, variant)
     damped = [
-        damped_als_factor(y, model, cache, n + 1, mu, mttkrps[n])
+        damped_als_factor(y, model, core.gtilde, n + 1, mttkrps[n])
         for n in range(model.order)
     ]
-    w = compute_w(model, cache, damped, mu)
-    b = _core_matrix(cache, mu, variant)
-    F = _frontal_slices(cache, b @ w)
-    candidate = flm_update(model, damped, F, cache, mu)
-    if refine_steps:
-        g = _gradient_from_mttkrps(model, cache, mttkrps)
-        base = model.as_vector()
-        delta = candidate.as_vector() - base
-        for _ in range(refine_steps):
-            resid = g - apply_damped_hessian(cache, model.factors, delta, mu)
-            delta = delta + apply_damped_inverse(
-                cache, model.factors, b, resid, mu
-            )
-        candidate = model_from_vector(base + delta, model.dims, model.rank)
-    return candidate
+    w = compute_w(model, cache, damped, core.gtilde)
+    candidate = flm_update(model, damped, core.solve(w), cache, core.gtilde)
+    delta = candidate.as_vector() - model.as_vector()
+    if refine_steps and grad is None:
+        grad = gradient(y, model, cache, mttkrps)
+    for _ in range(refine_steps):
+        resid = grad - apply_damped_hessian(cache, model.factors, delta, mu)
+        delta = delta + apply_damped_inverse(core, model.factors, resid)
+    return delta
 
 
 def mu_init(cache: GramCache, tau: float) -> float:
-    """Initial damping tau * max(1, max diag C^(N)).
-
-    Assumes the unit-norm convention for modes 1..N-1, under which the stated
-    maximum equals the largest diagonal entry of the approximate Hessian.
+    """Initial damping tau * max(1, max diag Gamma_full), where Gamma_full_rr
+    = prod_n C^(n)_rr.  Under the unit-norm convention for modes 1..N-1 that
+    is the largest diagonal entry of the approximate Hessian, max diag C^(N).
     """
-    return float(tau * max(1.0, np.max(np.real(np.diag(cache.C[-1])))))
+    return float(tau * max(1.0, np.max(np.real(np.diag(cache.gamma_full)))))
 
 
 def nielsen_update(state: LmState, rho: float) -> LmState:
@@ -250,14 +217,6 @@ def nielsen_update(state: LmState, rho: float) -> LmState:
         growth = 2.0 * state.growth
         accepted = False
     return LmState(mu, growth, accepted)
-
-
-def _gradient_from_mttkrps(model, cache, mttkrps) -> np.ndarray:
-    blocks = []
-    for n in range(model.order):
-        e = mttkrps[n] - model.factors[n] @ cache.gamma_excl[n].T
-        blocks.append(e.reshape(-1, order="F"))
-    return np.concatenate(blocks)
 
 
 def _gain_ratio(prev_sq, cand_sq, delta, g, mu) -> float:
@@ -355,11 +314,11 @@ def _fit_lm(y: DenseTensor, config: FitConfig) -> FitResult:
     if ynorm == 0.0:
         raise ZeroDivisionError("cannot fit a zero tensor")
 
-    cache = build_gram_cache(normalize_unit_modes(model))
-    state = LmState(mu=mu_init(cache, config.tau))
-
     cache = build_gram_cache(model)
+    state = LmState(mu=mu_init(cache, config.tau))
     mttkrps = mttkrp_all(y, model)
+    g = gradient(y, model, cache, mttkrps)
+    base = model.as_vector()
     err = relative_error(y, model)
     err_sq = (err * ynorm) ** 2
 
@@ -370,18 +329,15 @@ def _fit_lm(y: DenseTensor, config: FitConfig) -> FitResult:
         try:
             if config.variant == "dgn-oracle":
                 delta = dense_damped_solve(y, model, state.mu)
-                candidate = model_from_vector(
-                    model.as_vector() + delta, model.dims, model.rank
-                )
             else:
-                candidate = flm_step(
-                    y, model, state.mu, config.variant, cache, mttkrps
+                delta = flm_step(
+                    y, model, state.mu, config.variant, cache, mttkrps, g
                 )
-                delta = candidate.as_vector() - model.as_vector()
         except (np.linalg.LinAlgError, SingularKernelError) as exc:
             return FitResult(
                 model, trace, f"error at iteration {t}: {exc}"
             )
+        candidate = model_from_vector(base + delta, model.dims, model.rank)
 
         if err >= GRAM_ERROR_GUARD:
             cand_last = mttkrp(y, candidate, model.order)
@@ -390,7 +346,6 @@ def _fit_lm(y: DenseTensor, config: FitConfig) -> FitResult:
             cand_last = None
             cand_err = relative_error(y, candidate)
         cand_sq = (cand_err * ynorm) ** 2
-        g = _gradient_from_mttkrps(model, cache, mttkrps)
         rho = _gain_ratio(err_sq, cand_sq, delta, g, state.mu)
         state = nielsen_update(state, rho)
 
@@ -400,6 +355,8 @@ def _fit_lm(y: DenseTensor, config: FitConfig) -> FitResult:
                 cand_last = _rescaled_last_mttkrp(cand_last, candidate, model)
             cache = build_gram_cache(model)
             mttkrps = mttkrp_all(y, model, cand_last)
+            g = gradient(y, model, cache, mttkrps)
+            base = model.as_vector()
             deltas.append(abs(err - cand_err))
             err, err_sq = cand_err, cand_sq
             accepted = True

@@ -137,16 +137,15 @@ def run_suite(seeds: int = 10, perturb: bool = False) -> list:
 
             for mu in (1e-4, 1e-1, 10.0):
                 step = dense_damped_solve(y, model, mu)
-                cand_a = flm_step(y, model, mu, "flm-a").as_vector()
-                cand_b = flm_step(y, model, mu, "flm-b").as_vector()
-                base = model.as_vector()
+                step_a = flm_step(y, model, mu, "flm-a")
+                step_b = flm_step(y, model, mu, "flm-b")
                 record(
                     f"step-equivalence-{tag}",
-                    max(_rel(cand_a - base - step, step), _rel(cand_b - base - step, step)),
+                    max(_rel(step_a - step, step), _rel(step_b - step, step)),
                     1e-8,
                 )
                 record(
-                    f"variant-agreement-{tag}", _rel(cand_a - cand_b, cand_b), 1e-9
+                    f"variant-agreement-{tag}", _rel(step_a - step_b, step_b), 1e-9
                 )
 
             g = gradient(y, model, cache)

@@ -69,17 +69,15 @@ class TestComplexStep:
         rng = np.random.default_rng(4)
         y, m = complex_instance(rng, (3, 4, 5), 2)
         ref = dense_damped_solve(y, m, mu)
-        cand = complex_flm_step(y, m, mu, variant)
-        delta = cand.as_vector() - m.as_vector()
+        delta = complex_flm_step(y, m, mu, variant)
         assert np.linalg.norm(delta - ref) / np.linalg.norm(ref) < 1e-8
 
     def test_embedded_real_data_reproduces_real_path(self):
         rng = np.random.default_rng(5)
         m = random_init((3, 4, 5), 2, rng)
         y = DenseTensor(reconstruct(m).data + 0.1 * rng.standard_normal((3, 4, 5)))
-        real_delta = flm_step(y, m, 0.2).as_vector()
-        cand = complex_flm_step(as_complex(y), complex_model(m), 0.2)
-        complex_delta = cand.as_vector()
+        real_delta = flm_step(y, m, 0.2)
+        complex_delta = complex_flm_step(as_complex(y), complex_model(m), 0.2)
         assert np.abs(complex_delta - real_delta).max() < 1e-10
 
 

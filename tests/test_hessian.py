@@ -12,8 +12,8 @@ from cpfast.hessian import (
     apply_damped_inverse,
     assemble_hessian,
     assemble_phi,
-    b_matrix,
     build_parts,
+    damped_core,
     dense_damped_solve,
     fast_damped_inverse,
     hessian_block,
@@ -189,8 +189,7 @@ class TestFastInverse:
             v = v + 1j * rng.standard_normal(h.shape[0])
         hv = apply_damped_hessian(cache, m.factors, v, mu)
         np.testing.assert_allclose(hv, (h + mu * np.eye(h.shape[0])) @ v, atol=1e-12)
-        b = b_matrix(cache, mu, use_kernel_inverse=True)
-        iv = apply_damped_inverse(cache, m.factors, b, v, mu)
+        iv = apply_damped_inverse(damped_core(cache, mu, "flm-b"), m.factors, v)
         expected = np.linalg.solve(h + mu * np.eye(h.shape[0]), v)
         np.testing.assert_allclose(iv, expected, atol=1e-9)
 

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cpfast.hessian import b_matrix, dense_damped_solve, kernel_is_invertible
+from cpfast.hessian import (
+    damped_core,
+    damped_gram_inverses,
+    dense_damped_solve,
+    kernel_is_invertible,
+    kernel_matrix,
+)
 import cpfast.solver
 from cpfast.kruskal import (
     build_gram_cache,
@@ -31,7 +37,6 @@ from cpfast.solver import (
     flm_update,
     mu_init,
     nielsen_update,
-    solve_B,
 )
 from cpfast.synth import CollinearSpec, gen_collinear
 from cpfast.tensor import COMPLEX, DenseTensor, REAL
@@ -52,12 +57,28 @@ def noisy_instance(rng, dims, rank, kind=REAL, noise=0.1):
     return DenseTensor(reconstruct(m).data + noise * e), m
 
 
+def dense_core_product(cache, mu, use_kernel_inverse, w):
+    """B_mu w from the dense K and Psi: inv(K^{-1} + Psi) w with the kernel
+    inverse (taken densely here), K (I + Psi K)^{-1} w without."""
+    r = cache.gamma_full.shape[0]
+    psi = scipy.linalg.block_diag(
+        *[
+            np.kron(np.linalg.inv(g + mu * np.eye(r)), c)
+            for g, c in zip(cache.gamma_excl, cache.C)
+        ]
+    )
+    k = kernel_matrix(cache)
+    if use_kernel_inverse:
+        return np.linalg.inv(np.linalg.inv(k) + psi) @ w
+    return k @ np.linalg.solve(np.eye(k.shape[0]) + psi @ k, w)
+
+
 class TestDampedAlsFactor:
     def test_undamped_limit_is_als(self):
         rng = np.random.default_rng(0)
         y, m = noisy_instance(rng, (4, 5, 6), 2)
         cache = build_gram_cache(m)
-        got = damped_als_factor(y, m, cache, 2, 0.0)
+        got = damped_als_factor(y, m, damped_gram_inverses(cache, 0.0), 2)
         expected = mttkrp(y, m, 2) @ pinv_psd(cache.gamma_excl[1]).T
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
@@ -65,7 +86,7 @@ class TestDampedAlsFactor:
         rng = np.random.default_rng(1)
         y, m = noisy_instance(rng, (4, 5, 6), 2)
         cache = build_gram_cache(m)
-        got = damped_als_factor(y, m, cache, 1, 1e12)
+        got = damped_als_factor(y, m, damped_gram_inverses(cache, 1e12), 1)
         bound = np.abs(mttkrp(y, m, 1)).max() / 1e12 * (1 + 1e-6)
         assert np.abs(got).max() <= bound
 
@@ -76,8 +97,9 @@ class TestComputeW:
         m = unit_model(rng, (3, 4, 5), 2)
         y = reconstruct(m)
         cache = build_gram_cache(m)
-        damped = [damped_als_factor(y, m, cache, n, 0.1) for n in (1, 2, 3)]
-        assert np.abs(compute_w(m, cache, damped, 0.1)).max() < 1e-12
+        gt = damped_gram_inverses(cache, 0.1)
+        damped = [damped_als_factor(y, m, gt, n) for n in (1, 2, 3)]
+        assert np.abs(compute_w(m, cache, damped, gt)).max() < 1e-12
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
     def test_structured_product_oracle(self, kind):
@@ -95,8 +117,9 @@ class TestComputeW:
         )
         z = scipy.linalg.block_diag(*[np.kron(np.eye(r), f) for f in m.factors])
         oracle = z.conj().T @ (gt @ gradient(y, m, cache))
-        damped = [damped_als_factor(y, m, cache, n, mu) for n in (1, 2, 3)]
-        w = compute_w(m, cache, damped, mu)
+        gt = damped_gram_inverses(cache, mu)
+        damped = [damped_als_factor(y, m, gt, n) for n in (1, 2, 3)]
+        w = compute_w(m, cache, damped, gt)
         assert np.linalg.norm(w - oracle) / np.linalg.norm(oracle) < 1e-10
 
     def test_rank_one_scalar_closed_form(self):
@@ -104,8 +127,9 @@ class TestComputeW:
         y, m = noisy_instance(rng, (3, 4), 1)
         cache = build_gram_cache(m)
         mu = 0.5
-        damped = [damped_als_factor(y, m, cache, n, mu) for n in (1, 2)]
-        w = compute_w(m, cache, damped, mu)
+        gt = damped_gram_inverses(cache, mu)
+        damped = [damped_als_factor(y, m, gt, n) for n in (1, 2)]
+        w = compute_w(m, cache, damped, gt)
         for n in range(2):
             a = m.factors[n][:, 0]
             c = cache.C[n].item()
@@ -118,7 +142,7 @@ class TestSolveB:
     def test_zero_maps_to_zero(self):
         rng = np.random.default_rng(5)
         cache = build_gram_cache(unit_model(rng, (3, 4, 5), 2))
-        F = solve_B(cache, np.zeros(3 * 4), 0.1, "flm-a")
+        F = damped_core(cache, 0.1, "flm-a").solve(np.zeros(3 * 4))
         assert all(np.all(f == 0) for f in F)
 
     @pytest.mark.parametrize("variant,use_kinv", [("flm-a", False), ("flm-b", True)])
@@ -127,20 +151,34 @@ class TestSolveB:
         cache = build_gram_cache(unit_model(rng, (3, 4, 5), 2))
         w = rng.standard_normal(12)
         mu = 0.1
-        F = solve_B(cache, w, mu, variant)
-        expected = b_matrix(cache, mu, use_kinv) @ w
+        F = damped_core(cache, mu, variant).solve(w)
+        expected = dense_core_product(cache, mu, use_kinv, w)
         got = np.concatenate([f.reshape(-1, order="F") for f in F])
         np.testing.assert_allclose(got, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    @pytest.mark.parametrize("dims", [(3, 4, 5), (3, 4, 3, 2)])
+    @pytest.mark.parametrize("variant", ["flm-a", "flm-b"])
+    def test_factored_core_matches_dense(self, kind, dims, variant):
+        rng = np.random.default_rng(21)
+        cache = build_gram_cache(unit_model(rng, dims, 2, kind))
+        w = rng.standard_normal(len(dims) * 4)
+        if kind == COMPLEX:
+            w = w + 1j * rng.standard_normal(w.size)
+        for mu in (1e-3, 1.0):
+            F = damped_core(cache, mu, variant).solve(w)
+            got = np.concatenate([f.reshape(-1, order="F") for f in F])
+            expected = dense_core_product(cache, mu, variant == "flm-b", w)
+            assert np.linalg.norm(got - expected) / np.linalg.norm(expected) < 1e-10
 
     def test_variants_agree(self):
         rng = np.random.default_rng(7)
         cache = build_gram_cache(unit_model(rng, (4, 4, 4), 3))
         assert kernel_is_invertible(cache)
         w = rng.standard_normal(3 * 9)
-        fa = solve_B(cache, w, 0.3, "flm-a")
-        fb = solve_B(cache, w, 0.3, "flm-b")
-        for a, b in zip(fa, fb):
-            np.testing.assert_allclose(a, b, atol=1e-9)
+        fa = damped_core(cache, 0.3, "flm-a").solve(w)
+        fb = damped_core(cache, 0.3, "flm-b").solve(w)
+        np.testing.assert_allclose(fa, fb, atol=1e-9)
 
 
 class TestFlmStep:
@@ -151,22 +189,47 @@ class TestFlmStep:
         rng = np.random.default_rng(8)
         y, m = noisy_instance(rng, (3, 4, 5), 2, kind)
         delta_ref = dense_damped_solve(y, m, mu)
-        cand = flm_step(y, m, mu, variant)
-        delta = cand.as_vector() - m.as_vector()
+        delta = flm_step(y, m, mu, variant)
         assert np.linalg.norm(delta - delta_ref) / np.linalg.norm(delta_ref) < 1e-8
+
+    @pytest.mark.parametrize("mu", [1e-4, 1e-1, 10.0])
+    @pytest.mark.parametrize("variant", ["flm-a", "flm-b"])
+    def test_four_way_complex_equals_dense_dgn_step(self, mu, variant):
+        rng = np.random.default_rng(22)
+        y, m = noisy_instance(rng, (3, 4, 3, 2), 2, COMPLEX)
+        delta_ref = dense_damped_solve(y, m, mu)
+        delta = flm_step(y, m, mu, variant)
+        assert np.linalg.norm(delta - delta_ref) / np.linalg.norm(delta_ref) < 1e-8
+
+    @pytest.mark.parametrize("dims", [(4, 5, 6), (3, 4, 3, 2)])
+    @pytest.mark.parametrize("variant", ["flm-a", "flm-b", "auto"])
+    def test_one_core_factorization_per_step(self, dims, variant, monkeypatch):
+        """The damped Gram inverses come from one batched inverse and the
+        core from one LU, shared by the step and both refinement rounds."""
+        rng = np.random.default_rng(23)
+        y, m = noisy_instance(rng, dims, 2)
+        calls = []
+        for mod, name in [(np.linalg, "inv"), (scipy.linalg, "lu_factor")]:
+            original = getattr(mod, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, counted)
+        flm_step(y, m, 0.1, variant, refine_steps=2)
+        assert sorted(calls) == ["inv", "lu_factor"]
 
     def test_exact_fit_leaves_factors(self):
         rng = np.random.default_rng(9)
         m = unit_model(rng, (3, 4, 5), 2)
         y = reconstruct(m)
-        cand = flm_step(y, m, 0.1)
-        assert np.abs(cand.as_vector() - m.as_vector()).max() < 1e-10
+        assert np.abs(flm_step(y, m, 0.1)).max() < 1e-10
 
     def test_heavy_damping_freezes_factors(self):
         rng = np.random.default_rng(10)
         y, m = noisy_instance(rng, (3, 4, 5), 2)
-        cand = flm_step(y, m, 1e12)
-        rel = np.linalg.norm(cand.as_vector() - m.as_vector()) / np.linalg.norm(m.as_vector())
+        rel = np.linalg.norm(flm_step(y, m, 1e12)) / np.linalg.norm(m.as_vector())
         assert rel < 1e-6
 
     def test_flm_update_consistency(self):
@@ -175,12 +238,12 @@ class TestFlmStep:
         y, m = noisy_instance(rng, (3, 4, 5), 2)
         mu = 0.1
         cache = build_gram_cache(m)
-        damped = [damped_als_factor(y, m, cache, n, mu) for n in (1, 2, 3)]
-        w = compute_w(m, cache, damped, mu)
-        F = solve_B(cache, w, mu, "flm-b")
-        cand = flm_update(m, damped, F, cache, mu)
-        one_call = flm_step(y, m, mu, "flm-b", refine_steps=0)
-        np.testing.assert_allclose(cand.as_vector(), one_call.as_vector(), atol=1e-12)
+        core = damped_core(cache, mu, "flm-b")
+        damped = [damped_als_factor(y, m, core.gtilde, n) for n in (1, 2, 3)]
+        w = compute_w(m, cache, damped, core.gtilde)
+        cand = flm_update(m, damped, core.solve(w), cache, core.gtilde)
+        one_call = m.as_vector() + flm_step(y, m, mu, "flm-b", refine_steps=0)
+        np.testing.assert_allclose(cand.as_vector(), one_call, atol=1e-12)
 
 
 class TestDamping:
@@ -315,7 +378,7 @@ class TestFit:
         yc = DenseTensor(y.data.astype(complex))
         mc = m.copy()
         mc = type(m)([f.astype(complex) for f in mc.factors])
-        real_step = flm_step(y, m, 0.1).as_vector()
-        complex_step = flm_step(yc, mc, 0.1).as_vector()
+        real_step = flm_step(y, m, 0.1)
+        complex_step = flm_step(yc, mc, 0.1)
         assert np.abs(complex_step - real_step).max() < 1e-10
         assert np.abs(complex_step.imag).max() < 1e-10
