@@ -5,11 +5,10 @@ from .tensor import (
     DenseTensor,
     REAL,
     ScalarKindError,
+    as_complex,
     fold,
-    hadamard,
     khatri_rao,
     khatri_rao_excl,
-    kronecker,
     unfold,
     vectorize,
 )
@@ -17,6 +16,7 @@ from .kruskal import (
     GramCache,
     KruskalModel,
     build_gram_cache,
+    complex_model,
     gradient,
     mttkrp,
     reconstruct,
@@ -25,12 +25,9 @@ from .kruskal import (
 from .hessian import (
     OracleSizeError,
     SingularKernelError,
-    StructuredInverse,
-    fast_damped_inverse,
     phi_density,
 )
 from .solver import FitConfig, FitResult, fit
-from .complexcp import as_complex, complex_model, fit_complex
 from .synth import (
     CollinearSpec,
     SpectrumReport,
@@ -61,22 +58,17 @@ __all__ = [
     "ScalarKindError",
     "SingularKernelError",
     "SpectrumReport",
-    "StructuredInverse",
     "add_noise",
     "as_complex",
     "build_gram_cache",
     "collinearity_angles",
     "complex_model",
-    "fast_damped_inverse",
     "fit",
-    "fit_complex",
     "fold",
     "gen_collinear",
     "gradient",
-    "hadamard",
     "khatri_rao",
     "khatri_rao_excl",
-    "kronecker",
     "medsae",
     "medsae_pair",
     "mttkrp",

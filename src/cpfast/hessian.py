@@ -1,11 +1,13 @@
 """Explicit Jacobian/Hessian assembly (the dense correctness oracle) and the
 structured low-rank machinery: G + Z K Z^H decomposition, kernel inverse,
-fast damped inverse, and the densities of the two small linear systems.
+the damped inverse through one small core system, and the densities of the
+paper's two core systems.
 
-The solver's path is :func:`damped_core`: one batched inverse gives the N
-damped Gram inverses, the NR^2 x NR^2 core system is filled by index and
-broadcasting (no dense commutation or block matrices), and its LU factors
-serve every right-hand side of the step.
+The solver's path is :func:`damped_core` and :func:`apply_damped_inverse`:
+one batched inverse gives the N damped Gram inverses, the NR^2 x NR^2 core
+system (congruence-scaled so its entries stay O(Gamma + mu) as mu shrinks) is
+filled by index and broadcasting and LU-factored once, and one solve applies
+(H + mu I)^{-1} to a vector.
 
 Dense paths are deliberately size-guarded: they exist to verify the fast
 paths at desk scale, not to run at production scale.
@@ -94,8 +96,8 @@ def kernel_is_invertible(cache: GramCache, rtol: float = 1e-10) -> bool:
 
 def kernel_inverse(cache: GramCache) -> np.ndarray:
     """Closed-form inverse of K: blocks (1/(N-1) - delta) diag(vec(C^(n) *
-    C^(m) / Gamma)) P_R, i.e. the flm-b core system at Psi = 0.  Requires
-    nonzero pairwise Gamma entries and N >= 2."""
+    C^(m) / Gamma)) P_R, i.e. the flm-b core builder at D_n = I without Psi.
+    Requires nonzero pairwise Gamma entries and N >= 2."""
     n_modes = len(cache.C)
     if n_modes < 2:
         raise ValueError("kernel inverse needs at least two modes")
@@ -104,7 +106,9 @@ def kernel_inverse(cache: GramCache) -> np.ndarray:
             "a pairwise Gamma entry vanishes; K is singular"
         )
     r = cache.gamma_full.shape[0]
-    return _core_system(cache, np.zeros((n_modes, r, r)), "flm-b")[0]
+    eye = np.broadcast_to(np.eye(r), (n_modes, r, r))
+    size = n_modes * r * r
+    return _scaled_kernel_inverse(cache, eye).reshape(size, size)
 
 
 def hessian_block(
@@ -172,178 +176,111 @@ def dense_damped_solve(y: DenseTensor, model: KruskalModel, mu: float) -> np.nda
 
 @dataclass
 class DampedCore:
-    """The pieces of (H + mu I)^{-1} that every stage of one fLM step shares.
+    """The factored pieces of (H + mu I)^{-1} for one Gram cache and mu.
 
     ``gtilde[n]`` is (Gamma^(n) + mu I)^{-1}, stacked N x R x R.  Gamma^(n) is
     Hermitian, so (Gamma^(n)^T + mu I)^{-1}, which right-multiplies factors, is
-    ``gtilde[n].conj()`` (a no-op for real data), not a second inverse.  ``lu``
-    factors the NR^2 x NR^2 core system once; ``kernel`` holds the pairwise
-    Gammas that apply K after the solve on the flm-a path and is None on
-    flm-b.
+    ``gtilde[n].conj()`` (a no-op for real data), not a second inverse.
+    ``lu`` and ``piv`` factor the NR^2 x NR^2 scaled core system once;
+    ``kernel`` holds the pairwise Gammas that apply K after the solve on the
+    flm-a path and is None on flm-b.
     """
 
     gtilde: np.ndarray
-    lu: tuple
+    lu: np.ndarray
+    piv: np.ndarray
     kernel: np.ndarray | None
 
-    def solve(self, w: np.ndarray) -> np.ndarray:
-        """The N frontal R x R slices F_n of vec(F) = B_mu w, where B_mu is
-        (K^{-1} + Psi)^{-1} on flm-b and K (I + Psi K)^{-1} on flm-a."""
+    def solve(self, u: np.ndarray) -> np.ndarray:
+        """The N frontal R x R slices Z_n of (Sb (K^{-1} + Psi) Sb)^{-1} u,
+        where Sb = blkdiag((Gamma^(n) + mu I) kron I) and (K^{-1} + Psi)^{-1}
+        means K (I + Psi K)^{-1} when K is singular."""
         n_modes, r = self.gtilde.shape[:2]
-        z = scipy.linalg.lu_solve(self.lu, w, check_finite=False)
+        z = scipy.linalg.lu_solve((self.lu, self.piv), u, check_finite=False)
         z = z.reshape(n_modes, r, r).transpose(0, 2, 1)
         if self.kernel is None:
             return z
-        # K^(n,m) vec(Z) = P_R vec(Gamma^(n,m) * Z) = vec((Gamma^(n,m) * Z)^T).
-        return (self.kernel * z[None]).sum(axis=1).transpose(0, 2, 1)
+        # flm-a solved (Sb + Chat K) x = u; the slices are (Gtilde kron I) K x,
+        # with K^(n,m) vec(X) = P_R vec(Gamma^(n,m) * X) = vec((Gamma^(n,m) * X)^T).
+        kx = (self.kernel * z[None]).sum(axis=1).transpose(0, 2, 1)
+        return kx @ self.gtilde.conj()
 
 
-def damped_gram_inverses(cache: GramCache, mu: float) -> np.ndarray:
-    """(Gamma^(n) + mu I)^{-1} for all modes, from one batched inverse."""
-    r = cache.gamma_full.shape[0]
-    return np.linalg.inv(np.stack(cache.gamma_excl) + mu * np.eye(r))
+def _scaled_kernel_inverse(cache: GramCache, damped: np.ndarray) -> np.ndarray:
+    """Sb K^{-1} Sb with Sb = blkdiag(D_n kron I), as an (N, R, R, N, R, R) array.
 
-
-def _core_system(cache: GramCache, gtilde: np.ndarray, variant: str):
-    """The NR^2 x NR^2 core matrix Phi_2 = K^{-1} + Psi ("flm-b") or
-    Phi_1 = I + Psi K ("flm-a"), and the kernel Gammas flm-a applies after.
-
-    Row and column (n, b, a) address entry (a, b) of mode n's R x R block, so
-    the matrix is filled as an (N, R, R, N, R, R) array.  K and K^{-1} are
-    permuted diagonals, so K^{-1} is scattered by index; a Psi block
-    (Gamma^(n) + mu I)^{-1} kron C^(n) is an outer product, and so is each
-    block Psi_n K^(n,m), so both are written by broadcasting.
+    Row and column (n, b, a) address entry (a, b) of mode n's R x R block.
+    K^{-1} block (n, m) is (1/(N-1) - delta) diag(vec(q_nm)) P_R with
+    q_nm = C^(n) * C^(m) / Gamma_full, so entry [(n, b, a), (m, b', a')] of the
+    product is c_nm D_n[b, a'] q_nm[a, a'] D_m[a, b'].  At D = I it is K^{-1}.
     """
-    n_modes, r = gtilde.shape[:2]
+    n_modes = len(cache.C)
+    c = np.stack(cache.C)
+    coeff = 1.0 / (n_modes - 1) - np.eye(n_modes)
+    q = c[:, None] * c[None, :] / cache.gamma_full
+    return (
+        coeff[:, None, None, :, None, None]
+        * damped[:, :, None, None, None, :]
+        * q.transpose(0, 2, 1, 3)[:, None, :, :, None, :]
+        * damped.transpose(1, 0, 2)[None, None, :, :, :, None]
+    )
+
+
+def _core_system(cache: GramCache, damped: np.ndarray, variant: str):
+    """The NR^2 x NR^2 core matrix, congruence-scaled by Sb = blkdiag(D_n kron
+    I) with D_n = Gamma^(n) + mu I, and the kernel Gammas flm-a applies after.
+
+    "flm-b" is Sb (K^{-1} + Psi) Sb = Sb K^{-1} Sb + blkdiag(D_n kron C^(n));
+    "flm-a" is Sb (I + Psi K) = Sb + Chat K with Chat = blkdiag(I kron C^(n)).
+    Psi = blkdiag(D_n^{-1} kron C^(n)) grows like 1/mu, so the unscaled
+    systems lose digits when mu is far below the top eigenvalue; the scaled
+    ones hold only Gram entries and mu.  Both are filled by index and
+    broadcasting (K and K^{-1} are permuted diagonals), in the (n, b, a)
+    layout of :func:`_scaled_kernel_inverse`.
+    """
+    n_modes, r = damped.shape[:2]
     c = np.stack(cache.C)
     modes = np.arange(n_modes)
     size = n_modes * r * r
     if variant == "flm-b":
-        core = np.zeros((n_modes, r, r) * 2, dtype=np.result_type(gtilde, c))
-        core[modes, :, :, modes] = gtilde[:, :, None, :, None] * c[:, None, :, None, :]
-        # K^{-1} block (n, m): (1/(N-1) - delta) diag(vec(C^(n) * C^(m) / Gamma)) P_R.
-        coeff = 1.0 / (n_modes - 1) - np.eye(n_modes)
-        n, m = modes[:, None, None, None], modes[None, :, None, None]
-        a = np.arange(r)[:, None]
-        b = a.T
-        core[n, b, a, m, a, b] += coeff[:, :, None, None] * (
-            c[:, None] * c[None, :] / cache.gamma_full
+        core = _scaled_kernel_inverse(cache, damped)
+        core[modes, :, :, modes] += (
+            damped[:, :, None, :, None] * c[:, None, :, None, :]
         )
         return core.reshape(size, size), None
     kernel = np.array(cache.gamma_pair)
     kernel[modes, modes] = 0.0
-    # Block (n, m) of Psi K is G~_n[b, a'] C^(n)[a, b'] Gamma^(n,m)[a', b'].
-    core = (
-        gtilde[:, :, None, None, None, :]
-        * c[:, None, :, None, :, None]
-        * kernel.transpose(0, 1, 3, 2)[:, None, None]
-    ).reshape(size, size)
-    core.flat[:: size + 1] += 1.0
-    return core, kernel
+    core = np.zeros((n_modes, r, r) * 2, dtype=np.result_type(damped, c))
+    diag = np.arange(r)
+    # Chat K block (n, m): C^(n)[a, b'] Gamma^(n,m)[b, b'] at a' = b.
+    core[:, diag, :, :, :, diag] = (
+        kernel.transpose(2, 0, 1, 3)[:, :, None] * c[None, :, :, None]
+    )
+    # Sb block (n, n): D_n[b, b'] at a' = a.
+    core[modes[:, None], :, diag, modes[:, None], :, diag] += damped[:, None]
+    return core.reshape(size, size), kernel
 
 
 def damped_core(cache: GramCache, mu: float, variant: str = "auto") -> DampedCore:
-    """The damped Gram inverses and the core system, each factored once.
+    """The damped Gram inverses and the scaled core system, factored once.
 
     "flm-b" uses the closed-form K^{-1} (errors if K is singular); "flm-a"
-    uses the always-available I + Psi K; "auto" picks "flm-b" exactly when
+    uses the always-available Sb + Chat K; "auto" picks "flm-b" exactly when
     the kernel invertibility proxy holds.
     """
+    if mu <= 0:
+        raise ValueError("mu must be positive")
     if variant == "auto":
         variant = "flm-b" if kernel_is_invertible(cache) else "flm-a"
     elif variant == "flm-b" and not kernel_is_invertible(cache):
         raise SingularKernelError("flm-b requested but K is singular")
-    gtilde = damped_gram_inverses(cache, mu)
-    core, kernel = _core_system(cache, gtilde, variant)
+    r = cache.gamma_full.shape[0]
+    damped = np.stack(cache.gamma_excl) + mu * np.eye(r)
+    core, kernel = _core_system(cache, damped, variant)
     lu, piv = scipy.linalg.lu_factor(core, overwrite_a=True, check_finite=False)
     if not np.diagonal(lu).all():
         raise SingularKernelError(f"{variant} core system is singular")
-    return DampedCore(gtilde, (lu, piv), kernel)
-
-
-@dataclass
-class StructuredInverse:
-    """Memory-saving form of (H + mu I)^{-1}.
-
-    Stores the N damped Gamma inverses (R x R each) and the N x N grid of
-    R^2 x R^2 core blocks: exactly N R^2 + N^2 R^4 scalars.
-    """
-
-    gamma_tilde: list
-    S: list
-    mu: float
-
-    def scalar_count(self) -> int:
-        n = len(self.gamma_tilde)
-        r2 = self.gamma_tilde[0].size
-        return n * r2 + sum(b.size for row in self.S for b in row)
-
-
-def fast_damped_inverse(
-    cache: GramCache, factors, mu: float, use_kernel_inverse: bool | None = None
-) -> StructuredInverse:
-    """Structured (H + mu I)^{-1} from the low-rank adjustment.
-
-    ``use_kernel_inverse=None`` picks the explicit-K^{-1} path exactly when the
-    kernel invertibility proxy holds.
-    """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    if use_kernel_inverse is None:
-        use_kernel_inverse = kernel_is_invertible(cache)
-    r = cache.gamma_full.shape[0]
-    eye = np.eye(r)
-    gamma_tilde = list(damped_gram_inverses(cache, mu))
-    # The core grid is the congruence (Gt kron I) B (Gt kron I) with
-    # Gt = (Gamma^(n) + mu I)^{-1}.  Forming B first and scaling afterwards
-    # loses digits when mu is far below the top eigenvalue (Psi_mu ~ 1/mu), so
-    # compute the scaled product directly from O(1)-conditioned systems.
-    # With Sb = blkdiag((Gamma^(n)+muI) kron I) and Chat = blkdiag(I kron C^(n)):
-    #   K^{-1} path: D = [Sb K^{-1} Sb + blkdiag((Gamma^(n)+muI) kron C^(n))]^{-1}
-    #   K-free path: D = blkdiag(Gt kron I) K (Sb + Chat K)^{-1}
-    damped = [cache.gamma_excl[n] + mu * eye for n in range(len(factors))]
-    sb = scipy.linalg.block_diag(*[np.kron(g, eye) for g in damped])
-    if use_kernel_inverse:
-        diag = scipy.linalg.block_diag(
-            *[np.kron(g, c) for g, c in zip(damped, cache.C)]
-        )
-        d = np.linalg.inv(sb @ kernel_inverse(cache) @ sb + diag)
-    else:
-        chat = scipy.linalg.block_diag(*[np.kron(eye, c) for c in cache.C])
-        k = kernel_matrix(cache)
-        gt = scipy.linalg.block_diag(*[np.kron(g, eye) for g in gamma_tilde])
-        try:
-            d = gt @ k @ np.linalg.solve(sb + chat @ k, np.eye(k.shape[0]))
-        except np.linalg.LinAlgError as exc:
-            raise SingularKernelError(f"Sb + Chat K numerically singular: {exc}")
-    r2 = r * r
-    n_modes = len(factors)
-    S = [
-        [d[n * r2 : (n + 1) * r2, m * r2 : (m + 1) * r2] for m in range(n_modes)]
-        for n in range(n_modes)
-    ]
-    return StructuredInverse(gamma_tilde, S, mu)
-
-
-def materialize_inverse(sinv: StructuredInverse, factors) -> np.ndarray:
-    """Dense (H + mu I)^{-1} from the block form; test scaffolding only."""
-    r = sinv.gamma_tilde[0].shape[0]
-    n_modes = len(factors)
-    eye_r = np.eye(r)
-    blocks = []
-    for n in range(n_modes):
-        row = []
-        for m in range(n_modes):
-            zn = np.kron(eye_r, factors[n])
-            zm = np.kron(eye_r, factors[m])
-            block = -zn @ sinv.S[n][m] @ zm.conj().T
-            if n == m:
-                block = block + np.kron(
-                    sinv.gamma_tilde[n], np.eye(factors[n].shape[0])
-                )
-            row.append(block)
-        blocks.append(row)
-    return np.block(blocks)
+    return DampedCore(np.linalg.inv(damped), lu, piv, kernel)
 
 
 def _split_blocks(vec: np.ndarray, factors) -> list:
@@ -356,37 +293,24 @@ def _split_blocks(vec: np.ndarray, factors) -> list:
     return out
 
 
-def apply_damped_hessian(cache: GramCache, factors, vec: np.ndarray, mu: float):
-    """(H + mu I) v without materializing H, via the G + Z K Z^H structure."""
-    x = _split_blocks(vec, factors)
-    w = [f.conj().T @ xn for f, xn in zip(factors, x)]
-    blocks = []
-    for n in range(len(factors)):
-        acc = x[n] @ cache.gamma_excl[n].T + mu * x[n]
-        corr = sum(
-            (cache.gamma_pair[n][m] * w[m]).T
-            for m in range(len(factors))
-            if m != n
-        )
-        if not np.isscalar(corr):
-            acc = acc + factors[n] @ corr
-        blocks.append(acc.reshape(-1, order="F"))
-    return np.concatenate(blocks)
-
-
 def apply_damped_inverse(core: DampedCore, factors, vec: np.ndarray):
-    """(H + mu I)^{-1} v through the binomial inverse, from a factored core."""
-    gt_inv = core.gtilde.conj()
-    t = [xn @ gi for xn, gi in zip(_split_blocks(vec, factors), gt_inv)]
-    y = core.solve(
+    """(H + mu I)^{-1} v from a factored core.
+
+    With H + mu I = G~^{-1} + Z K Z^H, G~ = blkdiag(Gtilde_n kron I) and
+    Z = blkdiag(I kron A^(n)), the binomial inverse is
+    G~ - Z Sb^{-1} (K^{-1} + Psi)^{-1} Sb^{-1} Z^H, so block n of the result is
+    V_n conj(Gtilde_n) - A^(n) Z_n with Z solved from u_n = vec(A^(n)^H V_n).
+    """
+    blocks = _split_blocks(vec, factors)
+    z = core.solve(
         np.concatenate(
-            [(f.conj().T @ tn).reshape(-1, order="F") for f, tn in zip(factors, t)]
+            [(f.conj().T @ v).reshape(-1, order="F") for f, v in zip(factors, blocks)]
         )
     )
     return np.concatenate(
         [
-            (tn - f @ yn @ gi).reshape(-1, order="F")
-            for tn, f, yn, gi in zip(t, factors, y, gt_inv)
+            (v @ gi - f @ zn).reshape(-1, order="F")
+            for v, f, zn, gi in zip(blocks, factors, z, core.gtilde.conj())
         ]
     )
 
@@ -408,8 +332,18 @@ def phi_density(n_modes: int, rank: int, variant: str) -> Fraction:
 
 
 def assemble_phi(cache: GramCache, mu: float, variant: str) -> np.ndarray:
-    """Dense Phi_1 = I + Psi K or Phi_2 = K^{-1} + Psi, for density checks."""
-    core_variant = {"phi1": "flm-a", "phi2": "flm-b"}.get(variant)
-    if core_variant is None:
+    """The paper's unscaled Phi_1 = I + Psi K or Phi_2 = K^{-1} + Psi, with
+    Psi = blkdiag((Gamma^(n) + mu I)^{-1} kron C^(n)), densely for density
+    checks."""
+    if variant not in ("phi1", "phi2"):
         raise ValueError(f"unknown variant {variant!r}")
-    return _core_system(cache, damped_gram_inverses(cache, mu), core_variant)[0]
+    eye = np.eye(cache.gamma_full.shape[0])
+    psi = scipy.linalg.block_diag(
+        *[
+            np.kron(np.linalg.inv(g + mu * eye), c)
+            for g, c in zip(cache.gamma_excl, cache.C)
+        ]
+    )
+    if variant == "phi2":
+        return kernel_inverse(cache) + psi
+    return np.eye(psi.shape[0]) + psi @ kernel_matrix(cache)

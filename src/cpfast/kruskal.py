@@ -73,6 +73,12 @@ class KruskalModel:
         return np.concatenate([f.reshape(-1, order="F") for f in self.factors])
 
 
+def complex_model(model: KruskalModel) -> KruskalModel:
+    """The same model with complex128 factors and weights."""
+    w = None if model.weights is None else model.weights.astype(np.complex128)
+    return KruskalModel([f.astype(np.complex128) for f in model.factors], w)
+
+
 def model_from_vector(vec: np.ndarray, dims, rank: int) -> KruskalModel:
     factors = []
     offset = 0
@@ -266,24 +272,18 @@ def normalize_equal_energy(model: KruskalModel) -> KruskalModel:
     compensating phase folded into the last mode.  Reconstruction is unchanged.
     """
     n_modes = model.order
-    factors = [f.copy() for f in model.factors]
-    weights = model.effective_weights().copy()
-    for r in range(model.rank):
-        norms = np.array([np.linalg.norm(f[:, r]) for f in factors])
-        if np.any(norms == 0.0):
-            raise ZeroDivisionError(f"component {r} has a zero-norm vector")
-        total = np.abs(weights[r]) * np.prod(norms)
-        target = total ** (1.0 / n_modes)
-        wphase = weights[r] / np.abs(weights[r]) if weights[r] != 0 else 1.0
-        for n in range(n_modes):
-            factors[n][:, r] *= target / norms[n]
-        factors[-1][:, r] *= wphase
-        if n_modes >= 2:
-            lead = factors[0][:, r]
-            top = lead[np.argmax(np.abs(lead))]
-            phase = top / np.abs(top) if top != 0 else 1.0
-            factors[0][:, r] /= phase
-            factors[-1][:, r] *= phase
+    weights = model.effective_weights()
+    norms = np.array([np.linalg.norm(f, axis=0) for f in model.factors])
+    zero = np.flatnonzero((norms == 0.0).any(axis=0))
+    if zero.size:
+        raise ZeroDivisionError(f"component {zero[0]} has a zero-norm vector")
+    target = (np.abs(weights) * np.prod(norms, axis=0)) ** (1.0 / n_modes)
+    factors = [f * (target / nrm)[None, :] for f, nrm in zip(model.factors, norms)]
+    factors[-1] = factors[-1] * _unit_phase(weights)
+    if n_modes >= 2:
+        phase = _top_phase(factors[0])
+        factors[0] = factors[0] / phase[None, :]
+        factors[-1] = factors[-1] * phase[None, :]
     return KruskalModel(factors, None)
 
 
@@ -313,10 +313,15 @@ def random_init(dims, rank: int, rng, scalar_kind="real") -> KruskalModel:
     return KruskalModel(factors)
 
 
-def _phase_fixed(u: np.ndarray) -> np.ndarray:
-    """Scale each column so its largest-magnitude entry is real and positive."""
-    top = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
-    return u / (top / np.abs(top))[None, :]
+def _unit_phase(x: np.ndarray) -> np.ndarray:
+    """x / |x| elementwise (the sign, for real data), and 1 where x is 0."""
+    mag = np.abs(x)
+    return np.divide(x, mag, out=np.ones_like(x), where=mag != 0)
+
+
+def _top_phase(u: np.ndarray) -> np.ndarray:
+    """Phase of each column's largest-magnitude entry (1 for a zero column)."""
+    return _unit_phase(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])])
 
 
 def _leading_left_vectors(mat: np.ndarray, rank: int) -> np.ndarray:
@@ -350,7 +355,8 @@ def svd_init(y: DenseTensor, rank: int, rng) -> KruskalModel:
     """
     factors = []
     for n in range(1, y.order + 1):
-        u = _phase_fixed(_leading_left_vectors(unfold(y, n), rank))
+        u = _leading_left_vectors(unfold(y, n), rank)
+        u = u / _top_phase(u)[None, :]
         cols = [u]
         if u.shape[1] < rank:
             extra = rng.standard_normal((u.shape[0], rank - u.shape[1]))
@@ -361,10 +367,7 @@ def svd_init(y: DenseTensor, rank: int, rng) -> KruskalModel:
         factors.append(np.hstack(cols))
     last = factors[-1]
     inner = np.sum(last.conj() * mttkrp(y, KruskalModel(factors), y.order), axis=0)
-    phase = np.ones_like(inner)
-    nonzero = inner != 0
-    phase[nonzero] = inner[nonzero] / np.abs(inner[nonzero])
-    factors[-1] = last * phase[None, :]
+    factors[-1] = last * _unit_phase(inner)[None, :]
     return KruskalModel(factors)
 
 

@@ -1,13 +1,12 @@
 """Fast damped Gauss-Newton iteration for CP decomposition.
 
-One iteration builds one :class:`~cpfast.hessian.DampedCore` from the Gram
-cache and mu: the N damped Gram inverses from one batched inverse, and one LU
-factorization of the NR^2 x NR^2 core system.  Every stage shares it: per
-mode, the damped ALS factor, a small projected residual w, the solution F of
-the core system, and a rank-R correction to the factor; then two rounds of
-structured refinement solve with the same LU factors.  The gradient is formed
-once per accepted model.  The candidate is accepted only if it lowers the
-residual; the damping parameter follows the Nielsen gain-ratio schedule.
+One iteration applies the damped inverse (H + mu I)^{-1} to the gradient
+through one :class:`~cpfast.hessian.DampedCore` built from the Gram cache and
+mu: the N damped Gram inverses from one batched inverse, and one LU
+factorization of the NR^2 x NR^2 congruence-scaled core system, solved once.
+The gradient is formed once per accepted model.  The candidate is accepted
+only if it lowers the residual; the damping parameter follows the Nielsen
+gain-ratio schedule.
 
 The same code path serves real and complex tensors: Gram matrices are
 Hermitian, and every place where a damped Gamma inverse right-multiplies a
@@ -24,7 +23,6 @@ import numpy as np
 
 from .hessian import (
     SingularKernelError,
-    apply_damped_hessian,
     apply_damped_inverse,
     damped_core,
     dense_damped_solve,
@@ -111,91 +109,26 @@ class FitResult:
         return self.trace[-1].relerr if self.trace else float("nan")
 
 
-def damped_als_factor(
-    y: DenseTensor,
-    model: KruskalModel,
-    gtilde: np.ndarray,
-    n: int,
-    mttkrp_n: np.ndarray | None = None,
-) -> np.ndarray:
-    """Damped ALS update for mode n (1-based): mttkrp . (Gamma^(n)^T + mu I)^{-1}.
-
-    ``gtilde`` stacks the damped Gram inverses (Gamma^(k) + mu I)^{-1}.
-    """
-    m = mttkrp_n if mttkrp_n is not None else mttkrp(y, model, n)
-    return m @ gtilde[n - 1].conj()
-
-
-def compute_w(
-    model: KruskalModel, cache: GramCache, damped_factors, gtilde: np.ndarray
-) -> np.ndarray:
-    """Projected residual w = L_mu^H g, stacked blocks of length R^2.
-
-    Block n is vec(A^(n)^H A_mu^(n) - C^(n) Gamma^(n)^T (Gamma^(n)^T + mu I)^{-1}).
-    """
-    blocks = []
-    for n in range(model.order):
-        w_n = (
-            model.factors[n].conj().T @ damped_factors[n]
-            - cache.C[n] @ cache.gamma_excl[n].T @ gtilde[n].conj()
-        )
-        blocks.append(w_n.reshape(-1, order="F"))
-    return np.concatenate(blocks)
-
-
-def flm_update(
-    model: KruskalModel, damped_factors, F, cache: GramCache, gtilde: np.ndarray
-) -> KruskalModel:
-    """Candidate factors A_mu^(n) + A^(n) (I - (F_n + Gamma^(n)^T) Gtilde^T)."""
-    eye = np.eye(model.rank)
-    factors = []
-    for n in range(model.order):
-        factors.append(
-            damped_factors[n]
-            + model.factors[n]
-            @ (eye - (F[n] + cache.gamma_excl[n].T) @ gtilde[n].conj())
-        )
-    return KruskalModel(factors)
-
-
 def flm_step(
     y: DenseTensor,
     model: KruskalModel,
     mu: float,
     variant: str = "auto",
     cache: GramCache | None = None,
-    mttkrps: list | None = None,
     grad: np.ndarray | None = None,
-    refine_steps: int = 2,
 ) -> np.ndarray:
     """One fast dGN step: the change of the stacked factor vector, with all
     factors updated simultaneously (compare :func:`dense_damped_solve`).
 
-    Every stage shares one :class:`DampedCore`, so the damped Gram inverses
-    and the core system are each factored once per step.  After the factored
-    update, a few rounds of structured iterative refinement (residual
-    recomputed through the G + Z K Z^H form, correction through the binomial
-    inverse) remove the forward error the inverse-application route
-    accumulates when mu is far below the top Hessian eigenvalue.  ``grad``
-    is the gradient at ``model`` when the caller already has it.
+    The step is (H + mu I)^{-1} g: one :class:`DampedCore` (the damped Gram
+    inverses and the factored core system) applied once to the gradient.
+    ``grad`` is the gradient at ``model`` when the caller already has it.
     """
     cache = cache or build_gram_cache(model)
-    if mttkrps is None:
-        mttkrps = mttkrp_all(y, model)
+    if grad is None:
+        grad = gradient(y, model, cache)
     core = damped_core(cache, mu, variant)
-    damped = [
-        damped_als_factor(y, model, core.gtilde, n + 1, mttkrps[n])
-        for n in range(model.order)
-    ]
-    w = compute_w(model, cache, damped, core.gtilde)
-    candidate = flm_update(model, damped, core.solve(w), cache, core.gtilde)
-    delta = candidate.as_vector() - model.as_vector()
-    if refine_steps and grad is None:
-        grad = gradient(y, model, cache, mttkrps)
-    for _ in range(refine_steps):
-        resid = grad - apply_damped_hessian(cache, model.factors, delta, mu)
-        delta = delta + apply_damped_inverse(core, model.factors, resid)
-    return delta
+    return apply_damped_inverse(core, model.factors, grad)
 
 
 def mu_init(cache: GramCache, tau: float) -> float:
@@ -244,10 +177,12 @@ def fit(y: DenseTensor, config: FitConfig) -> FitResult:
     Stops when ten consecutive relative-error differences fall below
     ``config.tol``, the iteration budget runs out, or (LM family) the damping
     parameter overflows 1e30.  Raises ``ValueError`` for NaN or infinite
-    entries.
+    entries and for tensors of order below 2.
     """
     if not np.isfinite(y.data).all():
         raise ValueError("tensor has NaN or infinite entries")
+    if y.order < 2:
+        raise ValueError(f"CP fitting needs order >= 2, got order {y.order}")
     t0 = time.monotonic()
     if config.variant in ("als", "als-ls"):
         result = _fit_als(y, config)
@@ -316,8 +251,7 @@ def _fit_lm(y: DenseTensor, config: FitConfig) -> FitResult:
 
     cache = build_gram_cache(model)
     state = LmState(mu=mu_init(cache, config.tau))
-    mttkrps = mttkrp_all(y, model)
-    g = gradient(y, model, cache, mttkrps)
+    g = gradient(y, model, cache, mttkrp_all(y, model))
     base = model.as_vector()
     err = relative_error(y, model)
     err_sq = (err * ynorm) ** 2
@@ -330,9 +264,7 @@ def _fit_lm(y: DenseTensor, config: FitConfig) -> FitResult:
             if config.variant == "dgn-oracle":
                 delta = dense_damped_solve(y, model, state.mu)
             else:
-                delta = flm_step(
-                    y, model, state.mu, config.variant, cache, mttkrps, g
-                )
+                delta = flm_step(y, model, state.mu, config.variant, cache, g)
         except (np.linalg.LinAlgError, SingularKernelError) as exc:
             return FitResult(
                 model, trace, f"error at iteration {t}: {exc}"
@@ -354,8 +286,7 @@ def _fit_lm(y: DenseTensor, config: FitConfig) -> FitResult:
             if cand_last is not None:
                 cand_last = _rescaled_last_mttkrp(cand_last, candidate, model)
             cache = build_gram_cache(model)
-            mttkrps = mttkrp_all(y, model, cand_last)
-            g = gradient(y, model, cache, mttkrps)
+            g = gradient(y, model, cache, mttkrp_all(y, model, cand_last))
             base = model.as_vector()
             deltas.append(abs(err - cand_err))
             err, err_sq = cand_err, cand_sq

@@ -73,6 +73,11 @@ class DenseTensor:
         return float(np.linalg.norm(self.data))
 
 
+def as_complex(y: DenseTensor) -> DenseTensor:
+    """Promote a real tensor to the complex pipeline (explicit, never implicit)."""
+    return DenseTensor(y.data.astype(np.complex128))
+
+
 def _check_mode(t_order: int, n: int) -> None:
     if not 1 <= n <= t_order:
         raise ValueError(f"mode {n} out of range for order-{t_order} tensor")
@@ -98,14 +103,6 @@ def fold(mat: np.ndarray, n: int, dims) -> DenseTensor:
 def vectorize(t: DenseTensor) -> np.ndarray:
     """vec(Y): column-major flattening; equals unfold(t, 1) read column-major."""
     return t.data.reshape(-1, order="F")
-
-
-def tensor_from_vec(vec: np.ndarray, dims) -> DenseTensor:
-    return DenseTensor(np.asarray(vec).reshape(tuple(dims), order="F"))
-
-
-def kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(a, b)
 
 
 def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -134,20 +131,6 @@ def khatri_rao_excl(factors, n: int) -> np.ndarray:
         raise ValueError("factors disagree on column count")
     rest = [factors[k] for k in reversed(range(n_modes)) if k != n - 1]
     return reduce(khatri_rao, rest)
-
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a * b
-
-
-def elementwise_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if np.any(b == 0):
-        raise ZeroDivisionError("division by zero entry")
-    return a / b
 
 
 def commutation(i: int, j: int) -> np.ndarray:

@@ -13,14 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hessian import (
+    apply_damped_inverse,
     assemble_hessian,
     build_parts,
+    damped_core,
     dense_damped_solve,
-    fast_damped_inverse,
     jacobian,
     kernel_inverse,
     kernel_matrix,
-    materialize_inverse,
 )
 from .kruskal import (
     KruskalModel,
@@ -124,13 +124,14 @@ def run_suite(seeds: int = 10, perturb: bool = False) -> list:
             eye = np.eye(k.shape[0])
             record(f"kernel-inverse-{tag}", _rel(k @ ktilde - eye, eye), 1e-10)
 
+            eye = np.eye(h.shape[0])
             for mu in MU_GRID:
-                dense = np.linalg.inv(h + mu * np.eye(h.shape[0]))
-                for use_kinv in (False, True):
-                    sinv = fast_damped_inverse(
-                        cache, model.factors, mu, use_kernel_inverse=use_kinv
+                dense = np.linalg.inv(h + mu * eye)
+                for variant in ("flm-a", "flm-b"):
+                    core = damped_core(cache, mu, variant)
+                    mat = np.column_stack(
+                        [apply_damped_inverse(core, model.factors, e) for e in eye]
                     )
-                    mat = materialize_inverse(sinv, model.factors)
                     record(
                         f"fast-inverse-{tag}", _rel(mat - dense, dense), 1e-8
                     )

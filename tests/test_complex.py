@@ -5,18 +5,11 @@ real-valued data."""
 import numpy as np
 import pytest
 
-from cpfast.complexcp import (
-    as_complex,
-    complex_flm_step,
-    complex_gradient,
-    complex_model,
-    fit_complex,
-)
 from cpfast.hessian import dense_damped_solve
-from cpfast.kruskal import gradient, random_init, reconstruct
-from cpfast.solver import FitConfig, flm_step
+from cpfast.kruskal import complex_model, gradient, random_init, reconstruct
+from cpfast.solver import FitConfig, fit, flm_step
 from cpfast.synth import CollinearSpec, gen_collinear
-from cpfast.tensor import COMPLEX, DenseTensor
+from cpfast.tensor import COMPLEX, DenseTensor, as_complex
 from cpfast.verify import fd_gradient
 
 
@@ -29,15 +22,6 @@ def complex_instance(rng, dims, rank, noise=0.1):
 
 
 class TestKindChecks:
-    def test_real_tensor_rejected(self):
-        rng = np.random.default_rng(0)
-        y = DenseTensor(rng.standard_normal((3, 3)))
-        m = random_init((3, 3), 1, rng)
-        with pytest.raises(TypeError):
-            complex_gradient(y, m)
-        with pytest.raises(TypeError):
-            fit_complex(y, FitConfig(rank=1))
-
     def test_promotions(self):
         rng = np.random.default_rng(1)
         y = DenseTensor(rng.standard_normal((3, 4)))
@@ -52,14 +36,14 @@ class TestComplexGradient:
     def test_matches_wirtinger_finite_differences(self):
         rng = np.random.default_rng(2)
         y, m = complex_instance(rng, (3, 4, 2), 2)
-        g = complex_gradient(y, m)
+        g = gradient(y, m)
         fd = fd_gradient(y, m)
         assert np.linalg.norm(g - fd) / np.linalg.norm(g) < 1e-5
 
     def test_zero_at_exact_fit(self):
         rng = np.random.default_rng(3)
         _, m = complex_instance(rng, (3, 4, 5), 2)
-        assert np.abs(complex_gradient(reconstruct(m), m)).max() < 1e-12
+        assert np.abs(gradient(reconstruct(m), m)).max() < 1e-12
 
 
 class TestComplexStep:
@@ -69,7 +53,7 @@ class TestComplexStep:
         rng = np.random.default_rng(4)
         y, m = complex_instance(rng, (3, 4, 5), 2)
         ref = dense_damped_solve(y, m, mu)
-        delta = complex_flm_step(y, m, mu, variant)
+        delta = flm_step(y, m, mu, variant)
         assert np.linalg.norm(delta - ref) / np.linalg.norm(ref) < 1e-8
 
     def test_embedded_real_data_reproduces_real_path(self):
@@ -77,7 +61,7 @@ class TestComplexStep:
         m = random_init((3, 4, 5), 2, rng)
         y = DenseTensor(reconstruct(m).data + 0.1 * rng.standard_normal((3, 4, 5)))
         real_delta = flm_step(y, m, 0.2)
-        complex_delta = complex_flm_step(as_complex(y), complex_model(m), 0.2)
+        complex_delta = flm_step(as_complex(y), complex_model(m), 0.2)
         assert np.abs(complex_delta - real_delta).max() < 1e-10
 
 
@@ -85,13 +69,13 @@ class TestFitComplex:
     def test_converges_on_complex_collinear_data(self):
         spec = CollinearSpec((10, 10, 10), 3, nu=0.7, seed=2, scalar_kind=COMPLEX)
         truth, y = gen_collinear(spec)
-        result = fit_complex(y, FitConfig(rank=3, variant="auto", seed=2, max_iters=400))
+        result = fit(y, FitConfig(rank=3, variant="auto", seed=2, max_iters=400))
         assert result.final_relerr < 1e-8
         assert result.stop_reason == "tol"
 
     def test_trace_monotone_over_accepted(self):
         rng = np.random.default_rng(6)
         y, _ = complex_instance(rng, (8, 8, 8), 2, noise=0.05)
-        result = fit_complex(y, FitConfig(rank=2, variant="auto", seed=0, max_iters=150))
+        result = fit(y, FitConfig(rank=2, variant="auto", seed=0, max_iters=150))
         accepted = [rec.relerr for rec in result.trace if rec.accepted]
         assert all(b < a for a, b in zip(accepted, accepted[1:]))

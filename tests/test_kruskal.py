@@ -58,6 +58,25 @@ def reconstruct_oracle(model):
     return out
 
 
+def equal_energy_loop(model):
+    """Per-component reference for normalize_equal_energy."""
+    factors = [f.copy() for f in model.factors]
+    weights = model.effective_weights().copy()
+    for r in range(model.rank):
+        norms = np.array([np.linalg.norm(f[:, r]) for f in factors])
+        target = (np.abs(weights[r]) * np.prod(norms)) ** (1.0 / model.order)
+        wphase = weights[r] / np.abs(weights[r]) if weights[r] != 0 else 1.0
+        for n in range(model.order):
+            factors[n][:, r] *= target / norms[n]
+        factors[-1][:, r] *= wphase
+        lead = factors[0][:, r]
+        top = lead[np.argmax(np.abs(lead))]
+        phase = top / np.abs(top) if top != 0 else 1.0
+        factors[0][:, r] /= phase
+        factors[-1][:, r] *= phase
+    return factors
+
+
 class TestModel:
     def test_rank_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -210,6 +229,14 @@ class TestErrorsAndNormalization:
             reconstruct(normalized).data, reconstruct(m).data, atol=1e-12
         )
         assert normalized.weights is None
+
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    def test_equal_energy_matches_per_component_loop(self, kind):
+        rng = np.random.default_rng(13)
+        m = random_model(rng, (3, 4, 5, 2), 4, kind, weights=True)
+        m.weights[1] = 0.0
+        for got, ref in zip(normalize_equal_energy(m).factors, equal_energy_loop(m)):
+            np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-15)
 
     def test_equal_energy_balances_norms(self):
         m = KruskalModel(

@@ -12,16 +12,12 @@ from cpfast.tensor import (
     REAL,
     ScalarKindError,
     commutation,
-    elementwise_div,
     fold,
-    hadamard,
     khatri_rao,
     khatri_rao_excl,
     kind_of,
-    kronecker,
     mode_commutation,
     require_same_kind,
-    tensor_from_vec,
     unfold,
     vectorize,
 )
@@ -97,12 +93,6 @@ class TestUnfold:
             vectorize(t), unfold(t, 1).reshape(-1, order="F")
         )
 
-    def test_tensor_from_vec_roundtrip(self):
-        rng = np.random.default_rng(5)
-        t = random_tensor(rng, (2, 5, 3), COMPLEX)
-        back = tensor_from_vec(vectorize(t), t.dims)
-        np.testing.assert_array_equal(back.data, t.data)
-
     def test_bad_mode_raises(self):
         t = DenseTensor(np.zeros((2, 2)))
         with pytest.raises(ValueError):
@@ -112,11 +102,6 @@ class TestUnfold:
 
 
 class TestProducts:
-    def test_kronecker_matches_numpy(self):
-        rng = np.random.default_rng(6)
-        a, b = rng.standard_normal((2, 3)), rng.standard_normal((4, 2))
-        np.testing.assert_array_equal(kronecker(a, b), np.kron(a, b))
-
     def test_khatri_rao_columnwise_oracle(self):
         rng = np.random.default_rng(7)
         a, b = rng.standard_normal((3, 4)), rng.standard_normal((5, 4))
@@ -142,16 +127,6 @@ class TestProducts:
                 col = np.kron(col, f[:, r])
             expected[:, r] = col
         np.testing.assert_allclose(got, expected)
-
-    def test_hadamard_and_div(self):
-        rng = np.random.default_rng(9)
-        a, b = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
-        np.testing.assert_array_equal(hadamard(a, b), a * b)
-        np.testing.assert_allclose(elementwise_div(a, b), a / b)
-        with pytest.raises(ValueError):
-            hadamard(a, np.zeros((2, 2)))
-        with pytest.raises(ZeroDivisionError):
-            elementwise_div(a, np.zeros((3, 3)))
 
 
 class TestCommutation:
