@@ -115,23 +115,26 @@ class GramCache:
     gamma_full: np.ndarray
 
 
+def _hadamard_excl(C: list, skip) -> np.ndarray:
+    """Hadamard product of the C^(k) with k not in ``skip``, in ascending k."""
+    rest = [c for k, c in enumerate(C) if k not in skip]
+    if not rest:
+        return np.ones_like(C[0])
+    return reduce(np.multiply, rest)
+
+
 def build_gram_cache(model: KruskalModel) -> GramCache:
     n_modes = model.order
-    r = model.rank
     C = [f.conj().T @ f for f in model.factors]
-
-    def hprod(skip):
-        rest = [C[k] for k in range(n_modes) if k not in skip]
-        if not rest:
-            return np.ones((r, r), dtype=C[0].dtype)
-        return reduce(np.multiply, rest)
-
-    gamma_excl = [hprod({n}) for n in range(n_modes)]
+    gamma_excl = [_hadamard_excl(C, {n}) for n in range(n_modes)]
     gamma_pair = [
-        [gamma_excl[n] if n == m else hprod({n, m}) for m in range(n_modes)]
+        [
+            gamma_excl[n] if n == m else _hadamard_excl(C, {n, m})
+            for m in range(n_modes)
+        ]
         for n in range(n_modes)
     ]
-    return GramCache(C, gamma_excl, gamma_pair, hprod(set()))
+    return GramCache(C, gamma_excl, gamma_pair, _hadamard_excl(C, set()))
 
 
 def _khatri_rao_of(factors) -> np.ndarray:
@@ -204,12 +207,16 @@ def mttkrp_all(
     Tichavsky & Cichocki, IEEE TSP 2013).
     """
     _check_pair(y, model)
-    factors = model.factors
     if last is None:
         last = mttkrp(y, model, model.order)
-    pt = factors[-1].conj().T @ _last_mode_rows(y).T
-    head = factors[:-1]
+    pt = _last_partial(y, model.factors[-1])
+    head = model.factors[:-1]
     return [_contract_all_but(pt, head, k) for k in range(len(head))] + [last]
+
+
+def _last_partial(y: DenseTensor, last_factor: np.ndarray) -> np.ndarray:
+    """P = Y x_N conj(A^(N)) as R x (J / I_N): one pass over the tensor."""
+    return last_factor.conj().T @ _last_mode_rows(y).T
 
 
 def gradient(
@@ -383,30 +390,64 @@ def pinv_psd(gamma: np.ndarray) -> np.ndarray:
     return (v * inv_w[None, :]) @ v.conj().T
 
 
-def als_step(y: DenseTensor, model: KruskalModel) -> KruskalModel:
-    """One ALS sweep, updating factors in ascending mode order."""
-    factors = [f.copy() for f in model.factors]
-    for n in range(model.order):
-        work = KruskalModel(factors)
-        cache = build_gram_cache(work)
-        m = mttkrp(y, work, n + 1)
-        factors[n] = m @ pinv_psd(cache.gamma_excl[n]).T
-    return KruskalModel(factors)
+def als_step(
+    y: DenseTensor, model: KruskalModel
+) -> tuple[KruskalModel, np.ndarray]:
+    """One ALS sweep, updating factors in ascending mode order.
+
+    Returns the new model and its mode-N MTTKRP M^(N).  Cost: two passes over
+    the tensor.  The partial product P = Y x_N conj(A^(N)) is formed once, and
+    modes 1..N-1 are contractions of P with the current factors; this is exact
+    because A^(N) changes only in the last update.  Mode N is one full MTTKRP
+    of the updated factors 1..N-1, which is also the new model's M^(N), since
+    M^(N) does not depend on A^(N).  Only the Gram matrix of the factor just
+    updated is recomputed, and each Gamma^(n) is the Hadamard product of the
+    others in the order of :func:`build_gram_cache`.
+    """
+    _check_pair(y, model)
+    factors = list(model.factors)
+    n_modes = len(factors)
+    grams = [f.conj().T @ f for f in factors]
+    pt = _last_partial(y, factors[-1])
+    for n in range(n_modes):
+        if n < n_modes - 1:
+            m = _contract_all_but(pt, factors[:-1], n)
+        else:
+            m = mttkrp(y, KruskalModel(factors), n_modes)
+        factors[n] = m @ pinv_psd(_hadamard_excl(grams, {n})).T
+        grams[n] = factors[n].conj().T @ factors[n]
+    return KruskalModel(factors), m
 
 
 def als_line_search_step(
-    y: DenseTensor, model: KruskalModel, history: KruskalModel | None, t: int = 1
+    y: DenseTensor,
+    model: KruskalModel,
+    history: KruskalModel | None,
+    t: int = 1,
+    score=None,
 ) -> tuple[KruskalModel, float]:
     """ALS sweep with extrapolation against the previous iterate.
 
     Candidates A_prev + s (A_als - A_prev) for s in {1, 1.1, t^(1/3)} are
-    scored by relative error; the best one wins and is returned with its
-    error.  With no history this is a plain ALS sweep.  The recipe is a
-    documented stand-in: the classical "ALS with line search" baseline defers
-    to toolbox internals.
+    scored by ``score(candidate, last)``, which returns the relative error
+    given the candidate's mode-N MTTKRP ``last`` when it is known (else
+    None); the default is the dense :func:`relative_error`.  The best
+    candidate wins and is returned with its error.  With no history this is a
+    plain ALS sweep.  The recipe is a documented stand-in: the classical "ALS
+    with line search" baseline defers to toolbox internals.
+
+    Cost in passes over the tensor: two for the sweep.  A scorer that uses
+    :func:`gram_relative_error` gets the stepped candidate's M^(N) from the
+    sweep for free and spends one pass on each extrapolated candidate: four
+    passes with history, two without, and no reconstruction.
     """
-    stepped = als_step(y, model)
-    best, best_err = stepped, relative_error(y, stepped)
+    if score is None:
+
+        def score(candidate, last):
+            return relative_error(y, candidate)
+
+    stepped, last = als_step(y, model)
+    best, best_err = stepped, score(stepped, last)
     if history is None:
         return best, best_err
     for s in (1.1, float(t) ** (1.0 / 3.0)):
@@ -416,7 +457,7 @@ def als_line_search_step(
                 for hp, ha in zip(history.factors, stepped.factors)
             ]
         )
-        err = relative_error(y, cand)
+        err = score(cand, None)
         if err < best_err:
             best, best_err = cand, err
     return best, best_err

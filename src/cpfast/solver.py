@@ -49,9 +49,10 @@ VARIANTS = ("flm-a", "flm-b", "auto", "als", "als-ls", "dgn-oracle")
 
 MU_OVERFLOW = 1e30
 RHO_DENOM_GUARD = 1e-30
-# Below this accepted relative error the candidate error comes from the dense
+# Below this current relative error the candidate error comes from the dense
 # residual: the Gram identity's cancellation error (~eps / relerr) must stay
-# far under the 1e-8 differences the tol rule compares.
+# far under the 1e-8 differences the tol rule compares.  One guard serves the
+# fLM and ALS loops.
 GRAM_ERROR_GUARD = 1e-3
 
 
@@ -177,22 +178,57 @@ def fit(y: DenseTensor, config: FitConfig) -> FitResult:
     Stops when ten consecutive relative-error differences fall below
     ``config.tol``, the iteration budget runs out, or (LM family) the damping
     parameter overflows 1e30.  Raises ``ValueError`` for NaN or infinite
-    entries and for tensors of order below 2.
+    entries and for tensors of order below 2, and ``ZeroDivisionError`` for an
+    all-zero tensor, all before any initialization.
     """
     if not np.isfinite(y.data).all():
         raise ValueError("tensor has NaN or infinite entries")
     if y.order < 2:
         raise ValueError(f"CP fitting needs order >= 2, got order {y.order}")
+    ynorm = y.norm()
+    if ynorm == 0.0:
+        raise ZeroDivisionError("cannot fit a zero tensor")
     t0 = time.monotonic()
     if config.variant in ("als", "als-ls"):
-        result = _fit_als(y, config)
+        result = _fit_als(y, config, ynorm)
     else:
-        result = _fit_lm(y, config)
+        result = _fit_lm(y, config, ynorm)
     result.time_ms = (time.monotonic() - t0) * 1e3
     return result
 
 
-def _fit_als(y: DenseTensor, config: FitConfig) -> FitResult:
+def _candidate_error(
+    y: DenseTensor,
+    ynorm: float,
+    err: float,
+    candidate: KruskalModel,
+    last: np.ndarray | None = None,
+) -> tuple[float, np.ndarray | None]:
+    """Relative error of ``candidate`` and its mode-N MTTKRP (None if unused).
+
+    While the current error ``err`` is at least ``GRAM_ERROR_GUARD``, the
+    error comes from :func:`gram_relative_error` and the mode-N MTTKRP,
+    which is ``last`` when the caller has it and one pass over the tensor
+    otherwise.  Below the guard it is the dense :func:`relative_error`.
+    """
+    if err >= GRAM_ERROR_GUARD:
+        if last is None:
+            last = mttkrp(y, candidate, candidate.order)
+        return gram_relative_error(ynorm, candidate, last), last
+    return relative_error(y, candidate), None
+
+
+def _fit_als(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
+    """ALS and ALS with line search.
+
+    Cost per sweep in passes over the tensor: two for :func:`als_step` (the
+    partial product for modes 1..N-1 and the mode-N MTTKRP).  Candidates are
+    scored by :func:`_candidate_error`: above ``GRAM_ERROR_GUARD`` the swept
+    model's error reuses the sweep's mode-N MTTKRP, and each of als-ls's two
+    extrapolated candidates costs one more pass, so a plain sweep is two
+    passes and a line-search sweep four, with no reconstruction.  Below the
+    guard every candidate is scored by the dense residual.
+    """
     rng = np.random.default_rng([config.seed, 0])
     model = _init_model(y, config, rng)
     trace = []
@@ -200,13 +236,18 @@ def _fit_als(y: DenseTensor, config: FitConfig) -> FitResult:
     err = relative_error(y, model)
     history = None
     stop_reason = "max_iters"
+
+    def score(candidate, last):
+        # Reads ``err`` when called: the error of the model being swept.
+        return _candidate_error(y, ynorm, err, candidate, last)[0]
+
     for t in range(1, config.max_iters + 1):
         prev = model
         if config.variant == "als-ls":
-            model, new_err = als_line_search_step(y, model, history, t)
+            model, new_err = als_line_search_step(y, model, history, t, score)
         else:
-            model = als_step(y, model)
-            new_err = relative_error(y, model)
+            model, last = als_step(y, model)
+            new_err = score(model, last)
         history = prev
         trace.append(IterRecord(t, new_err, 0.0, True))
         deltas.append(abs(err - new_err))
@@ -231,7 +272,7 @@ def _rescaled_last_mttkrp(
     return last / s_last.conj()[None, :]
 
 
-def _fit_lm(y: DenseTensor, config: FitConfig) -> FitResult:
+def _fit_lm(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
     """Damped Gauss-Newton loop shared by flm-a, flm-b, auto and dgn-oracle.
 
     Cost per iteration in passes over the tensor: a candidate is scored with
@@ -241,14 +282,10 @@ def _fit_lm(y: DenseTensor, config: FitConfig) -> FitResult:
     pass).  Once the accepted relative error is below ``GRAM_ERROR_GUARD``
     the identity cancels, so candidates are scored by the dense
     :func:`relative_error` instead; the path is chosen from the current error,
-    so no iteration computes both.
+    so no iteration computes both (see :func:`_candidate_error`).
     """
     rng = np.random.default_rng([config.seed, 0])
     model = normalize_equal_energy(_init_model(y, config, rng))
-    ynorm = y.norm()
-    if ynorm == 0.0:
-        raise ZeroDivisionError("cannot fit a zero tensor")
-
     cache = build_gram_cache(model)
     state = LmState(mu=mu_init(cache, config.tau))
     g = gradient(y, model, cache, mttkrp_all(y, model))
@@ -271,12 +308,7 @@ def _fit_lm(y: DenseTensor, config: FitConfig) -> FitResult:
             )
         candidate = model_from_vector(base + delta, model.dims, model.rank)
 
-        if err >= GRAM_ERROR_GUARD:
-            cand_last = mttkrp(y, candidate, model.order)
-            cand_err = gram_relative_error(ynorm, candidate, cand_last)
-        else:
-            cand_last = None
-            cand_err = relative_error(y, candidate)
+        cand_err, cand_last = _candidate_error(y, ynorm, err, candidate)
         cand_sq = (cand_err * ynorm) ** 2
         rho = _gain_ratio(err_sq, cand_sq, delta, g, state.mu)
         state = nielsen_update(state, rho)

@@ -5,6 +5,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from cpfast.kruskal import (
     KruskalModel,
@@ -18,6 +19,7 @@ from cpfast.kruskal import (
     mttkrp_all,
     normalize_equal_energy,
     normalize_unit_modes,
+    pinv_psd,
     random_init,
     reconstruct,
     relative_error,
@@ -327,7 +329,7 @@ class TestInitAndAls:
         m = random_init(y.dims, 3, rng, kind)
         errs = [relative_error(y, m)]
         for _ in range(5):
-            m = als_step(y, m)
+            m, _ = als_step(y, m)
             errs.append(relative_error(y, m))
         assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
 
@@ -335,7 +337,7 @@ class TestInitAndAls:
         rng = np.random.default_rng(15)
         truth = random_model(rng, (5, 5, 5), 2)
         y = reconstruct(truth)
-        stepped = als_step(y, truth)
+        stepped, _ = als_step(y, truth)
         assert relative_error(y, stepped) < 1e-12
 
     def test_line_search_no_worse_than_plain_als(self):
@@ -346,5 +348,62 @@ class TestInitAndAls:
         prev = None
         for t in range(1, 6):
             nxt, _ = als_line_search_step(y, m, prev, t)
-            assert relative_error(y, nxt) <= relative_error(y, als_step(y, m)) + 1e-12
+            plain, _ = als_step(y, m)
+            assert relative_error(y, nxt) <= relative_error(y, plain) + 1e-12
             prev, m = m, nxt
+
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    @pytest.mark.parametrize("dims", [(5, 6), (4, 5, 6), (3, 4, 2, 5)])
+    def test_als_step_matches_textbook_update(self, dims, kind):
+        """Every factor equals the unfolding update from the factors swept so
+        far, and the returned matrix is the new model's mode-N MTTKRP."""
+        rng = np.random.default_rng(64)
+        y = random_tensor(rng, dims, kind)
+        m = random_model(rng, dims, 3, kind)
+        before = [f.copy() for f in m.factors]
+        stepped, last = als_step(y, m)
+        factors = list(m.factors)
+        for n in range(1, len(dims) + 1):
+            gamma = build_gram_cache(KruskalModel(factors)).gamma_excl[n - 1]
+            factors[n - 1] = (
+                unfold(y, n)
+                @ khatri_rao_excl(factors, n).conj()
+                @ pinv_psd(gamma).T
+            )
+            got = stepped.factors[n - 1]
+            err = np.linalg.norm(got - factors[n - 1])
+            assert err <= 1e-12 * np.linalg.norm(factors[n - 1])
+        ref = mttkrp(y, stepped, len(dims))
+        assert np.linalg.norm(last - ref) <= 1e-12 * np.linalg.norm(ref)
+        for f, g in zip(m.factors, before):
+            np.testing.assert_array_equal(f, g)
+
+
+@st.composite
+def noisy_pairs(draw):
+    """A random model and a tensor whose relative error against it is drawn
+    from [1e-3, 1): noise orthogonal to the model's tensor, scaled to fit."""
+    order = draw(st.integers(2, 4))
+    dims = tuple(draw(st.lists(st.integers(2, 6), min_size=order, max_size=order)))
+    rank = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from([REAL, COMPLEX]))
+    target = draw(st.floats(1e-3, 1.0, exclude_max=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = random_model(rng, dims, rank, kind, weights=draw(st.booleans()))
+    clean = reconstruct(m).data
+    noise = random_tensor(rng, dims, kind).data
+    noise -= clean * (np.vdot(clean, noise) / np.vdot(clean, clean))
+    scale = target / np.sqrt(1.0 - target**2) * np.linalg.norm(clean)
+    noise *= scale / np.linalg.norm(noise)
+    return DenseTensor(clean + noise), m, target
+
+
+@given(noisy_pairs())
+def test_gram_error_property(pair):
+    """The Gram-identity error equals the dense one within 1e-9 relative for
+    every order, size, rank and scalar kind, down to relerr 1e-3."""
+    y, m, target = pair
+    dense = relative_error(y, m)
+    gram = gram_relative_error(y.norm(), m, mttkrp(y, m, m.order))
+    assert dense == pytest.approx(target, rel=1e-6)
+    assert gram == pytest.approx(dense, rel=1e-9)

@@ -14,8 +14,11 @@ from cpfast.hessian import (
     kernel_matrix,
 )
 import cpfast.solver
+import cpfast.kruskal
 from cpfast.kruskal import (
     KruskalModel,
+    als_line_search_step,
+    als_step,
     build_gram_cache,
     mttkrp,
     normalize_equal_energy,
@@ -29,6 +32,7 @@ from cpfast.solver import (
     GRAM_ERROR_GUARD,
     LmState,
     MU_OVERFLOW,
+    _candidate_error,
     _rescaled_last_mttkrp,
     fit,
     flm_step,
@@ -298,9 +302,17 @@ class TestFit:
         with pytest.raises(ValueError, match="order"):
             fit(y, FitConfig(rank=1, variant=variant))
 
-    def test_zero_tensor_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            fit(DenseTensor(np.zeros((3, 3, 3))), FitConfig(rank=1))
+    @pytest.mark.parametrize("variant", ["auto", "als-ls", "als"])
+    def test_zero_tensor_rejected(self, variant, monkeypatch):
+        """Every variant rejects a zero tensor the same way, before the init."""
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("the init ran on a zero tensor")
+
+        monkeypatch.setattr(cpfast.solver, "svd_init", no_init)
+        zero = DenseTensor(np.zeros((3, 3, 3)))
+        with pytest.raises(ZeroDivisionError, match="cannot fit a zero tensor"):
+            fit(zero, FitConfig(rank=1, variant=variant))
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -357,3 +369,58 @@ class TestFit:
         complex_step = flm_step(yc, mc, 0.1)
         assert np.abs(complex_step - real_step).max() < 1e-10
         assert np.abs(complex_step.imag).max() < 1e-10
+
+
+class TestAlsLineSearch:
+    @pytest.mark.parametrize("dims", [(5, 6, 7), (3, 4, 3, 5)])
+    @pytest.mark.parametrize("above", [True, False])
+    def test_passes_per_step(self, dims, above, monkeypatch):
+        """Above the guard a step with history reconstructs nothing and makes
+        three mode-N MTTKRPs (the sweep's and one per extrapolated candidate);
+        below it, each of the three candidates is scored densely."""
+        rng = np.random.default_rng(25)
+        y, _ = noisy_instance(rng, dims, 3, noise=0.3)
+        history = random_init(dims, 3, rng)
+        model, _ = als_step(y, history)
+        err = relative_error(y, model)
+        assert err > GRAM_ERROR_GUARD
+        if not above:
+            monkeypatch.setattr(cpfast.solver, "GRAM_ERROR_GUARD", np.inf)
+        calls = []
+        for name in ("mttkrp", "reconstruct", "relative_error"):
+            original = getattr(cpfast.kruskal, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append((_name, args[2] if _name == "mttkrp" else None))
+                return _original(*args, **kwargs)
+
+            for mod in (cpfast.kruskal, cpfast.solver):
+                if getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counted)
+
+        def score(candidate, last):
+            return _candidate_error(y, y.norm(), err, candidate, last)[0]
+
+        als_line_search_step(y, model, history, 3, score)
+        sweep = [("mttkrp", len(dims))]
+        if above:
+            assert calls == sweep * 3
+        else:
+            assert sorted(calls) == sorted(
+                sweep + [("reconstruct", None), ("relative_error", None)] * 3
+            )
+
+    @pytest.mark.parametrize("variant", ["als-ls", "als"])
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    def test_gram_scoring_keeps_dense_trajectory(self, variant, kind, monkeypatch):
+        """Scoring by the Gram identity gives the sweeps, stop reason and
+        relerr (within 1e-9) of a fit that scores every candidate densely."""
+        rng = np.random.default_rng(26)
+        y, _ = noisy_instance(rng, (6, 7, 8), 3, kind, noise=0.005)
+        config = FitConfig(rank=3, variant=variant, max_iters=400)
+        gram = fit(y, config)
+        assert gram.final_relerr > GRAM_ERROR_GUARD
+        monkeypatch.setattr(cpfast.solver, "GRAM_ERROR_GUARD", np.inf)
+        dense = fit(y, config)
+        assert (gram.iters, gram.stop_reason) == (dense.iters, dense.stop_reason)
+        assert gram.final_relerr == pytest.approx(dense.final_relerr, rel=1e-9)
