@@ -26,7 +26,13 @@ CSV_COLUMNS = (
     "medsae_first_db",
     "medsae_rest_db",
     "stop_reason",
+    "error",
 )
+# Stop reasons of a fit that ran to one of its stopping rules; any other
+# reason (an error message) is recorded as "error" with its text kept.
+STOP_REASONS = ("tol", "max_iters", "mu_overflow", "nonfinite")
+# Runs whose numbers are not a usable fit.
+FAILED = ("error", "nonfinite")
 
 
 @dataclass
@@ -43,6 +49,7 @@ class RunRecord:
     medsae_first_db: float | None
     medsae_rest_db: float | None
     stop_reason: str
+    error: str | None = None
 
     def __post_init__(self):
         if not (self.iters >= self.accepted_iters >= 0):
@@ -96,11 +103,7 @@ def run_single(
 def record_from_result(
     result, truth: KruskalModel, seed, nu, rank, snr_db, algo
 ) -> RunRecord:
-    stop = result.stop_reason if result.stop_reason in (
-        "tol",
-        "max_iters",
-        "mu_overflow",
-    ) else "error"
+    stop = result.stop_reason if result.stop_reason in STOP_REASONS else "error"
     scores = medsae_pair(truth, result.model) if truth is not None else None
     return RunRecord(
         seed=seed,
@@ -115,6 +118,7 @@ def record_from_result(
         medsae_first_db=scores["first_db"] if scores else None,
         medsae_rest_db=scores["rest_db"] if scores else None,
         stop_reason=stop,
+        error=result.stop_reason if stop == "error" else None,
     )
 
 
@@ -146,10 +150,11 @@ def run_grid(
                                 scalar_kind,
                                 **fit_kwargs,
                             )
-                        except Exception:
+                        except Exception as exc:
                             record = RunRecord(
                                 seed, nu, rank, snr_db, algo, 0, 0, 0.0,
                                 float("nan"), None, None, "error",
+                                f"{type(exc).__name__}: {exc}",
                             )
                         records.append(record)
     return records
@@ -164,7 +169,11 @@ def write_csv(path, records) -> None:
 
 
 def summarize(records) -> list:
-    """Per (nu, R, snr, algo) cell: median iters / relerr / MedSAE."""
+    """Per (nu, R, snr, algo) cell: median iters / relerr / MedSAE.
+
+    ``errors`` counts the runs that failed (see ``FAILED``); the medians
+    leave them out.
+    """
     cells = {}
     for rec in records:
         cells.setdefault((rec.nu, rec.R, rec.snr_db, rec.algo), []).append(rec)
@@ -172,7 +181,7 @@ def summarize(records) -> list:
     for (nu, rank, snr_db, algo), group in sorted(
         cells.items(), key=lambda kv: tuple(map(str, kv[0]))
     ):
-        ok = [r for r in group if r.stop_reason != "error"]
+        ok = [r for r in group if r.stop_reason not in FAILED]
         rows.append(
             {
                 "nu": nu,

@@ -130,7 +130,9 @@ def cmd_fit(tensor_file, algo, rank, tau, tol, max_iters, seed, init, truth, out
             cptn.write_matrix(f"{out}_factor{n}.cptn", factor)
         benchmod.write_csv(f"{out}.csv", [record])
         click.echo(f"wrote {out}.csv")
-    if record.stop_reason == "error":
+    if record.error:
+        click.echo(record.error, err=True)
+    if record.stop_reason in benchmod.FAILED:
         sys.exit(1)
 
 

@@ -4,10 +4,10 @@ the damped inverse through one small core system, and the densities of the
 paper's two core systems.
 
 The solver's path is :func:`damped_core` and :func:`apply_damped_inverse`:
-one batched inverse gives the N damped Gram inverses, the NR^2 x NR^2 core
-system (congruence-scaled so its entries stay O(Gamma + mu) as mu shrinks) is
-filled by index and broadcasting and LU-factored once, and one solve applies
-(H + mu I)^{-1} to a vector.
+one batched inverse gives the N damped Gram inverses, the NR^2 x NR^2 flm-a
+core system (congruence-scaled so its entries stay O(Gamma + mu) as mu
+shrinks) is written through strided views and LU-factored once by LAPACK
+``?getrf``, and one ``?getrs`` solve applies (H + mu I)^{-1} to a vector.
 
 Dense paths are deliberately size-guarded: they exist to verify the fast
 paths at desk scale, not to run at production scale.
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -89,7 +90,7 @@ def kernel_is_invertible(cache: GramCache, rtol: float = 1e-10) -> bool:
     """Magnitude proxy for invertibility of K: every entry of every pairwise
     Gamma^(n,m) must be nonzero relative to the largest one."""
     n_modes = len(cache.C)
-    mags = np.abs(np.array(cache.gamma_pair))[~np.eye(n_modes, dtype=bool)]
+    mags = np.abs(cache.gamma_pair)[~np.eye(n_modes, dtype=bool)]
     top = mags.max()
     return bool(top > 0.0 and mags.min() > rtol * top)
 
@@ -174,6 +175,19 @@ def dense_damped_solve(y: DenseTensor, model: KruskalModel, mu: float) -> np.nda
     return np.linalg.solve(h + mu * np.eye(h.shape[0]), g)
 
 
+@lru_cache(maxsize=None)
+def _lu_routines(dtype: np.dtype):
+    """LAPACK ``?getrf`` and ``?getrs`` for ``dtype``."""
+    return scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=dtype)
+
+
+def _check_info(info: int, routine: str, what: str) -> None:
+    if info < 0:
+        raise np.linalg.LinAlgError(f"{routine}: illegal value in argument {-info}")
+    if info > 0:
+        raise SingularKernelError(f"{what} is singular (zero pivot {info})")
+
+
 @dataclass
 class DampedCore:
     """The factored pieces of (H + mu I)^{-1} for one Gram cache and mu.
@@ -181,9 +195,9 @@ class DampedCore:
     ``gtilde[n]`` is (Gamma^(n) + mu I)^{-1}, stacked N x R x R.  Gamma^(n) is
     Hermitian, so (Gamma^(n)^T + mu I)^{-1}, which right-multiplies factors, is
     ``gtilde[n].conj()`` (a no-op for real data), not a second inverse.
-    ``lu`` and ``piv`` factor the NR^2 x NR^2 scaled core system once;
-    ``kernel`` holds the pairwise Gammas that apply K after the solve on the
-    flm-a path and is None on flm-b.
+    ``lu`` and ``piv`` are the ``?getrf`` factors of the NR^2 x NR^2 scaled
+    core system; ``kernel`` holds the pairwise Gammas (zero on the diagonal)
+    that apply K after the solve on the flm-a path and is None on flm-b.
     """
 
     gtilde: np.ndarray
@@ -196,7 +210,9 @@ class DampedCore:
         where Sb = blkdiag((Gamma^(n) + mu I) kron I) and (K^{-1} + Psi)^{-1}
         means K (I + Psi K)^{-1} when K is singular."""
         n_modes, r = self.gtilde.shape[:2]
-        z = scipy.linalg.lu_solve((self.lu, self.piv), u, check_finite=False)
+        getrs = _lu_routines(np.result_type(self.lu, u))[1]
+        z, info = getrs(self.lu, self.piv, u)
+        _check_info(info, "getrs", "core system")
         z = z.reshape(n_modes, r, r).transpose(0, 2, 1)
         if self.kernel is None:
             return z
@@ -215,7 +231,7 @@ def _scaled_kernel_inverse(cache: GramCache, damped: np.ndarray) -> np.ndarray:
     product is c_nm D_n[b, a'] q_nm[a, a'] D_m[a, b'].  At D = I it is K^{-1}.
     """
     n_modes = len(cache.C)
-    c = np.stack(cache.C)
+    c = cache.C
     coeff = 1.0 / (n_modes - 1) - np.eye(n_modes)
     q = c[:, None] * c[None, :] / cache.gamma_full
     return (
@@ -223,6 +239,30 @@ def _scaled_kernel_inverse(cache: GramCache, damped: np.ndarray) -> np.ndarray:
         * damped[:, :, None, None, None, :]
         * q.transpose(0, 2, 1, 3)[:, None, :, :, None, :]
         * damped.transpose(1, 0, 2)[None, None, :, :, :, None]
+    )
+
+
+@lru_cache(maxsize=None)
+def _flm_a_layout(n_modes: int, r: int, itemsize: int):
+    """The N x N x 1 x 1 off-diagonal mode mask (read-only) and the byte
+    strides of the two views through which the flm-a core is filled.
+
+    The core is stored in Fortran order, the layout ``?getrf`` factors in
+    place; row and column (n, b, a) are n R^2 + b R + a, so entry (row, col)
+    is element row + col NR^2.  The Chat K entries (n, b, a; m, a', b) are
+    the view [n, m, b, a, a'], the Sb entries (n, b, a; n, b', a) the view
+    [n, b, b', a]; an index that appears twice steps by both of its strides.
+    """
+    size = n_modes * r * r
+    r2 = r * r
+    kernel = (r2, r2 * size, r + size, 1, r * size)
+    sb = (r2 * (1 + size), r, r * size, 1 + size)
+    off = ~np.eye(n_modes, dtype=bool)[:, :, None, None]
+    off.setflags(write=False)
+    return (
+        off,
+        tuple(st * itemsize for st in kernel),
+        tuple(st * itemsize for st in sb),
     )
 
 
@@ -234,63 +274,52 @@ def _core_system(cache: GramCache, damped: np.ndarray, variant: str):
     "flm-a" is Sb (I + Psi K) = Sb + Chat K with Chat = blkdiag(I kron C^(n)).
     Psi = blkdiag(D_n^{-1} kron C^(n)) grows like 1/mu, so the unscaled
     systems lose digits when mu is far below the top eigenvalue; the scaled
-    ones hold only Gram entries and mu.  Both are filled by index and
-    broadcasting (K and K^{-1} are permuted diagonals), in the (n, b, a)
-    layout of :func:`_scaled_kernel_inverse`.
+    ones hold only Gram entries and mu.  K and K^{-1} are permuted diagonals:
+    flm-b is filled by broadcasting in the (n, b, a) layout of
+    :func:`_scaled_kernel_inverse`, flm-a through two strided views of a
+    Fortran-ordered matrix (see :func:`_flm_a_layout`).
     """
     n_modes, r = damped.shape[:2]
-    c = np.stack(cache.C)
-    modes = np.arange(n_modes)
+    c = cache.C
     size = n_modes * r * r
     if variant == "flm-b":
         core = _scaled_kernel_inverse(cache, damped)
+        modes = np.arange(n_modes)
         core[modes, :, :, modes] += (
             damped[:, :, None, :, None] * c[:, None, :, None, :]
         )
-        return core.reshape(size, size), None
-    kernel = np.array(cache.gamma_pair)
-    kernel[modes, modes] = 0.0
-    core = np.zeros((n_modes, r, r) * 2, dtype=np.result_type(damped, c))
-    diag = np.arange(r)
-    # Chat K block (n, m): C^(n)[a, b'] Gamma^(n,m)[b, b'] at a' = b.
-    core[:, diag, :, :, :, diag] = (
-        kernel.transpose(2, 0, 1, 3)[:, :, None] * c[None, :, :, None]
-    )
-    # Sb block (n, n): D_n[b, b'] at a' = a.
-    core[modes[:, None], :, diag, modes[:, None], :, diag] += damped[:, None]
-    return core.reshape(size, size), kernel
+        return np.asfortranarray(core.reshape(size, size)), None
+    core = np.zeros((size, size), dtype=damped.dtype, order="F")
+    off, kernel_strides, sb_strides = _flm_a_layout(n_modes, r, core.itemsize)
+    kernel = np.where(off, cache.gamma_pair, 0.0)
+    # Chat K block (n, m): C^(n)[a, a'] Gamma^(n,m)[b, a'] at column (m, a', b);
+    # the zero diagonal of ``kernel`` leaves the diagonal blocks to Sb.
+    view = np.ndarray((n_modes,) * 2 + (r,) * 3, core.dtype, core, 0, kernel_strides)
+    np.multiply(kernel[:, :, :, None, :], c[:, None, None, :, :], out=view)
+    # Sb block (n, n): D_n[b, b'] at column (n, b', a).
+    view = np.ndarray((n_modes,) + (r,) * 3, core.dtype, core, 0, sb_strides)
+    view[...] = damped[..., None]
+    return core, kernel
 
 
-def damped_core(cache: GramCache, mu: float, variant: str = "auto") -> DampedCore:
+def damped_core(cache: GramCache, mu: float, variant: str = "flm-a") -> DampedCore:
     """The damped Gram inverses and the scaled core system, factored once.
 
-    "flm-b" uses the closed-form K^{-1} (errors if K is singular); "flm-a"
-    uses the always-available Sb + Chat K; "auto" picks "flm-b" exactly when
-    the kernel invertibility proxy holds.
+    "flm-a" (alias "auto") uses Sb + Chat K, which exists for every Gram
+    cache; "flm-b" uses the closed-form K^{-1} and raises
+    :class:`SingularKernelError` when the kernel invertibility proxy fails.
+    A zero pivot in the LU factorization raises :class:`SingularKernelError`.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
-    if variant == "auto":
-        variant = "flm-b" if kernel_is_invertible(cache) else "flm-a"
-    elif variant == "flm-b" and not kernel_is_invertible(cache):
+    if variant == "flm-b" and not kernel_is_invertible(cache):
         raise SingularKernelError("flm-b requested but K is singular")
     r = cache.gamma_full.shape[0]
-    damped = np.stack(cache.gamma_excl) + mu * np.eye(r)
+    damped = cache.gamma_excl + mu * np.eye(r)
     core, kernel = _core_system(cache, damped, variant)
-    lu, piv = scipy.linalg.lu_factor(core, overwrite_a=True, check_finite=False)
-    if not np.diagonal(lu).all():
-        raise SingularKernelError(f"{variant} core system is singular")
+    lu, piv, info = _lu_routines(core.dtype)[0](core, overwrite_a=True)
+    _check_info(info, "getrf", f"{variant} core system")
     return DampedCore(np.linalg.inv(damped), lu, piv, kernel)
-
-
-def _split_blocks(vec: np.ndarray, factors) -> list:
-    out = []
-    offset = 0
-    for f in factors:
-        size = f.shape[0] * f.shape[1]
-        out.append(vec[offset : offset + size].reshape(f.shape, order="F"))
-        offset += size
-    return out
 
 
 def apply_damped_inverse(core: DampedCore, factors, vec: np.ndarray):
@@ -300,19 +329,30 @@ def apply_damped_inverse(core: DampedCore, factors, vec: np.ndarray):
     Z = blkdiag(I kron A^(n)), the binomial inverse is
     G~ - Z Sb^{-1} (K^{-1} + Psi)^{-1} Sb^{-1} Z^H, so block n of the result is
     V_n conj(Gtilde_n) - A^(n) Z_n with Z solved from u_n = vec(A^(n)^H V_n).
+
+    Block n of a stacked vector is vec(V_n) in column-major order, so V_n^T is
+    a row-major R x I_n view of it.  Everything is formed transposed, in
+    place: u_n as V_n^T conj(A^(n)) and the result's block as
+    Gtilde_n^H V_n^T - Z_n^T A^(n)^T.
     """
-    blocks = _split_blocks(vec, factors)
-    z = core.solve(
-        np.concatenate(
-            [(f.conj().T @ v).reshape(-1, order="F") for f, v in zip(factors, blocks)]
-        )
-    )
-    return np.concatenate(
-        [
-            (v @ gi - f @ zn).reshape(-1, order="F")
-            for v, f, zn, gi in zip(blocks, factors, z, core.gtilde.conj())
-        ]
-    )
+    n_modes, r = core.gtilde.shape[:2]
+    dtype = np.result_type(vec, core.lu)
+    u = np.empty((n_modes, r, r), dtype)
+    out = np.empty(vec.shape, dtype)
+    blocks = []
+    offset = 0
+    for f, un in zip(factors, u):
+        end = offset + f.size
+        vt = vec[offset:end].reshape(r, -1)
+        np.matmul(vt, f.conj(), out=un)
+        blocks.append((vt, out[offset:end].reshape(r, -1)))
+        offset = end
+    z = core.solve(u.reshape(-1))
+    gtilde_h = core.gtilde.conj().transpose(0, 2, 1)
+    for f, (vt, block), zn, gh in zip(factors, blocks, z, gtilde_h):
+        np.matmul(gh, vt, out=block)
+        block -= zn.T @ f.T
+    return out
 
 
 def phi_density(n_modes: int, rank: int, variant: str) -> Fraction:

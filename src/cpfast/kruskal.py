@@ -9,7 +9,7 @@ code path is exact for both scalar kinds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -33,7 +33,11 @@ class KruskalModel:
     weights: np.ndarray | None = None
 
     def __post_init__(self):
-        self.factors = [np.atleast_2d(np.asarray(f)) for f in self.factors]
+        self.factors = [
+            f if type(f) is np.ndarray and f.ndim == 2
+            else np.atleast_2d(np.asarray(f))
+            for f in self.factors
+        ]
         ranks = {f.shape[1] for f in self.factors}
         if len(ranks) != 1:
             raise ValueError("all factors must share the same column count")
@@ -102,17 +106,56 @@ def reconstruct(model: KruskalModel) -> DenseTensor:
 
 @dataclass
 class GramCache:
-    """Per-iteration Gram products of a model's factors (all R x R).
+    """Per-iteration Gram products of a model's factors, stacked (R x R each).
 
-    ``C[n]`` is A^(n)^H A^(n); ``gamma_excl[n]`` is the Hadamard product of all
-    C^(k) except k = n; ``gamma_pair[n][m]`` excludes both n and m (and equals
-    ``gamma_excl[n]`` on the diagonal); ``gamma_full`` includes every mode.
+    ``C[n]`` is A^(n)^H A^(n), N x R x R; ``gamma_excl[n]`` is the Hadamard
+    product of all C^(k) except k = n, N x R x R; ``gamma_pair[n, m]``
+    excludes both n and m (and equals ``gamma_excl[n]`` on the diagonal),
+    N x N x R x R; ``gamma_full`` includes every mode.
     """
 
-    C: list
-    gamma_excl: list
-    gamma_pair: list
+    C: np.ndarray
+    gamma_excl: np.ndarray
+    gamma_pair: np.ndarray
     gamma_full: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _exclusion_mask(n_modes: int) -> np.ndarray:
+    """keep[n, m, k]: mode k enters the product that excludes modes n and m,
+    for n, m in 0..N, where index N excludes nothing.  Read-only."""
+    skip = np.arange(n_modes + 1)
+    k = np.arange(n_modes)
+    keep = (k != skip[:, None, None]) & (k != skip[None, :, None])
+    keep = keep[..., None, None]
+    keep.setflags(write=False)
+    return keep
+
+
+def gram_stack(factors) -> np.ndarray:
+    """The Gram matrices A^(n)^H A^(n), stacked N x R x R."""
+    r = factors[0].shape[1]
+    grams = np.empty((len(factors), r, r), dtype=factors[0].dtype)
+    for f, c in zip(factors, grams):
+        np.matmul(f.conj().T, f, out=c)
+    return grams
+
+
+def gram_cache(C: np.ndarray) -> GramCache:
+    """The Gram cache of the stacked Gram matrices ``C`` (N x R x R).
+
+    Every Hadamard product comes from one masked ``multiply.reduce`` over the
+    modes in ascending order; an excluded mode contributes an exact one.
+    """
+    n_modes = C.shape[0]
+    prods = np.multiply.reduce(np.where(_exclusion_mask(n_modes), C, 1.0), axis=2)
+    return GramCache(
+        C, prods[:n_modes, n_modes], prods[:n_modes, :n_modes], prods[-1, -1]
+    )
+
+
+def build_gram_cache(model: KruskalModel) -> GramCache:
+    return gram_cache(gram_stack(model.factors))
 
 
 def _hadamard_excl(C: list, skip) -> np.ndarray:
@@ -121,20 +164,6 @@ def _hadamard_excl(C: list, skip) -> np.ndarray:
     if not rest:
         return np.ones_like(C[0])
     return reduce(np.multiply, rest)
-
-
-def build_gram_cache(model: KruskalModel) -> GramCache:
-    n_modes = model.order
-    C = [f.conj().T @ f for f in model.factors]
-    gamma_excl = [_hadamard_excl(C, {n}) for n in range(n_modes)]
-    gamma_pair = [
-        [
-            gamma_excl[n] if n == m else _hadamard_excl(C, {n, m})
-            for m in range(n_modes)
-        ]
-        for n in range(n_modes)
-    ]
-    return GramCache(C, gamma_excl, gamma_pair, _hadamard_excl(C, set()))
 
 
 def _khatri_rao_of(factors) -> np.ndarray:
@@ -252,21 +281,56 @@ def relative_error(y: DenseTensor, model: KruskalModel) -> float:
 
 
 def gram_relative_error(
-    ynorm: float, model: KruskalModel, last: np.ndarray
+    ynorm: float,
+    model: KruskalModel,
+    last: np.ndarray,
+    grams: np.ndarray | None = None,
 ) -> float:
     """Relative error from ||Y||, the mode-N MTTKRP and the Gram matrices.
 
     ||Y - Yhat||^2 = ||Y||^2 - 2 Re<A^(N) diag(w), M^(N)> + w^H Gamma_full w,
-    where ``last`` is M^(N) = mttkrp(y, model, N).  No dense tensor is formed.
-    The terms are O(||Y||^2) and cancel: the squared residual carries an
-    absolute error of a few eps ||Y||^2, i.e. ~eps / relerr in the result, so
-    small errors need :func:`relative_error` instead.
+    where ``last`` is M^(N) = mttkrp(y, model, N) and ``grams`` the stacked
+    Gram matrices of the factors when the caller has them (see
+    :func:`gram_stack`).  No dense tensor is formed.  The terms are
+    O(||Y||^2) and cancel: the squared residual carries an absolute error of a
+    few eps ||Y||^2, i.e. ~eps / relerr in the result, so small errors need
+    :func:`relative_error` instead.
     """
+    if grams is None:
+        grams = gram_stack(model.factors)
     w = model.effective_weights()
-    gamma_full = reduce(np.multiply, [f.conj().T @ f for f in model.factors])
+    gamma_full = np.multiply.reduce(grams)
     cross = np.vdot(model.factors[-1] * w[None, :], last).real
     model_sq = np.vdot(w, gamma_full @ w).real
     return float(np.sqrt(max(ynorm**2 - 2.0 * cross + model_sq, 0.0)) / ynorm)
+
+
+def _equal_energy_scales(
+    model: KruskalModel, norms: np.ndarray | None = None
+) -> np.ndarray:
+    """Column scales s (N x R) with which :func:`normalize_equal_energy`
+    multiplies the factors of ``model``.
+
+    ``norms`` are the factors' column norms (N x R) when the caller has them,
+    e.g. sqrt(diag C^(n)) from the Gram matrices.  The product of the scales
+    of a component over the modes is its weight, so the reconstruction is
+    unchanged.
+    """
+    n_modes = model.order
+    if norms is None:
+        norms = np.array([np.linalg.norm(f, axis=0) for f in model.factors])
+    if not norms.all():
+        zero = np.flatnonzero(~norms.all(axis=0))
+        raise ZeroDivisionError(f"component {zero[0]} has a zero-norm vector")
+    weights = model.effective_weights()
+    target = (np.abs(weights) * np.multiply.reduce(norms)) ** (1.0 / n_modes)
+    scales = (target / norms).astype(np.result_type(weights, *model.factors))
+    scales[-1] *= _unit_phase(weights)
+    if n_modes >= 2:
+        phase = _top_phase(model.factors[0])
+        scales[0] /= phase
+        scales[-1] *= phase
+    return scales
 
 
 def normalize_equal_energy(model: KruskalModel) -> KruskalModel:
@@ -278,20 +342,29 @@ def normalize_equal_energy(model: KruskalModel) -> KruskalModel:
     largest-magnitude entry of the first-mode vector real-positive, with the
     compensating phase folded into the last mode.  Reconstruction is unchanged.
     """
-    n_modes = model.order
-    weights = model.effective_weights()
-    norms = np.array([np.linalg.norm(f, axis=0) for f in model.factors])
-    zero = np.flatnonzero((norms == 0.0).any(axis=0))
-    if zero.size:
-        raise ZeroDivisionError(f"component {zero[0]} has a zero-norm vector")
-    target = (np.abs(weights) * np.prod(norms, axis=0)) ** (1.0 / n_modes)
-    factors = [f * (target / nrm)[None, :] for f, nrm in zip(model.factors, norms)]
-    factors[-1] = factors[-1] * _unit_phase(weights)
-    if n_modes >= 2:
-        phase = _top_phase(factors[0])
-        factors[0] = factors[0] / phase[None, :]
-        factors[-1] = factors[-1] * phase[None, :]
-    return KruskalModel(factors, None)
+    scales = _equal_energy_scales(model)
+    return KruskalModel([f * s for f, s in zip(model.factors, scales)])
+
+
+def normalize_with_grams(
+    model: KruskalModel, grams: np.ndarray, last: np.ndarray | None = None
+) -> tuple[KruskalModel, GramCache, np.ndarray | None]:
+    """:func:`normalize_equal_energy` of an unweighted ``model`` from its
+    stacked Gram matrices ``grams``, with what the Grams give for free.
+
+    The column norms are sqrt(diag C^(n)).  With the scales s_n of
+    :func:`_equal_energy_scales`, the normalized model's Gram matrices are
+    conj(s_n)^T s_n * C^(n), so its Gram cache needs no factor products, and
+    since the scales of a component multiply to one, its mode-N MTTKRP is
+    ``last`` / conj(s_N) (None when ``last`` is None).
+    """
+    norms = np.sqrt(grams.diagonal(0, 1, 2).real)
+    scales = _equal_energy_scales(model, norms)
+    normalized = KruskalModel([f * s for f, s in zip(model.factors, scales)])
+    cache = gram_cache(grams * (scales.conj()[:, :, None] * scales[:, None, :]))
+    if last is not None:
+        last = last / scales[-1].conj()
+    return normalized, cache, last
 
 
 def normalize_unit_modes(model: KruskalModel) -> KruskalModel:

@@ -16,13 +16,13 @@ reduces to the symmetric form for real data.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hessian import (
-    SingularKernelError,
     apply_damped_inverse,
     damped_core,
     dense_damped_solve,
@@ -35,10 +35,12 @@ from .kruskal import (
     build_gram_cache,
     gradient,
     gram_relative_error,
+    gram_stack,
     model_from_vector,
     mttkrp,
     mttkrp_all,
     normalize_equal_energy,
+    normalize_with_grams,
     random_init,
     relative_error,
     svd_init,
@@ -84,10 +86,15 @@ class FitConfig:
 
 @dataclass
 class IterRecord:
+    """One iteration: the relative error after it, the damping parameter for
+    the next step, whether the step was accepted, and the gain ratio of the
+    step (NaN for ALS)."""
+
     iter: int
     relerr: float
     mu: float
     accepted: bool
+    rho: float = math.nan
 
 
 @dataclass
@@ -114,7 +121,7 @@ def flm_step(
     y: DenseTensor,
     model: KruskalModel,
     mu: float,
-    variant: str = "auto",
+    variant: str = "flm-a",
     cache: GramCache | None = None,
     grad: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -176,10 +183,13 @@ def fit(y: DenseTensor, config: FitConfig) -> FitResult:
     """Decompose ``y`` with the configured algorithm.
 
     Stops when ten consecutive relative-error differences fall below
-    ``config.tol``, the iteration budget runs out, or (LM family) the damping
-    parameter overflows 1e30.  Raises ``ValueError`` for NaN or infinite
-    entries and for tensors of order below 2, and ``ZeroDivisionError`` for an
-    all-zero tensor, all before any initialization.
+    ``config.tol`` ("tol"), the iteration budget runs out ("max_iters"), or,
+    for the LM family, the damping parameter overflows 1e30 ("mu_overflow")
+    or a candidate's squared residual is not finite ("nonfinite").  A
+    numerical failure of the step ends the fit with stop reason "error at
+    iteration t: ...".  Raises ``ValueError`` for NaN or infinite entries and
+    for tensors of order below 2, and ``ZeroDivisionError`` for an all-zero
+    tensor, all before any initialization.
     """
     if not np.isfinite(y.data).all():
         raise ValueError("tensor has NaN or infinite entries")
@@ -203,18 +213,20 @@ def _candidate_error(
     err: float,
     candidate: KruskalModel,
     last: np.ndarray | None = None,
+    grams: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray | None]:
     """Relative error of ``candidate`` and its mode-N MTTKRP (None if unused).
 
     While the current error ``err`` is at least ``GRAM_ERROR_GUARD``, the
     error comes from :func:`gram_relative_error` and the mode-N MTTKRP,
     which is ``last`` when the caller has it and one pass over the tensor
-    otherwise.  Below the guard it is the dense :func:`relative_error`.
+    otherwise; ``grams`` are the candidate's stacked Gram matrices, if known.
+    Below the guard it is the dense :func:`relative_error`.
     """
     if err >= GRAM_ERROR_GUARD:
         if last is None:
             last = mttkrp(y, candidate, candidate.order)
-        return gram_relative_error(ynorm, candidate, last), last
+        return gram_relative_error(ynorm, candidate, last, grams), last
     return relative_error(y, candidate), None
 
 
@@ -258,31 +270,22 @@ def _fit_als(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
     return FitResult(model, trace, stop_reason)
 
 
-def _rescaled_last_mttkrp(
-    last: np.ndarray, before: KruskalModel, after: KruskalModel
-) -> np.ndarray:
-    """Mode-N MTTKRP of ``after`` from that of ``before``.
-
-    ``after`` = ``before`` with column scales s_n per mode whose product is
-    one (the reconstruction is unchanged), so M^(N) picks up
-    conj(prod_{n<N} s_n) = 1 / conj(s_N).
-    """
-    old, new = before.factors[-1], after.factors[-1]
-    s_last = np.sum(old.conj() * new, axis=0) / np.sum(old.conj() * old, axis=0)
-    return last / s_last.conj()[None, :]
-
-
 def _fit_lm(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
     """Damped Gauss-Newton loop shared by flm-a, flm-b, auto and dgn-oracle.
 
     Cost per iteration in passes over the tensor: a candidate is scored with
     :func:`gram_relative_error` from its mode-N MTTKRP (one pass); if it is
-    accepted, that MTTKRP is rescaled through the normalization and
-    :func:`mttkrp_all` adds the partial product for modes 1..N-1 (a second
-    pass).  Once the accepted relative error is below ``GRAM_ERROR_GUARD``
-    the identity cancels, so candidates are scored by the dense
-    :func:`relative_error` instead; the path is chosen from the current error,
-    so no iteration computes both (see :func:`_candidate_error`).
+    accepted, :func:`mttkrp_all` adds the partial product for modes 1..N-1 (a
+    second pass).  Once the accepted relative error is below
+    ``GRAM_ERROR_GUARD`` the identity cancels, so candidates are scored by the
+    dense :func:`relative_error` instead; the path is chosen from the current
+    error, so no iteration computes both (see :func:`_candidate_error`).
+
+    The candidate's Gram matrices are formed once and serve three times: in
+    its Gram-identity error and, through :func:`normalize_with_grams`, as its
+    column norms and, rescaled, as the next Gram cache; the normalization's
+    scales also carry its M^(N) over.  A candidate whose squared residual is
+    not finite ends the fit with stop reason "nonfinite".
     """
     rng = np.random.default_rng([config.seed, 0])
     model = normalize_equal_energy(_init_model(y, config, rng))
@@ -302,22 +305,26 @@ def _fit_lm(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
                 delta = dense_damped_solve(y, model, state.mu)
             else:
                 delta = flm_step(y, model, state.mu, config.variant, cache, g)
-        except (np.linalg.LinAlgError, SingularKernelError) as exc:
+        except np.linalg.LinAlgError as exc:
             return FitResult(
                 model, trace, f"error at iteration {t}: {exc}"
             )
         candidate = model_from_vector(base + delta, model.dims, model.rank)
+        grams = gram_stack(candidate.factors)
 
-        cand_err, cand_last = _candidate_error(y, ynorm, err, candidate)
+        cand_err, cand_last = _candidate_error(y, ynorm, err, candidate, grams=grams)
         cand_sq = (cand_err * ynorm) ** 2
+        if not math.isfinite(cand_sq):
+            trace.append(IterRecord(t, err, state.mu, False))
+            stop_reason = "nonfinite"
+            break
         rho = _gain_ratio(err_sq, cand_sq, delta, g, state.mu)
         state = nielsen_update(state, rho)
 
         if state.accepted and cand_err < err:
-            model = normalize_equal_energy(candidate)
-            if cand_last is not None:
-                cand_last = _rescaled_last_mttkrp(cand_last, candidate, model)
-            cache = build_gram_cache(model)
+            model, cache, cand_last = normalize_with_grams(
+                candidate, grams, cand_last
+            )
             g = gradient(y, model, cache, mttkrp_all(y, model, cand_last))
             base = model.as_vector()
             deltas.append(abs(err - cand_err))
@@ -328,7 +335,7 @@ def _fit_lm(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
             deltas.append(0.0)
             accepted = False
 
-        trace.append(IterRecord(t, err, state.mu, accepted))
+        trace.append(IterRecord(t, err, state.mu, accepted, float(rho)))
 
         if _stop_on_tol(deltas, config.tol):
             stop_reason = "tol"

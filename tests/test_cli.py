@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from cpfast.bench import CSV_COLUMNS, RunRecord, run_grid, summarize
+from cpfast.bench import CSV_COLUMNS, RunRecord, run_grid, summarize, write_csv
 from cpfast.cli import main
 from cpfast.cptn import read_tensor
 from cpfast.synth import spectrum
@@ -119,6 +119,16 @@ class TestBench:
         records = run_grid((6, 6, 6), [2], [0.5], [None], ["flm-b"], seeds=1)
         assert len(records) == 1
         assert records[0].stop_reason == "error"
+        assert records[0].error.startswith("error at iteration 1: ")
+        assert "singular" in records[0].error
+
+    def test_exception_text_recorded(self, tmp_path):
+        records = run_grid((6, 6, 6), [2], [0.5], [None], ["newton"], seeds=1)
+        assert records[0].stop_reason == "error"
+        assert records[0].error == "ValueError: unknown variant 'newton'"
+        write_csv(tmp_path / "e.csv", records)
+        row = dict(zip(CSV_COLUMNS, list(csv.reader(open(tmp_path / "e.csv")))[1]))
+        assert row["error"] == records[0].error
 
     def test_summary_aggregates(self):
         records = run_grid((6, 6, 6), [2], [0.9], [None], ["auto"], seeds=3,

@@ -22,9 +22,11 @@ from cpfast.hessian import (
     kernel_matrix,
     phi_density,
 )
+import cpfast.hessian
 from cpfast.kruskal import (
     KruskalModel,
     build_gram_cache,
+    gram_cache,
     gradient,
     model_from_vector,
     random_init,
@@ -173,6 +175,27 @@ class TestFastInverse:
             core = damped_core(build_gram_cache(m), 0.5)
             n, r = m.order, m.rank
             assert core.gtilde.size + core.lu.size == n * r**2 + n**2 * r**4
+
+    def test_zero_pivot_raises_singular(self):
+        """N = 2, R = 1 with C = (-1, 1/2) and mu = 1/2 gives the flm-a core
+        [[1, -1], [1/2, -1/2]], whose LU meets an exact zero pivot."""
+        cache = gram_cache(np.array([[[-1.0]], [[0.5]]]))
+        with pytest.raises(SingularKernelError, match="singular"):
+            damped_core(cache, 0.5)
+
+    def test_illegal_argument_raises_linalg_error(self, monkeypatch):
+        routines = cpfast.hessian._lu_routines
+
+        def bad_getrf(dtype):
+            getrf, getrs = routines(dtype)
+            return (lambda a, **kwargs: (*getrf(a, **kwargs)[:2], -1)), getrs
+
+        monkeypatch.setattr(cpfast.hessian, "_lu_routines", bad_getrf)
+        rng = np.random.default_rng(14)
+        cache = build_gram_cache(unit_model(rng, (3, 3, 3), 2))
+        with pytest.raises(np.linalg.LinAlgError, match="argument 1") as info:
+            damped_core(cache, 0.5)
+        assert not isinstance(info.value, SingularKernelError)
 
     def test_rejects_nonpositive_mu(self):
         rng = np.random.default_rng(10)

@@ -141,6 +141,26 @@ class TestGramCache:
                 )
         np.testing.assert_allclose(cache.gamma_full, reduce(np.multiply, C))
 
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    @pytest.mark.parametrize("n_modes", [2, 3, 4, 5])
+    def test_masked_reduce_is_ascending_product(self, kind, n_modes):
+        """The one masked reduce gives bit for bit the products taken in
+        ascending mode order."""
+        rng = np.random.default_rng(n_modes)
+        m = random_model(rng, (2, 3, 4, 3, 2)[:n_modes], 3, kind)
+        cache = build_gram_cache(m)
+        C = [f.conj().T @ f for f in m.factors]
+
+        def ascending(skip):
+            rest = [C[k] for k in range(n_modes) if k not in skip]
+            return reduce(np.multiply, rest) if rest else np.ones_like(C[0])
+
+        assert np.array_equal(cache.gamma_full, ascending(()))
+        for n in range(n_modes):
+            assert np.array_equal(cache.gamma_excl[n], ascending((n,)))
+            for mm in range(n_modes):
+                assert np.array_equal(cache.gamma_pair[n, mm], ascending((n, mm)))
+
     def test_empty_pair_product_is_ones(self):
         rng = np.random.default_rng(4)
         m = random_model(rng, (3, 4), 2)

@@ -13,16 +13,19 @@ from cpfast.hessian import (
     kernel_is_invertible,
     kernel_matrix,
 )
-import cpfast.solver
+import cpfast.hessian
 import cpfast.kruskal
+import cpfast.solver
 from cpfast.kruskal import (
     KruskalModel,
     als_line_search_step,
     als_step,
     build_gram_cache,
     mttkrp,
+    gram_stack,
     normalize_equal_energy,
     normalize_unit_modes,
+    normalize_with_grams,
     random_init,
     reconstruct,
     relative_error,
@@ -33,12 +36,12 @@ from cpfast.solver import (
     LmState,
     MU_OVERFLOW,
     _candidate_error,
-    _rescaled_last_mttkrp,
     fit,
     flm_step,
     mu_init,
     nielsen_update,
 )
+from cpfast.bench import record_from_result
 from cpfast.synth import CollinearSpec, gen_collinear
 from cpfast.tensor import COMPLEX, DenseTensor, REAL
 
@@ -168,24 +171,34 @@ class TestFlmStep:
     @pytest.mark.parametrize("variant", ["flm-a", "flm-b", "auto"])
     def test_one_core_factorization_per_step(self, dims, variant, monkeypatch):
         """The damped Gram inverses come from one batched inverse, and the
-        core is factored once and solved once."""
+        core is factored once (``?getrf``) and solved once (``?getrs``)."""
         rng = np.random.default_rng(23)
         y, m = noisy_instance(rng, dims, 2)
         calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        routines = cpfast.hessian._lu_routines
+
+        def counted_routines(dtype):
+            getrf, getrs = routines(dtype)
+            return counted("getrf", getrf), counted("getrs", getrs)
+
+        monkeypatch.setattr(cpfast.hessian, "_lu_routines", counted_routines)
         for mod, name in [
             (np.linalg, "inv"),
+            (np.linalg, "solve"),
             (scipy.linalg, "lu_factor"),
             (scipy.linalg, "lu_solve"),
         ]:
-            original = getattr(mod, name)
-
-            def counted(*args, _original=original, _name=name, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(mod, name, counted)
+            monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
         flm_step(y, m, 0.1, variant)
-        assert sorted(calls) == ["inv", "lu_factor", "lu_solve"]
+        assert sorted(calls) == ["getrf", "getrs", "inv"]
 
     @pytest.mark.parametrize("nu", [0.05, 0.3])
     def test_matches_extended_precision_oracle(self, nu):
@@ -345,16 +358,45 @@ class TestFit:
         assert dense.iters == result.iters
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    def test_auto_is_flm_a(self, kind):
+        rng = np.random.default_rng(27)
+        y, _ = noisy_instance(rng, (6, 7, 8), 3, kind, noise=0.05)
+        auto = fit(y, FitConfig(rank=3, variant="auto", max_iters=60))
+        flm_a = fit(y, FitConfig(rank=3, variant="flm-a", max_iters=60))
+        assert auto.trace == flm_a.trace
+        assert auto.stop_reason == flm_a.stop_reason
+
+    def test_trace_records_gain_ratio(self):
+        rng = np.random.default_rng(28)
+        y, _ = noisy_instance(rng, (6, 6, 6), 2, noise=0.1)
+        lm = fit(y, FitConfig(rank=2, max_iters=40))
+        assert all(np.isfinite(rec.rho) for rec in lm.trace)
+        assert all(rec.rho > 0 for rec in lm.trace if rec.accepted)
+        als = fit(y, FitConfig(rank=2, variant="als", max_iters=5))
+        assert all(np.isnan(rec.rho) for rec in als.trace)
+
+    def test_nonfinite_candidate_stops(self):
+        """At data x 1e150 every candidate's squared residual overflows: the
+        fit stops "nonfinite" at once instead of reporting "tol"."""
+        _, y = gen_collinear(CollinearSpec((8, 8, 8), 3, 0.3, None, 0))
+        y = DenseTensor(y.data * 1e150)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = fit(y, FitConfig(rank=3))
+        assert result.stop_reason == "nonfinite"
+        assert (result.iters, result.accepted_iters) == (1, 0)
+        assert np.isnan(result.trace[-1].rho)
+        record = record_from_result(result, None, 0, 0.3, 3, None, "auto")
+        assert (record.stop_reason, record.error) == ("nonfinite", None)
+
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
     def test_rescaled_last_mttkrp(self, kind):
         rng = np.random.default_rng(20)
         y, m = noisy_instance(rng, (3, 4, 5), 2, kind)
         m = type(m)([f * rng.uniform(0.5, 2.0, 2) for f in m.factors])
-        normalized = normalize_equal_energy(m)
-        np.testing.assert_allclose(
-            _rescaled_last_mttkrp(mttkrp(y, m, 3), m, normalized),
-            mttkrp(y, normalized, 3),
-            atol=1e-12,
+        normalized, _, last = normalize_with_grams(
+            m, gram_stack(m.factors), mttkrp(y, m, 3)
         )
+        np.testing.assert_allclose(last, mttkrp(y, normalized, 3), atol=1e-12)
 
     def test_mu_overflow_constant(self):
         assert MU_OVERFLOW == 1e30
@@ -369,6 +411,44 @@ class TestFit:
         complex_step = flm_step(yc, mc, 0.1)
         assert np.abs(complex_step - real_step).max() < 1e-10
         assert np.abs(complex_step.imag).max() < 1e-10
+
+
+class TestCarriedOverCache:
+    """The accepted candidate's Gram matrices, rescaled, stand in for a fresh
+    Gram cache of its normalization."""
+
+    @staticmethod
+    def candidate(kind, n_modes):
+        rng = np.random.default_rng(29 + n_modes)
+        dims = (3, 4, 5, 2)[:n_modes]
+        m = random_init(dims, 3, rng, kind)
+        return KruskalModel([f * rng.uniform(0.2, 5.0, 3) for f in m.factors])
+
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    @pytest.mark.parametrize("n_modes", [2, 3, 4])
+    def test_scaled_grams_match_fresh_cache(self, kind, n_modes):
+        cand = self.candidate(kind, n_modes)
+        _, cache, _ = normalize_with_grams(cand, gram_stack(cand.factors))
+        fresh = build_gram_cache(normalize_equal_energy(cand))
+        for name in ("C", "gamma_excl", "gamma_pair", "gamma_full"):
+            got, ref = getattr(cache, name), getattr(fresh, name)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), name
+
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    @pytest.mark.parametrize("n_modes", [2, 3, 4])
+    def test_scale_path_matches_normalize_equal_energy(self, kind, n_modes):
+        cand = self.candidate(kind, n_modes)
+        normalized, _, _ = normalize_with_grams(cand, gram_stack(cand.factors))
+        for got, ref in zip(normalized.factors, normalize_equal_energy(cand).factors):
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_zero_norm_column_rejected(self):
+        cand = self.candidate(REAL, 3)
+        cand.factors[1][:, 2] = 0.0
+        with pytest.raises(ZeroDivisionError, match="component 2"):
+            normalize_equal_energy(cand)
+        with pytest.raises(ZeroDivisionError, match="component 2"):
+            normalize_with_grams(cand, gram_stack(cand.factors))
 
 
 class TestAlsLineSearch:
