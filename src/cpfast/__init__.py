@@ -22,11 +22,8 @@ from .kruskal import (
     reconstruct,
     relative_error,
 )
-from .hessian import (
-    OracleSizeError,
-    SingularKernelError,
-    phi_density,
-)
+from .hessian import SingularKernelError
+from .oracle import OracleSizeError, phi_density
 from .solver import FitConfig, FitResult, fit
 from .synth import (
     CollinearSpec,

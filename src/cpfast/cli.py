@@ -12,8 +12,8 @@ import click
 
 from . import bench as benchmod
 from . import cptn
-from .hessian import OracleSizeError
 from .kruskal import KruskalModel
+from .oracle import OracleSizeError
 from .solver import FitConfig, VARIANTS, fit
 from .synth import CollinearSpec, add_noise, gen_collinear, spectrum
 from .tensor import COMPLEX, REAL

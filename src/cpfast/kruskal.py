@@ -15,12 +15,12 @@ import numpy as np
 
 from .tensor import (
     COMPLEX,
+    REAL,
     DenseTensor,
+    ScalarKindError,
     fold,
     khatri_rao,
     khatri_rao_excl,
-    kind_of,
-    require_same_kind,
     unfold,
 )
 
@@ -60,7 +60,7 @@ class KruskalModel:
 
     @property
     def scalar_kind(self) -> str:
-        return require_same_kind(*self.factors)
+        return _same_kind(self.factors[0], self.factors[1:])
 
     def effective_weights(self) -> np.ndarray:
         if self.weights is None:
@@ -199,10 +199,19 @@ def _last_mode_rows(y: DenseTensor) -> np.ndarray:
     return y.data.reshape((-1, y.dims[-1]), order="F")
 
 
+def _same_kind(first: np.ndarray, others) -> str:
+    """REAL or COMPLEX for arrays whose dtypes agree on it, read from
+    ``dtype.kind`` alone; mixed input raises :class:`ScalarKindError`."""
+    is_complex = first.dtype.kind == "c"
+    if any((a.dtype.kind == "c") != is_complex for a in others):
+        raise ScalarKindError("mixed real/complex operands are not supported")
+    return COMPLEX if is_complex else REAL
+
+
 def _check_pair(y: DenseTensor, model: KruskalModel) -> None:
     if y.dims != model.dims:
         raise ValueError(f"tensor dims {y.dims} do not match model {model.dims}")
-    require_same_kind(y.data, *model.factors)
+    _same_kind(y.data, model.factors)
 
 
 def mttkrp(y: DenseTensor, model: KruskalModel, n: int) -> np.ndarray:

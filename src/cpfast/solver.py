@@ -3,7 +3,9 @@
 One iteration applies the damped inverse (H + mu I)^{-1} to the gradient
 through one :class:`~cpfast.hessian.DampedCore` built from the Gram cache and
 mu: the N damped Gram inverses from one batched inverse, and one LU
-factorization of the NR^2 x NR^2 congruence-scaled core system, solved once.
+factorization of the NR^2 x NR^2 congruence-scaled fLM-a core, solved once
+("flm-a" and its alias "auto"; "dgn-oracle" takes the dense step of
+:mod:`cpfast.oracle` instead).
 The gradient is formed once per accepted model.  The candidate is accepted
 only if it lowers the residual; the damping parameter follows the Nielsen
 gain-ratio schedule.
@@ -22,11 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hessian import (
-    apply_damped_inverse,
-    damped_core,
-    dense_damped_solve,
-)
+from .hessian import apply_damped_inverse, damped_core
 from .kruskal import (
     GramCache,
     KruskalModel,
@@ -45,9 +43,10 @@ from .kruskal import (
     relative_error,
     svd_init,
 )
+from .oracle import dense_damped_solve
 from .tensor import DenseTensor
 
-VARIANTS = ("flm-a", "flm-b", "auto", "als", "als-ls", "dgn-oracle")
+VARIANTS = ("flm-a", "auto", "als", "als-ls", "dgn-oracle")
 
 MU_OVERFLOW = 1e30
 RHO_DENOM_GUARD = 1e-30
@@ -121,7 +120,6 @@ def flm_step(
     y: DenseTensor,
     model: KruskalModel,
     mu: float,
-    variant: str = "flm-a",
     cache: GramCache | None = None,
     grad: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -135,7 +133,7 @@ def flm_step(
     cache = cache or build_gram_cache(model)
     if grad is None:
         grad = gradient(y, model, cache)
-    core = damped_core(cache, mu, variant)
+    core = damped_core(cache, mu)
     return apply_damped_inverse(core, model.factors, grad)
 
 
@@ -271,7 +269,8 @@ def _fit_als(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
 
 
 def _fit_lm(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
-    """Damped Gauss-Newton loop shared by flm-a, flm-b, auto and dgn-oracle.
+    """Damped Gauss-Newton loop: the fast step for flm-a (alias auto), the
+    dense oracle step for dgn-oracle.
 
     Cost per iteration in passes over the tensor: a candidate is scored with
     :func:`gram_relative_error` from its mode-N MTTKRP (one pass); if it is
@@ -304,7 +303,7 @@ def _fit_lm(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
             if config.variant == "dgn-oracle":
                 delta = dense_damped_solve(y, model, state.mu)
             else:
-                delta = flm_step(y, model, state.mu, config.variant, cache, g)
+                delta = flm_step(y, model, state.mu, cache, g)
         except np.linalg.LinAlgError as exc:
             return FitResult(
                 model, trace, f"error at iteration {t}: {exc}"

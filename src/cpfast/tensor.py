@@ -15,8 +15,6 @@ import numpy as np
 REAL = "real"
 COMPLEX = "complex"
 
-_DTYPE_OF_KIND = {REAL: np.float64, COMPLEX: np.complex128}
-
 
 class ScalarKindError(TypeError):
     """Raised when real and complex values are mixed in one operation."""
@@ -24,13 +22,6 @@ class ScalarKindError(TypeError):
 
 def kind_of(arr: np.ndarray) -> str:
     return COMPLEX if np.iscomplexobj(arr) else REAL
-
-
-def require_same_kind(*arrays) -> str:
-    kinds = {kind_of(np.asarray(a)) for a in arrays}
-    if len(kinds) > 1:
-        raise ScalarKindError("mixed real/complex operands are not supported")
-    return kinds.pop()
 
 
 @dataclass(frozen=True)
@@ -131,24 +122,3 @@ def khatri_rao_excl(factors, n: int) -> np.ndarray:
         raise ValueError("factors disagree on column count")
     rest = [factors[k] for k in reversed(range(n_modes)) if k != n - 1]
     return reduce(khatri_rao, rest)
-
-
-def commutation(i: int, j: int) -> np.ndarray:
-    """Permutation matrix P with P vec(X^T) = vec(X) for every I x J matrix X."""
-    if i < 1 or j < 1:
-        raise ValueError("commutation dimensions must be positive")
-    p = np.zeros((i * j, i * j))
-    rows = np.arange(i * j)
-    # row index r = a + i*b addresses vec(X)[a, b]; source is vec(X^T)[b + j*a].
-    a, b = rows % i, rows // i
-    p[rows, b + j * a] = 1.0
-    return p
-
-
-def mode_commutation(dims, n: int) -> np.ndarray:
-    """Permutation Q_n with Q_n vec(unfold(Y, n)) = vec(Y) for all Y of ``dims``."""
-    dims = tuple(int(d) for d in dims)
-    _check_mode(len(dims), n)
-    lead = int(np.prod(dims[: n - 1], dtype=np.int64))
-    trail = int(np.prod(dims[n:], dtype=np.int64))
-    return np.kron(np.eye(trail), commutation(lead, dims[n - 1]))

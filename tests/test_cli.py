@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import cpfast.solver
 from cpfast.bench import CSV_COLUMNS, RunRecord, run_grid, summarize, write_csv
 from cpfast.cli import main
 from cpfast.cptn import read_tensor
+from cpfast.hessian import SingularKernelError
 from cpfast.synth import spectrum
 
 
@@ -86,16 +88,26 @@ class TestFit:
         assert "dense oracle refused" in result.output
 
     def test_variants_match_on_shared_instance(self, runner, tmp_path):
+        """``auto`` and ``flm-a`` name the same core and give the same fit."""
         invoke(runner, ["gen", "--dims", "8,8,8", "--rank", "2", "--nu", "0.6",
                         "--seed", "4", "--out", str(tmp_path / "v")])
         outs = {}
-        for algo in ("flm-a", "flm-b"):
+        for algo in ("flm-a", "auto"):
             res = invoke(runner, ["fit", str(tmp_path / "v.cptn"), "--rank", "2",
                                   "--algo", algo, "--init", "random", "--seed", "4",
                                   "--out", str(tmp_path / algo)])
             row = list(csv.reader(open(tmp_path / f"{algo}.csv")))[1]
             outs[algo] = float(dict(zip(CSV_COLUMNS, row))["final_relerr"])
-        assert abs(outs["flm-a"] - outs["flm-b"]) <= 1e-9
+        assert outs["flm-a"] == outs["auto"]
+
+    def test_flm_b_is_unknown_algo(self, runner, tmp_path):
+        invoke(runner, ["gen", "--dims", "4,4,4", "--rank", "2", "--nu", "0.6",
+                        "--out", str(tmp_path / "v")])
+        result = runner.invoke(
+            main, ["fit", str(tmp_path / "v.cptn"), "--rank", "2", "--algo", "flm-b"]
+        )
+        assert result.exit_code != 0
+        assert "flm-b" in result.output
 
 
 class TestBench:
@@ -115,8 +127,12 @@ class TestBench:
         strip = lambda table: [[c for i, c in enumerate(r) if i != drop] for r in table]
         assert strip(rows) == strip(rows2)
 
-    def test_partial_failures_recorded(self):
-        records = run_grid((6, 6, 6), [2], [0.5], [None], ["flm-b"], seeds=1)
+    def test_partial_failures_recorded(self, monkeypatch):
+        def singular_core(cache, mu):
+            raise SingularKernelError("core system is singular (zero pivot 1)")
+
+        monkeypatch.setattr(cpfast.solver, "damped_core", singular_core)
+        records = run_grid((6, 6, 6), [2], [0.5], [None], ["auto"], seeds=1)
         assert len(records) == 1
         assert records[0].stop_reason == "error"
         assert records[0].error.startswith("error at iteration 1: ")

@@ -1,27 +1,14 @@
-"""Structured Hessian machinery versus dense and finite-difference oracles."""
+"""The fast damped inverse and the dense oracles, against each other and
+against finite differences."""
 
+import ast
+import inspect
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cpfast.hessian import (
-    OracleSizeError,
-    SingularKernelError,
-    apply_damped_inverse,
-    assemble_hessian,
-    assemble_phi,
-    build_parts,
-    damped_core,
-    dense_damped_solve,
-    hessian_block,
-    jacobian,
-    kernel_block,
-    kernel_inverse,
-    kernel_is_invertible,
-    kernel_matrix,
-    phi_density,
-)
+from cpfast.hessian import SingularKernelError, apply_damped_inverse, damped_core
 import cpfast.hessian
 from cpfast.kruskal import (
     KruskalModel,
@@ -31,6 +18,20 @@ from cpfast.kruskal import (
     model_from_vector,
     random_init,
     reconstruct,
+)
+from cpfast.oracle import (
+    OracleSizeError,
+    assemble_hessian,
+    assemble_phi,
+    build_parts,
+    dense_damped_solve,
+    hessian_block,
+    jacobian,
+    kernel_block,
+    kernel_inverse,
+    kernel_is_invertible,
+    kernel_matrix,
+    phi_density,
 )
 from cpfast.tensor import COMPLEX, DenseTensor, REAL, vectorize
 
@@ -164,9 +165,8 @@ class TestFastInverse:
         cache = build_gram_cache(m)
         h = assemble_hessian(m, cache)
         dense = np.linalg.inv(h + mu * np.eye(h.shape[0]))
-        for variant in ("flm-a", "flm-b"):
-            mat = materialize_inverse(damped_core(cache, mu, variant), m.factors)
-            assert np.linalg.norm(mat - dense) / np.linalg.norm(dense) < 1e-8
+        mat = materialize_inverse(damped_core(cache, mu), m.factors)
+        assert np.linalg.norm(mat - dense) / np.linalg.norm(dense) < 1e-8
 
     def test_storage_count(self):
         rng = np.random.default_rng(9)
@@ -213,7 +213,7 @@ class TestFastInverse:
         v = rng.standard_normal(h.shape[0])
         if kind == COMPLEX:
             v = v + 1j * rng.standard_normal(h.shape[0])
-        iv = apply_damped_inverse(damped_core(cache, mu, "flm-b"), m.factors, v)
+        iv = apply_damped_inverse(damped_core(cache, mu), m.factors, v)
         expected = np.linalg.solve(h + mu * np.eye(h.shape[0]), v)
         np.testing.assert_allclose(iv, expected, atol=1e-9)
 
@@ -255,3 +255,26 @@ class TestPhiDensity:
         nnz = np.count_nonzero(np.abs(phi) > 1e-13 * np.abs(phi).max())
         total = (n_modes * rank**2) ** 2
         assert Fraction(nnz, total) == phi_density(n_modes, rank, variant)
+
+
+class TestModuleBoundary:
+    ORACLE_NAMES = {
+        "oracle",
+        "jacobian",
+        "kernel_matrix",
+        "kernel_inverse",
+        "assemble_hessian",
+        "dense_damped_solve",
+        "commutation",
+    }
+
+    def test_fast_path_holds_no_oracle(self):
+        """The dense references live in cpfast.oracle alone: the fast-path
+        module neither defines nor imports any of them."""
+        bound = set(vars(cpfast.hessian))
+        for node in ast.walk(ast.parse(inspect.getsource(cpfast.hessian))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound |= {alias.name.split(".")[-1] for alias in node.names}
+            if isinstance(node, ast.ImportFrom) and node.module:
+                bound.add(node.module.split(".")[-1])
+        assert not self.ORACLE_NAMES & bound

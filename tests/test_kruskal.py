@@ -25,7 +25,14 @@ from cpfast.kruskal import (
     relative_error,
     svd_init,
 )
-from cpfast.tensor import COMPLEX, DenseTensor, REAL, khatri_rao_excl, unfold
+from cpfast.tensor import (
+    COMPLEX,
+    DenseTensor,
+    REAL,
+    ScalarKindError,
+    khatri_rao_excl,
+    unfold,
+)
 
 
 def random_model(rng, dims, rank, kind=REAL, weights=False):
@@ -220,6 +227,21 @@ class TestMttkrpGradient:
         m = random_model(rng, (3, 4), 2)
         with pytest.raises(ValueError):
             mttkrp(DenseTensor(np.zeros((3, 5))), m, 1)
+
+    @pytest.mark.parametrize(
+        "tensor_kind,model_kind", [(REAL, COMPLEX), (COMPLEX, REAL)]
+    )
+    @pytest.mark.parametrize(
+        "kernel",
+        [lambda y, m: mttkrp(y, m, 1), mttkrp_all, als_step],
+        ids=["mttkrp", "mttkrp_all", "als_step"],
+    )
+    def test_mixed_kinds_rejected(self, kernel, tensor_kind, model_kind):
+        rng = np.random.default_rng(81)
+        y = random_tensor(rng, (3, 4, 2), tensor_kind)
+        m = random_model(rng, (3, 4, 2), 2, model_kind)
+        with pytest.raises(ScalarKindError):
+            kernel(y, m)
 
 
 class TestErrorsAndNormalization:

@@ -6,13 +6,9 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
-from cpfast.hessian import (
-    damped_core,
-    dense_damped_solve,
-    kernel_is_invertible,
-    kernel_matrix,
-)
+from cpfast.hessian import damped_core
 import cpfast.hessian
 import cpfast.kruskal
 import cpfast.solver
@@ -42,6 +38,7 @@ from cpfast.solver import (
     nielsen_update,
 )
 from cpfast.bench import record_from_result
+from cpfast.oracle import dense_damped_solve, kernel_inverse, kernel_matrix
 from cpfast.synth import CollinearSpec, gen_collinear
 from cpfast.tensor import COMPLEX, DenseTensor, REAL
 
@@ -64,8 +61,8 @@ def noisy_instance(rng, dims, rank, kind=REAL, noise=0.1):
 def dense_core_product(cache, mu, use_kernel_inverse, w):
     """(Sb (K^{-1} + Psi) Sb)^{-1} w from the dense K, Psi and Sb =
     blkdiag((Gamma^(n) + mu I) kron I): Sb^{-1} inv(K^{-1} + Psi) Sb^{-1} w
-    with the kernel inverse (taken densely here), Sb^{-1} K (I + Psi K)^{-1}
-    Sb^{-1} w without."""
+    with the oracle's closed-form K^{-1} (the paper's Phi_2), Sb^{-1} K
+    (I + Psi K)^{-1} Sb^{-1} w without (Phi_1)."""
     r = cache.gamma_full.shape[0]
     gtilde = [np.linalg.inv(g + mu * np.eye(r)) for g in cache.gamma_excl]
     psi = scipy.linalg.block_diag(
@@ -75,7 +72,7 @@ def dense_core_product(cache, mu, use_kernel_inverse, w):
     k = kernel_matrix(cache)
     x = sb_inv @ w
     if use_kernel_inverse:
-        return sb_inv @ np.linalg.inv(np.linalg.inv(k) + psi) @ x
+        return sb_inv @ np.linalg.inv(kernel_inverse(cache) + psi) @ x
     return sb_inv @ k @ np.linalg.solve(np.eye(k.shape[0]) + psi @ k, x)
 
 
@@ -105,10 +102,13 @@ def mp_oracle_steps(mpmath, y, model, mus):
 
 
 class TestSolveB:
+    """The one core's solve against dense products of both of the paper's
+    forms: Phi_1 through K, and Phi_2 through the closed-form K^{-1}."""
+
     def test_zero_maps_to_zero(self):
         rng = np.random.default_rng(5)
         cache = build_gram_cache(unit_model(rng, (3, 4, 5), 2))
-        F = damped_core(cache, 0.1, "flm-a").solve(np.zeros(3 * 4))
+        F = damped_core(cache, 0.1).solve(np.zeros(3 * 4))
         assert all(np.all(f == 0) for f in F)
 
     @pytest.mark.parametrize("variant,use_kinv", [("flm-a", False), ("flm-b", True)])
@@ -117,10 +117,10 @@ class TestSolveB:
         cache = build_gram_cache(unit_model(rng, (3, 4, 5), 2))
         w = rng.standard_normal(12)
         mu = 0.1
-        F = damped_core(cache, mu, variant).solve(w)
+        F = damped_core(cache, mu).solve(w)
         expected = dense_core_product(cache, mu, use_kinv, w)
         got = np.concatenate([f.reshape(-1, order="F") for f in F])
-        np.testing.assert_allclose(got, expected, atol=1e-12)
+        np.testing.assert_allclose(got, expected, atol=1e-12, err_msg=variant)
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
     @pytest.mark.parametrize("dims", [(3, 4, 5), (3, 4, 3, 2)])
@@ -132,46 +132,72 @@ class TestSolveB:
         if kind == COMPLEX:
             w = w + 1j * rng.standard_normal(w.size)
         for mu in (1e-3, 1.0):
-            F = damped_core(cache, mu, variant).solve(w)
+            F = damped_core(cache, mu).solve(w)
             got = np.concatenate([f.reshape(-1, order="F") for f in F])
             expected = dense_core_product(cache, mu, variant == "flm-b", w)
             assert np.linalg.norm(got - expected) / np.linalg.norm(expected) < 1e-10
 
-    def test_variants_agree(self):
-        rng = np.random.default_rng(7)
-        cache = build_gram_cache(unit_model(rng, (4, 4, 4), 3))
-        assert kernel_is_invertible(cache)
-        w = rng.standard_normal(3 * 9)
-        fa = damped_core(cache, 0.3, "flm-a").solve(w)
-        fb = damped_core(cache, 0.3, "flm-b").solve(w)
-        np.testing.assert_allclose(fa, fb, atol=1e-9)
+
+@st.composite
+def step_problems(draw):
+    """A noisy instance of order 2-4, dims 2-5, rank 1-3, real or complex,
+    with mu log-uniform in [1e-4, 1e2] and a permutation of its modes."""
+    order = draw(st.integers(2, 4))
+    dims = tuple(draw(st.integers(2, 5)) for _ in range(order))
+    rank = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from([REAL, COMPLEX]))
+    mu = 10.0 ** draw(st.floats(-4.0, 2.0))
+    perm = draw(st.permutations(range(order)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y, m = noisy_instance(rng, dims, rank, kind)
+    return y, m, mu, perm
+
+
+def rel(delta, ref):
+    return np.linalg.norm(delta) / np.linalg.norm(ref)
 
 
 class TestFlmStep:
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
     @pytest.mark.parametrize("mu", [1e-4, 1e-1, 10.0])
     @pytest.mark.parametrize("variant", ["flm-a", "flm-b"])
-    def test_equals_dense_dgn_step(self, kind, mu, variant):
+    def test_equals_dense_dgn_step(self, kind, mu, variant, damped_step):
         rng = np.random.default_rng(8)
         y, m = noisy_instance(rng, (3, 4, 5), 2, kind)
         delta_ref = dense_damped_solve(y, m, mu)
-        delta = flm_step(y, m, mu, variant)
-        assert np.linalg.norm(delta - delta_ref) / np.linalg.norm(delta_ref) < 1e-8
+        delta = damped_step(variant, y, m, mu)
+        assert rel(delta - delta_ref, delta_ref) < 1e-8
 
     @pytest.mark.parametrize("mu", [1e-4, 1e-1, 10.0])
     @pytest.mark.parametrize("variant", ["flm-a", "flm-b"])
-    def test_four_way_complex_equals_dense_dgn_step(self, mu, variant):
+    def test_four_way_complex_equals_dense_dgn_step(self, mu, variant, damped_step):
         rng = np.random.default_rng(22)
         y, m = noisy_instance(rng, (3, 4, 3, 2), 2, COMPLEX)
         delta_ref = dense_damped_solve(y, m, mu)
-        delta = flm_step(y, m, mu, variant)
-        assert np.linalg.norm(delta - delta_ref) / np.linalg.norm(delta_ref) < 1e-8
+        delta = damped_step(variant, y, m, mu)
+        assert rel(delta - delta_ref, delta_ref) < 1e-8
+
+    @settings(max_examples=60)
+    @given(step_problems())
+    def test_step_matches_dense_and_follows_mode_order(self, problem):
+        """The fast step equals the dense dGN step, and permuting the modes
+        of (y, model) permutes the step's blocks the same way."""
+        y, m, mu, perm = problem
+        delta = flm_step(y, m, mu)
+        assert rel(delta - dense_damped_solve(y, m, mu), delta) < 1e-8
+        ends = np.cumsum([f.size for f in m.factors])[:-1]
+        blocks = np.split(delta, ends)
+        permuted = KruskalModel([m.factors[p] for p in perm])
+        delta_p = flm_step(DenseTensor(np.transpose(y.data, perm)), permuted, mu)
+        expected = np.concatenate([blocks[p] for p in perm])
+        assert rel(delta_p - expected, delta) < 1e-8
 
     @pytest.mark.parametrize("dims", [(4, 5, 6), (3, 4, 3, 2)])
-    @pytest.mark.parametrize("variant", ["flm-a", "flm-b", "auto"])
+    @pytest.mark.parametrize("variant", ["flm-a", "auto"])
     def test_one_core_factorization_per_step(self, dims, variant, monkeypatch):
-        """The damped Gram inverses come from one batched inverse, and the
-        core is factored once (``?getrf``) and solved once (``?getrs``)."""
+        """One fit iteration under either name of the one core: the damped
+        Gram inverses come from one batched inverse, and the core is factored
+        once (``?getrf``) and solved once (``?getrs``)."""
         rng = np.random.default_rng(23)
         y, m = noisy_instance(rng, dims, 2)
         calls = []
@@ -197,7 +223,7 @@ class TestFlmStep:
             (scipy.linalg, "lu_solve"),
         ]:
             monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
-        flm_step(y, m, 0.1, variant)
+        fit(y, FitConfig(rank=2, variant=variant, max_iters=1))
         assert sorted(calls) == ["getrf", "getrs", "inv"]
 
     @pytest.mark.parametrize("nu", [0.05, 0.3])
@@ -215,9 +241,8 @@ class TestFlmStep:
         for mu, exact in zip(mus, mp_oracle_steps(mpmath, y, model, mus)):
             scale = np.linalg.norm(exact)
             dense = np.linalg.norm(dense_damped_solve(y, model, mu) - exact) / scale
-            for variant in ("flm-a", "flm-b"):
-                fast = np.linalg.norm(flm_step(y, model, mu, variant) - exact) / scale
-                assert fast <= max(10.0 * dense, 1e-8), (mu, variant, fast, dense)
+            fast = np.linalg.norm(flm_step(y, model, mu) - exact) / scale
+            assert fast <= max(10.0 * dense, 1e-8), (mu, fast, dense)
 
     def test_exact_fit_leaves_factors(self):
         rng = np.random.default_rng(9)
@@ -272,6 +297,8 @@ class TestFit:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             FitConfig(rank=2, variant="newton")
+        with pytest.raises(ValueError):
+            FitConfig(rank=2, variant="flm-b")
 
     @pytest.mark.parametrize("variant", ["auto", "flm-a", "dgn-oracle"])
     def test_converges_on_exact_instance(self, variant):

@@ -6,18 +6,17 @@ import itertools
 import numpy as np
 import pytest
 
+from cpfast.kruskal import KruskalModel
+from cpfast.oracle import commutation, mode_commutation
 from cpfast.tensor import (
     COMPLEX,
     DenseTensor,
     REAL,
     ScalarKindError,
-    commutation,
     fold,
     khatri_rao,
     khatri_rao_excl,
     kind_of,
-    mode_commutation,
-    require_same_kind,
     unfold,
     vectorize,
 )
@@ -65,8 +64,9 @@ class TestDenseTensor:
         assert np.isclose(t.norm(), np.linalg.norm(t.data.ravel()))
 
     def test_mixed_kind_rejected(self):
+        model = KruskalModel([np.zeros((2, 1)), np.zeros((3, 1), dtype=complex)])
         with pytest.raises(ScalarKindError):
-            require_same_kind(np.zeros(2), np.zeros(2, dtype=complex))
+            model.scalar_kind
 
 
 class TestUnfold:
