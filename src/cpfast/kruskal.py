@@ -331,10 +331,16 @@ def _equal_energy_scales(
     if not norms.all():
         zero = np.flatnonzero(~norms.all(axis=0))
         raise ZeroDivisionError(f"component {zero[0]} has a zero-norm vector")
-    weights = model.effective_weights()
-    target = (np.abs(weights) * np.multiply.reduce(norms)) ** (1.0 / n_modes)
-    scales = (target / norms).astype(np.result_type(weights, *model.factors))
-    scales[-1] *= _unit_phase(weights)
+    magnitude = np.multiply.reduce(norms)
+    weights = model.weights
+    if weights is None:
+        dtype = np.result_type(*model.factors)
+    else:
+        magnitude = np.abs(weights) * magnitude
+        dtype = np.result_type(weights, *model.factors)
+    scales = (magnitude ** (1.0 / n_modes) / norms).astype(dtype)
+    if weights is not None:
+        scales[-1] *= _unit_phase(weights)
     if n_modes >= 2:
         phase = _top_phase(model.factors[0])
         scales[0] /= phase
@@ -430,7 +436,9 @@ def _leading_left_vectors(mat: np.ndarray, rank: int) -> np.ndarray:
     return (mat @ v[:, keep]) / np.sqrt(lam[keep])[None, :]
 
 
-def svd_init(y: DenseTensor, rank: int, rng) -> KruskalModel:
+def svd_init(
+    y: DenseTensor, rank: int, rng, return_last: bool = False
+) -> KruskalModel | tuple[KruskalModel, np.ndarray]:
     """Leading mode-n left singular vectors, from ``eigh`` of the smaller Gram
     of each unfolding (I_n x I_n when wide, (J/I_n) x (J/I_n) when tall).
 
@@ -441,6 +449,10 @@ def svd_init(y: DenseTensor, rank: int, rng) -> KruskalModel:
     each column is rotated so that its rank-one term has a real, positive
     inner product with Y, i.e. every component starts out pointing toward the
     data rather than away from it.
+
+    The phase rule needs the init's mode-N MTTKRP M^(N), which does not
+    depend on A^(N); with ``return_last`` it is returned too, as
+    ``(model, M^(N))``.
     """
     factors = []
     for n in range(1, y.order + 1):
@@ -454,10 +466,11 @@ def svd_init(y: DenseTensor, rank: int, rng) -> KruskalModel:
             extra = extra / np.linalg.norm(extra, axis=0, keepdims=True)
             cols.append(extra.astype(u.dtype))
         factors.append(np.hstack(cols))
-    last = factors[-1]
-    inner = np.sum(last.conj() * mttkrp(y, KruskalModel(factors), y.order), axis=0)
-    factors[-1] = last * _unit_phase(inner)[None, :]
-    return KruskalModel(factors)
+    last = mttkrp(y, KruskalModel(factors), y.order)
+    inner = np.sum(factors[-1].conj() * last, axis=0)
+    factors[-1] = factors[-1] * _unit_phase(inner)[None, :]
+    model = KruskalModel(factors)
+    return (model, last) if return_last else model
 
 
 def pinv_psd(gamma: np.ndarray) -> np.ndarray:

@@ -37,7 +37,6 @@ from .kruskal import (
     model_from_vector,
     mttkrp,
     mttkrp_all,
-    normalize_equal_energy,
     normalize_with_grams,
     random_init,
     relative_error,
@@ -48,6 +47,11 @@ from .tensor import DenseTensor
 
 VARIANTS = ("flm-a", "auto", "als", "als-ls", "dgn-oracle")
 
+# The fLM loop fits Y / ||Y|| from a least-squares-scaled start, so both
+# constants act on unit-norm data whatever the scale of Y: the squared
+# residual starts at most 1, the approximate Hessian's diagonal is at most
+# O(1), and the gain ratio's denominator (the decrease of the squared
+# residual that the linear model predicts) is at most the squared residual.
 MU_OVERFLOW = 1e30
 RHO_DENOM_GUARD = 1e-30
 # Below this current relative error the candidate error comes from the dense
@@ -86,14 +90,19 @@ class FitConfig:
 @dataclass
 class IterRecord:
     """One iteration: the relative error after it, the damping parameter for
-    the next step, whether the step was accepted, and the gain ratio of the
-    step (NaN for ALS)."""
+    the next step, whether the step was accepted, the gain ratio of the step,
+    the norm ||g|| of the gradient at the model the step starts from and the
+    norm ||Delta|| of the step.  The last three are NaN for ALS.  The damping
+    parameter and the norms are those of the unit-norm problem that the fLM
+    loop fits, so they do not depend on the scale of Y."""
 
     iter: int
     relerr: float
     mu: float
     accepted: bool
     rho: float = math.nan
+    grad_norm: float = math.nan
+    step_norm: float = math.nan
 
 
 @dataclass
@@ -141,6 +150,10 @@ def mu_init(cache: GramCache, tau: float) -> float:
     """Initial damping tau * max(1, max diag Gamma_full), where Gamma_full_rr
     = prod_n C^(n)_rr.  Under the unit-norm convention for modes 1..N-1 that
     is the largest diagonal entry of the approximate Hessian, max diag C^(N).
+
+    :func:`fit` calls it on the unit-norm problem Y / ||Y||, from a start
+    scaled to its least-squares weight, so the rule sees a model at the
+    data's scale (Madsen, Nielsen & Tingleff, IMM 2004, section 3.2).
     """
     return float(tau * max(1.0, np.max(np.real(np.diag(cache.gamma_full)))))
 
@@ -165,16 +178,34 @@ def _gain_ratio(prev_sq, cand_sq, delta, g, mu) -> float:
     return (prev_sq - cand_sq) / denom
 
 
-def _init_model(y: DenseTensor, config: FitConfig, rng) -> KruskalModel:
+def _init_model(
+    y: DenseTensor, config: FitConfig, rng
+) -> tuple[KruskalModel, np.ndarray | None]:
+    """The configured init and its mode-N MTTKRP (None where not formed)."""
     if config.init == "svd":
-        return svd_init(y, config.rank, rng)
+        return svd_init(y, config.rank, rng, return_last=True)
     if config.init == "random":
-        return random_init(y.dims, config.rank, rng, y.scalar_kind)
+        return random_init(y.dims, config.rank, rng, y.scalar_kind), None
     raise ValueError(f"unknown init {config.init!r}")
 
 
 def _stop_on_tol(err_deltas, tol) -> bool:
     return len(err_deltas) >= 10 and all(d < tol for d in err_deltas[-10:])
+
+
+def _tensor_norm(y: DenseTensor) -> float:
+    """||Y||, computed again from Y / max|y| only when the plain norm
+    underflows to 0 or overflows."""
+    with np.errstate(over="ignore"):
+        norm = y.norm()
+    if norm == 0.0 or not math.isfinite(norm):
+        peak = float(np.abs(y.data).max())
+        if peak == 0.0:
+            raise ZeroDivisionError("cannot fit a zero tensor")
+        norm = peak * float(np.linalg.norm(y.data / peak))
+        if not math.isfinite(norm):
+            raise ValueError("tensor norm overflows")
+    return norm
 
 
 def fit(y: DenseTensor, config: FitConfig) -> FitResult:
@@ -185,17 +216,21 @@ def fit(y: DenseTensor, config: FitConfig) -> FitResult:
     for the LM family, the damping parameter overflows 1e30 ("mu_overflow")
     or a candidate's squared residual is not finite ("nonfinite").  A
     numerical failure of the step ends the fit with stop reason "error at
-    iteration t: ...".  Raises ``ValueError`` for NaN or infinite entries and
-    for tensors of order below 2, and ``ZeroDivisionError`` for an all-zero
-    tensor, all before any initialization.
+    iteration t: ...".  Raises ``ValueError`` for NaN or infinite entries,
+    for tensors of order below 2 and for a norm that overflows even after
+    rescaling by max|y|, and ``ZeroDivisionError`` for an all-zero tensor,
+    all before any initialization.
+
+    The LM family fits the unit-norm problem Y / ||Y|| (see :func:`_fit_lm`)
+    and returns its factors multiplied by ||Y||^(1/N), so its trace and
+    result do not depend on the scale of Y.  ||Y|| is overflow-safe: it is
+    computed from Y / max|y| when the plain norm under- or overflows.
     """
     if not np.isfinite(y.data).all():
         raise ValueError("tensor has NaN or infinite entries")
     if y.order < 2:
         raise ValueError(f"CP fitting needs order >= 2, got order {y.order}")
-    ynorm = y.norm()
-    if ynorm == 0.0:
-        raise ZeroDivisionError("cannot fit a zero tensor")
+    ynorm = _tensor_norm(y)
     t0 = time.monotonic()
     if config.variant in ("als", "als-ls"):
         result = _fit_als(y, config, ynorm)
@@ -240,7 +275,7 @@ def _fit_als(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
     guard every candidate is scored by the dense residual.
     """
     rng = np.random.default_rng([config.seed, 0])
-    model = _init_model(y, config, rng)
+    model, _ = _init_model(y, config, rng)
     trace = []
     deltas = []
     err = relative_error(y, model)
@@ -268,9 +303,48 @@ def _fit_als(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
     return FitResult(model, trace, stop_reason)
 
 
+def _scaled_start(
+    y: DenseTensor, config: FitConfig, rng
+) -> tuple[KruskalModel, GramCache, np.ndarray, float]:
+    """The init of the unit-norm tensor ``y``, scaled by its least-squares
+    weight and normalized, with its Gram cache, mode-N MTTKRP and relative
+    error.
+
+    The last factor is multiplied by alpha = Re<A^(N), M^(N)> / 1^T Gamma_full
+    1, the one overall scale that minimizes the residual, when alpha > 0; one
+    scalar keeps every component's direction and relative size.  The error
+    comes from :func:`gram_relative_error` on M^(N), which the SVD init has
+    already formed, and from the dense residual only below
+    ``GRAM_ERROR_GUARD``.
+    """
+    start, last = _init_model(y, config, rng)
+    if last is None:
+        last = mttkrp(y, start, start.order)
+    grams = gram_stack(start.factors)
+    cross = np.vdot(start.factors[-1], last).real
+    alpha = cross / np.multiply.reduce(grams).sum().real
+    if alpha > 0:
+        start = KruskalModel(start.factors[:-1] + [alpha * start.factors[-1]])
+        grams[-1] *= alpha**2
+    model, cache, last = normalize_with_grams(start, grams, last)
+    err = gram_relative_error(1.0, model, last, cache.C)
+    if err < GRAM_ERROR_GUARD:
+        err = relative_error(y, model)
+    return model, cache, last, err
+
+
 def _fit_lm(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
     """Damped Gauss-Newton loop: the fast step for flm-a (alias auto), the
     dense oracle step for dgn-oracle.
+
+    The loop fits the unit-norm tensor Y / ||Y|| (a transient copy of Y), so
+    ``mu_init``, ``MU_OVERFLOW`` and ``RHO_DENOM_GUARD`` act on an O(1)
+    problem; the returned factors are multiplied by ||Y||^(1/N), which keeps
+    every component's mode norms equal.  It starts from the init scaled by
+    its least-squares weight (:func:`_scaled_start`), which costs no pass
+    over the tensor beyond the init's own mode-N MTTKRP and no dense
+    residual above ``GRAM_ERROR_GUARD``; that M^(N) also serves the first
+    :func:`mttkrp_all`.
 
     Cost per iteration in passes over the tensor: a candidate is scored with
     :func:`gram_relative_error` from its mode-N MTTKRP (one pass); if it is
@@ -286,14 +360,13 @@ def _fit_lm(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
     scales also carry its M^(N) over.  A candidate whose squared residual is
     not finite ends the fit with stop reason "nonfinite".
     """
+    y = DenseTensor(y.data / ynorm)
     rng = np.random.default_rng([config.seed, 0])
-    model = normalize_equal_energy(_init_model(y, config, rng))
-    cache = build_gram_cache(model)
+    model, cache, last, err = _scaled_start(y, config, rng)
     state = LmState(mu=mu_init(cache, config.tau))
-    g = gradient(y, model, cache, mttkrp_all(y, model))
+    g = gradient(y, model, cache, mttkrp_all(y, model, last))
+    grad_norm = float(np.linalg.norm(g))
     base = model.as_vector()
-    err = relative_error(y, model)
-    err_sq = (err * ynorm) ** 2
 
     trace = []
     deltas = []
@@ -305,19 +378,21 @@ def _fit_lm(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
             else:
                 delta = flm_step(y, model, state.mu, cache, g)
         except np.linalg.LinAlgError as exc:
-            return FitResult(
-                model, trace, f"error at iteration {t}: {exc}"
-            )
+            stop_reason = f"error at iteration {t}: {exc}"
+            break
+        step_norm = float(np.linalg.norm(delta))
         candidate = model_from_vector(base + delta, model.dims, model.rank)
         grams = gram_stack(candidate.factors)
 
-        cand_err, cand_last = _candidate_error(y, ynorm, err, candidate, grams=grams)
-        cand_sq = (cand_err * ynorm) ** 2
+        cand_err, cand_last = _candidate_error(y, 1.0, err, candidate, grams=grams)
+        cand_sq = cand_err * cand_err
         if not math.isfinite(cand_sq):
-            trace.append(IterRecord(t, err, state.mu, False))
+            trace.append(
+                IterRecord(t, err, state.mu, False, math.nan, grad_norm, step_norm)
+            )
             stop_reason = "nonfinite"
             break
-        rho = _gain_ratio(err_sq, cand_sq, delta, g, state.mu)
+        rho = _gain_ratio(err * err, cand_sq, delta, g, state.mu)
         state = nielsen_update(state, rho)
 
         if state.accepted and cand_err < err:
@@ -325,16 +400,19 @@ def _fit_lm(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
                 candidate, grams, cand_last
             )
             g = gradient(y, model, cache, mttkrp_all(y, model, cand_last))
+            grad_norm = float(np.linalg.norm(g))
             base = model.as_vector()
             deltas.append(abs(err - cand_err))
-            err, err_sq = cand_err, cand_sq
+            err = cand_err
             accepted = True
         else:
             state.accepted = False
             deltas.append(0.0)
             accepted = False
 
-        trace.append(IterRecord(t, err, state.mu, accepted, float(rho)))
+        trace.append(
+            IterRecord(t, err, state.mu, accepted, float(rho), grad_norm, step_norm)
+        )
 
         if _stop_on_tol(deltas, config.tol):
             stop_reason = "tol"
@@ -342,4 +420,7 @@ def _fit_lm(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
         if state.mu > MU_OVERFLOW:
             stop_reason = "mu_overflow"
             break
-    return FitResult(model, trace, stop_reason)
+    scale = ynorm ** (1.0 / model.order)
+    return FitResult(
+        KruskalModel([f * scale for f in model.factors]), trace, stop_reason
+    )

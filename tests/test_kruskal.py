@@ -323,6 +323,15 @@ class TestInitAndAls:
         )
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    def test_svd_init_returns_its_last_mttkrp(self, kind):
+        rng = np.random.default_rng(64)
+        y = random_tensor(rng, (4, 5, 6), kind)
+        m, last = svd_init(y, 3, np.random.default_rng(0), return_last=True)
+        plain = svd_init(y, 3, np.random.default_rng(0))
+        assert all(np.array_equal(a, b) for a, b in zip(m.factors, plain.factors))
+        np.testing.assert_allclose(last, mttkrp(y, m, 3), atol=1e-12)
+
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
     @pytest.mark.parametrize(
         "dims, rank",
         [

@@ -2,6 +2,7 @@
 schedule arithmetic, and full-fit behavior."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -155,6 +156,23 @@ def step_problems(draw):
 
 def rel(delta, ref):
     return np.linalg.norm(delta) / np.linalg.norm(ref)
+
+
+def count_tensor_passes(monkeypatch) -> list:
+    """Record each ``mttkrp`` (with its mode), ``reconstruct`` and
+    ``relative_error`` call made through cpfast.kruskal or cpfast.solver."""
+    calls = []
+    for name in ("mttkrp", "reconstruct", "relative_error"):
+        original = getattr(cpfast.kruskal, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append((_name, args[2] if _name == "mttkrp" else None))
+            return _original(*args, **kwargs)
+
+        for mod in (cpfast.kruskal, cpfast.solver):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 class TestFlmStep:
@@ -402,18 +420,30 @@ class TestFit:
         als = fit(y, FitConfig(rank=2, variant="als", max_iters=5))
         assert all(np.isnan(rec.rho) for rec in als.trace)
 
-    def test_nonfinite_candidate_stops(self):
-        """At data x 1e150 every candidate's squared residual overflows: the
-        fit stops "nonfinite" at once instead of reporting "tol"."""
+    def test_nonfinite_candidate_stops(self, monkeypatch):
+        """A candidate whose error is infinite stops the fit "nonfinite" at
+        once instead of reporting "tol"."""
         _, y = gen_collinear(CollinearSpec((8, 8, 8), 3, 0.3, None, 0))
-        y = DenseTensor(y.data * 1e150)
-        with np.errstate(over="ignore", invalid="ignore"):
-            result = fit(y, FitConfig(rank=3))
+
+        def overflowing(*args, **kwargs):
+            return math.inf, None
+
+        monkeypatch.setattr(cpfast.solver, "_candidate_error", overflowing)
+        result = fit(y, FitConfig(rank=3))
         assert result.stop_reason == "nonfinite"
         assert (result.iters, result.accepted_iters) == (1, 0)
         assert np.isnan(result.trace[-1].rho)
         record = record_from_result(result, None, 0, 0.3, 3, None, "auto")
         assert (record.stop_reason, record.error) == ("nonfinite", None)
+
+    def test_trace_records_gradient_and_step_norms(self):
+        rng = np.random.default_rng(28)
+        y, _ = noisy_instance(rng, (6, 6, 6), 2, noise=0.1)
+        lm = fit(y, FitConfig(rank=2, max_iters=40))
+        for rec in lm.trace:
+            assert 0 < rec.grad_norm < np.inf and 0 < rec.step_norm < np.inf
+        als = fit(y, FitConfig(rank=2, variant="als", max_iters=5))
+        assert all(np.isnan([(r.grad_norm, r.step_norm) for r in als.trace]).flat)
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
     def test_rescaled_last_mttkrp(self, kind):
@@ -438,6 +468,66 @@ class TestFit:
         complex_step = flm_step(yc, mc, 0.1)
         assert np.abs(complex_step - real_step).max() < 1e-10
         assert np.abs(complex_step.imag).max() < 1e-10
+
+
+class TestScaleFree:
+    """The LM family fits Y / ||Y|| from a least-squares-scaled start."""
+
+    @pytest.mark.parametrize("k", [-200, -150, -50, 0, 50, 150, 200])
+    def test_probe_at_every_scale(self, k):
+        """Noiseless 8^3, R=3, nu=0.3 times 10^k stops "tol" at a relerr at
+        rounding level, and the returned model is the scaled fit."""
+        _, y = gen_collinear(CollinearSpec((8, 8, 8), 3, 0.3, None, 0))
+        result = fit(DenseTensor(y.data * 10.0**k), FitConfig(rank=3))
+        assert result.stop_reason == "tol"
+        assert result.final_relerr <= 1e-12
+        back = KruskalModel([f * 10.0 ** (-k / 3) for f in result.model.factors])
+        assert relative_error(y, back) <= 1e-12
+
+    def test_noisy_fit_does_not_depend_on_scale(self):
+        """30^3, R=3 Gaussian factors at 1% noise, times 1 and 1e3: the same
+        stop reason and relerr, and the first step is accepted on both."""
+        rng = np.random.default_rng(0)
+        truth = KruskalModel([rng.standard_normal((30, 3)) for _ in range(3)])
+        clean = reconstruct(truth).data
+        noise = rng.standard_normal(clean.shape)
+        y = clean + 0.01 * np.linalg.norm(clean) / np.linalg.norm(noise) * noise
+        one, big = (fit(DenseTensor(s * y), FitConfig(rank=3)) for s in (1.0, 1e3))
+        assert one.stop_reason == big.stop_reason == "tol"
+        assert big.final_relerr == pytest.approx(one.final_relerr, rel=1e-9)
+        assert one.trace[0].accepted and big.trace[0].accepted
+        first = (one.trace[0].grad_norm, big.trace[0].grad_norm)
+        assert first[1] == pytest.approx(first[0], rel=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    def test_overflow_safe_norm(self, scale):
+        data = np.random.default_rng(30).standard_normal((4, 5, 6))
+        got = cpfast.solver._tensor_norm(DenseTensor(data * scale))
+        assert got == pytest.approx(np.linalg.norm(data) * scale, rel=1e-14)
+
+    def test_norm_overflow_rejected(self):
+        with pytest.raises(ValueError, match="overflows"):
+            fit(DenseTensor(np.full((4, 4, 4), 1e308)), FitConfig(rank=1))
+
+    @pytest.mark.parametrize("dims", [(5, 6, 7), (3, 4, 3, 5)])
+    def test_start_passes(self, dims, monkeypatch):
+        """Above the guard the start reconstructs nothing and makes one
+        mode-N MTTKRP (the SVD init's), which also serves the first
+        ``mttkrp_all``; the first candidate costs one more."""
+        rng = np.random.default_rng(25)
+        y, _ = noisy_instance(rng, dims, 3, noise=0.3)
+        calls = count_tensor_passes(monkeypatch)
+        step = cpfast.solver.flm_step
+
+        def marked(*args, **kwargs):
+            calls.append(("step", None))
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(cpfast.solver, "flm_step", marked)
+        result = fit(y, FitConfig(rank=3, max_iters=1))
+        assert result.final_relerr > GRAM_ERROR_GUARD
+        n = len(dims)
+        assert calls == [("mttkrp", n), ("step", None), ("mttkrp", n)]
 
 
 class TestCarriedOverCache:
@@ -469,6 +559,16 @@ class TestCarriedOverCache:
         for got, ref in zip(normalized.factors, normalize_equal_energy(cand).factors):
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    def test_unweighted_scales_equal_unit_weights(self, kind):
+        """Skipping the weight handling of an unweighted model changes no
+        bit of the result."""
+        cand = self.candidate(kind, 3)
+        weighted = KruskalModel(cand.factors, np.ones(3, cand.factors[0].dtype))
+        got = normalize_with_grams(cand, gram_stack(cand.factors))[0]
+        ref = normalize_with_grams(weighted, gram_stack(cand.factors))[0]
+        assert all(np.array_equal(a, b) for a, b in zip(got.factors, ref.factors))
+
     def test_zero_norm_column_rejected(self):
         cand = self.candidate(REAL, 3)
         cand.factors[1][:, 2] = 0.0
@@ -493,17 +593,7 @@ class TestAlsLineSearch:
         assert err > GRAM_ERROR_GUARD
         if not above:
             monkeypatch.setattr(cpfast.solver, "GRAM_ERROR_GUARD", np.inf)
-        calls = []
-        for name in ("mttkrp", "reconstruct", "relative_error"):
-            original = getattr(cpfast.kruskal, name)
-
-            def counted(*args, _original=original, _name=name, **kwargs):
-                calls.append((_name, args[2] if _name == "mttkrp" else None))
-                return _original(*args, **kwargs)
-
-            for mod in (cpfast.kruskal, cpfast.solver):
-                if getattr(mod, name, None) is original:
-                    monkeypatch.setattr(mod, name, counted)
+        calls = count_tensor_passes(monkeypatch)
 
         def score(candidate, last):
             return _candidate_error(y, y.norm(), err, candidate, last)[0]
