@@ -436,9 +436,7 @@ def _leading_left_vectors(mat: np.ndarray, rank: int) -> np.ndarray:
     return (mat @ v[:, keep]) / np.sqrt(lam[keep])[None, :]
 
 
-def svd_init(
-    y: DenseTensor, rank: int, rng, return_last: bool = False
-) -> KruskalModel | tuple[KruskalModel, np.ndarray]:
+def svd_init(y: DenseTensor, rank: int, rng) -> tuple[KruskalModel, np.ndarray]:
     """Leading mode-n left singular vectors, from ``eigh`` of the smaller Gram
     of each unfolding (I_n x I_n when wide, (J/I_n) x (J/I_n) when tall).
 
@@ -450,9 +448,8 @@ def svd_init(
     inner product with Y, i.e. every component starts out pointing toward the
     data rather than away from it.
 
-    The phase rule needs the init's mode-N MTTKRP M^(N), which does not
-    depend on A^(N); with ``return_last`` it is returned too, as
-    ``(model, M^(N))``.
+    Returns ``(model, M^(N))``: the phase rule needs the init's mode-N
+    MTTKRP M^(N), which does not depend on A^(N), so the fit reuses it.
     """
     factors = []
     for n in range(1, y.order + 1):
@@ -469,8 +466,7 @@ def svd_init(
     last = mttkrp(y, KruskalModel(factors), y.order)
     inner = np.sum(factors[-1].conj() * last, axis=0)
     factors[-1] = factors[-1] * _unit_phase(inner)[None, :]
-    model = KruskalModel(factors)
-    return (model, last) if return_last else model
+    return KruskalModel(factors), last
 
 
 def pinv_psd(gamma: np.ndarray) -> np.ndarray:

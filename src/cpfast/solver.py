@@ -59,6 +59,10 @@ RHO_DENOM_GUARD = 1e-30
 # far under the 1e-8 differences the tol rule compares.  One guard serves the
 # fLM and ALS loops.
 GRAM_ERROR_GUARD = 1e-3
+# Below this plain norm some squared entries may be subnormal, so the sum
+# loses precision; ||Y|| is then taken from Y / max|y|.  At or above it the
+# squares' rounding is far under eps relative to the sum.
+NORM_RESCALE_BELOW = 1e-140
 
 
 @dataclass
@@ -183,7 +187,7 @@ def _init_model(
 ) -> tuple[KruskalModel, np.ndarray | None]:
     """The configured init and its mode-N MTTKRP (None where not formed)."""
     if config.init == "svd":
-        return svd_init(y, config.rank, rng, return_last=True)
+        return svd_init(y, config.rank, rng)
     if config.init == "random":
         return random_init(y.dims, config.rank, rng, y.scalar_kind), None
     raise ValueError(f"unknown init {config.init!r}")
@@ -194,11 +198,11 @@ def _stop_on_tol(err_deltas, tol) -> bool:
 
 
 def _tensor_norm(y: DenseTensor) -> float:
-    """||Y||, computed again from Y / max|y| only when the plain norm
-    underflows to 0 or overflows."""
+    """||Y||, computed again from Y / max|y| only when the plain norm is
+    below ``NORM_RESCALE_BELOW`` or overflows."""
     with np.errstate(over="ignore"):
         norm = y.norm()
-    if norm == 0.0 or not math.isfinite(norm):
+    if not NORM_RESCALE_BELOW <= norm < math.inf:
         peak = float(np.abs(y.data).max())
         if peak == 0.0:
             raise ZeroDivisionError("cannot fit a zero tensor")
@@ -224,7 +228,8 @@ def fit(y: DenseTensor, config: FitConfig) -> FitResult:
     The LM family fits the unit-norm problem Y / ||Y|| (see :func:`_fit_lm`)
     and returns its factors multiplied by ||Y||^(1/N), so its trace and
     result do not depend on the scale of Y.  ||Y|| is overflow-safe: it is
-    computed from Y / max|y| when the plain norm under- or overflows.
+    computed from Y / max|y| when the plain norm overflows or is so small
+    that squared entries may be subnormal.
     """
     if not np.isfinite(y.data).all():
         raise ValueError("tensor has NaN or infinite entries")

@@ -473,7 +473,7 @@ class TestFit:
 class TestScaleFree:
     """The LM family fits Y / ||Y|| from a least-squares-scaled start."""
 
-    @pytest.mark.parametrize("k", [-200, -150, -50, 0, 50, 150, 200])
+    @pytest.mark.parametrize("k", [-200, -160, -158, -150, -50, 0, 50, 150, 200])
     def test_probe_at_every_scale(self, k):
         """Noiseless 8^3, R=3, nu=0.3 times 10^k stops "tol" at a relerr at
         rounding level, and the returned model is the scaled fit."""
@@ -484,10 +484,14 @@ class TestScaleFree:
         back = KruskalModel([f * 10.0 ** (-k / 3) for f in result.model.factors])
         assert relative_error(y, back) <= 1e-12
 
-    def test_noisy_fit_does_not_depend_on_scale(self):
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_noisy_fit_does_not_depend_on_scale(self, seed):
         """30^3, R=3 Gaussian factors at 1% noise, times 1 and 1e3: the same
-        stop reason and relerr, and the first step is accepted on both."""
-        rng = np.random.default_rng(0)
+        stop reason and relerr, and the same accept decisions and errors while
+        the error is above its final value (so the same first accepted step:
+        iteration 1 at seed 0, 4 at seed 1).  At the final value, whether a
+        candidate lowers the error turns on the last bits."""
+        rng = np.random.default_rng(seed)
         truth = KruskalModel([rng.standard_normal((30, 3)) for _ in range(3)])
         clean = reconstruct(truth).data
         noise = rng.standard_normal(clean.shape)
@@ -495,15 +499,19 @@ class TestScaleFree:
         one, big = (fit(DenseTensor(s * y), FitConfig(rank=3)) for s in (1.0, 1e3))
         assert one.stop_reason == big.stop_reason == "tol"
         assert big.final_relerr == pytest.approx(one.final_relerr, rel=1e-9)
-        assert one.trace[0].accepted and big.trace[0].accepted
-        first = (one.trace[0].grad_norm, big.trace[0].grad_norm)
-        assert first[1] == pytest.approx(first[0], rel=1e-9)
+        floor = one.final_relerr * (1 + 1e-9)
+        lead = list(itertools.takewhile(lambda r: r.relerr > floor, one.trace))
+        assert lead
+        for a, b in zip(lead, big.trace):
+            assert a.accepted == b.accepted
+            assert b.relerr == pytest.approx(a.relerr, rel=1e-9)
+            assert b.grad_norm == pytest.approx(a.grad_norm, rel=1e-9)
 
-    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e-158, 1.0, 1e200])
     def test_overflow_safe_norm(self, scale):
         data = np.random.default_rng(30).standard_normal((4, 5, 6))
         got = cpfast.solver._tensor_norm(DenseTensor(data * scale))
-        assert got == pytest.approx(np.linalg.norm(data) * scale, rel=1e-14)
+        assert got == pytest.approx(np.linalg.norm(data) * scale, rel=1e-14, abs=0)
 
     def test_norm_overflow_rejected(self):
         with pytest.raises(ValueError, match="overflows"):
