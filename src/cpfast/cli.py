@@ -4,8 +4,10 @@ spectral feasibility reports, and the identity-verification suite."""
 from __future__ import annotations
 
 import csv
+import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -92,6 +94,20 @@ def _load_truth(meta_path) -> KruskalModel:
     )
 
 
+def _write_trace(path, trace) -> None:
+    """One JSON object per iteration record (JSONL), in trace order, with
+    every non-finite number (ALS's NaN gain ratio and norms) written as
+    null."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in trace:
+            row = {
+                key: None if isinstance(val, float) and not math.isfinite(val)
+                else val
+                for key, val in asdict(rec).items()
+            }
+            fh.write(json.dumps(row, allow_nan=False) + "\n")
+
+
 @main.command("fit")
 @click.argument("tensor_file", type=click.Path(exists=True))
 @click.option("--algo", type=click.Choice(VARIANTS), default="auto", show_default=True)
@@ -104,7 +120,10 @@ def _load_truth(meta_path) -> KruskalModel:
 @click.option("--truth", default=None, type=click.Path(exists=True),
               help="Metadata sidecar of the generating run, for MedSAE scoring.")
 @click.option("--out", default=None, help="Prefix for fitted factors + CSV record.")
-def cmd_fit(tensor_file, algo, rank, tau, tol, max_iters, seed, init, truth, out):
+@click.option("--trace", "trace_path", default=None, type=click.Path(dir_okay=False),
+              help="Write the per-iteration trace here as JSON lines.")
+def cmd_fit(tensor_file, algo, rank, tau, tol, max_iters, seed, init, truth, out,
+            trace_path):
     """Decompose a tensor file with the selected algorithm."""
     y = cptn.read_tensor(tensor_file)
     config = FitConfig(
@@ -130,6 +149,9 @@ def cmd_fit(tensor_file, algo, rank, tau, tol, max_iters, seed, init, truth, out
             cptn.write_matrix(f"{out}_factor{n}.cptn", factor)
         benchmod.write_csv(f"{out}.csv", [record])
         click.echo(f"wrote {out}.csv")
+    if trace_path:
+        _write_trace(trace_path, result.trace)
+        click.echo(f"wrote {trace_path}")
     if record.error:
         click.echo(record.error, err=True)
     if record.stop_reason in benchmod.FAILED:

@@ -95,7 +95,8 @@ class FitConfig:
 class IterRecord:
     """One iteration: the relative error after it, the damping parameter for
     the next step, whether the step was accepted, the gain ratio of the step,
-    the norm ||g|| of the gradient at the model the step starts from and the
+    the norm ||g|| of the gradient at the model after the iteration (the
+    accepted candidate, or the unchanged model after a rejection) and the
     norm ||Delta|| of the step.  The last three are NaN for ALS.  The damping
     parameter and the norms are those of the unit-norm problem that the fLM
     loop fits, so they do not depend on the scale of Y."""
@@ -215,21 +216,30 @@ def _tensor_norm(y: DenseTensor) -> float:
 def fit(y: DenseTensor, config: FitConfig) -> FitResult:
     """Decompose ``y`` with the configured algorithm.
 
-    Stops when ten consecutive relative-error differences fall below
-    ``config.tol`` ("tol"), the iteration budget runs out ("max_iters"), or,
-    for the LM family, the damping parameter overflows 1e30 ("mu_overflow")
-    or a candidate's squared residual is not finite ("nonfinite").  A
-    numerical failure of the step ends the fit with stop reason "error at
-    iteration t: ...".  Raises ``ValueError`` for NaN or infinite entries,
-    for tensors of order below 2 and for a norm that overflows even after
-    rescaling by max|y|, and ``ZeroDivisionError`` for an all-zero tensor,
-    all before any initialization.
+    A fit reaches "tol" in one of two ways: ten consecutive relative-error
+    differences fall below ``config.tol`` (a rejected step counts as a zero
+    difference), or, for the LM family, the current model is first-order
+    stationary relative to its residual, ||g|| <= ``config.tol`` * relerr,
+    with g the gradient of the unit-norm problem (Madsen, Nielsen &
+    Tingleff, IMM 2004, section 3.2, in relative form).  The gradient test
+    ends a noisy fit on the step that converges; on noiseless data g
+    shrinks along with the residual, so there the ten-step window ends the
+    fit.  Otherwise a fit stops when the iteration budget runs out
+    ("max_iters"), or, for the LM family, when the damping parameter
+    overflows 1e30 ("mu_overflow") or a candidate's squared residual is not
+    finite ("nonfinite").  A numerical failure of the step ends the fit with
+    stop reason "error at iteration t: ...".  Raises ``ValueError`` for NaN
+    or infinite entries, for tensors of order below 2 and for a norm that
+    overflows even after rescaling by max|y|, and ``ZeroDivisionError`` for
+    an all-zero tensor, all before any initialization.
 
     The LM family fits the unit-norm problem Y / ||Y|| (see :func:`_fit_lm`)
     and returns its factors multiplied by ||Y||^(1/N), so its trace and
-    result do not depend on the scale of Y.  ||Y|| is overflow-safe: it is
-    computed from Y / max|y| when the plain norm overflows or is so small
-    that squared entries may be subnormal.
+    result do not depend on the scale of Y.  ALS and ALS-ls fit Y scaled by
+    the power of two that brings ||Y|| into [1/2, 1) (see :func:`_fit_als`),
+    which is exact.  ||Y|| is overflow-safe: it is computed from Y / max|y|
+    when the plain norm overflows or is so small that squared entries may be
+    subnormal.
     """
     if not np.isfinite(y.data).all():
         raise ValueError("tensor has NaN or infinite entries")
@@ -268,8 +278,24 @@ def _candidate_error(
     return relative_error(y, candidate), None
 
 
+def _times_power_of_two(a: np.ndarray, e: int) -> np.ndarray:
+    """``a`` * 2^e in two exact multiplications, so that each factor is
+    representable for every exponent of a finite norm (2^1024 is not)."""
+    half = e // 2
+    out = a * 2.0**half
+    out *= 2.0 ** (e - half)
+    return out
+
+
 def _fit_als(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
     """ALS and ALS with line search.
+
+    The loop fits Y * 2^-e (a transient copy of Y), where e is the binary
+    exponent of ||Y||, so the data's norm lies in [1/2, 1) and neither the
+    init's Gram matrices nor ``pinv_psd`` over- or underflow; the returned
+    first factor is multiplied by 2^e.  Scaling by a power of two is exact,
+    so wherever Y itself is safe the trace and the model are bit for bit
+    those of a fit of Y.
 
     Cost per sweep in passes over the tensor: two for :func:`als_step` (the
     partial product for modes 1..N-1 and the mode-N MTTKRP).  Candidates are
@@ -279,6 +305,9 @@ def _fit_als(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
     passes and a line-search sweep four, with no reconstruction.  Below the
     guard every candidate is scored by the dense residual.
     """
+    _, e = math.frexp(ynorm)
+    y = DenseTensor(_times_power_of_two(y.data, -e))
+    ynorm = math.ldexp(ynorm, -e)
     rng = np.random.default_rng([config.seed, 0])
     model, _ = _init_model(y, config, rng)
     trace = []
@@ -305,7 +334,8 @@ def _fit_als(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
         if _stop_on_tol(deltas, config.tol):
             stop_reason = "tol"
             break
-    return FitResult(model, trace, stop_reason)
+    first = _times_power_of_two(model.factors[0], e)
+    return FitResult(KruskalModel([first] + model.factors[1:]), trace, stop_reason)
 
 
 def _scaled_start(
@@ -364,6 +394,11 @@ def _fit_lm(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
     column norms and, rescaled, as the next Gram cache; the normalization's
     scales also carry its M^(N) over.  A candidate whose squared residual is
     not finite ends the fit with stop reason "nonfinite".
+
+    Besides the ten-difference window, the fit stops "tol" once ||g|| <=
+    tol * relerr at the current model (see :func:`fit`).  ||g|| comes from
+    the gradient that each accepted model needs for the next step anyway, so
+    the test costs no pass over the tensor.
     """
     y = DenseTensor(y.data / ynorm)
     rng = np.random.default_rng([config.seed, 0])
@@ -419,7 +454,7 @@ def _fit_lm(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
             IterRecord(t, err, state.mu, accepted, float(rho), grad_norm, step_norm)
         )
 
-        if _stop_on_tol(deltas, config.tol):
+        if _stop_on_tol(deltas, config.tol) or grad_norm <= config.tol * err:
             stop_reason = "tol"
             break
         if state.mu > MU_OVERFLOW:

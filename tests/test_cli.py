@@ -2,6 +2,8 @@
 verification exit codes."""
 
 import csv
+import dataclasses
+import json
 import math
 from pathlib import Path
 
@@ -75,6 +77,31 @@ class TestFit:
         record = dict(zip(rows[0], rows[1]))
         assert float(record["final_relerr"]) < 1e-8
         assert record["stop_reason"] == "tol"
+
+    @pytest.mark.parametrize("algo", ["auto", "als-ls"])
+    def test_trace_jsonl_schema(self, runner, tmp_path, algo):
+        """``--trace`` writes one JSON object per iteration with exactly the
+        ``IterRecord`` fields, NaN as null, and no timing."""
+        invoke(runner, ["gen", "--dims", "6,6,6", "--rank", "2", "--nu", "0.5",
+                        "--snr", "30", "--seed", "1", "--out", str(tmp_path / "t")])
+        path = tmp_path / "trace.jsonl"
+        result = invoke(runner, ["fit", str(tmp_path / "t_noisy.cptn"), "--rank", "2",
+                                 "--algo", algo, "--trace", str(path)])
+        lines = path.read_text(encoding="utf-8").splitlines()
+        iters = int(result.output.split("iters=")[1].split()[0])
+        assert len(lines) == iters > 0
+        fields = [f.name for f in dataclasses.fields(cpfast.solver.IterRecord)]
+        for t, line in enumerate(lines, start=1):
+            row = json.loads(line)
+            assert list(row) == fields
+            assert row["iter"] == t and isinstance(row["accepted"], bool)
+            assert isinstance(row["relerr"], float) and isinstance(row["mu"], float)
+            for key in ("rho", "grad_norm", "step_norm"):
+                if algo == "als-ls":
+                    assert row[key] is None
+                else:
+                    assert isinstance(row[key], float)
+        assert "NaN" not in path.read_text(encoding="utf-8")
 
     def test_dense_oracle_size_guard(self, runner, tmp_path):
         invoke(runner, ["gen", "--dims", "30,30,30", "--rank", "20", "--nu", "0.5",

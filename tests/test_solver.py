@@ -18,6 +18,7 @@ from cpfast.kruskal import (
     als_line_search_step,
     als_step,
     build_gram_cache,
+    gradient,
     mttkrp,
     gram_stack,
     normalize_equal_energy,
@@ -57,6 +58,25 @@ def noisy_instance(rng, dims, rank, kind=REAL, noise=0.1):
     if kind == COMPLEX:
         e = e + 1j * rng.standard_normal(dims)
     return DenseTensor(reconstruct(m).data + noise * e), m
+
+
+def gaussian_instance(seed, noise=0.01):
+    """30^3 tensor of a rank-3 model with Gaussian factors, plus Gaussian
+    noise at ``noise`` times its norm."""
+    rng = np.random.default_rng(seed)
+    truth = KruskalModel([rng.standard_normal((30, 3)) for _ in range(3)])
+    clean = reconstruct(truth).data
+    e = rng.standard_normal(clean.shape)
+    return clean + noise * np.linalg.norm(clean) / np.linalg.norm(e) * e
+
+
+def unit_gradient_norm(y, model):
+    """||g|| of the unit-norm problem Y / ||Y|| at a fit's returned ``model``
+    scaled back by ||Y||^(-1/N), recomputed from scratch."""
+    ynorm = y.norm()
+    scale = ynorm ** (-1.0 / model.order)
+    unit = KruskalModel([f * scale for f in model.factors])
+    return float(np.linalg.norm(gradient(DenseTensor(y.data / ynorm), unit)))
 
 
 def dense_core_product(cache, mu, use_kernel_inverse, w):
@@ -436,6 +456,20 @@ class TestFit:
         record = record_from_result(result, None, 0, 0.3, 3, None, "auto")
         assert (record.stop_reason, record.error) == ("nonfinite", None)
 
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_grad_norm_is_at_model_after_iteration(self, kind, k):
+        """The recorded ||g|| is that of the model an iteration ends on: the
+        start after each of the first three (rejected) steps, the accepted
+        candidate after the fourth."""
+        rng = np.random.default_rng(40)
+        y, _ = noisy_instance(rng, (5, 6, 7), 3, kind, noise=0.1)
+        result = fit(y, FitConfig(rank=3, max_iters=k, tol=0.0))
+        assert [r.accepted for r in result.trace] == [False, False, False, True][:k]
+        assert result.trace[-1].grad_norm == pytest.approx(
+            unit_gradient_norm(y, result.model), rel=1e-10
+        )
+
     def test_trace_records_gradient_and_step_norms(self):
         rng = np.random.default_rng(28)
         y, _ = noisy_instance(rng, (6, 6, 6), 2, noise=0.1)
@@ -470,6 +504,46 @@ class TestFit:
         assert np.abs(complex_step.imag).max() < 1e-10
 
 
+class TestGradientStop:
+    """Besides the ten-difference window, an fLM fit stops "tol" once ||g|| <=
+    tol * relerr at its current model."""
+
+    def test_noisy_fit_stops_on_converging_step(self):
+        y = DenseTensor(gaussian_instance(0))
+        config = FitConfig(rank=3)
+        result = fit(y, config)
+        last = result.trace[-1]
+        assert result.stop_reason == "tol" and last.accepted
+        bound = config.tol * last.relerr
+        assert last.grad_norm <= bound
+        assert unit_gradient_norm(y, result.model) <= bound * (1 + 1e-3)
+
+    @settings(max_examples=40)
+    @given(
+        dims=st.tuples(st.integers(2, 5), st.integers(2, 5), st.integers(2, 5)),
+        rank=st.integers(1, 3),
+        kind=st.sampled_from([REAL, COMPLEX]),
+        noise=st.sampled_from([0.0, 1e-3, 0.1]),
+        variant=st.sampled_from(["auto", "als-ls"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_tol_means_converged(self, dims, rank, kind, noise, variant, seed):
+        """A "tol" stop implies a finite relerr and either ten differences
+        below tol (the nine that the trace holds when it has only ten
+        records) or, for fLM, ||g|| <= tol * relerr at the final model."""
+        y, _ = noisy_instance(np.random.default_rng(seed), dims, rank, kind, noise)
+        config = FitConfig(rank=rank, variant=variant, max_iters=200, seed=seed)
+        result = fit(y, config)
+        if result.stop_reason != "tol":
+            return
+        last = result.trace[-1]
+        assert math.isfinite(last.relerr)
+        errs = [r.relerr for r in result.trace]
+        diffs = [abs(a - b) for a, b in zip(errs, errs[1:])][-10:]
+        window = len(errs) >= 10 and all(d < config.tol for d in diffs)
+        assert window or last.grad_norm <= config.tol * last.relerr
+
+
 class TestScaleFree:
     """The LM family fits Y / ||Y|| from a least-squares-scaled start."""
 
@@ -491,11 +565,7 @@ class TestScaleFree:
         the error is above its final value (so the same first accepted step:
         iteration 1 at seed 0, 4 at seed 1).  At the final value, whether a
         candidate lowers the error turns on the last bits."""
-        rng = np.random.default_rng(seed)
-        truth = KruskalModel([rng.standard_normal((30, 3)) for _ in range(3)])
-        clean = reconstruct(truth).data
-        noise = rng.standard_normal(clean.shape)
-        y = clean + 0.01 * np.linalg.norm(clean) / np.linalg.norm(noise) * noise
+        y = gaussian_instance(seed)
         one, big = (fit(DenseTensor(s * y), FitConfig(rank=3)) for s in (1.0, 1e3))
         assert one.stop_reason == big.stop_reason == "tol"
         assert big.final_relerr == pytest.approx(one.final_relerr, rel=1e-9)
@@ -506,6 +576,35 @@ class TestScaleFree:
             assert a.accepted == b.accepted
             assert b.relerr == pytest.approx(a.relerr, rel=1e-9)
             assert b.grad_norm == pytest.approx(a.grad_norm, rel=1e-9)
+
+    @pytest.mark.parametrize("k", [-200, -163, -160, -158, 0, 200])
+    def test_als_ls_probe_at_every_scale(self, k):
+        """ALS-ls on the same probe stops "tol" at every scale, and the
+        returned model, scaled back, fits the x1 data as reported."""
+        _, y = gen_collinear(CollinearSpec((8, 8, 8), 3, 0.3, None, 0))
+        config = FitConfig(rank=3, variant="als-ls")
+        result = fit(DenseTensor(y.data * 10.0**k), config)
+        assert result.stop_reason == "tol"
+        assert result.final_relerr <= 1e-6
+        back = KruskalModel([f * 10.0 ** (-k / 3) for f in result.model.factors])
+        assert relative_error(y, back) == pytest.approx(result.final_relerr, rel=1e-6)
+
+    @pytest.mark.parametrize("variant", ["als", "als-ls"])
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    def test_als_power_of_two_scale_is_exact(self, variant, kind):
+        """ALS fits Y scaled by a power of two, which is exact: at x2^k the
+        trace is the x1 trace bit for bit, and the first factor is the x1
+        factor times 2^k."""
+        rng = np.random.default_rng(31)
+        y, _ = noisy_instance(rng, (6, 7, 8), 3, kind, noise=0.05)
+        config = FitConfig(rank=3, variant=variant, max_iters=50)
+        ref = fit(y, config)
+        for k in (-300, 400):
+            got = fit(DenseTensor(y.data * 2.0**k), config)
+            assert [r.relerr for r in got.trace] == [r.relerr for r in ref.trace]
+            assert np.array_equal(got.model.factors[0], ref.model.factors[0] * 2.0**k)
+            for a, b in zip(got.model.factors[1:], ref.model.factors[1:]):
+                assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e-158, 1.0, 1e200])
     def test_overflow_safe_norm(self, scale):
