@@ -16,7 +16,7 @@ from . import bench as benchmod
 from . import cptn
 from .kruskal import KruskalModel
 from .oracle import OracleSizeError
-from .solver import FitConfig, VARIANTS, fit
+from .solver import FitConfig, INITS, VARIANTS, fit
 from .synth import CollinearSpec, add_noise, gen_collinear, spectrum
 from .tensor import COMPLEX, REAL
 from .verify import format_report, run_suite
@@ -116,7 +116,7 @@ def _write_trace(path, trace) -> None:
 @click.option("--tol", type=float, default=1e-8, show_default=True)
 @click.option("--max-iters", type=int, default=1000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--init", type=click.Choice(["svd", "random"]), default="svd")
+@click.option("--init", type=click.Choice(INITS), default="svd")
 @click.option("--truth", default=None, type=click.Path(exists=True),
               help="Metadata sidecar of the generating run, for MedSAE scoring.")
 @click.option("--out", default=None, help="Prefix for fitted factors + CSV record.")
@@ -126,10 +126,14 @@ def cmd_fit(tensor_file, algo, rank, tau, tol, max_iters, seed, init, truth, out
             trace_path):
     """Decompose a tensor file with the selected algorithm."""
     y = cptn.read_tensor(tensor_file)
-    config = FitConfig(
-        rank=rank, variant=algo, tau=tau, tol=tol,
-        max_iters=max_iters, seed=seed, init=init,
-    )
+    try:
+        config = FitConfig(
+            rank=rank, variant=algo, tau=tau, tol=tol,
+            max_iters=max_iters, seed=seed, init=init,
+        )
+    except ValueError as exc:
+        click.echo(str(exc), err=True)
+        sys.exit(1)
     try:
         result = fit(y, config)
     except OracleSizeError as exc:

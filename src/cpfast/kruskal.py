@@ -1,14 +1,14 @@
 """Kruskal (CP) models: reconstruction, Gram caches, MTTKRP, gradient, ALS.
 
-A model is a list of factor matrices A^(n) of shape (I_n, R) plus optional
-per-component weights.  Complex models use the Hermitian Gram convention
+A model is a list of factor matrices A^(n) of shape (I_n, R); a component's
+scale lives in its columns.  Complex models use the Hermitian Gram convention
 C^(n) = A^(n)^H A^(n); all transpose placements below are chosen so the same
 code path is exact for both scalar kinds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -18,6 +18,7 @@ from .tensor import (
     REAL,
     DenseTensor,
     ScalarKindError,
+    _check_mode,
     fold,
     khatri_rao,
     khatri_rao_excl,
@@ -27,10 +28,10 @@ from .tensor import (
 
 @dataclass
 class KruskalModel:
-    """Factor matrices A^(n) (I_n x R) with optional component weights."""
+    """Factor matrices A^(n) (I_n x R); component r is the outer product of
+    the r-th columns."""
 
     factors: list
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         self.factors = [
@@ -41,10 +42,6 @@ class KruskalModel:
         ranks = {f.shape[1] for f in self.factors}
         if len(ranks) != 1:
             raise ValueError("all factors must share the same column count")
-        if self.weights is not None:
-            self.weights = np.asarray(self.weights).reshape(-1)
-            if self.weights.shape[0] != self.rank:
-                raise ValueError("weights length must equal the rank")
 
     @property
     def rank(self) -> int:
@@ -62,15 +59,8 @@ class KruskalModel:
     def scalar_kind(self) -> str:
         return _same_kind(self.factors[0], self.factors[1:])
 
-    def effective_weights(self) -> np.ndarray:
-        if self.weights is None:
-            dtype = self.factors[0].dtype
-            return np.ones(self.rank, dtype=dtype)
-        return self.weights
-
     def copy(self) -> "KruskalModel":
-        w = None if self.weights is None else self.weights.copy()
-        return KruskalModel([f.copy() for f in self.factors], w)
+        return KruskalModel([f.copy() for f in self.factors])
 
     def as_vector(self) -> np.ndarray:
         """Concatenated column-major vectorizations of all factors."""
@@ -78,9 +68,8 @@ class KruskalModel:
 
 
 def complex_model(model: KruskalModel) -> KruskalModel:
-    """The same model with complex128 factors and weights."""
-    w = None if model.weights is None else model.weights.astype(np.complex128)
-    return KruskalModel([f.astype(np.complex128) for f in model.factors], w)
+    """The same model with complex128 factors."""
+    return KruskalModel([f.astype(np.complex128) for f in model.factors])
 
 
 def model_from_vector(vec: np.ndarray, dims, rank: int) -> KruskalModel:
@@ -94,13 +83,13 @@ def model_from_vector(vec: np.ndarray, dims, rank: int) -> KruskalModel:
 
 
 def reconstruct(model: KruskalModel) -> DenseTensor:
-    """Sum of R weighted rank-one outer products, as a dense tensor.
+    """Sum of the R rank-one outer products, as a dense tensor.
 
-    The mode-1 unfolding is built as (W A^(1)^T)^T, which is Fortran-ordered,
-    so folding it back is a reshape view and the tensor is written once.
+    The mode-1 unfolding is built as (K A^(1)^T)^T, with K the Khatri-Rao
+    product of the other factors; it is Fortran-ordered, so folding it back
+    is a reshape view and the tensor is written once.
     """
-    a1 = model.factors[0] * model.effective_weights()[None, :]
-    mat = (khatri_rao_excl(model.factors, 1) @ a1.T).T
+    mat = (khatri_rao_excl(model.factors, 1) @ model.factors[0].T).T
     return fold(mat, 1, model.dims)
 
 
@@ -225,6 +214,7 @@ def mttkrp(y: DenseTensor, model: KruskalModel, n: int) -> np.ndarray:
     Hermitian normal equations; for real data the conjugation is a no-op.
     """
     _check_pair(y, model)
+    _check_mode(model.order, n)
     factors = model.factors
     if n == model.order:
         return _last_mode_rows(y).T @ khatri_rao_excl(factors, n).conj()
@@ -278,15 +268,11 @@ def gradient(
     return np.concatenate(blocks)
 
 
-def residual_norm(y: DenseTensor, model: KruskalModel) -> float:
-    return float(np.linalg.norm(y.data - reconstruct(model).data))
-
-
 def relative_error(y: DenseTensor, model: KruskalModel) -> float:
     ynorm = y.norm()
     if ynorm == 0.0:
         raise ZeroDivisionError("relative error undefined for a zero tensor")
-    return residual_norm(y, model) / ynorm
+    return float(np.linalg.norm(y.data - reconstruct(model).data)) / ynorm
 
 
 def gram_relative_error(
@@ -297,7 +283,7 @@ def gram_relative_error(
 ) -> float:
     """Relative error from ||Y||, the mode-N MTTKRP and the Gram matrices.
 
-    ||Y - Yhat||^2 = ||Y||^2 - 2 Re<A^(N) diag(w), M^(N)> + w^H Gamma_full w,
+    ||Y - Yhat||^2 = ||Y||^2 - 2 Re<A^(N), M^(N)> + 1^T Gamma_full 1,
     where ``last`` is M^(N) = mttkrp(y, model, N) and ``grams`` the stacked
     Gram matrices of the factors when the caller has them (see
     :func:`gram_stack`).  No dense tensor is formed.  The terms are
@@ -307,10 +293,11 @@ def gram_relative_error(
     """
     if grams is None:
         grams = gram_stack(model.factors)
-    w = model.effective_weights()
     gamma_full = np.multiply.reduce(grams)
-    cross = np.vdot(model.factors[-1] * w[None, :], last).real
-    model_sq = np.vdot(w, gamma_full @ w).real
+    cross = np.vdot(model.factors[-1], last).real
+    # Kept as a quadratic form: gamma_full.sum() rounds differently.
+    ones = np.ones(model.rank, dtype=model.factors[0].dtype)
+    model_sq = np.vdot(ones, gamma_full @ ones).real
     return float(np.sqrt(max(ynorm**2 - 2.0 * cross + model_sq, 0.0)) / ynorm)
 
 
@@ -321,9 +308,8 @@ def _equal_energy_scales(
     multiplies the factors of ``model``.
 
     ``norms`` are the factors' column norms (N x R) when the caller has them,
-    e.g. sqrt(diag C^(n)) from the Gram matrices.  The product of the scales
-    of a component over the modes is its weight, so the reconstruction is
-    unchanged.
+    e.g. sqrt(diag C^(n)) from the Gram matrices.  The scales of a component
+    multiply to one over the modes, so the reconstruction is unchanged.
     """
     n_modes = model.order
     if norms is None:
@@ -332,15 +318,8 @@ def _equal_energy_scales(
         zero = np.flatnonzero(~norms.all(axis=0))
         raise ZeroDivisionError(f"component {zero[0]} has a zero-norm vector")
     magnitude = np.multiply.reduce(norms)
-    weights = model.weights
-    if weights is None:
-        dtype = np.result_type(*model.factors)
-    else:
-        magnitude = np.abs(weights) * magnitude
-        dtype = np.result_type(weights, *model.factors)
+    dtype = np.result_type(*model.factors)
     scales = (magnitude ** (1.0 / n_modes) / norms).astype(dtype)
-    if weights is not None:
-        scales[-1] *= _unit_phase(weights)
     if n_modes >= 2:
         phase = _top_phase(model.factors[0])
         scales[0] /= phase
@@ -351,11 +330,11 @@ def _equal_energy_scales(
 def normalize_equal_energy(model: KruskalModel) -> KruskalModel:
     """Rescale each component so its norm is identical in every mode.
 
-    Weights are folded into the factors first; each mode-n vector of component
-    r ends up with norm equal to the geometric mean of the component's mode
-    norms (weight magnitude included).  The sign/phase is fixed by making the
-    largest-magnitude entry of the first-mode vector real-positive, with the
-    compensating phase folded into the last mode.  Reconstruction is unchanged.
+    Each mode-n vector of component r ends up with norm equal to the
+    geometric mean of the component's mode norms.  The sign/phase is fixed by
+    making the largest-magnitude entry of the first-mode vector real-positive,
+    with the compensating phase folded into the last mode.  Reconstruction is
+    unchanged.
     """
     scales = _equal_energy_scales(model)
     return KruskalModel([f * s for f, s in zip(model.factors, scales)])
@@ -364,8 +343,8 @@ def normalize_equal_energy(model: KruskalModel) -> KruskalModel:
 def normalize_with_grams(
     model: KruskalModel, grams: np.ndarray, last: np.ndarray | None = None
 ) -> tuple[KruskalModel, GramCache, np.ndarray | None]:
-    """:func:`normalize_equal_energy` of an unweighted ``model`` from its
-    stacked Gram matrices ``grams``, with what the Grams give for free.
+    """:func:`normalize_equal_energy` of ``model`` from its stacked Gram
+    matrices ``grams``, with what the Grams give for free.
 
     The column norms are sqrt(diag C^(n)).  With the scales s_n of
     :func:`_equal_energy_scales`, the normalized model's Gram matrices are
@@ -380,22 +359,6 @@ def normalize_with_grams(
     if last is not None:
         last = last / scales[-1].conj()
     return normalized, cache, last
-
-
-def normalize_unit_modes(model: KruskalModel) -> KruskalModel:
-    """Unit-norm components in modes 1..N-1; all magnitude in the last mode."""
-    factors = [f.copy() for f in model.factors]
-    weights = model.effective_weights().copy()
-    for r in range(model.rank):
-        scale = weights[r]
-        for n in range(model.order - 1):
-            nrm = np.linalg.norm(factors[n][:, r])
-            if nrm == 0.0:
-                raise ZeroDivisionError(f"component {r} has a zero-norm vector")
-            factors[n][:, r] /= nrm
-            scale = scale * nrm
-        factors[-1][:, r] *= scale
-    return KruskalModel(factors, None)
 
 
 def random_init(dims, rank: int, rng, scalar_kind="real") -> KruskalModel:

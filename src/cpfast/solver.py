@@ -46,6 +46,7 @@ from .oracle import dense_damped_solve
 from .tensor import DenseTensor
 
 VARIANTS = ("flm-a", "auto", "als", "als-ls", "dgn-oracle")
+INITS = ("svd", "random")
 
 # The fLM loop fits Y / ||Y|| from a least-squares-scaled start, so both
 # constants act on unit-norm data whatever the scale of Y: the squared
@@ -89,6 +90,14 @@ class FitConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"tau must be finite and positive, got {self.tau!r}")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
+        if self.init not in INITS:
+            raise ValueError(f"unknown init {self.init!r}")
 
 
 @dataclass
@@ -189,9 +198,7 @@ def _init_model(
     """The configured init and its mode-N MTTKRP (None where not formed)."""
     if config.init == "svd":
         return svd_init(y, config.rank, rng)
-    if config.init == "random":
-        return random_init(y.dims, config.rank, rng, y.scalar_kind), None
-    raise ValueError(f"unknown init {config.init!r}")
+    return random_init(y.dims, config.rank, rng, y.scalar_kind), None
 
 
 def _stop_on_tol(err_deltas, tol) -> bool:

@@ -127,6 +127,20 @@ class TestFit:
             outs[algo] = float(dict(zip(CSV_COLUMNS, row))["final_relerr"])
         assert outs["flm-a"] == outs["auto"]
 
+    @pytest.mark.parametrize(
+        "option,value", [("--tau", "0"), ("--tol", "nan"), ("--max-iters", "0")]
+    )
+    def test_bad_config_exits_with_message(self, runner, tmp_path, option, value):
+        invoke(runner, ["gen", "--dims", "4,4,4", "--rank", "2", "--nu", "0.6",
+                        "--out", str(tmp_path / "v")])
+        result = runner.invoke(
+            main,
+            ["fit", str(tmp_path / "v.cptn"), "--rank", "2", option, value],
+            catch_exceptions=False,
+        )
+        assert result.exit_code != 0
+        assert option.lstrip("-").replace("-", "_") in result.output
+
     def test_flm_b_is_unknown_algo(self, runner, tmp_path):
         invoke(runner, ["gen", "--dims", "4,4,4", "--rank", "2", "--nu", "0.6",
                         "--out", str(tmp_path / "v")])

@@ -79,3 +79,25 @@ class TestFitComplex:
         result = fit(y, FitConfig(rank=2, variant="auto", seed=0, max_iters=150))
         accepted = [rec.relerr for rec in result.trace if rec.accepted]
         assert all(b < a for a, b in zip(accepted, accepted[1:]))
+
+
+class TestRealDataInComplex:
+    """Real data embedded in C gives the real fit: the same stop reason and a
+    final relerr within 1e-9 relative.  Rounding can move the iteration at
+    which the stop window closes, so iteration counts are not compared."""
+
+    @pytest.mark.parametrize("variant", ["auto", "als-ls"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_embedded_fit_matches_real_fit(self, seed, variant):
+        rng = np.random.default_rng(seed)
+        dims = tuple(int(d) for d in rng.integers(3, 7, size=3))
+        rank = int(rng.integers(1, 4))
+        clean = reconstruct(random_init(dims, rank, rng)).data
+        noise = rng.standard_normal(dims)
+        noise *= 0.1 * np.linalg.norm(clean) / np.linalg.norm(noise)
+        y = DenseTensor(clean + noise)
+        config = FitConfig(rank=rank, variant=variant, seed=seed)
+        real, embedded = fit(y, config), fit(as_complex(y), config)
+        assert embedded.model.factors[0].dtype == np.complex128
+        assert embedded.stop_reason == real.stop_reason
+        assert embedded.final_relerr == pytest.approx(real.final_relerr, rel=1e-9)

@@ -18,7 +18,6 @@ from cpfast.kruskal import (
     mttkrp,
     mttkrp_all,
     normalize_equal_energy,
-    normalize_unit_modes,
     pinv_psd,
     random_init,
     reconstruct,
@@ -35,13 +34,16 @@ from cpfast.tensor import (
 )
 
 
-def random_model(rng, dims, rank, kind=REAL, weights=False):
+def random_model(rng, dims, rank, kind=REAL, scaled=False):
+    """Gaussian factors; with ``scaled``, the last factor is A^(N) diag(w)
+    for drawn scales w (complex for complex models), so components differ in
+    size and phase."""
     model = random_init(dims, rank, rng, kind)
-    if weights:
+    if scaled:
         w = rng.standard_normal(rank)
         if kind == COMPLEX:
             w = w + 1j * rng.standard_normal(rank)
-        model = KruskalModel(model.factors, w)
+        model.factors[-1] = model.factors[-1] * w
     return model
 
 
@@ -53,14 +55,11 @@ def random_tensor(rng, dims, kind=REAL):
 
 
 def reconstruct_oracle(model):
-    """Elementwise sum of weighted rank-one outer products."""
-    w = model.effective_weights()
-    out = np.zeros(
-        model.dims, dtype=np.result_type(model.factors[0].dtype, w.dtype)
-    )
+    """Elementwise sum of rank-one outer products."""
+    out = np.zeros(model.dims, dtype=model.factors[0].dtype)
     for idx in itertools.product(*[range(d) for d in model.dims]):
         for r in range(model.rank):
-            term = w[r]
+            term = 1.0
             for n, i in enumerate(idx):
                 term = term * model.factors[n][i, r]
             out[idx] += term
@@ -70,14 +69,11 @@ def reconstruct_oracle(model):
 def equal_energy_loop(model):
     """Per-component reference for normalize_equal_energy."""
     factors = [f.copy() for f in model.factors]
-    weights = model.effective_weights().copy()
     for r in range(model.rank):
         norms = np.array([np.linalg.norm(f[:, r]) for f in factors])
-        target = (np.abs(weights[r]) * np.prod(norms)) ** (1.0 / model.order)
-        wphase = weights[r] / np.abs(weights[r]) if weights[r] != 0 else 1.0
+        target = np.prod(norms) ** (1.0 / model.order)
         for n in range(model.order):
             factors[n][:, r] *= target / norms[n]
-        factors[-1][:, r] *= wphase
         lead = factors[0][:, r]
         top = lead[np.argmax(np.abs(lead))]
         phase = top / np.abs(top) if top != 0 else 1.0
@@ -91,10 +87,6 @@ class TestModel:
         with pytest.raises(ValueError):
             KruskalModel([np.zeros((3, 2)), np.zeros((4, 3))])
 
-    def test_weights_length_checked(self):
-        with pytest.raises(ValueError):
-            KruskalModel([np.zeros((3, 2))] * 2, np.ones(3))
-
     def test_vector_roundtrip(self):
         rng = np.random.default_rng(0)
         m = random_model(rng, (3, 4, 5), 2, COMPLEX)
@@ -105,10 +97,10 @@ class TestModel:
 
 class TestReconstruct:
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
-    @pytest.mark.parametrize("weights", [False, True])
-    def test_elementwise_oracle(self, kind, weights):
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_elementwise_oracle(self, kind, scaled):
         rng = np.random.default_rng(1)
-        m = random_model(rng, (2, 3, 4), 2, kind, weights)
+        m = random_model(rng, (2, 3, 4), 2, kind, scaled)
         np.testing.assert_allclose(
             reconstruct(m).data, reconstruct_oracle(m), atol=1e-12
         )
@@ -228,6 +220,13 @@ class TestMttkrpGradient:
         with pytest.raises(ValueError):
             mttkrp(DenseTensor(np.zeros((3, 5))), m, 1)
 
+    @pytest.mark.parametrize("n", [-1, 0, 4])
+    def test_mode_out_of_range_rejected(self, n):
+        rng = np.random.default_rng(8)
+        m = random_model(rng, (6, 7, 8), 2)
+        with pytest.raises(ValueError, match="out of range"):
+            mttkrp(random_tensor(rng, m.dims), m, n)
+
     @pytest.mark.parametrize(
         "tensor_kind,model_kind", [(REAL, COMPLEX), (COMPLEX, REAL)]
     )
@@ -255,7 +254,7 @@ class TestErrorsAndNormalization:
     @pytest.mark.parametrize("target", [1e-1, 1e-2, 1e-3])
     def test_gram_error_matches_dense(self, kind, target):
         rng = np.random.default_rng(62)
-        m = random_model(rng, (5, 6, 7), 3, kind, weights=True)
+        m = random_model(rng, (5, 6, 7), 3, kind, scaled=True)
         clean = reconstruct(m).data
         noise = random_tensor(rng, m.dims, kind).data
         noise *= target * np.linalg.norm(clean) / np.linalg.norm(noise)
@@ -267,18 +266,16 @@ class TestErrorsAndNormalization:
 
     def test_equal_energy_preserves_reconstruction(self):
         rng = np.random.default_rng(10)
-        m = random_model(rng, (3, 4, 5), 2, COMPLEX, weights=True)
+        m = random_model(rng, (3, 4, 5), 2, COMPLEX, scaled=True)
         normalized = normalize_equal_energy(m)
         np.testing.assert_allclose(
             reconstruct(normalized).data, reconstruct(m).data, atol=1e-12
         )
-        assert normalized.weights is None
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
     def test_equal_energy_matches_per_component_loop(self, kind):
         rng = np.random.default_rng(13)
-        m = random_model(rng, (3, 4, 5, 2), 4, kind, weights=True)
-        m.weights[1] = 0.0
+        m = random_model(rng, (3, 4, 5, 2), 4, kind, scaled=True)
         for got, ref in zip(normalize_equal_energy(m).factors, equal_energy_loop(m)):
             np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-15)
 
@@ -298,18 +295,6 @@ class TestErrorsAndNormalization:
             lead = normalized.factors[0][:, r]
             top = lead[np.argmax(np.abs(lead))]
             assert abs(np.imag(top)) < 1e-12 and np.real(top) > 0
-
-    def test_unit_modes(self):
-        rng = np.random.default_rng(12)
-        m = random_model(rng, (3, 4, 5), 2, weights=True)
-        u = normalize_unit_modes(m)
-        for n in range(2):
-            np.testing.assert_allclose(
-                np.linalg.norm(u.factors[n], axis=0), np.ones(2)
-            )
-        np.testing.assert_allclose(
-            reconstruct(u).data, reconstruct(m).data, atol=1e-12
-        )
 
 
 class TestInitAndAls:
@@ -345,7 +330,7 @@ class TestInitAndAls:
         mode N.  The remaining columns are unit-norm padding."""
         rng = np.random.default_rng(63)
         truth = random_model(rng, dims, rank, kind)
-        truth = KruskalModel(truth.factors, 10.0 * 0.5 ** np.arange(rank))
+        truth.factors[-1] = truth.factors[-1] * (10.0 * 0.5 ** np.arange(rank))
         noise = 1e-3 * random_tensor(rng, dims, kind).data
         y = DenseTensor(reconstruct(truth).data + noise)
         m, _ = svd_init(y, rank, rng)
@@ -438,7 +423,7 @@ def noisy_pairs(draw):
     kind = draw(st.sampled_from([REAL, COMPLEX]))
     target = draw(st.floats(1e-3, 1.0, exclude_max=True))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    m = random_model(rng, dims, rank, kind, weights=draw(st.booleans()))
+    m = random_model(rng, dims, rank, kind, scaled=draw(st.booleans()))
     clean = reconstruct(m).data
     noise = random_tensor(rng, dims, kind).data
     noise -= clean * (np.vdot(clean, noise) / np.vdot(clean, clean))

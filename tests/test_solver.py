@@ -22,7 +22,6 @@ from cpfast.kruskal import (
     mttkrp,
     gram_stack,
     normalize_equal_energy,
-    normalize_unit_modes,
     normalize_with_grams,
     random_init,
     reconstruct,
@@ -299,14 +298,14 @@ class TestDamping:
     def test_mu_init_unit_norm(self):
         rng = np.random.default_rng(12)
         m = unit_model(rng, (4, 4, 4), 2)
-        cache = build_gram_cache(normalize_unit_modes(m))
+        cache = build_gram_cache(m)
         assert np.isclose(mu_init(cache, 1e-3), 1e-3)
 
     def test_mu_init_substitution(self):
         rng = np.random.default_rng(13)
         m = unit_model(rng, (4, 4, 4), 2)
         m.factors[-1][:, 0] *= 5.0 / np.linalg.norm(m.factors[-1][:, 0])
-        cache = build_gram_cache(normalize_unit_modes(m))
+        cache = build_gram_cache(m)
         assert np.isclose(mu_init(cache, 1e-3), 0.025)
 
     def test_nielsen_accept_shrinks(self):
@@ -337,6 +336,25 @@ class TestFit:
             FitConfig(rank=2, variant="newton")
         with pytest.raises(ValueError):
             FitConfig(rank=2, variant="flm-b")
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("tau", 0.0),
+            ("tau", -1e-3),
+            ("tau", math.nan),
+            ("tau", math.inf),
+            ("tol", -1e-8),
+            ("tol", math.nan),
+            ("tol", math.inf),
+            ("max_iters", 0),
+            ("max_iters", -3),
+            ("init", "ones"),
+        ],
+    )
+    def test_config_checked_at_boundary(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FitConfig(rank=2, **{field: value})
 
     @pytest.mark.parametrize("variant", ["auto", "flm-a", "dgn-oracle"])
     def test_converges_on_exact_instance(self, variant):
@@ -665,16 +683,6 @@ class TestCarriedOverCache:
         normalized, _, _ = normalize_with_grams(cand, gram_stack(cand.factors))
         for got, ref in zip(normalized.factors, normalize_equal_energy(cand).factors):
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
-
-    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
-    def test_unweighted_scales_equal_unit_weights(self, kind):
-        """Skipping the weight handling of an unweighted model changes no
-        bit of the result."""
-        cand = self.candidate(kind, 3)
-        weighted = KruskalModel(cand.factors, np.ones(3, cand.factors[0].dtype))
-        got = normalize_with_grams(cand, gram_stack(cand.factors))[0]
-        ref = normalize_with_grams(weighted, gram_stack(cand.factors))[0]
-        assert all(np.array_equal(a, b) for a, b in zip(got.factors, ref.factors))
 
     def test_zero_norm_column_rejected(self):
         cand = self.candidate(REAL, 3)
