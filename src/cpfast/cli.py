@@ -15,7 +15,6 @@ import click
 from . import bench as benchmod
 from . import cptn
 from .kruskal import KruskalModel
-from .oracle import OracleSizeError
 from .solver import FitConfig, INITS, VARIANTS, fit
 from .synth import CollinearSpec, add_noise, gen_collinear, spectrum
 from .tensor import COMPLEX, REAL
@@ -136,7 +135,9 @@ def cmd_fit(tensor_file, algo, rank, tau, tol, max_iters, seed, init, truth, out
         sys.exit(1)
     try:
         result = fit(y, config)
-    except OracleSizeError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
+        # Input that fit rejects (NaN or infinite entries, an all-zero
+        # tensor, order below 2) and the dense oracle's size guard.
         click.echo(str(exc), err=True)
         sys.exit(1)
     truth_model = _load_truth(truth) if truth else None

@@ -173,11 +173,12 @@ def _contract_all_but(zt: np.ndarray, factors, k: int) -> np.ndarray:
     left = int(np.prod(dims[:k], dtype=np.int64))
     right = int(np.prod(dims[k + 1 :], dtype=np.int64))
     x = zt.reshape((r, right, dims[k] * left))
-    if right > 1:
+    # A mode of size one is contracted too: its factor's row still scales.
+    if k + 1 < len(factors):
         kq = _khatri_rao_of(factors[k + 1 :]).conj().T
         x = kq[:, None, :] @ x
     x = x.reshape((r, dims[k], left))
-    if left > 1:
+    if k > 0:
         kl = _khatri_rao_of(factors[:k]).conj().T
         x = x @ kl[:, :, None]
     return x.reshape((r, dims[k])).T
@@ -266,6 +267,64 @@ def gradient(
             (m - model.factors[n] @ cache.gamma_excl[n].T).reshape(-1, order="F")
         )
     return np.concatenate(blocks)
+
+
+def second_order_term(factors, grams: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """J^H M''(v, v): the model's second directional derivative along the
+    stacked direction ``vec`` = v, projected like :func:`gradient`.
+
+    M(x + t v) = [[A^(1) + t V^(1), ..., A^(N) + t V^(N)]], so M''(v, v) =
+    2 sum_{n<m} [[... V^(n) ... V^(m) ...]].  Block k of J^H applied to
+    M(x + t v) is (A^(k) + t V^(k)) P_k(t)^T with P_k(t) the Hadamard product
+    over j != k of C^(j) + t E^(j), C^(j) = A^(j)^H A^(j) (``grams``, stacked
+    N x R x R) and E^(j) = A^(j)^H V^(j).  Block k of the result is twice its
+    t^2 coefficient, 2 (V^(k) p1_k^T + A^(k) p2_k^T), where p1_k and p2_k
+    are the t^1 and t^2 coefficients of P_k.  They come from a three-term
+    recurrence over the modes, run for every k at once on N x N x R x R
+    stacks in which mode k is masked (C -> 1, E -> 0).  Cost O(T R^2 +
+    N^2 R^2) with T = sum I_n, and no pass over the tensor.
+    """
+    n_modes, r = grams.shape[:2]
+    dtype = np.result_type(vec, grams)
+    e = np.empty((n_modes, 1, r, r), dtype)
+    blocks = []
+    offset = 0
+    for f, en in zip(factors, e):
+        end = offset + f.size
+        # V^T, row-major R x I_n, is a view of the column-major block.
+        vt = vec[offset:end].reshape(r, -1)
+        np.matmul(f.conj().T, vt.T, out=en[0])
+        blocks.append(vt)
+        offset = end
+    # c[j, k] is C^(j) and e[j, k] is E^(j), except 1 and 0 where j = k.
+    keep = _exclusion_mask(n_modes)[:n_modes, n_modes]
+    c = np.where(keep, grams[:, None], 1.0)
+    e = np.where(keep, e, 0.0)
+    # Multiply (q0 + q1 t + q2 t^2) by (c[j] + e[j] t) for j = 1..N-1,
+    # dropping t^3; q0 is brought up to date one mode late, as the last
+    # mode does not need it.
+    q0, q1 = c[0], e[0]
+    q2 = q1 * e[1]
+    q1 = q1 * c[1]
+    q1 += q0 * e[1]
+    for j in range(2, n_modes):
+        q0 = q0 * c[j - 1]
+        q2 *= c[j]
+        q2 += q1 * e[j]
+        q1 *= c[j]
+        q1 += q0 * e[j]
+    # Each block is formed transposed, 2 (p1_k V^(k)^T + p2_k A^(k)^T), which
+    # is its column-major vectorization.
+    out = np.empty(vec.shape, dtype)
+    offset = 0
+    for f, vt, p1, p2 in zip(factors, blocks, q1, q2):
+        end = offset + f.size
+        block = out[offset:end].reshape(r, -1)
+        np.matmul(p1, vt, out=block)
+        block += p2 @ f.T
+        offset = end
+    out *= 2.0
+    return out
 
 
 def relative_error(y: DenseTensor, model: KruskalModel) -> float:

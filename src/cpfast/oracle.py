@@ -1,8 +1,9 @@
-"""Dense references for the fast path of :mod:`cpfast.hessian`: Jacobian,
-Hessian, H = G + Z K Z^H, K and its closed-form inverse, the dense dGN step,
-and the paper's Phi_1 = I + Psi K and Phi_2 = K^{-1} + Psi with their
-densities.  Only :mod:`cpfast.verify`, the ``dgn-oracle`` variant and the tests
-use them; the size guard keeps them at desk scale.
+"""Dense references for the fast path of :mod:`cpfast.hessian` and
+:func:`cpfast.kruskal.second_order_term`: Jacobian, Hessian, H = G + Z K Z^H,
+K and its closed-form inverse, the dense dGN step, J^H M''(v, v), and the
+paper's Phi_1 = I + Psi K and Phi_2 = K^{-1} + Psi with their densities.
+Only :mod:`cpfast.verify`, the ``dgn-oracle`` variant and the tests use them;
+the size guard keeps them at desk scale.
 """
 
 from __future__ import annotations
@@ -14,7 +15,15 @@ import numpy as np
 import scipy.linalg
 
 from .hessian import SingularKernelError
-from .kruskal import GramCache, KruskalModel, build_gram_cache, gradient
+from .kruskal import (
+    GramCache,
+    KruskalModel,
+    build_gram_cache,
+    gradient,
+    model_from_vector,
+    mttkrp,
+    reconstruct,
+)
 from .tensor import DenseTensor, _check_mode, khatri_rao_excl
 
 ORACLE_MAX_ENTRIES = 10**7
@@ -175,14 +184,41 @@ def build_parts(cache: GramCache, factors) -> HessianParts:
     return HessianParts(G, Z, kernel_matrix(cache))
 
 
-def dense_damped_solve(y: DenseTensor, model: KruskalModel, mu: float) -> np.ndarray:
-    """Reference dGN step: solve (H + mu I) da = J^H vec(E) densely."""
-    _guard(model)
+def damped_hessian(
+    model: KruskalModel, mu: float, cache: GramCache | None = None
+) -> np.ndarray:
+    """H + mu I, densely."""
     if mu <= 0:
         raise ValueError("mu must be positive")
-    h = assemble_hessian(model)
-    g = gradient(y, model)
-    return np.linalg.solve(h + mu * np.eye(h.shape[0]), g)
+    h = assemble_hessian(model, cache)
+    h[np.diag_indices_from(h)] += mu
+    return h
+
+
+def dense_damped_solve(y: DenseTensor, model: KruskalModel, mu: float) -> np.ndarray:
+    """Reference dGN step: solve (H + mu I) da = J^H vec(E) densely."""
+    return np.linalg.solve(damped_hessian(model, mu), gradient(y, model))
+
+
+def dense_second_order_term(model: KruskalModel, vec: np.ndarray) -> np.ndarray:
+    """Reference J^H M''(v, v): the tensor M''(v, v) = 2 sum_{n<m}
+    [[... V^(n) ... V^(m) ...]] formed densely, then projected mode by mode
+    with :func:`mttkrp`."""
+    _guard(model)
+    direction = model_from_vector(vec, model.dims, model.rank).factors
+    second = np.zeros(model.dims, dtype=np.result_type(vec, *model.factors))
+    for n in range(model.order):
+        for m in range(n + 1, model.order):
+            factors = list(model.factors)
+            factors[n], factors[m] = direction[n], direction[m]
+            second += reconstruct(KruskalModel(factors)).data
+    second = DenseTensor(2.0 * second)
+    return np.concatenate(
+        [
+            mttkrp(second, model, k).reshape(-1, order="F")
+            for k in range(1, model.order + 1)
+        ]
+    )
 
 
 def phi_density(n_modes: int, rank: int, variant: str) -> Fraction:

@@ -1,14 +1,17 @@
 """Fast damped Gauss-Newton iteration for CP decomposition.
 
-One iteration applies the damped inverse (H + mu I)^{-1} to the gradient
-through one :class:`~cpfast.hessian.DampedCore` built from the Gram cache and
-mu: the N damped Gram inverses from one batched inverse, and one LU
-factorization of the NR^2 x NR^2 congruence-scaled fLM-a core, solved once
-("flm-a" and its alias "auto"; "dgn-oracle" takes the dense step of
-:mod:`cpfast.oracle` instead).
-The gradient is formed once per accepted model.  The candidate is accepted
-only if it lowers the residual; the damping parameter follows the Nielsen
-gain-ratio schedule.
+One iteration builds one :class:`~cpfast.hessian.DampedCore` from the Gram
+cache and mu: the N damped Gram inverses from one batched inverse, and one LU
+factorization of the NR^2 x NR^2 congruence-scaled fLM-a core ("flm-a" and
+its alias "auto"; "dgn-oracle" solves with the dense H + mu I of
+:mod:`cpfast.oracle` instead).  The core is solved twice: once for the
+Gauss-Newton step v = (H + mu I)^{-1} g, and once for the geodesic
+acceleration a = -(H + mu I)^{-1} J^H M''(v, v) (Transtrum & Sethna,
+arXiv:1201.5885, 2012), whose right-hand side costs only R x R work.  The
+candidate is x + v + a/2 when the acceleration is small against the step,
+else x + v.  The gradient is formed once per accepted model.  The candidate
+is accepted only if it lowers the residual; the damping parameter follows
+the Nielsen gain-ratio schedule.
 
 The same code path serves real and complex tensors: Gram matrices are
 Hermitian, and every place where a damped Gamma inverse right-multiplies a
@@ -40,9 +43,10 @@ from .kruskal import (
     normalize_with_grams,
     random_init,
     relative_error,
+    second_order_term,
     svd_init,
 )
-from .oracle import dense_damped_solve
+from .oracle import damped_hessian
 from .tensor import DenseTensor
 
 VARIANTS = ("flm-a", "auto", "als", "als-ls", "dgn-oracle")
@@ -64,6 +68,12 @@ GRAM_ERROR_GUARD = 1e-3
 # loses precision; ||Y|| is then taken from Y / max|y|.  At or above it the
 # squares' rounding is far under eps relative to the sum.
 NORM_RESCALE_BELOW = 1e-140
+# The geodesic acceleration a is added, as a/2, only while 2 ||a|| / ||v|| is
+# at most this: beyond it the quadratic model of the path is not trusted
+# (Transtrum & Sethna, arXiv:1201.5885, 2012, who use alpha = 0.75).  A
+# step that fails the test falls back to the plain step v; rejecting it, as
+# they do, took more iterations on 100^3 Gaussian-factor fits.
+ACCEL_MAX_RATIO = 0.75
 
 
 @dataclass
@@ -105,10 +115,11 @@ class IterRecord:
     """One iteration: the relative error after it, the damping parameter for
     the next step, whether the step was accepted, the gain ratio of the step,
     the norm ||g|| of the gradient at the model after the iteration (the
-    accepted candidate, or the unchanged model after a rejection) and the
-    norm ||Delta|| of the step.  The last three are NaN for ALS.  The damping
-    parameter and the norms are those of the unit-norm problem that the fLM
-    loop fits, so they do not depend on the scale of Y."""
+    accepted candidate, or the unchanged model after a rejection), the norm
+    of the step taken (v + a/2 or v) and the acceleration ratio 2 ||a|| /
+    ||v||.  The last four are NaN for ALS, and the ratio is NaN where v = 0.
+    The damping parameter and the norms are those of the unit-norm problem
+    that the fLM loop fits, so they do not depend on the scale of Y."""
 
     iter: int
     relerr: float
@@ -117,6 +128,7 @@ class IterRecord:
     rho: float = math.nan
     grad_norm: float = math.nan
     step_norm: float = math.nan
+    accel_ratio: float = math.nan
 
 
 @dataclass
@@ -149,15 +161,48 @@ def flm_step(
     """One fast dGN step: the change of the stacked factor vector, with all
     factors updated simultaneously (compare :func:`dense_damped_solve`).
 
-    The step is (H + mu I)^{-1} g: one :class:`DampedCore` (the damped Gram
-    inverses and the factored core system) applied once to the gradient.
-    ``grad`` is the gradient at ``model`` when the caller already has it.
+    The step is the Gauss-Newton step v = (H + mu I)^{-1} g: one
+    :class:`DampedCore` (the damped Gram inverses and the factored core
+    system) applied once to the gradient; :func:`fit` adds the geodesic
+    acceleration to it (see :func:`_accelerated_step`).  ``grad`` is the
+    gradient at ``model`` when the caller already has it.
     """
     cache = cache or build_gram_cache(model)
     if grad is None:
         grad = gradient(y, model, cache)
     core = damped_core(cache, mu)
     return apply_damped_inverse(core, model.factors, grad)
+
+
+def _damped_solver(variant: str, model: KruskalModel, cache: GramCache, mu: float):
+    """u -> (H + mu I)^{-1} u at ``model``, factored once for any number of
+    right-hand sides: one :class:`DampedCore`, or for dgn-oracle the dense
+    H + mu I of :mod:`cpfast.oracle`."""
+    if variant == "dgn-oracle":
+        h = damped_hessian(model, mu, cache)
+        return lambda u: np.linalg.solve(h, u)
+    core = damped_core(cache, mu)
+    return lambda u: apply_damped_inverse(core, model.factors, u)
+
+
+def _accelerated_step(solve, model: KruskalModel, grams: np.ndarray, g):
+    """The Gauss-Newton step v = solve(g), the step to take and the
+    acceleration ratio 2 ||a|| / ||v|| (NaN for v = 0).
+
+    The geodesic acceleration a = -solve(J^H M''(v, v)) reuses the
+    factorization behind ``solve``; the step is v + a/2 when the ratio is at
+    most ``ACCEL_MAX_RATIO``, else v.
+    """
+    v = solve(g)
+    minus_a = solve(second_order_term(model.factors, grams, v))
+    v_norm = float(np.linalg.norm(v))
+    ratio = 2.0 * float(np.linalg.norm(minus_a)) / v_norm if v_norm > 0 else math.nan
+    if not ratio <= ACCEL_MAX_RATIO:
+        return v, v, ratio
+    step = minus_a
+    step *= -0.5
+    step += v
+    return v, step, ratio
 
 
 def mu_init(cache: GramCache, tau: float) -> float:
@@ -222,6 +267,11 @@ def _tensor_norm(y: DenseTensor) -> float:
 
 def fit(y: DenseTensor, config: FitConfig) -> FitResult:
     """Decompose ``y`` with the configured algorithm.
+
+    An LM-family step factors H + mu I once and solves it twice, for the
+    Gauss-Newton step v and for its geodesic acceleration a, whose
+    right-hand side costs O(T R^2 + N^2 R^2) (T = sum I_n) and no pass over
+    the tensor; see :func:`_fit_lm`.
 
     A fit reaches "tol" in one of two ways: ten consecutive relative-error
     differences fall below ``config.tol`` (a rejected step counts as a zero
@@ -388,6 +438,16 @@ def _fit_lm(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
     residual above ``GRAM_ERROR_GUARD``; that M^(N) also serves the first
     :func:`mttkrp_all`.
 
+    Each iteration factors one :class:`DampedCore` (for dgn-oracle, the
+    dense H + mu I) and solves it twice (:func:`_accelerated_step`): for v =
+    (H + mu I)^{-1} g, and for the geodesic acceleration a = -(H + mu I)^{-1}
+    J^H M''(v, v), whose right-hand side :func:`second_order_term` forms in
+    O(T R^2 + N^2 R^2) with no pass over the tensor.  The candidate is
+    x + v + a/2 when 2 ||a|| / ||v|| <= ``ACCEL_MAX_RATIO``, else x + v.  The
+    gain ratio's denominator stays Re<v, g + mu v>, v's Gauss-Newton
+    prediction: taking it from v + a/2 instead cost more iterations on the
+    swamp.
+
     Cost per iteration in passes over the tensor: a candidate is scored with
     :func:`gram_relative_error` from its mode-N MTTKRP (one pass); if it is
     accepted, :func:`mttkrp_all` adds the partial product for modes 1..N-1 (a
@@ -420,26 +480,27 @@ def _fit_lm(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
     stop_reason = "max_iters"
     for t in range(1, config.max_iters + 1):
         try:
-            if config.variant == "dgn-oracle":
-                delta = dense_damped_solve(y, model, state.mu)
-            else:
-                delta = flm_step(y, model, state.mu, cache, g)
+            solve = _damped_solver(config.variant, model, cache, state.mu)
+            v, step, accel_ratio = _accelerated_step(solve, model, cache.C, g)
         except np.linalg.LinAlgError as exc:
             stop_reason = f"error at iteration {t}: {exc}"
             break
-        step_norm = float(np.linalg.norm(delta))
-        candidate = model_from_vector(base + delta, model.dims, model.rank)
+        step_norm = float(np.linalg.norm(step))
+        candidate = model_from_vector(base + step, model.dims, model.rank)
         grams = gram_stack(candidate.factors)
 
         cand_err, cand_last = _candidate_error(y, 1.0, err, candidate, grams=grams)
         cand_sq = cand_err * cand_err
         if not math.isfinite(cand_sq):
             trace.append(
-                IterRecord(t, err, state.mu, False, math.nan, grad_norm, step_norm)
+                IterRecord(
+                    t, err, state.mu, False, math.nan, grad_norm, step_norm,
+                    accel_ratio,
+                )
             )
             stop_reason = "nonfinite"
             break
-        rho = _gain_ratio(err * err, cand_sq, delta, g, state.mu)
+        rho = _gain_ratio(err * err, cand_sq, v, g, state.mu)
         state = nielsen_update(state, rho)
 
         if state.accepted and cand_err < err:
@@ -458,7 +519,10 @@ def _fit_lm(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
             accepted = False
 
         trace.append(
-            IterRecord(t, err, state.mu, accepted, float(rho), grad_norm, step_norm)
+            IterRecord(
+                t, err, state.mu, accepted, float(rho), grad_norm, step_norm,
+                accel_ratio,
+            )
         )
 
         if _stop_on_tol(deltas, config.tol) or grad_norm <= config.tol * err:

@@ -20,11 +20,13 @@ from .kruskal import (
     model_from_vector,
     random_init,
     reconstruct,
+    second_order_term,
 )
 from .oracle import (
     assemble_hessian,
     build_parts,
     dense_damped_solve,
+    dense_second_order_term,
     jacobian,
     kernel_inverse,
     kernel_matrix,
@@ -140,6 +142,11 @@ def run_suite(seeds: int = 10, perturb: bool = False) -> list:
             g = gradient(y, model, cache)
             g_fd = fd_gradient(y, model)
             record(f"gradient-fd-{tag}", _rel(g - g_fd, g), 1e-5)
+
+            v = random_init(model.dims, model.rank, rng, kind).as_vector()
+            term = second_order_term(model.factors, cache.C, v)
+            ref = dense_second_order_term(model, v)
+            record(f"second-order-{tag}", _rel(term - ref, ref), 1e-10)
 
     for seed in range(max(1, seeds // 2)):
         size, rank, order = 10, 3, 3

@@ -14,9 +14,10 @@ from click.testing import CliRunner
 import cpfast.solver
 from cpfast.bench import CSV_COLUMNS, RunRecord, run_grid, summarize, write_csv
 from cpfast.cli import main
-from cpfast.cptn import read_tensor
+from cpfast.cptn import read_tensor, write_tensor
 from cpfast.hessian import SingularKernelError
 from cpfast.synth import spectrum
+from cpfast.tensor import DenseTensor
 
 
 @pytest.fixture
@@ -96,7 +97,7 @@ class TestFit:
             assert list(row) == fields
             assert row["iter"] == t and isinstance(row["accepted"], bool)
             assert isinstance(row["relerr"], float) and isinstance(row["mu"], float)
-            for key in ("rho", "grad_norm", "step_norm"):
+            for key in ("rho", "grad_norm", "step_norm", "accel_ratio"):
                 if algo == "als-ls":
                     assert row[key] is None
                 else:
@@ -140,6 +141,24 @@ class TestFit:
         )
         assert result.exit_code != 0
         assert option.lstrip("-").replace("-", "_") in result.output
+
+    @pytest.mark.parametrize(
+        "entry,message",
+        [(math.nan, "NaN or infinite entries"), (0.0, "cannot fit a zero tensor")],
+        ids=["nan", "zero"],
+    )
+    def test_bad_tensor_exits_with_message(self, runner, tmp_path, entry, message):
+        """A 3^3 tensor with one NaN, or all zeros, ends with fit's one-line
+        message and exit status 1, not a traceback."""
+        data = np.zeros((3, 3, 3)) if entry == 0.0 else np.ones((3, 3, 3))
+        data[1, 2, 0] = entry
+        path = tmp_path / "bad.cptn"
+        write_tensor(path, DenseTensor(data))
+        result = runner.invoke(main, ["fit", str(path), "--rank", "1"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
+        assert "Traceback" not in result.output
 
     def test_flm_b_is_unknown_algo(self, runner, tmp_path):
         invoke(runner, ["gen", "--dims", "4,4,4", "--rank", "2", "--nu", "0.6",

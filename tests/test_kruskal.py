@@ -14,6 +14,7 @@ from cpfast.kruskal import (
     build_gram_cache,
     gradient,
     gram_relative_error,
+    gram_stack,
     model_from_vector,
     mttkrp,
     mttkrp_all,
@@ -22,8 +23,10 @@ from cpfast.kruskal import (
     random_init,
     reconstruct,
     relative_error,
+    second_order_term,
     svd_init,
 )
+from cpfast.oracle import dense_second_order_term
 from cpfast.tensor import (
     COMPLEX,
     DenseTensor,
@@ -189,10 +192,11 @@ class TestMttkrpGradient:
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
     @pytest.mark.parametrize(
-        "dims", [(4, 5), (3, 4, 5), (3, 2, 4, 5), (2, 3, 2, 3, 2)]
+        "dims", [(4, 5), (3, 4, 5), (3, 2, 4, 5), (2, 3, 2, 3, 2), (1, 3, 1, 2)]
     )
     def test_shared_mttkrps_dense_oracle(self, dims, kind):
-        """mttkrp and mttkrp_all match the unfolding oracle for N = 2..5."""
+        """mttkrp and mttkrp_all match the unfolding oracle for N = 2..5,
+        also with modes of size one."""
         rng = np.random.default_rng(61)
         m = random_model(rng, dims, 3, kind)
         y = random_tensor(rng, dims, kind)
@@ -241,6 +245,77 @@ class TestMttkrpGradient:
         m = random_model(rng, (3, 4, 2), 2, model_kind)
         with pytest.raises(ScalarKindError):
             kernel(y, m)
+
+
+def projection(model, tensor):
+    """J^H vec(T) at ``model``: the stacked column-major mode MTTKRPs of T."""
+    return np.concatenate(
+        [
+            mttkrp(tensor, model, n).reshape(-1, order="F")
+            for n in range(1, model.order + 1)
+        ]
+    )
+
+
+class TestSecondOrderTerm:
+    """J^H M''(v, v) from R x R products against dense references."""
+
+    @staticmethod
+    def term(model, direction):
+        return second_order_term(
+            model.factors, gram_stack(model.factors), direction.as_vector()
+        )
+
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    @pytest.mark.parametrize("dims", [(4, 5), (3, 4, 5), (3, 2, 4, 5)])
+    def test_matches_dense_oracle(self, dims, kind):
+        rng = np.random.default_rng(62)
+        m = random_model(rng, dims, 3, kind, scaled=True)
+        v = random_model(rng, dims, 3, kind)
+        ref = dense_second_order_term(m, v.as_vector())
+        assert np.linalg.norm(self.term(m, v) - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    def test_two_way_closed_form(self, kind):
+        """For N = 2, M''(v, v) = 2 [[V^(1), V^(2)]]."""
+        rng = np.random.default_rng(63)
+        m = random_model(rng, (4, 6), 3, kind)
+        v = random_model(rng, (4, 6), 3, kind)
+        second = DenseTensor(2.0 * reconstruct(v).data)
+        ref = projection(m, second)
+        assert np.linalg.norm(self.term(m, v) - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    @pytest.mark.parametrize("dims", [(4, 5), (3, 4, 5)])
+    def test_oracle_is_central_second_difference(self, dims, kind):
+        """M(x + v) + M(x - v) - 2 M(x) is M''(v, v) exactly up to order 3,
+        where M(x + t v) has no t^4 term, so the oracle's tensor is checked
+        without the pairwise sum it is built from."""
+        rng = np.random.default_rng(64)
+        m = random_model(rng, dims, 2, kind)
+        v = random_model(rng, dims, 2, kind)
+        shifted = [
+            reconstruct(KruskalModel([a + s * b for a, b in zip(m.factors, v.factors)]))
+            for s in (1.0, -1.0)
+        ]
+        diff = shifted[0].data + shifted[1].data - 2.0 * reconstruct(m).data
+        ref = projection(m, DenseTensor(diff))
+        oracle = dense_second_order_term(m, v.as_vector())
+        assert np.linalg.norm(oracle - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @given(
+        dims=st.lists(st.integers(1, 5), min_size=2, max_size=5).map(tuple),
+        rank=st.integers(1, 4),
+        kind=st.sampled_from([REAL, COMPLEX]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_matches_dense_oracle(self, dims, rank, kind, seed):
+        rng = np.random.default_rng(seed)
+        m = random_model(rng, dims, rank, kind, scaled=True)
+        v = random_model(rng, dims, rank, kind)
+        ref = dense_second_order_term(m, v.as_vector())
+        err = np.linalg.norm(self.term(m, v) - ref)
+        assert err <= 1e-12 * max(np.linalg.norm(ref), 1e-300)
 
 
 class TestErrorsAndNormalization:

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from cpfast.hessian import damped_core
+from cpfast.hessian import apply_damped_inverse, damped_core
 import cpfast.hessian
 import cpfast.kruskal
 import cpfast.solver
@@ -19,6 +19,7 @@ from cpfast.kruskal import (
     als_step,
     build_gram_cache,
     gradient,
+    model_from_vector,
     mttkrp,
     gram_stack,
     normalize_equal_energy,
@@ -26,13 +27,16 @@ from cpfast.kruskal import (
     random_init,
     reconstruct,
     relative_error,
+    second_order_term,
 )
 from cpfast.solver import (
+    ACCEL_MAX_RATIO,
     FitConfig,
     GRAM_ERROR_GUARD,
     LmState,
     MU_OVERFLOW,
     _candidate_error,
+    _scaled_start,
     fit,
     flm_step,
     mu_init,
@@ -234,7 +238,8 @@ class TestFlmStep:
     def test_one_core_factorization_per_step(self, dims, variant, monkeypatch):
         """One fit iteration under either name of the one core: the damped
         Gram inverses come from one batched inverse, and the core is factored
-        once (``?getrf``) and solved once (``?getrs``)."""
+        once (``?getrf``) and solved twice (``?getrs``), for the step and for
+        its geodesic acceleration."""
         rng = np.random.default_rng(23)
         y, m = noisy_instance(rng, dims, 2)
         calls = []
@@ -261,7 +266,7 @@ class TestFlmStep:
         ]:
             monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
         fit(y, FitConfig(rank=2, variant=variant, max_iters=1))
-        assert sorted(calls) == ["getrf", "getrs", "inv"]
+        assert sorted(calls) == ["getrf", "getrs", "getrs", "inv"]
 
     @pytest.mark.parametrize("nu", [0.05, 0.3])
     def test_matches_extended_precision_oracle(self, nu):
@@ -494,8 +499,10 @@ class TestFit:
         lm = fit(y, FitConfig(rank=2, max_iters=40))
         for rec in lm.trace:
             assert 0 < rec.grad_norm < np.inf and 0 < rec.step_norm < np.inf
+            assert 0 <= rec.accel_ratio < np.inf
         als = fit(y, FitConfig(rank=2, variant="als", max_iters=5))
-        assert all(np.isnan([(r.grad_norm, r.step_norm) for r in als.trace]).flat)
+        norms = [(r.grad_norm, r.step_norm, r.accel_ratio) for r in als.trace]
+        assert np.isnan(norms).all()
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
     def test_rescaled_last_mttkrp(self, kind):
@@ -560,6 +567,63 @@ class TestGradientStop:
         diffs = [abs(a - b) for a, b in zip(errs, errs[1:])][-10:]
         window = len(errs) >= 10 and all(d < config.tol for d in diffs)
         assert window or last.grad_norm <= config.tol * last.relerr
+
+
+class TestGeodesicAcceleration:
+    """The step is v + a/2 while 2 ||a|| / ||v|| <= ACCEL_MAX_RATIO, else v,
+    with v = (H + mu I)^{-1} g and a = -(H + mu I)^{-1} J^H M''(v, v); the
+    gain ratio keeps v's Gauss-Newton prediction."""
+
+    @pytest.mark.parametrize("tau,accelerated", [(1e-3, False), (1.0, True)])
+    def test_first_record_describes_step_taken(self, tau, accelerated):
+        """The first record's ratio, step norm, error and gain ratio are those
+        of the step rebuilt from the scaled start: accelerated at tau = 1,
+        plain at the default tau, where the ratio is 1.2."""
+        y = DenseTensor(gaussian_instance(0))
+        config = FitConfig(rank=3, tau=tau, max_iters=1)
+        rec = fit(y, config).trace[0]
+        unit = DenseTensor(y.data / y.norm())
+        rng = np.random.default_rng([config.seed, 0])
+        model, cache, _, err = _scaled_start(unit, config, rng)
+        mu = mu_init(cache, tau)
+        g = gradient(unit, model, cache)
+        core = damped_core(cache, mu)
+        v = apply_damped_inverse(core, model.factors, g)
+        rhs = second_order_term(model.factors, cache.C, v)
+        a = -apply_damped_inverse(core, model.factors, rhs)
+        ratio = 2.0 * np.linalg.norm(a) / np.linalg.norm(v)
+        assert (ratio <= ACCEL_MAX_RATIO) == accelerated
+        step = v + 0.5 * a if accelerated else v
+        taken = model_from_vector(model.as_vector() + step, model.dims, model.rank)
+        cand = relative_error(unit, taken)
+        assert rec.accepted
+        assert rec.accel_ratio == pytest.approx(ratio, rel=1e-9)
+        assert rec.step_norm == pytest.approx(np.linalg.norm(step), rel=1e-9)
+        assert rec.relerr == pytest.approx(cand, rel=1e-9)
+        predicted = np.vdot(v, g + mu * v).real
+        assert rec.rho == pytest.approx((err**2 - cand**2) / predicted, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "dims,rank,kind", [((8, 8, 8), 3, REAL), ((5, 4, 6), 2, COMPLEX)]
+    )
+    def test_dgn_oracle_takes_the_same_steps(self, dims, rank, kind):
+        """dgn-oracle applies the same rule through its dense solve: the same
+        accept decisions, ratios and errors while the error is above its
+        final value."""
+        y, _ = noisy_instance(np.random.default_rng(16), dims, rank, kind, 0.05)
+        fast, dense = (
+            fit(y, FitConfig(rank=rank, variant=variant))
+            for variant in ("auto", "dgn-oracle")
+        )
+        assert fast.stop_reason == dense.stop_reason == "tol"
+        assert any(rec.accel_ratio <= ACCEL_MAX_RATIO for rec in fast.trace)
+        floor = fast.final_relerr * (1 + 1e-9)
+        lead = list(itertools.takewhile(lambda r: r.relerr > floor, fast.trace))
+        assert len(lead) > 5
+        for a, b in zip(lead, dense.trace):
+            assert a.accepted == b.accepted
+            assert b.relerr == pytest.approx(a.relerr, rel=1e-9)
+            assert b.accel_ratio == pytest.approx(a.accel_ratio, rel=1e-6)
 
 
 class TestScaleFree:
@@ -642,13 +706,13 @@ class TestScaleFree:
         rng = np.random.default_rng(25)
         y, _ = noisy_instance(rng, dims, 3, noise=0.3)
         calls = count_tensor_passes(monkeypatch)
-        step = cpfast.solver.flm_step
+        core = cpfast.solver.damped_core
 
         def marked(*args, **kwargs):
             calls.append(("step", None))
-            return step(*args, **kwargs)
+            return core(*args, **kwargs)
 
-        monkeypatch.setattr(cpfast.solver, "flm_step", marked)
+        monkeypatch.setattr(cpfast.solver, "damped_core", marked)
         result = fit(y, FitConfig(rank=3, max_iters=1))
         assert result.final_relerr > GRAM_ERROR_GUARD
         n = len(dims)
