@@ -35,6 +35,16 @@ def _parse_floats(text: str) -> tuple:
     return tuple(out)
 
 
+def _parse_algos(ctx, param, value: str) -> tuple:
+    algos = tuple(a.strip() for a in value.split(",") if a.strip())
+    for algo in algos:
+        if algo not in VARIANTS:
+            raise click.BadParameter(
+                f"unknown algo {algo!r} (choose from {', '.join(VARIANTS)})"
+            )
+    return algos
+
+
 def _parse_snr(value: str | None) -> float | None:
     if value is None or value.lower() in ("inf", "none"):
         return None
@@ -86,11 +96,18 @@ def cmd_gen(dims, rank, nu, snr, seed, use_complex, out):
     click.echo(f"wrote {prefix}.cptn ({tensor.scalar_kind}, dims {spec.dims})")
 
 
-def _load_truth(meta_path) -> KruskalModel:
+def _load_truth(meta_path, dims, rank) -> KruskalModel:
+    """The generating model of a ``gen`` run; exits 1 with one line if its
+    dims or rank differ from the fit's, which MedSAE could not score."""
     meta = cptn.read_metadata(meta_path)
-    return KruskalModel(
+    truth = KruskalModel(
         [cptn.read_matrix(p) for p in meta["factors"].split(";")]
     )
+    if truth.dims != dims or truth.rank != rank:
+        click.echo(f"truth model has dims {truth.dims} and rank {truth.rank}; "
+                   f"the fit has dims {dims} and rank {rank}", err=True)
+        sys.exit(1)
+    return truth
 
 
 def _write_trace(path, trace) -> None:
@@ -133,14 +150,14 @@ def cmd_fit(tensor_file, algo, rank, tau, tol, max_iters, seed, init, truth, out
     except ValueError as exc:
         click.echo(str(exc), err=True)
         sys.exit(1)
+    truth_model = _load_truth(truth, y.dims, rank) if truth else None
     try:
         result = fit(y, config)
     except (ValueError, ZeroDivisionError) as exc:
-        # Input that fit rejects (NaN or infinite entries, an all-zero
-        # tensor, order below 2) and the dense oracle's size guard.
+        # Input that fit rejects: NaN or infinite entries, an all-zero
+        # tensor, order below 2.
         click.echo(str(exc), err=True)
         sys.exit(1)
-    truth_model = _load_truth(truth) if truth else None
     record = benchmod.record_from_result(
         result, truth_model, seed, float("nan"), rank, None, algo
     )
@@ -168,7 +185,9 @@ def cmd_fit(tensor_file, algo, rank, tau, tol, max_iters, seed, init, truth, out
 @click.option("--rank", default="3", show_default=True, help="Comma-separated ranks.")
 @click.option("--nu", default="0.1,0.9", show_default=True)
 @click.option("--snr", default="inf", show_default=True)
-@click.option("--algos", default="als-ls,auto", show_default=True)
+@click.option("--algos", default="als-ls,auto", show_default=True,
+              callback=_parse_algos,
+              help=f"Comma-separated, from {', '.join(VARIANTS)}.")
 @click.option("--seeds", type=int, default=10, show_default=True)
 @click.option("--complex", "use_complex", is_flag=True)
 @click.option("--tol", type=float, default=1e-8, show_default=True)
@@ -176,7 +195,6 @@ def cmd_fit(tensor_file, algo, rank, tau, tol, max_iters, seed, init, truth, out
 @click.option("--out", default="bench.csv", show_default=True)
 def cmd_bench(dims, rank, nu, snr, algos, seeds, use_complex, tol, max_iters, out):
     """Monte-Carlo sweep over (nu, R, SNR) x seeds x algorithms."""
-    algo_list = tuple(a.strip() for a in algos.split(",") if a.strip())
     snr_list = tuple(
         None if math.isinf(s) else s for s in _parse_floats(snr)
     )
@@ -185,7 +203,7 @@ def cmd_bench(dims, rank, nu, snr, algos, seeds, use_complex, tol, max_iters, ou
         _parse_ints(rank),
         _parse_floats(nu),
         snr_list,
-        algo_list,
+        algos,
         seeds,
         COMPLEX if use_complex else REAL,
         tol=tol,

@@ -7,8 +7,8 @@ inverse reduces (H + mu I)^{-1} to the N damped Gram inverses and one
 NR^2 x NR^2 core: the paper's Phi_1 = I + Psi K, congruence-scaled so its
 entries stay O(Gamma + mu) as mu shrinks.  :func:`damped_core` builds the
 Gram inverses with one batched inverse, writes the core through strided views
-and LU-factors it once by LAPACK ``?getrf``; :func:`apply_damped_inverse`
-applies (H + mu I)^{-1} to a vector with one ``?getrs`` solve.
+and LU-factors it once by LAPACK ``?getrf``; the :class:`DampedCore` it
+returns applies (H + mu I)^{-1} to a vector with one ``?getrs`` solve.
 
 The dense references these are checked against live in :mod:`cpfast.oracle`.
 """
@@ -44,20 +44,21 @@ def _check_info(info: int, routine: str) -> None:
 
 @dataclass
 class DampedCore:
-    """The factored pieces of (H + mu I)^{-1} for one Gram cache and mu.
+    """(H + mu I)^{-1} at one model and mu, factored: ``core(u)`` applies it.
 
     ``gtilde[n]`` is (Gamma^(n) + mu I)^{-1}, stacked N x R x R.  Gamma^(n) is
     Hermitian, so (Gamma^(n)^T + mu I)^{-1}, which right-multiplies factors, is
     ``gtilde[n].conj()`` (a no-op for real data), not a second inverse.
     ``lu`` and ``piv`` are the ``?getrf`` factors of the NR^2 x NR^2 scaled
     core system; ``kernel`` holds the pairwise Gammas (zero on the diagonal)
-    that apply K after the solve.
+    that apply K after the solve; ``factors`` are the model's factors A^(n).
     """
 
     gtilde: np.ndarray
     lu: np.ndarray
     piv: np.ndarray
     kernel: np.ndarray
+    factors: list
 
     def solve(self, u: np.ndarray) -> np.ndarray:
         """The N frontal R x R slices Z_n of Sb^{-1} K (I + Psi K)^{-1} Sb^{-1} u,
@@ -73,6 +74,39 @@ class DampedCore:
         z = z.reshape(n_modes, r, r).transpose(0, 2, 1)
         kx = (self.kernel * z[None]).sum(axis=1).transpose(0, 2, 1)
         return kx @ self.gtilde.conj()
+
+    def __call__(self, vec: np.ndarray) -> np.ndarray:
+        """(H + mu I)^{-1} v.
+
+        With H + mu I = G~^{-1} + Z K Z^H, G~ = blkdiag(Gtilde_n kron I) and
+        Z = blkdiag(I kron A^(n)), the binomial inverse is
+        G~ - Z Sb^{-1} K (I + Psi K)^{-1} Sb^{-1} Z^H, so block n of the result
+        is V_n conj(Gtilde_n) - A^(n) Z_n with Z solved from u_n =
+        vec(A^(n)^H V_n).
+
+        Block n of a stacked vector is vec(V_n) in column-major order, so V_n^T
+        is a row-major R x I_n view of it.  Everything is formed transposed, in
+        place: u_n as V_n^T conj(A^(n)) and the result's block as
+        Gtilde_n^H V_n^T - Z_n^T A^(n)^T.
+        """
+        n_modes, r = self.gtilde.shape[:2]
+        dtype = np.result_type(vec, self.lu)
+        u = np.empty((n_modes, r, r), dtype)
+        out = np.empty(vec.shape, dtype)
+        blocks = []
+        offset = 0
+        for f, un in zip(self.factors, u):
+            end = offset + f.size
+            vt = vec[offset:end].reshape(r, -1)
+            np.matmul(vt, f.conj(), out=un)
+            blocks.append((vt, out[offset:end].reshape(r, -1)))
+            offset = end
+        z = self.solve(u.reshape(-1))
+        gtilde_h = self.gtilde.conj().transpose(0, 2, 1)
+        for f, (vt, block), zn, gh in zip(self.factors, blocks, z, gtilde_h):
+            np.matmul(gh, vt, out=block)
+            block -= zn.T @ f.T
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -99,8 +133,9 @@ def _core_layout(n_modes: int, r: int, itemsize: int):
     )
 
 
-def damped_core(cache: GramCache, mu: float) -> DampedCore:
-    """The damped Gram inverses and the scaled core system, factored once.
+def damped_core(factors, cache: GramCache, mu: float) -> DampedCore:
+    """(H + mu I)^{-1} at the model with ``factors`` and Gram cache ``cache``:
+    the damped Gram inverses and the scaled core system, factored once.
 
     The core is Sb (I + Psi K) = Sb + Chat K, with Sb = blkdiag(D_n kron I),
     D_n = Gamma^(n) + mu I, Chat = blkdiag(I kron C^(n)) and Psi =
@@ -129,37 +164,4 @@ def damped_core(cache: GramCache, mu: float) -> DampedCore:
     view[...] = damped[..., None]
     lu, piv, info = _lu_routines(core.dtype)[0](core, overwrite_a=True)
     _check_info(info, "getrf")
-    return DampedCore(np.linalg.inv(damped), lu, piv, kernel)
-
-
-def apply_damped_inverse(core: DampedCore, factors, vec: np.ndarray):
-    """(H + mu I)^{-1} v from a factored core.
-
-    With H + mu I = G~^{-1} + Z K Z^H, G~ = blkdiag(Gtilde_n kron I) and
-    Z = blkdiag(I kron A^(n)), the binomial inverse is
-    G~ - Z Sb^{-1} K (I + Psi K)^{-1} Sb^{-1} Z^H, so block n of the result is
-    V_n conj(Gtilde_n) - A^(n) Z_n with Z solved from u_n = vec(A^(n)^H V_n).
-
-    Block n of a stacked vector is vec(V_n) in column-major order, so V_n^T is
-    a row-major R x I_n view of it.  Everything is formed transposed, in
-    place: u_n as V_n^T conj(A^(n)) and the result's block as
-    Gtilde_n^H V_n^T - Z_n^T A^(n)^T.
-    """
-    n_modes, r = core.gtilde.shape[:2]
-    dtype = np.result_type(vec, core.lu)
-    u = np.empty((n_modes, r, r), dtype)
-    out = np.empty(vec.shape, dtype)
-    blocks = []
-    offset = 0
-    for f, un in zip(factors, u):
-        end = offset + f.size
-        vt = vec[offset:end].reshape(r, -1)
-        np.matmul(vt, f.conj(), out=un)
-        blocks.append((vt, out[offset:end].reshape(r, -1)))
-        offset = end
-    z = core.solve(u.reshape(-1))
-    gtilde_h = core.gtilde.conj().transpose(0, 2, 1)
-    for f, (vt, block), zn, gh in zip(factors, blocks, z, gtilde_h):
-        np.matmul(gh, vt, out=block)
-        block -= zn.T @ f.T
-    return out
+    return DampedCore(np.linalg.inv(damped), lu, piv, kernel, factors)

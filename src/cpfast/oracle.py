@@ -2,8 +2,8 @@
 :func:`cpfast.kruskal.second_order_term`: Jacobian, Hessian, H = G + Z K Z^H,
 K and its closed-form inverse, the dense dGN step, J^H M''(v, v), and the
 paper's Phi_1 = I + Psi K and Phi_2 = K^{-1} + Psi with their densities.
-Only :mod:`cpfast.verify`, the ``dgn-oracle`` variant and the tests use them;
-the size guard keeps them at desk scale.
+Only :mod:`cpfast.verify` and the tests use them; the size guard keeps them
+at desk scale.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Fast damped Gauss-Newton iteration for CP decomposition.
 
-One iteration builds one :class:`~cpfast.hessian.DampedCore` from the Gram
-cache and mu: the N damped Gram inverses from one batched inverse, and one LU
-factorization of the NR^2 x NR^2 congruence-scaled fLM-a core ("flm-a" and
-its alias "auto"; "dgn-oracle" solves with the dense H + mu I of
-:mod:`cpfast.oracle` instead).  The core is solved twice: once for the
+One iteration of the "auto" variant builds one
+:class:`~cpfast.hessian.DampedCore`, (H + mu I)^{-1} at the current model,
+from the Gram cache and mu: the N damped Gram inverses from one batched
+inverse, and one LU factorization of the NR^2 x NR^2 congruence-scaled core
+(the paper's fLM-a form).  The core is solved twice: once for the
 Gauss-Newton step v = (H + mu I)^{-1} g, and once for the geodesic
 acceleration a = -(H + mu I)^{-1} J^H M''(v, v) (Transtrum & Sethna,
 arXiv:1201.5885, 2012), whose right-hand side costs only R x R work.  The
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hessian import apply_damped_inverse, damped_core
+from .hessian import damped_core
 from .kruskal import (
     GramCache,
     KruskalModel,
@@ -46,10 +46,9 @@ from .kruskal import (
     second_order_term,
     svd_init,
 )
-from .oracle import damped_hessian
 from .tensor import DenseTensor
 
-VARIANTS = ("flm-a", "auto", "als", "als-ls", "dgn-oracle")
+VARIANTS = ("auto", "als", "als-ls")
 INITS = ("svd", "random")
 
 # The fLM loop fits Y / ||Y|| from a least-squares-scaled start, so both
@@ -151,38 +150,18 @@ class FitResult:
         return self.trace[-1].relerr if self.trace else float("nan")
 
 
-def flm_step(
-    y: DenseTensor,
-    model: KruskalModel,
-    mu: float,
-    cache: GramCache | None = None,
-    grad: np.ndarray | None = None,
-) -> np.ndarray:
+def flm_step(y: DenseTensor, model: KruskalModel, mu: float) -> np.ndarray:
     """One fast dGN step: the change of the stacked factor vector, with all
     factors updated simultaneously (compare :func:`dense_damped_solve`).
 
     The step is the Gauss-Newton step v = (H + mu I)^{-1} g: one
     :class:`DampedCore` (the damped Gram inverses and the factored core
-    system) applied once to the gradient; :func:`fit` adds the geodesic
-    acceleration to it (see :func:`_accelerated_step`).  ``grad`` is the
-    gradient at ``model`` when the caller already has it.
+    system) applied once to the gradient.  :func:`fit` builds the same core
+    inside its loop and adds the geodesic acceleration to the step (see
+    :func:`_accelerated_step`).
     """
-    cache = cache or build_gram_cache(model)
-    if grad is None:
-        grad = gradient(y, model, cache)
-    core = damped_core(cache, mu)
-    return apply_damped_inverse(core, model.factors, grad)
-
-
-def _damped_solver(variant: str, model: KruskalModel, cache: GramCache, mu: float):
-    """u -> (H + mu I)^{-1} u at ``model``, factored once for any number of
-    right-hand sides: one :class:`DampedCore`, or for dgn-oracle the dense
-    H + mu I of :mod:`cpfast.oracle`."""
-    if variant == "dgn-oracle":
-        h = damped_hessian(model, mu, cache)
-        return lambda u: np.linalg.solve(h, u)
-    core = damped_core(cache, mu)
-    return lambda u: apply_damped_inverse(core, model.factors, u)
+    cache = build_gram_cache(model)
+    return damped_core(model.factors, cache, mu)(gradient(y, model, cache))
 
 
 def _accelerated_step(solve, model: KruskalModel, grams: np.ndarray, g):
@@ -426,8 +405,7 @@ def _scaled_start(
 
 
 def _fit_lm(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
-    """Damped Gauss-Newton loop: the fast step for flm-a (alias auto), the
-    dense oracle step for dgn-oracle.
+    """Damped Gauss-Newton loop with the fast step ("auto").
 
     The loop fits the unit-norm tensor Y / ||Y|| (a transient copy of Y), so
     ``mu_init``, ``MU_OVERFLOW`` and ``RHO_DENOM_GUARD`` act on an O(1)
@@ -438,15 +416,14 @@ def _fit_lm(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
     residual above ``GRAM_ERROR_GUARD``; that M^(N) also serves the first
     :func:`mttkrp_all`.
 
-    Each iteration factors one :class:`DampedCore` (for dgn-oracle, the
-    dense H + mu I) and solves it twice (:func:`_accelerated_step`): for v =
-    (H + mu I)^{-1} g, and for the geodesic acceleration a = -(H + mu I)^{-1}
-    J^H M''(v, v), whose right-hand side :func:`second_order_term` forms in
-    O(T R^2 + N^2 R^2) with no pass over the tensor.  The candidate is
-    x + v + a/2 when 2 ||a|| / ||v|| <= ``ACCEL_MAX_RATIO``, else x + v.  The
-    gain ratio's denominator stays Re<v, g + mu v>, v's Gauss-Newton
-    prediction: taking it from v + a/2 instead cost more iterations on the
-    swamp.
+    Each iteration factors one :class:`DampedCore` and solves it twice
+    (:func:`_accelerated_step`): for v = (H + mu I)^{-1} g, and for the
+    geodesic acceleration a = -(H + mu I)^{-1} J^H M''(v, v), whose
+    right-hand side :func:`second_order_term` forms in O(T R^2 + N^2 R^2)
+    with no pass over the tensor.  The candidate is x + v + a/2 when
+    2 ||a|| / ||v|| <= ``ACCEL_MAX_RATIO``, else x + v.  The gain ratio's
+    denominator stays Re<v, g + mu v>, v's Gauss-Newton prediction: taking it
+    from v + a/2 instead cost more iterations on the swamp.
 
     Cost per iteration in passes over the tensor: a candidate is scored with
     :func:`gram_relative_error` from its mode-N MTTKRP (one pass); if it is
@@ -480,7 +457,7 @@ def _fit_lm(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
     stop_reason = "max_iters"
     for t in range(1, config.max_iters + 1):
         try:
-            solve = _damped_solver(config.variant, model, cache, state.mu)
+            solve = damped_core(model.factors, cache, state.mu)
             v, step, accel_ratio = _accelerated_step(solve, model, cache.C, g)
         except np.linalg.LinAlgError as exc:
             stop_reason = f"error at iteration {t}: {exc}"

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import cpfast.cli
 import cpfast.solver
 from cpfast.bench import CSV_COLUMNS, RunRecord, run_grid, summarize, write_csv
 from cpfast.cli import main
@@ -104,30 +105,6 @@ class TestFit:
                     assert isinstance(row[key], float)
         assert "NaN" not in path.read_text(encoding="utf-8")
 
-    def test_dense_oracle_size_guard(self, runner, tmp_path):
-        invoke(runner, ["gen", "--dims", "30,30,30", "--rank", "20", "--nu", "0.5",
-                        "--out", str(tmp_path / "big")])
-        result = runner.invoke(
-            main,
-            ["fit", str(tmp_path / "big.cptn"), "--rank", "20", "--algo", "dgn-oracle"],
-            catch_exceptions=False,
-        )
-        assert result.exit_code != 0
-        assert "dense oracle refused" in result.output
-
-    def test_variants_match_on_shared_instance(self, runner, tmp_path):
-        """``auto`` and ``flm-a`` name the same core and give the same fit."""
-        invoke(runner, ["gen", "--dims", "8,8,8", "--rank", "2", "--nu", "0.6",
-                        "--seed", "4", "--out", str(tmp_path / "v")])
-        outs = {}
-        for algo in ("flm-a", "auto"):
-            res = invoke(runner, ["fit", str(tmp_path / "v.cptn"), "--rank", "2",
-                                  "--algo", algo, "--init", "random", "--seed", "4",
-                                  "--out", str(tmp_path / algo)])
-            row = list(csv.reader(open(tmp_path / f"{algo}.csv")))[1]
-            outs[algo] = float(dict(zip(CSV_COLUMNS, row))["final_relerr"])
-        assert outs["flm-a"] == outs["auto"]
-
     @pytest.mark.parametrize(
         "option,value", [("--tau", "0"), ("--tol", "nan"), ("--max-iters", "0")]
     )
@@ -160,6 +137,23 @@ class TestFit:
         assert message in result.output
         assert "Traceback" not in result.output
 
+    def test_truth_mismatch_exits_before_fit(self, runner, tmp_path, monkeypatch):
+        """A rank-2 truth sidecar with ``--rank 3`` ends with one line and exit
+        status 1 before any fit, not a traceback after it."""
+        invoke(runner, ["gen", "--dims", "5,5,5", "--rank", "2", "--nu", "0.5",
+                        "--out", str(tmp_path / "t")])
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran with a mismatched truth model")
+
+        monkeypatch.setattr(cpfast.cli, "fit", no_fit)
+        result = runner.invoke(main, ["fit", str(tmp_path / "t.cptn"), "--rank", "3",
+                                      "--truth", str(tmp_path / "t.meta")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "rank 2" in result.output
+        assert "Traceback" not in result.output
+
     def test_flm_b_is_unknown_algo(self, runner, tmp_path):
         invoke(runner, ["gen", "--dims", "4,4,4", "--rank", "2", "--nu", "0.6",
                         "--out", str(tmp_path / "v")])
@@ -187,8 +181,16 @@ class TestBench:
         strip = lambda table: [[c for i, c in enumerate(r) if i != drop] for r in table]
         assert strip(rows) == strip(rows2)
 
+    def test_unknown_algo_rejected_before_sweep(self, runner, tmp_path):
+        out = tmp_path / "b.csv"
+        result = runner.invoke(main, ["bench", "--dims", "4,4,4", "--seeds", "1",
+                                      "--algos", "auto,dgn-oracle", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "dgn-oracle" in result.output
+        assert not out.exists()
+
     def test_partial_failures_recorded(self, monkeypatch):
-        def singular_core(cache, mu):
+        def singular_core(factors, cache, mu):
             raise SingularKernelError("core system is singular (zero pivot 1)")
 
         monkeypatch.setattr(cpfast.solver, "damped_core", singular_core)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cpfast.hessian import SingularKernelError, apply_damped_inverse, damped_core
+from cpfast.hessian import SingularKernelError, damped_core
 import cpfast.hessian
 from cpfast.kruskal import (
     KruskalModel,
@@ -51,12 +51,10 @@ def orthonormal_model(rng, dims, rank):
     return KruskalModel(factors)
 
 
-def materialize_inverse(core, factors):
-    """Dense (H + mu I)^{-1}: apply_damped_inverse to every unit vector."""
-    size = sum(f.size for f in factors)
-    return np.column_stack(
-        [apply_damped_inverse(core, factors, e) for e in np.eye(size)]
-    )
+def materialize_inverse(core):
+    """Dense (H + mu I)^{-1}: the core applied to every unit vector."""
+    size = sum(f.size for f in core.factors)
+    return np.column_stack([core(e) for e in np.eye(size)])
 
 
 def jacobian_fd(model, h=1e-7):
@@ -165,14 +163,14 @@ class TestFastInverse:
         cache = build_gram_cache(m)
         h = assemble_hessian(m, cache)
         dense = np.linalg.inv(h + mu * np.eye(h.shape[0]))
-        mat = materialize_inverse(damped_core(cache, mu), m.factors)
+        mat = materialize_inverse(damped_core(m.factors, cache, mu))
         assert np.linalg.norm(mat - dense) / np.linalg.norm(dense) < 1e-8
 
     def test_storage_count(self):
         rng = np.random.default_rng(9)
         for dims, rank in [((3, 4, 5), 2), ((2, 3, 2, 3), 3)]:
             m = unit_model(rng, dims, rank)
-            core = damped_core(build_gram_cache(m), 0.5)
+            core = damped_core(m.factors, build_gram_cache(m), 0.5)
             n, r = m.order, m.rank
             assert core.gtilde.size + core.lu.size == n * r**2 + n**2 * r**4
 
@@ -181,7 +179,7 @@ class TestFastInverse:
         [[1, -1], [1/2, -1/2]], whose LU meets an exact zero pivot."""
         cache = gram_cache(np.array([[[-1.0]], [[0.5]]]))
         with pytest.raises(SingularKernelError, match="singular"):
-            damped_core(cache, 0.5)
+            damped_core([], cache, 0.5)
 
     def test_illegal_argument_raises_linalg_error(self, monkeypatch):
         routines = cpfast.hessian._lu_routines
@@ -192,16 +190,16 @@ class TestFastInverse:
 
         monkeypatch.setattr(cpfast.hessian, "_lu_routines", bad_getrf)
         rng = np.random.default_rng(14)
-        cache = build_gram_cache(unit_model(rng, (3, 3, 3), 2))
+        m = unit_model(rng, (3, 3, 3), 2)
         with pytest.raises(np.linalg.LinAlgError, match="argument 1") as info:
-            damped_core(cache, 0.5)
+            damped_core(m.factors, build_gram_cache(m), 0.5)
         assert not isinstance(info.value, SingularKernelError)
 
     def test_rejects_nonpositive_mu(self):
         rng = np.random.default_rng(10)
         m = unit_model(rng, (3, 3), 2)
         with pytest.raises(ValueError):
-            damped_core(build_gram_cache(m), 0.0)
+            damped_core(m.factors, build_gram_cache(m), 0.0)
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
     def test_structured_applications(self, kind):
@@ -213,7 +211,7 @@ class TestFastInverse:
         v = rng.standard_normal(h.shape[0])
         if kind == COMPLEX:
             v = v + 1j * rng.standard_normal(h.shape[0])
-        iv = apply_damped_inverse(damped_core(cache, mu), m.factors, v)
+        iv = damped_core(m.factors, cache, mu)(v)
         expected = np.linalg.solve(h + mu * np.eye(h.shape[0]), v)
         np.testing.assert_allclose(iv, expected, atol=1e-9)
 

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from cpfast.hessian import apply_damped_inverse, damped_core
+from cpfast.hessian import damped_core
 import cpfast.hessian
 import cpfast.kruskal
 import cpfast.solver
@@ -43,7 +43,12 @@ from cpfast.solver import (
     nielsen_update,
 )
 from cpfast.bench import record_from_result
-from cpfast.oracle import dense_damped_solve, kernel_inverse, kernel_matrix
+from cpfast.oracle import (
+    damped_hessian,
+    dense_damped_solve,
+    kernel_inverse,
+    kernel_matrix,
+)
 from cpfast.synth import CollinearSpec, gen_collinear
 from cpfast.tensor import COMPLEX, DenseTensor, REAL
 
@@ -131,17 +136,18 @@ class TestSolveB:
 
     def test_zero_maps_to_zero(self):
         rng = np.random.default_rng(5)
-        cache = build_gram_cache(unit_model(rng, (3, 4, 5), 2))
-        F = damped_core(cache, 0.1).solve(np.zeros(3 * 4))
+        m = unit_model(rng, (3, 4, 5), 2)
+        F = damped_core(m.factors, build_gram_cache(m), 0.1).solve(np.zeros(3 * 4))
         assert all(np.all(f == 0) for f in F)
 
     @pytest.mark.parametrize("variant,use_kinv", [("flm-a", False), ("flm-b", True)])
     def test_dense_oracle(self, variant, use_kinv):
         rng = np.random.default_rng(6)
-        cache = build_gram_cache(unit_model(rng, (3, 4, 5), 2))
+        m = unit_model(rng, (3, 4, 5), 2)
+        cache = build_gram_cache(m)
         w = rng.standard_normal(12)
         mu = 0.1
-        F = damped_core(cache, mu).solve(w)
+        F = damped_core(m.factors, cache, mu).solve(w)
         expected = dense_core_product(cache, mu, use_kinv, w)
         got = np.concatenate([f.reshape(-1, order="F") for f in F])
         np.testing.assert_allclose(got, expected, atol=1e-12, err_msg=variant)
@@ -151,12 +157,13 @@ class TestSolveB:
     @pytest.mark.parametrize("variant", ["flm-a", "flm-b"])
     def test_factored_core_matches_dense(self, kind, dims, variant):
         rng = np.random.default_rng(21)
-        cache = build_gram_cache(unit_model(rng, dims, 2, kind))
+        m = unit_model(rng, dims, 2, kind)
+        cache = build_gram_cache(m)
         w = rng.standard_normal(len(dims) * 4)
         if kind == COMPLEX:
             w = w + 1j * rng.standard_normal(w.size)
         for mu in (1e-3, 1.0):
-            F = damped_core(cache, mu).solve(w)
+            F = damped_core(m.factors, cache, mu).solve(w)
             got = np.concatenate([f.reshape(-1, order="F") for f in F])
             expected = dense_core_product(cache, mu, variant == "flm-b", w)
             assert np.linalg.norm(got - expected) / np.linalg.norm(expected) < 1e-10
@@ -234,12 +241,11 @@ class TestFlmStep:
         assert rel(delta_p - expected, delta) < 1e-8
 
     @pytest.mark.parametrize("dims", [(4, 5, 6), (3, 4, 3, 2)])
-    @pytest.mark.parametrize("variant", ["flm-a", "auto"])
+    @pytest.mark.parametrize("variant", ["auto"])
     def test_one_core_factorization_per_step(self, dims, variant, monkeypatch):
-        """One fit iteration under either name of the one core: the damped
-        Gram inverses come from one batched inverse, and the core is factored
-        once (``?getrf``) and solved twice (``?getrs``), for the step and for
-        its geodesic acceleration."""
+        """One fit iteration: the damped Gram inverses come from one batched
+        inverse, and the core is factored once (``?getrf``) and solved twice
+        (``?getrs``), for the step and for its geodesic acceleration."""
         rng = np.random.default_rng(23)
         y, m = noisy_instance(rng, dims, 2)
         calls = []
@@ -337,10 +343,9 @@ class TestDamping:
 
 class TestFit:
     def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError):
-            FitConfig(rank=2, variant="newton")
-        with pytest.raises(ValueError):
-            FitConfig(rank=2, variant="flm-b")
+        for variant in ("newton", "flm-b", "flm-a", "dgn-oracle"):
+            with pytest.raises(ValueError, match=variant):
+                FitConfig(rank=2, variant=variant)
 
     @pytest.mark.parametrize(
         "field,value",
@@ -361,7 +366,7 @@ class TestFit:
         with pytest.raises(ValueError, match=field):
             FitConfig(rank=2, **{field: value})
 
-    @pytest.mark.parametrize("variant", ["auto", "flm-a", "dgn-oracle"])
+    @pytest.mark.parametrize("variant", ["auto"])
     def test_converges_on_exact_instance(self, variant):
         rng = np.random.default_rng(14)
         truth = unit_model(rng, (8, 8, 8), 2)
@@ -444,15 +449,6 @@ class TestFit:
         dense = fit(y, config)
         assert dense.stop_reason == "tol"
         assert dense.iters == result.iters
-
-    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
-    def test_auto_is_flm_a(self, kind):
-        rng = np.random.default_rng(27)
-        y, _ = noisy_instance(rng, (6, 7, 8), 3, kind, noise=0.05)
-        auto = fit(y, FitConfig(rank=3, variant="auto", max_iters=60))
-        flm_a = fit(y, FitConfig(rank=3, variant="flm-a", max_iters=60))
-        assert auto.trace == flm_a.trace
-        assert auto.stop_reason == flm_a.stop_reason
 
     def test_trace_records_gain_ratio(self):
         rng = np.random.default_rng(28)
@@ -587,10 +583,9 @@ class TestGeodesicAcceleration:
         model, cache, _, err = _scaled_start(unit, config, rng)
         mu = mu_init(cache, tau)
         g = gradient(unit, model, cache)
-        core = damped_core(cache, mu)
-        v = apply_damped_inverse(core, model.factors, g)
-        rhs = second_order_term(model.factors, cache.C, v)
-        a = -apply_damped_inverse(core, model.factors, rhs)
+        core = damped_core(model.factors, cache, mu)
+        v = core(g)
+        a = -core(second_order_term(model.factors, cache.C, v))
         ratio = 2.0 * np.linalg.norm(a) / np.linalg.norm(v)
         assert (ratio <= ACCEL_MAX_RATIO) == accelerated
         step = v + 0.5 * a if accelerated else v
@@ -606,15 +601,20 @@ class TestGeodesicAcceleration:
     @pytest.mark.parametrize(
         "dims,rank,kind", [((8, 8, 8), 3, REAL), ((5, 4, 6), 2, COMPLEX)]
     )
-    def test_dgn_oracle_takes_the_same_steps(self, dims, rank, kind):
-        """dgn-oracle applies the same rule through its dense solve: the same
-        accept decisions, ratios and errors while the error is above its
-        final value."""
+    def test_dgn_oracle_takes_the_same_steps(self, dims, rank, kind, monkeypatch):
+        """A fit whose solves use the dense H + mu I of :mod:`cpfast.oracle`
+        in place of the core takes the same steps: the same accept decisions,
+        ratios and errors while the error is above its final value."""
         y, _ = noisy_instance(np.random.default_rng(16), dims, rank, kind, 0.05)
-        fast, dense = (
-            fit(y, FitConfig(rank=rank, variant=variant))
-            for variant in ("auto", "dgn-oracle")
-        )
+        config = FitConfig(rank=rank)
+        fast = fit(y, config)
+
+        def dense_core(factors, cache, mu):
+            h = damped_hessian(KruskalModel(factors), mu, cache)
+            return lambda u: np.linalg.solve(h, u)
+
+        monkeypatch.setattr(cpfast.solver, "damped_core", dense_core)
+        dense = fit(y, config)
         assert fast.stop_reason == dense.stop_reason == "tol"
         assert any(rec.accel_ratio <= ACCEL_MAX_RATIO for rec in fast.trace)
         floor = fast.final_relerr * (1 + 1e-9)
