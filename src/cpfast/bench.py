@@ -13,21 +13,6 @@ from .solver import FitConfig, fit
 from .synth import CollinearSpec, add_noise, gen_collinear, medsae_pair
 from .tensor import DenseTensor
 
-CSV_COLUMNS = (
-    "seed",
-    "nu",
-    "R",
-    "snr_db",
-    "algo",
-    "iters",
-    "accepted_iters",
-    "time_ms",
-    "final_relerr",
-    "medsae_first_db",
-    "medsae_rest_db",
-    "stop_reason",
-    "error",
-)
 # Stop reasons of a fit that ran to one of its stopping rules; any other
 # reason (an error message) is recorded as "error" with its text kept.
 STOP_REASONS = ("tol", "max_iters", "mu_overflow", "nonfinite")
@@ -57,6 +42,18 @@ class RunRecord:
 
     def row(self) -> list:
         return [_fmt(getattr(self, f.name)) for f in fields(self)]
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(RunRecord))
+# Summary column -> the record field whose median over a cell's usable runs
+# it holds.
+MEDIANS = {
+    "median_iters": "iters",
+    "median_relerr": "final_relerr",
+    "median_medsae_first_db": "medsae_first_db",
+    "median_medsae_rest_db": "medsae_rest_db",
+}
+SUMMARY_COLUMNS = ("nu", "R", "snr_db", "algo", "runs", "errors") + tuple(MEDIANS)
 
 
 def _fmt(value) -> str:
@@ -168,62 +165,38 @@ def write_csv(path, records) -> None:
             writer.writerow(record.row())
 
 
+def _cell_order(cell) -> tuple:
+    """Sort key of a (nu, R, snr_db, algo) cell: numeric, noiseless last."""
+    nu, rank, snr_db, algo = cell
+    return nu, rank, snr_db is None, snr_db or 0.0, algo
+
+
 def summarize(records) -> list:
-    """Per (nu, R, snr, algo) cell: median iters / relerr / MedSAE.
+    """Per (nu, R, snr, algo) cell, in numeric order with the noiseless cells
+    (snr None) last: the run and error counts and the ``MEDIANS``.
 
     ``errors`` counts the runs that failed (see ``FAILED``); the medians
-    leave them out.
+    leave them out, and a median with no value to take is "".
     """
     cells = {}
     for rec in records:
         cells.setdefault((rec.nu, rec.R, rec.snr_db, rec.algo), []).append(rec)
     rows = []
-    for (nu, rank, snr_db, algo), group in sorted(
-        cells.items(), key=lambda kv: tuple(map(str, kv[0]))
-    ):
+    for cell in sorted(cells, key=_cell_order):
+        group = cells[cell]
         ok = [r for r in group if r.stop_reason not in FAILED]
-        rows.append(
-            {
-                "nu": nu,
-                "R": rank,
-                "snr_db": snr_db,
-                "algo": algo,
-                "runs": len(group),
-                "errors": len(group) - len(ok),
-                "median_iters": statistics.median(r.iters for r in ok) if ok else "",
-                "median_relerr": statistics.median(r.final_relerr for r in ok)
-                if ok
-                else "",
-                "median_medsae_first_db": statistics.median(
-                    r.medsae_first_db for r in ok if r.medsae_first_db is not None
-                )
-                if any(r.medsae_first_db is not None for r in ok)
-                else "",
-                "median_medsae_rest_db": statistics.median(
-                    r.medsae_rest_db for r in ok if r.medsae_rest_db is not None
-                )
-                if any(r.medsae_rest_db is not None for r in ok)
-                else "",
-            }
-        )
+        row = dict(zip(("nu", "R", "snr_db", "algo"), cell))
+        row.update(runs=len(group), errors=len(group) - len(ok))
+        for column, name in MEDIANS.items():
+            values = [getattr(r, name) for r in ok if getattr(r, name) is not None]
+            row[column] = statistics.median(values) if values else ""
+        rows.append(row)
     return rows
 
 
 def write_summary_csv(path, rows) -> None:
-    columns = (
-        "nu",
-        "R",
-        "snr_db",
-        "algo",
-        "runs",
-        "errors",
-        "median_iters",
-        "median_relerr",
-        "median_medsae_first_db",
-        "median_medsae_rest_db",
-    )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
+        writer.writerow(SUMMARY_COLUMNS)
         for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
+            writer.writerow([_fmt(row[c]) for c in SUMMARY_COLUMNS])

@@ -4,6 +4,7 @@ spectral feasibility reports, and the identity-verification suite."""
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import sys
@@ -51,6 +52,12 @@ def _parse_snr(value: str | None) -> float | None:
     return float(value)
 
 
+def _fail(message: str):
+    """Print ``message`` as one line on stderr and exit with status 1."""
+    click.echo(message, err=True)
+    sys.exit(1)
+
+
 @click.group()
 def main():
     """CP decomposition benchmark toolkit."""
@@ -66,9 +73,12 @@ def main():
 @click.option("--out", default="collinear", show_default=True, help="Output prefix.")
 def cmd_gen(dims, rank, nu, snr, seed, use_complex, out):
     """Generate a collinear benchmark tensor plus ground-truth factors."""
-    snr_db = _parse_snr(snr)
     kind = COMPLEX if use_complex else REAL
-    spec = CollinearSpec(_parse_ints(dims), rank, nu, snr_db, seed, kind)
+    try:
+        snr_db = _parse_snr(snr)
+        spec = CollinearSpec(_parse_ints(dims), rank, nu, snr_db, seed, kind)
+    except ValueError as exc:
+        _fail(str(exc))
     truth, tensor = gen_collinear(spec)
 
     prefix = Path(out)
@@ -104,9 +114,8 @@ def _load_truth(meta_path, dims, rank) -> KruskalModel:
         [cptn.read_matrix(p) for p in meta["factors"].split(";")]
     )
     if truth.dims != dims or truth.rank != rank:
-        click.echo(f"truth model has dims {truth.dims} and rank {truth.rank}; "
-                   f"the fit has dims {dims} and rank {rank}", err=True)
-        sys.exit(1)
+        _fail(f"truth model has dims {truth.dims} and rank {truth.rank}; "
+              f"the fit has dims {dims} and rank {rank}")
     return truth
 
 
@@ -148,16 +157,14 @@ def cmd_fit(tensor_file, algo, rank, tau, tol, max_iters, seed, init, truth, out
             max_iters=max_iters, seed=seed, init=init,
         )
     except ValueError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(1)
+        _fail(str(exc))
     truth_model = _load_truth(truth, y.dims, rank) if truth else None
     try:
         result = fit(y, config)
     except (ValueError, ZeroDivisionError) as exc:
         # Input that fit rejects: NaN or infinite entries, an all-zero
         # tensor, order below 2.
-        click.echo(str(exc), err=True)
-        sys.exit(1)
+        _fail(str(exc))
     record = benchmod.record_from_result(
         result, truth_model, seed, float("nan"), rank, None, algo
     )
@@ -198,10 +205,18 @@ def cmd_bench(dims, rank, nu, snr, algos, seeds, use_complex, tol, max_iters, ou
     snr_list = tuple(
         None if math.isinf(s) else s for s in _parse_floats(snr)
     )
+    dims, ranks, nus = _parse_ints(dims), _parse_ints(rank), _parse_floats(nu)
+    # Every (dims, rank, nu) spec is checked before the sweep, so a bad one
+    # exits with a usage error instead of an error row in every cell.
+    for rank_val, nu_val in itertools.product(ranks, nus):
+        try:
+            CollinearSpec(dims, rank_val, nu_val)
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from None
     records = benchmod.run_grid(
-        _parse_ints(dims),
-        _parse_ints(rank),
-        _parse_floats(nu),
+        dims,
+        ranks,
+        nus,
         snr_list,
         algos,
         seeds,
@@ -235,7 +250,10 @@ def cmd_spectrum(size, rank, order, nu, snr, csv_path):
     for nu_val in _parse_floats(nu):
         for snr_val in _parse_floats(snr):
             snr_db = None if math.isinf(snr_val) else snr_val
-            rep = spectrum(size, rank, order, nu_val, snr_db)
+            try:
+                rep = spectrum(size, rank, order, nu_val, snr_db)
+            except ValueError as exc:
+                _fail(str(exc))
             verdict = "feasible" if rep.feasible else "infeasible"
             click.echo(
                 f"nu={nu_val} snr={'inf' if snr_db is None else snr_db}: "

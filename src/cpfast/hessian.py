@@ -8,7 +8,8 @@ NR^2 x NR^2 core: the paper's Phi_1 = I + Psi K, congruence-scaled so its
 entries stay O(Gamma + mu) as mu shrinks.  :func:`damped_core` builds the
 Gram inverses with one batched inverse, writes the core through strided views
 and LU-factors it once by LAPACK ``?getrf``; the :class:`DampedCore` it
-returns applies (H + mu I)^{-1} to a vector with one ``?getrs`` solve.
+returns applies (H + mu I)^{-1} to a stacked vector, through the block
+views of :func:`~cpfast.kruskal._block_views`, with one ``?getrs`` solve.
 
 The dense references these are checked against live in :mod:`cpfast.oracle`.
 """
@@ -21,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from .kruskal import GramCache
+from .kruskal import GramCache, _block_views
 
 
 class SingularKernelError(np.linalg.LinAlgError):
@@ -84,26 +85,24 @@ class DampedCore:
         is V_n conj(Gtilde_n) - A^(n) Z_n with Z solved from u_n =
         vec(A^(n)^H V_n).
 
-        Block n of a stacked vector is vec(V_n) in column-major order, so V_n^T
-        is a row-major R x I_n view of it.  Everything is formed transposed, in
-        place: u_n as V_n^T conj(A^(n)) and the result's block as
+        Everything is formed transposed, in place, on the row-major R x I_n
+        block views V_n^T of :func:`~cpfast.kruskal._block_views`: u_n as
+        V_n^T conj(A^(n)) and the result's block as
         Gtilde_n^H V_n^T - Z_n^T A^(n)^T.
         """
         n_modes, r = self.gtilde.shape[:2]
         dtype = np.result_type(vec, self.lu)
+        dims = [f.shape[0] for f in self.factors]
+        blocks = _block_views(vec, dims, r)
         u = np.empty((n_modes, r, r), dtype)
-        out = np.empty(vec.shape, dtype)
-        blocks = []
-        offset = 0
-        for f, un in zip(self.factors, u):
-            end = offset + f.size
-            vt = vec[offset:end].reshape(r, -1)
+        for f, vt, un in zip(self.factors, blocks, u):
             np.matmul(vt, f.conj(), out=un)
-            blocks.append((vt, out[offset:end].reshape(r, -1)))
-            offset = end
         z = self.solve(u.reshape(-1))
+        out = np.empty(vec.shape, dtype)
         gtilde_h = self.gtilde.conj().transpose(0, 2, 1)
-        for f, (vt, block), zn, gh in zip(self.factors, blocks, z, gtilde_h):
+        for f, vt, block, zn, gh in zip(
+            self.factors, blocks, _block_views(out, dims, r), z, gtilde_h
+        ):
             np.matmul(gh, vt, out=block)
             block -= zn.T @ f.T
         return out

@@ -4,6 +4,11 @@ A model is a list of factor matrices A^(n) of shape (I_n, R); a component's
 scale lives in its columns.  Complex models use the Hermitian Gram convention
 C^(n) = A^(n)^H A^(n); all transpose placements below are chosen so the same
 code path is exact for both scalar kinds.
+
+A stacked vector has one block per mode, vec(V^(n)) in column-major order,
+laid out by :func:`_block_views` alone.  The MTTKRPs of modes 1..N-1 are
+contractions of the partial product P = Y x_N conj(A^(N)) (Phan, Tichavsky
+& Cichocki, IEEE TSP 2013).
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from .tensor import (
     DenseTensor,
     ScalarKindError,
     _check_mode,
+    _khatri_rao_of,
     fold,
-    khatri_rao,
     khatri_rao_excl,
     unfold,
 )
@@ -72,14 +77,19 @@ def complex_model(model: KruskalModel) -> KruskalModel:
     return KruskalModel([f.astype(np.complex128) for f in model.factors])
 
 
-def model_from_vector(vec: np.ndarray, dims, rank: int) -> KruskalModel:
-    factors = []
+def _block_views(vec: np.ndarray, dims, rank: int) -> list:
+    """Block n of the stacked vector ``vec``, vec(V^(n)) in column-major
+    order, as the row-major R x I_n view V^(n)^T (no copy), for every n."""
+    views = []
     offset = 0
     for d in dims:
-        block = vec[offset : offset + d * rank]
-        factors.append(np.asarray(block).reshape((d, rank), order="F"))
+        views.append(vec[offset : offset + d * rank].reshape(rank, d))
         offset += d * rank
-    return KruskalModel(factors)
+    return views
+
+
+def model_from_vector(vec: np.ndarray, dims, rank: int) -> KruskalModel:
+    return KruskalModel([vt.T for vt in _block_views(np.asarray(vec), dims, rank)])
 
 
 def reconstruct(model: KruskalModel) -> DenseTensor:
@@ -155,11 +165,6 @@ def _hadamard_excl(C: list, skip) -> np.ndarray:
     return reduce(np.multiply, rest)
 
 
-def _khatri_rao_of(factors) -> np.ndarray:
-    """Khatri-Rao product whose row index runs over ``factors``, first fastest."""
-    return reduce(khatri_rao, factors[::-1])
-
-
 def _contract_all_but(zt: np.ndarray, factors, k: int) -> np.ndarray:
     """Contract every mode of a partial product except mode k (0-based).
 
@@ -209,20 +214,18 @@ def mttkrp(y: DenseTensor, model: KruskalModel, n: int) -> np.ndarray:
 
     Equals ``unfold(y, n) @ khatri_rao_excl(model.factors, n).conj()`` but
     reads the Fortran-ordered tensor through reshape views, never copying an
-    unfolding: one matmul contracts the modes after n (for n = N, the modes
-    before it), then a small batched contraction handles the modes before n.
-    For complex data the Khatri-Rao factors are conjugated, matching the
-    Hermitian normal equations; for real data the conjugation is a no-op.
+    unfolding.  Mode N is one matmul with the Khatri-Rao product of modes
+    1..N-1; a mode n < N is a contraction of the partial product
+    P = Y x_N conj(A^(N)), as in :func:`mttkrp_all`.  For complex data the
+    Khatri-Rao factors are conjugated, matching the Hermitian normal
+    equations; for real data the conjugation is a no-op.
     """
     _check_pair(y, model)
     _check_mode(model.order, n)
     factors = model.factors
     if n == model.order:
         return _last_mode_rows(y).T @ khatri_rao_excl(factors, n).conj()
-    trailing = int(np.prod(y.dims[n:], dtype=np.int64))
-    lead = y.data.reshape((-1, trailing), order="F")
-    zt = _khatri_rao_of(factors[n:]).conj().T @ lead.T
-    return _contract_all_but(zt, factors[:n], n - 1)
+    return _contract_all_but(_last_partial(y, factors[-1]), factors[:-1], n - 1)
 
 
 def mttkrp_all(
@@ -256,17 +259,20 @@ def gradient(
 ) -> np.ndarray:
     """Stacked residual projection J^H vec(E) with E = Y - Yhat.
 
-    Block n is vec(mttkrp(y, model, n) - A^(n) Gamma^(n)^T); the transpose is
-    exact for the complex Hermitian Gamma and redundant for real data.
+    Block n is vec(M^(n) - A^(n) Gamma^(n)^T), with M^(n) the mode-n MTTKRP
+    from ``mttkrps`` when given, else from :func:`mttkrp_all` (two passes
+    over the tensor); the transpose is exact for the complex Hermitian Gamma
+    and redundant for real data.
     """
     cache = cache or build_gram_cache(model)
-    blocks = []
-    for n in range(model.order):
-        m = mttkrps[n] if mttkrps is not None else mttkrp(y, model, n + 1)
-        blocks.append(
-            (m - model.factors[n] @ cache.gamma_excl[n].T).reshape(-1, order="F")
-        )
-    return np.concatenate(blocks)
+    if mttkrps is None:
+        mttkrps = mttkrp_all(y, model)
+    return np.concatenate(
+        [
+            (m - f @ gamma.T).reshape(-1, order="F")
+            for m, f, gamma in zip(mttkrps, model.factors, cache.gamma_excl)
+        ]
+    )
 
 
 def second_order_term(factors, grams: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -286,16 +292,11 @@ def second_order_term(factors, grams: np.ndarray, vec: np.ndarray) -> np.ndarray
     """
     n_modes, r = grams.shape[:2]
     dtype = np.result_type(vec, grams)
+    dims = [f.shape[0] for f in factors]
+    blocks = _block_views(vec, dims, r)
     e = np.empty((n_modes, 1, r, r), dtype)
-    blocks = []
-    offset = 0
-    for f, en in zip(factors, e):
-        end = offset + f.size
-        # V^T, row-major R x I_n, is a view of the column-major block.
-        vt = vec[offset:end].reshape(r, -1)
+    for f, vt, en in zip(factors, blocks, e):
         np.matmul(f.conj().T, vt.T, out=en[0])
-        blocks.append(vt)
-        offset = end
     # c[j, k] is C^(j) and e[j, k] is E^(j), except 1 and 0 where j = k.
     keep = _exclusion_mask(n_modes)[:n_modes, n_modes]
     c = np.where(keep, grams[:, None], 1.0)
@@ -316,13 +317,11 @@ def second_order_term(factors, grams: np.ndarray, vec: np.ndarray) -> np.ndarray
     # Each block is formed transposed, 2 (p1_k V^(k)^T + p2_k A^(k)^T), which
     # is its column-major vectorization.
     out = np.empty(vec.shape, dtype)
-    offset = 0
-    for f, vt, p1, p2 in zip(factors, blocks, q1, q2):
-        end = offset + f.size
-        block = out[offset:end].reshape(r, -1)
+    for f, vt, block, p1, p2 in zip(
+        factors, blocks, _block_views(out, dims, r), q1, q2
+    ):
         np.matmul(p1, vt, out=block)
         block += p2 @ f.T
-        offset = end
     out *= 2.0
     return out
 
@@ -360,19 +359,23 @@ def gram_relative_error(
     return float(np.sqrt(max(ynorm**2 - 2.0 * cross + model_sq, 0.0)) / ynorm)
 
 
-def _equal_energy_scales(
-    model: KruskalModel, norms: np.ndarray | None = None
-) -> np.ndarray:
-    """Column scales s (N x R) with which :func:`normalize_equal_energy`
-    multiplies the factors of ``model``.
+def normalize_with_grams(
+    model: KruskalModel, grams: np.ndarray, last: np.ndarray | None = None
+) -> tuple[KruskalModel, GramCache, np.ndarray | None]:
+    """Rescale each component of ``model`` to the same norm in every mode,
+    using its stacked Gram matrices ``grams`` (N x R x R).
 
-    ``norms`` are the factors' column norms (N x R) when the caller has them,
-    e.g. sqrt(diag C^(n)) from the Gram matrices.  The scales of a component
-    multiply to one over the modes, so the reconstruction is unchanged.
+    Every mode-n vector of component r gets the geometric mean of the
+    component's mode norms sqrt(diag C^(n)) as its norm; a zero-norm vector
+    raises ``ZeroDivisionError``.  The largest-magnitude entry of each
+    first-mode vector is made real-positive, the compensating phase going to
+    the last mode.  The column scales s_n of a component multiply to one, so
+    the reconstruction is unchanged.  Returns the normalized model, its Gram
+    cache from conj(s_n)^T s_n * C^(n) (no factor products) and its mode-N
+    MTTKRP ``last`` / conj(s_N) (None when ``last`` is None).
     """
     n_modes = model.order
-    if norms is None:
-        norms = np.array([np.linalg.norm(f, axis=0) for f in model.factors])
+    norms = np.sqrt(grams.diagonal(0, 1, 2).real)
     if not norms.all():
         zero = np.flatnonzero(~norms.all(axis=0))
         raise ZeroDivisionError(f"component {zero[0]} has a zero-norm vector")
@@ -383,36 +386,6 @@ def _equal_energy_scales(
         phase = _top_phase(model.factors[0])
         scales[0] /= phase
         scales[-1] *= phase
-    return scales
-
-
-def normalize_equal_energy(model: KruskalModel) -> KruskalModel:
-    """Rescale each component so its norm is identical in every mode.
-
-    Each mode-n vector of component r ends up with norm equal to the
-    geometric mean of the component's mode norms.  The sign/phase is fixed by
-    making the largest-magnitude entry of the first-mode vector real-positive,
-    with the compensating phase folded into the last mode.  Reconstruction is
-    unchanged.
-    """
-    scales = _equal_energy_scales(model)
-    return KruskalModel([f * s for f, s in zip(model.factors, scales)])
-
-
-def normalize_with_grams(
-    model: KruskalModel, grams: np.ndarray, last: np.ndarray | None = None
-) -> tuple[KruskalModel, GramCache, np.ndarray | None]:
-    """:func:`normalize_equal_energy` of ``model`` from its stacked Gram
-    matrices ``grams``, with what the Grams give for free.
-
-    The column norms are sqrt(diag C^(n)).  With the scales s_n of
-    :func:`_equal_energy_scales`, the normalized model's Gram matrices are
-    conj(s_n)^T s_n * C^(n), so its Gram cache needs no factor products, and
-    since the scales of a component multiply to one, its mode-N MTTKRP is
-    ``last`` / conj(s_N) (None when ``last`` is None).
-    """
-    norms = np.sqrt(grams.diagonal(0, 1, 2).real)
-    scales = _equal_energy_scales(model, norms)
     normalized = KruskalModel([f * s for f, s in zip(model.factors, scales)])
     cache = gram_cache(grams * (scales.conj()[:, :, None] * scales[:, None, :]))
     if last is not None:
@@ -536,29 +509,24 @@ def als_line_search_step(
     y: DenseTensor,
     model: KruskalModel,
     history: KruskalModel | None,
-    t: int = 1,
-    score=None,
+    t: int,
+    score,
 ) -> tuple[KruskalModel, float]:
     """ALS sweep with extrapolation against the previous iterate.
 
     Candidates A_prev + s (A_als - A_prev) for s in {1, 1.1, t^(1/3)} are
     scored by ``score(candidate, last)``, which returns the relative error
     given the candidate's mode-N MTTKRP ``last`` when it is known (else
-    None); the default is the dense :func:`relative_error`.  The best
-    candidate wins and is returned with its error.  With no history this is a
-    plain ALS sweep.  The recipe is a documented stand-in: the classical "ALS
-    with line search" baseline defers to toolbox internals.
+    None).  The best candidate wins and is returned with its error.  With no
+    history this is a plain ALS sweep.  The recipe is a documented stand-in:
+    the classical "ALS with line search" baseline defers to toolbox
+    internals.
 
     Cost in passes over the tensor: two for the sweep.  A scorer that uses
     :func:`gram_relative_error` gets the stepped candidate's M^(N) from the
     sweep for free and spends one pass on each extrapolated candidate: four
     passes with history, two without, and no reconstruction.
     """
-    if score is None:
-
-        def score(candidate, last):
-            return relative_error(y, candidate)
-
     stepped, last = als_step(y, model)
     best, best_err = stepped, score(stepped, last)
     if history is None:

@@ -81,7 +81,6 @@ class LmState:
 
     mu: float
     growth: float = 2.0
-    accepted: bool = False
 
 
 @dataclass
@@ -152,13 +151,14 @@ class FitResult:
 
 def flm_step(y: DenseTensor, model: KruskalModel, mu: float) -> np.ndarray:
     """One fast dGN step: the change of the stacked factor vector, with all
-    factors updated simultaneously (compare :func:`dense_damped_solve`).
+    factors updated simultaneously (compare
+    :func:`~cpfast.oracle.dense_damped_solve`).
 
     The step is the Gauss-Newton step v = (H + mu I)^{-1} g: one
-    :class:`DampedCore` (the damped Gram inverses and the factored core
-    system) applied once to the gradient.  :func:`fit` builds the same core
-    inside its loop and adds the geodesic acceleration to the step (see
-    :func:`_accelerated_step`).
+    :class:`~cpfast.hessian.DampedCore` (the damped Gram inverses and the
+    factored core system) applied once to the gradient.  :func:`fit` builds
+    the same core inside its loop and adds the geodesic acceleration to the
+    step (see :func:`_accelerated_step`).
     """
     cache = build_gram_cache(model)
     return damped_core(model.factors, cache, mu)(gradient(y, model, cache))
@@ -200,13 +200,8 @@ def nielsen_update(state: LmState, rho: float) -> LmState:
     """Nielsen gain-ratio damping control (classical multiplicative form)."""
     if rho > 0:
         mu = state.mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
-        growth = 2.0
-        accepted = True
-    else:
-        mu = state.mu * state.growth
-        growth = 2.0 * state.growth
-        accepted = False
-    return LmState(mu, growth, accepted)
+        return LmState(mu, growth=2.0)
+    return LmState(state.mu * state.growth, 2.0 * state.growth)
 
 
 def _gain_ratio(prev_sq, cand_sq, delta, g, mu) -> float:
@@ -416,9 +411,9 @@ def _fit_lm(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
     residual above ``GRAM_ERROR_GUARD``; that M^(N) also serves the first
     :func:`mttkrp_all`.
 
-    Each iteration factors one :class:`DampedCore` and solves it twice
-    (:func:`_accelerated_step`): for v = (H + mu I)^{-1} g, and for the
-    geodesic acceleration a = -(H + mu I)^{-1} J^H M''(v, v), whose
+    Each iteration factors one :class:`~cpfast.hessian.DampedCore` and solves
+    it twice (:func:`_accelerated_step`): for v = (H + mu I)^{-1} g, and for
+    the geodesic acceleration a = -(H + mu I)^{-1} J^H M''(v, v), whose
     right-hand side :func:`second_order_term` forms in O(T R^2 + N^2 R^2)
     with no pass over the tensor.  The candidate is x + v + a/2 when
     2 ||a|| / ||v|| <= ``ACCEL_MAX_RATIO``, else x + v.  The gain ratio's
@@ -480,7 +475,8 @@ def _fit_lm(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
         rho = _gain_ratio(err * err, cand_sq, v, g, state.mu)
         state = nielsen_update(state, rho)
 
-        if state.accepted and cand_err < err:
+        accepted = bool(rho > 0 and cand_err < err)
+        if accepted:
             model, cache, cand_last = normalize_with_grams(
                 candidate, grams, cand_last
             )
@@ -489,11 +485,8 @@ def _fit_lm(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
             base = model.as_vector()
             deltas.append(abs(err - cand_err))
             err = cand_err
-            accepted = True
         else:
-            state.accepted = False
             deltas.append(0.0)
-            accepted = False
 
         trace.append(
             IterRecord(

@@ -31,6 +31,8 @@ class CollinearSpec:
 
     def __post_init__(self):
         self.dims = tuple(int(d) for d in self.dims)
+        if self.rank < 1:
+            raise ValueError(f"rank must be >= 1, got {self.rank}")
         if self.nu <= 0:
             raise ValueError("nu must be positive")
         if self.rank > min(self.dims):
@@ -223,10 +225,7 @@ def medsae(angle_runs) -> dict:
     stack = np.stack([np.asarray(a) for a in angle_runs])
     med = np.median(stack**2, axis=0)
     with np.errstate(divide="ignore"):
-        per_component = np.maximum(
-            10.0 * np.log10(np.where(med > 0, med, 0.0)), MEDSAE_FLOOR_DB
-        )
-    per_component = np.where(med > 0, per_component, MEDSAE_FLOOR_DB)
+        per_component = np.maximum(10.0 * np.log10(med), MEDSAE_FLOOR_DB)
     first_db = float(np.mean(per_component[:, 0]))
     rest_db = (
         float(np.mean(per_component[:, 1:]))

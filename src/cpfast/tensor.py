@@ -109,16 +109,19 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] * b[None, :, :]).reshape(i * k, r)
 
 
+def _khatri_rao_of(factors) -> np.ndarray:
+    """Khatri-Rao product whose row index runs over ``factors``, first fastest."""
+    return reduce(khatri_rao, factors[::-1])
+
+
 def khatri_rao_excl(factors, n: int) -> np.ndarray:
     """Khatri-Rao product over modes N..1 excluding mode n (descending order).
 
     With the column-major storage convention this is exactly the matrix W for
     which the mode-n unfolding of a Kruskal tensor is A^(n) W^T.
     """
-    n_modes = len(factors)
-    _check_mode(n_modes, n)
+    _check_mode(len(factors), n)
     ranks = {f.shape[1] for f in factors}
     if len(ranks) > 1:
         raise ValueError("factors disagree on column count")
-    rest = [factors[k] for k in reversed(range(n_modes)) if k != n - 1]
-    return reduce(khatri_rao, rest)
+    return _khatri_rao_of([f for k, f in enumerate(factors) if k != n - 1])

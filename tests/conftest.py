@@ -36,3 +36,28 @@ def damped_step():
     Psi) is kept only as a dense oracle: G~ g - G~ Z Phi_2^{-1} Z^H G~ g with
     G~ = (G + mu I)^{-1} and the closed-form K^{-1} of :mod:`cpfast.oracle`."""
     return _damped_step
+
+
+def _equal_energy_loop(model):
+    """Per-component reference for the equal-energy normalization."""
+    factors = [f.copy() for f in model.factors]
+    for r in range(model.rank):
+        norms = np.array([np.linalg.norm(f[:, r]) for f in factors])
+        target = np.prod(norms) ** (1.0 / model.order)
+        for n in range(model.order):
+            factors[n][:, r] *= target / norms[n]
+        lead = factors[0][:, r]
+        top = lead[np.argmax(np.abs(lead))]
+        phase = top / np.abs(top) if top != 0 else 1.0
+        factors[0][:, r] /= phase
+        factors[-1][:, r] *= phase
+    return factors
+
+
+@pytest.fixture
+def equal_energy_loop():
+    """Per-component loop that rescales every component to equal norms in all
+    modes and makes the largest entry of its first-mode vector real-positive,
+    folding the phase into the last mode; the reference for
+    :func:`cpfast.kruskal.normalize_with_grams`."""
+    return _equal_energy_loop

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import cpfast.bench
 import cpfast.cli
 import cpfast.solver
 from cpfast.bench import CSV_COLUMNS, RunRecord, run_grid, summarize, write_csv
@@ -64,6 +65,27 @@ class TestGen:
             assert (tmp_path / f"g_factor{n}.cptn").exists()
         meta = (tmp_path / "g.meta").read_text()
         assert "dims=5,6,7" in meta and "nu=0.3" in meta
+
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["--dims", "2,2,2", "--rank", "3", "--nu", "0.5"],
+             "rank 3 exceeds smallest dimension 2"),
+            (["--dims", "4,4,4", "--rank", "2", "--nu", "0"], "nu must be positive"),
+            (["--dims", "4,4,4", "--rank", "0", "--nu", "0.5"], "rank must be >= 1"),
+        ],
+        ids=["rank-above-dim", "nu-zero", "rank-zero"],
+    )
+    def test_bad_spec_exits_with_message(self, runner, tmp_path, args, message):
+        """A spec that CollinearSpec rejects ends with its one-line message and
+        exit status 1, not a traceback, and writes nothing."""
+        result = runner.invoke(main, ["gen", *args, "--out", str(tmp_path / "g")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
+        assert "Traceback" not in result.output
+        assert not list(tmp_path.iterdir())
 
 
 class TestFit:
@@ -189,6 +211,28 @@ class TestBench:
         assert "dgn-oracle" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["--dims", "2,2,2", "--rank", "3"], "rank 3 exceeds smallest dimension 2"),
+            (["--dims", "4,4,4", "--rank", "2", "--nu", "0.5,0"],
+             "nu must be positive"),
+        ],
+        ids=["rank-above-dim", "nu-zero"],
+    )
+    def test_bad_spec_rejected_before_sweep(self, runner, tmp_path, args, message,
+                                            monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the sweep ran with a bad spec")
+
+        monkeypatch.setattr(cpfast.bench, "run_grid", no_grid)
+        out = tmp_path / "b.csv"
+        result = runner.invoke(main, ["bench", *args, "--seeds", "1",
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert not out.exists()
+
     def test_partial_failures_recorded(self, monkeypatch):
         def singular_core(factors, cache, mu):
             raise SingularKernelError("core system is singular (zero pivot 1)")
@@ -215,6 +259,19 @@ class TestBench:
         assert len(rows) == 1
         assert rows[0]["runs"] == 3 and rows[0]["errors"] == 0
 
+    def test_summary_cells_in_numeric_order(self):
+        """Cells sort by value, not by their text (nu 2 before 10), with the
+        noiseless cells (snr None) after every finite SNR."""
+        records = [
+            RunRecord(0, nu, 2, snr, "auto", 1, 1, 0.0, 0.1, None, None, "tol")
+            for nu in (10.0, 2.0) for snr in (None, 30.0, 5.0)
+        ]
+        rows = summarize(records)
+        assert [(row["nu"], row["snr_db"]) for row in rows] == [
+            (2.0, 5.0), (2.0, 30.0), (2.0, None),
+            (10.0, 5.0), (10.0, 30.0), (10.0, None),
+        ]
+
     def test_record_invariant(self):
         with pytest.raises(ValueError):
             RunRecord(0, 0.5, 2, None, "auto", 3, 5, 0.0, 0.1, None, None, "tol")
@@ -231,6 +288,13 @@ class TestSpectrumCommand:
         rep = spectrum(100, 15, 3, 0.1, 20.0)
         assert float(row["lam_min"]) == rep.lam_min
         assert float(row["noise_floor"]) == rep.noise_floor
+
+    def test_rank_one_exits_with_message(self, runner):
+        result = runner.invoke(main, ["spectrum", "--size", "20", "--rank", "1"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "requires R >= 2" in result.output
+        assert "Traceback" not in result.output
 
     def test_infinite_snr_always_feasible(self, runner):
         result = invoke(runner, ["spectrum", "--size", "20", "--rank", "3",

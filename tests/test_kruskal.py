@@ -18,7 +18,7 @@ from cpfast.kruskal import (
     model_from_vector,
     mttkrp,
     mttkrp_all,
-    normalize_equal_energy,
+    normalize_with_grams,
     pinv_psd,
     random_init,
     reconstruct,
@@ -35,6 +35,11 @@ from cpfast.tensor import (
     khatri_rao_excl,
     unfold,
 )
+
+
+def normalize(model):
+    """The equal-energy normalization of ``model`` from its Gram matrices."""
+    return normalize_with_grams(model, gram_stack(model.factors))[0]
 
 
 def random_model(rng, dims, rank, kind=REAL, scaled=False):
@@ -67,22 +72,6 @@ def reconstruct_oracle(model):
                 term = term * model.factors[n][i, r]
             out[idx] += term
     return out
-
-
-def equal_energy_loop(model):
-    """Per-component reference for normalize_equal_energy."""
-    factors = [f.copy() for f in model.factors]
-    for r in range(model.rank):
-        norms = np.array([np.linalg.norm(f[:, r]) for f in factors])
-        target = np.prod(norms) ** (1.0 / model.order)
-        for n in range(model.order):
-            factors[n][:, r] *= target / norms[n]
-        lead = factors[0][:, r]
-        top = lead[np.argmax(np.abs(lead))]
-        phase = top / np.abs(top) if top != 0 else 1.0
-        factors[0][:, r] /= phase
-        factors[-1][:, r] *= phase
-    return factors
 
 
 class TestModel:
@@ -342,30 +331,32 @@ class TestErrorsAndNormalization:
     def test_equal_energy_preserves_reconstruction(self):
         rng = np.random.default_rng(10)
         m = random_model(rng, (3, 4, 5), 2, COMPLEX, scaled=True)
-        normalized = normalize_equal_energy(m)
+        normalized = normalize(m)
         np.testing.assert_allclose(
             reconstruct(normalized).data, reconstruct(m).data, atol=1e-12
         )
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
-    def test_equal_energy_matches_per_component_loop(self, kind):
+    def test_equal_energy_matches_per_component_loop(
+        self, kind, equal_energy_loop
+    ):
         rng = np.random.default_rng(13)
         m = random_model(rng, (3, 4, 5, 2), 4, kind, scaled=True)
-        for got, ref in zip(normalize_equal_energy(m).factors, equal_energy_loop(m)):
+        for got, ref in zip(normalize(m).factors, equal_energy_loop(m)):
             np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-15)
 
     def test_equal_energy_balances_norms(self):
         m = KruskalModel(
             [np.array([[2.0], [0.0]]), np.array([[8.0], [0.0]])]
         )
-        normalized = normalize_equal_energy(m)
+        normalized = normalize(m)
         for f in normalized.factors:
             assert np.isclose(np.linalg.norm(f[:, 0]), 4.0)
 
     def test_equal_energy_phase_convention(self):
         rng = np.random.default_rng(11)
         m = random_model(rng, (3, 4, 5), 2, COMPLEX)
-        normalized = normalize_equal_energy(m)
+        normalized = normalize(m)
         for r in range(2):
             lead = normalized.factors[0][:, r]
             top = lead[np.argmax(np.abs(lead))]
@@ -455,8 +446,12 @@ class TestInitAndAls:
         y = reconstruct(truth)
         m = random_init(y.dims, 3, rng)
         prev = None
+
+        def score(candidate, last):
+            return relative_error(y, candidate)
+
         for t in range(1, 6):
-            nxt, _ = als_line_search_step(y, m, prev, t)
+            nxt, _ = als_line_search_step(y, m, prev, t, score)
             plain, _ = als_step(y, m)
             assert relative_error(y, nxt) <= relative_error(y, plain) + 1e-12
             prev, m = m, nxt

@@ -22,7 +22,6 @@ from cpfast.kruskal import (
     model_from_vector,
     mttkrp,
     gram_stack,
-    normalize_equal_energy,
     normalize_with_grams,
     random_init,
     reconstruct,
@@ -322,7 +321,7 @@ class TestDamping:
     def test_nielsen_accept_shrinks(self):
         state = nielsen_update(LmState(mu=1.0), rho=1.0)
         assert np.isclose(state.mu, 1.0 / 3.0)
-        assert state.growth == 2.0 and state.accepted
+        assert state.growth == 2.0
 
     def test_nielsen_neutral_rho(self):
         state = nielsen_update(LmState(mu=1.0), rho=0.5)
@@ -331,7 +330,7 @@ class TestDamping:
     def test_nielsen_rejection_doubles_growth(self):
         state = LmState(mu=1.0)
         state = nielsen_update(state, rho=-1.0)
-        assert state.mu == 2.0 and state.growth == 4.0 and not state.accepted
+        assert state.mu == 2.0 and state.growth == 4.0
         state = nielsen_update(state, rho=-1.0)
         assert state.mu == 8.0 and state.growth == 8.0
 
@@ -734,25 +733,27 @@ class TestCarriedOverCache:
     @pytest.mark.parametrize("n_modes", [2, 3, 4])
     def test_scaled_grams_match_fresh_cache(self, kind, n_modes):
         cand = self.candidate(kind, n_modes)
-        _, cache, _ = normalize_with_grams(cand, gram_stack(cand.factors))
-        fresh = build_gram_cache(normalize_equal_energy(cand))
+        normalized, cache, _ = normalize_with_grams(cand, gram_stack(cand.factors))
+        fresh = build_gram_cache(normalized)
         for name in ("C", "gamma_excl", "gamma_pair", "gamma_full"):
             got, ref = getattr(cache, name), getattr(fresh, name)
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), name
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
     @pytest.mark.parametrize("n_modes", [2, 3, 4])
-    def test_scale_path_matches_normalize_equal_energy(self, kind, n_modes):
+    def test_scale_path_matches_normalize_equal_energy(
+        self, kind, n_modes, equal_energy_loop
+    ):
+        """Column norms from diag C^(n) give the normalization that column
+        norms from the factors give, component by component."""
         cand = self.candidate(kind, n_modes)
         normalized, _, _ = normalize_with_grams(cand, gram_stack(cand.factors))
-        for got, ref in zip(normalized.factors, normalize_equal_energy(cand).factors):
+        for got, ref in zip(normalized.factors, equal_energy_loop(cand)):
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_zero_norm_column_rejected(self):
         cand = self.candidate(REAL, 3)
         cand.factors[1][:, 2] = 0.0
-        with pytest.raises(ZeroDivisionError, match="component 2"):
-            normalize_equal_energy(cand)
         with pytest.raises(ZeroDivisionError, match="component 2"):
             normalize_with_grams(cand, gram_stack(cand.factors))
 
