@@ -22,34 +22,36 @@ from .tensor import COMPLEX, REAL
 from .verify import format_report, run_suite
 
 
-def _parse_ints(text: str) -> tuple:
-    return tuple(int(part) for part in text.split(",") if part.strip())
+def _snr(text: str) -> float | None:
+    """One SNR in dB; 'inf' and 'none' (any case) mean noiseless, None."""
+    value = math.inf if text.lower() == "none" else float(text)
+    return None if math.isinf(value) else value
 
 
-def _parse_floats(text: str) -> tuple:
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        out.append(float("inf") if part.lower() in ("inf", "none") else float(part))
-    return tuple(out)
+def _algo(text: str) -> str:
+    if text not in VARIANTS:
+        raise ValueError(f"unknown algo {text!r} (choose from {', '.join(VARIANTS)})")
+    return text
 
 
-def _parse_algos(ctx, param, value: str) -> tuple:
-    algos = tuple(a.strip() for a in value.split(",") if a.strip())
-    for algo in algos:
-        if algo not in VARIANTS:
-            raise click.BadParameter(
-                f"unknown algo {algo!r} (choose from {', '.join(VARIANTS)})"
-            )
-    return algos
+def _items(convert):
+    """``convert`` applied to each item of a comma-separated text."""
+    return lambda text: tuple(
+        convert(part.strip()) for part in text.split(",") if part.strip()
+    )
 
 
-def _parse_snr(value: str | None) -> float | None:
-    if value is None or value.lower() in ("inf", "none"):
-        return None
-    return float(value)
+def _checked(convert):
+    """Click callback that parses an option's text with ``convert`` (None
+    passes through); a ValueError becomes a usage error naming the option."""
+
+    def callback(ctx, param, value):
+        try:
+            return None if value is None else convert(value)
+        except ValueError as exc:
+            raise click.BadParameter(str(exc)) from None
+
+    return callback
 
 
 def _fail(message: str):
@@ -64,19 +66,20 @@ def main():
 
 
 @main.command("gen")
-@click.option("--dims", required=True, help="Comma-separated sizes, e.g. 20,20,20.")
+@click.option("--dims", required=True, callback=_checked(_items(int)),
+              help="Comma-separated sizes, e.g. 20,20,20.")
 @click.option("--rank", "-r", type=int, required=True)
 @click.option("--nu", type=float, required=True, help="Collinearity parameter > 0.")
-@click.option("--snr", default=None, help="SNR in dB; omit or 'inf' for noiseless.")
+@click.option("--snr", "snr_db", default=None, callback=_checked(_snr),
+              help="SNR in dB; omit or 'inf' for noiseless.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--complex", "use_complex", is_flag=True, help="Complex scalars.")
 @click.option("--out", default="collinear", show_default=True, help="Output prefix.")
-def cmd_gen(dims, rank, nu, snr, seed, use_complex, out):
+def cmd_gen(dims, rank, nu, snr_db, seed, use_complex, out):
     """Generate a collinear benchmark tensor plus ground-truth factors."""
     kind = COMPLEX if use_complex else REAL
     try:
-        snr_db = _parse_snr(snr)
-        spec = CollinearSpec(_parse_ints(dims), rank, nu, snr_db, seed, kind)
+        spec = CollinearSpec(dims, rank, nu, snr_db, seed, kind)
     except ValueError as exc:
         _fail(str(exc))
     truth, tensor = gen_collinear(spec)
@@ -188,24 +191,25 @@ def cmd_fit(tensor_file, algo, rank, tau, tol, max_iters, seed, init, truth, out
 
 
 @main.command("bench")
-@click.option("--dims", default="20,20,20", show_default=True)
-@click.option("--rank", default="3", show_default=True, help="Comma-separated ranks.")
-@click.option("--nu", default="0.1,0.9", show_default=True)
-@click.option("--snr", default="inf", show_default=True)
+@click.option("--dims", default="20,20,20", show_default=True,
+              callback=_checked(_items(int)))
+@click.option("--rank", "ranks", default="3", show_default=True,
+              callback=_checked(_items(int)), help="Comma-separated ranks.")
+@click.option("--nu", "nus", default="0.1,0.9", show_default=True,
+              callback=_checked(_items(float)))
+@click.option("--snr", "snrs", default="inf", show_default=True,
+              callback=_checked(_items(_snr)))
 @click.option("--algos", default="als-ls,auto", show_default=True,
-              callback=_parse_algos,
+              callback=_checked(_items(_algo)),
               help=f"Comma-separated, from {', '.join(VARIANTS)}.")
 @click.option("--seeds", type=int, default=10, show_default=True)
 @click.option("--complex", "use_complex", is_flag=True)
 @click.option("--tol", type=float, default=1e-8, show_default=True)
 @click.option("--max-iters", type=int, default=1000, show_default=True)
 @click.option("--out", default="bench.csv", show_default=True)
-def cmd_bench(dims, rank, nu, snr, algos, seeds, use_complex, tol, max_iters, out):
+def cmd_bench(dims, ranks, nus, snrs, algos, seeds, use_complex, tol, max_iters,
+              out):
     """Monte-Carlo sweep over (nu, R, SNR) x seeds x algorithms."""
-    snr_list = tuple(
-        None if math.isinf(s) else s for s in _parse_floats(snr)
-    )
-    dims, ranks, nus = _parse_ints(dims), _parse_ints(rank), _parse_floats(nu)
     # Every (dims, rank, nu) spec is checked before the sweep, so a bad one
     # exits with a usage error instead of an error row in every cell.
     for rank_val, nu_val in itertools.product(ranks, nus):
@@ -217,7 +221,7 @@ def cmd_bench(dims, rank, nu, snr, algos, seeds, use_complex, tol, max_iters, ou
         dims,
         ranks,
         nus,
-        snr_list,
+        snrs,
         algos,
         seeds,
         COMPLEX if use_complex else REAL,
@@ -241,15 +245,16 @@ def cmd_bench(dims, rank, nu, snr, algos, seeds, use_complex, tol, max_iters, ou
 @click.option("--size", "-i", type=int, required=True, help="Cubic dimension I.")
 @click.option("--rank", "-r", type=int, required=True)
 @click.option("--order", "-n", type=int, default=3, show_default=True)
-@click.option("--nu", default="0.1", show_default=True)
-@click.option("--snr", default="inf", show_default=True)
+@click.option("--nu", "nus", default="0.1", show_default=True,
+              callback=_checked(_items(float)))
+@click.option("--snr", "snrs", default="inf", show_default=True,
+              callback=_checked(_items(_snr)))
 @click.option("--csv", "csv_path", default=None, help="Optional CSV output path.")
-def cmd_spectrum(size, rank, order, nu, snr, csv_path):
+def cmd_spectrum(size, rank, order, nus, snrs, csv_path):
     """Closed-form unfolding spectrum versus the noise floor per (nu, SNR)."""
     rows = []
-    for nu_val in _parse_floats(nu):
-        for snr_val in _parse_floats(snr):
-            snr_db = None if math.isinf(snr_val) else snr_val
+    for nu_val in nus:
+        for snr_db in snrs:
             try:
                 rep = spectrum(size, rank, order, nu_val, snr_db)
             except ValueError as exc:

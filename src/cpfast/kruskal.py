@@ -9,6 +9,9 @@ A stacked vector has one block per mode, vec(V^(n)) in column-major order,
 laid out by :func:`_block_views` alone.  The MTTKRPs of modes 1..N-1 are
 contractions of the partial product P = Y x_N conj(A^(N)) (Phan, Tichavsky
 & Cichocki, IEEE TSP 2013).
+
+:func:`als_step` is one sweep; ALS-ls's extrapolation is scored by the fit
+loop (:mod:`cpfast.solver`).
 """
 
 from __future__ import annotations
@@ -504,41 +507,3 @@ def als_step(
         grams[n] = factors[n].conj().T @ factors[n]
     return KruskalModel(factors), m
 
-
-def als_line_search_step(
-    y: DenseTensor,
-    model: KruskalModel,
-    history: KruskalModel | None,
-    t: int,
-    score,
-) -> tuple[KruskalModel, float]:
-    """ALS sweep with extrapolation against the previous iterate.
-
-    Candidates A_prev + s (A_als - A_prev) for s in {1, 1.1, t^(1/3)} are
-    scored by ``score(candidate, last)``, which returns the relative error
-    given the candidate's mode-N MTTKRP ``last`` when it is known (else
-    None).  The best candidate wins and is returned with its error.  With no
-    history this is a plain ALS sweep.  The recipe is a documented stand-in:
-    the classical "ALS with line search" baseline defers to toolbox
-    internals.
-
-    Cost in passes over the tensor: two for the sweep.  A scorer that uses
-    :func:`gram_relative_error` gets the stepped candidate's M^(N) from the
-    sweep for free and spends one pass on each extrapolated candidate: four
-    passes with history, two without, and no reconstruction.
-    """
-    stepped, last = als_step(y, model)
-    best, best_err = stepped, score(stepped, last)
-    if history is None:
-        return best, best_err
-    for s in (1.1, float(t) ** (1.0 / 3.0)):
-        cand = KruskalModel(
-            [
-                hp + s * (ha - hp)
-                for hp, ha in zip(history.factors, stepped.factors)
-            ]
-        )
-        err = score(cand, None)
-        if err < best_err:
-            best, best_err = cand, err
-    return best, best_err

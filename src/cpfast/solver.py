@@ -31,7 +31,6 @@ from .hessian import damped_core
 from .kruskal import (
     GramCache,
     KruskalModel,
-    als_line_search_step,
     als_step,
     build_gram_cache,
     gradient,
@@ -73,6 +72,9 @@ NORM_RESCALE_BELOW = 1e-140
 # step that fails the test falls back to the plain step v; rejecting it, as
 # they do, took more iterations on 100^3 Gaussian-factor fits.
 ACCEL_MAX_RATIO = 0.75
+# A fit stops "tol" once this many consecutive relative-error differences
+# fall below ``FitConfig.tol``.
+TOL_WINDOW = 10
 
 
 @dataclass
@@ -220,10 +222,6 @@ def _init_model(
     return random_init(y.dims, config.rank, rng, y.scalar_kind), None
 
 
-def _stop_on_tol(err_deltas, tol) -> bool:
-    return len(err_deltas) >= 10 and all(d < tol for d in err_deltas[-10:])
-
-
 def _tensor_norm(y: DenseTensor) -> float:
     """||Y||, computed again from Y / max|y| only when the plain norm is
     below ``NORM_RESCALE_BELOW`` or overflows."""
@@ -247,15 +245,15 @@ def fit(y: DenseTensor, config: FitConfig) -> FitResult:
     right-hand side costs O(T R^2 + N^2 R^2) (T = sum I_n) and no pass over
     the tensor; see :func:`_fit_lm`.
 
-    A fit reaches "tol" in one of two ways: ten consecutive relative-error
-    differences fall below ``config.tol`` (a rejected step counts as a zero
-    difference), or, for the LM family, the current model is first-order
-    stationary relative to its residual, ||g|| <= ``config.tol`` * relerr,
-    with g the gradient of the unit-norm problem (Madsen, Nielsen &
-    Tingleff, IMM 2004, section 3.2, in relative form).  The gradient test
-    ends a noisy fit on the step that converges; on noiseless data g
-    shrinks along with the residual, so there the ten-step window ends the
-    fit.  Otherwise a fit stops when the iteration budget runs out
+    A fit reaches "tol" in one of two ways: ``TOL_WINDOW`` (ten) consecutive
+    relative-error differences fall below ``config.tol`` (a rejected step
+    counts as a zero difference), or, for the LM family, the current model
+    is first-order stationary relative to its residual, ||g|| <=
+    ``config.tol`` * relerr, with g the gradient of the unit-norm problem
+    (Madsen, Nielsen & Tingleff, IMM 2004, section 3.2, in relative form).
+    The gradient test ends a noisy fit on the step that converges; on
+    noiseless data g shrinks along with the residual, so there the window
+    ends the fit.  Otherwise a fit stops when the iteration budget runs out
     ("max_iters"), or, for the LM family, when the damping parameter
     overflows 1e30 ("mu_overflow") or a candidate's squared residual is not
     finite ("nonfinite").  A numerical failure of the step ends the fit with
@@ -328,13 +326,15 @@ def _fit_als(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
     so wherever Y itself is safe the trace and the model are bit for bit
     those of a fit of Y.
 
-    Cost per sweep in passes over the tensor: two for :func:`als_step` (the
-    partial product for modes 1..N-1 and the mode-N MTTKRP).  Candidates are
-    scored by :func:`_candidate_error`: above ``GRAM_ERROR_GUARD`` the swept
-    model's error reuses the sweep's mode-N MTTKRP, and each of als-ls's two
-    extrapolated candidates costs one more pass, so a plain sweep is two
-    passes and a line-search sweep four, with no reconstruction.  Below the
-    guard every candidate is scored by the dense residual.
+    Each iteration is one :func:`als_step` sweep, two passes over the
+    tensor.  ALS-ls then tries A_prev + s (A_als - A_prev), with A_prev the
+    model before the one swept, for s = 1.1 and then s = t^(1/3); a candidate
+    replaces the sweep only if its error is strictly lower.  The recipe is a
+    documented stand-in: the classical "ALS with line search" baseline defers
+    to toolbox internals.  Candidates are scored by :func:`_candidate_error`:
+    above ``GRAM_ERROR_GUARD`` the sweep's own M^(N) scores it and each
+    extrapolated candidate costs one pass (an ALS-ls sweep is four passes,
+    with no reconstruction); below it, by the dense residual.
     """
     _, e = math.frexp(ynorm)
     y = DenseTensor(_times_power_of_two(y.data, -e))
@@ -342,27 +342,26 @@ def _fit_als(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
     rng = np.random.default_rng([config.seed, 0])
     model, _ = _init_model(y, config, rng)
     trace = []
-    deltas = []
     err = relative_error(y, model)
-    history = None
+    prev = None
+    below = 0
     stop_reason = "max_iters"
-
-    def score(candidate, last):
-        # Reads ``err`` when called: the error of the model being swept.
-        return _candidate_error(y, ynorm, err, candidate, last)[0]
-
     for t in range(1, config.max_iters + 1):
-        prev = model
-        if config.variant == "als-ls":
-            model, new_err = als_line_search_step(y, model, history, t, score)
-        else:
-            model, last = als_step(y, model)
-            new_err = score(model, last)
-        history = prev
-        trace.append(IterRecord(t, new_err, 0.0, True))
-        deltas.append(abs(err - new_err))
-        err = new_err
-        if _stop_on_tol(deltas, config.tol):
+        swept, last = als_step(y, model)
+        best, best_err = swept, _candidate_error(y, ynorm, err, swept, last)[0]
+        if config.variant == "als-ls" and prev is not None:
+            for s in (1.1, float(t) ** (1.0 / 3.0)):
+                cand = KruskalModel(
+                    [a + s * (b - a) for a, b in zip(prev.factors, swept.factors)]
+                )
+                cand_err = _candidate_error(y, ynorm, err, cand)[0]
+                if cand_err < best_err:
+                    best, best_err = cand, cand_err
+        prev, model = model, best
+        trace.append(IterRecord(t, best_err, 0.0, True))
+        below = below + 1 if abs(err - best_err) < config.tol else 0
+        err = best_err
+        if below >= TOL_WINDOW:
             stop_reason = "tol"
             break
     first = _times_power_of_two(model.factors[0], e)
@@ -448,7 +447,7 @@ def _fit_lm(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
     base = model.as_vector()
 
     trace = []
-    deltas = []
+    below = 0
     stop_reason = "max_iters"
     for t in range(1, config.max_iters + 1):
         try:
@@ -463,19 +462,15 @@ def _fit_lm(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
 
         cand_err, cand_last = _candidate_error(y, 1.0, err, candidate, grams=grams)
         cand_sq = cand_err * cand_err
-        if not math.isfinite(cand_sq):
-            trace.append(
-                IterRecord(
-                    t, err, state.mu, False, math.nan, grad_norm, step_norm,
-                    accel_ratio,
-                )
-            )
-            stop_reason = "nonfinite"
-            break
-        rho = _gain_ratio(err * err, cand_sq, v, g, state.mu)
-        state = nielsen_update(state, rho)
+        finite = math.isfinite(cand_sq)
+        rho = math.nan  # a non-finite candidate is rejected and mu kept
+        if finite:
+            rho = _gain_ratio(err * err, cand_sq, v, g, state.mu)
+            state = nielsen_update(state, rho)
 
         accepted = bool(rho > 0 and cand_err < err)
+        diff = abs(err - cand_err) if accepted else 0.0
+        below = below + 1 if diff < config.tol else 0
         if accepted:
             model, cache, cand_last = normalize_with_grams(
                 candidate, grams, cand_last
@@ -483,10 +478,7 @@ def _fit_lm(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
             g = gradient(y, model, cache, mttkrp_all(y, model, cand_last))
             grad_norm = float(np.linalg.norm(g))
             base = model.as_vector()
-            deltas.append(abs(err - cand_err))
             err = cand_err
-        else:
-            deltas.append(0.0)
 
         trace.append(
             IterRecord(
@@ -495,7 +487,10 @@ def _fit_lm(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
             )
         )
 
-        if _stop_on_tol(deltas, config.tol) or grad_norm <= config.tol * err:
+        if not finite:
+            stop_reason = "nonfinite"
+            break
+        if below >= TOL_WINDOW or grad_norm <= config.tol * err:
             stop_reason = "tol"
             break
         if state.mu > MU_OVERFLOW:

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .kruskal import KruskalModel, reconstruct
 from .tensor import COMPLEX, DenseTensor, REAL
@@ -142,10 +141,15 @@ def spectrum(
 ) -> SpectrumReport:
     """Eigenvalues of the noiseless unfolding Gram versus the noise floor.
 
-    Valid for cubic tensors (all dims equal to ``size``) and R >= 2.
+    Valid for cubic tensors (all dims equal to ``size``) and R >= 2.  Raises
+    ``ValueError`` for R < 2, order < 2, and for the swamps that
+    :class:`CollinearSpec` rejects (nu <= 0, ``size`` < R).
     """
     if rank < 2:
         raise ValueError("spectrum analysis requires R >= 2")
+    if order < 2:
+        raise ValueError(f"spectrum analysis requires order >= 2, got {order}")
+    CollinearSpec((size,) * order, rank, nu)
     x = 1.0 + nu * nu
     y = x ** (order - 1)
     lam_mid = (x - 1.0) * (y - 1.0)
@@ -180,6 +184,10 @@ def match_components(truth: KruskalModel, estimate: KruskalModel) -> np.ndarray:
     modes; the Hungarian method maximizes total congruence.  Returns ``perm``
     with truth component r matched to estimate column perm[r].
     """
+    # Imported here so that ``import cpfast`` does not load scipy.optimize,
+    # which fitting never needs.
+    from scipy.optimize import linear_sum_assignment
+
     if truth.rank != estimate.rank:
         raise ValueError("rank mismatch between truth and estimate")
     r = truth.rank

@@ -3,6 +3,7 @@ verification exit codes."""
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
 from pathlib import Path
@@ -85,6 +86,17 @@ class TestGen:
         assert isinstance(result.exception, SystemExit)
         assert message in result.output
         assert "Traceback" not in result.output
+        assert not list(tmp_path.iterdir())
+
+
+    @pytest.mark.parametrize("option,value", [("--dims", "4,x,4"), ("--snr", "abc")])
+    def test_unparsable_option_is_usage_error(self, runner, tmp_path, option, value):
+        args = {"--dims": "4,4,4", "--rank": "2", "--nu": "0.5", option: value}
+        result = runner.invoke(
+            main, ["gen", *itertools.chain(*args.items()), "--out", str(tmp_path / "g")]
+        )
+        assert result.exit_code == 2
+        assert f"Invalid value for '{option}'" in result.output
         assert not list(tmp_path.iterdir())
 
 
@@ -233,6 +245,40 @@ class TestBench:
         assert message in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "option,value",
+        [("--snr", "abc"), ("--rank", "x"), ("--dims", "abc"), ("--nu", "0.1,y")],
+    )
+    def test_unparsable_list_is_usage_error(self, runner, tmp_path, option, value,
+                                            monkeypatch):
+        """A list item that does not parse ends with exit status 2 and a
+        message naming the option, with no traceback and no sweep."""
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the sweep ran with an unparsable option")
+
+        monkeypatch.setattr(cpfast.bench, "run_grid", no_grid)
+        out = tmp_path / "b.csv"
+        result = runner.invoke(main, ["bench", "--dims", "4,4,4", "--seeds", "1",
+                                      option, value, "--out", str(out)])
+        assert result.exit_code == 2
+        assert f"Invalid value for '{option}'" in result.output
+        assert "Traceback" not in result.output
+        assert not list(tmp_path.iterdir())
+
+    def test_snr_list_maps_inf_and_none_to_noiseless(self, monkeypatch):
+        seen = {}
+
+        def grid(dims, ranks, nus, snrs, *args, **kwargs):
+            seen["snrs"] = snrs
+            return []
+
+        monkeypatch.setattr(cpfast.bench, "run_grid", grid)
+        monkeypatch.setattr(cpfast.bench, "write_csv", lambda *a: None)
+        monkeypatch.setattr(cpfast.bench, "write_summary_csv", lambda *a: None)
+        invoke(CliRunner(), ["bench", "--dims", "4,4,4", "--snr", "30,inf,None,+inf"])
+        assert seen["snrs"] == (30.0, None, None, None)
+
     def test_partial_failures_recorded(self, monkeypatch):
         def singular_core(factors, cache, mu):
             raise SingularKernelError("core system is singular (zero pivot 1)")
@@ -294,6 +340,39 @@ class TestSpectrumCommand:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert "requires R >= 2" in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("option", ["--nu", "--snr"])
+    def test_unparsable_list_is_usage_error(self, runner, tmp_path, option):
+        csv_path = tmp_path / "s.csv"
+        result = runner.invoke(main, ["spectrum", "--size", "20", "--rank", "3",
+                                      option, "abc", "--csv", str(csv_path)])
+        assert result.exit_code == 2
+        assert f"Invalid value for '{option}'" in result.output
+        assert "Traceback" not in result.output
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["--size", "0", "--rank", "3"], "rank 3 exceeds smallest dimension 0"),
+            (["--size", "2", "--rank", "3"], "rank 3 exceeds smallest dimension 2"),
+            (["--size", "0", "--rank", "3", "--snr", "20"],
+             "rank 3 exceeds smallest dimension 0"),
+            (["--size", "20", "--rank", "3", "--nu", "0"], "nu must be positive"),
+            (["--size", "20", "--rank", "3", "--order", "-1"], "order >= 2"),
+        ],
+        ids=["size-zero", "size-below-rank", "size-zero-noisy", "nu-zero",
+             "order-negative"],
+    )
+    def test_bad_swamp_exits_with_message(self, runner, args, message):
+        """A swamp that CollinearSpec would reject gets no verdict: one line
+        and exit status 1."""
+        result = runner.invoke(main, ["spectrum", *args])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
+        assert "feasible" not in result.output
         assert "Traceback" not in result.output
 
     def test_infinite_snr_always_feasible(self, runner):

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from cpfast.kruskal import (
     KruskalModel,
-    als_line_search_step,
     als_step,
     build_gram_cache,
     gradient,
@@ -27,6 +26,7 @@ from cpfast.kruskal import (
     svd_init,
 )
 from cpfast.oracle import dense_second_order_term
+from cpfast.solver import FitConfig, fit
 from cpfast.tensor import (
     COMPLEX,
     DenseTensor,
@@ -441,20 +441,24 @@ class TestInitAndAls:
         assert relative_error(y, stepped) < 1e-12
 
     def test_line_search_no_worse_than_plain_als(self):
+        """Each ALS-ls iteration keeps a model no worse than the plain sweep
+        from the model before it.  A fit with a smaller budget is a prefix of
+        the same run, so fit(max_iters=t - 1) gives that model."""
         rng = np.random.default_rng(16)
         truth = random_model(rng, (6, 6, 6), 3)
         y = reconstruct(truth)
-        m = random_init(y.dims, 3, rng)
-        prev = None
 
-        def score(candidate, last):
-            return relative_error(y, candidate)
+        def als_ls(iters):
+            config = FitConfig(rank=3, variant="als-ls", max_iters=iters,
+                               init="random")
+            return fit(y, config).model
 
-        for t in range(1, 6):
-            nxt, _ = als_line_search_step(y, m, prev, t, score)
+        m = als_ls(1)
+        for t in range(2, 7):
+            nxt = als_ls(t)
             plain, _ = als_step(y, m)
             assert relative_error(y, nxt) <= relative_error(y, plain) + 1e-12
-            prev, m = m, nxt
+            m = nxt
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
     @pytest.mark.parametrize("dims", [(5, 6), (4, 5, 6), (3, 4, 2, 5)])

@@ -15,8 +15,6 @@ import cpfast.kruskal
 import cpfast.solver
 from cpfast.kruskal import (
     KruskalModel,
-    als_line_search_step,
-    als_step,
     build_gram_cache,
     gradient,
     model_from_vector,
@@ -34,7 +32,6 @@ from cpfast.solver import (
     GRAM_ERROR_GUARD,
     LmState,
     MU_OVERFLOW,
-    _candidate_error,
     _scaled_start,
     fit,
     flm_step,
@@ -762,23 +759,24 @@ class TestAlsLineSearch:
     @pytest.mark.parametrize("dims", [(5, 6, 7), (3, 4, 3, 5)])
     @pytest.mark.parametrize("above", [True, False])
     def test_passes_per_step(self, dims, above, monkeypatch):
-        """Above the guard a step with history reconstructs nothing and makes
-        three mode-N MTTKRPs (the sweep's and one per extrapolated candidate);
-        below it, each of the three candidates is scored densely."""
+        """Above the guard an iteration with a previous model reconstructs
+        nothing and makes three mode-N MTTKRPs (the sweep's and one per
+        extrapolated candidate); below it, each of the three candidates is
+        scored densely.  A fit with a smaller budget is a prefix of the same
+        run, so the second iteration's calls are those that max_iters=2
+        makes beyond max_iters=1."""
         rng = np.random.default_rng(25)
         y, _ = noisy_instance(rng, dims, 3, noise=0.3)
-        history = random_init(dims, 3, rng)
-        model, _ = als_step(y, history)
-        err = relative_error(y, model)
-        assert err > GRAM_ERROR_GUARD
         if not above:
             monkeypatch.setattr(cpfast.solver, "GRAM_ERROR_GUARD", np.inf)
         calls = count_tensor_passes(monkeypatch)
-
-        def score(candidate, last):
-            return _candidate_error(y, y.norm(), err, candidate, last)[0]
-
-        als_line_search_step(y, model, history, 3, score)
+        one = fit(y, FitConfig(rank=3, variant="als-ls", max_iters=1))
+        assert one.final_relerr > GRAM_ERROR_GUARD
+        prefix = list(calls)
+        calls.clear()
+        fit(y, FitConfig(rank=3, variant="als-ls", max_iters=2))
+        assert calls[: len(prefix)] == prefix
+        calls = calls[len(prefix) :]
         sweep = [("mttkrp", len(dims))]
         if above:
             assert calls == sweep * 3

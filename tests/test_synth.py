@@ -2,6 +2,9 @@
 MedSAE scoring, checked against measurements on the generated data itself."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from cpfast.synth import (
 from cpfast.tensor import COMPLEX, unfold
 
 NUS = (0.1, 0.3, 0.5, 0.7, 1.0, 2.0, 3.0, 4.0, 5.0)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def measured_angle_deg(a, b):
@@ -117,6 +121,26 @@ class TestSpectrum:
     def test_rank_below_two_rejected(self):
         with pytest.raises(ValueError):
             spectrum(10, 1, 3, 0.5)
+
+    @pytest.mark.parametrize(
+        "size,rank,order,nu,snr_db,message",
+        [
+            (0, 3, 3, 0.1, None, "rank 3 exceeds smallest dimension 0"),
+            (2, 3, 3, 0.1, None, "rank 3 exceeds smallest dimension 2"),
+            (0, 3, 3, 0.1, 20.0, "rank 3 exceeds smallest dimension 0"),
+            (10, 3, 3, 0.0, None, "nu must be positive"),
+            (10, 3, 3, -0.5, None, "nu must be positive"),
+            (10, 3, 1, 0.1, None, "order >= 2"),
+            (10, 3, -1, 0.1, None, "order >= 2"),
+        ],
+        ids=["size-zero", "size-below-rank", "size-zero-noisy", "nu-zero",
+             "nu-negative", "order-one", "order-negative"],
+    )
+    def test_collinear_spec_rules(self, size, rank, order, nu, snr_db, message):
+        """The spectrum takes the swamps that CollinearSpec takes, and rejects
+        the rest with ValueError instead of a verdict or a ZeroDivisionError."""
+        with pytest.raises(ValueError, match=message):
+            spectrum(size, rank, order, nu, snr_db)
 
     @pytest.mark.parametrize("nu", [0.1, 0.5, 2.0])
     @pytest.mark.parametrize("rank", [2, 3, 5])
@@ -219,3 +243,17 @@ class TestMedsae:
         truth, _ = gen_collinear(CollinearSpec((5, 5, 5), 1, 0.5, seed=4))
         scores = medsae_pair(truth, truth)
         assert scores["rest_db"] is None
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    """Fitting never needs scipy.optimize, so ``import cpfast`` does not load
+    it; only :func:`match_components` imports it, when called."""
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); import cpfast; "
+        "print('scipy.optimize' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.stdout.split() == ["False"]
