@@ -13,6 +13,10 @@ else x + v.  The gradient is formed once per accepted model.  The candidate
 is accepted only if it lowers the residual; the damping parameter follows
 the Nielsen gain-ratio schedule.
 
+On a tensor much larger than its rank-R Tucker core, :func:`fit` first
+compresses: it fits the ST-HOSVD core with the variant's own loop and then
+refines the expanded model on the tensor with the same loop and stop rule.
+
 The same code path serves real and complex tensors: Gram matrices are
 Hermitian, and every place where a damped Gamma inverse right-multiplies a
 factor uses (Gamma^(n)^T + mu I)^{-1} = conj((Gamma^(n) + mu I)^{-1}), which
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,6 +47,7 @@ from .kruskal import (
     random_init,
     relative_error,
     second_order_term,
+    st_hosvd,
     svd_init,
 )
 from .tensor import DenseTensor
@@ -75,6 +80,12 @@ ACCEL_MAX_RATIO = 0.75
 # A fit stops "tol" once this many consecutive relative-error differences
 # fall below ``FitConfig.tol``.
 TOL_WINDOW = 10
+# A fit first fits the ST-HOSVD core of Y and then refines on Y (see
+# :func:`_fit_compressed`) once prod I_n is at least this many times prod
+# min(I_n, R), the core's size.  In a crossover grid of Gaussian-factor fits
+# (README, "Compression") the fLM fit got slower with compression at ratio
+# 1000 (30^3 R=3, 50^3 R=5) and faster from 1728 (60^3 R=5) up.
+COMPRESS_MIN_RATIO = 1500
 
 
 @dataclass
@@ -119,7 +130,12 @@ class IterRecord:
     of the step taken (v + a/2 or v) and the acceleration ratio 2 ||a|| /
     ||v||.  The last four are NaN for ALS, and the ratio is NaN where v = 0.
     The damping parameter and the norms are those of the unit-norm problem
-    that the fLM loop fits, so they do not depend on the scale of Y."""
+    that the fLM loop fits, so they do not depend on the scale of Y.
+
+    ``stage`` is "full" for an iteration on Y and "core" for one on the
+    ST-HOSVD core G of a compressed fit (see :func:`_fit_compressed`); a
+    core record's ``relerr`` is the core's own ||G - Ghat|| / ||G||, not an
+    error on Y.  Iterations are numbered across both stages."""
 
     iter: int
     relerr: float
@@ -129,6 +145,7 @@ class IterRecord:
     grad_norm: float = math.nan
     step_norm: float = math.nan
     accel_ratio: float = math.nan
+    stage: str = "full"
 
 
 @dataclass
@@ -148,6 +165,8 @@ class FitResult:
 
     @property
     def final_relerr(self) -> float:
+        """The last record's relative error, an error on Y: a fit's last
+        record is always a "full" one."""
         return self.trace[-1].relerr if self.trace else float("nan")
 
 
@@ -214,9 +233,12 @@ def _gain_ratio(prev_sq, cand_sq, delta, g, mu) -> float:
 
 
 def _init_model(
-    y: DenseTensor, config: FitConfig, rng
+    y: DenseTensor, config: FitConfig, rng, start: KruskalModel | None = None
 ) -> tuple[KruskalModel, np.ndarray | None]:
-    """The configured init and its mode-N MTTKRP (None where not formed)."""
+    """The configured init and its mode-N MTTKRP (None where not formed), or
+    ``start`` and None when a start is given."""
+    if start is not None:
+        return start, None
     if config.init == "svd":
         return svd_init(y, config.rank, rng)
     return random_init(y.dims, config.rank, rng, y.scalar_kind), None
@@ -262,6 +284,13 @@ def fit(y: DenseTensor, config: FitConfig) -> FitResult:
     overflows even after rescaling by max|y|, and ``ZeroDivisionError`` for
     an all-zero tensor, all before any initialization.
 
+    Where prod I_n >= ``COMPRESS_MIN_RATIO`` * prod min(I_n, R) and
+    ``max_iters`` > 1, every variant first fits the ST-HOSVD core of Y and
+    then refines the expanded model on Y through the same loop
+    (:func:`_fit_compressed`); ``max_iters`` bounds both stages together, the
+    trace marks each record's stage, and ``final_relerr`` is that of the last
+    record on Y.  Elsewhere the loop runs on Y from the configured init.
+
     The LM family fits the unit-norm problem Y / ||Y|| (see :func:`_fit_lm`)
     and returns its factors multiplied by ||Y||^(1/N), so its trace and
     result do not depend on the scale of Y.  ALS and ALS-ls fit Y scaled by
@@ -276,11 +305,46 @@ def fit(y: DenseTensor, config: FitConfig) -> FitResult:
         raise ValueError(f"CP fitting needs order >= 2, got order {y.order}")
     ynorm = _tensor_norm(y)
     t0 = time.monotonic()
-    if config.variant in ("als", "als-ls"):
-        result = _fit_als(y, config, ynorm)
+    loop = _fit_als if config.variant in ("als", "als-ls") else _fit_lm
+    if config.max_iters > 1 and _compresses(y.dims, config.rank):
+        result = _fit_compressed(loop, y, config, ynorm)
     else:
-        result = _fit_lm(y, config, ynorm)
+        result = loop(y, config, ynorm)
     result.time_ms = (time.monotonic() - t0) * 1e3
+    return result
+
+
+def _compresses(dims, rank: int) -> bool:
+    """Whether :func:`fit` compresses a tensor of ``dims`` for ``rank``:
+    prod I_n >= ``COMPRESS_MIN_RATIO`` * prod min(I_n, R)."""
+    core = math.prod(min(d, rank) for d in dims)
+    return math.prod(dims) >= COMPRESS_MIN_RATIO * core
+
+
+def _fit_compressed(loop, y: DenseTensor, config: FitConfig, ynorm: float):
+    """Compress, fit the core, refine (Bro & Andersson, Chemom. Intell. Lab.
+    Syst. 42, 1998).
+
+    :func:`st_hosvd` gives bases U_n and the core G, of dims min(I_n, R) at
+    most; ``loop`` (:func:`_fit_lm` or :func:`_fit_als`) fits G with the
+    configured init, then fits Y from the expanded model A^(n) = U_n B^(n),
+    with the same stop rule.  The core stage may take ``max_iters`` - 1
+    iterations and the refinement the rest, so ``max_iters`` bounds both
+    together.  The core's records are marked "core"; the stop reason and
+    the model are the refinement's.
+    """
+    bases, core = st_hosvd(y, config.rank)
+    first = loop(
+        core, replace(config, max_iters=config.max_iters - 1), _tensor_norm(core)
+    )
+    for rec in first.trace:
+        rec.stage = "core"
+    start = KruskalModel([u @ b for u, b in zip(bases, first.model.factors)])
+    rest = replace(config, max_iters=config.max_iters - first.iters)
+    result = loop(y, rest, ynorm, start)
+    for rec in result.trace:
+        rec.iter += first.iters
+    result.trace = first.trace + result.trace
     return result
 
 
@@ -316,15 +380,21 @@ def _times_power_of_two(a: np.ndarray, e: int) -> np.ndarray:
     return out
 
 
-def _fit_als(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
-    """ALS and ALS with line search.
+def _fit_als(
+    y: DenseTensor,
+    config: FitConfig,
+    ynorm: float,
+    start: KruskalModel | None = None,
+) -> FitResult:
+    """ALS and ALS with line search, from ``start`` when given (a model of
+    Y, at its scale) and otherwise from the configured init.
 
     The loop fits Y * 2^-e (a transient copy of Y), where e is the binary
-    exponent of ||Y||, so the data's norm lies in [1/2, 1) and neither the
-    init's Gram matrices nor ``pinv_psd`` over- or underflow; the returned
-    first factor is multiplied by 2^e.  Scaling by a power of two is exact,
-    so wherever Y itself is safe the trace and the model are bit for bit
-    those of a fit of Y.
+    exponent of ``ynorm`` = ||Y||, so the data's norm lies in [1/2, 1) and
+    neither the init's Gram matrices nor ``pinv_psd`` over- or underflow; a
+    given start's first factor is multiplied by 2^-e and the returned first
+    factor by 2^e.  Scaling by a power of two is exact, so wherever Y itself
+    is safe the trace and the model are bit for bit those of a fit of Y.
 
     Each iteration is one :func:`als_step` sweep, two passes over the
     tensor.  ALS-ls then tries A_prev + s (A_als - A_prev), with A_prev the
@@ -339,8 +409,11 @@ def _fit_als(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
     _, e = math.frexp(ynorm)
     y = DenseTensor(_times_power_of_two(y.data, -e))
     ynorm = math.ldexp(ynorm, -e)
+    if start is not None:
+        first = _times_power_of_two(start.factors[0], -e)
+        start = KruskalModel([first] + start.factors[1:])
     rng = np.random.default_rng([config.seed, 0])
-    model, _ = _init_model(y, config, rng)
+    model, _ = _init_model(y, config, rng, start)
     trace = []
     err = relative_error(y, model)
     prev = None
@@ -369,11 +442,11 @@ def _fit_als(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
 
 
 def _scaled_start(
-    y: DenseTensor, config: FitConfig, rng
+    y: DenseTensor, config: FitConfig, rng, start: KruskalModel | None = None
 ) -> tuple[KruskalModel, GramCache, np.ndarray, float]:
-    """The init of the unit-norm tensor ``y``, scaled by its least-squares
-    weight and normalized, with its Gram cache, mode-N MTTKRP and relative
-    error.
+    """The init of the unit-norm tensor ``y`` (``start`` when given, at any
+    scale), scaled by its least-squares weight and normalized, with its Gram
+    cache, mode-N MTTKRP and relative error.
 
     The last factor is multiplied by alpha = Re<A^(N), M^(N)> / 1^T Gamma_full
     1, the one overall scale that minimizes the residual, when alpha > 0; one
@@ -382,7 +455,7 @@ def _scaled_start(
     already formed, and from the dense residual only below
     ``GRAM_ERROR_GUARD``.
     """
-    start, last = _init_model(y, config, rng)
+    start, last = _init_model(y, config, rng, start)
     if last is None:
         last = mttkrp(y, start, start.order)
     grams = gram_stack(start.factors)
@@ -398,17 +471,24 @@ def _scaled_start(
     return model, cache, last, err
 
 
-def _fit_lm(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
-    """Damped Gauss-Newton loop with the fast step ("auto").
+def _fit_lm(
+    y: DenseTensor,
+    config: FitConfig,
+    ynorm: float,
+    start: KruskalModel | None = None,
+) -> FitResult:
+    """Damped Gauss-Newton loop with the fast step ("auto"), from ``start``
+    when given and otherwise from the configured init.
 
     The loop fits the unit-norm tensor Y / ||Y|| (a transient copy of Y), so
     ``mu_init``, ``MU_OVERFLOW`` and ``RHO_DENOM_GUARD`` act on an O(1)
     problem; the returned factors are multiplied by ||Y||^(1/N), which keeps
-    every component's mode norms equal.  It starts from the init scaled by
-    its least-squares weight (:func:`_scaled_start`), which costs no pass
-    over the tensor beyond the init's own mode-N MTTKRP and no dense
-    residual above ``GRAM_ERROR_GUARD``; that M^(N) also serves the first
-    :func:`mttkrp_all`.
+    every component's mode norms equal.  It starts from the init, or from
+    ``start`` at any scale, scaled by its least-squares weight
+    (:func:`_scaled_start`), which costs no pass over the tensor beyond the
+    start's mode-N MTTKRP (the SVD init's own, or one pass for a given
+    start) and no dense residual above ``GRAM_ERROR_GUARD``; that M^(N) also
+    serves the first :func:`mttkrp_all`.
 
     Each iteration factors one :class:`~cpfast.hessian.DampedCore` and solves
     it twice (:func:`_accelerated_step`): for v = (H + mu I)^{-1} g, and for
@@ -440,7 +520,7 @@ def _fit_lm(y: DenseTensor, config: FitConfig, ynorm: float) -> FitResult:
     """
     y = DenseTensor(y.data / ynorm)
     rng = np.random.default_rng([config.seed, 0])
-    model, cache, last, err = _scaled_start(y, config, rng)
+    model, cache, last, err = _scaled_start(y, config, rng, start)
     state = LmState(mu=mu_init(cache, config.tau))
     g = gradient(y, model, cache, mttkrp_all(y, model, last))
     grad_norm = float(np.linalg.norm(g))

@@ -32,12 +32,17 @@ class CollinearSpec:
         self.dims = tuple(int(d) for d in self.dims)
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if self.nu <= 0:
-            raise ValueError("nu must be positive")
+        _check_nu(self.nu)
         if self.rank > min(self.dims):
             raise ValueError(
                 f"rank {self.rank} exceeds smallest dimension {min(self.dims)}"
             )
+
+
+def _check_nu(nu: float) -> None:
+    """Raise ``ValueError`` unless ``nu`` is finite and positive (NaN fails)."""
+    if not (math.isfinite(nu) and nu > 0):
+        raise ValueError(f"nu must be positive and finite, got {nu!r}")
 
 
 def _random_orthonormal(rng, rows: int, cols: int, scalar_kind: str):
@@ -67,8 +72,7 @@ def gen_collinear(spec: CollinearSpec):
 
 def collinearity_angles(nu: float):
     """Closed-form mutual angles (degrees): (theta_{1,r}, theta_{q,r})."""
-    if nu <= 0:
-        raise ValueError("nu must be positive")
+    _check_nu(nu)
     theta_1r = math.degrees(math.atan(nu))
     theta_qr = math.degrees(math.atan(nu * math.sqrt(nu * nu + 2.0)))
     return theta_1r, theta_qr
@@ -102,6 +106,7 @@ def add_noise(tensor: DenseTensor, snr_db: float | None, seed: int) -> DenseTens
 
 def collinear_mixing(rank: int, nu: float) -> np.ndarray:
     """The R x R mixing Q with A^(n) = U^(n) Q for the swamp construction."""
+    _check_nu(nu)
     q = nu * np.eye(rank)
     q[0, :] = 1.0
     return q
@@ -143,7 +148,7 @@ def spectrum(
 
     Valid for cubic tensors (all dims equal to ``size``) and R >= 2.  Raises
     ``ValueError`` for R < 2, order < 2, and for the swamps that
-    :class:`CollinearSpec` rejects (nu <= 0, ``size`` < R).
+    :class:`CollinearSpec` rejects (nu not finite and positive, ``size`` < R).
     """
     if rank < 2:
         raise ValueError("spectrum analysis requires R >= 2")

@@ -21,6 +21,7 @@ from .kruskal import (
     random_init,
     reconstruct,
     second_order_term,
+    st_hosvd,
 )
 from .oracle import (
     assemble_hessian,
@@ -39,7 +40,7 @@ from .synth import (
     gen_collinear,
     spectrum,
 )
-from .tensor import COMPLEX, DenseTensor, REAL
+from .tensor import COMPLEX, DenseTensor, REAL, fold, unfold
 
 MU_GRID = (1e-6, 1e-2, 1.0, 1e3)
 FD_STEP = 1e-6
@@ -91,6 +92,26 @@ def fd_gradient(y: DenseTensor, model: KruskalModel, h: float = FD_STEP):
             slope = (objective(base + e) - objective(base - e)) / (2.0 * h)
             out[k] += direction * slope
     return -0.5 * out
+
+
+def compression_error(y: DenseTensor, rank: int) -> float:
+    """The larger of the ST-HOSVD's two errors: how far its bases are from
+    orthonormal columns, max ||U_n^H U_n - I||, and how far ||Y||^2 - ||G||^2
+    is from ||Y - Y x_n U_n U_n^H||^2 (Pythagoras for the orthogonal
+    projection), relative to ||Y||^2: the left side is a difference of two
+    O(||Y||^2) numbers, so it resolves no finer, and a residual can be zero
+    (an order-2 Y of rank R).  The projection is formed densely, mode by
+    mode, through unfold and fold."""
+    bases, core = st_hosvd(y, rank)
+    ortho = max(
+        float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[1]))) for u in bases
+    )
+    proj = y
+    for n, u in enumerate(bases, start=1):
+        proj = fold(u @ (u.conj().T @ unfold(proj, n)), n, y.dims)
+    resid = float(np.linalg.norm(y.data - proj.data)) ** 2
+    gap = y.norm() ** 2 - core.norm() ** 2
+    return max(ortho, abs(gap - resid) / y.norm() ** 2)
 
 
 def run_suite(seeds: int = 10, perturb: bool = False) -> list:
@@ -145,6 +166,8 @@ def run_suite(seeds: int = 10, perturb: bool = False) -> list:
             term = second_order_term(model.factors, cache.C, v)
             ref = dense_second_order_term(model, v)
             record(f"second-order-{tag}", _rel(term - ref, ref), 1e-10)
+
+            record(f"compress-{tag}", compression_error(y, model.rank), 1e-10)
 
     for seed in range(max(1, seeds // 2)):
         size, rank, order = 10, 3, 3

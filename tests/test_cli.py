@@ -75,8 +75,10 @@ class TestGen:
              "rank 3 exceeds smallest dimension 2"),
             (["--dims", "4,4,4", "--rank", "2", "--nu", "0"], "nu must be positive"),
             (["--dims", "4,4,4", "--rank", "0", "--nu", "0.5"], "rank must be >= 1"),
+            (["--dims", "4,4,4", "--rank", "2", "--nu", "nan"], "nu must be positive"),
+            (["--dims", "4,4,4", "--rank", "2", "--nu", "inf"], "nu must be positive"),
         ],
-        ids=["rank-above-dim", "nu-zero", "rank-zero"],
+        ids=["rank-above-dim", "nu-zero", "rank-zero", "nu-nan", "nu-inf"],
     )
     def test_bad_spec_exits_with_message(self, runner, tmp_path, args, message):
         """A spec that CollinearSpec rejects ends with its one-line message and
@@ -115,29 +117,43 @@ class TestFit:
         assert record["stop_reason"] == "tol"
 
     @pytest.mark.parametrize("algo", ["auto", "als-ls"])
-    def test_trace_jsonl_schema(self, runner, tmp_path, algo):
+    def test_trace_jsonl_schema(self, runner, tmp_path, algo, monkeypatch):
         """``--trace`` writes one JSON object per iteration with exactly the
-        ``IterRecord`` fields, NaN as null, and no timing."""
+        ``IterRecord`` fields, NaN as null, and no timing.  ``stage`` is
+        "full" throughout a plain fit; a compressed fit's trace is a run of
+        "core" records then a run of "full" ones, numbered across both, and
+        the printed relerr is that of the last "full" record."""
         invoke(runner, ["gen", "--dims", "6,6,6", "--rank", "2", "--nu", "0.5",
                         "--snr", "30", "--seed", "1", "--out", str(tmp_path / "t")])
-        path = tmp_path / "trace.jsonl"
-        result = invoke(runner, ["fit", str(tmp_path / "t_noisy.cptn"), "--rank", "2",
-                                 "--algo", algo, "--trace", str(path)])
-        lines = path.read_text(encoding="utf-8").splitlines()
-        iters = int(result.output.split("iters=")[1].split()[0])
-        assert len(lines) == iters > 0
         fields = [f.name for f in dataclasses.fields(cpfast.solver.IterRecord)]
-        for t, line in enumerate(lines, start=1):
-            row = json.loads(line)
-            assert list(row) == fields
-            assert row["iter"] == t and isinstance(row["accepted"], bool)
-            assert isinstance(row["relerr"], float) and isinstance(row["mu"], float)
-            for key in ("rho", "grad_norm", "step_norm", "accel_ratio"):
-                if algo == "als-ls":
-                    assert row[key] is None
-                else:
-                    assert isinstance(row[key], float)
-        assert "NaN" not in path.read_text(encoding="utf-8")
+        for compressed in (False, True):
+            if compressed:
+                monkeypatch.setattr(cpfast.solver, "COMPRESS_MIN_RATIO", 0)
+            path = tmp_path / f"trace{compressed:d}.jsonl"
+            result = invoke(runner, ["fit", str(tmp_path / "t_noisy.cptn"),
+                                     "--rank", "2", "--algo", algo,
+                                     "--trace", str(path)])
+            lines = path.read_text(encoding="utf-8").splitlines()
+            iters = int(result.output.split("iters=")[1].split()[0])
+            assert len(lines) == iters > 0
+            rows = [json.loads(line) for line in lines]
+            for t, row in enumerate(rows, start=1):
+                assert list(row) == fields
+                assert row["iter"] == t and isinstance(row["accepted"], bool)
+                assert isinstance(row["relerr"], float)
+                assert isinstance(row["mu"], float)
+                for key in ("rho", "grad_norm", "step_norm", "accel_ratio"):
+                    if algo == "als-ls":
+                        assert row[key] is None
+                    else:
+                        assert isinstance(row[key], float)
+            stages = [row["stage"] for row in rows]
+            n_core = stages.count("core")
+            assert stages == ["core"] * n_core + ["full"] * (iters - n_core)
+            assert (n_core > 0) == compressed and stages[-1] == "full"
+            relerr = float(result.output.split("relerr=")[1].split()[0])
+            assert relerr == pytest.approx(rows[-1]["relerr"], rel=1e-3)
+            assert "NaN" not in path.read_text(encoding="utf-8")
 
     @pytest.mark.parametrize(
         "option,value", [("--tau", "0"), ("--tol", "nan"), ("--max-iters", "0")]
@@ -361,9 +377,11 @@ class TestSpectrumCommand:
              "rank 3 exceeds smallest dimension 0"),
             (["--size", "20", "--rank", "3", "--nu", "0"], "nu must be positive"),
             (["--size", "20", "--rank", "3", "--order", "-1"], "order >= 2"),
+            (["--size", "20", "--rank", "3", "--nu", "nan"], "nu must be positive"),
+            (["--size", "20", "--rank", "3", "--nu", "inf"], "nu must be positive"),
         ],
         ids=["size-zero", "size-below-rank", "size-zero-noisy", "nu-zero",
-             "order-negative"],
+             "order-negative", "nu-nan", "nu-inf"],
     )
     def test_bad_swamp_exits_with_message(self, runner, args, message):
         """A swamp that CollinearSpec would reject gets no verdict: one line

@@ -23,6 +23,7 @@ from cpfast.kruskal import (
     reconstruct,
     relative_error,
     second_order_term,
+    st_hosvd,
     svd_init,
 )
 from cpfast.oracle import dense_second_order_term
@@ -32,6 +33,7 @@ from cpfast.tensor import (
     DenseTensor,
     REAL,
     ScalarKindError,
+    fold,
     khatri_rao_excl,
     unfold,
 )
@@ -361,6 +363,77 @@ class TestErrorsAndNormalization:
             lead = normalized.factors[0][:, r]
             top = lead[np.argmax(np.abs(lead))]
             assert abs(np.imag(top)) < 1e-12 and np.real(top) > 0
+
+
+def mode_products(y, mats):
+    """Y x_1 M_1 ... x_N M_N through unfold and fold, mode by mode."""
+    for n, m in enumerate(mats, start=1):
+        dims = list(y.dims)
+        dims[n - 1] = m.shape[0]
+        y = fold(m @ unfold(y, n), n, dims)
+    return y
+
+
+class TestStHosvd:
+    """The ST-HOSVD front end of a compressed fit."""
+
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    @pytest.mark.parametrize(
+        "dims,rank",
+        [
+            ((9, 8, 7), 3),
+            ((9, 3, 7), 3),  # I_2 = R: mode 2 is not compressed
+            ((9, 2, 7), 3),  # I_2 < R
+            ((6, 5, 4, 7), 2),
+            ((8, 6), 2),
+        ],
+    )
+    def test_core_and_bases(self, dims, rank, kind):
+        """Bases have orthonormal columns, min(I_n, R) of them, and the
+        identity where I_n <= R; the core is Y x_n U_n^H from unfold and
+        fold, and the reconstruction G x_n U_n leaves a residual whose
+        squared norm is ||Y||^2 - ||G||^2 (Pythagoras)."""
+        rng = np.random.default_rng(71)
+        truth = random_model(rng, dims, rank, kind)
+        y = DenseTensor(
+            reconstruct(truth).data + 0.1 * random_tensor(rng, dims, kind).data
+        )
+        bases, core = st_hosvd(y, rank)
+        assert core.dims == tuple(min(d, rank) for d in dims)
+        assert core.scalar_kind == kind
+        for d, u in zip(dims, bases):
+            assert u.shape == (d, min(d, rank))
+            np.testing.assert_allclose(u.conj().T @ u, np.eye(u.shape[1]), atol=1e-12)
+            if d <= rank:
+                assert np.array_equal(u, np.eye(d))
+        ref = mode_products(y, [u.conj().T for u in bases])
+        np.testing.assert_allclose(core.data, ref.data, atol=1e-12 * y.norm())
+        resid = y.data - mode_products(core, bases).data
+        gap = y.norm() ** 2 - core.norm() ** 2
+        assert gap == pytest.approx(np.linalg.norm(resid) ** 2, rel=1e-9)
+
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    def test_first_basis_is_svd_init(self, kind):
+        """Mode 1's basis and the SVD init's first factor come from the same
+        kernel on the same unfolding: equal up to the init's column phases."""
+        rng = np.random.default_rng(72)
+        y = random_tensor(rng, (9, 8, 7), kind)
+        u = st_hosvd(y, 3)[0][0]
+        init = svd_init(y, 3, rng)[0].factors[0]
+        phases = np.sum(u.conj() * init, axis=0)
+        np.testing.assert_allclose(np.abs(phases), 1.0, atol=1e-12)
+        np.testing.assert_allclose(init, u * phases, atol=1e-12)
+
+    def test_exact_rank_core_keeps_the_tensor(self):
+        """A rank-R tensor lies in the span of its bases: the core keeps
+        all of its energy."""
+        rng = np.random.default_rng(73)
+        y = reconstruct(random_model(rng, (10, 9, 8), 3))
+        bases, core = st_hosvd(y, 3)
+        assert core.norm() == pytest.approx(y.norm(), rel=1e-12)
+        np.testing.assert_allclose(
+            mode_products(core, bases).data, y.data, atol=1e-12 * y.norm()
+        )
 
 
 class TestInitAndAls:

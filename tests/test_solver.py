@@ -3,6 +3,7 @@ schedule arithmetic, and full-fit behavior."""
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from cpfast.kruskal import (
     reconstruct,
     relative_error,
     second_order_term,
+    st_hosvd,
 )
 from cpfast.solver import (
     ACCEL_MAX_RATIO,
@@ -64,13 +66,15 @@ def noisy_instance(rng, dims, rank, kind=REAL, noise=0.1):
     return DenseTensor(reconstruct(m).data + noise * e), m
 
 
-def gaussian_instance(seed, noise=0.01):
-    """30^3 tensor of a rank-3 model with Gaussian factors, plus Gaussian
-    noise at ``noise`` times its norm."""
+def gaussian_instance(seed, noise=0.01, dims=(30, 30, 30), rank=3, kind=REAL):
+    """Tensor (an array) of a model with Gaussian factors, plus Gaussian
+    noise at ``noise`` times its norm: well conditioned, so a plain fit
+    finds the true basin."""
     rng = np.random.default_rng(seed)
-    truth = KruskalModel([rng.standard_normal((30, 3)) for _ in range(3)])
-    clean = reconstruct(truth).data
+    clean = reconstruct(random_init(dims, rank, rng, kind)).data
     e = rng.standard_normal(clean.shape)
+    if kind == COMPLEX:
+        e = e + 1j * rng.standard_normal(clean.shape)
     return clean + noise * np.linalg.norm(clean) / np.linalg.norm(e) * e
 
 
@@ -799,3 +803,130 @@ class TestAlsLineSearch:
         dense = fit(y, config)
         assert (gram.iters, gram.stop_reason) == (dense.iters, dense.stop_reason)
         assert gram.final_relerr == pytest.approx(dense.final_relerr, rel=1e-9)
+
+
+class TestCompression:
+    """Compress, fit the core, refine: :func:`fit`'s front end where
+    prod I_n >= COMPRESS_MIN_RATIO * prod min(I_n, R).  Tests other than
+    the routing test force it by setting the constant to 0."""
+
+    def test_routing_rule(self):
+        """The rule alone, with no fit: the swamp shapes 20^3 R=3 (ratio
+        296) and 12^4 R=4 (ratio 81) never compress, 100^3 R=5 (ratio
+        8000) does, and a tensor with no mode above R never does."""
+        compresses = cpfast.solver._compresses
+        assert not compresses((20, 20, 20), 3)
+        assert not compresses((12, 12, 12, 12), 4)
+        assert compresses((100, 100, 100), 5)
+        assert not compresses((3, 3, 3), 5)
+        assert not compresses((5, 5, 5), 5)
+
+    def test_plain_path_never_projects(self, monkeypatch):
+        """Below the rule, and at max_iters = 1 above it, fit makes no
+        ST-HOSVD and marks every record "full"."""
+
+        def refuse(*args):
+            raise AssertionError("st_hosvd called")
+
+        monkeypatch.setattr(cpfast.solver, "st_hosvd", refuse)
+        _, y = gen_collinear(CollinearSpec((20, 20, 20), 3, 0.5, 40.0, 0))
+        assert {rec.stage for rec in fit(y, FitConfig(rank=3)).trace} == {"full"}
+        monkeypatch.setattr(cpfast.solver, "COMPRESS_MIN_RATIO", 0)
+        y = DenseTensor(gaussian_instance(0, dims=(12, 10, 9)))
+        one = fit(y, FitConfig(rank=3, max_iters=1))
+        assert [rec.stage for rec in one.trace] == ["full"]
+
+    @pytest.mark.parametrize(
+        "dims,rank,kind,variant",
+        [
+            ((30, 30, 30), 3, REAL, "auto"),
+            ((30, 30, 30), 3, REAL, "als-ls"),
+            ((12, 10, 9), 3, COMPLEX, "auto"),
+            ((8, 7, 6, 9), 2, REAL, "auto"),
+            ((15, 3, 12), 3, REAL, "auto"),  # I_2 = R: mode 2 uncompressed
+            ((14, 2, 11), 3, COMPLEX, "auto"),  # I_2 < R
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_ends_within_tol_of_plain_fit(
+        self, dims, rank, kind, variant, seed, monkeypatch
+    ):
+        """Stated bound: on these noisy Gaussian problems the compressed fit
+        stops "tol" with |relerr - relerr_plain| <= tol * relerr_plain.
+        Its trace is the core fit's records (those of a plain fit of the
+        core with max_iters - 1, marked "core") followed by "full" records,
+        numbered across both; the returned model reconstructs Y with the
+        reported relerr.  ALS-ls's refinement scores its start at its own
+        error, so on these problems it is the ten-difference window alone."""
+        y = DenseTensor(gaussian_instance(seed, dims=dims, rank=rank, kind=kind))
+        config = FitConfig(rank=rank, variant=variant)
+        plain = fit(y, config)
+        _, core = st_hosvd(y, rank)
+        core_fit = fit(core, replace(config, max_iters=config.max_iters - 1))
+        monkeypatch.setattr(cpfast.solver, "COMPRESS_MIN_RATIO", 0)
+        comp = fit(y, config)
+        assert plain.stop_reason == comp.stop_reason == "tol"
+        assert abs(comp.final_relerr - plain.final_relerr) <= (
+            config.tol * plain.final_relerr
+        )
+        n_core = core_fit.iters
+        assert [rec.stage for rec in comp.trace] == (
+            ["core"] * n_core + ["full"] * (comp.iters - n_core)
+        )
+        assert comp.iters > n_core
+        if variant == "als-ls":
+            assert comp.iters - n_core == cpfast.solver.TOL_WINDOW
+        assert [rec.relerr for rec in comp.trace[:n_core]] == [
+            rec.relerr for rec in core_fit.trace
+        ]
+        assert [rec.iter for rec in comp.trace] == list(range(1, comp.iters + 1))
+        assert comp.final_relerr == comp.trace[-1].relerr
+        assert relative_error(y, comp.model) == pytest.approx(
+            comp.final_relerr, rel=1e-9
+        )
+
+    @pytest.mark.parametrize("variant", ["auto", "als-ls"])
+    @pytest.mark.parametrize("max_iters", [2, 3, 7])
+    def test_max_iters_bounds_both_stages(self, variant, max_iters, monkeypatch):
+        """The core stage takes at most max_iters - 1 iterations, and the
+        two stages together at most max_iters; the last record is "full"."""
+        monkeypatch.setattr(cpfast.solver, "COMPRESS_MIN_RATIO", 0)
+        y = DenseTensor(gaussian_instance(2, dims=(12, 10, 9)))
+        result = fit(y, FitConfig(rank=3, variant=variant, max_iters=max_iters))
+        stages = [rec.stage for rec in result.trace]
+        assert result.iters == max_iters and result.stop_reason == "max_iters"
+        assert stages[0] == "core" and stages[-1] == "full"
+        assert result.final_relerr == result.trace[-1].relerr
+
+
+class TestModePermutation:
+    """Fitting is equivariant under a permutation of the modes."""
+
+    @settings(max_examples=12)
+    @given(
+        seed=st.integers(0, 3),
+        dims=st.sampled_from([(9, 7, 8), (7, 6, 8, 5)]),
+        kind=st.sampled_from([REAL, COMPLEX]),
+        data=st.data(),
+    )
+    def test_permuted_fit_reaches_the_same_fit(self, seed, dims, kind, data):
+        """Stated bounds, on well-conditioned Gaussian rank-3 problems at 1%
+        noise: the fit of the mode-permuted tensor stops "tol" with a final
+        relerr within tol * relerr of the plain fit's, its model reconstructs
+        the permuted tensor with that relerr, and its reconstruction is the
+        plain fit's, permuted, within 1e-6 ||Y||."""
+        perm = data.draw(st.permutations(range(len(dims))))
+        y = DenseTensor(gaussian_instance(seed, dims=dims, kind=kind))
+        y_perm = DenseTensor(np.transpose(y.data, perm))
+        config = FitConfig(rank=3)
+        plain, permuted = fit(y, config), fit(y_perm, config)
+        assert plain.stop_reason == permuted.stop_reason == "tol"
+        assert abs(permuted.final_relerr - plain.final_relerr) <= (
+            config.tol * plain.final_relerr
+        )
+        assert relative_error(y_perm, permuted.model) == pytest.approx(
+            permuted.final_relerr, rel=1e-9
+        )
+        expected = np.transpose(reconstruct(plain.model).data, perm)
+        gap = np.linalg.norm(reconstruct(permuted.model).data - expected)
+        assert gap <= 1e-6 * y.norm()

@@ -44,6 +44,18 @@ class TestSpec:
         with pytest.raises(ValueError):
             CollinearSpec((3, 8, 8), 4, nu=0.5)
 
+    @pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+    def test_nu_not_finite_and_positive_rejected(self, nu):
+        """Every entry point that takes nu rejects NaN and infinities as it
+        rejects nu <= 0, so no NaN tensor or NaN angle is produced."""
+        for make in (
+            lambda: CollinearSpec((4, 4, 4), 2, nu=nu),
+            lambda: collinearity_angles(nu),
+            lambda: collinear_mixing(3, nu),
+        ):
+            with pytest.raises(ValueError, match="nu must be positive and finite"):
+                make()
+
 
 class TestGenerator:
     def test_seeded_determinism(self):
