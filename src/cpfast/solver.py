@@ -15,7 +15,8 @@ the Nielsen gain-ratio schedule.
 
 On a tensor much larger than its rank-R Tucker core, :func:`fit` first
 compresses: it fits the ST-HOSVD core with the variant's own loop and then
-refines the expanded model on the tensor with the same loop and stop rule.
+refines the expanded model on the tensor with the same loop and stop rule,
+whose window resumes where the core stage left it.
 
 The same code path serves real and complex tensors: Gram matrices are
 Hermitian, and every place where a damped Gamma inverse right-multiplies a
@@ -234,14 +235,22 @@ def _gain_ratio(prev_sq, cand_sq, delta, g, mu) -> float:
 
 def _init_model(
     y: DenseTensor, config: FitConfig, rng, start: KruskalModel | None = None
-) -> tuple[KruskalModel, np.ndarray | None]:
-    """The configured init and its mode-N MTTKRP (None where not formed), or
-    ``start`` and None when a start is given."""
-    if start is not None:
-        return start, None
-    if config.init == "svd":
+) -> tuple[KruskalModel, np.ndarray]:
+    """``start`` when given, else the configured init, and its mode-N MTTKRP:
+    the SVD init's own, or one pass over the tensor."""
+    if start is None and config.init == "svd":
         return svd_init(y, config.rank, rng)
-    return random_init(y.dims, config.rank, rng, y.scalar_kind), None
+    if start is None:
+        start = random_init(y.dims, config.rank, rng, y.scalar_kind)
+    return start, mttkrp(y, start, start.order)
+
+
+def _start_error(y, ynorm, model, last, grams=None) -> float:
+    """A start's relative error: :func:`gram_relative_error` from its mode-N
+    MTTKRP ``last`` (and stacked Gram matrices ``grams``, if known), or the
+    dense residual where that is below ``GRAM_ERROR_GUARD``."""
+    err = gram_relative_error(ynorm, model, last, grams)
+    return err if err >= GRAM_ERROR_GUARD else relative_error(y, model)
 
 
 def _tensor_norm(y: DenseTensor) -> float:
@@ -286,10 +295,11 @@ def fit(y: DenseTensor, config: FitConfig) -> FitResult:
 
     Where prod I_n >= ``COMPRESS_MIN_RATIO`` * prod min(I_n, R) and
     ``max_iters`` > 1, every variant first fits the ST-HOSVD core of Y and
-    then refines the expanded model on Y through the same loop
-    (:func:`_fit_compressed`); ``max_iters`` bounds both stages together, the
-    trace marks each record's stage, and ``final_relerr`` is that of the last
-    record on Y.  Elsewhere the loop runs on Y from the configured init.
+    then refines the expanded model on Y through the same loop, whose window
+    resumes the core stage's (:func:`_fit_compressed`); ``max_iters`` bounds
+    both stages together, the trace marks each record's stage, and
+    ``final_relerr`` is that of the last record on Y.  Elsewhere the loop
+    runs on Y from the configured init.
 
     The LM family fits the unit-norm problem Y / ||Y|| (see :func:`_fit_lm`)
     and returns its factors multiplied by ||Y||^(1/N), so its trace and
@@ -332,16 +342,27 @@ def _fit_compressed(loop, y: DenseTensor, config: FitConfig, ynorm: float):
     iterations and the refinement the rest, so ``max_iters`` bounds both
     together.  The core's records are marked "core"; the stop reason and
     the model are the refinement's.
+
+    The refinement's window starts at the core trace's trailing run of
+    differences below ``tol`` (a rejection repeats the error: a zero
+    difference, as in the loop).  With orthonormal U_n, ||Y - [[U B]]||^2 =
+    ||Y||^2 - ||G||^2 + ||G - [[B]]||^2, so e_Y^2 = 1 - k^2 + k^2 e_G^2 with
+    k = ||G|| / ||Y|| <= 1, and |De_Y| <= k |De_G|: each small difference on
+    G is one at least as small on Y.
     """
     bases, core = st_hosvd(y, config.rank)
     first = loop(
         core, replace(config, max_iters=config.max_iters - 1), _tensor_norm(core)
     )
+    errs = [rec.relerr for rec in reversed(first.trace)]
+    below = 0
+    while below + 1 < len(errs) and abs(errs[below] - errs[below + 1]) < config.tol:
+        below += 1
     for rec in first.trace:
         rec.stage = "core"
     start = KruskalModel([u @ b for u, b in zip(bases, first.model.factors)])
     rest = replace(config, max_iters=config.max_iters - first.iters)
-    result = loop(y, rest, ynorm, start)
+    result = loop(y, rest, ynorm, start, below)
     for rec in result.trace:
         rec.iter += first.iters
     result.trace = first.trace + result.trace
@@ -385,9 +406,11 @@ def _fit_als(
     config: FitConfig,
     ynorm: float,
     start: KruskalModel | None = None,
+    below: int = 0,
 ) -> FitResult:
     """ALS and ALS with line search, from ``start`` when given (a model of
-    Y, at its scale) and otherwise from the configured init.
+    Y, at its scale) and otherwise from the configured init; ``below``
+    starts the window's count (see :func:`_fit_compressed`).
 
     The loop fits Y * 2^-e (a transient copy of Y), where e is the binary
     exponent of ``ynorm`` = ||Y||, so the data's norm lies in [1/2, 1) and
@@ -396,15 +419,17 @@ def _fit_als(
     factor by 2^e.  Scaling by a power of two is exact, so wherever Y itself
     is safe the trace and the model are bit for bit those of a fit of Y.
 
-    Each iteration is one :func:`als_step` sweep, two passes over the
-    tensor.  ALS-ls then tries A_prev + s (A_als - A_prev), with A_prev the
-    model before the one swept, for s = 1.1 and then s = t^(1/3); a candidate
-    replaces the sweep only if its error is strictly lower.  The recipe is a
-    documented stand-in: the classical "ALS with line search" baseline defers
-    to toolbox internals.  Candidates are scored by :func:`_candidate_error`:
-    above ``GRAM_ERROR_GUARD`` the sweep's own M^(N) scores it and each
-    extrapolated candidate costs one pass (an ALS-ls sweep is four passes,
-    with no reconstruction); below it, by the dense residual.
+    The start is scored by :func:`_start_error` from its mode-N MTTKRP (the
+    SVD init's own, or one pass).  Each iteration is one :func:`als_step`
+    sweep, two passes over the tensor.  ALS-ls then tries A_prev + s (A_als -
+    A_prev), with A_prev the model before the one swept, for s = 1.1 and then
+    s = t^(1/3); a candidate replaces the sweep only if its error is strictly
+    lower.  The recipe is a documented stand-in: the classical "ALS with line
+    search" baseline defers to toolbox internals.  Candidates are scored by
+    :func:`_candidate_error`: above ``GRAM_ERROR_GUARD`` the sweep's own
+    M^(N) scores it and each extrapolated candidate costs one pass (an ALS-ls
+    sweep is four passes, with no reconstruction); below it, by the dense
+    residual.
     """
     _, e = math.frexp(ynorm)
     y = DenseTensor(_times_power_of_two(y.data, -e))
@@ -413,11 +438,10 @@ def _fit_als(
         first = _times_power_of_two(start.factors[0], -e)
         start = KruskalModel([first] + start.factors[1:])
     rng = np.random.default_rng([config.seed, 0])
-    model, _ = _init_model(y, config, rng, start)
+    model, last = _init_model(y, config, rng, start)
     trace = []
-    err = relative_error(y, model)
+    err = _start_error(y, ynorm, model, last)
     prev = None
-    below = 0
     stop_reason = "max_iters"
     for t in range(1, config.max_iters + 1):
         swept, last = als_step(y, model)
@@ -456,8 +480,6 @@ def _scaled_start(
     ``GRAM_ERROR_GUARD``.
     """
     start, last = _init_model(y, config, rng, start)
-    if last is None:
-        last = mttkrp(y, start, start.order)
     grams = gram_stack(start.factors)
     cross = np.vdot(start.factors[-1], last).real
     alpha = cross / np.multiply.reduce(grams).sum().real
@@ -465,10 +487,7 @@ def _scaled_start(
         start = KruskalModel(start.factors[:-1] + [alpha * start.factors[-1]])
         grams[-1] *= alpha**2
     model, cache, last = normalize_with_grams(start, grams, last)
-    err = gram_relative_error(1.0, model, last, cache.C)
-    if err < GRAM_ERROR_GUARD:
-        err = relative_error(y, model)
-    return model, cache, last, err
+    return model, cache, last, _start_error(y, 1.0, model, last, cache.C)
 
 
 def _fit_lm(
@@ -476,9 +495,11 @@ def _fit_lm(
     config: FitConfig,
     ynorm: float,
     start: KruskalModel | None = None,
+    below: int = 0,
 ) -> FitResult:
     """Damped Gauss-Newton loop with the fast step ("auto"), from ``start``
-    when given and otherwise from the configured init.
+    when given and otherwise from the configured init; ``below`` starts the
+    window's count (see :func:`_fit_compressed`).
 
     The loop fits the unit-norm tensor Y / ||Y|| (a transient copy of Y), so
     ``mu_init``, ``MU_OVERFLOW`` and ``RHO_DENOM_GUARD`` act on an O(1)
@@ -527,7 +548,6 @@ def _fit_lm(
     base = model.as_vector()
 
     trace = []
-    below = 0
     stop_reason = "max_iters"
     for t in range(1, config.max_iters + 1):
         try:

@@ -424,6 +424,54 @@ class TestStHosvd:
         np.testing.assert_allclose(np.abs(phases), 1.0, atol=1e-12)
         np.testing.assert_allclose(init, u * phases, atol=1e-12)
 
+    @given(
+        order=st.sampled_from([3, 4]),
+        rank=st.integers(2, 4),
+        kind=st.sampled_from([REAL, COMPLEX]),
+        noise=st.sampled_from([0.01, 1.0]),
+        step=st.sampled_from([1e-6, 1e-2, 1.0]),
+        data=st.data(),
+    )
+    def test_core_error_bounds_tensor_error(
+        self, order, rank, kind, noise, step, data
+    ):
+        """Stated bounds.  For bases U_n and core G from st_hosvd, and core
+        models B_1, B_2 with expansions U B, let e_Y = ||Y - [[U B]]|| / ||Y||,
+        e_G = ||G - [[B]]|| / ||G|| and kappa = ||G|| / ||Y||.  Then e_Y^2 =
+        1 - kappa^2 + kappa^2 e_G^2 within 1e-12 + ((1 + R delta)^N - 1)
+        ||[[B]]||^2 / ||Y||^2, where delta = max_n max |U_n^H U_n - I| is
+        the bases' own departure from orthonormality (the identity is exact
+        for orthonormal bases, and the rest of the gap is ||[[U B]]||^2 -
+        ||[[B]]||^2); and the two models' errors satisfy |De_Y| <= |De_G|
+        (1 + 1e-12) + 1e-15.  One mode has I_n <= R."""
+        dims = data.draw(
+            st.lists(st.integers(rank + 1, 7), min_size=order, max_size=order)
+        )
+        dims[data.draw(st.integers(0, order - 1))] = data.draw(st.integers(1, rank))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        y = DenseTensor(
+            reconstruct(random_model(rng, dims, rank, kind)).data
+            + noise * random_tensor(rng, dims, kind).data
+        )
+        bases, core = st_hosvd(y, rank)
+        kappa = core.norm() / y.norm()
+        delta = max(np.abs(u.conj().T @ u - np.eye(u.shape[1])).max() for u in bases)
+        first = random_model(rng, core.dims, rank, kind)
+        nudge = random_model(rng, core.dims, rank, kind)
+        second = KruskalModel(
+            [b + step * d for b, d in zip(first.factors, nudge.factors)]
+        )
+        e_y, e_g = [], []
+        for b in (first, second):
+            e_g.append(relative_error(core, b))
+            expanded = KruskalModel([u @ f for u, f in zip(bases, b.factors)])
+            e_y.append(relative_error(y, expanded))
+            identity = 1 - kappa**2 + kappa**2 * e_g[-1] ** 2
+            distortion = (1 + rank * delta) ** order - 1
+            slack = distortion * (reconstruct(b).norm() / y.norm()) ** 2
+            assert abs(e_y[-1] ** 2 - identity) <= 1e-12 + slack
+        assert abs(e_y[0] - e_y[1]) <= abs(e_g[0] - e_g[1]) * (1 + 1e-12) + 1e-15
+
     def test_exact_rank_core_keeps_the_tensor(self):
         """A rank-R tensor lies in the span of its bases: the core keeps
         all of its energy."""

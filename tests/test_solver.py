@@ -856,8 +856,8 @@ class TestCompression:
         Its trace is the core fit's records (those of a plain fit of the
         core with max_iters - 1, marked "core") followed by "full" records,
         numbered across both; the returned model reconstructs Y with the
-        reported relerr.  ALS-ls's refinement scores its start at its own
-        error, so on these problems it is the ten-difference window alone."""
+        reported relerr.  The refinement resumes the core's ten-difference
+        window, so on these problems ALS-ls refines with one sweep."""
         y = DenseTensor(gaussian_instance(seed, dims=dims, rank=rank, kind=kind))
         config = FitConfig(rank=rank, variant=variant)
         plain = fit(y, config)
@@ -875,7 +875,7 @@ class TestCompression:
         )
         assert comp.iters > n_core
         if variant == "als-ls":
-            assert comp.iters - n_core == cpfast.solver.TOL_WINDOW
+            assert comp.iters - n_core == 1
         assert [rec.relerr for rec in comp.trace[:n_core]] == [
             rec.relerr for rec in core_fit.trace
         ]
@@ -884,6 +884,32 @@ class TestCompression:
         assert relative_error(y, comp.model) == pytest.approx(
             comp.final_relerr, rel=1e-9
         )
+
+    def test_refinement_passes(self, monkeypatch):
+        """The ALS-ls refinement of a noisy 30^3 R=3 fit forms no dense
+        residual: its start costs one mode-N MTTKRP, its first sweep (with
+        no previous model to extrapolate from) one more, and each later
+        sweep three; and it resumes the core's window, so it is shorter
+        than the window."""
+        monkeypatch.setattr(cpfast.solver, "COMPRESS_MIN_RATIO", 0)
+        y = DenseTensor(gaussian_instance(3))
+        calls = count_tensor_passes(monkeypatch)
+        loop = cpfast.solver._fit_als
+
+        def marked(*args, **kwargs):
+            if len(args) > 3:
+                calls.append(("refine", None))
+            return loop(*args, **kwargs)
+
+        monkeypatch.setattr(cpfast.solver, "_fit_als", marked)
+        result = fit(y, FitConfig(rank=3, variant="als-ls"))
+        assert result.stop_reason == "tol"
+        assert result.final_relerr > GRAM_ERROR_GUARD
+        refine = calls[calls.index(("refine", None)) + 1 :]
+        n_refine = sum(rec.stage == "full" for rec in result.trace)
+        assert 1 <= n_refine < cpfast.solver.TOL_WINDOW
+        assert set(refine) == {("mttkrp", 3)}
+        assert len(refine) <= 2 + 3 * (n_refine - 1)
 
     @pytest.mark.parametrize("variant", ["auto", "als-ls"])
     @pytest.mark.parametrize("max_iters", [2, 3, 7])
