@@ -8,8 +8,8 @@ NR^2 x NR^2 core: the paper's Phi_1 = I + Psi K, congruence-scaled so its
 entries stay O(Gamma + mu) as mu shrinks.  :func:`damped_core` builds the
 Gram inverses with one batched inverse, writes the core through strided views
 and LU-factors it once by LAPACK ``?getrf``; the :class:`DampedCore` it
-returns applies (H + mu I)^{-1} to a stacked vector, through the block
-views of :func:`~cpfast.kruskal._block_views`, with one ``?getrs`` solve.
+returns applies (H + mu I)^{-1} to a stack (see :func:`~cpfast.kruskal.stack`)
+with batched matmuls around one ``?getrs`` solve.
 
 The dense references these are checked against live in :mod:`cpfast.oracle`.
 """
@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from .kruskal import GramCache, _block_views
+from .kruskal import GramCache, pack, stack, unpack
 
 
 class SingularKernelError(np.linalg.LinAlgError):
@@ -52,32 +52,39 @@ class DampedCore:
     ``gtilde[n].conj()`` (a no-op for real data), not a second inverse.
     ``lu`` and ``piv`` are the ``?getrf`` factors of the NR^2 x NR^2 scaled
     core system; ``kernel`` holds the pairwise Gammas (zero on the diagonal)
-    that apply K after the solve; ``factors`` are the model's factors A^(n).
+    that apply K after the solve; ``x`` is the model's stack (see
+    :func:`~cpfast.kruskal.stack`) and ``dims`` its mode sizes.
     """
 
     gtilde: np.ndarray
     lu: np.ndarray
     piv: np.ndarray
     kernel: np.ndarray
-    factors: list
+    x: np.ndarray
+    dims: tuple
 
     def solve(self, u: np.ndarray) -> np.ndarray:
         """The N frontal R x R slices Z_n of Sb^{-1} K (I + Psi K)^{-1} Sb^{-1} u,
         where Sb = blkdiag((Gamma^(n) + mu I) kron I); it equals
         (Sb (K^{-1} + Psi) Sb)^{-1} u whenever K is invertible."""
         n_modes, r = self.gtilde.shape[:2]
-        getrs = _lu_routines(np.result_type(self.lu, u))[1]
+        getrs = _lu_routines(np.promote_types(self.lu.dtype, u.dtype))[1]
         z, info = getrs(self.lu, self.piv, u)
         _check_info(info, "getrs")
         # The core solve gives x from (Sb + Chat K) x = u; the slices are
         # (Gtilde kron I) K x, with K^(n,m) vec(X) = P_R vec(Gamma^(n,m) * X)
         # = vec((Gamma^(n,m) * X)^T).
-        z = z.reshape(n_modes, r, r).transpose(0, 2, 1)
-        kx = (self.kernel * z[None]).sum(axis=1).transpose(0, 2, 1)
-        return kx @ self.gtilde.conj()
+        z = z.reshape(n_modes, r, r).mT
+        kx = np.add.reduce(self.kernel * z[None], axis=1).mT
+        return kx @ np.conj(self.gtilde)
 
     def __call__(self, vec: np.ndarray) -> np.ndarray:
-        """(H + mu I)^{-1} v.
+        """(H + mu I)^{-1} v for a stacked vector v; see :meth:`apply`."""
+        v = pack(np.asarray(vec), self.dims, self.gtilde.shape[1])
+        return unpack(self.apply(v), self.dims)
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """(H + mu I)^{-1} v for the stack ``v``.
 
         With H + mu I = G~^{-1} + Z K Z^H, G~ = blkdiag(Gtilde_n kron I) and
         Z = blkdiag(I kron A^(n)), the binomial inverse is
@@ -85,33 +92,24 @@ class DampedCore:
         is V_n conj(Gtilde_n) - A^(n) Z_n with Z solved from u_n =
         vec(A^(n)^H V_n).
 
-        Everything is formed transposed, in place, on the row-major R x I_n
-        block views V_n^T of :func:`~cpfast.kruskal._block_views`: u_n as
-        V_n^T conj(A^(n)) and the result's block as
-        Gtilde_n^H V_n^T - Z_n^T A^(n)^T.
+        Everything is formed transposed, on the stack blocks V_n^T and
+        A^(n)^T, one batched matmul each: u_n as V_n^T conj(A^(n)) and the
+        result's block as Gtilde_n^H V_n^T - Z_n^T A^(n)^T, whose padding
+        stays zero.
         """
-        n_modes, r = self.gtilde.shape[:2]
-        dtype = np.result_type(vec, self.lu)
-        dims = [f.shape[0] for f in self.factors]
-        blocks = _block_views(vec, dims, r)
-        u = np.empty((n_modes, r, r), dtype)
-        for f, vt, un in zip(self.factors, blocks, u):
-            np.matmul(vt, f.conj(), out=un)
+        u = v @ np.conj(self.x).mT
         z = self.solve(u.reshape(-1))
-        out = np.empty(vec.shape, dtype)
-        gtilde_h = self.gtilde.conj().transpose(0, 2, 1)
-        for f, vt, block, zn, gh in zip(
-            self.factors, blocks, _block_views(out, dims, r), z, gtilde_h
-        ):
-            np.matmul(gh, vt, out=block)
-            block -= zn.T @ f.T
+        out = np.conj(self.gtilde).mT @ v
+        out -= z.mT @ self.x
         return out
 
 
 @lru_cache(maxsize=None)
 def _core_layout(n_modes: int, r: int, itemsize: int):
-    """The N x N x 1 x 1 off-diagonal mode mask (read-only) and the byte
-    strides of the two views through which the core is filled.
+    """The fixed parts of the core for N modes, rank R and scalars of
+    ``itemsize`` bytes: the N x N x 1 x 1 off-diagonal mode mask and the
+    R x R identity (read-only), and the byte strides of the two views through
+    which the core is filled.
 
     The core is stored in Fortran order, the layout ``?getrf`` factors in
     place; row and column (n, b, a) are n R^2 + b R + a, so entry (row, col)
@@ -125,8 +123,11 @@ def _core_layout(n_modes: int, r: int, itemsize: int):
     sb = (r2 * (1 + size), r, r * size, 1 + size)
     off = ~np.eye(n_modes, dtype=bool)[:, :, None, None]
     off.setflags(write=False)
+    eye = np.eye(r)
+    eye.setflags(write=False)
     return (
         off,
+        eye,
         tuple(st * itemsize for st in kernel),
         tuple(st * itemsize for st in sb),
     )
@@ -149,10 +150,10 @@ def damped_core(factors, cache: GramCache, mu: float) -> DampedCore:
         raise ValueError("mu must be positive")
     c = cache.C
     n_modes, r = c.shape[:2]
-    damped = cache.gamma_excl + mu * np.eye(r)
     size = n_modes * r * r
+    off, eye, kernel_strides, sb_strides = _core_layout(n_modes, r, c.itemsize)
+    damped = cache.gamma_excl + mu * eye
     core = np.zeros((size, size), dtype=damped.dtype, order="F")
-    off, kernel_strides, sb_strides = _core_layout(n_modes, r, core.itemsize)
     kernel = np.where(off, cache.gamma_pair, 0.0)
     # Chat K block (n, m): C^(n)[a, a'] Gamma^(n,m)[b, a'] at column (m, a', b);
     # the zero diagonal of ``kernel`` leaves the diagonal blocks to Sb.
@@ -163,4 +164,5 @@ def damped_core(factors, cache: GramCache, mu: float) -> DampedCore:
     view[...] = damped[..., None]
     lu, piv, info = _lu_routines(core.dtype)[0](core, overwrite_a=True)
     _check_info(info, "getrf")
-    return DampedCore(np.linalg.inv(damped), lu, piv, kernel, factors)
+    dims = tuple([f.shape[0] for f in factors])
+    return DampedCore(np.linalg.inv(damped), lu, piv, kernel, stack(factors), dims)

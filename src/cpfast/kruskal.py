@@ -5,10 +5,14 @@ scale lives in its columns.  Complex models use the Hermitian Gram convention
 C^(n) = A^(n)^H A^(n); all transpose placements below are chosen so the same
 code path is exact for both scalar kinds.
 
-A stacked vector has one block per mode, vec(V^(n)) in column-major order,
-laid out by :func:`_block_views` alone.  The MTTKRPs of modes 1..N-1 are
-contractions of the partial product P = Y x_N conj(A^(N)) (Phan, Tichavsky
-& Cichocki, IEEE TSP 2013).
+A stacked vector has one block per mode, vec(V^(n)) in column-major order
+(:meth:`KruskalModel.as_vector`).  The factor-sized and R x R kernels work on
+one N x R x I_max array instead, the stack of :func:`stack`, whose block n
+is V^(n)^T with zeros past column I_n, so every per-mode product is one
+batched matmul; :func:`pack` and :func:`unpack` convert, by a reshape when
+every I_n is equal.  The MTTKRPs of modes 1..N-1 are contractions of the
+partial product P = Y x_N conj(A^(N)) (Phan, Tichavsky & Cichocki, IEEE TSP
+2013).
 
 :func:`als_step` is one sweep; ALS-ls's extrapolation is scored by the fit
 loop (:mod:`cpfast.solver`).
@@ -16,6 +20,7 @@ loop (:mod:`cpfast.solver`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -28,7 +33,7 @@ from .tensor import (
     ScalarKindError,
     _check_mode,
     _khatri_rao_of,
-    fold,
+    frobenius,
     khatri_rao_excl,
     unfold,
 )
@@ -61,7 +66,7 @@ class KruskalModel:
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(f.shape[0] for f in self.factors)
+        return tuple([f.shape[0] for f in self.factors])
 
     @property
     def scalar_kind(self) -> str:
@@ -80,19 +85,41 @@ def complex_model(model: KruskalModel) -> KruskalModel:
     return KruskalModel([f.astype(np.complex128) for f in model.factors])
 
 
-def _block_views(vec: np.ndarray, dims, rank: int) -> list:
-    """Block n of the stacked vector ``vec``, vec(V^(n)) in column-major
-    order, as the row-major R x I_n view V^(n)^T (no copy), for every n."""
-    views = []
-    offset = 0
-    for d in dims:
-        views.append(vec[offset : offset + d * rank].reshape(rank, d))
-        offset += d * rank
-    return views
+def stack(factors) -> np.ndarray:
+    """The factors A^(n) as one N x R x I_max array whose block n is A^(n)^T,
+    zero past column I_n (a copy)."""
+    dims = [f.shape[0] for f in factors]
+    x = np.zeros((len(dims), factors[0].shape[1], max(dims)), np.result_type(*factors))
+    for xn, f in zip(x, factors):
+        xn[:, : f.shape[0]] = f.T
+    return x
+
+
+def model_from_stack(x: np.ndarray, dims) -> KruskalModel:
+    """The model whose factor A^(n) is the view x[n, :, :I_n]^T of the stack
+    ``x`` (Fortran-ordered, no copy)."""
+    return KruskalModel([xn[:, :d].T for xn, d in zip(x, dims)])
+
+
+def pack(vec: np.ndarray, dims, rank: int) -> np.ndarray:
+    """The stacked vector ``vec`` in the layout of :func:`stack`: a reshape
+    view when every I_n is equal, else a zero-padded copy."""
+    if min(dims) == max(dims):
+        return vec.reshape(len(dims), rank, dims[0])
+    return stack(model_from_vector(vec, dims, rank).factors)
+
+
+def unpack(x: np.ndarray, dims) -> np.ndarray:
+    """The stacked vector of the stack ``x``: the inverse of :func:`pack`."""
+    if min(dims) == max(dims):
+        return x.reshape(-1)
+    return model_from_stack(x, dims).as_vector()
 
 
 def model_from_vector(vec: np.ndarray, dims, rank: int) -> KruskalModel:
-    return KruskalModel([vt.T for vt in _block_views(np.asarray(vec), dims, rank)])
+    """The model whose factor A^(n) is block n of ``vec``, as a view."""
+    blocks = np.split(np.asarray(vec), np.cumsum([d * rank for d in dims])[:-1])
+    return KruskalModel([b.reshape(rank, d).T for b, d in zip(blocks, dims)])
 
 
 def reconstruct(model: KruskalModel) -> DenseTensor:
@@ -103,7 +130,7 @@ def reconstruct(model: KruskalModel) -> DenseTensor:
     is a reshape view and the tensor is written once.
     """
     mat = (khatri_rao_excl(model.factors, 1) @ model.factors[0].T).T
-    return fold(mat, 1, model.dims)
+    return DenseTensor(mat.reshape(model.dims, order="F"))
 
 
 @dataclass
@@ -134,13 +161,11 @@ def _exclusion_mask(n_modes: int) -> np.ndarray:
     return keep
 
 
-def gram_stack(factors) -> np.ndarray:
-    """The Gram matrices A^(n)^H A^(n), stacked N x R x R."""
-    r = factors[0].shape[1]
-    grams = np.empty((len(factors), r, r), dtype=factors[0].dtype)
-    for f, c in zip(factors, grams):
-        np.matmul(f.conj().T, f, out=c)
-    return grams
+def gram_stack(x: np.ndarray) -> np.ndarray:
+    """The Gram matrices A^(n)^H A^(n) of the stack ``x`` (see :func:`stack`),
+    stacked N x R x R: one batched conj(X) X^T, to which the zero padding
+    adds nothing."""
+    return x.conj() @ x.mT
 
 
 def gram_cache(C: np.ndarray) -> GramCache:
@@ -157,7 +182,7 @@ def gram_cache(C: np.ndarray) -> GramCache:
 
 
 def build_gram_cache(model: KruskalModel) -> GramCache:
-    return gram_cache(gram_stack(model.factors))
+    return gram_cache(gram_stack(stack(model.factors)))
 
 
 def _hadamard_excl(C: list, skip) -> np.ndarray:
@@ -178,8 +203,8 @@ def _contract_all_but(zt: np.ndarray, factors, k: int) -> np.ndarray:
     """
     dims = [f.shape[0] for f in factors]
     r = zt.shape[0]
-    left = int(np.prod(dims[:k], dtype=np.int64))
-    right = int(np.prod(dims[k + 1 :], dtype=np.int64))
+    left = math.prod(dims[:k])
+    right = math.prod(dims[k + 1 :])
     x = zt.reshape((r, right, dims[k] * left))
     # A mode of size one is contracted too: its factor's row still scales.
     if k + 1 < len(factors):
@@ -201,8 +226,9 @@ def _same_kind(first: np.ndarray, others) -> str:
     """REAL or COMPLEX for arrays whose dtypes agree on it, read from
     ``dtype.kind`` alone; mixed input raises :class:`ScalarKindError`."""
     is_complex = first.dtype.kind == "c"
-    if any((a.dtype.kind == "c") != is_complex for a in others):
-        raise ScalarKindError("mixed real/complex operands are not supported")
+    for a in others:
+        if (a.dtype.kind == "c") != is_complex:
+            raise ScalarKindError("mixed real/complex operands are not supported")
     return COMPLEX if is_complex else REAL
 
 
@@ -227,7 +253,7 @@ def mttkrp(y: DenseTensor, model: KruskalModel, n: int) -> np.ndarray:
     _check_mode(model.order, n)
     factors = model.factors
     if n == model.order:
-        return _last_mode_rows(y).T @ khatri_rao_excl(factors, n).conj()
+        return _last_mode_rows(y).T @ _khatri_rao_of(factors[:-1]).conj()
     return _contract_all_but(_last_partial(y, factors[-1]), factors[:-1], n - 1)
 
 
@@ -264,18 +290,23 @@ def gradient(
 
     Block n is vec(M^(n) - A^(n) Gamma^(n)^T), with M^(n) the mode-n MTTKRP
     from ``mttkrps`` when given, else from :func:`mttkrp_all` (two passes
-    over the tensor); the transpose is exact for the complex Hermitian Gamma
-    and redundant for real data.
+    over the tensor); see :func:`_gradient` for the stacked form.
     """
     cache = cache or build_gram_cache(model)
     if mttkrps is None:
         mttkrps = mttkrp_all(y, model)
-    return np.concatenate(
-        [
-            (m - f @ gamma.T).reshape(-1, order="F")
-            for m, f, gamma in zip(mttkrps, model.factors, cache.gamma_excl)
-        ]
-    )
+    return unpack(_gradient(stack(model.factors), cache.gamma_excl, mttkrps), model.dims)
+
+
+def _gradient(x: np.ndarray, gamma_excl: np.ndarray, mttkrps: list) -> np.ndarray:
+    """The gradient as a stack, from the model's stack ``x``: block n is the
+    transpose of M^(n) - A^(n) Gamma^(n)^T (the transpose is exact for the
+    complex Hermitian Gamma and redundant for real data)."""
+    g = np.zeros(x.shape, x.dtype)
+    for gn, m in zip(g, mttkrps):
+        gn[:, : m.shape[0]] = m.T
+    g -= (x.mT @ gamma_excl.mT).mT
+    return g
 
 
 def second_order_term(factors, grams: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -288,22 +319,29 @@ def second_order_term(factors, grams: np.ndarray, vec: np.ndarray) -> np.ndarray
     over j != k of C^(j) + t E^(j), C^(j) = A^(j)^H A^(j) (``grams``, stacked
     N x R x R) and E^(j) = A^(j)^H V^(j).  Block k of the result is twice its
     t^2 coefficient, 2 (V^(k) p1_k^T + A^(k) p2_k^T), where p1_k and p2_k
-    are the t^1 and t^2 coefficients of P_k.  They come from a three-term
-    recurrence over the modes, run for every k at once on N x N x R x R
-    stacks in which mode k is masked (C -> 1, E -> 0).  Cost O(T R^2 +
-    N^2 R^2) with T = sum I_n, and no pass over the tensor.
+    are the t^1 and t^2 coefficients of P_k; see :func:`_second_order` for
+    the stacked form.  Cost O(T R^2 + N^2 R^2) with T = sum I_n, and no pass
+    over the tensor.
     """
-    n_modes, r = grams.shape[:2]
-    dtype = np.result_type(vec, grams)
     dims = [f.shape[0] for f in factors]
-    blocks = _block_views(vec, dims, r)
-    e = np.empty((n_modes, 1, r, r), dtype)
-    for f, vt, en in zip(factors, blocks, e):
-        np.matmul(f.conj().T, vt.T, out=en[0])
+    v = pack(np.asarray(vec), dims, grams.shape[1])
+    return unpack(_second_order(stack(factors), grams, v), dims)
+
+
+def _second_order(x: np.ndarray, grams: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """:func:`second_order_term` on the stacks ``x`` of the model and ``v``
+    of the direction.
+
+    p1_k and p2_k come from a three-term recurrence over the modes, run for
+    every k at once on N x N x R x R stacks in which mode k is masked (C -> 1,
+    E -> 0).  Each block is formed transposed, 2 (p1_k V^(k)^T + p2_k
+    A^(k)^T), which is the stack's block.
+    """
+    n_modes = x.shape[0]
     # c[j, k] is C^(j) and e[j, k] is E^(j), except 1 and 0 where j = k.
     keep = _exclusion_mask(n_modes)[:n_modes, n_modes]
     c = np.where(keep, grams[:, None], 1.0)
-    e = np.where(keep, e, 0.0)
+    e = np.where(keep, (x.conj() @ v.mT)[:, None], 0.0)
     # Multiply (q0 + q1 t + q2 t^2) by (c[j] + e[j] t) for j = 1..N-1,
     # dropping t^3; q0 is brought up to date one mode late, as the last
     # mode does not need it.
@@ -317,14 +355,8 @@ def second_order_term(factors, grams: np.ndarray, vec: np.ndarray) -> np.ndarray
         q2 += q1 * e[j]
         q1 *= c[j]
         q1 += q0 * e[j]
-    # Each block is formed transposed, 2 (p1_k V^(k)^T + p2_k A^(k)^T), which
-    # is its column-major vectorization.
-    out = np.empty(vec.shape, dtype)
-    for f, vt, block, p1, p2 in zip(
-        factors, blocks, _block_views(out, dims, r), q1, q2
-    ):
-        np.matmul(p1, vt, out=block)
-        block += p2 @ f.T
+    out = q1 @ v
+    out += q2 @ x
     out *= 2.0
     return out
 
@@ -333,7 +365,7 @@ def relative_error(y: DenseTensor, model: KruskalModel) -> float:
     ynorm = y.norm()
     if ynorm == 0.0:
         raise ZeroDivisionError("relative error undefined for a zero tensor")
-    return float(np.linalg.norm(y.data - reconstruct(model).data)) / ynorm
+    return frobenius(y.data - reconstruct(model).data) / ynorm
 
 
 def gram_relative_error(
@@ -353,7 +385,7 @@ def gram_relative_error(
     :func:`relative_error` instead.
     """
     if grams is None:
-        grams = gram_stack(model.factors)
+        grams = gram_stack(stack(model.factors))
     gamma_full = np.multiply.reduce(grams)
     cross = np.vdot(model.factors[-1], last).real
     # Kept as a quadratic form: gamma_full.sum() rounds differently.
@@ -362,38 +394,79 @@ def gram_relative_error(
     return float(np.sqrt(max(ynorm**2 - 2.0 * cross + model_sq, 0.0)) / ynorm)
 
 
+def residual_decrease(
+    y: DenseTensor,
+    x: np.ndarray,
+    cand: np.ndarray,
+    grams: np.ndarray,
+    cand_grams: np.ndarray,
+    last: np.ndarray,
+) -> tuple[float, np.ndarray]:
+    """The decrease ||Y - M(x)||^2 - ||Y - M(x')||^2 from the stack x to the
+    stack x' = ``cand`` (see :func:`stack`), and the mode-N MTTKRP of x'.
+
+    ``grams`` and ``cand_grams`` are their Gram stacks and ``last`` the
+    mode-N MTTKRP of x.  With S = x' - x and D = M(x') - M(x), the decrease
+    is 2 Re<Y, D> - (||M(x')||^2 - ||M(x)||^2), and both terms are formed
+    from S, so its rounding scales with ||S||, not with ||Y||^2 as in
+    :func:`gram_relative_error`:
+
+    - Re<Y, D> = Re<A^(N), dM> + Re<S^(N), M^(N) + dM>, with dM =
+      Y_(N)^T conj(KR(A') - KR(A)) over modes 1..N-1 (one pass over the
+      tensor) and the Khatri-Rao difference telescoped as the sum over k of
+      KR(A'_1, ..., A'_{k-1}, S_k, A_{k+1}, ..., A_{N-1});
+    - the norms' difference telescopes the Hadamard products of the Grams
+      the same way, with dC_k = A_k^H S_k + S_k^H A_k + S_k^H S_k.
+    """
+    n_modes = x.shape[0]
+    s = cand - x
+    a, b, d = (model_from_stack(z, y.dims).factors for z in (x, cand, s))
+    dk = _khatri_rao_of(d[:1] + a[1:-1])
+    for k in range(1, n_modes - 1):
+        dk = dk + _khatri_rao_of(b[:k] + d[k : k + 1] + a[k + 1 : -1])
+    dm = _last_mode_rows(y).T @ dk.conj()
+    cross = np.vdot(a[-1], dm).real + np.vdot(d[-1], last + dm).real
+    e = x.conj() @ s.mT
+    dc = e + e.conj().mT + s.conj() @ s.mT
+    # terms[k, j]: C'_j before mode k, dC_k at it, C_j after it.
+    j = np.arange(n_modes)[:, None, None]
+    k = j[:, None]
+    terms = np.where(j < k, cand_grams, np.where(j == k, dc, grams))
+    return 2.0 * cross - np.multiply.reduce(terms, axis=1).sum().real, last + dm
+
+
 def normalize_with_grams(
-    model: KruskalModel, grams: np.ndarray, last: np.ndarray | None = None
-) -> tuple[KruskalModel, GramCache, np.ndarray | None]:
-    """Rescale each component of ``model`` to the same norm in every mode,
-    using its stacked Gram matrices ``grams`` (N x R x R).
+    x: np.ndarray, grams: np.ndarray, last: np.ndarray | None = None
+) -> tuple[np.ndarray, GramCache, np.ndarray | None]:
+    """Rescale each component of the model with stack ``x`` (see
+    :func:`stack`) to the same norm in every mode, using its stacked Gram
+    matrices ``grams`` (N x R x R).
 
     Every mode-n vector of component r gets the geometric mean of the
     component's mode norms sqrt(diag C^(n)) as its norm; a zero-norm vector
     raises ``ZeroDivisionError``.  The largest-magnitude entry of each
     first-mode vector is made real-positive, the compensating phase going to
     the last mode.  The column scales s_n of a component multiply to one, so
-    the reconstruction is unchanged.  Returns the normalized model, its Gram
-    cache from conj(s_n)^T s_n * C^(n) (no factor products) and its mode-N
-    MTTKRP ``last`` / conj(s_N) (None when ``last`` is None).
+    the reconstruction is unchanged.  Returns the normalized stack, X times
+    the N x R scales, its Gram cache from conj(s_n)^T s_n * C^(n) (no factor
+    products) and its mode-N MTTKRP ``last`` / conj(s_N) (None when ``last``
+    is None).
     """
-    n_modes = model.order
+    n_modes = x.shape[0]
     norms = np.sqrt(grams.diagonal(0, 1, 2).real)
     if not norms.all():
         zero = np.flatnonzero(~norms.all(axis=0))
         raise ZeroDivisionError(f"component {zero[0]} has a zero-norm vector")
-    magnitude = np.multiply.reduce(norms)
-    dtype = np.result_type(*model.factors)
-    scales = (magnitude ** (1.0 / n_modes) / norms).astype(dtype)
+    scales = (np.multiply.reduce(norms) ** (1.0 / n_modes) / norms).astype(x.dtype)
     if n_modes >= 2:
-        phase = _top_phase(model.factors[0])
+        # The padding's zeros are never a row's largest magnitude.
+        phase = _top_phase(x[0].T)
         scales[0] /= phase
         scales[-1] *= phase
-    normalized = KruskalModel([f * s for f, s in zip(model.factors, scales)])
     cache = gram_cache(grams * (scales.conj()[:, :, None] * scales[:, None, :]))
     if last is not None:
         last = last / scales[-1].conj()
-    return normalized, cache, last
+    return x * scales[:, :, None], cache, last
 
 
 def random_init(dims, rank: int, rng, scalar_kind="real") -> KruskalModel:
@@ -408,13 +481,14 @@ def random_init(dims, rank: int, rng, scalar_kind="real") -> KruskalModel:
 
 def _unit_phase(x: np.ndarray) -> np.ndarray:
     """x / |x| elementwise (the sign, for real data), and 1 where x is 0."""
-    mag = np.abs(x)
-    return np.divide(x, mag, out=np.ones_like(x), where=mag != 0)
+    zero = np.abs(x) == 0
+    # Adding 1 to both where x is 0 makes 0/0 a 1 and leaves x / |x| exact.
+    return (x + zero) / (np.abs(x) + zero)
 
 
 def _top_phase(u: np.ndarray) -> np.ndarray:
     """Phase of each column's largest-magnitude entry (1 for a zero column)."""
-    return _unit_phase(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])])
+    return _unit_phase(u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])])
 
 
 def _leading_left_vectors(mat: np.ndarray, rank: int) -> np.ndarray:

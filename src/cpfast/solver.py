@@ -11,7 +11,9 @@ arXiv:1201.5885, 2012), whose right-hand side costs only R x R work.  The
 candidate is x + v + a/2 when the acceleration is small against the step,
 else x + v.  The gradient is formed once per accepted model.  The candidate
 is accepted only if it lowers the residual; the damping parameter follows
-the Nielsen gain-ratio schedule.
+the Nielsen gain-ratio schedule.  The loop holds the model, the gradient and
+the steps as N x R x I_max stacks (:func:`~cpfast.kruskal.stack`), so each
+factor-sized or R x R job is one batched call over the modes.
 
 On a tensor much larger than its rank-R Tucker core, :func:`fit` first
 compresses: it fits the ST-HOSVD core with the variant's own loop and then
@@ -36,22 +38,25 @@ from .hessian import damped_core
 from .kruskal import (
     GramCache,
     KruskalModel,
+    _gradient,
+    _second_order,
     als_step,
     build_gram_cache,
     gradient,
     gram_relative_error,
     gram_stack,
-    model_from_vector,
+    model_from_stack,
     mttkrp,
     mttkrp_all,
     normalize_with_grams,
     random_init,
     relative_error,
-    second_order_term,
+    residual_decrease,
     st_hosvd,
+    stack,
     svd_init,
 )
-from .tensor import DenseTensor
+from .tensor import DenseTensor, frobenius
 
 VARIANTS = ("auto", "als", "als-ls")
 INITS = ("svd", "random")
@@ -72,6 +77,11 @@ GRAM_ERROR_GUARD = 1e-3
 # loses precision; ||Y|| is then taken from Y / max|y|.  At or above it the
 # squares' rounding is far under eps relative to the sum.
 NORM_RESCALE_BELOW = 1e-140
+# Above the guard, a candidate whose predicted decrease of the unit-norm
+# squared residual is below this is scored by its computed decrease
+# (:func:`~cpfast.kruskal.residual_decrease`): the Gram identity rounds at a
+# few eps, more than 1e-3 of such a decrease.
+DECREASE_RESOLUTION = 1e-12
 # The geodesic acceleration a is added, as a/2, only while 2 ||a|| / ||v|| is
 # at most this: beyond it the quadratic model of the path is not trusted
 # (Transtrum & Sethna, arXiv:1201.5885, 2012, who use alpha = 0.75).  A
@@ -186,18 +196,19 @@ def flm_step(y: DenseTensor, model: KruskalModel, mu: float) -> np.ndarray:
     return damped_core(model.factors, cache, mu)(gradient(y, model, cache))
 
 
-def _accelerated_step(solve, model: KruskalModel, grams: np.ndarray, g):
+def _accelerated_step(solve, x: np.ndarray, grams: np.ndarray, g: np.ndarray):
     """The Gauss-Newton step v = solve(g), the step to take and the
-    acceleration ratio 2 ||a|| / ||v|| (NaN for v = 0).
+    acceleration ratio 2 ||a|| / ||v|| (NaN for v = 0); the model ``x``, the
+    gradient ``g`` and both steps are stacks (see :func:`~cpfast.kruskal.stack`).
 
     The geodesic acceleration a = -solve(J^H M''(v, v)) reuses the
     factorization behind ``solve``; the step is v + a/2 when the ratio is at
     most ``ACCEL_MAX_RATIO``, else v.
     """
     v = solve(g)
-    minus_a = solve(second_order_term(model.factors, grams, v))
-    v_norm = float(np.linalg.norm(v))
-    ratio = 2.0 * float(np.linalg.norm(minus_a)) / v_norm if v_norm > 0 else math.nan
+    minus_a = solve(_second_order(x, grams, v))
+    v_norm = frobenius(v)
+    ratio = 2.0 * frobenius(minus_a) / v_norm if v_norm > 0 else math.nan
     if not ratio <= ACCEL_MAX_RATIO:
         return v, v, ratio
     step = minus_a
@@ -226,11 +237,10 @@ def nielsen_update(state: LmState, rho: float) -> LmState:
     return LmState(state.mu * state.growth, 2.0 * state.growth)
 
 
-def _gain_ratio(prev_sq, cand_sq, delta, g, mu) -> float:
-    denom = np.real(np.vdot(delta, g + mu * delta))
-    if abs(denom) < RHO_DENOM_GUARD:
+def _gain_ratio(prev_sq, cand_sq, predicted) -> float:
+    if abs(predicted) < RHO_DENOM_GUARD:
         return -1.0
-    return (prev_sq - cand_sq) / denom
+    return (prev_sq - cand_sq) / predicted
 
 
 def _init_model(
@@ -255,10 +265,14 @@ def _start_error(y, ynorm, model, last, grams=None) -> float:
 
 def _tensor_norm(y: DenseTensor) -> float:
     """||Y||, computed again from Y / max|y| only when the plain norm is
-    below ``NORM_RESCALE_BELOW`` or overflows."""
+    below ``NORM_RESCALE_BELOW`` or not finite.  A finite plain norm proves
+    every entry finite, so only a norm that is not checks for NaN and
+    infinite entries, which raise ``ValueError``."""
     with np.errstate(over="ignore"):
         norm = y.norm()
     if not NORM_RESCALE_BELOW <= norm < math.inf:
+        if not np.isfinite(y.data).all():
+            raise ValueError("tensor has NaN or infinite entries")
         peak = float(np.abs(y.data).max())
         if peak == 0.0:
             raise ZeroDivisionError("cannot fit a zero tensor")
@@ -309,8 +323,6 @@ def fit(y: DenseTensor, config: FitConfig) -> FitResult:
     when the plain norm overflows or is so small that squared entries may be
     subnormal.
     """
-    if not np.isfinite(y.data).all():
-        raise ValueError("tensor has NaN or infinite entries")
     if y.order < 2:
         raise ValueError(f"CP fitting needs order >= 2, got order {y.order}")
     ynorm = _tensor_norm(y)
@@ -467,10 +479,11 @@ def _fit_als(
 
 def _scaled_start(
     y: DenseTensor, config: FitConfig, rng, start: KruskalModel | None = None
-) -> tuple[KruskalModel, GramCache, np.ndarray, float]:
+) -> tuple[np.ndarray, GramCache, np.ndarray, float]:
     """The init of the unit-norm tensor ``y`` (``start`` when given, at any
-    scale), scaled by its least-squares weight and normalized, with its Gram
-    cache, mode-N MTTKRP and relative error.
+    scale), scaled by its least-squares weight and normalized, as a stack
+    (see :func:`~cpfast.kruskal.stack`), with its Gram cache, mode-N MTTKRP
+    and relative error.
 
     The last factor is multiplied by alpha = Re<A^(N), M^(N)> / 1^T Gamma_full
     1, the one overall scale that minimizes the residual, when alpha > 0; one
@@ -480,14 +493,16 @@ def _scaled_start(
     ``GRAM_ERROR_GUARD``.
     """
     start, last = _init_model(y, config, rng, start)
-    grams = gram_stack(start.factors)
+    x = stack(start.factors)
+    grams = gram_stack(x)
     cross = np.vdot(start.factors[-1], last).real
     alpha = cross / np.multiply.reduce(grams).sum().real
     if alpha > 0:
-        start = KruskalModel(start.factors[:-1] + [alpha * start.factors[-1]])
+        x[-1] *= alpha
         grams[-1] *= alpha**2
-    model, cache, last = normalize_with_grams(start, grams, last)
-    return model, cache, last, _start_error(y, 1.0, model, last, cache.C)
+    x, cache, last = normalize_with_grams(x, grams, last)
+    model = model_from_stack(x, y.dims)
+    return x, cache, last, _start_error(y, 1.0, model, last, cache.C)
 
 
 def _fit_lm(
@@ -511,11 +526,16 @@ def _fit_lm(
     start) and no dense residual above ``GRAM_ERROR_GUARD``; that M^(N) also
     serves the first :func:`mttkrp_all`.
 
+    The model x, the gradient g, both steps and the candidate are stacks
+    (:func:`~cpfast.kruskal.stack`), zero past column I_n, whose Fortran-
+    ordered views x[n, :, :I_n]^T are the factors the tensor contractions
+    read; every other per-mode job is one batched call over the modes.
+
     Each iteration factors one :class:`~cpfast.hessian.DampedCore` and solves
     it twice (:func:`_accelerated_step`): for v = (H + mu I)^{-1} g, and for
     the geodesic acceleration a = -(H + mu I)^{-1} J^H M''(v, v), whose
-    right-hand side :func:`second_order_term` forms in O(T R^2 + N^2 R^2)
-    with no pass over the tensor.  The candidate is x + v + a/2 when
+    right-hand side (:func:`~cpfast.kruskal.second_order_term`) costs
+    O(T R^2 + N^2 R^2) and no pass over the tensor.  The candidate is x + v + a/2 when
     2 ||a|| / ||v|| <= ``ACCEL_MAX_RATIO``, else x + v.  The gain ratio's
     denominator stays Re<v, g + mu v>, v's Gauss-Newton prediction: taking it
     from v + a/2 instead cost more iterations on the swamp.
@@ -523,10 +543,13 @@ def _fit_lm(
     Cost per iteration in passes over the tensor: a candidate is scored with
     :func:`gram_relative_error` from its mode-N MTTKRP (one pass); if it is
     accepted, :func:`mttkrp_all` adds the partial product for modes 1..N-1 (a
-    second pass).  Once the accepted relative error is below
+    second pass).  The identity rounds at a few eps, so a step whose predicted
+    decrease Re<v, g + mu v> is below ``DECREASE_RESOLUTION`` is scored by
+    :func:`~cpfast.kruskal.residual_decrease` from the same one pass, whose
+    rounding scales with the step.  Once the accepted relative error is below
     ``GRAM_ERROR_GUARD`` the identity cancels, so candidates are scored by the
     dense :func:`relative_error` instead; the path is chosen from the current
-    error, so no iteration computes both (see :func:`_candidate_error`).
+    error and the prediction, so no iteration computes two.
 
     The candidate's Gram matrices are formed once and serve three times: in
     its Gram-identity error and, through :func:`normalize_with_grams`, as its
@@ -541,43 +564,49 @@ def _fit_lm(
     """
     y = DenseTensor(y.data / ynorm)
     rng = np.random.default_rng([config.seed, 0])
-    model, cache, last, err = _scaled_start(y, config, rng, start)
+    x, cache, last, err = _scaled_start(y, config, rng, start)
+    dims = y.dims
+    model = model_from_stack(x, dims)
     state = LmState(mu=mu_init(cache, config.tau))
-    g = gradient(y, model, cache, mttkrp_all(y, model, last))
-    grad_norm = float(np.linalg.norm(g))
-    base = model.as_vector()
+    g = _gradient(x, cache.gamma_excl, mttkrp_all(y, model, last))
+    grad_norm = frobenius(g)
 
     trace = []
     stop_reason = "max_iters"
     for t in range(1, config.max_iters + 1):
         try:
-            solve = damped_core(model.factors, cache, state.mu)
-            v, step, accel_ratio = _accelerated_step(solve, model, cache.C, g)
+            core = damped_core(model.factors, cache, state.mu)
+            v, step, accel_ratio = _accelerated_step(core.apply, x, cache.C, g)
         except np.linalg.LinAlgError as exc:
             stop_reason = f"error at iteration {t}: {exc}"
             break
-        step_norm = float(np.linalg.norm(step))
-        candidate = model_from_vector(base + step, model.dims, model.rank)
-        grams = gram_stack(candidate.factors)
+        step_norm = frobenius(step)
+        cand = x + step
+        grams = gram_stack(cand)
 
-        cand_err, cand_last = _candidate_error(y, 1.0, err, candidate, grams=grams)
+        predicted = np.vdot(v, g + state.mu * v).real
+        if predicted < DECREASE_RESOLUTION and err >= GRAM_ERROR_GUARD:
+            decrease, cand_last = residual_decrease(y, x, cand, cache.C, grams, last)
+            cand_err = math.sqrt(max(err * err - decrease, 0.0))
+        else:
+            candidate = model_from_stack(cand, dims)
+            cand_err, cand_last = _candidate_error(y, 1.0, err, candidate, grams=grams)
         cand_sq = cand_err * cand_err
         finite = math.isfinite(cand_sq)
         rho = math.nan  # a non-finite candidate is rejected and mu kept
         if finite:
-            rho = _gain_ratio(err * err, cand_sq, v, g, state.mu)
+            rho = _gain_ratio(err * err, cand_sq, predicted)
             state = nielsen_update(state, rho)
 
         accepted = bool(rho > 0 and cand_err < err)
         diff = abs(err - cand_err) if accepted else 0.0
         below = below + 1 if diff < config.tol else 0
         if accepted:
-            model, cache, cand_last = normalize_with_grams(
-                candidate, grams, cand_last
-            )
-            g = gradient(y, model, cache, mttkrp_all(y, model, cand_last))
-            grad_norm = float(np.linalg.norm(g))
-            base = model.as_vector()
+            x, cache, cand_last = normalize_with_grams(cand, grams, cand_last)
+            model = model_from_stack(x, dims)
+            mttkrps = mttkrp_all(y, model, cand_last)
+            g, last = _gradient(x, cache.gamma_excl, mttkrps), mttkrps[-1]
+            grad_norm = frobenius(g)
             err = cand_err
 
         trace.append(

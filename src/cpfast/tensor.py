@@ -8,7 +8,6 @@ Mode indices in the public API are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -61,7 +60,18 @@ class DenseTensor:
         return kind_of(self.data)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
+        return frobenius(self.data)
+
+
+def frobenius(a: np.ndarray) -> float:
+    """||a||, summed in memory order as ``np.linalg.norm`` sums it, without
+    that function's overhead: sqrt(a . a), or for complex ``a`` the dot
+    products of its real and imaginary parts."""
+    flat = a.ravel("K")
+    if flat.dtype.kind == "c":
+        re, im = flat.real, flat.imag
+        return float(np.sqrt(re.dot(re) + im.dot(im)))
+    return float(np.sqrt(flat @ flat))
 
 
 def as_complex(y: DenseTensor) -> DenseTensor:
@@ -110,8 +120,12 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _khatri_rao_of(factors) -> np.ndarray:
-    """Khatri-Rao product whose row index runs over ``factors``, first fastest."""
-    return reduce(khatri_rao, factors[::-1])
+    """Khatri-Rao product whose row index runs over ``factors`` (2-D, with
+    equal column counts), first fastest."""
+    out = factors[-1]
+    for f in factors[-2::-1]:
+        out = (out[:, None, :] * f[None, :, :]).reshape(-1, f.shape[1])
+    return out
 
 
 def khatri_rao_excl(factors, n: int) -> np.ndarray:

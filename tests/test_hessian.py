@@ -53,7 +53,7 @@ def orthonormal_model(rng, dims, rank):
 
 def materialize_inverse(core):
     """Dense (H + mu I)^{-1}: the core applied to every unit vector."""
-    size = sum(f.size for f in core.factors)
+    size = core.x.shape[1] * sum(core.dims)
     return np.column_stack([core(e) for e in np.eye(size)])
 
 
@@ -203,17 +203,20 @@ class TestFastInverse:
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
     def test_structured_applications(self, kind):
+        """(H + mu I)^{-1} v against a dense solve, also on padded stacks
+        (I_n = 1 and I_n < R, orders 3 and 4)."""
         rng = np.random.default_rng(11)
-        m = unit_model(rng, (3, 4, 2), 2, kind)
-        cache = build_gram_cache(m)
-        h = assemble_hessian(m, cache)
         mu = 0.3
-        v = rng.standard_normal(h.shape[0])
-        if kind == COMPLEX:
-            v = v + 1j * rng.standard_normal(h.shape[0])
-        iv = damped_core(m.factors, cache, mu)(v)
-        expected = np.linalg.solve(h + mu * np.eye(h.shape[0]), v)
-        np.testing.assert_allclose(iv, expected, atol=1e-9)
+        for dims, rank in [((3, 4, 2), 2), ((2, 1, 4), 3), ((1, 3, 2, 4), 3)]:
+            m = unit_model(rng, dims, rank, kind)
+            cache = build_gram_cache(m)
+            h = assemble_hessian(m, cache)
+            v = rng.standard_normal(h.shape[0])
+            if kind == COMPLEX:
+                v = v + 1j * rng.standard_normal(h.shape[0])
+            iv = damped_core(m.factors, cache, mu)(v)
+            expected = np.linalg.solve(h + mu * np.eye(h.shape[0]), v)
+            np.testing.assert_allclose(iv, expected, atol=1e-9)
 
 
 class TestDenseSolve:

@@ -14,19 +14,24 @@ from cpfast.kruskal import (
     gradient,
     gram_relative_error,
     gram_stack,
+    model_from_stack,
     model_from_vector,
     mttkrp,
     mttkrp_all,
     normalize_with_grams,
+    pack,
     pinv_psd,
     random_init,
     reconstruct,
     relative_error,
+    residual_decrease,
     second_order_term,
     st_hosvd,
+    stack,
     svd_init,
+    unpack,
 )
-from cpfast.oracle import dense_second_order_term
+from cpfast.oracle import dense_second_order_term, jacobian
 from cpfast.solver import FitConfig, fit
 from cpfast.tensor import (
     COMPLEX,
@@ -36,12 +41,14 @@ from cpfast.tensor import (
     fold,
     khatri_rao_excl,
     unfold,
+    vectorize,
 )
 
 
 def normalize(model):
     """The equal-energy normalization of ``model`` from its Gram matrices."""
-    return normalize_with_grams(model, gram_stack(model.factors))[0]
+    x = stack(model.factors)
+    return model_from_stack(normalize_with_grams(x, gram_stack(x))[0], model.dims)
 
 
 def random_model(rng, dims, rank, kind=REAL, scaled=False):
@@ -82,11 +89,26 @@ class TestModel:
             KruskalModel([np.zeros((3, 2)), np.zeros((4, 3))])
 
     def test_vector_roundtrip(self):
+        """The stacked vector, the factors and the zero-padded stack convert
+        into each other exactly, also with I_n = 1 and I_n < R at orders 3
+        and 4; with equal dims the stack is a view of the vector."""
         rng = np.random.default_rng(0)
-        m = random_model(rng, (3, 4, 5), 2, COMPLEX)
-        back = model_from_vector(m.as_vector(), m.dims, m.rank)
-        for a, b in zip(m.factors, back.factors):
-            np.testing.assert_array_equal(a, b)
+        cases = [((3, 4, 5), 2), ((4, 4, 4), 2), ((2, 1, 4), 3), ((1, 3, 2, 4), 3)]
+        for (dims, rank), kind in itertools.product(cases, [REAL, COMPLEX]):
+            m = random_model(rng, dims, rank, kind)
+            vec = m.as_vector()
+            back = model_from_vector(vec, m.dims, m.rank)
+            for a, b in zip(m.factors, back.factors):
+                np.testing.assert_array_equal(a, b)
+            x = pack(vec, dims, rank)
+            np.testing.assert_array_equal(x, stack(m.factors))
+            assert np.shares_memory(x, vec) == (min(dims) == max(dims))
+            for xn, f in zip(x, m.factors):
+                np.testing.assert_array_equal(xn[:, : len(f)], f.T)
+                assert not xn[:, len(f) :].any()
+            for a, b in zip(m.factors, model_from_stack(x, dims).factors):
+                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(unpack(x, dims), vec)
 
 
 class TestReconstruct:
@@ -183,11 +205,14 @@ class TestMttkrpGradient:
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
     @pytest.mark.parametrize(
-        "dims", [(4, 5), (3, 4, 5), (3, 2, 4, 5), (2, 3, 2, 3, 2), (1, 3, 1, 2)]
+        "dims",
+        [(4, 5), (3, 4, 5), (3, 2, 4, 5), (2, 3, 2, 3, 2), (1, 3, 1, 2), (2, 1, 4)],
     )
     def test_shared_mttkrps_dense_oracle(self, dims, kind):
         """mttkrp and mttkrp_all match the unfolding oracle for N = 2..5,
-        also with modes of size one."""
+        also with modes of size one, and the gradient built from them is
+        J^H vec(Y - Yhat) with the dense Jacobian, also where the stack is
+        padded (unequal dims, I_n = 1 and I_n < R)."""
         rng = np.random.default_rng(61)
         m = random_model(rng, dims, 3, kind)
         y = random_tensor(rng, dims, kind)
@@ -202,6 +227,9 @@ class TestMttkrpGradient:
             np.testing.assert_allclose(mttkrp(y, m, n), ref, atol=1e-12)
             np.testing.assert_allclose(shared[n - 1], ref, atol=1e-12)
             np.testing.assert_allclose(given[n - 1], ref, atol=1e-12)
+        residual = vectorize(y) - vectorize(reconstruct(m))
+        ref = jacobian(m).conj().T @ residual
+        assert np.linalg.norm(gradient(y, m) - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_gradient_zero_at_exact_fit(self):
         rng = np.random.default_rng(7)
@@ -254,11 +282,13 @@ class TestSecondOrderTerm:
     @staticmethod
     def term(model, direction):
         return second_order_term(
-            model.factors, gram_stack(model.factors), direction.as_vector()
+            model.factors, gram_stack(stack(model.factors)), direction.as_vector()
         )
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
-    @pytest.mark.parametrize("dims", [(4, 5), (3, 4, 5), (3, 2, 4, 5)])
+    @pytest.mark.parametrize(
+        "dims", [(4, 5), (3, 4, 5), (3, 2, 4, 5), (2, 1, 4), (1, 3, 2, 4)]
+    )
     def test_matches_dense_oracle(self, dims, kind):
         rng = np.random.default_rng(62)
         m = random_model(rng, dims, 3, kind, scaled=True)
@@ -329,6 +359,48 @@ class TestErrorsAndNormalization:
         gram = gram_relative_error(y.norm(), m, mttkrp(y, m, m.order))
         assert dense == pytest.approx(target, rel=0.2)
         assert gram == pytest.approx(dense, rel=1e-9)
+
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    @pytest.mark.parametrize("dims", [(3, 4, 5), (2, 1, 3, 4)])
+    def test_residual_decrease_matches_extended_precision(self, dims, kind):
+        """The decrease of ||Y - M||^2 from x to x' against the difference of
+        the two squared residuals in 50-digit arithmetic, for steps of norm
+        1e-2 down to 1e-12, to 1e-8 of the decrease (the Gram identity
+        rounds at a few eps ||Y||^2, more than the smallest of them); its
+        mode-N MTTKRP of x' matches a fresh one."""
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(65)
+        y = random_tensor(rng, dims, kind)
+        m = random_model(rng, dims, 2, kind)
+        x = stack(m.factors)
+
+        def exact_sq_residual(model):
+            total = mpmath.mpf(0)
+            with mpmath.workdps(50):
+                for idx in itertools.product(*[range(d) for d in dims]):
+                    value = mpmath.mpc(y.data[idx])
+                    for r in range(2):
+                        term = mpmath.mpc(1)
+                        for f, i in zip(model.factors, idx):
+                            term *= mpmath.mpc(f[i, r])
+                        value -= term
+                    total += abs(value) ** 2
+            return total
+
+        before = exact_sq_residual(m)
+        for size in (1e-2, 1e-5, 1e-8, 1e-12):
+            s = stack(random_model(rng, dims, 2, kind).factors)
+            cand = x + size / np.linalg.norm(s) * s
+            moved = model_from_stack(cand, dims)
+            decrease, last = residual_decrease(
+                y, x, cand, gram_stack(x), gram_stack(cand), mttkrp(y, m, len(dims))
+            )
+            with mpmath.workdps(50):
+                ref = float(before - exact_sq_residual(moved))
+            assert abs(decrease - ref) <= 1e-8 * abs(ref), size
+            np.testing.assert_allclose(
+                last, mttkrp(y, moved, len(dims)), rtol=0, atol=1e-13
+            )
 
     def test_equal_energy_preserves_reconstruction(self):
         rng = np.random.default_rng(10)

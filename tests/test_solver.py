@@ -3,7 +3,9 @@ schedule arithmetic, and full-fit behavior."""
 
 import itertools
 import math
+import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,15 +20,19 @@ from cpfast.kruskal import (
     KruskalModel,
     build_gram_cache,
     gradient,
+    model_from_stack,
     model_from_vector,
     mttkrp,
     gram_stack,
     normalize_with_grams,
+    pack,
     random_init,
     reconstruct,
     relative_error,
     second_order_term,
     st_hosvd,
+    stack,
+    unpack,
 )
 from cpfast.solver import (
     ACCEL_MAX_RATIO,
@@ -49,6 +55,13 @@ from cpfast.oracle import (
 )
 from cpfast.synth import CollinearSpec, gen_collinear
 from cpfast.tensor import COMPLEX, DenseTensor, REAL
+
+
+def normalize(model, last=None):
+    """:func:`normalize_with_grams` on the stack of ``model``, as a model."""
+    x = stack(model.factors)
+    x, cache, last = normalize_with_grams(x, gram_stack(x), last)
+    return model_from_stack(x, model.dims), cache, last
 
 
 def unit_model(rng, dims, rank, kind=REAL):
@@ -423,13 +436,71 @@ class TestFit:
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("variant", ["auto", "als-ls"])
-    def test_non_finite_entries_rejected(self, kind, bad, variant):
+    def test_non_finite_entries_rejected(self, kind, bad, variant, monkeypatch):
+        """NaN and infinite entries raise their own error, before the init
+        and before the norm's rescale (which would report an overflow)."""
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("the init ran on a non-finite tensor")
+
+        monkeypatch.setattr(cpfast.solver, "svd_init", no_init)
         rng = np.random.default_rng(19)
         y, _ = noisy_instance(rng, (4, 4, 4), 2, kind)
         data = y.data.copy()
         data[1, 2, 3] = bad
         with pytest.raises(ValueError, match="NaN or infinite"):
             fit(DenseTensor(data), FitConfig(rank=2, variant=variant))
+
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    def test_stack_padding_stays_zero(self, kind, monkeypatch):
+        """A (9, 7, 8) fit holds its model, gradient and steps in stacks
+        padded to I_max = 9: past column I_n every entry stays exactly zero
+        over five iterations, accepted and rejected."""
+        y, _ = noisy_instance(np.random.default_rng(33), (9, 7, 8), 3, kind, 0.05)
+        seen = []
+        accelerated_step = cpfast.solver._accelerated_step
+
+        def recorded(solve, x, grams, g):
+            v, step, ratio = accelerated_step(solve, x, grams, g)
+            seen.append((x, g, v, step))
+            return v, step, ratio
+
+        monkeypatch.setattr(cpfast.solver, "_accelerated_step", recorded)
+        result = fit(y, FitConfig(rank=3, max_iters=5))
+        assert result.iters == len(seen) == 5 and result.accepted_iters >= 1
+        for stacks in seen:
+            for a in stacks:
+                assert a.shape == (3, 3, 9)
+                for n, d in enumerate(y.dims):
+                    assert not a[n, :, d:].any()
+
+    def test_calls_per_iteration(self):
+        """Python-level calls and calls of C functions (``sys.setprofile``
+        "call" and "c_call" events) per fLM iteration on the noiseless
+        20^3, R=3, nu=0.1 swamp fit, over iterations 11 to 40: the count
+        for a budget of 40 minus that for 10 (a fit with a smaller budget is
+        a prefix of the same run), over 30.  The per-mode code that the
+        stacked layout replaced made 377.0 calls per iteration here (NumPy
+        2.4, Python 3.11); the bound is half of that.  A count, not a
+        timing."""
+        _, y = gen_collinear(CollinearSpec((20, 20, 20), 3, 0.1, None, 0))
+        fit(y, FitConfig(rank=3, max_iters=3))
+        counts = []
+        for budget in (10, 40):
+            events = [0]
+
+            def profile(frame, event, arg):
+                if event in ("call", "c_call"):
+                    events[0] += 1
+
+            sys.setprofile(profile)
+            try:
+                result = fit(y, FitConfig(rank=3, max_iters=budget))
+            finally:
+                sys.setprofile(None)
+            assert result.iters == budget
+            counts.append(events[0])
+        assert (counts[1] - counts[0]) / 30 <= 377.0 / 2
 
     @pytest.mark.parametrize("kind, seed", [(REAL, 0), (COMPLEX, 1)])
     def test_error_guard_crossing_keeps_dense_trajectory(
@@ -505,9 +576,7 @@ class TestFit:
         rng = np.random.default_rng(20)
         y, m = noisy_instance(rng, (3, 4, 5), 2, kind)
         m = type(m)([f * rng.uniform(0.5, 2.0, 2) for f in m.factors])
-        normalized, _, last = normalize_with_grams(
-            m, gram_stack(m.factors), mttkrp(y, m, 3)
-        )
+        normalized, _, last = normalize(m, mttkrp(y, m, 3))
         np.testing.assert_allclose(last, mttkrp(y, normalized, 3), atol=1e-12)
 
     def test_mu_overflow_constant(self):
@@ -580,7 +649,8 @@ class TestGeodesicAcceleration:
         rec = fit(y, config).trace[0]
         unit = DenseTensor(y.data / y.norm())
         rng = np.random.default_rng([config.seed, 0])
-        model, cache, _, err = _scaled_start(unit, config, rng)
+        x, cache, _, err = _scaled_start(unit, config, rng)
+        model = model_from_stack(x, unit.dims)
         mu = mu_init(cache, tau)
         g = gradient(unit, model, cache)
         core = damped_core(model.factors, cache, mu)
@@ -604,14 +674,18 @@ class TestGeodesicAcceleration:
     def test_dgn_oracle_takes_the_same_steps(self, dims, rank, kind, monkeypatch):
         """A fit whose solves use the dense H + mu I of :mod:`cpfast.oracle`
         in place of the core takes the same steps: the same accept decisions,
-        ratios and errors while the error is above its final value."""
+        ratios and errors while the error is above its final value.  The loop
+        applies the core to stacks, so the dense solve goes through
+        :func:`unpack` and :func:`pack`."""
         y, _ = noisy_instance(np.random.default_rng(16), dims, rank, kind, 0.05)
         config = FitConfig(rank=rank)
         fast = fit(y, config)
 
         def dense_core(factors, cache, mu):
             h = damped_hessian(KruskalModel(factors), mu, cache)
-            return lambda u: np.linalg.solve(h, u)
+            return SimpleNamespace(
+                apply=lambda v: pack(np.linalg.solve(h, unpack(v, dims)), dims, rank)
+            )
 
         monkeypatch.setattr(cpfast.solver, "damped_core", dense_core)
         dense = fit(y, config)
@@ -734,7 +808,7 @@ class TestCarriedOverCache:
     @pytest.mark.parametrize("n_modes", [2, 3, 4])
     def test_scaled_grams_match_fresh_cache(self, kind, n_modes):
         cand = self.candidate(kind, n_modes)
-        normalized, cache, _ = normalize_with_grams(cand, gram_stack(cand.factors))
+        normalized, cache, _ = normalize(cand)
         fresh = build_gram_cache(normalized)
         for name in ("C", "gamma_excl", "gamma_pair", "gamma_full"):
             got, ref = getattr(cache, name), getattr(fresh, name)
@@ -748,7 +822,7 @@ class TestCarriedOverCache:
         """Column norms from diag C^(n) give the normalization that column
         norms from the factors give, component by component."""
         cand = self.candidate(kind, n_modes)
-        normalized, _, _ = normalize_with_grams(cand, gram_stack(cand.factors))
+        normalized, _, _ = normalize(cand)
         for got, ref in zip(normalized.factors, equal_energy_loop(cand)):
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -756,7 +830,7 @@ class TestCarriedOverCache:
         cand = self.candidate(REAL, 3)
         cand.factors[1][:, 2] = 0.0
         with pytest.raises(ZeroDivisionError, match="component 2"):
-            normalize_with_grams(cand, gram_stack(cand.factors))
+            normalize(cand)
 
 
 class TestAlsLineSearch:

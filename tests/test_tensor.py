@@ -14,6 +14,7 @@ from cpfast.tensor import (
     REAL,
     ScalarKindError,
     fold,
+    frobenius,
     khatri_rao,
     khatri_rao_excl,
     kind_of,
@@ -59,9 +60,15 @@ class TestDenseTensor:
         assert t.size == 24
 
     def test_norm(self):
+        """``frobenius``, which ``norm`` uses, sums as ``np.linalg.norm``
+        does: the same bits for real and complex arrays in either order."""
         rng = np.random.default_rng(0)
         t = random_tensor(rng, (3, 4, 5), COMPLEX)
         assert np.isclose(t.norm(), np.linalg.norm(t.data.ravel()))
+        for shape, kind in itertools.product([(7,), (3, 9, 20)], [REAL, COMPLEX]):
+            data = random_tensor(rng, shape, kind).data
+            for a in (data, np.ascontiguousarray(data)):
+                assert frobenius(a) == float(np.linalg.norm(a))
 
     def test_mixed_kind_rejected(self):
         model = KruskalModel([np.zeros((2, 1)), np.zeros((3, 1), dtype=complex)])
