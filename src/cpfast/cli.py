@@ -110,12 +110,17 @@ def cmd_gen(dims, rank, nu, snr_db, seed, use_complex, out):
 
 
 def _load_truth(meta_path, dims, rank) -> KruskalModel:
-    """The generating model of a ``gen`` run; exits 1 with one line if its
-    dims or rank differ from the fit's, which MedSAE could not score."""
-    meta = cptn.read_metadata(meta_path)
-    truth = KruskalModel(
-        [cptn.read_matrix(p) for p in meta["factors"].split(";")]
-    )
+    """The generating model of a ``gen`` run; exits 1 with one line if the
+    sidecar names no factor files, if one cannot be read as a matrix, or if
+    the model's dims or rank differ from the fit's, which MedSAE could not
+    score."""
+    try:
+        paths = cptn.read_metadata(meta_path)["factors"].split(";")
+        truth = KruskalModel([cptn.read_matrix(p) for p in paths])
+    except KeyError:
+        _fail(f"{meta_path}: no factors entry in the truth sidecar")
+    except (ValueError, OSError) as exc:
+        _fail(f"{meta_path}: {exc}")
     if truth.dims != dims or truth.rank != rank:
         _fail(f"truth model has dims {truth.dims} and rank {truth.rank}; "
               f"the fit has dims {dims} and rank {rank}")
@@ -153,7 +158,10 @@ def _write_trace(path, trace) -> None:
 def cmd_fit(tensor_file, algo, rank, tau, tol, max_iters, seed, init, truth, out,
             trace_path):
     """Decompose a tensor file with the selected algorithm."""
-    y = cptn.read_tensor(tensor_file)
+    try:
+        y = cptn.read_tensor(tensor_file)
+    except cptn.FormatError as exc:
+        _fail(f"{tensor_file}: {exc}")
     try:
         config = FitConfig(
             rank=rank, variant=algo, tau=tau, tol=tol,

@@ -15,10 +15,14 @@ the Nielsen gain-ratio schedule.  The loop holds the model, the gradient and
 the steps as N x R x I_max stacks (:func:`~cpfast.kruskal.stack`), so each
 factor-sized or R x R job is one batched call over the modes.
 
-On a tensor much larger than its rank-R Tucker core, :func:`fit` first
-compresses: it fits the ST-HOSVD core with the variant's own loop and then
-refines the expanded model on the tensor with the same loop and stop rule,
-whose window resumes where the core stage left it.
+:func:`fit` owns the problem each loop solves: it divides Y by ||Y|| once,
+builds the configured init of that unit-norm tensor, hands both to the loop
+(:func:`_fit_lm` or :func:`_fit_als`), which only iterates, and scales the
+returned model back once.  On a tensor much larger than its rank-R Tucker
+core, :func:`fit` first compresses: it fits the ST-HOSVD core, divided by its
+own norm, with the variant's loop and then refines the expanded model on Y /
+||Y|| with the same loop and stop rule, whose window resumes where the core
+stage left it.
 
 The same code path serves real and complex tensors: Gram matrices are
 Hermitian, and every place where a damped Gamma inverse right-multiplies a
@@ -120,14 +124,16 @@ class FitConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
+        for field, least in (("rank", 1), ("max_iters", 1), ("seed", 0)):
+            value = getattr(self, field)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{field} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{field} must be >= {least}, got {value!r}")
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError(f"tau must be finite and positive, got {self.tau!r}")
         if not (math.isfinite(self.tol) and self.tol >= 0):
             raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
         if self.init not in INITS:
             raise ValueError(f"unknown init {self.init!r}")
 
@@ -243,23 +249,24 @@ def _gain_ratio(prev_sq, cand_sq, predicted) -> float:
     return (prev_sq - cand_sq) / predicted
 
 
-def _init_model(
-    y: DenseTensor, config: FitConfig, rng, start: KruskalModel | None = None
-) -> tuple[KruskalModel, np.ndarray]:
-    """``start`` when given, else the configured init, and its mode-N MTTKRP:
-    the SVD init's own, or one pass over the tensor."""
-    if start is None and config.init == "svd":
+def _init_model(y: DenseTensor, config: FitConfig) -> tuple[KruskalModel, np.ndarray]:
+    """The configured init of ``y`` and its mode-N MTTKRP: the SVD init's
+    own, or one pass over the tensor.  :func:`fit` calls it once per stage,
+    on the unit-norm tensor that the stage's loop fits; the random draws come
+    from ``config.seed`` alone."""
+    rng = np.random.default_rng([config.seed, 0])
+    if config.init == "svd":
         return svd_init(y, config.rank, rng)
-    if start is None:
-        start = random_init(y.dims, config.rank, rng, y.scalar_kind)
+    start = random_init(y.dims, config.rank, rng, y.scalar_kind)
     return start, mttkrp(y, start, start.order)
 
 
-def _start_error(y, ynorm, model, last, grams=None) -> float:
-    """A start's relative error: :func:`gram_relative_error` from its mode-N
-    MTTKRP ``last`` (and stacked Gram matrices ``grams``, if known), or the
-    dense residual where that is below ``GRAM_ERROR_GUARD``."""
-    err = gram_relative_error(ynorm, model, last, grams)
+def _start_error(y, model, last, grams=None) -> float:
+    """A start's relative error on the unit-norm tensor ``y``:
+    :func:`gram_relative_error` from its mode-N MTTKRP ``last`` (and stacked
+    Gram matrices ``grams``, if known), or the dense residual where that is
+    below ``GRAM_ERROR_GUARD``."""
+    err = gram_relative_error(1.0, model, last, grams)
     return err if err >= GRAM_ERROR_GUARD else relative_error(y, model)
 
 
@@ -307,21 +314,24 @@ def fit(y: DenseTensor, config: FitConfig) -> FitResult:
     overflows even after rescaling by max|y|, and ``ZeroDivisionError`` for
     an all-zero tensor, all before any initialization.
 
+    Every fit solves the unit-norm problem: ``fit`` divides Y by ||Y|| once,
+    builds the configured init of Y / ||Y|| (:func:`_init_model`) and hands
+    both to the loop, :func:`_fit_lm` or :func:`_fit_als`, which only
+    iterates.  It then scales the returned model back once: the LM family's
+    factors are multiplied by ||Y||^(1/N), which keeps every component's mode
+    norms equal, and ALS's first factor by ||Y||.  So the trace does not
+    depend on the scale of Y, and ALS's scaling is exact for powers of two:
+    ||2^k Y|| = 2^k ||Y||, so a fit of 2^k Y has the trace of a fit of Y bit
+    for bit and its first factor times 2^k.  ||Y|| is overflow-safe: it is
+    computed from Y / max|y| when the plain norm overflows or is so small
+    that squared entries may be subnormal.
+
     Where prod I_n >= ``COMPRESS_MIN_RATIO`` * prod min(I_n, R) and
     ``max_iters`` > 1, every variant first fits the ST-HOSVD core of Y and
-    then refines the expanded model on Y through the same loop, whose window
-    resumes the core stage's (:func:`_fit_compressed`); ``max_iters`` bounds
-    both stages together, the trace marks each record's stage, and
-    ``final_relerr`` is that of the last record on Y.  Elsewhere the loop
-    runs on Y from the configured init.
-
-    The LM family fits the unit-norm problem Y / ||Y|| (see :func:`_fit_lm`)
-    and returns its factors multiplied by ||Y||^(1/N), so its trace and
-    result do not depend on the scale of Y.  ALS and ALS-ls fit Y scaled by
-    the power of two that brings ||Y|| into [1/2, 1) (see :func:`_fit_als`),
-    which is exact.  ||Y|| is overflow-safe: it is computed from Y / max|y|
-    when the plain norm overflows or is so small that squared entries may be
-    subnormal.
+    then refines the expanded model on Y / ||Y|| through the same loop, whose
+    window resumes the core stage's (:func:`_fit_compressed`); ``max_iters``
+    bounds both stages together, the trace marks each record's stage, and
+    ``final_relerr`` is that of the last record on Y.
     """
     if y.order < 2:
         raise ValueError(f"CP fitting needs order >= 2, got order {y.order}")
@@ -329,9 +339,16 @@ def fit(y: DenseTensor, config: FitConfig) -> FitResult:
     t0 = time.monotonic()
     loop = _fit_als if config.variant in ("als", "als-ls") else _fit_lm
     if config.max_iters > 1 and _compresses(y.dims, config.rank):
-        result = _fit_compressed(loop, y, config, ynorm)
+        result = _fit_compressed(loop, y, ynorm, config)
     else:
-        result = loop(y, config, ynorm)
+        unit = DenseTensor(y.data / ynorm)
+        result = loop(unit, config, *_init_model(unit, config))
+    factors = result.model.factors
+    if loop is _fit_als:
+        factors = [factors[0] * ynorm] + factors[1:]
+    else:
+        factors = [f * ynorm ** (1.0 / y.order) for f in factors]
+    result.model = KruskalModel(factors)
     result.time_ms = (time.monotonic() - t0) * 1e3
     return result
 
@@ -343,17 +360,20 @@ def _compresses(dims, rank: int) -> bool:
     return math.prod(dims) >= COMPRESS_MIN_RATIO * core
 
 
-def _fit_compressed(loop, y: DenseTensor, config: FitConfig, ynorm: float):
+def _fit_compressed(loop, y: DenseTensor, ynorm: float, config: FitConfig):
     """Compress, fit the core, refine (Bro & Andersson, Chemom. Intell. Lab.
     Syst. 42, 1998).
 
-    :func:`st_hosvd` gives bases U_n and the core G, of dims min(I_n, R) at
-    most; ``loop`` (:func:`_fit_lm` or :func:`_fit_als`) fits G with the
-    configured init, then fits Y from the expanded model A^(n) = U_n B^(n),
-    with the same stop rule.  The core stage may take ``max_iters`` - 1
-    iterations and the refinement the rest, so ``max_iters`` bounds both
-    together.  The core's records are marked "core"; the stop reason and
-    the model are the refinement's.
+    :func:`st_hosvd` of Y (at its own scale) gives bases U_n and the core G,
+    of dims min(I_n, R) at most.  ``loop`` (:func:`_fit_lm` or
+    :func:`_fit_als`) fits G / ||G|| from its configured init, then fits Y /
+    ``ynorm`` from the expanded model A^(n) = U_n B^(n), whose first factor
+    is multiplied by ||G|| / ``ynorm`` to put it at that tensor's scale, and
+    from its mode-N MTTKRP (one pass), with the same stop rule.  The core
+    stage may take ``max_iters`` - 1 iterations and the refinement the rest,
+    so ``max_iters`` bounds both together.  The core's records are marked
+    "core"; the stop reason and the model, a model of Y / ``ynorm``, are the
+    refinement's.
 
     The refinement's window starts at the core trace's trailing run of
     differences below ``tol`` (a rejection repeats the error: a zero
@@ -363,9 +383,10 @@ def _fit_compressed(loop, y: DenseTensor, config: FitConfig, ynorm: float):
     G is one at least as small on Y.
     """
     bases, core = st_hosvd(y, config.rank)
-    first = loop(
-        core, replace(config, max_iters=config.max_iters - 1), _tensor_norm(core)
-    )
+    core_norm = _tensor_norm(core)
+    core = DenseTensor(core.data / core_norm)
+    budget = replace(config, max_iters=config.max_iters - 1)
+    first = loop(core, budget, *_init_model(core, config))
     errs = [rec.relerr for rec in reversed(first.trace)]
     below = 0
     while below + 1 < len(errs) and abs(errs[below] - errs[below + 1]) < config.tol:
@@ -373,8 +394,10 @@ def _fit_compressed(loop, y: DenseTensor, config: FitConfig, ynorm: float):
     for rec in first.trace:
         rec.stage = "core"
     start = KruskalModel([u @ b for u, b in zip(bases, first.model.factors)])
+    start.factors[0] *= core_norm / ynorm
+    y = DenseTensor(y.data / ynorm)
     rest = replace(config, max_iters=config.max_iters - first.iters)
-    result = loop(y, rest, ynorm, start, below)
+    result = loop(y, rest, start, mttkrp(y, start, start.order), below)
     for rec in result.trace:
         rec.iter += first.iters
     result.trace = first.trace + result.trace
@@ -383,13 +406,13 @@ def _fit_compressed(loop, y: DenseTensor, config: FitConfig, ynorm: float):
 
 def _candidate_error(
     y: DenseTensor,
-    ynorm: float,
     err: float,
     candidate: KruskalModel,
     last: np.ndarray | None = None,
     grams: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray | None]:
-    """Relative error of ``candidate`` and its mode-N MTTKRP (None if unused).
+    """Relative error of ``candidate`` on the unit-norm tensor ``y`` and its
+    mode-N MTTKRP (None if unused).
 
     While the current error ``err`` is at least ``GRAM_ERROR_GUARD``, the
     error comes from :func:`gram_relative_error` and the mode-N MTTKRP,
@@ -400,70 +423,48 @@ def _candidate_error(
     if err >= GRAM_ERROR_GUARD:
         if last is None:
             last = mttkrp(y, candidate, candidate.order)
-        return gram_relative_error(ynorm, candidate, last, grams), last
+        return gram_relative_error(1.0, candidate, last, grams), last
     return relative_error(y, candidate), None
-
-
-def _times_power_of_two(a: np.ndarray, e: int) -> np.ndarray:
-    """``a`` * 2^e in two exact multiplications, so that each factor is
-    representable for every exponent of a finite norm (2^1024 is not)."""
-    half = e // 2
-    out = a * 2.0**half
-    out *= 2.0 ** (e - half)
-    return out
 
 
 def _fit_als(
     y: DenseTensor,
     config: FitConfig,
-    ynorm: float,
-    start: KruskalModel | None = None,
+    model: KruskalModel,
+    last: np.ndarray,
     below: int = 0,
 ) -> FitResult:
-    """ALS and ALS with line search, from ``start`` when given (a model of
-    Y, at its scale) and otherwise from the configured init; ``below``
-    starts the window's count (see :func:`_fit_compressed`).
+    """ALS and ALS with line search on the unit-norm tensor ``y``, from the
+    start ``model`` of ``y`` and its mode-N MTTKRP ``last``; ``below``
+    starts the window's count (see :func:`_fit_compressed`).  :func:`fit`
+    scales ``y``, builds the start and scales the returned model back, so
+    neither the Gram matrices nor ``pinv_psd`` over- or underflow.
 
-    The loop fits Y * 2^-e (a transient copy of Y), where e is the binary
-    exponent of ``ynorm`` = ||Y||, so the data's norm lies in [1/2, 1) and
-    neither the init's Gram matrices nor ``pinv_psd`` over- or underflow; a
-    given start's first factor is multiplied by 2^-e and the returned first
-    factor by 2^e.  Scaling by a power of two is exact, so wherever Y itself
-    is safe the trace and the model are bit for bit those of a fit of Y.
-
-    The start is scored by :func:`_start_error` from its mode-N MTTKRP (the
-    SVD init's own, or one pass).  Each iteration is one :func:`als_step`
-    sweep, two passes over the tensor.  ALS-ls then tries A_prev + s (A_als -
-    A_prev), with A_prev the model before the one swept, for s = 1.1 and then
-    s = t^(1/3); a candidate replaces the sweep only if its error is strictly
-    lower.  The recipe is a documented stand-in: the classical "ALS with line
-    search" baseline defers to toolbox internals.  Candidates are scored by
+    The start is scored by :func:`_start_error` from ``last``.  Each
+    iteration is one :func:`als_step` sweep, two passes over the tensor.
+    ALS-ls then tries A_prev + s (A_als - A_prev), with A_prev the model
+    before the one swept, for s = 1.1 and then s = t^(1/3); a candidate
+    replaces the sweep only if its error is strictly lower.  The recipe is a
+    documented stand-in: the classical "ALS with line search" baseline
+    defers to toolbox internals.  Candidates are scored by
     :func:`_candidate_error`: above ``GRAM_ERROR_GUARD`` the sweep's own
-    M^(N) scores it and each extrapolated candidate costs one pass (an ALS-ls
-    sweep is four passes, with no reconstruction); below it, by the dense
-    residual.
+    M^(N) scores it and each extrapolated candidate costs one pass (an
+    ALS-ls sweep is four passes, with no reconstruction); below it, by the
+    dense residual.
     """
-    _, e = math.frexp(ynorm)
-    y = DenseTensor(_times_power_of_two(y.data, -e))
-    ynorm = math.ldexp(ynorm, -e)
-    if start is not None:
-        first = _times_power_of_two(start.factors[0], -e)
-        start = KruskalModel([first] + start.factors[1:])
-    rng = np.random.default_rng([config.seed, 0])
-    model, last = _init_model(y, config, rng, start)
     trace = []
-    err = _start_error(y, ynorm, model, last)
+    err = _start_error(y, model, last)
     prev = None
     stop_reason = "max_iters"
     for t in range(1, config.max_iters + 1):
         swept, last = als_step(y, model)
-        best, best_err = swept, _candidate_error(y, ynorm, err, swept, last)[0]
+        best, best_err = swept, _candidate_error(y, err, swept, last)[0]
         if config.variant == "als-ls" and prev is not None:
             for s in (1.1, float(t) ** (1.0 / 3.0)):
                 cand = KruskalModel(
                     [a + s * (b - a) for a, b in zip(prev.factors, swept.factors)]
                 )
-                cand_err = _candidate_error(y, ynorm, err, cand)[0]
+                cand_err = _candidate_error(y, err, cand)[0]
                 if cand_err < best_err:
                     best, best_err = cand, cand_err
         prev, model = model, best
@@ -473,26 +474,24 @@ def _fit_als(
         if below >= TOL_WINDOW:
             stop_reason = "tol"
             break
-    first = _times_power_of_two(model.factors[0], e)
-    return FitResult(KruskalModel([first] + model.factors[1:]), trace, stop_reason)
+    return FitResult(model, trace, stop_reason)
 
 
 def _scaled_start(
-    y: DenseTensor, config: FitConfig, rng, start: KruskalModel | None = None
+    y: DenseTensor, start: KruskalModel, last: np.ndarray
 ) -> tuple[np.ndarray, GramCache, np.ndarray, float]:
-    """The init of the unit-norm tensor ``y`` (``start`` when given, at any
-    scale), scaled by its least-squares weight and normalized, as a stack
-    (see :func:`~cpfast.kruskal.stack`), with its Gram cache, mode-N MTTKRP
-    and relative error.
+    """The model ``start`` of the unit-norm tensor ``y``, at any scale, with
+    its mode-N MTTKRP ``last``, scaled by its least-squares weight and
+    normalized, as a stack (see :func:`~cpfast.kruskal.stack`), with its Gram
+    cache, mode-N MTTKRP and relative error.
 
     The last factor is multiplied by alpha = Re<A^(N), M^(N)> / 1^T Gamma_full
     1, the one overall scale that minimizes the residual, when alpha > 0; one
     scalar keeps every component's direction and relative size.  The error
-    comes from :func:`gram_relative_error` on M^(N), which the SVD init has
+    comes from :func:`gram_relative_error` on M^(N), which the caller has
     already formed, and from the dense residual only below
     ``GRAM_ERROR_GUARD``.
     """
-    start, last = _init_model(y, config, rng, start)
     x = stack(start.factors)
     grams = gram_stack(x)
     cross = np.vdot(start.factors[-1], last).real
@@ -502,29 +501,27 @@ def _scaled_start(
         grams[-1] *= alpha**2
     x, cache, last = normalize_with_grams(x, grams, last)
     model = model_from_stack(x, y.dims)
-    return x, cache, last, _start_error(y, 1.0, model, last, cache.C)
+    return x, cache, last, _start_error(y, model, last, cache.C)
 
 
 def _fit_lm(
     y: DenseTensor,
     config: FitConfig,
-    ynorm: float,
-    start: KruskalModel | None = None,
+    start: KruskalModel,
+    last: np.ndarray,
     below: int = 0,
 ) -> FitResult:
-    """Damped Gauss-Newton loop with the fast step ("auto"), from ``start``
-    when given and otherwise from the configured init; ``below`` starts the
-    window's count (see :func:`_fit_compressed`).
+    """Damped Gauss-Newton loop with the fast step ("auto") on the unit-norm
+    tensor ``y``, from the model ``start`` of ``y`` and its mode-N MTTKRP
+    ``last``; ``below`` starts the window's count (see
+    :func:`_fit_compressed`).  :func:`fit` scales ``y`` and builds the start,
+    so ``mu_init``, ``MU_OVERFLOW`` and ``RHO_DENOM_GUARD`` act on an O(1)
+    problem, and scales the returned model back.
 
-    The loop fits the unit-norm tensor Y / ||Y|| (a transient copy of Y), so
-    ``mu_init``, ``MU_OVERFLOW`` and ``RHO_DENOM_GUARD`` act on an O(1)
-    problem; the returned factors are multiplied by ||Y||^(1/N), which keeps
-    every component's mode norms equal.  It starts from the init, or from
-    ``start`` at any scale, scaled by its least-squares weight
-    (:func:`_scaled_start`), which costs no pass over the tensor beyond the
-    start's mode-N MTTKRP (the SVD init's own, or one pass for a given
-    start) and no dense residual above ``GRAM_ERROR_GUARD``; that M^(N) also
-    serves the first :func:`mttkrp_all`.
+    The loop starts from ``start``, at any scale, scaled by its
+    least-squares weight (:func:`_scaled_start`), which costs no pass over
+    the tensor and no dense residual above ``GRAM_ERROR_GUARD``; ``last``
+    also serves the first :func:`mttkrp_all`.
 
     The model x, the gradient g, both steps and the candidate are stacks
     (:func:`~cpfast.kruskal.stack`), zero past column I_n, whose Fortran-
@@ -562,9 +559,7 @@ def _fit_lm(
     the gradient that each accepted model needs for the next step anyway, so
     the test costs no pass over the tensor.
     """
-    y = DenseTensor(y.data / ynorm)
-    rng = np.random.default_rng([config.seed, 0])
-    x, cache, last, err = _scaled_start(y, config, rng, start)
+    x, cache, last, err = _scaled_start(y, start, last)
     dims = y.dims
     model = model_from_stack(x, dims)
     state = LmState(mu=mu_init(cache, config.tau))
@@ -590,7 +585,7 @@ def _fit_lm(
             cand_err = math.sqrt(max(err * err - decrease, 0.0))
         else:
             candidate = model_from_stack(cand, dims)
-            cand_err, cand_last = _candidate_error(y, 1.0, err, candidate, grams=grams)
+            cand_err, cand_last = _candidate_error(y, err, candidate, grams=grams)
         cand_sq = cand_err * cand_err
         finite = math.isfinite(cand_sq)
         rho = math.nan  # a non-finite candidate is rejected and mu kept
@@ -625,7 +620,4 @@ def _fit_lm(
         if state.mu > MU_OVERFLOW:
             stop_reason = "mu_overflow"
             break
-    scale = ynorm ** (1.0 / model.order)
-    return FitResult(
-        KruskalModel([f * scale for f in model.factors]), trace, stop_reason
-    )
+    return FitResult(model, trace, stop_reason)

@@ -187,6 +187,54 @@ class TestFit:
         assert message in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize(
+        "raw,message",
+        [(b"NOPE" + bytes(12), "bad magic"), (b"CPTN\x01", "truncated header")],
+        ids=["magic", "truncated"],
+    )
+    def test_malformed_tensor_file_exits_with_message(
+        self, runner, tmp_path, raw, message
+    ):
+        """A file with bad magic or a truncated header ends with the format
+        error on one line and exit status 1, not a traceback."""
+        path = tmp_path / "bad.cptn"
+        path.write_bytes(raw)
+        result = runner.invoke(main, ["fit", str(path), "--rank", "1"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize(
+        "defect,message",
+        [("no-factors", "no factors entry"), ("bad-factor", "truncated header"),
+         ("missing-factor", "No such file")],
+    )
+    def test_bad_truth_exits_with_message(self, runner, tmp_path, defect, message):
+        """A ``--truth`` sidecar with no ``factors`` entry, or naming a
+        malformed or missing factor file, ends with one line and exit
+        status 1, not a traceback."""
+        invoke(runner, ["gen", "--dims", "5,5,5", "--rank", "2", "--nu", "0.5",
+                        "--out", str(tmp_path / "t")])
+        meta = tmp_path / "t.meta"
+        factor = tmp_path / "t_factor2.cptn"
+        if defect == "no-factors":
+            lines = meta.read_text(encoding="utf-8").splitlines()
+            meta.write_text(
+                "\n".join(x for x in lines if not x.startswith("factors=")) + "\n",
+                encoding="utf-8",
+            )
+        elif defect == "bad-factor":
+            factor.write_bytes(b"CPTN")
+        else:
+            factor.unlink()
+        result = runner.invoke(main, ["fit", str(tmp_path / "t.cptn"), "--rank", "2",
+                                      "--truth", str(meta)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
+        assert "Traceback" not in result.output
+
     def test_truth_mismatch_exits_before_fit(self, runner, tmp_path, monkeypatch):
         """A rank-2 truth sidecar with ``--rank 3`` ends with one line and exit
         status 1 before any fit, not a traceback after it."""

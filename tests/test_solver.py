@@ -40,6 +40,7 @@ from cpfast.solver import (
     GRAM_ERROR_GUARD,
     LmState,
     MU_OVERFLOW,
+    _init_model,
     _scaled_start,
     fit,
     flm_step,
@@ -372,12 +373,21 @@ class TestFit:
             ("tol", math.inf),
             ("max_iters", 0),
             ("max_iters", -3),
+            ("max_iters", 3.5),
+            ("rank", 2.5),
+            ("rank", 0),
+            ("seed", -1),
+            ("seed", 1.0),
             ("init", "ones"),
         ],
     )
     def test_config_checked_at_boundary(self, field, value):
         with pytest.raises(ValueError, match=field):
-            FitConfig(rank=2, **{field: value})
+            FitConfig(**{"rank": 2, field: value})
+
+    def test_numpy_integers_accepted(self):
+        config = FitConfig(rank=np.int64(2), max_iters=np.int32(3), seed=np.uint8(4))
+        assert (config.rank, config.max_iters, config.seed) == (2, 3, 4)
 
     @pytest.mark.parametrize("variant", ["auto"])
     def test_converges_on_exact_instance(self, variant):
@@ -648,8 +658,7 @@ class TestGeodesicAcceleration:
         config = FitConfig(rank=3, tau=tau, max_iters=1)
         rec = fit(y, config).trace[0]
         unit = DenseTensor(y.data / y.norm())
-        rng = np.random.default_rng([config.seed, 0])
-        x, cache, _, err = _scaled_start(unit, config, rng)
+        x, cache, _, err = _scaled_start(unit, *_init_model(unit, config))
         model = model_from_stack(x, unit.dims)
         mu = mu_init(cache, tau)
         g = gradient(unit, model, cache)
@@ -761,6 +770,30 @@ class TestScaleFree:
             assert np.array_equal(got.model.factors[0], ref.model.factors[0] * 2.0**k)
             for a, b in zip(got.model.factors[1:], ref.model.factors[1:]):
                 assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("variant", ["auto", "als-ls"])
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    @pytest.mark.parametrize("compressed", [False, True])
+    def test_loops_receive_unit_norm_tensors(
+        self, variant, kind, compressed, monkeypatch
+    ):
+        """Every call of a loop receives a tensor of norm 1 (within 1e-14):
+        a plain fit's one call, and a compressed fit's core stage and
+        refinement, on data whose norm is above 5e4."""
+        if compressed:
+            monkeypatch.setattr(cpfast.solver, "COMPRESS_MIN_RATIO", 0)
+        norms = []
+        for name in ("_fit_lm", "_fit_als"):
+
+            def recorded(y, *args, _loop=getattr(cpfast.solver, name), **kwargs):
+                norms.append(y.norm())
+                return _loop(y, *args, **kwargs)
+
+            monkeypatch.setattr(cpfast.solver, name, recorded)
+        y = DenseTensor(1e3 * gaussian_instance(4, dims=(12, 10, 9), kind=kind))
+        fit(y, FitConfig(rank=3, variant=variant, max_iters=6))
+        assert len(norms) == (2 if compressed else 1)
+        assert all(abs(n - 1.0) <= 1e-14 for n in norms), norms
 
     @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e-158, 1.0, 1e200])
     def test_overflow_safe_norm(self, scale):
@@ -964,22 +997,25 @@ class TestCompression:
         residual: its start costs one mode-N MTTKRP, its first sweep (with
         no previous model to extrapolate from) one more, and each later
         sweep three; and it resumes the core's window, so it is shorter
-        than the window."""
+        than the window.  The refinement's calls are those made after the
+        core loop returns, the start's M^(N) included."""
         monkeypatch.setattr(cpfast.solver, "COMPRESS_MIN_RATIO", 0)
         y = DenseTensor(gaussian_instance(3))
         calls = count_tensor_passes(monkeypatch)
         loop = cpfast.solver._fit_als
+        returned = ("loop returned", None)
 
         def marked(*args, **kwargs):
-            if len(args) > 3:
-                calls.append(("refine", None))
-            return loop(*args, **kwargs)
+            result = loop(*args, **kwargs)
+            calls.append(returned)
+            return result
 
         monkeypatch.setattr(cpfast.solver, "_fit_als", marked)
         result = fit(y, FitConfig(rank=3, variant="als-ls"))
         assert result.stop_reason == "tol"
         assert result.final_relerr > GRAM_ERROR_GUARD
-        refine = calls[calls.index(("refine", None)) + 1 :]
+        assert calls.count(returned) == 2 and calls[-1] == returned
+        refine = calls[calls.index(returned) + 1 : -1]
         n_refine = sum(rec.stage == "full" for rec in result.trace)
         assert 1 <= n_refine < cpfast.solver.TOL_WINDOW
         assert set(refine) == {("mttkrp", 3)}
