@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from .kruskal import GramCache, pack, stack, unpack
+from .kruskal import GramCache, pack, unpack
 
 
 class SingularKernelError(np.linalg.LinAlgError):
@@ -53,7 +53,8 @@ class DampedCore:
     ``lu`` and ``piv`` are the ``?getrf`` factors of the NR^2 x NR^2 scaled
     core system; ``kernel`` holds the pairwise Gammas (zero on the diagonal)
     that apply K after the solve; ``x`` is the model's stack (see
-    :func:`~cpfast.kruskal.stack`) and ``dims`` its mode sizes.
+    :func:`~cpfast.kruskal.stack`), the caller's array and not a copy, and
+    ``dims`` its mode sizes.
     """
 
     gtilde: np.ndarray
@@ -133,9 +134,11 @@ def _core_layout(n_modes: int, r: int, itemsize: int):
     )
 
 
-def damped_core(factors, cache: GramCache, mu: float) -> DampedCore:
-    """(H + mu I)^{-1} at the model with ``factors`` and Gram cache ``cache``:
-    the damped Gram inverses and the scaled core system, factored once.
+def damped_core(x: np.ndarray, dims, cache: GramCache, mu: float) -> DampedCore:
+    """(H + mu I)^{-1} at the model with stack ``x`` (see
+    :func:`~cpfast.kruskal.stack`), mode sizes ``dims`` and Gram cache
+    ``cache``: the damped Gram inverses and the scaled core system, factored
+    once.
 
     The core is Sb (I + Psi K) = Sb + Chat K, with Sb = blkdiag(D_n kron I),
     D_n = Gamma^(n) + mu I, Chat = blkdiag(I kron C^(n)) and Psi =
@@ -145,6 +148,11 @@ def damped_core(factors, cache: GramCache, mu: float) -> DampedCore:
     K is a permuted diagonal, so the core is filled through two strided views
     of a Fortran-ordered matrix (see :func:`_core_layout`).  A zero pivot in
     the LU factorization raises :class:`SingularKernelError`.
+
+    The core keeps ``x`` itself as :attr:`DampedCore.x` and reads it on every
+    application, so ``x`` must not be written in place while the core is in
+    use.  The fit loop never does: its candidates and normalized models are
+    new arrays.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -164,5 +172,4 @@ def damped_core(factors, cache: GramCache, mu: float) -> DampedCore:
     view[...] = damped[..., None]
     lu, piv, info = _lu_routines(core.dtype)[0](core, overwrite_a=True)
     _check_info(info, "getrf")
-    dims = tuple([f.shape[0] for f in factors])
-    return DampedCore(np.linalg.inv(damped), lu, piv, kernel, stack(factors), dims)
+    return DampedCore(np.linalg.inv(damped), lu, piv, kernel, x, dims)

@@ -1,28 +1,30 @@
 """Kruskal (CP) models: reconstruction, Gram caches, MTTKRP, gradient, ALS.
 
-A model is a list of factor matrices A^(n) of shape (I_n, R); a component's
-scale lives in its columns.  Complex models use the Hermitian Gram convention
-C^(n) = A^(n)^H A^(n); all transpose placements below are chosen so the same
-code path is exact for both scalar kinds.
+A :class:`KruskalModel` holds the factor matrices A^(n) of shape (I_n, R); a
+component's scale lives in its columns.  It is the type that goes into and
+comes out of a fit.  Inside the fit loops (:mod:`cpfast.solver`) the model is
+one N x R x I_max array instead, the stack of :func:`stack`, whose block n
+is A^(n)^T with zeros past column I_n, so every per-mode product is one
+batched matmul; :func:`model_from_stack` views its factors without a copy.
+Complex models use the Hermitian Gram convention C^(n) = A^(n)^H A^(n); all
+transpose placements below are chosen so the same code path is exact for both
+scalar kinds.
 
 A stacked vector has one block per mode, vec(V^(n)) in column-major order
-(:meth:`KruskalModel.as_vector`).  The factor-sized and R x R kernels work on
-one N x R x I_max array instead, the stack of :func:`stack`, whose block n
-is V^(n)^T with zeros past column I_n, so every per-mode product is one
-batched matmul; :func:`pack` and :func:`unpack` convert, by a reshape when
-every I_n is equal.  The MTTKRPs of modes 1..N-1 are contractions of the
-partial product P = Y x_N conj(A^(N)) (Phan, Tichavsky & Cichocki, IEEE TSP
-2013).
+(:meth:`KruskalModel.as_vector`); :func:`pack` and :func:`unpack` convert it
+to and from the stack layout, by a reshape when every I_n is equal.  The
+MTTKRPs of modes 1..N-1 are contractions of the partial product P = Y x_N
+conj(A^(N)) (Phan, Tichavsky & Cichocki, IEEE TSP 2013).
 
-:func:`als_step` is one sweep; ALS-ls's extrapolation is scored by the fit
-loop (:mod:`cpfast.solver`).
+:func:`als_step` is one sweep of a stack; ALS-ls's extrapolation is scored by
+the fit loop (:mod:`cpfast.solver`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -183,14 +185,6 @@ def gram_cache(C: np.ndarray) -> GramCache:
 
 def build_gram_cache(model: KruskalModel) -> GramCache:
     return gram_cache(gram_stack(stack(model.factors)))
-
-
-def _hadamard_excl(C: list, skip) -> np.ndarray:
-    """Hadamard product of the C^(k) with k not in ``skip``, in ascending k."""
-    rest = [c for k, c in enumerate(C) if k not in skip]
-    if not rest:
-        return np.ones_like(C[0])
-    return reduce(np.multiply, rest)
 
 
 def _contract_all_but(zt: np.ndarray, factors, k: int) -> np.ndarray:
@@ -369,23 +363,17 @@ def relative_error(y: DenseTensor, model: KruskalModel) -> float:
 
 
 def gram_relative_error(
-    ynorm: float,
-    model: KruskalModel,
-    last: np.ndarray,
-    grams: np.ndarray | None = None,
+    ynorm: float, model: KruskalModel, last: np.ndarray, grams: np.ndarray
 ) -> float:
     """Relative error from ||Y||, the mode-N MTTKRP and the Gram matrices.
 
     ||Y - Yhat||^2 = ||Y||^2 - 2 Re<A^(N), M^(N)> + 1^T Gamma_full 1,
     where ``last`` is M^(N) = mttkrp(y, model, N) and ``grams`` the stacked
-    Gram matrices of the factors when the caller has them (see
-    :func:`gram_stack`).  No dense tensor is formed.  The terms are
-    O(||Y||^2) and cancel: the squared residual carries an absolute error of a
-    few eps ||Y||^2, i.e. ~eps / relerr in the result, so small errors need
-    :func:`relative_error` instead.
+    Gram matrices of the factors (see :func:`gram_stack`).  No dense tensor
+    is formed.  The terms are O(||Y||^2) and cancel: the squared residual
+    carries an absolute error of a few eps ||Y||^2, i.e. ~eps / relerr in the
+    result, so small errors need :func:`relative_error` instead.
     """
-    if grams is None:
-        grams = gram_stack(stack(model.factors))
     gamma_full = np.multiply.reduce(grams)
     cross = np.vdot(model.factors[-1], last).real
     # Kept as a quadratic form: gamma_full.sum() rounds differently.
@@ -582,31 +570,35 @@ def pinv_psd(gamma: np.ndarray) -> np.ndarray:
     return (v * inv_w[None, :]) @ v.conj().T
 
 
-def als_step(
-    y: DenseTensor, model: KruskalModel
-) -> tuple[KruskalModel, np.ndarray]:
-    """One ALS sweep, updating factors in ascending mode order.
+def als_step(y: DenseTensor, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One ALS sweep of the model with stack ``x`` (see :func:`stack`),
+    updating factors in ascending mode order.
 
-    Returns the new model and its mode-N MTTKRP M^(N).  Cost: two passes over
-    the tensor.  The partial product P = Y x_N conj(A^(N)) is formed once, and
-    modes 1..N-1 are contractions of P with the current factors; this is exact
-    because A^(N) changes only in the last update.  Mode N is one full MTTKRP
-    of the updated factors 1..N-1, which is also the new model's M^(N), since
-    M^(N) does not depend on A^(N).  Only the Gram matrix of the factor just
-    updated is recomputed, and each Gamma^(n) is the Hadamard product of the
-    others in the order of :func:`build_gram_cache`.
+    Returns the swept stack, a new array, and its mode-N MTTKRP M^(N).  Cost:
+    two passes over the tensor.  The partial product P = Y x_N conj(A^(N)) is
+    formed once, and modes 1..N-1 are contractions of P with the current
+    factors; this is exact because A^(N) changes only in the last update.
+    Mode N is one full MTTKRP of the updated factors 1..N-1, which is also
+    the new model's M^(N), since M^(N) does not depend on A^(N).  Each update
+    is written through the factor's :func:`model_from_stack` view.  The Gram
+    stack is taken once and then refreshed one mode at a time, and each
+    Gamma^(n) is its masked product over the modes in ascending order, as in
+    :func:`gram_cache`.
     """
+    x = x.copy()
+    model = model_from_stack(x, y.dims)
     _check_pair(y, model)
-    factors = list(model.factors)
+    factors = model.factors
     n_modes = len(factors)
-    grams = [f.conj().T @ f for f in factors]
+    keep = _exclusion_mask(n_modes)[:n_modes, n_modes]
+    grams = gram_stack(x)
     pt = _last_partial(y, factors[-1])
     for n in range(n_modes):
         if n < n_modes - 1:
             m = _contract_all_but(pt, factors[:-1], n)
         else:
-            m = mttkrp(y, KruskalModel(factors), n_modes)
-        factors[n] = m @ pinv_psd(_hadamard_excl(grams, {n})).T
-        grams[n] = factors[n].conj().T @ factors[n]
-    return KruskalModel(factors), m
-
+            m = mttkrp(y, model, n_modes)
+        gamma = np.multiply.reduce(np.where(keep[n], grams, 1.0))
+        factors[n][...] = m @ pinv_psd(gamma).T
+        grams[n] = gram_stack(x[n])
+    return x, m

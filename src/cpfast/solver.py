@@ -11,9 +11,11 @@ arXiv:1201.5885, 2012), whose right-hand side costs only R x R work.  The
 candidate is x + v + a/2 when the acceleration is small against the step,
 else x + v.  The gradient is formed once per accepted model.  The candidate
 is accepted only if it lowers the residual; the damping parameter follows
-the Nielsen gain-ratio schedule.  The loop holds the model, the gradient and
-the steps as N x R x I_max stacks (:func:`~cpfast.kruskal.stack`), so each
-factor-sized or R x R job is one batched call over the modes.
+the Nielsen gain-ratio schedule.  Both loops, fLM's and ALS's, hold the
+model, and fLM its gradient and steps, as N x R x I_max stacks
+(:func:`~cpfast.kruskal.stack`), so each factor-sized or R x R job is one
+batched call over the modes; a :class:`~cpfast.kruskal.KruskalModel` goes in
+and comes out.
 
 :func:`fit` owns the problem each loop solves: it divides Y by ||Y|| once,
 builds the configured init of that unit-norm tensor, hands both to the loop
@@ -33,6 +35,7 @@ reduces to the symmetric form for real data.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -126,14 +129,18 @@ class FitConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         for field, least in (("rank", 1), ("max_iters", 1), ("seed", 0)):
             value = getattr(self, field)
-            if not isinstance(value, (int, np.integer)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{field} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"{field} must be >= {least}, got {value!r}")
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(f"tau must be finite and positive, got {self.tau!r}")
-        if not (math.isfinite(self.tol) and self.tol >= 0):
-            raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
+        for field in ("tau", "tol"):
+            value = getattr(self, field)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{field} must be a finite real, got {value!r}")
+        if not self.tau > 0:
+            raise ValueError(f"tau must be positive, got {self.tau!r}")
+        if not self.tol >= 0:
+            raise ValueError(f"tol must be >= 0, got {self.tol!r}")
         if self.init not in INITS:
             raise ValueError(f"unknown init {self.init!r}")
 
@@ -199,7 +206,8 @@ def flm_step(y: DenseTensor, model: KruskalModel, mu: float) -> np.ndarray:
     step (see :func:`_accelerated_step`).
     """
     cache = build_gram_cache(model)
-    return damped_core(model.factors, cache, mu)(gradient(y, model, cache))
+    core = damped_core(stack(model.factors), model.dims, cache, mu)
+    return core(gradient(y, model, cache))
 
 
 def _accelerated_step(solve, x: np.ndarray, grams: np.ndarray, g: np.ndarray):
@@ -261,11 +269,13 @@ def _init_model(y: DenseTensor, config: FitConfig) -> tuple[KruskalModel, np.nda
     return start, mttkrp(y, start, start.order)
 
 
-def _start_error(y, model, last, grams=None) -> float:
-    """A start's relative error on the unit-norm tensor ``y``:
-    :func:`gram_relative_error` from its mode-N MTTKRP ``last`` (and stacked
-    Gram matrices ``grams``, if known), or the dense residual where that is
-    below ``GRAM_ERROR_GUARD``."""
+def _start_error(y, x, last, grams) -> float:
+    """The relative error of the start with stack ``x`` (see
+    :func:`~cpfast.kruskal.stack`) on the unit-norm tensor ``y``:
+    :func:`gram_relative_error` from its mode-N MTTKRP ``last`` and stacked
+    Gram matrices ``grams``, or the dense residual where that is below
+    ``GRAM_ERROR_GUARD``."""
+    model = model_from_stack(x, y.dims)
     err = gram_relative_error(1.0, model, last, grams)
     return err if err >= GRAM_ERROR_GUARD else relative_error(y, model)
 
@@ -407,19 +417,21 @@ def _fit_compressed(loop, y: DenseTensor, ynorm: float, config: FitConfig):
 def _candidate_error(
     y: DenseTensor,
     err: float,
-    candidate: KruskalModel,
+    x: np.ndarray,
+    grams: np.ndarray,
     last: np.ndarray | None = None,
-    grams: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray | None]:
-    """Relative error of ``candidate`` on the unit-norm tensor ``y`` and its
+    """Relative error of the candidate with stack ``x`` (see
+    :func:`~cpfast.kruskal.stack`) on the unit-norm tensor ``y`` and its
     mode-N MTTKRP (None if unused).
 
     While the current error ``err`` is at least ``GRAM_ERROR_GUARD``, the
-    error comes from :func:`gram_relative_error` and the mode-N MTTKRP,
-    which is ``last`` when the caller has it and one pass over the tensor
-    otherwise; ``grams`` are the candidate's stacked Gram matrices, if known.
-    Below the guard it is the dense :func:`relative_error`.
+    error comes from :func:`gram_relative_error` with the candidate's stacked
+    Gram matrices ``grams`` and its mode-N MTTKRP, which is ``last`` when the
+    caller has it and one pass over the tensor otherwise.  Below the guard it
+    is the dense :func:`relative_error`.
     """
+    candidate = model_from_stack(x, y.dims)
     if err >= GRAM_ERROR_GUARD:
         if last is None:
             last = mttkrp(y, candidate, candidate.order)
@@ -440,41 +452,43 @@ def _fit_als(
     scales ``y``, builds the start and scales the returned model back, so
     neither the Gram matrices nor ``pinv_psd`` over- or underflow.
 
-    The start is scored by :func:`_start_error` from ``last``.  Each
-    iteration is one :func:`als_step` sweep, two passes over the tensor.
-    ALS-ls then tries A_prev + s (A_als - A_prev), with A_prev the model
-    before the one swept, for s = 1.1 and then s = t^(1/3); a candidate
-    replaces the sweep only if its error is strictly lower.  The recipe is a
-    documented stand-in: the classical "ALS with line search" baseline
-    defers to toolbox internals.  Candidates are scored by
+    The loop holds the model as a stack (:func:`~cpfast.kruskal.stack`)
+    and returns its :func:`~cpfast.kruskal.model_from_stack` views.  The
+    start is scored by :func:`_start_error` from ``last``.  Each iteration
+    is one :func:`als_step` sweep of the stack, two passes over the tensor.
+    ALS-ls then tries X_prev + s (X_als - X_prev) on stacks, with X_prev the
+    model before the one swept, for s = 1.1 and then s = t^(1/3); a
+    candidate replaces the sweep only if its error is strictly lower.  The
+    recipe is a documented stand-in: the classical "ALS with line search"
+    baseline defers to toolbox internals.  Candidates are scored by
     :func:`_candidate_error`: above ``GRAM_ERROR_GUARD`` the sweep's own
     M^(N) scores it and each extrapolated candidate costs one pass (an
     ALS-ls sweep is four passes, with no reconstruction); below it, by the
     dense residual.
     """
     trace = []
-    err = _start_error(y, model, last)
+    x = stack(model.factors)
+    err = _start_error(y, x, last, gram_stack(x))
     prev = None
     stop_reason = "max_iters"
     for t in range(1, config.max_iters + 1):
-        swept, last = als_step(y, model)
-        best, best_err = swept, _candidate_error(y, err, swept, last)[0]
+        swept, last = als_step(y, x)
+        best = swept
+        best_err = _candidate_error(y, err, swept, gram_stack(swept), last)[0]
         if config.variant == "als-ls" and prev is not None:
             for s in (1.1, float(t) ** (1.0 / 3.0)):
-                cand = KruskalModel(
-                    [a + s * (b - a) for a, b in zip(prev.factors, swept.factors)]
-                )
-                cand_err = _candidate_error(y, err, cand)[0]
+                cand = prev + s * (swept - prev)
+                cand_err = _candidate_error(y, err, cand, gram_stack(cand))[0]
                 if cand_err < best_err:
                     best, best_err = cand, cand_err
-        prev, model = model, best
+        prev, x = x, best
         trace.append(IterRecord(t, best_err, 0.0, True))
         below = below + 1 if abs(err - best_err) < config.tol else 0
         err = best_err
         if below >= TOL_WINDOW:
             stop_reason = "tol"
             break
-    return FitResult(model, trace, stop_reason)
+    return FitResult(model_from_stack(x, y.dims), trace, stop_reason)
 
 
 def _scaled_start(
@@ -500,8 +514,7 @@ def _scaled_start(
         x[-1] *= alpha
         grams[-1] *= alpha**2
     x, cache, last = normalize_with_grams(x, grams, last)
-    model = model_from_stack(x, y.dims)
-    return x, cache, last, _start_error(y, model, last, cache.C)
+    return x, cache, last, _start_error(y, x, last, cache.C)
 
 
 def _fit_lm(
@@ -570,7 +583,7 @@ def _fit_lm(
     stop_reason = "max_iters"
     for t in range(1, config.max_iters + 1):
         try:
-            core = damped_core(model.factors, cache, state.mu)
+            core = damped_core(x, dims, cache, state.mu)
             v, step, accel_ratio = _accelerated_step(core.apply, x, cache.C, g)
         except np.linalg.LinAlgError as exc:
             stop_reason = f"error at iteration {t}: {exc}"
@@ -584,8 +597,7 @@ def _fit_lm(
             decrease, cand_last = residual_decrease(y, x, cand, cache.C, grams, last)
             cand_err = math.sqrt(max(err * err - decrease, 0.0))
         else:
-            candidate = model_from_stack(cand, dims)
-            cand_err, cand_last = _candidate_error(y, err, candidate, grams=grams)
+            cand_err, cand_last = _candidate_error(y, err, cand, grams)
         cand_sq = cand_err * cand_err
         finite = math.isfinite(cand_sq)
         rho = math.nan  # a non-finite candidate is rejected and mu kept

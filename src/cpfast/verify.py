@@ -22,6 +22,7 @@ from .kruskal import (
     reconstruct,
     second_order_term,
     st_hosvd,
+    stack,
 )
 from .oracle import (
     assemble_hessian,
@@ -149,7 +150,7 @@ def run_suite(seeds: int = 10, perturb: bool = False) -> list:
             eye = np.eye(h.shape[0])
             for mu in MU_GRID:
                 dense = np.linalg.inv(h + mu * eye)
-                core = damped_core(model.factors, cache, mu)
+                core = damped_core(stack(model.factors), model.dims, cache, mu)
                 mat = np.column_stack([core(e) for e in eye])
                 record(f"fast-inverse-{tag}", _rel(mat - dense, dense), 1e-8)
 

@@ -23,6 +23,7 @@ from cpfast.kruskal import (
     gradient,
     random_init,
     reconstruct,
+    stack,
 )
 from cpfast.oracle import (
     assemble_hessian,
@@ -112,7 +113,7 @@ def test_criterion_03_fast_inverse():
         eye = np.eye(h.shape[0])
         for mu in MU_INVERSE_GRID:
             dense = np.linalg.inv(h + mu * eye)
-            core = damped_core(model.factors, cache, mu)
+            core = damped_core(stack(model.factors), model.dims, cache, mu)
             mat = np.column_stack([core(e) for e in eye])
             worst = max(worst, rel(mat - dense, dense))
             n, r = model.order, model.rank

@@ -344,7 +344,7 @@ class TestBench:
         assert seen["snrs"] == (30.0, None, None, None)
 
     def test_partial_failures_recorded(self, monkeypatch):
-        def singular_core(factors, cache, mu):
+        def singular_core(x, dims, cache, mu):
             raise SingularKernelError("core system is singular (zero pivot 1)")
 
         monkeypatch.setattr(cpfast.solver, "damped_core", singular_core)

@@ -18,6 +18,7 @@ from cpfast.kruskal import (
     model_from_vector,
     random_init,
     reconstruct,
+    stack,
 )
 from cpfast.oracle import (
     OracleSizeError,
@@ -163,23 +164,27 @@ class TestFastInverse:
         cache = build_gram_cache(m)
         h = assemble_hessian(m, cache)
         dense = np.linalg.inv(h + mu * np.eye(h.shape[0]))
-        mat = materialize_inverse(damped_core(m.factors, cache, mu))
+        mat = materialize_inverse(damped_core(stack(m.factors), m.dims, cache, mu))
         assert np.linalg.norm(mat - dense) / np.linalg.norm(dense) < 1e-8
 
     def test_storage_count(self):
+        """The core stores N R^2 + N^2 R^4 scalars of its own and keeps the
+        model's stack it is given, not a copy."""
         rng = np.random.default_rng(9)
         for dims, rank in [((3, 4, 5), 2), ((2, 3, 2, 3), 3)]:
             m = unit_model(rng, dims, rank)
-            core = damped_core(m.factors, build_gram_cache(m), 0.5)
+            x = stack(m.factors)
+            core = damped_core(x, m.dims, build_gram_cache(m), 0.5)
             n, r = m.order, m.rank
             assert core.gtilde.size + core.lu.size == n * r**2 + n**2 * r**4
+            assert core.x is x
 
     def test_zero_pivot_raises_singular(self):
         """N = 2, R = 1 with C = (-1, 1/2) and mu = 1/2 gives the flm-a core
         [[1, -1], [1/2, -1/2]], whose LU meets an exact zero pivot."""
         cache = gram_cache(np.array([[[-1.0]], [[0.5]]]))
         with pytest.raises(SingularKernelError, match="singular"):
-            damped_core([], cache, 0.5)
+            damped_core(np.zeros((0, 1, 0)), (), cache, 0.5)
 
     def test_illegal_argument_raises_linalg_error(self, monkeypatch):
         routines = cpfast.hessian._lu_routines
@@ -192,14 +197,14 @@ class TestFastInverse:
         rng = np.random.default_rng(14)
         m = unit_model(rng, (3, 3, 3), 2)
         with pytest.raises(np.linalg.LinAlgError, match="argument 1") as info:
-            damped_core(m.factors, build_gram_cache(m), 0.5)
+            damped_core(stack(m.factors), m.dims, build_gram_cache(m), 0.5)
         assert not isinstance(info.value, SingularKernelError)
 
     def test_rejects_nonpositive_mu(self):
         rng = np.random.default_rng(10)
         m = unit_model(rng, (3, 3), 2)
         with pytest.raises(ValueError):
-            damped_core(m.factors, build_gram_cache(m), 0.0)
+            damped_core(stack(m.factors), m.dims, build_gram_cache(m), 0.0)
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
     def test_structured_applications(self, kind):
@@ -214,7 +219,7 @@ class TestFastInverse:
             v = rng.standard_normal(h.shape[0])
             if kind == COMPLEX:
                 v = v + 1j * rng.standard_normal(h.shape[0])
-            iv = damped_core(m.factors, cache, mu)(v)
+            iv = damped_core(stack(m.factors), m.dims, cache, mu)(v)
             expected = np.linalg.solve(h + mu * np.eye(h.shape[0]), v)
             np.testing.assert_allclose(iv, expected, atol=1e-9)
 

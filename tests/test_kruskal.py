@@ -255,7 +255,11 @@ class TestMttkrpGradient:
     )
     @pytest.mark.parametrize(
         "kernel",
-        [lambda y, m: mttkrp(y, m, 1), mttkrp_all, als_step],
+        [
+            lambda y, m: mttkrp(y, m, 1),
+            mttkrp_all,
+            lambda y, m: als_step(y, stack(m.factors)),
+        ],
         ids=["mttkrp", "mttkrp_all", "als_step"],
     )
     def test_mixed_kinds_rejected(self, kernel, tensor_kind, model_kind):
@@ -356,7 +360,8 @@ class TestErrorsAndNormalization:
         noise *= target * np.linalg.norm(clean) / np.linalg.norm(noise)
         y = DenseTensor(clean + noise)
         dense = relative_error(y, m)
-        gram = gram_relative_error(y.norm(), m, mttkrp(y, m, m.order))
+        grams = gram_stack(stack(m.factors))
+        gram = gram_relative_error(y.norm(), m, mttkrp(y, m, m.order), grams)
         assert dense == pytest.approx(target, rel=0.2)
         assert gram == pytest.approx(dense, rel=1e-9)
 
@@ -619,19 +624,19 @@ class TestInitAndAls:
         rng = np.random.default_rng(14)
         truth = random_model(rng, (6, 6, 6), 3, kind)
         y = reconstruct(truth)
-        m = random_init(y.dims, 3, rng, kind)
-        errs = [relative_error(y, m)]
+        x = stack(random_init(y.dims, 3, rng, kind).factors)
+        errs = [relative_error(y, model_from_stack(x, y.dims))]
         for _ in range(5):
-            m, _ = als_step(y, m)
-            errs.append(relative_error(y, m))
+            x, _ = als_step(y, x)
+            errs.append(relative_error(y, model_from_stack(x, y.dims)))
         assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
 
     def test_als_fixed_point_at_exact_fit(self):
         rng = np.random.default_rng(15)
         truth = random_model(rng, (5, 5, 5), 2)
         y = reconstruct(truth)
-        stepped, _ = als_step(y, truth)
-        assert relative_error(y, stepped) < 1e-12
+        stepped, _ = als_step(y, stack(truth.factors))
+        assert relative_error(y, model_from_stack(stepped, y.dims)) < 1e-12
 
     def test_line_search_no_worse_than_plain_als(self):
         """Each ALS-ls iteration keeps a model no worse than the plain sweep
@@ -649,7 +654,8 @@ class TestInitAndAls:
         m = als_ls(1)
         for t in range(2, 7):
             nxt = als_ls(t)
-            plain, _ = als_step(y, m)
+            plain, _ = als_step(y, stack(m.factors))
+            plain = model_from_stack(plain, y.dims)
             assert relative_error(y, nxt) <= relative_error(y, plain) + 1e-12
             m = nxt
 
@@ -657,12 +663,15 @@ class TestInitAndAls:
     @pytest.mark.parametrize("dims", [(5, 6), (4, 5, 6), (3, 4, 2, 5)])
     def test_als_step_matches_textbook_update(self, dims, kind):
         """Every factor equals the unfolding update from the factors swept so
-        far, and the returned matrix is the new model's mode-N MTTKRP."""
+        far, the returned matrix is the new model's mode-N MTTKRP, and the
+        stack passed in is left as it was."""
         rng = np.random.default_rng(64)
         y = random_tensor(rng, dims, kind)
         m = random_model(rng, dims, 3, kind)
-        before = [f.copy() for f in m.factors]
-        stepped, last = als_step(y, m)
+        x = stack(m.factors)
+        before = x.copy()
+        stepped, last = als_step(y, x)
+        stepped = model_from_stack(stepped, dims)
         factors = list(m.factors)
         for n in range(1, len(dims) + 1):
             gamma = build_gram_cache(KruskalModel(factors)).gamma_excl[n - 1]
@@ -676,8 +685,7 @@ class TestInitAndAls:
             assert err <= 1e-12 * np.linalg.norm(factors[n - 1])
         ref = mttkrp(y, stepped, len(dims))
         assert np.linalg.norm(last - ref) <= 1e-12 * np.linalg.norm(ref)
-        for f, g in zip(m.factors, before):
-            np.testing.assert_array_equal(f, g)
+        np.testing.assert_array_equal(x, before)
 
 
 @st.composite
@@ -705,6 +713,8 @@ def test_gram_error_property(pair):
     every order, size, rank and scalar kind, down to relerr 1e-3."""
     y, m, target = pair
     dense = relative_error(y, m)
-    gram = gram_relative_error(y.norm(), m, mttkrp(y, m, m.order))
+    gram = gram_relative_error(
+        y.norm(), m, mttkrp(y, m, m.order), gram_stack(stack(m.factors))
+    )
     assert dense == pytest.approx(target, rel=1e-6)
     assert gram == pytest.approx(dense, rel=1e-9)
