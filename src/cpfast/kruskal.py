@@ -479,26 +479,53 @@ def _top_phase(u: np.ndarray) -> np.ndarray:
     return _unit_phase(u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])])
 
 
+@lru_cache(maxsize=None)
+def _top_eigh_routine(dtype: np.dtype):
+    """LAPACK ``?syevr`` (real) or ``?heevr`` (complex) for ``dtype``."""
+    import scipy.linalg  # already loaded by cpfast.hessian
+
+    name = "heevr" if dtype.kind == "c" else "syevr"
+    return scipy.linalg.get_lapack_funcs((name,), dtype=dtype)[0]
+
+
+def _top_eigh(gram: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k largest eigenvalues of the Hermitian ``gram``, descending, and
+    their eigenvectors, from LAPACK's ``?evr`` asked for those k alone: for
+    part of the spectrum it runs bisection and inverse iteration.  The
+    bisection tolerance is twice the underflow threshold, which LAPACK
+    documents as the most accurate setting (zero means eps ||T||)."""
+    n = gram.shape[0]
+    lam, v, _, _, info = _top_eigh_routine(gram.dtype)(
+        gram, range="I", il=n - k + 1, iu=n, abstol=2.0 * np.finfo(np.float64).tiny
+    )
+    if info:
+        raise np.linalg.LinAlgError(f"?evr failed (info {info})")
+    return lam[:k][::-1], v[:, ::-1]
+
+
 def _leading_left_vectors(mat: np.ndarray, rank: int) -> np.ndarray:
-    """Up to ``rank`` leading left singular vectors from the smaller Gram.
+    """Up to ``rank`` leading left singular vectors from the smaller Gram,
+    whose min(``rank``, n) leading eigenpairs alone are computed.
 
     Wide matrices use the eigenvectors of M M^H.  Tall ones use M^H M = V S^2
     V^H and U = M V S^{-1}, kept only where S^2 exceeds the Gram's rounding
     level eps * rows * S_max^2, so fewer than ``rank`` columns can come back.
+    That U is orthonormal only to about eps (S_max / S_min)^2, so one thin QR
+    makes it orthonormal again, keeping each column's place and sign.
     """
     rows, cols = mat.shape
     if rows <= cols:
-        _, v = np.linalg.eigh(mat @ mat.conj().T)
-        return v[:, ::-1][:, :rank]
-    lam, v = np.linalg.eigh(mat.conj().T @ mat)
-    lam, v = lam[::-1][:rank], v[:, ::-1][:, :rank]
+        return _top_eigh(mat @ mat.conj().T, min(rank, rows))[1]
+    lam, v = _top_eigh(mat.conj().T @ mat, min(rank, cols))
     keep = lam > np.finfo(np.float64).eps * rows * lam[0]
-    return (mat @ v[:, keep]) / np.sqrt(lam[keep])[None, :]
+    q, r = np.linalg.qr((mat @ v[:, keep]) / np.sqrt(lam[keep])[None, :])
+    return q * _unit_phase(r.diagonal())[None, :]
 
 
 def svd_init(y: DenseTensor, rank: int, rng) -> tuple[KruskalModel, np.ndarray]:
-    """Leading mode-n left singular vectors, from ``eigh`` of the smaller Gram
-    of each unfolding (I_n x I_n when wide, (J/I_n) x (J/I_n) when tall).
+    """Leading mode-n left singular vectors, from the top R eigenpairs of the
+    smaller Gram of each unfolding (I_n x I_n when wide, (J/I_n) x (J/I_n)
+    when tall; see :func:`_leading_left_vectors`).
 
     Missing columns (R above the unfolding's rank) are random unit-norm draws
     from ``rng``.  Signs/phases follow a fixed rule, so the init does not
@@ -529,10 +556,11 @@ def svd_init(y: DenseTensor, rank: int, rng) -> tuple[KruskalModel, np.ndarray]:
     return KruskalModel(factors), last
 
 
-def st_hosvd(y: DenseTensor, rank: int) -> tuple[list, DenseTensor]:
+def st_hosvd(y: DenseTensor, rank: int) -> tuple[list, DenseTensor, np.ndarray]:
     """Sequentially truncated HOSVD (Vannieuwenhoven, Vandebril & Meerbergen,
-    SIAM J. Sci. Comput. 34(2), 2012): bases U_n with orthonormal columns and
-    the core G = Y x_1 U_1^H ... x_N U_N^H.
+    SIAM J. Sci. Comput. 34(2), 2012): bases U_n with orthonormal columns,
+    the core G = Y x_1 U_1^H ... x_N U_N^H, and ``lead``, the mode-N
+    unfolding of Y x_1 U_1^H ... x_{N-1} U_{N-1}^H (I_N x prod_{n<N} R_n).
 
     Mode n's basis is the :func:`_leading_left_vectors` of the mode-n
     unfolding of Y already projected in modes 1..n-1, at most ``rank``
@@ -543,6 +571,9 @@ def st_hosvd(y: DenseTensor, rank: int) -> tuple[list, DenseTensor]:
     X projected in its first mode, with that mode moved last.  After N
     projections the modes are back in order, and no unfolding is copied.
     (U_n^H is made row-major first: at 100^3 that halves the matmul's time.)
+    ``lead`` is the last projection's input, so it costs nothing: with A_n =
+    U_n B_n, the mode-N MTTKRP Y_(N) conj(KR(A_1..A_{N-1})) is ``lead``
+    conj(KR(B_1..B_{N-1})), with no pass over Y.
     """
     x = y.data
     bases = []
@@ -555,7 +586,7 @@ def st_hosvd(y: DenseTensor, rank: int) -> tuple[list, DenseTensor]:
         uh = np.ascontiguousarray(u.conj().T)
         x = (uh @ mat).T.reshape(x.shape[1:] + (u.shape[1],), order="F")
         bases.append(u)
-    return bases, DenseTensor(x)
+    return bases, DenseTensor(x), mat
 
 
 def pinv_psd(gamma: np.ndarray) -> np.ndarray:

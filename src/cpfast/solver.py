@@ -21,10 +21,10 @@ and comes out.
 builds the configured init of that unit-norm tensor, hands both to the loop
 (:func:`_fit_lm` or :func:`_fit_als`), which only iterates, and scales the
 returned model back once.  On a tensor much larger than its rank-R Tucker
-core, :func:`fit` first compresses: it fits the ST-HOSVD core, divided by its
-own norm, with the variant's loop and then refines the expanded model on Y /
-||Y|| with the same loop and stop rule, whose window resumes where the core
-stage left it.
+core, :func:`fit` first compresses: it fits the ST-HOSVD core of Y / ||Y||,
+divided by its own norm, with the variant's loop and then refines the
+expanded model on Y / ||Y|| with the same loop and stop rule, whose window
+resumes where the core stage left it.
 
 The same code path serves real and complex tensors: Gram matrices are
 Hermitian, and every place where a damped Gamma inverse right-multiplies a
@@ -63,7 +63,7 @@ from .kruskal import (
     stack,
     svd_init,
 )
-from .tensor import DenseTensor, frobenius
+from .tensor import DenseTensor, frobenius, khatri_rao_excl
 
 VARIANTS = ("auto", "als", "als-ls")
 INITS = ("svd", "random")
@@ -337,10 +337,11 @@ def fit(y: DenseTensor, config: FitConfig) -> FitResult:
     that squared entries may be subnormal.
 
     Where prod I_n >= ``COMPRESS_MIN_RATIO`` * prod min(I_n, R) and
-    ``max_iters`` > 1, every variant first fits the ST-HOSVD core of Y and
-    then refines the expanded model on Y / ||Y|| through the same loop, whose
-    window resumes the core stage's (:func:`_fit_compressed`); ``max_iters``
-    bounds both stages together, the trace marks each record's stage, and
+    ``max_iters`` > 1, every variant first fits the ST-HOSVD core of Y / ||Y||
+    and then refines the expanded model on Y / ||Y|| through the same loop,
+    whose window resumes the core stage's (:func:`_fit_compressed`); the
+    refinement's start costs no pass over Y.  ``max_iters`` bounds both
+    stages together, the trace marks each record's stage, and
     ``final_relerr`` is that of the last record on Y.
     """
     if y.order < 2:
@@ -348,10 +349,10 @@ def fit(y: DenseTensor, config: FitConfig) -> FitResult:
     ynorm = _tensor_norm(y)
     t0 = time.monotonic()
     loop = _fit_als if config.variant in ("als", "als-ls") else _fit_lm
+    unit = DenseTensor(y.data / ynorm)
     if config.max_iters > 1 and _compresses(y.dims, config.rank):
-        result = _fit_compressed(loop, y, ynorm, config)
+        result = _fit_compressed(loop, unit, config)
     else:
-        unit = DenseTensor(y.data / ynorm)
         result = loop(unit, config, *_init_model(unit, config))
     factors = result.model.factors
     if loop is _fit_als:
@@ -370,31 +371,30 @@ def _compresses(dims, rank: int) -> bool:
     return math.prod(dims) >= COMPRESS_MIN_RATIO * core
 
 
-def _fit_compressed(loop, y: DenseTensor, ynorm: float, config: FitConfig):
+def _fit_compressed(loop, y: DenseTensor, config: FitConfig):
     """Compress, fit the core, refine (Bro & Andersson, Chemom. Intell. Lab.
-    Syst. 42, 1998).
+    Syst. 42, 1998) on the unit-norm tensor ``y``.
 
-    :func:`st_hosvd` of Y (at its own scale) gives bases U_n and the core G,
-    of dims min(I_n, R) at most.  ``loop`` (:func:`_fit_lm` or
-    :func:`_fit_als`) fits G / ||G|| from its configured init, then fits Y /
-    ``ynorm`` from the expanded model A^(n) = U_n B^(n), whose first factor
-    is multiplied by ||G|| / ``ynorm`` to put it at that tensor's scale, and
-    from its mode-N MTTKRP (one pass), with the same stop rule.  The core
-    stage may take ``max_iters`` - 1 iterations and the refinement the rest,
-    so ``max_iters`` bounds both together.  The core's records are marked
-    "core"; the stop reason and the model, a model of Y / ``ynorm``, are the
-    refinement's.
+    :func:`st_hosvd` of ``y`` gives bases U_n, the core G, of dims
+    min(I_n, R) at most, and ``lead``, ``y`` projected in modes 1..N-1.
+    ``loop`` (:func:`_fit_lm` or :func:`_fit_als`) fits G / kappa, kappa =
+    ||G||, from its configured init, then fits ``y`` from the expanded model
+    and its mode-N MTTKRP (:func:`_expanded_start`, no pass over ``y``),
+    with the same stop rule.  The core stage may take ``max_iters`` - 1
+    iterations and the refinement the rest, so ``max_iters`` bounds both
+    together.  The core's records are marked "core"; the stop reason and the
+    model, a model of ``y``, are the refinement's.
 
     The refinement's window starts at the core trace's trailing run of
     differences below ``tol`` (a rejection repeats the error: a zero
     difference, as in the loop).  With orthonormal U_n, ||Y - [[U B]]||^2 =
     ||Y||^2 - ||G||^2 + ||G - [[B]]||^2, so e_Y^2 = 1 - k^2 + k^2 e_G^2 with
-    k = ||G|| / ||Y|| <= 1, and |De_Y| <= k |De_G|: each small difference on
-    G is one at least as small on Y.
+    k = ||G|| / ||Y|| = kappa <= 1, and |De_Y| <= k |De_G|: each small
+    difference on G is one at least as small on Y.
     """
-    bases, core = st_hosvd(y, config.rank)
-    core_norm = _tensor_norm(core)
-    core = DenseTensor(core.data / core_norm)
+    bases, core, lead = st_hosvd(y, config.rank)
+    kappa = _tensor_norm(core)
+    core = DenseTensor(core.data / kappa)
     budget = replace(config, max_iters=config.max_iters - 1)
     first = loop(core, budget, *_init_model(core, config))
     errs = [rec.relerr for rec in reversed(first.trace)]
@@ -403,15 +403,30 @@ def _fit_compressed(loop, y: DenseTensor, ynorm: float, config: FitConfig):
         below += 1
     for rec in first.trace:
         rec.stage = "core"
-    start = KruskalModel([u @ b for u, b in zip(bases, first.model.factors)])
-    start.factors[0] *= core_norm / ynorm
-    y = DenseTensor(y.data / ynorm)
     rest = replace(config, max_iters=config.max_iters - first.iters)
-    result = loop(y, rest, start, mttkrp(y, start, start.order), below)
+    start = _expanded_start(bases, lead, first.model, kappa)
+    result = loop(y, rest, *start, below)
     for rec in result.trace:
         rec.iter += first.iters
     result.trace = first.trace + result.trace
     return result
+
+
+def _expanded_start(
+    bases, lead: np.ndarray, core_model: KruskalModel, kappa: float
+) -> tuple[KruskalModel, np.ndarray]:
+    """The model A^(n) = U_n B^(n) of Y, expanded from the model B of G /
+    ``kappa`` with ``bases`` U_n, its first factor times ``kappa``, and its
+    mode-N MTTKRP.
+
+    Y_(N) conj(KR(A^(1..N-1))) = ``lead`` conj(KR(B^(1..N-1))), with
+    ``lead`` from :func:`st_hosvd`, so the MTTKRP costs O(I_N prod R_n R)
+    and no pass over Y.
+    """
+    start = KruskalModel([u @ b for u, b in zip(bases, core_model.factors)])
+    start.factors[0] *= kappa
+    kr = khatri_rao_excl(core_model.factors, core_model.order)
+    return start, kappa * (lead @ kr.conj())
 
 
 def _candidate_error(

@@ -33,7 +33,7 @@ from .oracle import (
     kernel_inverse,
     kernel_matrix,
 )
-from .solver import flm_step
+from .solver import _expanded_start, flm_step
 from .synth import (
     CollinearSpec,
     collinear_mixing,
@@ -41,7 +41,7 @@ from .synth import (
     gen_collinear,
     spectrum,
 )
-from .tensor import COMPLEX, DenseTensor, REAL, fold, unfold
+from .tensor import COMPLEX, DenseTensor, REAL, fold, khatri_rao_excl, unfold
 
 MU_GRID = (1e-6, 1e-2, 1.0, 1e3)
 FD_STEP = 1e-6
@@ -103,7 +103,7 @@ def compression_error(y: DenseTensor, rank: int) -> float:
     O(||Y||^2) numbers, so it resolves no finer, and a residual can be zero
     (an order-2 Y of rank R).  The projection is formed densely, mode by
     mode, through unfold and fold."""
-    bases, core = st_hosvd(y, rank)
+    bases, core, _ = st_hosvd(y, rank)
     ortho = max(
         float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[1]))) for u in bases
     )
@@ -113,6 +113,18 @@ def compression_error(y: DenseTensor, rank: int) -> float:
     resid = float(np.linalg.norm(y.data - proj.data)) ** 2
     gap = y.norm() ** 2 - core.norm() ** 2
     return max(ortho, abs(gap - resid) / y.norm() ** 2)
+
+
+def compressed_start_error(y: DenseTensor, rank: int, rng) -> float:
+    """Relative error of the compressed fit's start M^(N), formed from the
+    ST-HOSVD's ``lead`` with no pass over Y, against the dense unfold(Y, N)
+    conj(KR) of the expanded model, for a random model of the core and
+    kappa = 0.5."""
+    bases, core, lead = st_hosvd(y, rank)
+    b = random_init(core.dims, rank, rng, core.scalar_kind)
+    start, last = _expanded_start(bases, lead, b, 0.5)
+    ref = unfold(y, y.order) @ khatri_rao_excl(start.factors, y.order).conj()
+    return _rel(last - ref, ref)
 
 
 def run_suite(seeds: int = 10, perturb: bool = False) -> list:
@@ -169,6 +181,8 @@ def run_suite(seeds: int = 10, perturb: bool = False) -> list:
             record(f"second-order-{tag}", _rel(term - ref, ref), 1e-10)
 
             record(f"compress-{tag}", compression_error(y, model.rank), 1e-10)
+            err = compressed_start_error(y, model.rank, rng)
+            record(f"compress-start-{tag}", err, 1e-10)
 
     for seed in range(max(1, seeds // 2)):
         size, rank, order = 10, 3, 3

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from cpfast.kruskal import (
     KruskalModel,
+    _leading_left_vectors,
     als_step,
     build_gram_cache,
     gradient,
@@ -469,13 +470,18 @@ class TestStHosvd:
         """Bases have orthonormal columns, min(I_n, R) of them, and the
         identity where I_n <= R; the core is Y x_n U_n^H from unfold and
         fold, and the reconstruction G x_n U_n leaves a residual whose
-        squared norm is ||Y||^2 - ||G||^2 (Pythagoras)."""
+        squared norm is ||Y||^2 - ||G||^2 (Pythagoras).  ``lead`` is the
+        mode-N unfolding of Y x_n U_n^H over modes 1..N-1."""
         rng = np.random.default_rng(71)
         truth = random_model(rng, dims, rank, kind)
         y = DenseTensor(
             reconstruct(truth).data + 0.1 * random_tensor(rng, dims, kind).data
         )
-        bases, core = st_hosvd(y, rank)
+        bases, core, lead = st_hosvd(y, rank)
+        head = mode_products(y, [u.conj().T for u in bases[:-1]] + [np.eye(dims[-1])])
+        np.testing.assert_allclose(
+            lead, unfold(head, len(dims)), atol=1e-12 * y.norm()
+        )
         assert core.dims == tuple(min(d, rank) for d in dims)
         assert core.scalar_kind == kind
         for d, u in zip(dims, bases):
@@ -530,7 +536,7 @@ class TestStHosvd:
             reconstruct(random_model(rng, dims, rank, kind)).data
             + noise * random_tensor(rng, dims, kind).data
         )
-        bases, core = st_hosvd(y, rank)
+        bases, core, _ = st_hosvd(y, rank)
         kappa = core.norm() / y.norm()
         delta = max(np.abs(u.conj().T @ u - np.eye(u.shape[1])).max() for u in bases)
         first = random_model(rng, core.dims, rank, kind)
@@ -554,11 +560,70 @@ class TestStHosvd:
         all of its energy."""
         rng = np.random.default_rng(73)
         y = reconstruct(random_model(rng, (10, 9, 8), 3))
-        bases, core = st_hosvd(y, 3)
+        bases, core, _ = st_hosvd(y, 3)
         assert core.norm() == pytest.approx(y.norm(), rel=1e-12)
         np.testing.assert_allclose(
             mode_products(core, bases).data, y.data, atol=1e-12 * y.norm()
         )
+
+    def test_tall_unfolding_bases_are_orthonormal(self):
+        """A 7x1x6 rank-3 tensor at 1% noise whose mode-1 unfolding (7 x 6,
+        tall) has sigma_3 / sigma_1 = 3.9e-3: U = M V S^{-1} alone departs
+        from orthonormal columns by ~eps (sigma_1 / sigma_3)^2 (7.9e-12
+        here); re-orthonormalized, every basis is within 1e-14."""
+        rng = np.random.default_rng(636)
+        dims = (7, 1, 6)
+        y = DenseTensor(
+            reconstruct(random_model(rng, dims, 3)).data
+            + 0.01 * random_tensor(rng, dims).data
+        )
+        sigma = np.linalg.svd(unfold(y, 1), compute_uv=False)
+        assert sigma[2] / sigma[0] < 5e-3
+        for u in st_hosvd(y, 3)[0]:
+            assert np.abs(u.conj().T @ u - np.eye(u.shape[1])).max() <= 1e-14
+
+
+class TestTopEigenpairs:
+    """:func:`_leading_left_vectors` computes only the leading eigenpairs of
+    the smaller Gram."""
+
+    @staticmethod
+    def projector(u):
+        return u @ u.conj().T
+
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    @pytest.mark.parametrize(
+        "shape,rank",
+        [
+            ((9, 40), 3),  # wide
+            ((40, 9), 3),  # tall
+            ((6, 40), 6),  # wide, R = n
+            ((6, 40), 8),  # wide, R > n
+            ((40, 5), 5),  # tall, R = n
+            ((40, 5), 7),  # tall, R > n
+        ],
+    )
+    def test_same_leading_subspace_as_full_eigh(self, shape, rank, kind):
+        """The kept columns span the subspace that the full ``eigh`` of the
+        same Gram gives (U = M V S^{-1} when tall), with projector difference
+        <= 1e-12, and are orthonormal.  The matrix is rank-min(R, n) plus
+        1% noise, so its leading subspace is well separated."""
+        rng = np.random.default_rng(74)
+        rows, cols = shape
+        k = min(rank, rows, cols)
+        mat = random_tensor(rng, (rows, k), kind).data @ random_tensor(
+            rng, (k, cols), kind
+        ).data + 0.01 * random_tensor(rng, shape, kind).data
+        u = _leading_left_vectors(mat, rank)
+        if rows <= cols:
+            ref = np.linalg.eigh(mat @ mat.conj().T)[1][:, ::-1][:, :k]
+        else:
+            lam, v = np.linalg.eigh(mat.conj().T @ mat)
+            ref = (mat @ v[:, ::-1][:, :k]) / np.sqrt(lam[::-1][:k])
+        assert u.shape == (rows, k)
+        diff = self.projector(u) - self.projector(ref)
+        assert np.abs(diff).max() <= 1e-12
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(k), atol=1e-14)
 
 
 class TestInitAndAls:

@@ -990,14 +990,16 @@ class TestCompression:
         """Stated bound: on these noisy Gaussian problems the compressed fit
         stops "tol" with |relerr - relerr_plain| <= tol * relerr_plain.
         Its trace is the core fit's records (those of a plain fit of the
-        core with max_iters - 1, marked "core") followed by "full" records,
+        core of Y / ||Y|| with max_iters - 1, marked "core") followed by
+        "full" records,
         numbered across both; the returned model reconstructs Y with the
         reported relerr.  The refinement resumes the core's ten-difference
         window, so on these problems ALS-ls refines with one sweep."""
         y = DenseTensor(gaussian_instance(seed, dims=dims, rank=rank, kind=kind))
         config = FitConfig(rank=rank, variant=variant)
         plain = fit(y, config)
-        _, core = st_hosvd(y, rank)
+        unit = DenseTensor(y.data / cpfast.solver._tensor_norm(y))
+        _, core, _ = st_hosvd(unit, rank)
         core_fit = fit(core, replace(config, max_iters=config.max_iters - 1))
         monkeypatch.setattr(cpfast.solver, "COMPRESS_MIN_RATIO", 0)
         comp = fit(y, config)
@@ -1021,13 +1023,39 @@ class TestCompression:
             comp.final_relerr, rel=1e-9
         )
 
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    @pytest.mark.parametrize(
+        "dims,rank",
+        [
+            ((9, 8, 7), 3),
+            ((9, 2, 7), 3),  # I_2 < R
+            ((8, 7, 3), 3),  # I_N = R: the last mode is not compressed
+            ((6, 3, 5, 2), 3),  # I_2 = R and I_N < R
+        ],
+    )
+    def test_start_mttkrp_from_lead(self, dims, rank, kind):
+        """The expanded start's M^(N), formed from the ST-HOSVD's ``lead``
+        and the core model with no pass over Y, equals ``mttkrp`` of the
+        start on Y within 1e-12 relative; the start is U_n B^(n), with
+        A^(1) times kappa."""
+        rng = np.random.default_rng(75)
+        y = DenseTensor(gaussian_instance(5, dims=dims, rank=rank, kind=kind))
+        bases, core, lead = st_hosvd(y, rank)
+        b = random_init(core.dims, rank, rng, kind)
+        start, last = cpfast.solver._expanded_start(bases, lead, b, 0.7)
+        for n, (u, a) in enumerate(zip(bases, start.factors)):
+            np.testing.assert_allclose(a, (0.7 if n == 0 else 1.0) * u @ b.factors[n])
+        ref = mttkrp(y, start, len(dims))
+        assert np.linalg.norm(last - ref) <= 1e-12 * np.linalg.norm(ref)
+
     def test_refinement_passes(self, monkeypatch):
         """The ALS-ls refinement of a noisy 30^3 R=3 fit forms no dense
-        residual: its start costs one mode-N MTTKRP, its first sweep (with
-        no previous model to extrapolate from) one more, and each later
-        sweep three; and it resumes the core's window, so it is shorter
-        than the window.  The refinement's calls are those made after the
-        core loop returns, the start's M^(N) included."""
+        residual: its start costs no pass over Y (its M^(N) comes from the
+        ST-HOSVD), its first sweep (with no previous model to extrapolate
+        from) one mode-N MTTKRP, and each later sweep three; and it resumes
+        the core's window, so it is shorter than the window.  The
+        refinement's calls are those made after the core loop returns, the
+        start's included."""
         monkeypatch.setattr(cpfast.solver, "COMPRESS_MIN_RATIO", 0)
         y = DenseTensor(gaussian_instance(3))
         calls = count_tensor_passes(monkeypatch)
@@ -1048,7 +1076,33 @@ class TestCompression:
         n_refine = sum(rec.stage == "full" for rec in result.trace)
         assert 1 <= n_refine < cpfast.solver.TOL_WINDOW
         assert set(refine) == {("mttkrp", 3)}
-        assert len(refine) <= 2 + 3 * (n_refine - 1)
+        assert len(refine) <= 1 + 3 * (n_refine - 1)
+
+    def test_flm_refinement_start_passes(self, monkeypatch):
+        """The fLM twin of :meth:`test_refinement_passes`: between the core
+        loop's return and the refinement loop's entry there is no
+        ``mttkrp``, ``reconstruct`` or ``relative_error`` call, so the
+        expanded start costs no pass over Y."""
+        monkeypatch.setattr(cpfast.solver, "COMPRESS_MIN_RATIO", 0)
+        y = DenseTensor(gaussian_instance(3))
+        calls = count_tensor_passes(monkeypatch)
+        loop = cpfast.solver._fit_lm
+        entered, returned = ("loop entered", None), ("loop returned", None)
+
+        def marked(*args, **kwargs):
+            calls.append(entered)
+            result = loop(*args, **kwargs)
+            calls.append(returned)
+            return result
+
+        monkeypatch.setattr(cpfast.solver, "_fit_lm", marked)
+        result = fit(y, FitConfig(rank=3))
+        assert result.stop_reason == "tol"
+        assert result.final_relerr > GRAM_ERROR_GUARD
+        assert calls.count(entered) == 2 and calls.count(returned) == 2
+        first = calls.index(returned)
+        assert calls[first + 1] == entered
+        assert ("mttkrp", 3) in calls[first + 2 :]
 
     @pytest.mark.parametrize("variant", ["auto", "als-ls"])
     @pytest.mark.parametrize("max_iters", [2, 3, 7])
