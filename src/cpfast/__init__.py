@@ -36,7 +36,7 @@ from .synth import (
     spectrum,
 )
 from .cptn import read_tensor, write_tensor
-from .bench import RunRecord, run_grid, run_single
+from .bench import RunRecord, run_grid
 from .verify import run_suite
 
 __version__ = "0.1.0"
@@ -74,7 +74,6 @@ __all__ = [
     "reconstruct",
     "relative_error",
     "run_grid",
-    "run_single",
     "run_suite",
     "spectrum",
     "unfold",

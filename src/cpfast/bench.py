@@ -4,6 +4,7 @@ with deterministic seeding and CSV output suitable for machine diffing."""
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import statistics
 from dataclasses import dataclass, fields
@@ -66,37 +67,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def run_single(
-    dims,
-    rank: int,
-    nu: float,
-    snr_db: float | None,
-    algo: str,
-    seed: int,
-    scalar_kind: str = "real",
-    tau: float = 1e-3,
-    tol: float = 1e-8,
-    max_iters: int = 1000,
-    init: str = "svd",
-) -> tuple:
-    """One benchmark cell instance; returns (record, truth, fitted model)."""
-    spec = CollinearSpec(dims, rank, nu, snr_db, seed, scalar_kind)
-    truth, tensor = gen_collinear(spec)
-    tensor = add_noise(tensor, snr_db, seed)
-    config = FitConfig(
-        rank=rank,
-        variant=algo,
-        tau=tau,
-        tol=tol,
-        max_iters=max_iters,
-        seed=seed,
-        init=init,
-    )
-    result = fit(tensor, config)
-    record = record_from_result(result, truth, seed, nu, rank, snr_db, algo)
-    return record, truth, result.model
-
-
 def record_from_result(
     result, truth: KruskalModel, seed, nu, rank, snr_db, algo
 ) -> RunRecord:
@@ -127,42 +97,41 @@ def run_grid(
     algos,
     seeds: int,
     scalar_kind: str = "real",
-    **fit_kwargs,
+    tol: float = 1e-8,
+    max_iters: int = 1000,
 ) -> list:
-    """All (nu, R, snr) x seed x algo cells, deterministic order."""
+    """All (nu, R, snr) x seed x algo cells, deterministic order: each one
+    fit of a :func:`~cpfast.synth.gen_collinear` tensor with
+    :func:`~cpfast.synth.add_noise` noise, whose failure anywhere is
+    recorded as an "error" row with its text."""
     records = []
-    for nu in nus:
-        for rank in ranks:
-            for snr_db in snrs:
-                for seed in range(seeds):
-                    for algo in algos:
-                        try:
-                            record, _, _ = run_single(
-                                dims,
-                                rank,
-                                nu,
-                                snr_db,
-                                algo,
-                                seed,
-                                scalar_kind,
-                                **fit_kwargs,
-                            )
-                        except Exception as exc:
-                            record = RunRecord(
-                                seed, nu, rank, snr_db, algo, 0, 0, 0.0,
-                                float("nan"), None, None, "error",
-                                f"{type(exc).__name__}: {exc}",
-                            )
-                        records.append(record)
+    cells = itertools.product(nus, ranks, snrs, range(seeds), algos)
+    for nu, rank, snr_db, seed, algo in cells:
+        try:
+            spec = CollinearSpec(dims, rank, nu, snr_db, seed, scalar_kind)
+            truth, tensor = gen_collinear(spec)
+            config = FitConfig(rank, algo, tol=tol, max_iters=max_iters, seed=seed)
+            result = fit(add_noise(tensor, snr_db, seed), config)
+            record = record_from_result(result, truth, seed, nu, rank, snr_db, algo)
+        except Exception as exc:
+            record = RunRecord(
+                seed, nu, rank, snr_db, algo, 0, 0, 0.0, float("nan"), None,
+                None, "error", f"{type(exc).__name__}: {exc}",
+            )
+        records.append(record)
     return records
 
 
-def write_csv(path, records) -> None:
+def write_rows(path, header, rows) -> None:
+    """A CSV file of ``header`` and then ``rows``, UTF-8 with LF endings."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for record in records:
-            writer.writerow(record.row())
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_csv(path, records) -> None:
+    write_rows(path, CSV_COLUMNS, [record.row() for record in records])
 
 
 def _cell_order(cell) -> tuple:
@@ -195,8 +164,5 @@ def summarize(records) -> list:
 
 
 def write_summary_csv(path, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in SUMMARY_COLUMNS])
+    table = [[_fmt(row[c]) for c in SUMMARY_COLUMNS] for row in rows]
+    write_rows(path, SUMMARY_COLUMNS, table)

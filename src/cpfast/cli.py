@@ -3,7 +3,6 @@ spectral feasibility reports, and the identity-verification suite."""
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -276,18 +275,15 @@ def cmd_spectrum(size, rank, order, nus, snrs, csv_path):
             )
             rows.append((nu_val, snr_db, rep))
     if csv_path:
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["nu", "snr_db", "x", "y", "lam_max", "lam_mid", "lam_min",
-                 "sigma2", "noise_floor", "norm2", "feasible"]
-            )
-            for nu_val, snr_db, rep in rows:
-                writer.writerow(
-                    [nu_val, "inf" if snr_db is None else snr_db, rep.x, rep.y,
-                     rep.lam_max, rep.lam_mid, rep.lam_min, rep.sigma2,
-                     rep.noise_floor, rep.norm2, rep.feasible]
-                )
+        benchmod.write_rows(
+            csv_path,
+            ["nu", "snr_db", "x", "y", "lam_max", "lam_mid", "lam_min",
+             "sigma2", "noise_floor", "norm2", "feasible"],
+            [[nu_val, "inf" if snr_db is None else snr_db, rep.x, rep.y,
+              rep.lam_max, rep.lam_mid, rep.lam_min, rep.sigma2,
+              rep.noise_floor, rep.norm2, rep.feasible]
+             for nu_val, snr_db, rep in rows],
+        )
         click.echo(f"wrote {csv_path}")
 
 

@@ -8,6 +8,7 @@ J scalars little-endian in column-major order.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -49,8 +50,10 @@ def read_tensor(path) -> DenseTensor:
         if len(dims_raw) < 8 * order:
             raise FormatError("truncated dims")
         dims = tuple(int(d) for d in np.frombuffer(dims_raw, dtype="<u8"))
+        if max(dims, default=0) > np.iinfo(np.intp).max:
+            raise FormatError(f"dims {dims}: a mode exceeds numpy's index range")
         dtype = "<c16" if kind else "<f8"
-        count = int(np.prod(dims, dtype=np.int64))
+        count = math.prod(dims)
         payload = fh.read()
     data = np.frombuffer(payload, dtype=dtype)
     if data.size != count:

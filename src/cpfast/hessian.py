@@ -9,7 +9,8 @@ entries stay O(Gamma + mu) as mu shrinks.  :func:`damped_core` builds the
 Gram inverses with one batched inverse, writes the core through strided views
 and LU-factors it once by LAPACK ``?getrf``; the :class:`DampedCore` it
 returns applies (H + mu I)^{-1} to a stack (see :func:`~cpfast.kruskal.stack`)
-with batched matmuls around one ``?getrs`` solve.
+with batched matmuls around one ``?getrs`` solve.  Both routines come from
+the cached lookup that :mod:`cpfast.kruskal` also uses for ``?syevr``.
 
 The dense references these are checked against live in :mod:`cpfast.oracle`.
 """
@@ -20,20 +21,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
-from .kruskal import GramCache, pack, unpack
+from .kruskal import GramCache, _lapack, pack, unpack
 
 
 class SingularKernelError(np.linalg.LinAlgError):
     """A singular small system: an exact zero pivot in the LU factorization of
     the core, or a singular K in the oracle's closed-form K^{-1}."""
-
-
-@lru_cache(maxsize=None)
-def _lu_routines(dtype: np.dtype):
-    """LAPACK ``?getrf`` and ``?getrs`` for ``dtype``."""
-    return scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=dtype)
 
 
 def _check_info(info: int, routine: str) -> None:
@@ -69,7 +63,7 @@ class DampedCore:
         where Sb = blkdiag((Gamma^(n) + mu I) kron I); it equals
         (Sb (K^{-1} + Psi) Sb)^{-1} u whenever K is invertible."""
         n_modes, r = self.gtilde.shape[:2]
-        getrs = _lu_routines(np.promote_types(self.lu.dtype, u.dtype))[1]
+        getrs = _lapack("getrs", np.promote_types(self.lu.dtype, u.dtype))
         z, info = getrs(self.lu, self.piv, u)
         _check_info(info, "getrs")
         # The core solve gives x from (Sb + Chat K) x = u; the slices are
@@ -170,6 +164,6 @@ def damped_core(x: np.ndarray, dims, cache: GramCache, mu: float) -> DampedCore:
     # Sb block (n, n): D_n[b, b'] at column (n, b', a).
     view = np.ndarray((n_modes,) + (r,) * 3, core.dtype, core, 0, sb_strides)
     view[...] = damped[..., None]
-    lu, piv, info = _lu_routines(core.dtype)[0](core, overwrite_a=True)
+    lu, piv, info = _lapack("getrf", core.dtype)(core, overwrite_a=True)
     _check_info(info, "getrf")
     return DampedCore(np.linalg.inv(damped), lu, piv, kernel, x, dims)

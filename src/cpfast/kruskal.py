@@ -11,8 +11,9 @@ transpose placements below are chosen so the same code path is exact for both
 scalar kinds.
 
 A stacked vector has one block per mode, vec(V^(n)) in column-major order
-(:meth:`KruskalModel.as_vector`); :func:`pack` and :func:`unpack` convert it
-to and from the stack layout, by a reshape when every I_n is equal.  The
+(:meth:`KruskalModel.as_vector`); :func:`pack` and :func:`unpack` copy it
+to and from the stack layout, for the vector-form wrappers that ``verify``
+and the tests call; the fit loops never do.  The
 MTTKRPs of modes 1..N-1 are contractions of the partial product P = Y x_N
 conj(A^(N)) (Phan, Tichavsky & Cichocki, IEEE TSP 2013).
 
@@ -34,6 +35,7 @@ from .tensor import (
     DenseTensor,
     ScalarKindError,
     _check_mode,
+    _gaussian,
     _khatri_rao_of,
     frobenius,
     khatri_rao_excl,
@@ -104,17 +106,12 @@ def model_from_stack(x: np.ndarray, dims) -> KruskalModel:
 
 
 def pack(vec: np.ndarray, dims, rank: int) -> np.ndarray:
-    """The stacked vector ``vec`` in the layout of :func:`stack`: a reshape
-    view when every I_n is equal, else a zero-padded copy."""
-    if min(dims) == max(dims):
-        return vec.reshape(len(dims), rank, dims[0])
+    """The stacked vector ``vec`` in the layout of :func:`stack` (a copy)."""
     return stack(model_from_vector(vec, dims, rank).factors)
 
 
 def unpack(x: np.ndarray, dims) -> np.ndarray:
     """The stacked vector of the stack ``x``: the inverse of :func:`pack`."""
-    if min(dims) == max(dims):
-        return x.reshape(-1)
     return model_from_stack(x, dims).as_vector()
 
 
@@ -275,20 +272,16 @@ def _last_partial(y: DenseTensor, last_factor: np.ndarray) -> np.ndarray:
 
 
 def gradient(
-    y: DenseTensor,
-    model: KruskalModel,
-    cache: GramCache | None = None,
-    mttkrps: list | None = None,
+    y: DenseTensor, model: KruskalModel, cache: GramCache | None = None
 ) -> np.ndarray:
     """Stacked residual projection J^H vec(E) with E = Y - Yhat.
 
     Block n is vec(M^(n) - A^(n) Gamma^(n)^T), with M^(n) the mode-n MTTKRP
-    from ``mttkrps`` when given, else from :func:`mttkrp_all` (two passes
-    over the tensor); see :func:`_gradient` for the stacked form.
+    from :func:`mttkrp_all` (two passes over the tensor); see
+    :func:`_gradient` for the stacked form.
     """
     cache = cache or build_gram_cache(model)
-    if mttkrps is None:
-        mttkrps = mttkrp_all(y, model)
+    mttkrps = mttkrp_all(y, model)
     return unpack(_gradient(stack(model.factors), cache.gamma_excl, mttkrps), model.dims)
 
 
@@ -363,23 +356,24 @@ def relative_error(y: DenseTensor, model: KruskalModel) -> float:
 
 
 def gram_relative_error(
-    ynorm: float, model: KruskalModel, last: np.ndarray, grams: np.ndarray
+    model: KruskalModel, last: np.ndarray, grams: np.ndarray
 ) -> float:
-    """Relative error from ||Y||, the mode-N MTTKRP and the Gram matrices.
+    """Relative error of ``model`` on a unit-norm Y, from the mode-N MTTKRP
+    and the Gram matrices.
 
-    ||Y - Yhat||^2 = ||Y||^2 - 2 Re<A^(N), M^(N)> + 1^T Gamma_full 1,
+    ||Y - Yhat||^2 = 1 - 2 Re<A^(N), M^(N)> + 1^T Gamma_full 1 for ||Y|| = 1,
     where ``last`` is M^(N) = mttkrp(y, model, N) and ``grams`` the stacked
     Gram matrices of the factors (see :func:`gram_stack`).  No dense tensor
-    is formed.  The terms are O(||Y||^2) and cancel: the squared residual
-    carries an absolute error of a few eps ||Y||^2, i.e. ~eps / relerr in the
-    result, so small errors need :func:`relative_error` instead.
+    is formed.  The terms are O(1) and cancel: the squared residual carries
+    an absolute error of a few eps, i.e. ~eps / relerr in the result, so
+    small errors need :func:`relative_error` instead.
     """
     gamma_full = np.multiply.reduce(grams)
     cross = np.vdot(model.factors[-1], last).real
     # Kept as a quadratic form: gamma_full.sum() rounds differently.
     ones = np.ones(model.rank, dtype=model.factors[0].dtype)
     model_sq = np.vdot(ones, gamma_full @ ones).real
-    return float(np.sqrt(max(ynorm**2 - 2.0 * cross + model_sq, 0.0)) / ynorm)
+    return float(np.sqrt(max(1.0 - 2.0 * cross + model_sq, 0.0)))
 
 
 def residual_decrease(
@@ -427,8 +421,8 @@ def normalize_with_grams(
     x: np.ndarray, grams: np.ndarray, last: np.ndarray | None = None
 ) -> tuple[np.ndarray, GramCache, np.ndarray | None]:
     """Rescale each component of the model with stack ``x`` (see
-    :func:`stack`) to the same norm in every mode, using its stacked Gram
-    matrices ``grams`` (N x R x R).
+    :func:`stack`), of N >= 2 modes, to the same norm in every mode, using
+    its stacked Gram matrices ``grams`` (N x R x R).
 
     Every mode-n vector of component r gets the geometric mean of the
     component's mode norms sqrt(diag C^(n)) as its norm; a zero-norm vector
@@ -446,11 +440,10 @@ def normalize_with_grams(
         zero = np.flatnonzero(~norms.all(axis=0))
         raise ZeroDivisionError(f"component {zero[0]} has a zero-norm vector")
     scales = (np.multiply.reduce(norms) ** (1.0 / n_modes) / norms).astype(x.dtype)
-    if n_modes >= 2:
-        # The padding's zeros are never a row's largest magnitude.
-        phase = _top_phase(x[0].T)
-        scales[0] /= phase
-        scales[-1] *= phase
+    # The padding's zeros are never a row's largest magnitude.
+    phase = _top_phase(x[0].T)
+    scales[0] /= phase
+    scales[-1] *= phase
     cache = gram_cache(grams * (scales.conj()[:, :, None] * scales[:, None, :]))
     if last is not None:
         last = last / scales[-1].conj()
@@ -458,13 +451,7 @@ def normalize_with_grams(
 
 
 def random_init(dims, rank: int, rng, scalar_kind="real") -> KruskalModel:
-    factors = []
-    for d in dims:
-        a = rng.standard_normal((d, rank))
-        if scalar_kind == COMPLEX:
-            a = a + 1j * rng.standard_normal((d, rank))
-        factors.append(a)
-    return KruskalModel(factors)
+    return KruskalModel([_gaussian(rng, (d, rank), scalar_kind) for d in dims])
 
 
 def _unit_phase(x: np.ndarray) -> np.ndarray:
@@ -480,11 +467,10 @@ def _top_phase(u: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _top_eigh_routine(dtype: np.dtype):
-    """LAPACK ``?syevr`` (real) or ``?heevr`` (complex) for ``dtype``."""
-    import scipy.linalg  # already loaded by cpfast.hessian
+def _lapack(name: str, dtype: np.dtype):
+    """The LAPACK routine ``?name`` for ``dtype``, such as ``getrf``."""
+    import scipy.linalg  # already loaded by cpfast.oracle
 
-    name = "heevr" if dtype.kind == "c" else "syevr"
     return scipy.linalg.get_lapack_funcs((name,), dtype=dtype)[0]
 
 
@@ -495,7 +481,8 @@ def _top_eigh(gram: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     bisection tolerance is twice the underflow threshold, which LAPACK
     documents as the most accurate setting (zero means eps ||T||)."""
     n = gram.shape[0]
-    lam, v, _, _, info = _top_eigh_routine(gram.dtype)(
+    evr = _lapack("heevr" if gram.dtype.kind == "c" else "syevr", gram.dtype)
+    lam, v, _, _, info = evr(
         gram, range="I", il=n - k + 1, iu=n, abstol=2.0 * np.finfo(np.float64).tiny
     )
     if info:
@@ -544,9 +531,7 @@ def svd_init(y: DenseTensor, rank: int, rng) -> tuple[KruskalModel, np.ndarray]:
         u = u / _top_phase(u)[None, :]
         cols = [u]
         if u.shape[1] < rank:
-            extra = rng.standard_normal((u.shape[0], rank - u.shape[1]))
-            if y.scalar_kind == COMPLEX:
-                extra = extra + 1j * rng.standard_normal(extra.shape)
+            extra = _gaussian(rng, (u.shape[0], rank - u.shape[1]), y.scalar_kind)
             extra = extra / np.linalg.norm(extra, axis=0, keepdims=True)
             cols.append(extra.astype(u.dtype))
         factors.append(np.hstack(cols))

@@ -174,10 +174,15 @@ class IterRecord:
 
 @dataclass
 class FitResult:
+    """A fit's model, trace and stop reason, its wall time, and ``below``:
+    the trailing run of differences below ``tol`` that its window counted
+    when it stopped (see :func:`_fit_compressed`)."""
+
     model: KruskalModel
     trace: list
     stop_reason: str
     time_ms: float = 0.0
+    below: int = 0
 
     @property
     def iters(self) -> int:
@@ -276,7 +281,7 @@ def _start_error(y, x, last, grams) -> float:
     Gram matrices ``grams``, or the dense residual where that is below
     ``GRAM_ERROR_GUARD``."""
     model = model_from_stack(x, y.dims)
-    err = gram_relative_error(1.0, model, last, grams)
+    err = gram_relative_error(model, last, grams)
     return err if err >= GRAM_ERROR_GUARD else relative_error(y, model)
 
 
@@ -320,9 +325,10 @@ def fit(y: DenseTensor, config: FitConfig) -> FitResult:
     overflows 1e30 ("mu_overflow") or a candidate's squared residual is not
     finite ("nonfinite").  A numerical failure of the step ends the fit with
     stop reason "error at iteration t: ...".  Raises ``ValueError`` for NaN
-    or infinite entries, for tensors of order below 2 and for a norm that
-    overflows even after rescaling by max|y|, and ``ZeroDivisionError`` for
-    an all-zero tensor, all before any initialization.
+    or infinite entries, for tensors of order below 2 or with a zero-size
+    mode and for a norm that overflows even after rescaling by max|y|, and
+    ``ZeroDivisionError`` for an all-zero tensor, all before any
+    initialization.
 
     Every fit solves the unit-norm problem: ``fit`` divides Y by ||Y|| once,
     builds the configured init of Y / ||Y|| (:func:`_init_model`) and hands
@@ -346,6 +352,8 @@ def fit(y: DenseTensor, config: FitConfig) -> FitResult:
     """
     if y.order < 2:
         raise ValueError(f"CP fitting needs order >= 2, got order {y.order}")
+    if not all(y.dims):
+        raise ValueError(f"cannot fit a tensor with a zero-size mode, dims {y.dims}")
     ynorm = _tensor_norm(y)
     t0 = time.monotonic()
     loop = _fit_als if config.variant in ("als", "als-ls") else _fit_lm
@@ -385,27 +393,23 @@ def _fit_compressed(loop, y: DenseTensor, config: FitConfig):
     together.  The core's records are marked "core"; the stop reason and the
     model, a model of ``y``, are the refinement's.
 
-    The refinement's window starts at the core trace's trailing run of
-    differences below ``tol`` (a rejection repeats the error: a zero
-    difference, as in the loop).  With orthonormal U_n, ||Y - [[U B]]||^2 =
-    ||Y||^2 - ||G||^2 + ||G - [[B]]||^2, so e_Y^2 = 1 - k^2 + k^2 e_G^2 with
-    k = ||G|| / ||Y|| = kappa <= 1, and |De_Y| <= k |De_G|: each small
-    difference on G is one at least as small on Y.
+    The refinement's window starts at the core loop's own trailing run of
+    differences below ``tol``, which it returns as ``below``.  With
+    orthonormal U_n, ||Y - [[U B]]||^2 = ||Y||^2 - ||G||^2 + ||G - [[B]]||^2,
+    so e_Y^2 = 1 - k^2 + k^2 e_G^2 with k = ||G|| / ||Y|| = kappa <= 1, and
+    |De_Y| <= k |De_G|: each small difference on G is one at least as small
+    on Y.
     """
     bases, core, lead = st_hosvd(y, config.rank)
     kappa = _tensor_norm(core)
     core = DenseTensor(core.data / kappa)
     budget = replace(config, max_iters=config.max_iters - 1)
     first = loop(core, budget, *_init_model(core, config))
-    errs = [rec.relerr for rec in reversed(first.trace)]
-    below = 0
-    while below + 1 < len(errs) and abs(errs[below] - errs[below + 1]) < config.tol:
-        below += 1
     for rec in first.trace:
         rec.stage = "core"
     rest = replace(config, max_iters=config.max_iters - first.iters)
     start = _expanded_start(bases, lead, first.model, kappa)
-    result = loop(y, rest, *start, below)
+    result = loop(y, rest, *start, first.below)
     for rec in result.trace:
         rec.iter += first.iters
     result.trace = first.trace + result.trace
@@ -450,7 +454,7 @@ def _candidate_error(
     if err >= GRAM_ERROR_GUARD:
         if last is None:
             last = mttkrp(y, candidate, candidate.order)
-        return gram_relative_error(1.0, candidate, last, grams), last
+        return gram_relative_error(candidate, last, grams), last
     return relative_error(y, candidate), None
 
 
@@ -503,7 +507,7 @@ def _fit_als(
         if below >= TOL_WINDOW:
             stop_reason = "tol"
             break
-    return FitResult(model_from_stack(x, y.dims), trace, stop_reason)
+    return FitResult(model_from_stack(x, y.dims), trace, stop_reason, below=below)
 
 
 def _scaled_start(
@@ -647,4 +651,4 @@ def _fit_lm(
         if state.mu > MU_OVERFLOW:
             stop_reason = "mu_overflow"
             break
-    return FitResult(model, trace, stop_reason)
+    return FitResult(model, trace, stop_reason, below=below)

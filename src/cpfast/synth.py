@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kruskal import KruskalModel, reconstruct
-from .tensor import COMPLEX, DenseTensor, REAL
+from .tensor import COMPLEX, DenseTensor, REAL, _gaussian
 
 MEDSAE_FLOOR_DB = -300.0
 
@@ -46,10 +46,7 @@ def _check_nu(nu: float) -> None:
 
 
 def _random_orthonormal(rng, rows: int, cols: int, scalar_kind: str):
-    g = rng.standard_normal((rows, cols))
-    if scalar_kind == COMPLEX:
-        g = g + 1j * rng.standard_normal((rows, cols))
-    q, _ = np.linalg.qr(g)
+    q, _ = np.linalg.qr(_gaussian(rng, (rows, cols), scalar_kind))
     return q
 
 
@@ -98,9 +95,9 @@ def add_noise(tensor: DenseTensor, snr_db: float | None, seed: int) -> DenseTens
     j = tensor.size
     sigma = ynorm / math.sqrt(j * 10.0 ** (snr_db / 10.0))
     rng = np.random.default_rng([seed, 1])
-    noise = rng.standard_normal(tensor.dims)
+    noise = _gaussian(rng, tensor.dims, tensor.scalar_kind)
     if tensor.scalar_kind == COMPLEX:
-        noise = (noise + 1j * rng.standard_normal(tensor.dims)) / math.sqrt(2.0)
+        noise = noise / math.sqrt(2.0)
     return DenseTensor(tensor.data + sigma * noise)
 
 

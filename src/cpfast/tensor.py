@@ -19,10 +19,6 @@ class ScalarKindError(TypeError):
     """Raised when real and complex values are mixed in one operation."""
 
 
-def kind_of(arr: np.ndarray) -> str:
-    return COMPLEX if np.iscomplexobj(arr) else REAL
-
-
 @dataclass(frozen=True)
 class DenseTensor:
     """N-way dense array of float64 or complex128 scalars.
@@ -57,7 +53,7 @@ class DenseTensor:
 
     @property
     def scalar_kind(self) -> str:
-        return kind_of(self.data)
+        return COMPLEX if self.data.dtype.kind == "c" else REAL
 
     def norm(self) -> float:
         return frobenius(self.data)
@@ -77,6 +73,16 @@ def frobenius(a: np.ndarray) -> float:
 def as_complex(y: DenseTensor) -> DenseTensor:
     """Promote a real tensor to the complex pipeline (explicit, never implicit)."""
     return DenseTensor(y.data.astype(np.complex128))
+
+
+def _gaussian(rng, shape, scalar_kind: str) -> np.ndarray:
+    """Standard normal draws of ``shape`` from ``rng``; for COMPLEX, the real
+    parts are drawn first and then the imaginary parts, each of unit
+    variance."""
+    a = rng.standard_normal(shape)
+    if scalar_kind == COMPLEX:
+        a = a + 1j * rng.standard_normal(shape)
+    return a
 
 
 def _check_mode(t_order: int, n: int) -> None:
@@ -114,9 +120,7 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"column count mismatch: {a.shape[1]} != {b.shape[1]}"
         )
-    i, r = a.shape
-    k = b.shape[0]
-    return (a[:, None, :] * b[None, :, :]).reshape(i * k, r)
+    return _khatri_rao_of([b, a])
 
 
 def _khatri_rao_of(factors) -> np.ndarray:

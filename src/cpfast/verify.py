@@ -41,7 +41,7 @@ from .synth import (
     gen_collinear,
     spectrum,
 )
-from .tensor import COMPLEX, DenseTensor, REAL, fold, khatri_rao_excl, unfold
+from .tensor import COMPLEX, DenseTensor, REAL, _gaussian, fold, khatri_rao_excl, unfold
 
 MU_GRID = (1e-6, 1e-2, 1.0, 1e3)
 FD_STEP = 1e-6
@@ -69,16 +69,15 @@ def _random_instance(rng, scalar_kind):
     model = random_init(dims, rank, rng, scalar_kind)
     for f in model.factors:
         f /= np.linalg.norm(f, axis=0, keepdims=True)
-    noise = rng.standard_normal(dims)
-    if scalar_kind == COMPLEX:
-        noise = noise + 1j * rng.standard_normal(dims)
+    noise = _gaussian(rng, dims, scalar_kind)
     y = DenseTensor(reconstruct(model).data + 0.1 * noise)
     return y, model
 
 
-def fd_gradient(y: DenseTensor, model: KruskalModel, h: float = FD_STEP):
-    """Central-difference gradient of ||Y - Yhat||^2 mapped to the analytic
-    convention (the projected residual, i.e. -1/2 of the objective slope)."""
+def fd_gradient(y: DenseTensor, model: KruskalModel):
+    """Central-difference gradient of ||Y - Yhat||^2, with step ``FD_STEP``,
+    mapped to the analytic convention (the projected residual, i.e. -1/2 of
+    the objective slope)."""
 
     def objective(vec):
         m = model_from_vector(vec, model.dims, model.rank)
@@ -89,8 +88,8 @@ def fd_gradient(y: DenseTensor, model: KruskalModel, h: float = FD_STEP):
     for k in range(base.size):
         for direction in ([1.0] if out.dtype.kind != "c" else [1.0, 1.0j]):
             e = np.zeros_like(base)
-            e[k] = direction * h
-            slope = (objective(base + e) - objective(base - e)) / (2.0 * h)
+            e[k] = direction * FD_STEP
+            slope = (objective(base + e) - objective(base - e)) / (2.0 * FD_STEP)
             out[k] += direction * slope
     return -0.5 * out
 

@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +205,29 @@ class TestFit:
         assert isinstance(result.exception, SystemExit)
         assert message in result.output
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize(
+        "dims,message",
+        [((2**32, 2**32), "expected 18446744073709551616 scalars"),
+         ((2**63, 2), "exceeds numpy's index range"),
+         ((0, 3, 3), "zero-size mode, dims (0, 3, 3)")],
+        ids=["wraps-int64", "exceeds-int64", "zero-size-mode"],
+    )
+    def test_degenerate_dims_exit_with_one_line(self, runner, tmp_path, dims, message):
+        """A header whose scalar count is 2^64 with no payload, or a tensor with
+        a zero-size mode, ends with one line on stderr and exit status 1, not
+        a traceback."""
+        path = tmp_path / "bad.cptn"
+        path.write_bytes(
+            b"CPTN" + struct.pack("<IBB6x", 1, 0, len(dims))
+            + struct.pack(f"<{len(dims)}Q", *dims)
+        )
+        result = runner.invoke(main, ["fit", str(path), "--rank", "2"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr.count("\n") == 1
+        assert message in result.stderr
 
     @pytest.mark.parametrize(
         "defect,message",

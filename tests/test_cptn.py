@@ -101,6 +101,25 @@ class TestMalformed:
         with pytest.raises(FormatError):
             read_tensor(path)
 
+    @pytest.mark.parametrize(
+        "dims,message",
+        [((2**32, 2**32), "expected 18446744073709551616 scalars, found 0"),
+         ((2**63, 2), "exceeds numpy's index range"),
+         ((0, 2**63), "exceeds numpy's index range")],
+        ids=["wraps-int64", "exceeds-int64", "empty-unindexable"],
+    )
+    def test_huge_dims_raise_format_error(self, tmp_path, dims, message):
+        """A header with no payload whose scalar count is 2^64 is counted
+        exactly, not wrapped to 0 in int64; a mode of 2^63 or more, which
+        numpy cannot index, is a format error even in an empty tensor."""
+        path = tmp_path / "t.cptn"
+        path.write_bytes(
+            b"CPTN" + struct.pack("<IBB6x", 1, 0, len(dims))
+            + struct.pack(f"<{len(dims)}Q", *dims)
+        )
+        with pytest.raises(FormatError, match=message):
+            read_tensor(path)
+
 
 class TestMetadata:
     def test_roundtrip(self, tmp_path):

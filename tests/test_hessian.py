@@ -187,13 +187,15 @@ class TestFastInverse:
             damped_core(np.zeros((0, 1, 0)), (), cache, 0.5)
 
     def test_illegal_argument_raises_linalg_error(self, monkeypatch):
-        routines = cpfast.hessian._lu_routines
+        lapack = cpfast.hessian._lapack
 
-        def bad_getrf(dtype):
-            getrf, getrs = routines(dtype)
-            return (lambda a, **kwargs: (*getrf(a, **kwargs)[:2], -1)), getrs
+        def bad_getrf(name, dtype):
+            routine = lapack(name, dtype)
+            if name != "getrf":
+                return routine
+            return lambda a, **kwargs: (*routine(a, **kwargs)[:2], -1)
 
-        monkeypatch.setattr(cpfast.hessian, "_lu_routines", bad_getrf)
+        monkeypatch.setattr(cpfast.hessian, "_lapack", bad_getrf)
         rng = np.random.default_rng(14)
         m = unit_model(rng, (3, 3, 3), 2)
         with pytest.raises(np.linalg.LinAlgError, match="argument 1") as info:

@@ -17,7 +17,6 @@ from cpfast.tensor import (
     frobenius,
     khatri_rao,
     khatri_rao_excl,
-    kind_of,
     unfold,
     vectorize,
 )
@@ -48,8 +47,8 @@ def unfold_oracle(t, n):
 
 class TestDenseTensor:
     def test_scalar_kind_tags(self):
-        assert kind_of(np.zeros(3)) == REAL
-        assert kind_of(np.zeros(3, dtype=complex)) == COMPLEX
+        assert DenseTensor(np.zeros(3)).scalar_kind == REAL
+        assert DenseTensor(np.zeros(3, dtype=complex)).scalar_kind == COMPLEX
 
     def test_fortran_storage_and_dtype(self):
         t = DenseTensor(np.arange(24).reshape(2, 3, 4))
