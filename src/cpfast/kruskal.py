@@ -348,8 +348,14 @@ def _second_order(x: np.ndarray, grams: np.ndarray, v: np.ndarray) -> np.ndarray
     return out
 
 
-def relative_error(y: DenseTensor, model: KruskalModel) -> float:
-    ynorm = y.norm()
+def relative_error(
+    y: DenseTensor, model: KruskalModel, ynorm: float | None = None
+) -> float:
+    """||Y - Yhat|| / ||Y||, from the dense residual.  ``ynorm``, when given,
+    stands for ||Y||, so a caller that scores many models of one tensor takes
+    its norm once."""
+    if ynorm is None:
+        ynorm = y.norm()
     if ynorm == 0.0:
         raise ZeroDivisionError("relative error undefined for a zero tensor")
     return frobenius(y.data - reconstruct(model).data) / ynorm
@@ -368,10 +374,16 @@ def gram_relative_error(
     an absolute error of a few eps, i.e. ~eps / relerr in the result, so
     small errors need :func:`relative_error` instead.
     """
+    return _gram_error(model.factors[-1], last, grams)
+
+
+def _gram_error(a_last: np.ndarray, last: np.ndarray, grams: np.ndarray) -> float:
+    """:func:`gram_relative_error` from the last factor A^(N) = ``a_last``
+    alone, so a fit loop scores a stack through its view, with no model."""
     gamma_full = np.multiply.reduce(grams)
-    cross = np.vdot(model.factors[-1], last).real
+    cross = np.vdot(a_last, last).real
     # Kept as a quadratic form: gamma_full.sum() rounds differently.
-    ones = np.ones(model.rank, dtype=model.factors[0].dtype)
+    ones = np.ones(grams.shape[-1], dtype=grams.dtype)
     model_sq = np.vdot(ones, gamma_full @ ones).real
     return float(np.sqrt(max(1.0 - 2.0 * cross + model_sq, 0.0)))
 
@@ -577,13 +589,34 @@ def st_hosvd(y: DenseTensor, rank: int) -> tuple[list, DenseTensor, np.ndarray]:
 def pinv_psd(gamma: np.ndarray) -> np.ndarray:
     """Pseudo-inverse of a Hermitian PSD matrix via eigendecomposition.
 
-    Eigenvalues below eps * R * lambda_max are truncated.
+    Eigenvalues below eps * R * lambda_max are truncated.  :func:`als_step`
+    falls back to it where a Gram matrix is not numerically positive
+    definite (see :func:`_solve_gram`).
     """
     w, v = np.linalg.eigh(gamma)
     r = gamma.shape[0]
     cutoff = np.finfo(np.float64).eps * r * max(w.max(initial=0.0), 0.0)
     inv_w = np.where(w > cutoff, 1.0 / np.where(w > cutoff, w, 1.0), 0.0)
     return (v * inv_w[None, :]) @ v.conj().T
+
+
+def _solve_gram(gamma: np.ndarray, rhs: np.ndarray, lapack) -> np.ndarray:
+    """Gamma^{-1} ``rhs`` for the Hermitian PSD R x R ``gamma``: one Cholesky
+    factorization and one solve, from ``lapack``, the routines ``?potrf``,
+    ``?pocon``, ``?lange`` and ``?potrs`` for its dtype.
+
+    Where ``?potrf`` fails, or the reciprocal condition estimate of ``?pocon``
+    is at or below :func:`pinv_psd`'s cutoff eps * R, the result is
+    ``pinv_psd(gamma) @ rhs`` instead, so a rank-deficient Gamma keeps the
+    truncated pseudo-inverse rather than a huge solution.
+    """
+    potrf, pocon, lange, potrs = lapack
+    chol, info = potrf(gamma)
+    if not info:
+        rcond, _ = pocon(chol, lange("1", gamma))
+        if rcond > np.finfo(np.float64).eps * gamma.shape[0]:
+            return potrs(chol, rhs)[0]
+    return pinv_psd(gamma) @ rhs
 
 
 def als_step(y: DenseTensor, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -595,11 +628,16 @@ def als_step(y: DenseTensor, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     formed once, and modes 1..N-1 are contractions of P with the current
     factors; this is exact because A^(N) changes only in the last update.
     Mode N is one full MTTKRP of the updated factors 1..N-1, which is also
-    the new model's M^(N), since M^(N) does not depend on A^(N).  Each update
-    is written through the factor's :func:`model_from_stack` view.  The Gram
-    stack is taken once and then refreshed one mode at a time, and each
-    Gamma^(n) is its masked product over the modes in ascending order, as in
-    :func:`gram_cache`.
+    the new model's M^(N), since M^(N) does not depend on A^(N).
+
+    Each update solves the normal equations Gamma^(n) A^(n)^T = M^(n)^T by
+    Cholesky (:func:`_solve_gram`, which falls back to :func:`pinv_psd` where
+    Gamma^(n) is not numerically positive definite) and writes the solution,
+    the stack's block, straight into it.  Gamma^(n) is Hermitian, so this is
+    the textbook A^(n) = M^(n) Gamma^(n)^+T for real and complex data alike.
+    The Gram stack is taken once and then refreshed one mode at a time, and
+    each Gamma^(n) is its masked product over the modes in ascending order,
+    as in :func:`gram_cache`.
     """
     x = x.copy()
     model = model_from_stack(x, y.dims)
@@ -607,14 +645,15 @@ def als_step(y: DenseTensor, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     factors = model.factors
     n_modes = len(factors)
     keep = _exclusion_mask(n_modes)[:n_modes, n_modes]
+    lapack = [_lapack(name, x.dtype) for name in ("potrf", "pocon", "lange", "potrs")]
     grams = gram_stack(x)
     pt = _last_partial(y, factors[-1])
-    for n in range(n_modes):
+    for n, d in enumerate(y.dims):
         if n < n_modes - 1:
             m = _contract_all_but(pt, factors[:-1], n)
         else:
             m = mttkrp(y, model, n_modes)
         gamma = np.multiply.reduce(np.where(keep[n], grams, 1.0))
-        factors[n][...] = m @ pinv_psd(gamma).T
+        x[n, :, :d] = _solve_gram(gamma, m.T, lapack)
         grams[n] = gram_stack(x[n])
     return x, m

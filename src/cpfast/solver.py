@@ -34,6 +34,7 @@ reduces to the symmetric form for real data.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import time
@@ -46,11 +47,11 @@ from .kruskal import (
     GramCache,
     KruskalModel,
     _gradient,
+    _gram_error,
     _second_order,
     als_step,
     build_gram_cache,
     gradient,
-    gram_relative_error,
     gram_stack,
     model_from_stack,
     mttkrp,
@@ -274,15 +275,23 @@ def _init_model(y: DenseTensor, config: FitConfig) -> tuple[KruskalModel, np.nda
     return start, mttkrp(y, start, start.order)
 
 
-def _start_error(y, x, last, grams) -> float:
+def _start_error(y, x, last, grams, norm) -> float:
     """The relative error of the start with stack ``x`` (see
     :func:`~cpfast.kruskal.stack`) on the unit-norm tensor ``y``:
-    :func:`gram_relative_error` from its mode-N MTTKRP ``last`` and stacked
-    Gram matrices ``grams``, or the dense residual where that is below
+    :func:`~cpfast.kruskal.gram_relative_error` from its mode-N MTTKRP
+    ``last`` and stacked Gram matrices ``grams``, or the dense residual over
+    ``norm()``, the computed ||Y||, where that is below
     ``GRAM_ERROR_GUARD``."""
-    model = model_from_stack(x, y.dims)
-    err = gram_relative_error(model, last, grams)
-    return err if err >= GRAM_ERROR_GUARD else relative_error(y, model)
+    err = _gram_error(_last_factor(x, y.dims), last, grams)
+    if err >= GRAM_ERROR_GUARD:
+        return err
+    return relative_error(y, model_from_stack(x, y.dims), norm())
+
+
+def _last_factor(x: np.ndarray, dims) -> np.ndarray:
+    """A^(N) of the stack ``x``: the view that :func:`model_from_stack`
+    gives."""
+    return x[-1, :, : dims[-1]].T
 
 
 def _tensor_norm(y: DenseTensor) -> float:
@@ -437,7 +446,8 @@ def _candidate_error(
     y: DenseTensor,
     err: float,
     x: np.ndarray,
-    grams: np.ndarray,
+    norm,
+    grams: np.ndarray | None = None,
     last: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray | None]:
     """Relative error of the candidate with stack ``x`` (see
@@ -445,17 +455,21 @@ def _candidate_error(
     mode-N MTTKRP (None if unused).
 
     While the current error ``err`` is at least ``GRAM_ERROR_GUARD``, the
-    error comes from :func:`gram_relative_error` with the candidate's stacked
-    Gram matrices ``grams`` and its mode-N MTTKRP, which is ``last`` when the
-    caller has it and one pass over the tensor otherwise.  Below the guard it
-    is the dense :func:`relative_error`.
+    error comes from :func:`~cpfast.kruskal.gram_relative_error` with the
+    candidate's stacked Gram matrices and its mode-N MTTKRP: ``grams`` and
+    ``last`` when the caller has them, else formed here (the MTTKRP is one
+    pass over the tensor).  Below the guard it is the dense
+    :func:`relative_error` over ``norm()``, the computed ||Y||, which needs
+    neither.  A model of the stack is built only for the functions that
+    take one.
     """
-    candidate = model_from_stack(x, y.dims)
-    if err >= GRAM_ERROR_GUARD:
-        if last is None:
-            last = mttkrp(y, candidate, candidate.order)
-        return gram_relative_error(candidate, last, grams), last
-    return relative_error(y, candidate), None
+    if err < GRAM_ERROR_GUARD:
+        return relative_error(y, model_from_stack(x, y.dims), norm()), None
+    if last is None:
+        last = mttkrp(y, model_from_stack(x, y.dims), y.order)
+    if grams is None:
+        grams = gram_stack(x)
+    return _gram_error(_last_factor(x, y.dims), last, grams), last
 
 
 def _fit_als(
@@ -469,35 +483,41 @@ def _fit_als(
     start ``model`` of ``y`` and its mode-N MTTKRP ``last``; ``below``
     starts the window's count (see :func:`_fit_compressed`).  :func:`fit`
     scales ``y``, builds the start and scales the returned model back, so
-    neither the Gram matrices nor ``pinv_psd`` over- or underflow.
+    neither the Gram matrices nor the normal equations' solves over- or
+    underflow.
 
     The loop holds the model as a stack (:func:`~cpfast.kruskal.stack`)
     and returns its :func:`~cpfast.kruskal.model_from_stack` views.  The
     start is scored by :func:`_start_error` from ``last``.  Each iteration
-    is one :func:`als_step` sweep of the stack, two passes over the tensor.
-    ALS-ls then tries X_prev + s (X_als - X_prev) on stacks, with X_prev the
-    model before the one swept, for s = 1.1 and then s = t^(1/3); a
-    candidate replaces the sweep only if its error is strictly lower.  The
+    is one :func:`als_step` sweep of the stack, two passes over the tensor,
+    whose normal equations are solved by Cholesky (falling back to
+    :func:`~cpfast.kruskal.pinv_psd` where a Gram matrix is not numerically
+    positive definite).  ALS-ls then tries X_prev + s (X_als - X_prev) on
+    stacks, with X_prev the model before the one swept, for s = 1.1 and
+    then s = t^(1/3); a candidate replaces the sweep only if its error is
+    strictly lower.  The
     recipe is a documented stand-in: the classical "ALS with line search"
     baseline defers to toolbox internals.  Candidates are scored by
     :func:`_candidate_error`: above ``GRAM_ERROR_GUARD`` the sweep's own
     M^(N) scores it and each extrapolated candidate costs one pass (an
-    ALS-ls sweep is four passes, with no reconstruction); below it, by the
-    dense residual.
+    ALS-ls sweep is four passes, with no reconstruction), and a candidate's
+    Gram matrices are formed only there; below it, by the dense residual,
+    over ||Y|| taken at most once per loop, when first needed.
     """
     trace = []
+    norm = functools.cache(y.norm)
     x = stack(model.factors)
-    err = _start_error(y, x, last, gram_stack(x))
+    err = _start_error(y, x, last, gram_stack(x), norm)
     prev = None
     stop_reason = "max_iters"
     for t in range(1, config.max_iters + 1):
         swept, last = als_step(y, x)
         best = swept
-        best_err = _candidate_error(y, err, swept, gram_stack(swept), last)[0]
+        best_err = _candidate_error(y, err, swept, norm, last=last)[0]
         if config.variant == "als-ls" and prev is not None:
             for s in (1.1, float(t) ** (1.0 / 3.0)):
                 cand = prev + s * (swept - prev)
-                cand_err = _candidate_error(y, err, cand, gram_stack(cand))[0]
+                cand_err = _candidate_error(y, err, cand, norm)[0]
                 if cand_err < best_err:
                     best, best_err = cand, cand_err
         prev, x = x, best
@@ -511,18 +531,19 @@ def _fit_als(
 
 
 def _scaled_start(
-    y: DenseTensor, start: KruskalModel, last: np.ndarray
+    y: DenseTensor, start: KruskalModel, last: np.ndarray, norm
 ) -> tuple[np.ndarray, GramCache, np.ndarray, float]:
     """The model ``start`` of the unit-norm tensor ``y``, at any scale, with
     its mode-N MTTKRP ``last``, scaled by its least-squares weight and
     normalized, as a stack (see :func:`~cpfast.kruskal.stack`), with its Gram
-    cache, mode-N MTTKRP and relative error.
+    cache, mode-N MTTKRP and relative error; ``norm()`` gives the computed
+    ||Y||.
 
     The last factor is multiplied by alpha = Re<A^(N), M^(N)> / 1^T Gamma_full
     1, the one overall scale that minimizes the residual, when alpha > 0; one
     scalar keeps every component's direction and relative size.  The error
-    comes from :func:`gram_relative_error` on M^(N), which the caller has
-    already formed, and from the dense residual only below
+    comes from :func:`~cpfast.kruskal.gram_relative_error` on M^(N), which
+    the caller has already formed, and from the dense residual only below
     ``GRAM_ERROR_GUARD``.
     """
     x = stack(start.factors)
@@ -533,7 +554,7 @@ def _scaled_start(
         x[-1] *= alpha
         grams[-1] *= alpha**2
     x, cache, last = normalize_with_grams(x, grams, last)
-    return x, cache, last, _start_error(y, x, last, cache.C)
+    return x, cache, last, _start_error(y, x, last, cache.C, norm)
 
 
 def _fit_lm(
@@ -570,10 +591,11 @@ def _fit_lm(
     from v + a/2 instead cost more iterations on the swamp.
 
     Cost per iteration in passes over the tensor: a candidate is scored with
-    :func:`gram_relative_error` from its mode-N MTTKRP (one pass); if it is
-    accepted, :func:`mttkrp_all` adds the partial product for modes 1..N-1 (a
-    second pass).  The identity rounds at a few eps, so a step whose predicted
-    decrease Re<v, g + mu v> is below ``DECREASE_RESOLUTION`` is scored by
+    :func:`~cpfast.kruskal.gram_relative_error` from its mode-N MTTKRP (one
+    pass); if it is accepted, :func:`mttkrp_all` adds the partial product for
+    modes 1..N-1 (a second pass).  The identity rounds at a few eps, so a
+    step whose predicted decrease Re<v, g + mu v> is below
+    ``DECREASE_RESOLUTION`` is scored by
     :func:`~cpfast.kruskal.residual_decrease` from the same one pass, whose
     rounding scales with the step.  Once the accepted relative error is below
     ``GRAM_ERROR_GUARD`` the identity cancels, so candidates are scored by the
@@ -591,7 +613,8 @@ def _fit_lm(
     the gradient that each accepted model needs for the next step anyway, so
     the test costs no pass over the tensor.
     """
-    x, cache, last, err = _scaled_start(y, start, last)
+    norm = functools.cache(y.norm)
+    x, cache, last, err = _scaled_start(y, start, last, norm)
     dims = y.dims
     model = model_from_stack(x, dims)
     state = LmState(mu=mu_init(cache, config.tau))
@@ -616,7 +639,7 @@ def _fit_lm(
             decrease, cand_last = residual_decrease(y, x, cand, cache.C, grams, last)
             cand_err = math.sqrt(max(err * err - decrease, 0.0))
         else:
-            cand_err, cand_last = _candidate_error(y, err, cand, grams)
+            cand_err, cand_last = _candidate_error(y, err, cand, norm, grams)
         cand_sq = cand_err * cand_err
         finite = math.isfinite(cand_sq)
         rho = math.nan  # a non-finite candidate is rejected and mu kept

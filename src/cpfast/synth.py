@@ -124,18 +124,37 @@ class SpectrumReport:
     feasible: bool
 
 
+def _overflow(nu: float, order: int) -> ValueError:
+    return ValueError(
+        f"closed form overflows float64 for nu={nu!r} and order={order}"
+    )
+
+
+def _closed_form_base(nu: float, order: int) -> tuple[float, float]:
+    """x = 1 + nu^2 and y = x^(N-1), the bases of the closed forms; a y
+    beyond float64 raises ``ValueError`` naming ``nu`` and ``order``."""
+    x = 1.0 + nu * nu
+    try:
+        return x, x ** (order - 1)
+    except OverflowError:
+        raise _overflow(nu, order) from None
+
+
 def frobenius_sq_closed_form(rank: int, nu: float, order: int) -> float:
     """||Y||_F^2 of the noiseless swamp tensor, R >= 2.
 
     Equals R^2 + (R-1)(xy - 1) with x = 1 + nu^2, y = x^(N-1); this is the
     trace of the mixing spectrum and matches direct computation (the widely
-    quoted R^2 + (R-1)xy - 1 variant only agrees at R = 2).
+    quoted R^2 + (R-1)xy - 1 variant only agrees at R = 2).  Raises
+    ``ValueError`` where it overflows float64.
     """
     if rank < 2:
         raise ValueError("closed form requires R >= 2")
-    x = 1.0 + nu * nu
-    y = x ** (order - 1)
-    return rank * rank + (rank - 1) * (x * y - 1.0)
+    x, y = _closed_form_base(nu, order)
+    norm2 = rank * rank + (rank - 1) * (x * y - 1.0)
+    if not math.isfinite(norm2):
+        raise _overflow(nu, order)
+    return norm2
 
 
 def spectrum(
@@ -144,18 +163,20 @@ def spectrum(
     """Eigenvalues of the noiseless unfolding Gram versus the noise floor.
 
     Valid for cubic tensors (all dims equal to ``size``) and R >= 2.  Raises
-    ``ValueError`` for R < 2, order < 2, and for the swamps that
-    :class:`CollinearSpec` rejects (nu not finite and positive, ``size`` < R).
+    ``ValueError`` for R < 2, order < 2, for the swamps that
+    :class:`CollinearSpec` rejects (nu not finite and positive, ``size`` < R)
+    and for a (``nu``, ``order``) whose eigenvalues overflow float64.
     """
     if rank < 2:
         raise ValueError("spectrum analysis requires R >= 2")
     if order < 2:
         raise ValueError(f"spectrum analysis requires order >= 2, got {order}")
     CollinearSpec((size,) * order, rank, nu)
-    x = 1.0 + nu * nu
-    y = x ** (order - 1)
+    x, y = _closed_form_base(nu, order)
     lam_mid = (x - 1.0) * (y - 1.0)
     s = x * y + (rank - 2) * (rank + x + y) + 3.0
+    if not math.isfinite(s * s):
+        raise _overflow(nu, order)
     p = (x - 1.0) * (y - 1.0)
     disc = math.sqrt(max(s * s - 4.0 * p, 0.0))
     lam_max = (s + disc) / 2.0

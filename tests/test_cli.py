@@ -465,6 +465,17 @@ class TestSpectrumCommand:
         assert "feasible" not in result.output
         assert "Traceback" not in result.output
 
+    def test_overflow_exits_with_message(self, runner):
+        """A (nu, order) whose closed form overflows float64 gets one line
+        naming both and exit status 1, not an OverflowError traceback."""
+        result = runner.invoke(main, ["spectrum", "-i", "10", "-r", "3",
+                                      "-n", "400", "--nu", "10"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "overflows float64 for nu=10.0 and order=400" in result.output
+        assert "Traceback" not in result.output
+        assert len(result.output.strip().splitlines()) == 1
+
     def test_infinite_snr_always_feasible(self, runner):
         result = invoke(runner, ["spectrum", "--size", "20", "--rank", "3",
                                  "--nu", "0.1", "--snr", "inf"])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import cpfast.kruskal
 from cpfast.kruskal import (
     KruskalModel,
     _leading_left_vectors,
@@ -731,21 +732,18 @@ class TestInitAndAls:
             assert relative_error(y, nxt) <= relative_error(y, plain) + 1e-12
             m = nxt
 
-    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
-    @pytest.mark.parametrize("dims", [(5, 6), (4, 5, 6), (3, 4, 2, 5)])
-    def test_als_step_matches_textbook_update(self, dims, kind):
-        """Every factor equals the unfolding update from the factors swept so
-        far, the returned matrix is the new model's mode-N MTTKRP, and the
-        stack passed in is left as it was."""
-        rng = np.random.default_rng(64)
-        y = random_tensor(rng, dims, kind)
-        m = random_model(rng, dims, 3, kind)
+    @staticmethod
+    def assert_textbook_sweep(y, m):
+        """Every factor of ``als_step`` equals the unfolding update
+        M^(n) pinv_psd(Gamma^(n))^T from the factors swept so far, the
+        returned matrix is the new model's mode-N MTTKRP, and the stack
+        passed in is left as it was."""
         x = stack(m.factors)
         before = x.copy()
         stepped, last = als_step(y, x)
-        stepped = model_from_stack(stepped, dims)
+        stepped = model_from_stack(stepped, y.dims)
         factors = list(m.factors)
-        for n in range(1, len(dims) + 1):
+        for n in range(1, y.order + 1):
             gamma = build_gram_cache(KruskalModel(factors)).gamma_excl[n - 1]
             factors[n - 1] = (
                 unfold(y, n)
@@ -755,9 +753,62 @@ class TestInitAndAls:
             got = stepped.factors[n - 1]
             err = np.linalg.norm(got - factors[n - 1])
             assert err <= 1e-12 * np.linalg.norm(factors[n - 1])
-        ref = mttkrp(y, stepped, len(dims))
+        ref = mttkrp(y, stepped, y.order)
         assert np.linalg.norm(last - ref) <= 1e-12 * np.linalg.norm(ref)
         np.testing.assert_array_equal(x, before)
+
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    @pytest.mark.parametrize("dims", [(5, 6), (4, 5, 6), (3, 4, 2, 5)])
+    def test_als_step_matches_textbook_update(self, dims, kind):
+        """See ``assert_textbook_sweep``; here every Gamma^(n) is positive
+        definite, and the update is a Cholesky solve."""
+        rng = np.random.default_rng(64)
+        self.assert_textbook_sweep(
+            random_tensor(rng, dims, kind), random_model(rng, dims, 3, kind)
+        )
+
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    @pytest.mark.parametrize("gap", [0.0, 1e-9], ids=["singular", "near-singular"])
+    def test_als_step_falls_back_to_pinv(self, gap, kind, monkeypatch):
+        """Where the first two components are equal in every mode (Gamma^(n)
+        singular) or equal to within ``gap`` = 1e-9 (its smallest eigenvalue
+        ~1e-18 of its largest, which ``pinv_psd`` truncates), every mode's
+        update falls back to ``pinv_psd`` and matches the textbook update
+        (see ``assert_textbook_sweep``), not a huge Cholesky solution."""
+        rng = np.random.default_rng(66)
+        dims = (4, 5, 6)
+        y = random_tensor(rng, dims, kind)
+        m = random_model(rng, dims, 3, kind)
+        for f in m.factors:
+            f[:, 1] = f[:, 0] + gap * rng.standard_normal(f.shape[0])
+        calls = []
+
+        def counted(gamma):
+            calls.append(None)
+            return pinv_psd(gamma)
+
+        monkeypatch.setattr(cpfast.kruskal, "pinv_psd", counted)
+        als_step(y, stack(m.factors))
+        assert len(calls) == len(dims)
+        self.assert_textbook_sweep(y, m)
+
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    @pytest.mark.parametrize("variant", ["als", "als-ls"])
+    def test_well_conditioned_fit_needs_no_eigh(self, variant, kind, monkeypatch):
+        """On a noisy fit with Gaussian factors every Gram matrix is well
+        conditioned, so no sweep falls back to ``pinv_psd`` and its
+        ``np.linalg.eigh``."""
+        rng = np.random.default_rng(67)
+        truth = random_model(rng, (6, 7, 8), 3, kind)
+        noise = random_tensor(rng, truth.dims, kind).data
+        y = DenseTensor(reconstruct(truth).data + 0.05 * noise)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        result = fit(y, FitConfig(rank=3, variant=variant, max_iters=50))
+        assert result.iters >= 10 and result.final_relerr < 0.1
 
 
 @st.composite

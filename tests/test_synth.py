@@ -197,6 +197,19 @@ class TestSpectrum:
     def test_collinear_collapse(self):
         assert spectrum(10, 3, 3, 1e-6).lam_mid < 1e-11
 
+    @pytest.mark.parametrize("order", [400, 80])
+    def test_overflow_rejected(self, order):
+        """(1 + nu^2)^(N-1) beyond float64 (order 400), or its square inside
+        the discriminant (order 80), raises ValueError naming nu and order,
+        not OverflowError or an infinite eigenvalue."""
+        with pytest.raises(ValueError, match=f"nu=10.0 and order={order}"):
+            spectrum(10, 3, order, 10.0)
+        assert np.isfinite(spectrum(10, 3, 40, 10.0).lam_max)
+
+    def test_closed_form_norm_overflow_rejected(self):
+        with pytest.raises(ValueError, match="nu=10.0 and order=400"):
+            frobenius_sq_closed_form(3, 10.0, 400)
+
 
 class TestMedsae:
     def _truth(self, seed=0):
