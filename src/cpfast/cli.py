@@ -7,7 +7,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import click
@@ -16,7 +16,7 @@ from . import bench as benchmod
 from . import cptn
 from .kruskal import KruskalModel
 from .solver import FitConfig, INITS, VARIANTS, fit
-from .synth import CollinearSpec, add_noise, gen_collinear, spectrum
+from .synth import CollinearSpec, SpectrumReport, add_noise, gen_collinear, spectrum
 from .tensor import COMPLEX, REAL
 from .verify import format_report, run_suite
 
@@ -277,11 +277,8 @@ def cmd_spectrum(size, rank, order, nus, snrs, csv_path):
     if csv_path:
         benchmod.write_rows(
             csv_path,
-            ["nu", "snr_db", "x", "y", "lam_max", "lam_mid", "lam_min",
-             "sigma2", "noise_floor", "norm2", "feasible"],
-            [[nu_val, "inf" if snr_db is None else snr_db, rep.x, rep.y,
-              rep.lam_max, rep.lam_mid, rep.lam_min, rep.sigma2,
-              rep.noise_floor, rep.norm2, rep.feasible]
+            ["nu", "snr_db", *(field.name for field in fields(SpectrumReport))],
+            [[nu_val, "inf" if snr_db is None else snr_db, *asdict(rep).values()]
              for nu_val, snr_db, rep in rows],
         )
         click.echo(f"wrote {csv_path}")

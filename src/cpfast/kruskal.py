@@ -13,9 +13,14 @@ scalar kinds.
 A stacked vector has one block per mode, vec(V^(n)) in column-major order
 (:meth:`KruskalModel.as_vector`); :func:`pack` and :func:`unpack` copy it
 to and from the stack layout, for the vector-form wrappers that ``verify``
-and the tests call; the fit loops never do.  The
-MTTKRPs of modes 1..N-1 are contractions of the partial product P = Y x_N
-conj(A^(N)) (Phan, Tichavsky & Cichocki, IEEE TSP 2013).
+and the tests call; the fit loops never do.
+
+Every MTTKRP pass over a tensor Y goes through one of two kernels:
+:func:`_last_mttkrp`, the mode-N product Y_(N)^T conj(K) for an R-column K,
+and :func:`_last_partial`, the partial product P = Y x_N conj(A^(N)), of
+which the MTTKRPs of modes 1..N-1 are contractions (Phan, Tichavsky &
+Cichocki, IEEE TSP 2013).  A public function that takes a (tensor, model)
+pair checks it once, at entry; the kernels check nothing.
 
 :func:`als_step` is one sweep of a stack; ALS-ls's extrapolation is scored by
 the fit loop (:mod:`cpfast.solver`).
@@ -208,11 +213,6 @@ def _contract_all_but(zt: np.ndarray, factors, k: int) -> np.ndarray:
     return x.reshape((r, dims[k])).T
 
 
-def _last_mode_rows(y: DenseTensor) -> np.ndarray:
-    """Y viewed (no copy) as (J / I_N) x I_N: the transposed mode-N unfolding."""
-    return y.data.reshape((-1, y.dims[-1]), order="F")
-
-
 def _same_kind(first: np.ndarray, others) -> str:
     """REAL or COMPLEX for arrays whose dtypes agree on it, read from
     ``dtype.kind`` alone; mixed input raises :class:`ScalarKindError`."""
@@ -244,7 +244,7 @@ def mttkrp(y: DenseTensor, model: KruskalModel, n: int) -> np.ndarray:
     _check_mode(model.order, n)
     factors = model.factors
     if n == model.order:
-        return _last_mode_rows(y).T @ _khatri_rao_of(factors[:-1]).conj()
+        return _last_mttkrp(y, _khatri_rao_of(factors[:-1]))
     return _contract_all_but(_last_partial(y, factors[-1]), factors[:-1], n - 1)
 
 
@@ -259,16 +259,25 @@ def mttkrp_all(
     Tichavsky & Cichocki, IEEE TSP 2013).
     """
     _check_pair(y, model)
-    if last is None:
-        last = mttkrp(y, model, model.order)
-    pt = _last_partial(y, model.factors[-1])
     head = model.factors[:-1]
+    if last is None:
+        last = _last_mttkrp(y, _khatri_rao_of(head))
+    pt = _last_partial(y, model.factors[-1])
     return [_contract_all_but(pt, head, k) for k in range(len(head))] + [last]
 
 
+def _last_mttkrp(y: DenseTensor, kr: np.ndarray) -> np.ndarray:
+    """Y_(N)^T conj(``kr``), I_N x R, for a (J / I_N) x R matrix ``kr``: one
+    pass over the tensor, read as its transposed mode-N unfolding (a reshape
+    view, no copy).  With ``kr`` the Khatri-Rao product of modes 1..N-1 it is
+    the mode-N MTTKRP."""
+    return y.data.reshape((-1, y.dims[-1]), order="F").T @ kr.conj()
+
+
 def _last_partial(y: DenseTensor, last_factor: np.ndarray) -> np.ndarray:
-    """P = Y x_N conj(A^(N)) as R x (J / I_N): one pass over the tensor."""
-    return last_factor.conj().T @ _last_mode_rows(y).T
+    """P = Y x_N conj(A^(N)) as R x (J / I_N): one pass over the tensor,
+    read as :func:`_last_mttkrp` reads it."""
+    return last_factor.conj().T @ y.data.reshape((-1, y.dims[-1]), order="F").T
 
 
 def gradient(
@@ -354,6 +363,7 @@ def relative_error(
     """||Y - Yhat|| / ||Y||, from the dense residual.  ``ynorm``, when given,
     stands for ||Y||, so a caller that scores many models of one tensor takes
     its norm once."""
+    _check_pair(y, model)
     if ynorm is None:
         ynorm = y.norm()
     if ynorm == 0.0:
@@ -361,27 +371,19 @@ def relative_error(
     return frobenius(y.data - reconstruct(model).data) / ynorm
 
 
-def gram_relative_error(
-    model: KruskalModel, last: np.ndarray, grams: np.ndarray
-) -> float:
-    """Relative error of ``model`` on a unit-norm Y, from the mode-N MTTKRP
-    and the Gram matrices.
+def _gram_error(x: np.ndarray, last: np.ndarray, grams: np.ndarray) -> float:
+    """Relative error on a unit-norm Y of the model with stack ``x`` (see
+    :func:`stack`), from its mode-N MTTKRP ``last`` and its stacked Gram
+    matrices ``grams`` (see :func:`gram_stack`).
 
     ||Y - Yhat||^2 = 1 - 2 Re<A^(N), M^(N)> + 1^T Gamma_full 1 for ||Y|| = 1,
-    where ``last`` is M^(N) = mttkrp(y, model, N) and ``grams`` the stacked
-    Gram matrices of the factors (see :func:`gram_stack`).  No dense tensor
-    is formed.  The terms are O(1) and cancel: the squared residual carries
-    an absolute error of a few eps, i.e. ~eps / relerr in the result, so
-    small errors need :func:`relative_error` instead.
+    with A^(N) read as the view x[N, :, :I_N]^T, so no model and no dense
+    tensor is formed.  The terms are O(1) and cancel: the squared residual
+    carries an absolute error of a few eps, i.e. ~eps / relerr in the
+    result, so small errors need :func:`relative_error` instead.
     """
-    return _gram_error(model.factors[-1], last, grams)
-
-
-def _gram_error(a_last: np.ndarray, last: np.ndarray, grams: np.ndarray) -> float:
-    """:func:`gram_relative_error` from the last factor A^(N) = ``a_last``
-    alone, so a fit loop scores a stack through its view, with no model."""
     gamma_full = np.multiply.reduce(grams)
-    cross = np.vdot(a_last, last).real
+    cross = np.vdot(x[-1, :, : last.shape[0]].T, last).real
     # Kept as a quadratic form: gamma_full.sum() rounds differently.
     ones = np.ones(grams.shape[-1], dtype=grams.dtype)
     model_sq = np.vdot(ones, gamma_full @ ones).real
@@ -403,7 +405,7 @@ def residual_decrease(
     mode-N MTTKRP of x.  With S = x' - x and D = M(x') - M(x), the decrease
     is 2 Re<Y, D> - (||M(x')||^2 - ||M(x)||^2), and both terms are formed
     from S, so its rounding scales with ||S||, not with ||Y||^2 as in
-    :func:`gram_relative_error`:
+    :func:`_gram_error`:
 
     - Re<Y, D> = Re<A^(N), dM> + Re<S^(N), M^(N) + dM>, with dM =
       Y_(N)^T conj(KR(A') - KR(A)) over modes 1..N-1 (one pass over the
@@ -418,7 +420,7 @@ def residual_decrease(
     dk = _khatri_rao_of(d[:1] + a[1:-1])
     for k in range(1, n_modes - 1):
         dk = dk + _khatri_rao_of(b[:k] + d[k : k + 1] + a[k + 1 : -1])
-    dm = _last_mode_rows(y).T @ dk.conj()
+    dm = _last_mttkrp(y, dk)
     cross = np.vdot(a[-1], dm).real + np.vdot(d[-1], last + dm).real
     e = x.conj() @ s.mT
     dc = e + e.conj().mT + s.conj() @ s.mT
@@ -547,7 +549,7 @@ def svd_init(y: DenseTensor, rank: int, rng) -> tuple[KruskalModel, np.ndarray]:
             extra = extra / np.linalg.norm(extra, axis=0, keepdims=True)
             cols.append(extra.astype(u.dtype))
         factors.append(np.hstack(cols))
-    last = mttkrp(y, KruskalModel(factors), y.order)
+    last = _last_mttkrp(y, _khatri_rao_of(factors[:-1]))
     inner = np.sum(factors[-1].conj() * last, axis=0)
     factors[-1] = factors[-1] * _unit_phase(inner)[None, :]
     return KruskalModel(factors), last
@@ -636,24 +638,24 @@ def als_step(y: DenseTensor, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the stack's block, straight into it.  Gamma^(n) is Hermitian, so this is
     the textbook A^(n) = M^(n) Gamma^(n)^+T for real and complex data alike.
     The Gram stack is taken once and then refreshed one mode at a time, and
-    each Gamma^(n) is its masked product over the modes in ascending order,
-    as in :func:`gram_cache`.
+    each Gamma^(n) is the product of the other modes' Grams in ascending
+    order, as in :func:`gram_cache`.  The pair is checked once, at entry.
     """
     x = x.copy()
     model = model_from_stack(x, y.dims)
     _check_pair(y, model)
     factors = model.factors
-    n_modes = len(factors)
-    keep = _exclusion_mask(n_modes)[:n_modes, n_modes]
+    head = factors[:-1]
+    others = _exclusion_mask(len(factors))[: len(factors), -1, :, 0, 0]
     lapack = [_lapack(name, x.dtype) for name in ("potrf", "pocon", "lange", "potrs")]
     grams = gram_stack(x)
     pt = _last_partial(y, factors[-1])
     for n, d in enumerate(y.dims):
-        if n < n_modes - 1:
-            m = _contract_all_but(pt, factors[:-1], n)
+        if n < len(head):
+            m = _contract_all_but(pt, head, n)
         else:
-            m = mttkrp(y, model, n_modes)
-        gamma = np.multiply.reduce(np.where(keep[n], grams, 1.0))
+            m = _last_mttkrp(y, _khatri_rao_of(head))
+        gamma = np.multiply.reduce(grams[others[n]])
         x[n, :, :d] = _solve_gram(gamma, m.T, lapack)
         grams[n] = gram_stack(x[n])
     return x, m

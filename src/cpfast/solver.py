@@ -277,21 +277,15 @@ def _init_model(y: DenseTensor, config: FitConfig) -> tuple[KruskalModel, np.nda
 
 def _start_error(y, x, last, grams, norm) -> float:
     """The relative error of the start with stack ``x`` (see
-    :func:`~cpfast.kruskal.stack`) on the unit-norm tensor ``y``:
-    :func:`~cpfast.kruskal.gram_relative_error` from its mode-N MTTKRP
+    :func:`~cpfast.kruskal.stack`) on the unit-norm tensor ``y``: the Gram
+    identity (:func:`~cpfast.kruskal._gram_error`) from its mode-N MTTKRP
     ``last`` and stacked Gram matrices ``grams``, or the dense residual over
     ``norm()``, the computed ||Y||, where that is below
     ``GRAM_ERROR_GUARD``."""
-    err = _gram_error(_last_factor(x, y.dims), last, grams)
+    err = _gram_error(x, last, grams)
     if err >= GRAM_ERROR_GUARD:
         return err
     return relative_error(y, model_from_stack(x, y.dims), norm())
-
-
-def _last_factor(x: np.ndarray, dims) -> np.ndarray:
-    """A^(N) of the stack ``x``: the view that :func:`model_from_stack`
-    gives."""
-    return x[-1, :, : dims[-1]].T
 
 
 def _tensor_norm(y: DenseTensor) -> float:
@@ -455,8 +449,8 @@ def _candidate_error(
     mode-N MTTKRP (None if unused).
 
     While the current error ``err`` is at least ``GRAM_ERROR_GUARD``, the
-    error comes from :func:`~cpfast.kruskal.gram_relative_error` with the
-    candidate's stacked Gram matrices and its mode-N MTTKRP: ``grams`` and
+    error comes from the Gram identity (:func:`~cpfast.kruskal._gram_error`)
+    with the candidate's stacked Gram matrices and its mode-N MTTKRP: ``grams`` and
     ``last`` when the caller has them, else formed here (the MTTKRP is one
     pass over the tensor).  Below the guard it is the dense
     :func:`relative_error` over ``norm()``, the computed ||Y||, which needs
@@ -469,7 +463,7 @@ def _candidate_error(
         last = mttkrp(y, model_from_stack(x, y.dims), y.order)
     if grams is None:
         grams = gram_stack(x)
-    return _gram_error(_last_factor(x, y.dims), last, grams), last
+    return _gram_error(x, last, grams), last
 
 
 def _fit_als(
@@ -542,8 +536,8 @@ def _scaled_start(
     The last factor is multiplied by alpha = Re<A^(N), M^(N)> / 1^T Gamma_full
     1, the one overall scale that minimizes the residual, when alpha > 0; one
     scalar keeps every component's direction and relative size.  The error
-    comes from :func:`~cpfast.kruskal.gram_relative_error` on M^(N), which
-    the caller has already formed, and from the dense residual only below
+    comes from the Gram identity (:func:`~cpfast.kruskal._gram_error`) on
+    M^(N), which the caller has already formed, and from the dense residual only below
     ``GRAM_ERROR_GUARD``.
     """
     x = stack(start.factors)
@@ -591,16 +585,17 @@ def _fit_lm(
     from v + a/2 instead cost more iterations on the swamp.
 
     Cost per iteration in passes over the tensor: a candidate is scored with
-    :func:`~cpfast.kruskal.gram_relative_error` from its mode-N MTTKRP (one
-    pass); if it is accepted, :func:`mttkrp_all` adds the partial product for
-    modes 1..N-1 (a second pass).  The identity rounds at a few eps, so a
-    step whose predicted decrease Re<v, g + mu v> is below
-    ``DECREASE_RESOLUTION`` is scored by
+    the Gram identity (:func:`~cpfast.kruskal._gram_error`) from its mode-N
+    MTTKRP (one pass); if it is accepted, :func:`mttkrp_all` adds the
+    partial product for modes 1..N-1 (a second pass).  The identity rounds
+    at a few eps, so a step whose predicted decrease Re<v, g + mu v> is
+    below ``DECREASE_RESOLUTION`` is scored by
     :func:`~cpfast.kruskal.residual_decrease` from the same one pass, whose
     rounding scales with the step.  Once the accepted relative error is below
     ``GRAM_ERROR_GUARD`` the identity cancels, so candidates are scored by the
-    dense :func:`relative_error` instead; the path is chosen from the current
-    error and the prediction, so no iteration computes two.
+    dense :func:`relative_error` instead, and an accepted one costs both
+    passes of :func:`mttkrp_all`; the path is chosen from the current error
+    and the prediction, so no iteration computes two.
 
     The candidate's Gram matrices are formed once and serve three times: in
     its Gram-identity error and, through :func:`normalize_with_grams`, as its

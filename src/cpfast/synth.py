@@ -162,10 +162,13 @@ def spectrum(
 ) -> SpectrumReport:
     """Eigenvalues of the noiseless unfolding Gram versus the noise floor.
 
-    Valid for cubic tensors (all dims equal to ``size``) and R >= 2.  Raises
-    ``ValueError`` for R < 2, order < 2, for the swamps that
-    :class:`CollinearSpec` rejects (nu not finite and positive, ``size`` < R)
-    and for a (``nu``, ``order``) whose eigenvalues overflow float64.
+    Valid for cubic tensors (all dims equal to ``size``) and R >= 2.  The
+    noise floor is ||Y||^2 10^(-SNR/10) / I and sigma^2 the floor times
+    I^(1-N), formed with no intermediate beyond float64, so a value that
+    underflows is 0.  Raises ``ValueError`` for R < 2, order < 2, for the
+    swamps that :class:`CollinearSpec` rejects (nu not finite and positive,
+    ``size`` < R), for a (``nu``, ``order``) whose eigenvalues overflow
+    float64 and for a noise floor beyond float64.
     """
     if rank < 2:
         raise ValueError("spectrum analysis requires R >= 2")
@@ -182,11 +185,18 @@ def spectrum(
     lam_max = (s + disc) / 2.0
     lam_min = (s - disc) / 2.0
     norm2 = frobenius_sq_closed_form(rank, nu, order)
-    if snr_db is None or math.isinf(snr_db):
-        sigma2 = 0.0
-    else:
-        sigma2 = norm2 / (10.0 ** (snr_db / 10.0) * float(size) ** order)
-    noise_floor = sigma2 * float(size) ** (order - 1)
+    noise_floor = 0.0
+    if snr_db is not None and not math.isinf(snr_db):
+        # 10^(-SNR/10) is applied in two factors where it alone would leave
+        # float64, so only a floor that does raises.
+        first = min(max(-snr_db / 10.0, -300.0), 300.0)
+        try:
+            noise_floor = norm2 / size * 10.0**first * 10.0 ** (-snr_db / 10.0 - first)
+        except OverflowError:
+            noise_floor = math.inf
+        if noise_floor == math.inf:
+            raise ValueError(f"noise floor overflows float64 for snr_db={snr_db!r}")
+    sigma2 = noise_floor * float(size) ** (1 - order)
     return SpectrumReport(
         x=x,
         y=y,

@@ -476,6 +476,31 @@ class TestSpectrumCommand:
         assert "Traceback" not in result.output
         assert len(result.output.strip().splitlines()) == 1
 
+    def test_noisy_high_order_reports_floor(self, runner):
+        """An SNR at order 400 gets a verdict: sigma^2 underflows to 0, the
+        floor does not, and nothing overflows."""
+        result = runner.invoke(main, ["spectrum", "-i", "10", "-r", "3",
+                                      "-n", "400", "--nu", "0.1", "--snr", "20"])
+        assert result.exit_code == 0, result.output
+        rep = spectrum(10, 3, 400, 0.1, 20.0)
+        assert f"noise_floor={rep.noise_floor:.6g} -> infeasible" in result.output
+
+    def test_floor_overflow_exits_with_message(self, runner):
+        result = runner.invoke(main, ["spectrum", "-i", "10", "-r", "3",
+                                      "--snr=-4000"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "noise floor overflows float64" in result.output
+        assert len(result.output.strip().splitlines()) == 1
+
+    def test_csv_header(self, runner, tmp_path):
+        """The header lists nu, snr_db and every SpectrumReport field."""
+        csv_path = tmp_path / "s.csv"
+        invoke(runner, ["spectrum", "-i", "20", "-r", "3", "--csv", str(csv_path)])
+        assert csv_path.read_bytes().split(b"\n")[0] == (
+            b"nu,snr_db,x,y,lam_max,lam_mid,lam_min,sigma2,noise_floor,norm2,feasible"
+        )
+
     def test_infinite_snr_always_feasible(self, runner):
         result = invoke(runner, ["spectrum", "--size", "20", "--rank", "3",
                                  "--nu", "0.1", "--snr", "inf"])

@@ -10,11 +10,11 @@ from hypothesis import given, strategies as st
 import cpfast.kruskal
 from cpfast.kruskal import (
     KruskalModel,
+    _gram_error,
     _leading_left_vectors,
     als_step,
     build_gram_cache,
     gradient,
-    gram_relative_error,
     gram_stack,
     model_from_stack,
     model_from_vector,
@@ -268,8 +268,9 @@ class TestMttkrpGradient:
             lambda y, m: mttkrp(y, m, 1),
             mttkrp_all,
             lambda y, m: als_step(y, stack(m.factors)),
+            relative_error,
         ],
-        ids=["mttkrp", "mttkrp_all", "als_step"],
+        ids=["mttkrp", "mttkrp_all", "als_step", "relative_error"],
     )
     def test_mixed_kinds_rejected(self, kernel, tensor_kind, model_kind):
         rng = np.random.default_rng(81)
@@ -277,6 +278,15 @@ class TestMttkrpGradient:
         m = random_model(rng, (3, 4, 2), 2, model_kind)
         with pytest.raises(ScalarKindError):
             kernel(y, m)
+
+    def test_relative_error_dims_mismatch_rejected(self):
+        """A model of dims (3, 1, 4) against a (3, 5, 4) tensor raises
+        instead of broadcasting its reconstruction over mode 2."""
+        rng = np.random.default_rng(82)
+        y = DenseTensor(rng.standard_normal((3, 5, 4)))
+        m = random_model(rng, (3, 1, 4), 2)
+        with pytest.raises(ValueError, match="do not match"):
+            relative_error(y, m)
 
 
 def projection(model, tensor):
@@ -370,7 +380,7 @@ class TestErrorsAndNormalization:
         y, m = unit_pair(DenseTensor(clean + noise), m)
         dense = relative_error(y, m)
         grams = gram_stack(stack(m.factors))
-        gram = gram_relative_error(m, mttkrp(y, m, m.order), grams)
+        gram = _gram_error(stack(m.factors), mttkrp(y, m, m.order), grams)
         assert dense == pytest.approx(target, rel=0.2)
         assert gram == pytest.approx(dense, rel=1e-9)
 
@@ -837,6 +847,7 @@ def test_gram_error_property(pair):
     y, m = unit_pair(*pair[:2])
     target = pair[2]
     dense = relative_error(y, m)
-    gram = gram_relative_error(m, mttkrp(y, m, m.order), gram_stack(stack(m.factors)))
+    x = stack(m.factors)
+    gram = _gram_error(x, mttkrp(y, m, m.order), gram_stack(x))
     assert dense == pytest.approx(target, rel=1e-6)
     assert gram == pytest.approx(dense, rel=1e-9)

@@ -204,20 +204,22 @@ def rel(delta, ref):
     return np.linalg.norm(delta) / np.linalg.norm(ref)
 
 
-def count_tensor_passes(monkeypatch) -> list:
-    """Record each ``mttkrp`` (with its mode), ``reconstruct`` and
-    ``relative_error`` call made through cpfast.kruskal or cpfast.solver."""
+def count_tensor_passes(monkeypatch, dims=None) -> list:
+    """Record the name of each pass over a tensor at the seam that every
+    pass goes through: the mode-N kernel ``_last_mttkrp``, the partial
+    product ``_last_partial`` and the dense residual's ``reconstruct``.
+    With ``dims``, only passes over a tensor (or reconstructions of a model)
+    of those dims are recorded."""
     calls = []
-    for name in ("mttkrp", "reconstruct", "relative_error"):
+    for name in ("_last_mttkrp", "_last_partial", "reconstruct"):
         original = getattr(cpfast.kruskal, name)
 
-        def counted(*args, _original=original, _name=name, **kwargs):
-            calls.append((_name, args[2] if _name == "mttkrp" else None))
-            return _original(*args, **kwargs)
+        def counted(first, *args, _original=original, _name=name):
+            if dims is None or first.dims == tuple(dims):
+                calls.append(_name)
+            return _original(first, *args)
 
-        for mod in (cpfast.kruskal, cpfast.solver):
-            if getattr(mod, name, None) is original:
-                monkeypatch.setattr(mod, name, counted)
+        monkeypatch.setattr(cpfast.kruskal, name, counted)
     return calls
 
 
@@ -545,20 +547,16 @@ class TestFit:
         return (counts[1] - counts[0]) / 30
 
     def test_calls_per_iteration(self):
-        """fLM calls per iteration (see ``_calls_per_iteration``).  The
-        per-mode code that the stacked layout replaced made 377.0 calls per
-        iteration here (NumPy 2.4, Python 3.11); the bound is half of that."""
-        assert self._calls_per_iteration("auto") <= 377.0 / 2
+        """fLM calls per iteration (see ``_calls_per_iteration``): 138.7
+        measured (NumPy 2.4.6, Python 3.11)."""
+        assert self._calls_per_iteration("auto") <= 139.0
 
     @pytest.mark.parametrize(
-        "variant,bound", [("als", 99.0), ("als-ls", 175.5)], ids=["als", "als-ls"]
+        "variant,bound", [("als", 86.0), ("als-ls", 162.0)], ids=["als", "als-ls"]
     )
     def test_als_calls_per_iteration(self, variant, bound):
         """ALS and ALS-ls calls per iteration (see ``_calls_per_iteration``):
-        99.0 and 175.4 with the Cholesky sweep and with candidates scored only
-        through the path they use (NumPy 2.4.6, Python 3.11), down from 209.0
-        and 286.7 with ``pinv_psd`` in every update (whose earlier bounds
-        were 210.0 and 292.5)."""
+        86.0 and 161.9 measured (NumPy 2.4.6, Python 3.11)."""
         assert self._calls_per_iteration(variant) <= bound
 
     @pytest.mark.parametrize("kind, seed", [(REAL, 0), (COMPLEX, 1)])
@@ -909,22 +907,23 @@ class TestScaleFree:
     @pytest.mark.parametrize("dims", [(5, 6, 7), (3, 4, 3, 5)])
     def test_start_passes(self, dims, monkeypatch):
         """Above the guard the start reconstructs nothing and makes one
-        mode-N MTTKRP (the SVD init's), which also serves the first
-        ``mttkrp_all``; the first candidate costs one more."""
+        mode-N pass (the SVD init's), which also serves the first
+        ``mttkrp_all``, whose partial product is the start's only other
+        pass; the first candidate, rejected, costs one more."""
         rng = np.random.default_rng(25)
         y, _ = noisy_instance(rng, dims, 3, noise=0.3)
         calls = count_tensor_passes(monkeypatch)
         core = cpfast.solver.damped_core
 
         def marked(*args, **kwargs):
-            calls.append(("step", None))
+            calls.append("step")
             return core(*args, **kwargs)
 
         monkeypatch.setattr(cpfast.solver, "damped_core", marked)
         result = fit(y, FitConfig(rank=3, max_iters=1))
         assert result.final_relerr > GRAM_ERROR_GUARD
-        n = len(dims)
-        assert calls == [("mttkrp", n), ("step", None), ("mttkrp", n)]
+        assert not result.trace[0].accepted
+        assert calls == ["_last_mttkrp", "_last_partial", "step", "_last_mttkrp"]
 
 
 class TestCarriedOverCache:
@@ -972,9 +971,10 @@ class TestAlsLineSearch:
     @pytest.mark.parametrize("above", [True, False])
     def test_passes_per_step(self, dims, above, monkeypatch):
         """Above the guard an iteration with a previous model reconstructs
-        nothing and makes three mode-N MTTKRPs (the sweep's and one per
-        extrapolated candidate); below it, each of the three candidates is
-        scored densely.  A fit with a smaller budget is a prefix of the same
+        nothing and makes four passes: the sweep's partial product and
+        mode-N pass, and one mode-N pass per extrapolated candidate; below
+        it, the sweep's two passes and one dense residual for each of the
+        three candidates.  A fit with a smaller budget is a prefix of the same
         run, so the second iteration's calls are those that max_iters=2
         makes beyond max_iters=1."""
         rng = np.random.default_rng(25)
@@ -989,13 +989,11 @@ class TestAlsLineSearch:
         fit(y, FitConfig(rank=3, variant="als-ls", max_iters=2))
         assert calls[: len(prefix)] == prefix
         calls = calls[len(prefix) :]
-        sweep = [("mttkrp", len(dims))]
+        sweep = ["_last_partial", "_last_mttkrp"]
         if above:
-            assert calls == sweep * 3
+            assert calls == sweep + ["_last_mttkrp"] * 2
         else:
-            assert sorted(calls) == sorted(
-                sweep + [("reconstruct", None), ("relative_error", None)] * 3
-            )
+            assert calls == sweep + ["reconstruct"] * 3
 
     @pytest.mark.parametrize("variant", ["als-ls", "als"])
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
@@ -1124,7 +1122,7 @@ class TestCompression:
         """The ALS-ls refinement of a noisy 30^3 R=3 fit forms no dense
         residual: its start costs no pass over Y (its M^(N) comes from the
         ST-HOSVD), its first sweep (with no previous model to extrapolate
-        from) one mode-N MTTKRP, and each later sweep three; and it resumes
+        from) two passes, and each later sweep four; and it resumes
         the core's window, so it is shorter than the window.  The
         refinement's calls are those made after the core loop returns, the
         start's included."""
@@ -1132,7 +1130,7 @@ class TestCompression:
         y = DenseTensor(gaussian_instance(3))
         calls = count_tensor_passes(monkeypatch)
         loop = cpfast.solver._fit_als
-        returned = ("loop returned", None)
+        returned = "loop returned"
 
         def marked(*args, **kwargs):
             result = loop(*args, **kwargs)
@@ -1147,19 +1145,18 @@ class TestCompression:
         refine = calls[calls.index(returned) + 1 : -1]
         n_refine = sum(rec.stage == "full" for rec in result.trace)
         assert 1 <= n_refine < cpfast.solver.TOL_WINDOW
-        assert set(refine) == {("mttkrp", 3)}
-        assert len(refine) <= 1 + 3 * (n_refine - 1)
+        assert set(refine) == {"_last_partial", "_last_mttkrp"}
+        assert len(refine) <= 2 + 4 * (n_refine - 1)
 
     def test_flm_refinement_start_passes(self, monkeypatch):
         """The fLM twin of :meth:`test_refinement_passes`: between the core
-        loop's return and the refinement loop's entry there is no
-        ``mttkrp``, ``reconstruct`` or ``relative_error`` call, so the
-        expanded start costs no pass over Y."""
+        loop's return and the refinement loop's entry no pass is counted,
+        so the expanded start costs no pass over Y."""
         monkeypatch.setattr(cpfast.solver, "COMPRESS_MIN_RATIO", 0)
         y = DenseTensor(gaussian_instance(3))
         calls = count_tensor_passes(monkeypatch)
         loop = cpfast.solver._fit_lm
-        entered, returned = ("loop entered", None), ("loop returned", None)
+        entered, returned = "loop entered", "loop returned"
 
         def marked(*args, **kwargs):
             calls.append(entered)
@@ -1174,7 +1171,7 @@ class TestCompression:
         assert calls.count(entered) == 2 and calls.count(returned) == 2
         first = calls.index(returned)
         assert calls[first + 1] == entered
-        assert ("mttkrp", 3) in calls[first + 2 :]
+        assert "_last_mttkrp" in calls[first + 2 :]
 
     @pytest.mark.parametrize("variant", ["auto", "als-ls"])
     @pytest.mark.parametrize("max_iters", [2, 3, 7])
@@ -1188,6 +1185,101 @@ class TestCompression:
         assert result.iters == max_iters and result.stop_reason == "max_iters"
         assert stages[0] == "core" and stages[-1] == "full"
         assert result.final_relerr == result.trace[-1].relerr
+
+
+class TestPassBudget:
+    """Every pass over Y that a fit makes, counted at the seam
+    (``count_tensor_passes``), is the one that the README's "Cost per
+    iteration" budgets, derived from the fit's trace and start error."""
+
+    @staticmethod
+    def budget(variant, records, errs, init):
+        """The seam calls that the budget gives one loop on Y, whose records
+        are ``records`` and whose error before each record is ``errs``
+        (``errs[0]`` the start's): ``init`` (the SVD init's mode-N pass, none
+        for a refinement start), a dense residual for a start below
+        ``GRAM_ERROR_GUARD``, fLM's first gradient's partial product, then
+        per record, from the error before it:
+
+        - fLM above the guard: one mode-N pass per candidate, scored by the
+          Gram identity or by its decrease alike, and the partial product
+          for an accepted one; below it: one dense residual per candidate,
+          and both passes of ``mttkrp_all`` for an accepted one;
+        - ALS-ls: the sweep's two passes, then, above the guard, one mode-N
+          pass per extrapolated candidate (the swept one is scored free),
+          and below it one dense residual per candidate.  The loop's first
+          sweep has no previous model, so no extrapolated candidates.
+        """
+        calls = list(init)
+        if errs[0] < GRAM_ERROR_GUARD:
+            calls.append("reconstruct")
+        if variant == "auto":
+            calls.append("_last_partial")
+        for t, (err, rec) in enumerate(zip(errs, records)):
+            above = err >= GRAM_ERROR_GUARD
+            if variant == "auto":
+                if above:
+                    calls += ["_last_mttkrp"] + ["_last_partial"] * rec.accepted
+                else:
+                    calls += ["reconstruct"]
+                    calls += ["_last_mttkrp", "_last_partial"] * rec.accepted
+            else:
+                extrapolated = 0 if t == 0 else 2
+                calls += ["_last_partial", "_last_mttkrp"]
+                if above:
+                    calls += ["_last_mttkrp"] * extrapolated
+                else:
+                    calls += ["reconstruct"] * (1 + extrapolated)
+        return calls
+
+    @pytest.mark.parametrize("case", ["flm", "als-ls", "compressed-flm"])
+    def test_passes_match_budget(self, case, monkeypatch):
+        """A noiseless 8^3 swamp fLM fit and a noiseless (12, 10, 9) ALS-ls
+        fit cross the guard, with accepted and rejected fLM candidates, and
+        extrapolated ALS-ls candidates, on each side of it; a noisy 30^3
+        compressed fLM fit's refinement scores a candidate by its decrease.
+        Passes over the core are not passes over Y."""
+        variant = "als-ls" if case == "als-ls" else "auto"
+        if case == "flm":
+            _, y = gen_collinear(CollinearSpec((8, 8, 8), 3, 0.3, None, 0))
+        elif case == "als-ls":
+            y = DenseTensor(gaussian_instance(0, noise=0.0, dims=(12, 10, 9)))
+        else:
+            monkeypatch.setattr(cpfast.solver, "COMPRESS_MIN_RATIO", 0)
+            y = DenseTensor(gaussian_instance(0))
+        calls = count_tensor_passes(monkeypatch, y.dims)
+        start_errs, decreases = [], []
+        for name, seen in [
+            ("_start_error", start_errs),
+            ("residual_decrease", decreases),
+        ]:
+            original = getattr(cpfast.solver, name)
+
+            def recorded(t, *args, _original=original, _seen=seen):
+                out = _original(t, *args)
+                if t.dims == y.dims:
+                    _seen.append(out)
+                return out
+
+            monkeypatch.setattr(cpfast.solver, name, recorded)
+        result = fit(y, FitConfig(rank=3, variant=variant))
+        assert result.stop_reason == "tol"
+        (start_err,) = start_errs
+        records = [rec for rec in result.trace if rec.stage == "full"]
+        errs = [start_err] + [rec.relerr for rec in records[:-1]]
+        init = [] if case == "compressed-flm" else ["_last_mttkrp"]
+        assert calls == self.budget(variant, records, errs, init)
+        # fLM: (above the guard, accepted); ALS-ls: (above, extrapolated).
+        kinds = {
+            (err >= GRAM_ERROR_GUARD, rec.accepted if variant == "auto" else t > 0)
+            for t, (err, rec) in enumerate(zip(errs, records))
+        }
+        if case == "flm":
+            assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+        elif case == "als-ls":
+            assert {(True, True), (False, True)} <= kinds
+        else:
+            assert len(records) < result.iters and decreases
 
 
 class TestModePermutation:

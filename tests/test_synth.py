@@ -210,6 +210,39 @@ class TestSpectrum:
         with pytest.raises(ValueError, match="nu=10.0 and order=400"):
             frobenius_sq_closed_form(3, 10.0, 400)
 
+    @pytest.mark.parametrize(
+        "order,snr_db", [(400, 20.0), (3, 4000.0)], ids=["order-400", "snr-4000"]
+    )
+    def test_noise_floor_underflows_to_zero(self, order, snr_db):
+        """A floor or sigma^2 below float64's range is 0, not an
+        OverflowError from I^N or 10^(SNR/10); the floor stays
+        ||Y||^2 10^(-SNR/10) / I."""
+        rep = spectrum(10, 3, order, 0.1, snr_db)
+        assert rep.sigma2 == 0.0
+        expected = rep.norm2 * 10.0 ** (-snr_db / 10.0) / 10
+        assert rep.noise_floor == pytest.approx(expected, rel=1e-15, abs=0)
+        assert rep.feasible is (rep.lam_min > rep.noise_floor)
+
+    def test_noise_floor_overflow_rejected(self):
+        """A floor beyond float64 raises the one-line ValueError, not
+        ZeroDivisionError; one just inside it is finite."""
+        with pytest.raises(ValueError, match="noise floor overflows float64"):
+            spectrum(10, 3, 3, 0.1, -4000.0)
+        rep = spectrum(10, 3, 3, 0.1, -3000.0)
+        assert rep.noise_floor == pytest.approx(rep.norm2 * 1e299, rel=1e-15)
+
+    @pytest.mark.parametrize("size,order", [(3, 2), (10, 3), (100, 3), (7, 8)])
+    def test_noise_floor_matches_direct_formula(self, size, order):
+        """Where the direct formula sigma^2 = ||Y||^2 / (10^(SNR/10) I^N)
+        and floor = sigma^2 I^(N-1) is finite, both agree with it within
+        1e-15 relative."""
+        for snr_db in (-30.0, 0.0, 7.3, 20.0, 60.0):
+            rep = spectrum(size, 3, order, 0.5, snr_db)
+            sigma2 = rep.norm2 / (10.0 ** (snr_db / 10.0) * float(size) ** order)
+            assert rep.sigma2 == pytest.approx(sigma2, rel=1e-15, abs=0)
+            floor = sigma2 * float(size) ** (order - 1)
+            assert rep.noise_floor == pytest.approx(floor, rel=1e-15, abs=0)
+
 
 class TestMedsae:
     def _truth(self, seed=0):
