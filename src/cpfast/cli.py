@@ -22,9 +22,14 @@ from .verify import format_report, run_suite
 
 
 def _snr(text: str) -> float | None:
-    """One SNR in dB; 'inf' and 'none' (any case) mean noiseless, None."""
-    value = math.inf if text.lower() == "none" else float(text)
-    return None if math.isinf(value) else value
+    """One SNR in dB: a finite value, or None for 'inf', '+inf' and 'none'
+    (any case), which mean noiseless."""
+    if text.lower() in ("inf", "+inf", "none"):
+        return None
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"SNR must be finite, 'inf' or 'none', got {text!r}")
+    return value
 
 
 def _algo(text: str) -> str:

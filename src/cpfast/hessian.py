@@ -7,10 +7,12 @@ inverse reduces (H + mu I)^{-1} to the N damped Gram inverses and one
 NR^2 x NR^2 core: the paper's Phi_1 = I + Psi K, congruence-scaled so its
 entries stay O(Gamma + mu) as mu shrinks.  :func:`damped_core` builds the
 Gram inverses with one batched inverse, writes the core through strided views
-and LU-factors it once by LAPACK ``?getrf``; the :class:`DampedCore` it
-returns applies (H + mu I)^{-1} to a stack (see :func:`~cpfast.kruskal.stack`)
-with batched matmuls around one ``?getrs`` solve.  Both routines come from
-the cached lookup that :mod:`cpfast.kruskal` also uses for ``?syevr``.
+and LU-factors it once by LAPACK ``?getrf``; :meth:`DampedCore.apply`, the
+only way to apply (H + mu I)^{-1}, takes a stack (see
+:func:`~cpfast.kruskal.stack`) and wraps one ``?getrs`` solve in batched
+matmuls.  Both routines come from the cached lookup that
+:mod:`cpfast.kruskal` also uses for ``?syevr``.  The fLM step
+(:func:`cpfast.solver.flm_step`) applies one core twice.
 
 The dense references these are checked against live in :mod:`cpfast.oracle`.
 """
@@ -22,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kruskal import GramCache, _lapack, pack, unpack
+from .kruskal import GramCache, _lapack
 
 
 class SingularKernelError(np.linalg.LinAlgError):
@@ -39,7 +41,8 @@ def _check_info(info: int, routine: str) -> None:
 
 @dataclass
 class DampedCore:
-    """(H + mu I)^{-1} at one model and mu, factored: ``core(u)`` applies it.
+    """(H + mu I)^{-1} at one model and mu, factored; :meth:`apply` applies
+    it to a stack.
 
     ``gtilde[n]`` is (Gamma^(n) + mu I)^{-1}, stacked N x R x R.  Gamma^(n) is
     Hermitian, so (Gamma^(n)^T + mu I)^{-1}, which right-multiplies factors, is
@@ -47,8 +50,7 @@ class DampedCore:
     ``lu`` and ``piv`` are the ``?getrf`` factors of the NR^2 x NR^2 scaled
     core system; ``kernel`` holds the pairwise Gammas (zero on the diagonal)
     that apply K after the solve; ``x`` is the model's stack (see
-    :func:`~cpfast.kruskal.stack`), the caller's array and not a copy, and
-    ``dims`` its mode sizes.
+    :func:`~cpfast.kruskal.stack`), the caller's array and not a copy.
     """
 
     gtilde: np.ndarray
@@ -56,7 +58,6 @@ class DampedCore:
     piv: np.ndarray
     kernel: np.ndarray
     x: np.ndarray
-    dims: tuple
 
     def solve(self, u: np.ndarray) -> np.ndarray:
         """The N frontal R x R slices Z_n of Sb^{-1} K (I + Psi K)^{-1} Sb^{-1} u,
@@ -72,11 +73,6 @@ class DampedCore:
         z = z.reshape(n_modes, r, r).mT
         kx = np.add.reduce(self.kernel * z[None], axis=1).mT
         return kx @ np.conj(self.gtilde)
-
-    def __call__(self, vec: np.ndarray) -> np.ndarray:
-        """(H + mu I)^{-1} v for a stacked vector v; see :meth:`apply`."""
-        v = pack(np.asarray(vec), self.dims, self.gtilde.shape[1])
-        return unpack(self.apply(v), self.dims)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """(H + mu I)^{-1} v for the stack ``v``.
@@ -128,11 +124,11 @@ def _core_layout(n_modes: int, r: int, itemsize: int):
     )
 
 
-def damped_core(x: np.ndarray, dims, cache: GramCache, mu: float) -> DampedCore:
+def damped_core(x: np.ndarray, cache: GramCache, mu: float) -> DampedCore:
     """(H + mu I)^{-1} at the model with stack ``x`` (see
-    :func:`~cpfast.kruskal.stack`), mode sizes ``dims`` and Gram cache
-    ``cache``: the damped Gram inverses and the scaled core system, factored
-    once.
+    :func:`~cpfast.kruskal.stack`) and Gram cache ``cache``: the damped Gram
+    inverses and the scaled core system, factored once.  Raises
+    ``ValueError`` unless ``mu`` > 0.
 
     The core is Sb (I + Psi K) = Sb + Chat K, with Sb = blkdiag(D_n kron I),
     D_n = Gamma^(n) + mu I, Chat = blkdiag(I kron C^(n)) and Psi =
@@ -166,4 +162,4 @@ def damped_core(x: np.ndarray, dims, cache: GramCache, mu: float) -> DampedCore:
     view[...] = damped[..., None]
     lu, piv, info = _lapack("getrf", core.dtype)(core, overwrite_a=True)
     _check_info(info, "getrf")
-    return DampedCore(np.linalg.inv(damped), lu, piv, kernel, x, dims)
+    return DampedCore(np.linalg.inv(damped), lu, piv, kernel, x)

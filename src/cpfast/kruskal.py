@@ -11,9 +11,10 @@ transpose placements below are chosen so the same code path is exact for both
 scalar kinds.
 
 A stacked vector has one block per mode, vec(V^(n)) in column-major order
-(:meth:`KruskalModel.as_vector`); :func:`pack` and :func:`unpack` copy it
-to and from the stack layout, for the vector-form wrappers that ``verify``
-and the tests call; the fit loops never do.
+(:meth:`KruskalModel.as_vector`); :func:`model_from_vector` views its
+factors, so :func:`stack` and :meth:`~KruskalModel.as_vector` of
+:func:`model_from_stack` convert between the two layouts.  Only the public
+:func:`gradient` returns one; everything the fit loops call takes stacks.
 
 Every MTTKRP pass over a tensor Y goes through one of two kernels:
 :func:`_last_mttkrp`, the mode-N product Y_(N)^T conj(K) for an R-column K,
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from .tensor import (
     COMPLEX,
@@ -108,16 +110,6 @@ def model_from_stack(x: np.ndarray, dims) -> KruskalModel:
     """The model whose factor A^(n) is the view x[n, :, :I_n]^T of the stack
     ``x`` (Fortran-ordered, no copy)."""
     return KruskalModel([xn[:, :d].T for xn, d in zip(x, dims)])
-
-
-def pack(vec: np.ndarray, dims, rank: int) -> np.ndarray:
-    """The stacked vector ``vec`` in the layout of :func:`stack` (a copy)."""
-    return stack(model_from_vector(vec, dims, rank).factors)
-
-
-def unpack(x: np.ndarray, dims) -> np.ndarray:
-    """The stacked vector of the stack ``x``: the inverse of :func:`pack`."""
-    return model_from_stack(x, dims).as_vector()
 
 
 def model_from_vector(vec: np.ndarray, dims, rank: int) -> KruskalModel:
@@ -290,8 +282,8 @@ def gradient(
     :func:`_gradient` for the stacked form.
     """
     cache = cache or build_gram_cache(model)
-    mttkrps = mttkrp_all(y, model)
-    return unpack(_gradient(stack(model.factors), cache.gamma_excl, mttkrps), model.dims)
+    g = _gradient(stack(model.factors), cache.gamma_excl, mttkrp_all(y, model))
+    return model_from_stack(g, model.dims).as_vector()
 
 
 def _gradient(x: np.ndarray, gamma_excl: np.ndarray, mttkrps: list) -> np.ndarray:
@@ -305,33 +297,23 @@ def _gradient(x: np.ndarray, gamma_excl: np.ndarray, mttkrps: list) -> np.ndarra
     return g
 
 
-def second_order_term(factors, grams: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """J^H M''(v, v): the model's second directional derivative along the
-    stacked direction ``vec`` = v, projected like :func:`gradient`.
+def second_order_term(x: np.ndarray, grams: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """J^H M''(v, v) as a stack: the second directional derivative of the
+    model with stack ``x`` (see :func:`stack`) along the stack ``v``,
+    projected like :func:`gradient`; ``grams`` are the model's stacked Gram
+    matrices (N x R x R).
 
     M(x + t v) = [[A^(1) + t V^(1), ..., A^(N) + t V^(N)]], so M''(v, v) =
     2 sum_{n<m} [[... V^(n) ... V^(m) ...]].  Block k of J^H applied to
     M(x + t v) is (A^(k) + t V^(k)) P_k(t)^T with P_k(t) the Hadamard product
-    over j != k of C^(j) + t E^(j), C^(j) = A^(j)^H A^(j) (``grams``, stacked
-    N x R x R) and E^(j) = A^(j)^H V^(j).  Block k of the result is twice its
-    t^2 coefficient, 2 (V^(k) p1_k^T + A^(k) p2_k^T), where p1_k and p2_k
-    are the t^1 and t^2 coefficients of P_k; see :func:`_second_order` for
-    the stacked form.  Cost O(T R^2 + N^2 R^2) with T = sum I_n, and no pass
-    over the tensor.
-    """
-    dims = [f.shape[0] for f in factors]
-    v = pack(np.asarray(vec), dims, grams.shape[1])
-    return unpack(_second_order(stack(factors), grams, v), dims)
-
-
-def _second_order(x: np.ndarray, grams: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """:func:`second_order_term` on the stacks ``x`` of the model and ``v``
-    of the direction.
-
-    p1_k and p2_k come from a three-term recurrence over the modes, run for
-    every k at once on N x N x R x R stacks in which mode k is masked (C -> 1,
-    E -> 0).  Each block is formed transposed, 2 (p1_k V^(k)^T + p2_k
-    A^(k)^T), which is the stack's block.
+    over j != k of C^(j) + t E^(j), C^(j) = A^(j)^H A^(j) and E^(j) =
+    A^(j)^H V^(j).  Block k of the result is twice its t^2 coefficient,
+    2 (V^(k) p1_k^T + A^(k) p2_k^T), where p1_k and p2_k are the t^1 and t^2
+    coefficients of P_k.  They come from a three-term recurrence over the
+    modes, run for every k at once on N x N x R x R stacks in which mode k is
+    masked (C -> 1, E -> 0), and each block is formed transposed, 2 (p1_k
+    V^(k)^T + p2_k A^(k)^T), which is the stack's block.  Cost O(T R^2 +
+    N^2 R^2) with T = sum I_n, and no pass over the tensor.
     """
     n_modes = x.shape[0]
     # c[j, k] is C^(j) and e[j, k] is E^(j), except 1 and 0 where j = k.
@@ -483,9 +465,7 @@ def _top_phase(u: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _lapack(name: str, dtype: np.dtype):
     """The LAPACK routine ``?name`` for ``dtype``, such as ``getrf``."""
-    import scipy.linalg  # already loaded by cpfast.oracle
-
-    return scipy.linalg.get_lapack_funcs((name,), dtype=dtype)[0]
+    return get_lapack_funcs((name,), dtype=dtype)[0]
 
 
 def _top_eigh(gram: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,11 @@
-"""Dense references for the fast path of :mod:`cpfast.hessian` and
-:func:`cpfast.kruskal.second_order_term`: Jacobian, Hessian, H = G + Z K Z^H,
-K and its closed-form inverse, the dense dGN step, J^H M''(v, v), and the
-paper's Phi_1 = I + Psi K and Phi_2 = K^{-1} + Psi with their densities.
-Only :mod:`cpfast.verify` and the tests use them; the size guard keeps them
-at desk scale.
+"""Dense references for the fast path of :mod:`cpfast.hessian`,
+:func:`cpfast.solver.flm_step` and :func:`cpfast.kruskal.second_order_term`:
+Jacobian, Hessian, H = G + Z K Z^H, K and its closed-form inverse, the dense
+dGN step, J^H M''(v, v), and the paper's Phi_1 = I + Psi K and Phi_2 =
+K^{-1} + Psi with their densities.  Every right-hand side is projected by
+the dense Jacobian, so no reference reuses the MTTKRP or gradient kernels it
+checks.  Only :mod:`cpfast.verify` and the tests use them; the size guard
+keeps them at desk scale.
 """
 
 from __future__ import annotations
@@ -19,9 +21,7 @@ from .kruskal import (
     GramCache,
     KruskalModel,
     build_gram_cache,
-    gradient,
     model_from_vector,
-    mttkrp,
     reconstruct,
 )
 from .tensor import DenseTensor, _check_mode, khatri_rao_excl
@@ -195,15 +195,22 @@ def damped_hessian(
     return h
 
 
+def _project(model: KruskalModel, tensor: np.ndarray) -> np.ndarray:
+    """J^H vec(``tensor``) with the dense :func:`jacobian` of ``model``."""
+    return jacobian(model).conj().T @ tensor.reshape(-1, order="F")
+
+
 def dense_damped_solve(y: DenseTensor, model: KruskalModel, mu: float) -> np.ndarray:
-    """Reference dGN step: solve (H + mu I) da = J^H vec(E) densely."""
-    return np.linalg.solve(damped_hessian(model, mu), gradient(y, model))
+    """Reference dGN step: solve (H + mu I) da = J^H vec(E) densely, with
+    E = Y - Yhat formed densely and projected by the dense Jacobian."""
+    rhs = _project(model, y.data - reconstruct(model).data)
+    return np.linalg.solve(damped_hessian(model, mu), rhs)
 
 
 def dense_second_order_term(model: KruskalModel, vec: np.ndarray) -> np.ndarray:
     """Reference J^H M''(v, v): the tensor M''(v, v) = 2 sum_{n<m}
-    [[... V^(n) ... V^(m) ...]] formed densely, then projected mode by mode
-    with :func:`mttkrp`."""
+    [[... V^(n) ... V^(m) ...]] formed densely, then projected by the dense
+    :func:`jacobian`."""
     _guard(model)
     direction = model_from_vector(vec, model.dims, model.rank).factors
     second = np.zeros(model.dims, dtype=np.result_type(vec, *model.factors))
@@ -212,13 +219,7 @@ def dense_second_order_term(model: KruskalModel, vec: np.ndarray) -> np.ndarray:
             factors = list(model.factors)
             factors[n], factors[m] = direction[n], direction[m]
             second += reconstruct(KruskalModel(factors)).data
-    second = DenseTensor(2.0 * second)
-    return np.concatenate(
-        [
-            mttkrp(second, model, k).reshape(-1, order="F")
-            for k in range(1, model.order + 1)
-        ]
-    )
+    return _project(model, 2.0 * second)
 
 
 def phi_density(n_modes: int, rank: int, variant: str) -> Fraction:

@@ -1,18 +1,18 @@
 """Fast damped Gauss-Newton iteration for CP decomposition.
 
-One iteration of the "auto" variant builds one
-:class:`~cpfast.hessian.DampedCore`, (H + mu I)^{-1} at the current model,
-from the Gram cache and mu: the N damped Gram inverses from one batched
-inverse, and one LU factorization of the NR^2 x NR^2 congruence-scaled core
-(the paper's fLM-a form).  The core is solved twice: once for the
-Gauss-Newton step v = (H + mu I)^{-1} g, and once for the geodesic
-acceleration a = -(H + mu I)^{-1} J^H M''(v, v) (Transtrum & Sethna,
-arXiv:1201.5885, 2012), whose right-hand side costs only R x R work.  The
-candidate is x + v + a/2 when the acceleration is small against the step,
-else x + v.  The gradient is formed once per accepted model.  The candidate
-is accepted only if it lowers the residual; the damping parameter follows
-the Nielsen gain-ratio schedule.  Both loops, fLM's and ALS's, hold the
-model, and fLM its gradient and steps, as N x R x I_max stacks
+One iteration of the "auto" variant takes one :func:`flm_step`, the only
+fLM step in the package.  It builds one :class:`~cpfast.hessian.DampedCore`,
+(H + mu I)^{-1} at the current model, from the Gram cache and mu: the N
+damped Gram inverses from one batched inverse, and one LU factorization of
+the NR^2 x NR^2 congruence-scaled core (the paper's fLM-a form).  The core is
+solved twice: once for the Gauss-Newton step v = (H + mu I)^{-1} g, and once
+for the geodesic acceleration a = -(H + mu I)^{-1} J^H M''(v, v) (Transtrum
+& Sethna, arXiv:1201.5885, 2012), whose right-hand side costs only R x R
+work.  The candidate is x + v + a/2 when the acceleration is small against
+the step, else x + v.  The gradient is formed once per accepted model.  The
+candidate is accepted only if it lowers the residual; the damping parameter
+follows the Nielsen gain-ratio schedule.  Both loops, fLM's and ALS's, hold
+the model, and fLM its gradient and steps, as N x R x I_max stacks
 (:func:`~cpfast.kruskal.stack`), so each factor-sized or R x R job is one
 batched call over the modes; a :class:`~cpfast.kruskal.KruskalModel` goes in
 and comes out.
@@ -48,10 +48,7 @@ from .kruskal import (
     KruskalModel,
     _gradient,
     _gram_error,
-    _second_order,
     als_step,
-    build_gram_cache,
-    gradient,
     gram_stack,
     model_from_stack,
     mttkrp,
@@ -60,6 +57,7 @@ from .kruskal import (
     random_init,
     relative_error,
     residual_decrease,
+    second_order_term,
     st_hosvd,
     stack,
     svd_init,
@@ -200,41 +198,29 @@ class FitResult:
         return self.trace[-1].relerr if self.trace else float("nan")
 
 
-def flm_step(y: DenseTensor, model: KruskalModel, mu: float) -> np.ndarray:
-    """One fast dGN step: the change of the stacked factor vector, with all
-    factors updated simultaneously (compare
+def flm_step(x: np.ndarray, cache: GramCache, g: np.ndarray, mu: float):
+    """One fast dGN step at the model with stack ``x`` (see
+    :func:`~cpfast.kruskal.stack`), Gram cache ``cache`` and gradient stack
+    ``g``: the Gauss-Newton step v = (H + mu I)^{-1} g, the step to take and
+    the acceleration ratio 2 ||a|| / ||v|| (NaN for v = 0).  All factors are
+    updated simultaneously; both steps are stacks (compare
     :func:`~cpfast.oracle.dense_damped_solve`).
 
-    The step is the Gauss-Newton step v = (H + mu I)^{-1} g: one
-    :class:`~cpfast.hessian.DampedCore` (the damped Gram inverses and the
-    factored core system) applied once to the gradient.  :func:`fit` builds
-    the same core inside its loop and adds the geodesic acceleration to the
-    step (see :func:`_accelerated_step`).
+    One :func:`~cpfast.hessian.damped_core` (the damped Gram inverses and the
+    factored core system) is applied twice: to g, and to J^H M''(v, v)
+    (:func:`~cpfast.kruskal.second_order_term`) for the geodesic acceleration
+    a = -(H + mu I)^{-1} J^H M''(v, v).  The step is v + a/2 when the ratio
+    is at most ``ACCEL_MAX_RATIO``, else v.  A singular core raises
+    :class:`~cpfast.hessian.SingularKernelError`.
     """
-    cache = build_gram_cache(model)
-    core = damped_core(stack(model.factors), model.dims, cache, mu)
-    return core(gradient(y, model, cache))
-
-
-def _accelerated_step(solve, x: np.ndarray, grams: np.ndarray, g: np.ndarray):
-    """The Gauss-Newton step v = solve(g), the step to take and the
-    acceleration ratio 2 ||a|| / ||v|| (NaN for v = 0); the model ``x``, the
-    gradient ``g`` and both steps are stacks (see :func:`~cpfast.kruskal.stack`).
-
-    The geodesic acceleration a = -solve(J^H M''(v, v)) reuses the
-    factorization behind ``solve``; the step is v + a/2 when the ratio is at
-    most ``ACCEL_MAX_RATIO``, else v.
-    """
-    v = solve(g)
-    minus_a = solve(_second_order(x, grams, v))
+    core = damped_core(x, cache, mu)
+    v = core.apply(g)
+    minus_a = core.apply(second_order_term(x, cache.C, v))
     v_norm = frobenius(v)
     ratio = 2.0 * frobenius(minus_a) / v_norm if v_norm > 0 else math.nan
     if not ratio <= ACCEL_MAX_RATIO:
         return v, v, ratio
-    step = minus_a
-    step *= -0.5
-    step += v
-    return v, step, ratio
+    return v, v - 0.5 * minus_a, ratio
 
 
 def mu_init(cache: GramCache, tau: float) -> float:
@@ -575,12 +561,13 @@ def _fit_lm(
     ordered views x[n, :, :I_n]^T are the factors the tensor contractions
     read; every other per-mode job is one batched call over the modes.
 
-    Each iteration factors one :class:`~cpfast.hessian.DampedCore` and solves
-    it twice (:func:`_accelerated_step`): for v = (H + mu I)^{-1} g, and for
-    the geodesic acceleration a = -(H + mu I)^{-1} J^H M''(v, v), whose
-    right-hand side (:func:`~cpfast.kruskal.second_order_term`) costs
-    O(T R^2 + N^2 R^2) and no pass over the tensor.  The candidate is x + v + a/2 when
-    2 ||a|| / ||v|| <= ``ACCEL_MAX_RATIO``, else x + v.  The gain ratio's
+    Each iteration takes one :func:`flm_step`, which factors one
+    :class:`~cpfast.hessian.DampedCore` and solves it twice: for v = (H + mu
+    I)^{-1} g, and for the geodesic acceleration a = -(H + mu I)^{-1} J^H
+    M''(v, v), whose right-hand side
+    (:func:`~cpfast.kruskal.second_order_term`) costs O(T R^2 + N^2 R^2) and
+    no pass over the tensor.  The candidate is x + v + a/2 when 2 ||a|| /
+    ||v|| <= ``ACCEL_MAX_RATIO``, else x + v.  The gain ratio's
     denominator stays Re<v, g + mu v>, v's Gauss-Newton prediction: taking it
     from v + a/2 instead cost more iterations on the swamp.
 
@@ -620,8 +607,7 @@ def _fit_lm(
     stop_reason = "max_iters"
     for t in range(1, config.max_iters + 1):
         try:
-            core = damped_core(x, dims, cache, state.mu)
-            v, step, accel_ratio = _accelerated_step(core.apply, x, cache.C, g)
+            v, step, accel_ratio = flm_step(x, cache, g, state.mu)
         except np.linalg.LinAlgError as exc:
             stop_reason = f"error at iteration {t}: {exc}"
             break

@@ -80,14 +80,24 @@ def component_magnitude(nu: float, order: int) -> float:
     return (1.0 + nu * nu) ** (order / 2.0)
 
 
+def _noiseless(snr_db: float | None) -> bool:
+    """Whether ``snr_db`` means no noise: None or +inf.  Any other value must
+    be finite; -inf and NaN raise ``ValueError``."""
+    if snr_db is None or snr_db == math.inf:
+        return True
+    if not math.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite, +inf or None, got {snr_db!r}")
+    return False
+
+
 def add_noise(tensor: DenseTensor, snr_db: float | None, seed: int) -> DenseTensor:
     """Additive white Gaussian noise calibrated to the target SNR (dB).
 
     sigma = ||Y||_F / sqrt(prod(dims) * 10^(SNR/10)); complex noise is
     circular with unit variance.  ``snr_db`` of None or +inf returns the
-    tensor unchanged.
+    tensor unchanged; -inf and NaN raise ``ValueError``.
     """
-    if snr_db is None or math.isinf(snr_db):
+    if _noiseless(snr_db):
         return tensor
     ynorm = tensor.norm()
     if ynorm == 0.0:
@@ -168,7 +178,8 @@ def spectrum(
     underflows is 0.  Raises ``ValueError`` for R < 2, order < 2, for the
     swamps that :class:`CollinearSpec` rejects (nu not finite and positive,
     ``size`` < R), for a (``nu``, ``order``) whose eigenvalues overflow
-    float64 and for a noise floor beyond float64.
+    float64, for a noise floor beyond float64 and for an ``snr_db`` of -inf
+    or NaN (None or +inf is noiseless).
     """
     if rank < 2:
         raise ValueError("spectrum analysis requires R >= 2")
@@ -186,7 +197,7 @@ def spectrum(
     lam_min = (s - disc) / 2.0
     norm2 = frobenius_sq_closed_form(rank, nu, order)
     noise_floor = 0.0
-    if snr_db is not None and not math.isinf(snr_db):
+    if not _noiseless(snr_db):
         # 10^(-SNR/10) is applied in two factors where it alone would leave
         # float64, so only a floor that does raises.
         first = min(max(-snr_db / 10.0, -300.0), 300.0)

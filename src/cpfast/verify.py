@@ -17,6 +17,7 @@ from .kruskal import (
     KruskalModel,
     build_gram_cache,
     gradient,
+    model_from_stack,
     model_from_vector,
     random_init,
     reconstruct,
@@ -33,7 +34,7 @@ from .oracle import (
     kernel_inverse,
     kernel_matrix,
 )
-from .solver import _expanded_start, flm_step
+from .solver import ACCEL_MAX_RATIO, _expanded_start, flm_step
 from .synth import (
     CollinearSpec,
     collinear_mixing,
@@ -60,6 +61,16 @@ class CheckResult:
 
 def _rel(delta: np.ndarray, ref: np.ndarray) -> float:
     return float(np.linalg.norm(delta) / max(np.linalg.norm(ref), 1e-300))
+
+
+def _as_stack(vec: np.ndarray, model: KruskalModel) -> np.ndarray:
+    """The stacked vector ``vec`` of a model like ``model``, as a stack."""
+    return stack(model_from_vector(vec, model.dims, model.rank).factors)
+
+
+def _as_vector(x: np.ndarray, model: KruskalModel) -> np.ndarray:
+    """The stack ``x`` of a model like ``model``, as a stacked vector."""
+    return model_from_stack(x, model.dims).as_vector()
 
 
 def _random_instance(rng, scalar_kind):
@@ -158,25 +169,36 @@ def run_suite(seeds: int = 10, perturb: bool = False) -> list:
             eye = np.eye(k.shape[0])
             record(f"kernel-inverse-{tag}", _rel(k @ ktilde - eye, eye), 1e-10)
 
+            x = stack(model.factors)
             eye = np.eye(h.shape[0])
             for mu in MU_GRID:
                 dense = np.linalg.inv(h + mu * eye)
-                core = damped_core(stack(model.factors), model.dims, cache, mu)
-                mat = np.column_stack([core(e) for e in eye])
+                core = damped_core(x, cache, mu)
+                mat = np.column_stack(
+                    [_as_vector(core.apply(_as_stack(e, model)), model) for e in eye]
+                )
                 record(f"fast-inverse-{tag}", _rel(mat - dense, dense), 1e-8)
 
+            g = gradient(y, model, cache)
             for mu in (1e-4, 1e-1, 10.0):
-                step = dense_damped_solve(y, model, mu)
-                err = _rel(flm_step(y, model, mu) - step, step)
+                # The step the fit takes: v, then v + a/2 or v by the ratio.
+                v, step, ratio = flm_step(x, cache, _as_stack(g, model), mu)
+                v_ref = dense_damped_solve(y, model, mu)
+                term = dense_second_order_term(model, v_ref)
+                a_ref = -np.linalg.solve(h + mu * eye, term)
+                step_ref = v_ref + 0.5 * a_ref if ratio <= ACCEL_MAX_RATIO else v_ref
+                err = max(
+                    _rel(_as_vector(v, model) - v_ref, v_ref),
+                    _rel(_as_vector(step, model) - step_ref, step_ref),
+                )
                 record(f"step-equivalence-{tag}", err, 1e-8)
 
-            g = gradient(y, model, cache)
             g_fd = fd_gradient(y, model)
             record(f"gradient-fd-{tag}", _rel(g - g_fd, g), 1e-5)
 
-            v = random_init(model.dims, model.rank, rng, kind).as_vector()
-            term = second_order_term(model.factors, cache.C, v)
-            ref = dense_second_order_term(model, v)
+            v = random_init(model.dims, model.rank, rng, kind)
+            term = _as_vector(second_order_term(x, cache.C, stack(v.factors)), model)
+            ref = dense_second_order_term(model, v.as_vector())
             record(f"second-order-{tag}", _rel(term - ref, ref), 1e-10)
 
             record(f"compress-{tag}", compression_error(y, model.rank), 1e-10)

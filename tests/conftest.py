@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from cpfast.kruskal import build_gram_cache, gradient
+from cpfast.kruskal import (
+    build_gram_cache,
+    gradient,
+    model_from_stack,
+    model_from_vector,
+    stack,
+)
 from cpfast.oracle import assemble_phi, build_parts
 from cpfast.solver import flm_step
 
@@ -18,23 +24,29 @@ settings.load_profile("cpfast")
 
 
 def _damped_step(form, y, model, mu):
-    if form == "flm-a":
-        return flm_step(y, model, mu)
     cache = build_gram_cache(model)
+    g = gradient(y, model, cache)
+    if form == "flm-a":
+        g = stack(model_from_vector(g, model.dims, model.rank).factors)
+        v = flm_step(stack(model.factors), cache, g, mu)[0]
+        return model_from_stack(v, model.dims).as_vector()
     parts = build_parts(cache, model.factors)
     gtilde = np.linalg.inv(parts.G + mu * np.eye(parts.G.shape[0]))
-    u = gtilde @ gradient(y, model, cache)
+    u = gtilde @ g
     w = np.linalg.solve(assemble_phi(cache, mu, "phi2"), parts.Z.conj().T @ u)
     return u - gtilde @ parts.Z @ w
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def damped_step():
-    """The damped dGN step (H + mu I)^{-1} g by one of the paper's two block
-    forms of the inverse.  "flm-a" (Phi_1 = I + Psi K) is the fast core the
-    solver runs, :func:`cpfast.solver.flm_step`.  "flm-b" (Phi_2 = K^{-1} +
-    Psi) is kept only as a dense oracle: G~ g - G~ Z Phi_2^{-1} Z^H G~ g with
-    G~ = (G + mu I)^{-1} and the closed-form K^{-1} of :mod:`cpfast.oracle`."""
+    """The damped dGN step (H + mu I)^{-1} g, as a stacked vector, by one of
+    the paper's two block forms of the inverse.  "flm-a" (Phi_1 = I + Psi K)
+    is the fast core the solver runs: the Gauss-Newton step v of
+    :func:`cpfast.solver.flm_step`, the one step a fit takes, on the stacks of
+    the model and of g.  "flm-b" (Phi_2 = K^{-1} + Psi) is kept only as a
+    dense oracle: G~ g - G~ Z Phi_2^{-1} Z^H G~ g with G~ = (G + mu I)^{-1}
+    and the closed-form K^{-1} of :mod:`cpfast.oracle`.  Session-scoped, so
+    property tests can take it."""
     return _damped_step
 
 

@@ -21,6 +21,8 @@ from cpfast.kruskal import (
     KruskalModel,
     build_gram_cache,
     gradient,
+    model_from_stack,
+    model_from_vector,
     random_init,
     reconstruct,
     stack,
@@ -36,7 +38,7 @@ from cpfast.oracle import (
     kernel_matrix,
     phi_density,
 )
-from cpfast.solver import FitConfig, fit, flm_step
+from cpfast.solver import FitConfig, fit
 from cpfast.synth import (
     CollinearSpec,
     add_noise,
@@ -52,6 +54,16 @@ from cpfast.verify import fd_gradient
 N_INSTANCES = 50
 MU_INVERSE_GRID = (1e-6, 1e-2, 1.0, 1e3)
 MU_STEP_GRID = (1e-4, 1e-1, 10.0)
+
+
+def as_stack(vec, model):
+    """The stacked vector ``vec`` of a model like ``model``, as a stack."""
+    return stack(model_from_vector(vec, model.dims, model.rank).factors)
+
+
+def as_vector(x, model):
+    """The stack ``x`` of a model like ``model``, as a stacked vector."""
+    return model_from_stack(x, model.dims).as_vector()
 
 
 def ensemble_instance(seed):
@@ -113,26 +125,28 @@ def test_criterion_03_fast_inverse():
         eye = np.eye(h.shape[0])
         for mu in MU_INVERSE_GRID:
             dense = np.linalg.inv(h + mu * eye)
-            core = damped_core(stack(model.factors), model.dims, cache, mu)
-            mat = np.column_stack([core(e) for e in eye])
+            core = damped_core(stack(model.factors), cache, mu)
+            mat = np.column_stack(
+                [as_vector(core.apply(as_stack(e, model)), model) for e in eye]
+            )
             worst = max(worst, rel(mat - dense, dense))
             n, r = model.order, model.rank
             assert core.gtilde.size + core.lu.size == n * r**2 + n**2 * r**4
     assert worst <= 1e-8, f"worst relative error {worst:.3e}"
 
 
-def test_criterion_04_step_equivalence():
+def test_criterion_04_step_equivalence(damped_step):
     """The fast (fLM_a) step equals the dense dGN step to 1e-8."""
     worst = 0.0
     for seed in range(N_INSTANCES):
         y, model = ensemble_instance(seed)
         for mu in MU_STEP_GRID:
             ref = dense_damped_solve(y, model, mu)
-            worst = max(worst, rel(flm_step(y, model, mu) - ref, ref))
+            worst = max(worst, rel(damped_step("flm-a", y, model, mu) - ref, ref))
     assert worst <= 1e-8, f"worst step error {worst:.3e}"
 
 
-def test_criterion_05_kernel_inverse():
+def test_criterion_05_kernel_inverse(damped_step):
     """K Ktilde = I to 1e-10 on non-orthogonal factors; on orthonormal
     factors K is singular, and the fast step, which never forms K^{-1}, still
     equals the dense step."""
@@ -154,7 +168,7 @@ def test_criterion_05_kernel_inverse():
     assert not kernel_is_invertible(cache)
     y = DenseTensor(reconstruct(ortho).data + 0.1 * rng.standard_normal((6, 6, 6)))
     ref = dense_damped_solve(y, ortho, 0.1)
-    delta = flm_step(y, ortho, 0.1)
+    delta = damped_step("flm-a", y, ortho, 0.1)
     assert rel(delta - ref, ref) <= 1e-8
 
 

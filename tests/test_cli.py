@@ -102,6 +102,19 @@ class TestGen:
         assert f"Invalid value for '{option}'" in result.output
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("value", ["-inf", "nan", "NaN", "1e400"])
+    def test_non_finite_snr_is_usage_error(self, runner, tmp_path, value):
+        """Only 'inf', '+inf' and 'none' mean noiseless: -inf, NaN and a
+        value that overflows to +inf end with exit status 2 and write
+        nothing (no all-NaN noisy copy)."""
+        result = runner.invoke(main, ["gen", "--dims", "4,4,4", "--rank", "2",
+                                      "--nu", "0.5", "--snr", value,
+                                      "--out", str(tmp_path / "g")])
+        assert result.exit_code == 2
+        assert "Invalid value for '--snr'" in result.output
+        assert "SNR must be finite" in result.output
+        assert not list(tmp_path.iterdir())
+
 
 class TestFit:
     def test_exact_input_converges(self, runner, tmp_path):
@@ -335,7 +348,8 @@ class TestBench:
 
     @pytest.mark.parametrize(
         "option,value",
-        [("--snr", "abc"), ("--rank", "x"), ("--dims", "abc"), ("--nu", "0.1,y")],
+        [("--snr", "abc"), ("--rank", "x"), ("--dims", "abc"), ("--nu", "0.1,y"),
+         ("--snr", "30,-inf"), ("--snr", "nan")],
     )
     def test_unparsable_list_is_usage_error(self, runner, tmp_path, option, value,
                                             monkeypatch):
@@ -368,7 +382,7 @@ class TestBench:
         assert seen["snrs"] == (30.0, None, None, None)
 
     def test_partial_failures_recorded(self, monkeypatch):
-        def singular_core(x, dims, cache, mu):
+        def singular_core(x, cache, mu):
             raise SingularKernelError("core system is singular (zero pivot 1)")
 
         monkeypatch.setattr(cpfast.solver, "damped_core", singular_core)
@@ -438,6 +452,18 @@ class TestSpectrumCommand:
         assert result.exit_code == 2
         assert f"Invalid value for '{option}'" in result.output
         assert "Traceback" not in result.output
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize("value", ["-inf", "nan", "20,-inf"])
+    def test_non_finite_snr_is_usage_error(self, runner, tmp_path, value):
+        """-inf and NaN get no verdict (-inf was reported feasible, NaN
+        infeasible): exit status 2 naming the option."""
+        csv_path = tmp_path / "s.csv"
+        result = runner.invoke(main, ["spectrum", "--size", "20", "--rank", "3",
+                                      "--snr", value, "--csv", str(csv_path)])
+        assert result.exit_code == 2
+        assert "Invalid value for '--snr'" in result.output
+        assert "feasible" not in result.output
         assert not csv_path.exists()
 
     @pytest.mark.parametrize(

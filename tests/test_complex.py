@@ -7,7 +7,7 @@ import pytest
 
 from cpfast.kruskal import complex_model, gradient, random_init, reconstruct
 from cpfast.oracle import dense_damped_solve
-from cpfast.solver import FitConfig, fit, flm_step
+from cpfast.solver import FitConfig, fit
 from cpfast.synth import CollinearSpec, gen_collinear
 from cpfast.tensor import COMPLEX, DenseTensor, as_complex
 from cpfast.verify import fd_gradient
@@ -56,12 +56,12 @@ class TestComplexStep:
         delta = damped_step(variant, y, m, mu)
         assert np.linalg.norm(delta - ref) / np.linalg.norm(ref) < 1e-8
 
-    def test_embedded_real_data_reproduces_real_path(self):
+    def test_embedded_real_data_reproduces_real_path(self, damped_step):
         rng = np.random.default_rng(5)
         m = random_init((3, 4, 5), 2, rng)
         y = DenseTensor(reconstruct(m).data + 0.1 * rng.standard_normal((3, 4, 5)))
-        real_delta = flm_step(y, m, 0.2)
-        complex_delta = flm_step(as_complex(y), complex_model(m), 0.2)
+        real_delta = damped_step("flm-a", y, m, 0.2)
+        complex_delta = damped_step("flm-a", as_complex(y), complex_model(m), 0.2)
         assert np.abs(complex_delta - real_delta).max() < 1e-10
 
 

@@ -15,6 +15,7 @@ from cpfast.kruskal import (
     build_gram_cache,
     gram_cache,
     gradient,
+    model_from_stack,
     model_from_vector,
     random_init,
     reconstruct,
@@ -52,10 +53,17 @@ def orthonormal_model(rng, dims, rank):
     return KruskalModel(factors)
 
 
-def materialize_inverse(core):
+def apply_to_vector(core, model, vec):
+    """(H + mu I)^{-1} ``vec`` for a stacked vector of ``model``'s dims and
+    rank, through the stack layout that the core applies to."""
+    v = stack(model_from_vector(vec, model.dims, model.rank).factors)
+    return model_from_stack(core.apply(v), model.dims).as_vector()
+
+
+def materialize_inverse(core, model):
     """Dense (H + mu I)^{-1}: the core applied to every unit vector."""
-    size = core.x.shape[1] * sum(core.dims)
-    return np.column_stack([core(e) for e in np.eye(size)])
+    size = model.rank * sum(model.dims)
+    return np.column_stack([apply_to_vector(core, model, e) for e in np.eye(size)])
 
 
 def jacobian_fd(model, h=1e-7):
@@ -164,7 +172,7 @@ class TestFastInverse:
         cache = build_gram_cache(m)
         h = assemble_hessian(m, cache)
         dense = np.linalg.inv(h + mu * np.eye(h.shape[0]))
-        mat = materialize_inverse(damped_core(stack(m.factors), m.dims, cache, mu))
+        mat = materialize_inverse(damped_core(stack(m.factors), cache, mu), m)
         assert np.linalg.norm(mat - dense) / np.linalg.norm(dense) < 1e-8
 
     def test_storage_count(self):
@@ -174,7 +182,7 @@ class TestFastInverse:
         for dims, rank in [((3, 4, 5), 2), ((2, 3, 2, 3), 3)]:
             m = unit_model(rng, dims, rank)
             x = stack(m.factors)
-            core = damped_core(x, m.dims, build_gram_cache(m), 0.5)
+            core = damped_core(x, build_gram_cache(m), 0.5)
             n, r = m.order, m.rank
             assert core.gtilde.size + core.lu.size == n * r**2 + n**2 * r**4
             assert core.x is x
@@ -184,7 +192,7 @@ class TestFastInverse:
         [[1, -1], [1/2, -1/2]], whose LU meets an exact zero pivot."""
         cache = gram_cache(np.array([[[-1.0]], [[0.5]]]))
         with pytest.raises(SingularKernelError, match="singular"):
-            damped_core(np.zeros((0, 1, 0)), (), cache, 0.5)
+            damped_core(np.zeros((0, 1, 0)), cache, 0.5)
 
     def test_illegal_argument_raises_linalg_error(self, monkeypatch):
         lapack = cpfast.hessian._lapack
@@ -199,14 +207,14 @@ class TestFastInverse:
         rng = np.random.default_rng(14)
         m = unit_model(rng, (3, 3, 3), 2)
         with pytest.raises(np.linalg.LinAlgError, match="argument 1") as info:
-            damped_core(stack(m.factors), m.dims, build_gram_cache(m), 0.5)
+            damped_core(stack(m.factors), build_gram_cache(m), 0.5)
         assert not isinstance(info.value, SingularKernelError)
 
     def test_rejects_nonpositive_mu(self):
         rng = np.random.default_rng(10)
         m = unit_model(rng, (3, 3), 2)
         with pytest.raises(ValueError):
-            damped_core(stack(m.factors), m.dims, build_gram_cache(m), 0.0)
+            damped_core(stack(m.factors), build_gram_cache(m), 0.0)
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
     def test_structured_applications(self, kind):
@@ -221,7 +229,7 @@ class TestFastInverse:
             v = rng.standard_normal(h.shape[0])
             if kind == COMPLEX:
                 v = v + 1j * rng.standard_normal(h.shape[0])
-            iv = damped_core(stack(m.factors), m.dims, cache, mu)(v)
+            iv = apply_to_vector(damped_core(stack(m.factors), cache, mu), m, v)
             expected = np.linalg.solve(h + mu * np.eye(h.shape[0]), v)
             np.testing.assert_allclose(iv, expected, atol=1e-9)
 

@@ -21,7 +21,6 @@ from cpfast.kruskal import (
     mttkrp,
     mttkrp_all,
     normalize_with_grams,
-    pack,
     pinv_psd,
     random_init,
     reconstruct,
@@ -31,7 +30,6 @@ from cpfast.kruskal import (
     st_hosvd,
     stack,
     svd_init,
-    unpack,
 )
 from cpfast.oracle import dense_second_order_term, jacobian
 from cpfast.solver import FitConfig, fit
@@ -100,8 +98,9 @@ class TestModel:
 
     def test_vector_roundtrip(self):
         """The stacked vector, the factors and the zero-padded stack convert
-        into each other exactly, also with I_n = 1 and I_n < R at orders 3
-        and 4."""
+        into each other exactly through :func:`model_from_vector`,
+        :func:`stack`, :func:`model_from_stack` and ``as_vector``, also with
+        I_n = 1 and I_n < R at orders 3 and 4."""
         rng = np.random.default_rng(0)
         cases = [((3, 4, 5), 2), ((4, 4, 4), 2), ((2, 1, 4), 3), ((1, 3, 2, 4), 3)]
         for (dims, rank), kind in itertools.product(cases, [REAL, COMPLEX]):
@@ -110,14 +109,14 @@ class TestModel:
             back = model_from_vector(vec, m.dims, m.rank)
             for a, b in zip(m.factors, back.factors):
                 np.testing.assert_array_equal(a, b)
-            x = pack(vec, dims, rank)
+            x = stack(back.factors)
             np.testing.assert_array_equal(x, stack(m.factors))
             for xn, f in zip(x, m.factors):
                 np.testing.assert_array_equal(xn[:, : len(f)], f.T)
                 assert not xn[:, len(f) :].any()
             for a, b in zip(m.factors, model_from_stack(x, dims).factors):
                 np.testing.assert_array_equal(a, b)
-            np.testing.assert_array_equal(unpack(x, dims), vec)
+            np.testing.assert_array_equal(model_from_stack(x, dims).as_vector(), vec)
 
 
 class TestReconstruct:
@@ -304,9 +303,11 @@ class TestSecondOrderTerm:
 
     @staticmethod
     def term(model, direction):
-        return second_order_term(
-            model.factors, gram_stack(stack(model.factors)), direction.as_vector()
-        )
+        """The term on the stacks of ``model`` and ``direction``, as a stacked
+        vector."""
+        x = stack(model.factors)
+        term = second_order_term(x, gram_stack(x), stack(direction.factors))
+        return model_from_stack(term, model.dims).as_vector()
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
     @pytest.mark.parametrize(

@@ -110,6 +110,13 @@ class TestNoise:
         assert add_noise(y, None, 0) is y
         assert add_noise(y, float("inf"), 0) is y
 
+    @pytest.mark.parametrize("snr_db", [-math.inf, math.nan])
+    def test_non_finite_snr_rejected(self, snr_db):
+        """-inf is not noiseless and NaN would write an all-NaN tensor."""
+        _, y = gen_collinear(CollinearSpec((5, 5, 5), 2, 0.5, seed=0))
+        with pytest.raises(ValueError, match=f"got {snr_db!r}"):
+            add_noise(y, snr_db, 0)
+
     @pytest.mark.parametrize("snr_db", [0.0, 10.0, 30.0])
     @pytest.mark.parametrize("kind", ["real", COMPLEX])
     def test_empirical_snr_within_tolerance(self, snr_db, kind):
@@ -153,6 +160,14 @@ class TestSpectrum:
         the rest with ValueError instead of a verdict or a ZeroDivisionError."""
         with pytest.raises(ValueError, match=message):
             spectrum(size, rank, order, nu, snr_db)
+
+    @pytest.mark.parametrize("snr_db", [-math.inf, math.nan])
+    def test_non_finite_snr_rejected(self, snr_db):
+        """-inf was reported feasible (noiseless), NaN infeasible (a NaN
+        floor); both have no verdict.  +inf stays noiseless."""
+        with pytest.raises(ValueError, match=f"snr_db must be finite.*{snr_db!r}"):
+            spectrum(20, 3, 3, 0.1, snr_db)
+        assert spectrum(20, 3, 3, 0.1, math.inf) == spectrum(20, 3, 3, 0.1)
 
     @pytest.mark.parametrize("nu", [0.1, 0.5, 2.0])
     @pytest.mark.parametrize("rank", [2, 3, 5])
