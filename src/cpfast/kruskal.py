@@ -20,11 +20,14 @@ Every MTTKRP pass over a tensor Y goes through one of two kernels:
 :func:`_last_mttkrp`, the mode-N product Y_(N)^T conj(K) for an R-column K,
 and :func:`_last_partial`, the partial product P = Y x_N conj(A^(N)), of
 which the MTTKRPs of modes 1..N-1 are contractions (Phan, Tichavsky &
-Cichocki, IEEE TSP 2013).  A public function that takes a (tensor, model)
+Cichocki, IEEE TSP 2013).  The fit loops' dense residuals are
+:func:`_residual_norms`.  A public function that takes a (tensor, model)
 pair checks it once, at entry; the kernels check nothing.
 
-:func:`als_step` is one sweep of a stack; ALS-ls's extrapolation is scored by
-the fit loop (:mod:`cpfast.solver`).
+:func:`als_step` is one sweep of a stack.  The fit loop
+(:mod:`cpfast.solver`) scores a batch of candidate stacks, B x N x R x
+I_max, with one call of each kernel it needs: :func:`_batch_last_mttkrp`
+and :func:`_gram_error`, or :func:`_residual_norms`.
 """
 
 from __future__ import annotations
@@ -45,9 +48,11 @@ from .tensor import (
     _gaussian,
     _khatri_rao_of,
     frobenius,
-    khatri_rao_excl,
     unfold,
 )
+
+# Machine epsilon of float64, read once: the rank cutoffs below use it.
+EPS = np.finfo(np.float64).eps
 
 
 @dataclass
@@ -106,10 +111,17 @@ def stack(factors) -> np.ndarray:
     return x
 
 
+def _factor_views(x: np.ndarray, dims) -> list:
+    """The views x[..., n, :, :I_n]^T (Fortran-ordered, no copy) for the
+    modes of ``dims``: the factors A^(n) of the stack ``x``, or, for a
+    batch of stacks (B x N x R x I_max), B x I_n x R arrays of them."""
+    return [x[..., n, :, :d].mT for n, d in enumerate(dims)]
+
+
 def model_from_stack(x: np.ndarray, dims) -> KruskalModel:
     """The model whose factor A^(n) is the view x[n, :, :I_n]^T of the stack
     ``x`` (Fortran-ordered, no copy)."""
-    return KruskalModel([xn[:, :d].T for xn, d in zip(x, dims)])
+    return KruskalModel(_factor_views(x, dims))
 
 
 def model_from_vector(vec: np.ndarray, dims, rank: int) -> KruskalModel:
@@ -118,14 +130,21 @@ def model_from_vector(vec: np.ndarray, dims, rank: int) -> KruskalModel:
     return KruskalModel([b.reshape(rank, d).T for b, d in zip(blocks, dims)])
 
 
+def _unfolding_t(factors) -> np.ndarray:
+    """K A^(1)^T, the transposed mode-1 unfolding of the model with
+    ``factors``, K the Khatri-Rao product of modes 2..N: one matmul, or one
+    batched matmul for factors with leading batch axes."""
+    return _khatri_rao_of(factors[1:]) @ factors[0].mT
+
+
 def reconstruct(model: KruskalModel) -> DenseTensor:
     """Sum of the R rank-one outer products, as a dense tensor.
 
-    The mode-1 unfolding is built as (K A^(1)^T)^T, with K the Khatri-Rao
-    product of the other factors; it is Fortran-ordered, so folding it back
-    is a reshape view and the tensor is written once.
+    The mode-1 unfolding is built as (K A^(1)^T)^T (:func:`_unfolding_t`);
+    it is Fortran-ordered, so folding it back is a reshape view and the
+    tensor is written once.
     """
-    mat = (khatri_rao_excl(model.factors, 1) @ model.factors[0].T).T
+    mat = _unfolding_t(model.factors).T
     return DenseTensor(mat.reshape(model.dims, order="F"))
 
 
@@ -262,8 +281,16 @@ def _last_mttkrp(y: DenseTensor, kr: np.ndarray) -> np.ndarray:
     """Y_(N)^T conj(``kr``), I_N x R, for a (J / I_N) x R matrix ``kr``: one
     pass over the tensor, read as its transposed mode-N unfolding (a reshape
     view, no copy).  With ``kr`` the Khatri-Rao product of modes 1..N-1 it is
-    the mode-N MTTKRP."""
+    the mode-N MTTKRP.  A batch of B matrices ``kr`` gives B x I_N x R from
+    one broadcast matmul, one pass per batch element."""
     return y.data.reshape((-1, y.dims[-1]), order="F").T @ kr.conj()
+
+
+def _batch_last_mttkrp(y: DenseTensor, xs: np.ndarray) -> np.ndarray:
+    """The mode-N MTTKRPs of the batch of stacks ``xs`` (B x N x R x I_max;
+    see :func:`stack`), B x I_N x R: one broadcast Khatri-Rao product of
+    modes 1..N-1 and one :func:`_last_mttkrp` call."""
+    return _last_mttkrp(y, _khatri_rao_of(_factor_views(xs, y.dims[:-1])))
 
 
 def _last_partial(y: DenseTensor, last_factor: np.ndarray) -> np.ndarray:
@@ -353,23 +380,40 @@ def relative_error(
     return frobenius(y.data - reconstruct(model).data) / ynorm
 
 
-def _gram_error(x: np.ndarray, last: np.ndarray, grams: np.ndarray) -> float:
-    """Relative error on a unit-norm Y of the model with stack ``x`` (see
-    :func:`stack`), from its mode-N MTTKRP ``last`` and its stacked Gram
-    matrices ``grams`` (see :func:`gram_stack`).
+def _gram_error(xs: np.ndarray, lasts: np.ndarray, grams: np.ndarray) -> list:
+    """Relative errors on a unit-norm Y of the models with the batch of
+    stacks ``xs`` (B x N x R x I_max; see :func:`stack`), from their mode-N
+    MTTKRPs ``lasts`` (B x I_N x R) and their stacked Gram matrices
+    ``grams`` (B x N x R x R; see :func:`gram_stack`), as a list of B floats.
 
     ||Y - Yhat||^2 = 1 - 2 Re<A^(N), M^(N)> + 1^T Gamma_full 1 for ||Y|| = 1,
     with A^(N) read as the view x[N, :, :I_N]^T, so no model and no dense
     tensor is formed.  The terms are O(1) and cancel: the squared residual
     carries an absolute error of a few eps, i.e. ~eps / relerr in the
-    result, so small errors need :func:`relative_error` instead.
+    result, so small errors need the dense residual instead.  Each product
+    is one broadcast call whose per-model dot products are those of
+    ``np.vdot``, so a model's error does not depend on the batch it is in.
     """
-    gamma_full = np.multiply.reduce(grams)
-    cross = np.vdot(x[-1, :, : last.shape[0]].T, last).real
+    b, i_last, _ = lasts.shape
+    gamma_full = np.multiply.reduce(grams, axis=-3)
+    a_last = xs[:, -1, :, :i_last].mT.reshape(b, -1)
+    cross = np.vecdot(a_last, lasts.reshape(b, -1)).real
     # Kept as a quadratic form: gamma_full.sum() rounds differently.
     ones = np.ones(grams.shape[-1], dtype=grams.dtype)
-    model_sq = np.vdot(ones, gamma_full @ ones).real
-    return float(np.sqrt(max(1.0 - 2.0 * cross + model_sq, 0.0)))
+    model_sq = np.vecdot(ones, gamma_full @ ones).real
+    return np.sqrt(np.maximum(1.0 - 2.0 * cross + model_sq, 0.0)).tolist()
+
+
+def _residual_norms(y: DenseTensor, xs: np.ndarray) -> list:
+    """||Y - Yhat|| of the model of each stack in the batch ``xs`` (B x N x
+    R x I_max; see :func:`stack`), as a list of B floats: one batched
+    :func:`_unfolding_t`, subtracted in place from Y's transposed mode-1
+    unfolding (a view), and one :func:`~cpfast.tensor.frobenius` per model,
+    which sums in the memory order that :func:`relative_error` sums in.  One
+    pass over the tensor per model."""
+    rows = _unfolding_t(_factor_views(xs, y.dims))
+    res = np.subtract(y.data.reshape((y.dims[0], -1), order="F").T, rows, out=rows)
+    return [frobenius(r) for r in res]
 
 
 def residual_decrease(
@@ -498,7 +542,7 @@ def _leading_left_vectors(mat: np.ndarray, rank: int) -> np.ndarray:
     if rows <= cols:
         return _top_eigh(mat @ mat.conj().T, min(rank, rows))[1]
     lam, v = _top_eigh(mat.conj().T @ mat, min(rank, cols))
-    keep = lam > np.finfo(np.float64).eps * rows * lam[0]
+    keep = lam > EPS * rows * lam[0]
     q, r = np.linalg.qr((mat @ v[:, keep]) / np.sqrt(lam[keep])[None, :])
     return q * _unit_phase(r.diagonal())[None, :]
 
@@ -577,7 +621,7 @@ def pinv_psd(gamma: np.ndarray) -> np.ndarray:
     """
     w, v = np.linalg.eigh(gamma)
     r = gamma.shape[0]
-    cutoff = np.finfo(np.float64).eps * r * max(w.max(initial=0.0), 0.0)
+    cutoff = EPS * r * max(w.max(initial=0.0), 0.0)
     inv_w = np.where(w > cutoff, 1.0 / np.where(w > cutoff, w, 1.0), 0.0)
     return (v * inv_w[None, :]) @ v.conj().T
 
@@ -596,7 +640,7 @@ def _solve_gram(gamma: np.ndarray, rhs: np.ndarray, lapack) -> np.ndarray:
     chol, info = potrf(gamma)
     if not info:
         rcond, _ = pocon(chol, lange("1", gamma))
-        if rcond > np.finfo(np.float64).eps * gamma.shape[0]:
+        if rcond > EPS * gamma.shape[0]:
             return potrs(chol, rhs)[0]
     return pinv_psd(gamma) @ rhs
 

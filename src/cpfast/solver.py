@@ -46,8 +46,10 @@ from .hessian import damped_core
 from .kruskal import (
     GramCache,
     KruskalModel,
+    _batch_last_mttkrp,
     _gradient,
     _gram_error,
+    _residual_norms,
     als_step,
     gram_stack,
     model_from_stack,
@@ -55,7 +57,6 @@ from .kruskal import (
     mttkrp_all,
     normalize_with_grams,
     random_init,
-    relative_error,
     residual_decrease,
     second_order_term,
     st_hosvd,
@@ -158,7 +159,12 @@ class IterRecord:
     ``stage`` is "full" for an iteration on Y and "core" for one on the
     ST-HOSVD core G of a compressed fit (see :func:`_fit_compressed`); a
     core record's ``relerr`` is the core's own ||G - Ghat|| / ||G||, not an
-    error on Y.  Iterations are numbered across both stages."""
+    error on Y.  Iterations are numbered across both stages.
+
+    ``scorer`` is the path that scored the iteration's candidates: "gram"
+    (the Gram identity), "decrease" (fLM's computed decrease, see
+    :func:`~cpfast.kruskal.residual_decrease`) or "dense" (the dense
+    residual); see :func:`_candidate_error`."""
 
     iter: int
     relerr: float
@@ -169,6 +175,7 @@ class IterRecord:
     step_norm: float = math.nan
     accel_ratio: float = math.nan
     stage: str = "full"
+    scorer: str = "gram"
 
 
 @dataclass
@@ -263,15 +270,17 @@ def _init_model(y: DenseTensor, config: FitConfig) -> tuple[KruskalModel, np.nda
 
 def _start_error(y, x, last, grams, norm) -> float:
     """The relative error of the start with stack ``x`` (see
-    :func:`~cpfast.kruskal.stack`) on the unit-norm tensor ``y``: the Gram
-    identity (:func:`~cpfast.kruskal._gram_error`) from its mode-N MTTKRP
-    ``last`` and stacked Gram matrices ``grams``, or the dense residual over
-    ``norm()``, the computed ||Y||, where that is below
-    ``GRAM_ERROR_GUARD``."""
-    err = _gram_error(x, last, grams)
-    if err >= GRAM_ERROR_GUARD:
-        return err
-    return relative_error(y, model_from_stack(x, y.dims), norm())
+    :func:`~cpfast.kruskal.stack`) on the unit-norm tensor ``y``, scored by
+    :func:`_candidate_error` as a batch of one: by the Gram identity from
+    its mode-N MTTKRP ``last`` and stacked Gram matrices ``grams``, and
+    again by the dense residual over ``norm()``, the computed ||Y||, where
+    the first is below ``GRAM_ERROR_GUARD``."""
+    (err,), _, _ = _candidate_error(
+        y, GRAM_ERROR_GUARD, x[None], norm, grams[None], last
+    )
+    if err < GRAM_ERROR_GUARD:
+        (err,), _, _ = _candidate_error(y, err, x[None], norm)
+    return err
 
 
 def _tensor_norm(y: DenseTensor) -> float:
@@ -425,31 +434,43 @@ def _expanded_start(
 def _candidate_error(
     y: DenseTensor,
     err: float,
-    x: np.ndarray,
+    xs: np.ndarray,
     norm,
     grams: np.ndarray | None = None,
     last: np.ndarray | None = None,
-) -> tuple[float, np.ndarray | None]:
-    """Relative error of the candidate with stack ``x`` (see
-    :func:`~cpfast.kruskal.stack`) on the unit-norm tensor ``y`` and its
-    mode-N MTTKRP (None if unused).
+) -> tuple[list, np.ndarray | tuple, str]:
+    """The one candidate scorer: the relative errors of the batch of
+    candidate stacks ``xs`` (B x N x R x I_max; see
+    :func:`~cpfast.kruskal.stack`) on the unit-norm tensor ``y``, as a list
+    of B floats, their mode-N MTTKRPs (B x I_N x R, or B Nones where unused)
+    and the path that scored them, "gram" or "dense".
 
     While the current error ``err`` is at least ``GRAM_ERROR_GUARD``, the
-    error comes from the Gram identity (:func:`~cpfast.kruskal._gram_error`)
-    with the candidate's stacked Gram matrices and its mode-N MTTKRP: ``grams`` and
-    ``last`` when the caller has them, else formed here (the MTTKRP is one
-    pass over the tensor).  Below the guard it is the dense
-    :func:`relative_error` over ``norm()``, the computed ||Y||, which needs
-    neither.  A model of the stack is built only for the functions that
-    take one.
+    errors come from the Gram identity, one batched
+    :func:`~cpfast.kruskal._gram_error`, with the candidates' stacked Gram
+    matrices ``grams`` (B x N x R x R; one batched :func:`gram_stack` when
+    None) and their mode-N MTTKRPs: ``last`` is the first candidate's when
+    the caller has it, and the others come from one
+    :func:`~cpfast.kruskal._batch_last_mttkrp`, a pass over the tensor per
+    candidate.  Below the guard each is the dense residual over ``norm()``,
+    the computed ||Y||, from one batched reconstruction
+    (:func:`~cpfast.kruskal._residual_norms`), which needs neither.  Each
+    candidate's products are the BLAS calls, on the same strides, that
+    scoring it alone makes, so its error does not depend on the batch.
     """
     if err < GRAM_ERROR_GUARD:
-        return relative_error(y, model_from_stack(x, y.dims), norm()), None
+        ynorm = norm()
+        errs = [r / ynorm for r in _residual_norms(y, xs)]
+        return errs, (None,) * len(xs), "dense"
     if last is None:
-        last = mttkrp(y, model_from_stack(x, y.dims), y.order)
+        lasts = _batch_last_mttkrp(y, xs)
+    elif len(xs) == 1:
+        lasts = last[None]
+    else:
+        lasts = np.concatenate((last[None], _batch_last_mttkrp(y, xs[1:])))
     if grams is None:
-        grams = gram_stack(x)
-    return _gram_error(x, last, grams), last
+        grams = gram_stack(xs)
+    return _gram_error(xs, lasts, grams), lasts, "gram"
 
 
 def _fit_als(
@@ -474,15 +495,17 @@ def _fit_als(
     :func:`~cpfast.kruskal.pinv_psd` where a Gram matrix is not numerically
     positive definite).  ALS-ls then tries X_prev + s (X_als - X_prev) on
     stacks, with X_prev the model before the one swept, for s = 1.1 and
-    then s = t^(1/3); a candidate replaces the sweep only if its error is
-    strictly lower.  The
-    recipe is a documented stand-in: the classical "ALS with line search"
-    baseline defers to toolbox internals.  Candidates are scored by
-    :func:`_candidate_error`: above ``GRAM_ERROR_GUARD`` the sweep's own
-    M^(N) scores it and each extrapolated candidate costs one pass (an
-    ALS-ls sweep is four passes, with no reconstruction), and a candidate's
-    Gram matrices are formed only there; below it, by the dense residual,
-    over ||Y|| taken at most once per loop, when first needed.
+    s = t^(1/3), built from one difference as one B = 3 batch behind the
+    swept stack; a candidate replaces the sweep only if its error is
+    strictly lower, checked in that order.  The recipe is a documented
+    stand-in: the classical "ALS with line search" baseline defers to
+    toolbox internals.  The batch is scored by one :func:`_candidate_error`
+    call, which is still one pass or one dense residual per candidate:
+    above ``GRAM_ERROR_GUARD`` the sweep's own M^(N) scores the swept stack
+    and each extrapolated candidate costs one pass (an ALS-ls sweep is four
+    passes, with no reconstruction); below it, each candidate costs one
+    dense residual, over ||Y|| taken at most once per loop, when first
+    needed.
     """
     trace = []
     norm = functools.cache(y.norm)
@@ -492,18 +515,18 @@ def _fit_als(
     stop_reason = "max_iters"
     for t in range(1, config.max_iters + 1):
         swept, last = als_step(y, x)
-        best = swept
-        best_err = _candidate_error(y, err, swept, norm, last=last)[0]
+        cands = swept[None]
         if config.variant == "als-ls" and prev is not None:
-            for s in (1.1, float(t) ** (1.0 / 3.0)):
-                cand = prev + s * (swept - prev)
-                cand_err = _candidate_error(y, err, cand, norm)[0]
-                if cand_err < best_err:
-                    best, best_err = cand, cand_err
-        prev, x = x, best
-        trace.append(IterRecord(t, best_err, 0.0, True))
-        below = below + 1 if abs(err - best_err) < config.tol else 0
-        err = best_err
+            d = swept - prev
+            s = float(t) ** (1.0 / 3.0)
+            cands = np.array((swept, prev + 1.1 * d, prev + s * d))
+        errs, _, scorer = _candidate_error(y, err, cands, norm, last=last)
+        # The first of the lowest errors: the swept stack on a tie.
+        best = errs.index(min(errs))
+        prev, x = x, cands[best]
+        trace.append(IterRecord(t, errs[best], 0.0, True, scorer=scorer))
+        below = below + 1 if abs(err - errs[best]) < config.tol else 0
+        err = errs[best]
         if below >= TOL_WINDOW:
             stop_reason = "tol"
             break
@@ -571,18 +594,19 @@ def _fit_lm(
     denominator stays Re<v, g + mu v>, v's Gauss-Newton prediction: taking it
     from v + a/2 instead cost more iterations on the swamp.
 
-    Cost per iteration in passes over the tensor: a candidate is scored with
-    the Gram identity (:func:`~cpfast.kruskal._gram_error`) from its mode-N
-    MTTKRP (one pass); if it is accepted, :func:`mttkrp_all` adds the
-    partial product for modes 1..N-1 (a second pass).  The identity rounds
+    Cost per iteration in passes over the tensor: a candidate is scored, as
+    a batch of one of :func:`_candidate_error`, with the Gram identity from
+    its mode-N MTTKRP (one pass); if it is accepted, :func:`mttkrp_all`
+    adds the partial product for modes 1..N-1 (a second pass).  The identity rounds
     at a few eps, so a step whose predicted decrease Re<v, g + mu v> is
     below ``DECREASE_RESOLUTION`` is scored by
     :func:`~cpfast.kruskal.residual_decrease` from the same one pass, whose
     rounding scales with the step.  Once the accepted relative error is below
     ``GRAM_ERROR_GUARD`` the identity cancels, so candidates are scored by the
-    dense :func:`relative_error` instead, and an accepted one costs both
-    passes of :func:`mttkrp_all`; the path is chosen from the current error
-    and the prediction, so no iteration computes two.
+    dense residual instead, and an accepted one costs both passes of
+    :func:`mttkrp_all`; the path is chosen from the current error and the
+    prediction, so no iteration computes two.  The record's ``scorer`` names
+    the path.
 
     The candidate's Gram matrices are formed once and serve three times: in
     its Gram-identity error and, through :func:`normalize_with_grams`, as its
@@ -618,9 +642,11 @@ def _fit_lm(
         predicted = np.vdot(v, g + state.mu * v).real
         if predicted < DECREASE_RESOLUTION and err >= GRAM_ERROR_GUARD:
             decrease, cand_last = residual_decrease(y, x, cand, cache.C, grams, last)
-            cand_err = math.sqrt(max(err * err - decrease, 0.0))
+            cand_err, scorer = math.sqrt(max(err * err - decrease, 0.0)), "decrease"
         else:
-            cand_err, cand_last = _candidate_error(y, err, cand, norm, grams)
+            (cand_err,), (cand_last,), scorer = _candidate_error(
+                y, err, cand[None], norm, grams[None]
+            )
         cand_sq = cand_err * cand_err
         finite = math.isfinite(cand_sq)
         rho = math.nan  # a non-finite candidate is rejected and mu kept
@@ -642,7 +668,7 @@ def _fit_lm(
         trace.append(
             IterRecord(
                 t, err, state.mu, accepted, float(rho), grad_norm, step_norm,
-                accel_ratio,
+                accel_ratio, scorer=scorer,
             )
         )
 

@@ -124,11 +124,14 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _khatri_rao_of(factors) -> np.ndarray:
-    """Khatri-Rao product whose row index runs over ``factors`` (2-D, with
-    equal column counts), first fastest."""
+    """Khatri-Rao product whose row index runs over ``factors`` (I_n x R,
+    with equal column counts), first fastest.  Factors with leading batch
+    axes (... x I_n x R) give one product per batch element."""
     out = factors[-1]
     for f in factors[-2::-1]:
-        out = (out[:, None, :] * f[None, :, :]).reshape(-1, f.shape[1])
+        out = (out[..., :, None, :] * f[..., None, :, :]).reshape(
+            *f.shape[:-2], -1, f.shape[-1]
+        )
     return out
 
 

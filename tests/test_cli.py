@@ -136,7 +136,9 @@ class TestFit:
         ``IterRecord`` fields, NaN as null, and no timing.  ``stage`` is
         "full" throughout a plain fit; a compressed fit's trace is a run of
         "core" records then a run of "full" ones, numbered across both, and
-        the printed relerr is that of the last "full" record."""
+        the printed relerr is that of the last "full" record.  ``scorer``
+        names the path that scored the iteration's candidates; only fLM
+        scores by the decrease."""
         invoke(runner, ["gen", "--dims", "6,6,6", "--rank", "2", "--nu", "0.5",
                         "--snr", "30", "--seed", "1", "--out", str(tmp_path / "t")])
         fields = [f.name for f in dataclasses.fields(cpfast.solver.IterRecord)]
@@ -156,6 +158,8 @@ class TestFit:
                 assert row["iter"] == t and isinstance(row["accepted"], bool)
                 assert isinstance(row["relerr"], float)
                 assert isinstance(row["mu"], float)
+                paths = ("gram", "dense") + (("decrease",) if algo == "auto" else ())
+                assert row["scorer"] in paths
                 for key in ("rho", "grad_norm", "step_norm", "accel_ratio"):
                     if algo == "als-ls":
                         assert row[key] is None

@@ -380,8 +380,8 @@ class TestErrorsAndNormalization:
         noise *= target * np.linalg.norm(clean) / np.linalg.norm(noise)
         y, m = unit_pair(DenseTensor(clean + noise), m)
         dense = relative_error(y, m)
-        grams = gram_stack(stack(m.factors))
-        gram = _gram_error(stack(m.factors), mttkrp(y, m, m.order), grams)
+        x = stack(m.factors)[None]
+        (gram,) = _gram_error(x, mttkrp(y, m, m.order)[None], gram_stack(x))
         assert dense == pytest.approx(target, rel=0.2)
         assert gram == pytest.approx(dense, rel=1e-9)
 
@@ -848,7 +848,7 @@ def test_gram_error_property(pair):
     y, m = unit_pair(*pair[:2])
     target = pair[2]
     dense = relative_error(y, m)
-    x = stack(m.factors)
-    gram = _gram_error(x, mttkrp(y, m, m.order), gram_stack(x))
+    x = stack(m.factors)[None]
+    (gram,) = _gram_error(x, mttkrp(y, m, m.order)[None], gram_stack(x))
     assert dense == pytest.approx(target, rel=1e-6)
     assert gram == pytest.approx(dense, rel=1e-9)

@@ -1,0 +1,87 @@
+"""Smoke tests of the repository tools: ``tools/fit_digest.py``, whose output
+shows that a change leaves every benchmark fit bit for bit the same, and
+``tools/code_lines.py``, which counts the package's code lines."""
+
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOLS = ROOT / "tools"
+
+
+def digest_lines() -> list:
+    """The output lines of ``fit_digest.py`` on the ``tiny`` workload, seed 0,
+    run as a fresh interpreter from the root of the checkout."""
+    out = subprocess.run(
+        [sys.executable, str(TOOLS / "fit_digest.py"), "--workloads", "tiny",
+         "--seeds", "0"],
+        cwd=ROOT, capture_output=True, text=True, check=True, timeout=300,
+    )
+    return out.stdout.splitlines()
+
+
+def test_fit_digest_prints_one_stable_line_per_fit():
+    """Two problems times three variants give six lines of the nine
+    documented fields, and a second run prints the same lines."""
+    lines = digest_lines()
+    assert len(lines) == 2 * 3
+    rows = [line.split() for line in lines]
+    for row in rows:
+        assert len(row) == 9, row
+        workload, seed, _, _, iters, accepted, stop, relerr, digest = row
+        assert (workload, seed, stop) == ("tiny", "0", "tol")
+        assert 0 < int(accepted) <= int(iters)
+        assert 0.0 < float.fromhex(relerr) < 1.0
+        assert len(digest) == 16 and int(digest, 16) >= 0
+    assert [row[3] for row in rows] == ["auto", "als-ls", "als"] * 2
+    assert len({row[2] for row in rows}) == 2
+    assert digest_lines() == lines
+
+
+def load_code_lines():
+    spec = importlib.util.spec_from_file_location("code_lines", TOOLS / "code_lines.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+FIXTURE = '''"""Module docstring,
+over two lines."""
+
+import math  # a trailing comment keeps its line
+
+
+# A comment-only line.
+class Box:
+    """Class docstring."""
+
+    size = (
+        1,
+        2,
+    )
+
+    def area(self):
+        """Method docstring,
+
+        with a blank line inside."""
+        text = """a string that is
+        not a docstring"""
+        return math.prod(self.size), text
+'''
+
+
+def test_code_lines_counts_only_code(tmp_path, capsys):
+    """Of the fixture's lines, the import, ``class``, the four lines of the
+    tuple, ``def``, both lines of the non-docstring string and the return
+    count (10); docstrings, comments and blank lines do not."""
+    tool = load_code_lines()
+    assert tool.code_lines(FIXTURE) == 10
+    assert tool.code_lines("") == 0
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "box.py").write_text(FIXTURE, encoding="utf-8")
+    (package / "empty.py").write_text('"""Only a docstring."""\n', encoding="utf-8")
+    assert tool.main(["code_lines.py", str(package)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["box 10", "empty 0", "total 10"]
