@@ -6,6 +6,8 @@ comes out of a fit.  Inside the fit loops (:mod:`cpfast.solver`) the model is
 one N x R x I_max array instead, the stack of :func:`stack`, whose block n
 is A^(n)^T with zeros past column I_n, so every per-mode product is one
 batched matmul; :func:`model_from_stack` views its factors without a copy.
+The fit loops and the kernels they call read factors as :func:`_factor_views`
+of a stack and build no model.
 Complex models use the Hermitian Gram convention C^(n) = A^(n)^H A^(n); all
 transpose placements below are chosen so the same code path is exact for both
 scalar kinds.
@@ -20,11 +22,13 @@ Every MTTKRP pass over a tensor Y goes through one of two kernels:
 :func:`_last_mttkrp`, the mode-N product Y_(N)^T conj(K) for an R-column K,
 and :func:`_last_partial`, the partial product P = Y x_N conj(A^(N)), of
 which the MTTKRPs of modes 1..N-1 are contractions (Phan, Tichavsky &
-Cichocki, IEEE TSP 2013).  The fit loops' dense residuals are
-:func:`_residual_norms`.  A public function that takes a (tensor, model)
-pair checks it once, at entry; the kernels check nothing.
+Cichocki, IEEE TSP 2013); :func:`_gradient` forms all N from the two.
+The fit loops' dense residuals are :func:`_residual_norms`.  A public
+function that takes a (tensor, model) pair checks it once, at entry; the
+kernels check nothing.
 
-:func:`als_step` is one sweep of a stack.  The fit loop
+:func:`als_step` is one sweep of a stack, whose shape and scalar kind it
+checks against the tensor's.  The fit loop
 (:mod:`cpfast.solver`) scores a batch of candidate stacks, B x N x R x
 I_max, with one call of each kernel it needs: :func:`_batch_last_mttkrp`
 and :func:`_gram_error`, or :func:`_residual_norms`.
@@ -63,11 +67,7 @@ class KruskalModel:
     factors: list
 
     def __post_init__(self):
-        self.factors = [
-            f if type(f) is np.ndarray and f.ndim == 2
-            else np.atleast_2d(np.asarray(f))
-            for f in self.factors
-        ]
+        self.factors = [np.atleast_2d(np.asarray(f)) for f in self.factors]
         ranks = {f.shape[1] for f in self.factors}
         if len(ranks) != 1:
             raise ValueError("all factors must share the same column count")
@@ -247,7 +247,7 @@ def mttkrp(y: DenseTensor, model: KruskalModel, n: int) -> np.ndarray:
     reads the Fortran-ordered tensor through reshape views, never copying an
     unfolding.  Mode N is one matmul with the Khatri-Rao product of modes
     1..N-1; a mode n < N is a contraction of the partial product
-    P = Y x_N conj(A^(N)), as in :func:`mttkrp_all`.  For complex data the
+    P = Y x_N conj(A^(N)), as in :func:`_gradient`.  For complex data the
     Khatri-Rao factors are conjugated, matching the Hermitian normal
     equations; for real data the conjugation is a no-op.
     """
@@ -257,24 +257,6 @@ def mttkrp(y: DenseTensor, model: KruskalModel, n: int) -> np.ndarray:
     if n == model.order:
         return _last_mttkrp(y, _khatri_rao_of(factors[:-1]))
     return _contract_all_but(_last_partial(y, factors[-1]), factors[:-1], n - 1)
-
-
-def mttkrp_all(
-    y: DenseTensor, model: KruskalModel, last: np.ndarray | None = None
-) -> list:
-    """All N MTTKRPs of one model in two passes over the tensor.
-
-    Pass one is the mode-N MTTKRP (skipped when ``last`` already holds it).
-    Pass two is the partial product P = Y x_N conj(A^(N)), of size
-    (J / I_N) x R; modes 1..N-1 are then contractions of P alone (Phan,
-    Tichavsky & Cichocki, IEEE TSP 2013).
-    """
-    _check_pair(y, model)
-    head = model.factors[:-1]
-    if last is None:
-        last = _last_mttkrp(y, _khatri_rao_of(head))
-    pt = _last_partial(y, model.factors[-1])
-    return [_contract_all_but(pt, head, k) for k in range(len(head))] + [last]
 
 
 def _last_mttkrp(y: DenseTensor, kr: np.ndarray) -> np.ndarray:
@@ -304,24 +286,45 @@ def gradient(
 ) -> np.ndarray:
     """Stacked residual projection J^H vec(E) with E = Y - Yhat.
 
-    Block n is vec(M^(n) - A^(n) Gamma^(n)^T), with M^(n) the mode-n MTTKRP
-    from :func:`mttkrp_all` (two passes over the tensor); see
-    :func:`_gradient` for the stacked form.
+    Block n is vec(M^(n) - A^(n) Gamma^(n)^T), with M^(n) the mode-n MTTKRP,
+    from two passes over the tensor; see :func:`_gradient` for the stacked
+    form.
     """
+    _check_pair(y, model)
     cache = cache or build_gram_cache(model)
-    g = _gradient(stack(model.factors), cache.gamma_excl, mttkrp_all(y, model))
+    g, _ = _gradient(y, stack(model.factors), cache.gamma_excl)
     return model_from_stack(g, model.dims).as_vector()
 
 
-def _gradient(x: np.ndarray, gamma_excl: np.ndarray, mttkrps: list) -> np.ndarray:
-    """The gradient as a stack, from the model's stack ``x``: block n is the
-    transpose of M^(n) - A^(n) Gamma^(n)^T (the transpose is exact for the
-    complex Hermitian Gamma and redundant for real data)."""
+def _gradient(
+    y: DenseTensor,
+    x: np.ndarray,
+    gamma_excl: np.ndarray,
+    last: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The gradient as a stack, from the model's stack ``x`` (see
+    :func:`stack`), and its mode-N MTTKRP M^(N): block n is the transpose of
+    M^(n) - A^(n) Gamma^(n)^T (the transpose is exact for the complex
+    Hermitian Gamma and redundant for real data).
+
+    All N MTTKRPs take two passes over the tensor.  Pass one is M^(N)
+    (skipped when ``last`` already holds it).  Pass two is the partial
+    product P = Y x_N conj(A^(N)), of size (J / I_N) x R; modes 1..N-1 are
+    then contractions of P alone (Phan, Tichavsky & Cichocki, IEEE TSP
+    2013).  Each MTTKRP is written straight into its block.
+    """
+    dims = y.dims
+    factors = _factor_views(x, dims)
+    head = factors[:-1]
+    if last is None:
+        last = _last_mttkrp(y, _khatri_rao_of(head))
+    pt = _last_partial(y, factors[-1])
     g = np.zeros(x.shape, x.dtype)
-    for gn, m in zip(g, mttkrps):
-        gn[:, : m.shape[0]] = m.T
+    for k, d in enumerate(dims[:-1]):
+        g[k, :, :d] = _contract_all_but(pt, head, k).T
+    g[-1, :, : dims[-1]] = last.T
     g -= (x.mT @ gamma_excl.mT).mT
-    return g
+    return g, last
 
 
 def second_order_term(x: np.ndarray, grams: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -442,7 +445,7 @@ def residual_decrease(
     """
     n_modes = x.shape[0]
     s = cand - x
-    a, b, d = (model_from_stack(z, y.dims).factors for z in (x, cand, s))
+    a, b, d = (_factor_views(z, y.dims) for z in (x, cand, s))
     dk = _khatri_rao_of(d[:1] + a[1:-1])
     for k in range(1, n_modes - 1):
         dk = dk + _khatri_rao_of(b[:k] + d[k : k + 1] + a[k + 1 : -1])
@@ -663,18 +666,21 @@ def als_step(y: DenseTensor, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the textbook A^(n) = M^(n) Gamma^(n)^+T for real and complex data alike.
     The Gram stack is taken once and then refreshed one mode at a time, and
     each Gamma^(n) is the product of the other modes' Grams in ascending
-    order, as in :func:`gram_cache`.  The pair is checked once, at entry.
+    order, as in :func:`gram_cache`.  The stack's shape and scalar kind are
+    checked once, at entry.
     """
+    dims = y.dims
+    if x.ndim != 3 or len(x) != len(dims) or x.shape[2] < max(dims):
+        raise ValueError(f"stack of shape {x.shape} does not hold dims {dims}")
+    _same_kind(y.data, [x])
     x = x.copy()
-    model = model_from_stack(x, y.dims)
-    _check_pair(y, model)
-    factors = model.factors
+    factors = _factor_views(x, dims)
     head = factors[:-1]
     others = _exclusion_mask(len(factors))[: len(factors), -1, :, 0, 0]
     lapack = [_lapack(name, x.dtype) for name in ("potrf", "pocon", "lange", "potrs")]
     grams = gram_stack(x)
     pt = _last_partial(y, factors[-1])
-    for n, d in enumerate(y.dims):
+    for n, d in enumerate(dims):
         if n < len(head):
             m = _contract_all_but(pt, head, n)
         else:

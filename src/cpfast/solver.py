@@ -54,7 +54,6 @@ from .kruskal import (
     gram_stack,
     model_from_stack,
     mttkrp,
-    mttkrp_all,
     normalize_with_grams,
     random_init,
     residual_decrease,
@@ -104,14 +103,6 @@ TOL_WINDOW = 10
 # (README, "Compression") the fLM fit got slower with compression at ratio
 # 1000 (30^3 R=3, 50^3 R=5) and faster from 1728 (60^3 R=5) up.
 COMPRESS_MIN_RATIO = 1500
-
-
-@dataclass
-class LmState:
-    """Damping parameter and Nielsen growth bookkeeping."""
-
-    mu: float
-    growth: float = 2.0
 
 
 @dataclass
@@ -242,12 +233,13 @@ def mu_init(cache: GramCache, tau: float) -> float:
     return float(tau * max(1.0, np.max(np.real(np.diag(cache.gamma_full)))))
 
 
-def nielsen_update(state: LmState, rho: float) -> LmState:
-    """Nielsen gain-ratio damping control (classical multiplicative form)."""
+def nielsen_update(mu: float, growth: float, rho: float) -> tuple[float, float]:
+    """Nielsen gain-ratio damping control (classical multiplicative form):
+    the next damping parameter and growth factor, from the current ones and
+    the gain ratio ``rho``."""
     if rho > 0:
-        mu = state.mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
-        return LmState(mu, growth=2.0)
-    return LmState(state.mu * state.growth, 2.0 * state.growth)
+        return mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0
+    return mu * growth, 2.0 * growth
 
 
 def _gain_ratio(prev_sq, cand_sq, predicted) -> float:
@@ -577,12 +569,16 @@ def _fit_lm(
     The loop starts from ``start``, at any scale, scaled by its
     least-squares weight (:func:`_scaled_start`), which costs no pass over
     the tensor and no dense residual above ``GRAM_ERROR_GUARD``; ``last``
-    also serves the first :func:`mttkrp_all`.
+    also serves the first gradient (:func:`~cpfast.kruskal._gradient`).
 
     The model x, the gradient g, both steps and the candidate are stacks
     (:func:`~cpfast.kruskal.stack`), zero past column I_n, whose Fortran-
     ordered views x[n, :, :I_n]^T are the factors the tensor contractions
-    read; every other per-mode job is one batched call over the modes.
+    read; every other per-mode job is one batched call over the modes.  The
+    loop builds no model: the returned one is the
+    :func:`~cpfast.kruskal.model_from_stack` views of the last x.  The
+    damping parameter mu and the Nielsen growth factor are two floats that
+    :func:`nielsen_update` replaces.
 
     Each iteration takes one :func:`flm_step`, which factors one
     :class:`~cpfast.hessian.DampedCore` and solves it twice: for v = (H + mu
@@ -596,15 +592,15 @@ def _fit_lm(
 
     Cost per iteration in passes over the tensor: a candidate is scored, as
     a batch of one of :func:`_candidate_error`, with the Gram identity from
-    its mode-N MTTKRP (one pass); if it is accepted, :func:`mttkrp_all`
-    adds the partial product for modes 1..N-1 (a second pass).  The identity rounds
+    its mode-N MTTKRP (one pass); if it is accepted, its gradient adds the
+    partial product for modes 1..N-1 (a second pass).  The identity rounds
     at a few eps, so a step whose predicted decrease Re<v, g + mu v> is
     below ``DECREASE_RESOLUTION`` is scored by
     :func:`~cpfast.kruskal.residual_decrease` from the same one pass, whose
     rounding scales with the step.  Once the accepted relative error is below
     ``GRAM_ERROR_GUARD`` the identity cancels, so candidates are scored by the
-    dense residual instead, and an accepted one costs both passes of
-    :func:`mttkrp_all`; the path is chosen from the current error and the
+    dense residual instead, and an accepted one costs both passes of its
+    gradient; the path is chosen from the current error and the
     prediction, so no iteration computes two.  The record's ``scorer`` names
     the path.
 
@@ -621,17 +617,15 @@ def _fit_lm(
     """
     norm = functools.cache(y.norm)
     x, cache, last, err = _scaled_start(y, start, last, norm)
-    dims = y.dims
-    model = model_from_stack(x, dims)
-    state = LmState(mu=mu_init(cache, config.tau))
-    g = _gradient(x, cache.gamma_excl, mttkrp_all(y, model, last))
+    mu, growth = mu_init(cache, config.tau), 2.0
+    g, last = _gradient(y, x, cache.gamma_excl, last)
     grad_norm = frobenius(g)
 
     trace = []
     stop_reason = "max_iters"
     for t in range(1, config.max_iters + 1):
         try:
-            v, step, accel_ratio = flm_step(x, cache, g, state.mu)
+            v, step, accel_ratio = flm_step(x, cache, g, mu)
         except np.linalg.LinAlgError as exc:
             stop_reason = f"error at iteration {t}: {exc}"
             break
@@ -639,7 +633,7 @@ def _fit_lm(
         cand = x + step
         grams = gram_stack(cand)
 
-        predicted = np.vdot(v, g + state.mu * v).real
+        predicted = np.vdot(v, g + mu * v).real
         if predicted < DECREASE_RESOLUTION and err >= GRAM_ERROR_GUARD:
             decrease, cand_last = residual_decrease(y, x, cand, cache.C, grams, last)
             cand_err, scorer = math.sqrt(max(err * err - decrease, 0.0)), "decrease"
@@ -652,22 +646,20 @@ def _fit_lm(
         rho = math.nan  # a non-finite candidate is rejected and mu kept
         if finite:
             rho = _gain_ratio(err * err, cand_sq, predicted)
-            state = nielsen_update(state, rho)
+            mu, growth = nielsen_update(mu, growth, rho)
 
         accepted = bool(rho > 0 and cand_err < err)
         diff = abs(err - cand_err) if accepted else 0.0
         below = below + 1 if diff < config.tol else 0
         if accepted:
             x, cache, cand_last = normalize_with_grams(cand, grams, cand_last)
-            model = model_from_stack(x, dims)
-            mttkrps = mttkrp_all(y, model, cand_last)
-            g, last = _gradient(x, cache.gamma_excl, mttkrps), mttkrps[-1]
+            g, last = _gradient(y, x, cache.gamma_excl, cand_last)
             grad_norm = frobenius(g)
             err = cand_err
 
         trace.append(
             IterRecord(
-                t, err, state.mu, accepted, float(rho), grad_norm, step_norm,
+                t, err, mu, accepted, float(rho), grad_norm, step_norm,
                 accel_ratio, scorer=scorer,
             )
         )
@@ -678,7 +670,7 @@ def _fit_lm(
         if below >= TOL_WINDOW or grad_norm <= config.tol * err:
             stop_reason = "tol"
             break
-        if state.mu > MU_OVERFLOW:
+        if mu > MU_OVERFLOW:
             stop_reason = "mu_overflow"
             break
-    return FitResult(model, trace, stop_reason, below=below)
+    return FitResult(model_from_stack(x, y.dims), trace, stop_reason, below=below)

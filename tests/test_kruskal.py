@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 import cpfast.kruskal
 from cpfast.kruskal import (
     KruskalModel,
+    _gradient,
     _gram_error,
     _leading_left_vectors,
     als_step,
@@ -19,7 +20,6 @@ from cpfast.kruskal import (
     model_from_stack,
     model_from_vector,
     mttkrp,
-    mttkrp_all,
     normalize_with_grams,
     pinv_psd,
     random_init,
@@ -217,10 +217,14 @@ class TestMttkrpGradient:
         [(4, 5), (3, 4, 5), (3, 2, 4, 5), (2, 3, 2, 3, 2), (1, 3, 1, 2), (2, 1, 4)],
     )
     def test_shared_mttkrps_dense_oracle(self, dims, kind):
-        """mttkrp and mttkrp_all match the unfolding oracle for N = 2..5,
-        also with modes of size one, and the gradient built from them is
-        J^H vec(Y - Yhat) with the dense Jacobian, also where the stack is
-        padded (unequal dims, I_n = 1 and I_n < R)."""
+        """mttkrp and the MTTKRPs that _gradient writes into its stack match
+        the unfolding oracle for N = 2..5, also with modes of size one, and
+        the gradient built from them is J^H vec(Y - Yhat) with the dense
+        Jacobian, also where the stack is padded (unequal dims, I_n = 1 and
+        I_n < R).  With a zero Gamma the gradient's blocks are the MTTKRPs
+        themselves, zero past column I_n.  A given M^(N) is returned as is
+        and written as block N, and leaves blocks 1..N-1 bit for bit as they
+        are without it."""
         rng = np.random.default_rng(61)
         m = random_model(rng, dims, 3, kind)
         y = random_tensor(rng, dims, kind)
@@ -228,13 +232,19 @@ class TestMttkrpGradient:
             unfold(y, n) @ khatri_rao_excl(m.factors, n).conj()
             for n in range(1, len(dims) + 1)
         ]
-        shared = mttkrp_all(y, m)
-        given = mttkrp_all(y, m, last=expected[-1])
-        assert given[-1] is expected[-1]
-        for n, ref in enumerate(expected, start=1):
+        x = stack(m.factors)
+        zero = np.zeros((len(dims), 3, 3), x.dtype)
+        shared, last = _gradient(y, x, zero)
+        given, given_last = _gradient(y, x, zero, last=expected[-1])
+        assert given_last is expected[-1]
+        np.testing.assert_array_equal(shared[-1, :, : dims[-1]].T, last)
+        np.testing.assert_array_equal(given[-1, :, : dims[-1]].T, expected[-1])
+        np.testing.assert_array_equal(given[:-1], shared[:-1])
+        for n, (d, ref) in enumerate(zip(dims, expected), start=1):
             np.testing.assert_allclose(mttkrp(y, m, n), ref, atol=1e-12)
-            np.testing.assert_allclose(shared[n - 1], ref, atol=1e-12)
-            np.testing.assert_allclose(given[n - 1], ref, atol=1e-12)
+            np.testing.assert_allclose(shared[n - 1, :, :d].T, ref, atol=1e-12)
+            np.testing.assert_allclose(given[n - 1, :, :d].T, ref, atol=1e-12)
+            assert not shared[n - 1, :, d:].any()
         residual = vectorize(y) - vectorize(reconstruct(m))
         ref = jacobian(m).conj().T @ residual
         assert np.linalg.norm(gradient(y, m) - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -251,6 +261,15 @@ class TestMttkrpGradient:
         with pytest.raises(ValueError):
             mttkrp(DenseTensor(np.zeros((3, 5))), m, 1)
 
+    def test_gradient_dims_mismatch_rejected(self):
+        """A model of dims (3, 1, 4) against a (3, 5, 4) tensor raises at
+        gradient's entry, before any MTTKRP."""
+        rng = np.random.default_rng(83)
+        y = DenseTensor(rng.standard_normal((3, 5, 4)))
+        m = random_model(rng, (3, 1, 4), 2)
+        with pytest.raises(ValueError, match="do not match"):
+            gradient(y, m)
+
     @pytest.mark.parametrize("n", [-1, 0, 4])
     def test_mode_out_of_range_rejected(self, n):
         rng = np.random.default_rng(8)
@@ -265,11 +284,11 @@ class TestMttkrpGradient:
         "kernel",
         [
             lambda y, m: mttkrp(y, m, 1),
-            mttkrp_all,
+            gradient,
             lambda y, m: als_step(y, stack(m.factors)),
             relative_error,
         ],
-        ids=["mttkrp", "mttkrp_all", "als_step", "relative_error"],
+        ids=["mttkrp", "gradient", "als_step", "relative_error"],
     )
     def test_mixed_kinds_rejected(self, kernel, tensor_kind, model_kind):
         rng = np.random.default_rng(81)
@@ -721,6 +740,17 @@ class TestInitAndAls:
         y = reconstruct(truth)
         stepped, _ = als_step(y, stack(truth.factors))
         assert relative_error(y, model_from_stack(stepped, y.dims)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "shape", [(2, 2, 5), (4, 2, 5), (3, 2, 4), (3, 2, 5, 1)],
+        ids=["fewer-modes", "more-modes", "narrow", "extra-axis"],
+    )
+    def test_als_step_rejects_a_stack_that_does_not_fit(self, shape):
+        """A stack of the wrong mode count, or narrower than the tensor's
+        largest mode, raises at entry instead of sweeping part of it."""
+        y = random_tensor(np.random.default_rng(17), (3, 4, 5))
+        with pytest.raises(ValueError, match="does not hold dims"):
+            als_step(y, np.ones(shape))
 
     def test_line_search_no_worse_than_plain_als(self):
         """Each ALS-ls iteration keeps a model no worse than the plain sweep

@@ -36,7 +36,6 @@ from cpfast.solver import (
     ACCEL_MAX_RATIO,
     FitConfig,
     GRAM_ERROR_GUARD,
-    LmState,
     MU_OVERFLOW,
     _init_model,
     _scaled_start,
@@ -352,25 +351,24 @@ class TestDamping:
         assert np.isclose(mu_init(cache, 1e-3), 0.025)
 
     def test_nielsen_accept_shrinks(self):
-        state = nielsen_update(LmState(mu=1.0), rho=1.0)
-        assert np.isclose(state.mu, 1.0 / 3.0)
-        assert state.growth == 2.0
+        mu, growth = nielsen_update(1.0, 8.0, rho=1.0)
+        assert np.isclose(mu, 1.0 / 3.0)
+        assert growth == 2.0
 
     def test_nielsen_neutral_rho(self):
-        state = nielsen_update(LmState(mu=1.0), rho=0.5)
-        assert np.isclose(state.mu, 1.0)
+        mu, _ = nielsen_update(1.0, 2.0, rho=0.5)
+        assert np.isclose(mu, 1.0)
 
     def test_nielsen_rejection_doubles_growth(self):
-        state = LmState(mu=1.0)
-        state = nielsen_update(state, rho=-1.0)
-        assert state.mu == 2.0 and state.growth == 4.0
-        state = nielsen_update(state, rho=-1.0)
-        assert state.mu == 8.0 and state.growth == 8.0
+        mu, growth = nielsen_update(1.0, 2.0, rho=-1.0)
+        assert mu == 2.0 and growth == 4.0
+        mu, growth = nielsen_update(mu, growth, rho=-1.0)
+        assert mu == 8.0 and growth == 8.0
 
     @pytest.mark.parametrize("rho", [-1e6, -1.0, 0.0, 0.3, 1.0, 1e6])
     def test_mu_stays_positive(self, rho):
-        state = nielsen_update(LmState(mu=1e-5), rho)
-        assert state.mu > 0
+        mu, _ = nielsen_update(1e-5, 2.0, rho)
+        assert mu > 0
 
 
 class TestFit:
@@ -563,17 +561,40 @@ class TestFit:
         return (counts[1] - counts[0]) / 30
 
     def test_calls_per_iteration(self):
-        """fLM calls per iteration (see ``_calls_per_iteration``): 122.4
+        """fLM calls per iteration (see ``_calls_per_iteration``): 112.7
         measured (NumPy 2.4.6, Python 3.11)."""
-        assert self._calls_per_iteration("auto") <= 122.5
+        assert self._calls_per_iteration("auto") <= 112.8
 
     @pytest.mark.parametrize(
-        "variant,bound", [("als", 84.0), ("als-ls", 95.5)], ids=["als", "als-ls"]
+        "variant,bound", [("als", 76.0), ("als-ls", 87.5)], ids=["als", "als-ls"]
     )
     def test_als_calls_per_iteration(self, variant, bound):
         """ALS and ALS-ls calls per iteration (see ``_calls_per_iteration``):
-        84.0 and 95.4 measured (NumPy 2.4.6, Python 3.11)."""
+        76.0 and 87.4 measured (NumPy 2.4.6, Python 3.11)."""
         assert self._calls_per_iteration(variant) <= bound
+
+    @pytest.mark.parametrize("variant", ["auto", "als", "als-ls"])
+    def test_models_built_do_not_grow_with_iterations(self, variant, monkeypatch):
+        """Both loops run on stacks alone: a fit builds its
+        :class:`KruskalModel` objects at its boundary only, as many with a
+        budget of 40 iterations as with 10 on the noiseless 20^3, R=3,
+        nu=0.1 swamp fit.  Each model is counted by its ``__post_init__``."""
+        _, y = gen_collinear(CollinearSpec((20, 20, 20), 3, 0.1, None, 0))
+        built = [0]
+        post_init = KruskalModel.__post_init__
+
+        def counted(model):
+            built[0] += 1
+            post_init(model)
+
+        monkeypatch.setattr(KruskalModel, "__post_init__", counted)
+        counts = []
+        for budget in (10, 40):
+            built[0] = 0
+            result = fit(y, FitConfig(rank=3, variant=variant, max_iters=budget))
+            assert result.iters == budget
+            counts.append(built[0])
+        assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("kind, seed", [(REAL, 0), (COMPLEX, 1)])
     def test_error_guard_crossing_keeps_dense_trajectory(
@@ -925,8 +946,8 @@ class TestScaleFree:
     def test_start_passes(self, dims, monkeypatch):
         """Above the guard the start reconstructs nothing and makes one
         mode-N pass (the SVD init's), which also serves the first
-        ``mttkrp_all``, whose partial product is the start's only other
-        pass; the first candidate, rejected, costs one more."""
+        gradient, whose partial product is the start's only other pass;
+        the first candidate, rejected, costs one more."""
         rng = np.random.default_rng(25)
         y, _ = noisy_instance(rng, dims, 3, noise=0.3)
         calls = count_tensor_passes(monkeypatch)
@@ -1288,7 +1309,7 @@ class TestPassBudget:
         - fLM above the guard: one mode-N pass per candidate, scored by the
           Gram identity or by its decrease alike, and the partial product
           for an accepted one; below it: one dense residual per candidate,
-          and both passes of ``mttkrp_all`` for an accepted one;
+          and both passes of its gradient for an accepted one;
         - ALS-ls: the sweep's two passes, then, above the guard, one mode-N
           pass per extrapolated candidate (the swept one is scored free),
           and below it one dense residual per candidate.  The loop's first
