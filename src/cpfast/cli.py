@@ -183,9 +183,10 @@ def cmd_fit(tensor_file, algo, rank, tau, tol, max_iters, seed, init, truth, out
     record = benchmod.record_from_result(
         result, truth_model, seed, float("nan"), rank, None, algo
     )
+    stop_test = f" stop_test={result.stop_test}" if result.stop_test else ""
     click.echo(
         f"algo={algo} iters={record.iters} accepted={record.accepted_iters} "
-        f"relerr={record.final_relerr:.3e} stop={record.stop_reason} "
+        f"relerr={record.final_relerr:.3e} stop={record.stop_reason}{stop_test} "
         f"time_ms={record.time_ms:.1f}"
     )
     if out:

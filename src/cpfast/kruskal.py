@@ -19,8 +19,8 @@ factors, so :func:`stack` and :meth:`~KruskalModel.as_vector` of
 :func:`gradient` returns one; everything the fit loops call takes stacks.
 
 Every MTTKRP pass over a tensor Y goes through one of two kernels:
-:func:`_last_mttkrp`, the mode-N product Y_(N)^T conj(K) for an R-column K,
-and :func:`_last_partial`, the partial product P = Y x_N conj(A^(N)), of
+:func:`_last_mttkrp`, the mode-N product Y_(N)^T conj(K) for an R-column K
+(summed over column slabs for real data), and :func:`_last_partial`, the partial product P = Y x_N conj(A^(N)), of
 which the MTTKRPs of modes 1..N-1 are contractions (Phan, Tichavsky &
 Cichocki, IEEE TSP 2013); :func:`_gradient` forms all N from the two.
 The fit loops' dense residuals are :func:`_residual_norms`.  A public
@@ -57,6 +57,19 @@ from .tensor import (
 
 # Machine epsilon of float64, read once: the rank cutoffs below use it.
 EPS = np.finfo(np.float64).eps
+# A real mode-N MTTKRP pass Y_(N)^T conj(K) sums slabs of c = max(64,
+# MTTKRP_SLAB // (I_N R)) columns of the unfolding (see :func:`_last_mttkrp`).
+# ``python3 tools/mttkrp_slabs.py``, one OpenBLAS thread on a 2-CPU x86-64
+# host, ms per product as one matmul -> in slabs of c (-> of 2c):
+#   100^3 R=5 1.01 -> 0.46 (0.99); R=10 1.23 -> 0.73 (1.58);
+#   R=20 2.05 -> 1.45 (1.76); 200x200x50 R=5 3.54 -> 1.01 (2.64);
+#   50x50x400 R=5 0.98 -> 0.50 (0.98); 1000x1000x8 R=3 15.8 -> 10.4 (16.1);
+#   30^4 R=4 0.73 -> 0.42 (0.73); 300x300x10 R=2 1.01 -> 0.52 (0.82).
+# At 2c the gain is gone, as if the BLAS's small-matrix GEMM path ended near
+# I_N R c = 2^20 (an inference; the sum is exact on any BLAS).  Complex data
+# gains nothing (100^3 R=5 2.95 -> 3.09, 60^3 0.51 -> 0.52), so it keeps
+# one matmul.
+MTTKRP_SLAB = 2**19
 
 
 @dataclass
@@ -260,12 +273,30 @@ def mttkrp(y: DenseTensor, model: KruskalModel, n: int) -> np.ndarray:
 
 
 def _last_mttkrp(y: DenseTensor, kr: np.ndarray) -> np.ndarray:
-    """Y_(N)^T conj(``kr``), I_N x R, for a (J / I_N) x R matrix ``kr``: one
-    pass over the tensor, read as its transposed mode-N unfolding (a reshape
-    view, no copy).  With ``kr`` the Khatri-Rao product of modes 1..N-1 it is
-    the mode-N MTTKRP.  A batch of B matrices ``kr`` gives B x I_N x R from
-    one broadcast matmul, one pass per batch element."""
-    return y.data.reshape((-1, y.dims[-1]), order="F").T @ kr.conj()
+    """Y_(N)^T conj(``kr``), I_N x R, for a K x R matrix ``kr``, K = J / I_N:
+    one pass over the tensor, read as its transposed mode-N unfolding (a
+    reshape view, no copy).  With ``kr`` the Khatri-Rao product of modes
+    1..N-1 it is the mode-N MTTKRP.  A batch of B matrices ``kr`` gives B x
+    I_N x R, one pass per batch element.
+
+    For real data the product is summed over column slabs of the unfolding,
+    c = max(64, ``MTTKRP_SLAB`` // (I_N R)) columns each, in ascending order;
+    for complex data c = K.  Where K <= c the first slab is the whole
+    product: one matmul.  A batch element's slabs, and their sum, are those
+    of the element alone, so its result does not depend on the batch."""
+    yt = y.data.reshape((-1, y.dims[-1]), order="F").T
+    krc = kr.conj()
+    i_last, k = yt.shape
+    # The width and the loop make no call: on small tensors the kernel is
+    # one matmul whose Python overhead counts.
+    width = MTTKRP_SLAB // (i_last * kr.shape[-1])
+    width = k if yt.dtype.kind == "c" else width if width > 64 else 64
+    out = yt[:, :width] @ krc[..., :width, :]
+    s = width
+    while s < k:
+        out += yt[:, s : s + width] @ krc[..., s : s + width, :]
+        s += width
+    return out
 
 
 def _batch_last_mttkrp(y: DenseTensor, xs: np.ndarray) -> np.ndarray:
@@ -414,8 +445,9 @@ def _residual_norms(y: DenseTensor, xs: np.ndarray) -> list:
     unfolding (a view), and one :func:`~cpfast.tensor.frobenius` per model,
     which sums in the memory order that :func:`relative_error` sums in.  One
     pass over the tensor per model."""
-    rows = _unfolding_t(_factor_views(xs, y.dims))
-    res = np.subtract(y.data.reshape((y.dims[0], -1), order="F").T, rows, out=rows)
+    dims = y.dims
+    rows = _unfolding_t(_factor_views(xs, dims))
+    res = np.subtract(y.data.reshape((dims[0], -1), order="F").T, rows, out=rows)
     return [frobenius(r) for r in res]
 
 
@@ -670,18 +702,19 @@ def als_step(y: DenseTensor, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     checked once, at entry.
     """
     dims = y.dims
-    if x.ndim != 3 or len(x) != len(dims) or x.shape[2] < max(dims):
+    n_modes = len(dims)
+    if x.ndim != 3 or len(x) != n_modes or x.shape[2] < max(dims):
         raise ValueError(f"stack of shape {x.shape} does not hold dims {dims}")
     _same_kind(y.data, [x])
     x = x.copy()
     factors = _factor_views(x, dims)
     head = factors[:-1]
-    others = _exclusion_mask(len(factors))[: len(factors), -1, :, 0, 0]
+    others = _exclusion_mask(n_modes)[:n_modes, -1, :, 0, 0]
     lapack = [_lapack(name, x.dtype) for name in ("potrf", "pocon", "lange", "potrs")]
     grams = gram_stack(x)
     pt = _last_partial(y, factors[-1])
     for n, d in enumerate(dims):
-        if n < len(head):
+        if n < n_modes - 1:
             m = _contract_all_but(pt, head, n)
         else:
             m = _last_mttkrp(y, _khatri_rao_of(head))

@@ -155,7 +155,12 @@ class IterRecord:
     ``scorer`` is the path that scored the iteration's candidates: "gram"
     (the Gram identity), "decrease" (fLM's computed decrease, see
     :func:`~cpfast.kruskal.residual_decrease`) or "dense" (the dense
-    residual); see :func:`_candidate_error`."""
+    residual); see :func:`_candidate_error`.
+
+    ``elapsed_s`` is the wall time in seconds from the start of
+    :func:`fit`'s timed region, the clock behind ``FitResult.time_ms``, to
+    the end of the iteration, counted across both stages of a compressed
+    fit."""
 
     iter: int
     relerr: float
@@ -167,19 +172,25 @@ class IterRecord:
     accel_ratio: float = math.nan
     stage: str = "full"
     scorer: str = "gram"
+    elapsed_s: float = math.nan
 
 
 @dataclass
 class FitResult:
-    """A fit's model, trace and stop reason, its wall time, and ``below``:
-    the trailing run of differences below ``tol`` that its window counted
-    when it stopped (see :func:`_fit_compressed`)."""
+    """A fit's model, trace and stop reason, its wall time, ``below``: the
+    trailing run of differences below ``tol`` that its window counted when it
+    stopped (see :func:`_fit_compressed`), and ``stop_test``: the test that
+    stopped a "tol" fit, "gradient" (the LM family's ||g|| <= tol * relerr,
+    reported whenever it holds) or "window" (``TOL_WINDOW`` small
+    differences alone), and None for any other stop reason.  A compressed
+    fit reports its refinement's test."""
 
     model: KruskalModel
     trace: list
     stop_reason: str
     time_ms: float = 0.0
     below: int = 0
+    stop_test: str | None = None
 
     @property
     def iters(self) -> int:
@@ -240,12 +251,6 @@ def nielsen_update(mu: float, growth: float, rho: float) -> tuple[float, float]:
     if rho > 0:
         return mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0
     return mu * growth, 2.0 * growth
-
-
-def _gain_ratio(prev_sq, cand_sq, predicted) -> float:
-    if abs(predicted) < RHO_DENOM_GUARD:
-        return -1.0
-    return (prev_sq - cand_sq) / predicted
 
 
 def _init_model(y: DenseTensor, config: FitConfig) -> tuple[KruskalModel, np.ndarray]:
@@ -310,10 +315,11 @@ def fit(y: DenseTensor, config: FitConfig) -> FitResult:
     (Madsen, Nielsen & Tingleff, IMM 2004, section 3.2, in relative form).
     The gradient test ends a noisy fit on the step that converges; on
     noiseless data g shrinks along with the residual, so there the window
-    ends the fit.  Otherwise a fit stops when the iteration budget runs out
-    ("max_iters"), or, for the LM family, when the damping parameter
-    overflows 1e30 ("mu_overflow") or a candidate's squared residual is not
-    finite ("nonfinite").  A numerical failure of the step ends the fit with
+    ends the fit.  ``FitResult.stop_test`` says which of the two it was.
+    Otherwise a fit stops when the iteration budget runs out ("max_iters"),
+    or, for the LM family, when the damping parameter overflows 1e30
+    ("mu_overflow") or a candidate's squared residual is not finite
+    ("nonfinite").  A numerical failure of the step ends the fit with
     stop reason "error at iteration t: ...".  Raises ``ValueError`` for NaN
     or infinite entries, for tensors of order below 2 or with a zero-size
     mode and for a norm that overflows even after rescaling by max|y|, and
@@ -349,9 +355,9 @@ def fit(y: DenseTensor, config: FitConfig) -> FitResult:
     loop = _fit_als if config.variant in ("als", "als-ls") else _fit_lm
     unit = DenseTensor(y.data / ynorm)
     if config.max_iters > 1 and _compresses(y.dims, config.rank):
-        result = _fit_compressed(loop, unit, config)
+        result = _fit_compressed(loop, unit, config, t0)
     else:
-        result = loop(unit, config, *_init_model(unit, config))
+        result = loop(unit, config, t0, *_init_model(unit, config))
     factors = result.model.factors
     if loop is _fit_als:
         factors = [factors[0] * ynorm] + factors[1:]
@@ -369,7 +375,7 @@ def _compresses(dims, rank: int) -> bool:
     return math.prod(dims) >= COMPRESS_MIN_RATIO * core
 
 
-def _fit_compressed(loop, y: DenseTensor, config: FitConfig):
+def _fit_compressed(loop, y: DenseTensor, config: FitConfig, t0: float):
     """Compress, fit the core, refine (Bro & Andersson, Chemom. Intell. Lab.
     Syst. 42, 1998) on the unit-norm tensor ``y``.
 
@@ -380,8 +386,9 @@ def _fit_compressed(loop, y: DenseTensor, config: FitConfig):
     and its mode-N MTTKRP (:func:`_expanded_start`, no pass over ``y``),
     with the same stop rule.  The core stage may take ``max_iters`` - 1
     iterations and the refinement the rest, so ``max_iters`` bounds both
-    together.  The core's records are marked "core"; the stop reason and the
-    model, a model of ``y``, are the refinement's.
+    together.  The core's records are marked "core"; both stages time their
+    records from ``t0``.  The stop reason, its test and the model, a model
+    of ``y``, are the refinement's.
 
     The refinement's window starts at the core loop's own trailing run of
     differences below ``tol``, which it returns as ``below``.  With
@@ -394,12 +401,12 @@ def _fit_compressed(loop, y: DenseTensor, config: FitConfig):
     kappa = _tensor_norm(core)
     core = DenseTensor(core.data / kappa)
     budget = replace(config, max_iters=config.max_iters - 1)
-    first = loop(core, budget, *_init_model(core, config))
+    first = loop(core, budget, t0, *_init_model(core, config))
     for rec in first.trace:
         rec.stage = "core"
     rest = replace(config, max_iters=config.max_iters - first.iters)
     start = _expanded_start(bases, lead, first.model, kappa)
-    result = loop(y, rest, *start, first.below)
+    result = loop(y, rest, t0, *start, first.below)
     for rec in result.trace:
         rec.iter += first.iters
     result.trace = first.trace + result.trace
@@ -468,16 +475,18 @@ def _candidate_error(
 def _fit_als(
     y: DenseTensor,
     config: FitConfig,
+    t0: float,
     model: KruskalModel,
     last: np.ndarray,
     below: int = 0,
 ) -> FitResult:
     """ALS and ALS with line search on the unit-norm tensor ``y``, from the
     start ``model`` of ``y`` and its mode-N MTTKRP ``last``; ``below``
-    starts the window's count (see :func:`_fit_compressed`).  :func:`fit`
-    scales ``y``, builds the start and scales the returned model back, so
-    neither the Gram matrices nor the normal equations' solves over- or
-    underflow.
+    starts the window's count (see :func:`_fit_compressed`), and each
+    record's ``elapsed_s`` counts from ``t0``, a ``time.monotonic``
+    reading.  :func:`fit` scales ``y``, builds the start and scales the
+    returned model back, so neither the Gram matrices nor the normal
+    equations' solves over- or underflow.
 
     The loop holds the model as a stack (:func:`~cpfast.kruskal.stack`)
     and returns its :func:`~cpfast.kruskal.model_from_stack` views.  The
@@ -504,7 +513,7 @@ def _fit_als(
     x = stack(model.factors)
     err = _start_error(y, x, last, gram_stack(x), norm)
     prev = None
-    stop_reason = "max_iters"
+    stop_reason, stop_test = "max_iters", None
     for t in range(1, config.max_iters + 1):
         swept, last = als_step(y, x)
         cands = swept[None]
@@ -516,13 +525,21 @@ def _fit_als(
         # The first of the lowest errors: the swept stack on a tie.
         best = errs.index(min(errs))
         prev, x = x, cands[best]
-        trace.append(IterRecord(t, errs[best], 0.0, True, scorer=scorer))
+        trace.append(
+            IterRecord(
+                t, errs[best], 0.0, True, scorer=scorer,
+                elapsed_s=time.monotonic() - t0,
+            )
+        )
         below = below + 1 if abs(err - errs[best]) < config.tol else 0
         err = errs[best]
         if below >= TOL_WINDOW:
-            stop_reason = "tol"
+            stop_reason, stop_test = "tol", "window"
             break
-    return FitResult(model_from_stack(x, y.dims), trace, stop_reason, below=below)
+    return FitResult(
+        model_from_stack(x, y.dims), trace, stop_reason, below=below,
+        stop_test=stop_test,
+    )
 
 
 def _scaled_start(
@@ -555,6 +572,7 @@ def _scaled_start(
 def _fit_lm(
     y: DenseTensor,
     config: FitConfig,
+    t0: float,
     start: KruskalModel,
     last: np.ndarray,
     below: int = 0,
@@ -562,9 +580,11 @@ def _fit_lm(
     """Damped Gauss-Newton loop with the fast step ("auto") on the unit-norm
     tensor ``y``, from the model ``start`` of ``y`` and its mode-N MTTKRP
     ``last``; ``below`` starts the window's count (see
-    :func:`_fit_compressed`).  :func:`fit` scales ``y`` and builds the start,
-    so ``mu_init``, ``MU_OVERFLOW`` and ``RHO_DENOM_GUARD`` act on an O(1)
-    problem, and scales the returned model back.
+    :func:`_fit_compressed`), and each record's ``elapsed_s`` counts from
+    ``t0``, a ``time.monotonic`` reading.  :func:`fit` scales ``y`` and
+    builds the start, so ``mu_init``, ``MU_OVERFLOW`` and
+    ``RHO_DENOM_GUARD`` act on an O(1) problem, and scales the returned
+    model back.
 
     The loop starts from ``start``, at any scale, scaled by its
     least-squares weight (:func:`_scaled_start`), which costs no pass over
@@ -622,7 +642,7 @@ def _fit_lm(
     grad_norm = frobenius(g)
 
     trace = []
-    stop_reason = "max_iters"
+    stop_reason, stop_test = "max_iters", None
     for t in range(1, config.max_iters + 1):
         try:
             v, step, accel_ratio = flm_step(x, cache, g, mu)
@@ -645,7 +665,10 @@ def _fit_lm(
         finite = math.isfinite(cand_sq)
         rho = math.nan  # a non-finite candidate is rejected and mu kept
         if finite:
-            rho = _gain_ratio(err * err, cand_sq, predicted)
+            rho = (
+                -1.0 if abs(predicted) < RHO_DENOM_GUARD
+                else (err * err - cand_sq) / predicted
+            )
             mu, growth = nielsen_update(mu, growth, rho)
 
         accepted = bool(rho > 0 and cand_err < err)
@@ -660,17 +683,23 @@ def _fit_lm(
         trace.append(
             IterRecord(
                 t, err, mu, accepted, float(rho), grad_norm, step_norm,
-                accel_ratio, scorer=scorer,
+                accel_ratio, scorer=scorer, elapsed_s=time.monotonic() - t0,
             )
         )
 
         if not finite:
             stop_reason = "nonfinite"
             break
-        if below >= TOL_WINDOW or grad_norm <= config.tol * err:
-            stop_reason = "tol"
+        if grad_norm <= config.tol * err:
+            stop_reason, stop_test = "tol", "gradient"
+            break
+        if below >= TOL_WINDOW:
+            stop_reason, stop_test = "tol", "window"
             break
         if mu > MU_OVERFLOW:
             stop_reason = "mu_overflow"
             break
-    return FitResult(model_from_stack(x, y.dims), trace, stop_reason, below=below)
+    return FitResult(
+        model_from_stack(x, y.dims), trace, stop_reason, below=below,
+        stop_test=stop_test,
+    )

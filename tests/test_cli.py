@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import struct
 from pathlib import Path
 
@@ -123,22 +124,35 @@ class TestFit:
         result = invoke(runner, ["fit", str(tmp_path / "t.cptn"), "--rank", "3",
                                  "--algo", "auto", "--truth", str(tmp_path / "t.meta"),
                                  "--out", str(tmp_path / "fitted")])
-        assert "stop=tol" in result.output
+        assert re.search(r" stop=tol stop_test=(gradient|window) ", result.output)
         rows = list(csv.reader(open(tmp_path / "fitted.csv")))
         assert rows[0] == list(CSV_COLUMNS)
         record = dict(zip(rows[0], rows[1]))
         assert float(record["final_relerr"]) < 1e-8
         assert record["stop_reason"] == "tol"
 
+    def test_stop_test_printed_only_for_tol(self, runner, tmp_path):
+        """``stop_test`` follows ``stop=`` on a "tol" stop and is not
+        printed for a fit that runs out of iterations."""
+        invoke(runner, ["gen", "--dims", "6,6,6", "--rank", "2", "--nu", "0.5",
+                        "--snr", "30", "--seed", "1", "--out", str(tmp_path / "t")])
+        args = ["fit", str(tmp_path / "t_noisy.cptn"), "--rank", "2"]
+        out = invoke(runner, args).output
+        assert re.search(r" stop=tol stop_test=(gradient|window) time_ms=", out)
+        out = invoke(runner, args + ["--max-iters", "2"]).output
+        assert " stop=max_iters time_ms=" in out and "stop_test" not in out
+
     @pytest.mark.parametrize("algo", ["auto", "als-ls"])
     def test_trace_jsonl_schema(self, runner, tmp_path, algo, monkeypatch):
         """``--trace`` writes one JSON object per iteration with exactly the
-        ``IterRecord`` fields, NaN as null, and no timing.  ``stage`` is
-        "full" throughout a plain fit; a compressed fit's trace is a run of
-        "core" records then a run of "full" ones, numbered across both, and
-        the printed relerr is that of the last "full" record.  ``scorer``
-        names the path that scored the iteration's candidates; only fLM
-        scores by the decrease."""
+        ``IterRecord`` fields, NaN as null.  ``stage`` is "full" throughout a
+        plain fit; a compressed fit's trace is a run of "core" records then a
+        run of "full" ones, numbered across both, and the printed relerr is
+        that of the last "full" record.  ``scorer`` names the path that
+        scored the iteration's candidates; only fLM scores by the decrease.
+        ``elapsed_s``, the one timing field, is positive, never decreases
+        across both stages, and ends at most at the printed ``time_ms`` (to
+        its 0.1 ms print precision); no timing bound is checked."""
         invoke(runner, ["gen", "--dims", "6,6,6", "--rank", "2", "--nu", "0.5",
                         "--snr", "30", "--seed", "1", "--out", str(tmp_path / "t")])
         fields = [f.name for f in dataclasses.fields(cpfast.solver.IterRecord)]
@@ -171,6 +185,11 @@ class TestFit:
             assert (n_core > 0) == compressed and stages[-1] == "full"
             relerr = float(result.output.split("relerr=")[1].split()[0])
             assert relerr == pytest.approx(rows[-1]["relerr"], rel=1e-3)
+            elapsed = [row["elapsed_s"] for row in rows]
+            assert all(isinstance(e, float) for e in elapsed) and elapsed[0] > 0
+            assert all(a <= b for a, b in zip(elapsed, elapsed[1:]))
+            time_ms = float(result.output.split("time_ms=")[1].split()[0])
+            assert elapsed[-1] <= (time_ms + 0.05) / 1e3
             assert "NaN" not in path.read_text(encoding="utf-8")
 
     @pytest.mark.parametrize(

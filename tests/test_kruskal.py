@@ -9,9 +9,12 @@ from hypothesis import given, strategies as st
 
 import cpfast.kruskal
 from cpfast.kruskal import (
+    MTTKRP_SLAB,
     KruskalModel,
+    _batch_last_mttkrp,
     _gradient,
     _gram_error,
+    _last_mttkrp,
     _leading_left_vectors,
     als_step,
     build_gram_cache,
@@ -305,6 +308,89 @@ class TestMttkrpGradient:
         m = random_model(rng, (3, 1, 4), 2)
         with pytest.raises(ValueError, match="do not match"):
             relative_error(y, m)
+
+
+class SliceLog(np.ndarray):
+    """A real array that logs, as (start, stop), the row slices
+    ``a[..., start:stop, :]`` taken of it; each slice is a plain array."""
+
+    def __getitem__(self, key):
+        rows = key[-2]
+        self.log.append((rows.start or 0, rows.stop))
+        return np.asarray(self)[key]
+
+
+class TestMttkrpSlabs:
+    """``_last_mttkrp`` sums a real product over column slabs of c = max(64,
+    MTTKRP_SLAB // (I_N R)) columns of the unfolding; complex data, and real
+    data with K = J / I_N <= c, take one matmul."""
+
+    @staticmethod
+    def single(y, kr):
+        return y.data.reshape((-1, y.dims[-1]), order="F").T @ kr.conj()
+
+    @staticmethod
+    def slabs_taken(y, kr):
+        """The kernel's result for ``kr`` and the row slabs it took of it."""
+        logged = kr.view(SliceLog)
+        logged.log = []
+        return _last_mttkrp(y, logged), logged.log
+
+    @pytest.mark.parametrize(
+        "dims,rank,width",
+        [((50, 60, 40), 6, 2184), ((20, 20, 30, 40), 5, 2621), ((2, 70, 8192), 65, 64)],
+        ids=["50x60x40", "20x20x30x40", "floor"],
+    )
+    def test_split_matches_unfolding_oracle(self, dims, rank, width):
+        """Where K is split, into slabs whose last is short (K is not a
+        multiple of c), the sum matches the unfolding oracle to 1e-13.  At
+        I_N R = 8192 * 65 > 2^19 the width is the 64-column floor."""
+        assert width == max(64, MTTKRP_SLAB // (dims[-1] * rank))
+        rng = np.random.default_rng(28)
+        m = random_model(rng, dims, rank)
+        y = random_tensor(rng, dims)
+        kr = khatri_rao_excl(m.factors, len(dims))
+        k = kr.shape[0]
+        got, taken = self.slabs_taken(y, kr)
+        assert k % width and len(taken) >= 2
+        assert taken == [(s, s + width) for s in range(0, k, width)]
+        ref = unfold(y, len(dims)) @ kr.conj()
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("dims,rank", [((50, 60, 40), 6), ((2, 70, 8192), 65)])
+    def test_batch_element_equals_it_alone(self, dims, rank):
+        """``_batch_last_mttkrp`` of B = 1..3 stacks gives each stack's
+        result scored alone, bit for bit."""
+        rng = np.random.default_rng(29)
+        y = random_tensor(rng, dims)
+        xs = np.array([stack(random_model(rng, dims, rank).factors) for _ in range(3)])
+        for b in range(1, 4):
+            batch = _batch_last_mttkrp(y, xs[:b])
+            for j in range(b):
+                alone = _batch_last_mttkrp(y, xs[j : j + 1])[0]
+                np.testing.assert_array_equal(batch[j], alone)
+
+    @pytest.mark.parametrize(
+        "dims,rank,kind",
+        [
+            ((20, 20, 20), 3, REAL),
+            ((20, 20, 20), 3, COMPLEX),
+            ((12, 12, 12, 12), 4, REAL),
+            ((50, 60, 40), 6, COMPLEX),
+            ((20, 20, 30, 40), 5, COMPLEX),
+        ],
+    )
+    def test_one_matmul_where_not_split(self, dims, rank, kind):
+        """On the swamp shapes (K <= c) and on complex data of any size the
+        result is the single product's, bit for bit."""
+        rng = np.random.default_rng(30)
+        kr = khatri_rao_excl(random_model(rng, dims, rank, kind).factors, len(dims))
+        y = random_tensor(rng, dims, kind)
+        np.testing.assert_array_equal(_last_mttkrp(y, kr), self.single(y, kr))
+        if kind == REAL:
+            width = max(64, MTTKRP_SLAB // (dims[-1] * rank))
+            assert width >= kr.shape[0]
+            assert self.slabs_taken(y, kr)[1] == [(0, width)]
 
 
 def projection(model, tensor):

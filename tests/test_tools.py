@@ -1,6 +1,7 @@
 """Smoke tests of the repository tools: ``tools/fit_digest.py``, whose output
-shows that a change leaves every benchmark fit bit for bit the same, and
-``tools/code_lines.py``, which counts the package's code lines."""
+shows that a change leaves every benchmark fit bit for bit the same,
+``tools/code_lines.py``, which counts the package's code lines, and
+``tools/mttkrp_slabs.py``, which times the sliced mode-N MTTKRP pass."""
 
 import importlib.util
 import subprocess
@@ -85,3 +86,23 @@ def test_code_lines_counts_only_code(tmp_path, capsys):
     (package / "empty.py").write_text('"""Only a docstring."""\n', encoding="utf-8")
     assert tool.main(["code_lines.py", str(package)]) == 0
     assert capsys.readouterr().out.splitlines() == ["box 10", "empty 0", "total 10"]
+
+
+def test_mttkrp_slabs_prints_header_and_one_row_per_item():
+    """On a one-item grid, a real 50x60x40 tensor at R=6 (K = 3000 split
+    into slabs of c = 2184), the tool prints its header and one row of nine
+    fields whose times parse and whose sliced product agrees with the single
+    one to 1e-12.  No timing is asserted."""
+    out = subprocess.run(
+        [sys.executable, str(TOOLS / "mttkrp_slabs.py"), "--grid", "real:50x60x40:6",
+         "--repeat", "2"],
+        cwd=ROOT, capture_output=True, text=True, check=True, timeout=300,
+    )
+    header, *rows = [line.split() for line in out.stdout.splitlines()]
+    assert header == ["kind", "dims", "R", "K", "c", "single_ms", "slab_ms",
+                      "slab2_ms", "rel_diff"]
+    assert len(rows) == 1
+    kind, dims, rank, k, width, *times, diff = rows[0]
+    assert (kind, dims, rank, k, width) == ("real", "50x60x40", "6", "3000", "2184")
+    assert all(float(t) > 0 for t in times)
+    assert float(diff) <= 1e-12
