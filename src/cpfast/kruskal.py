@@ -36,12 +36,16 @@ and :func:`_gram_error`, or :func:`_residual_norms`.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
+from types import ModuleType
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .tensor import (
     COMPLEX,
@@ -57,6 +61,8 @@ from .tensor import (
 
 # Machine epsilon of float64, read once: the rank cutoffs below use it.
 EPS = np.finfo(np.float64).eps
+# The smallest normal float64, read once: :func:`_top_eigh`'s tolerance.
+TINY = np.finfo(np.float64).tiny
 # A real mode-N MTTKRP pass Y_(N)^T conj(K) sums slabs of c = max(64,
 # MTTKRP_SLAB // (I_N R)) columns of the unfolding (see :func:`_last_mttkrp`).
 # ``python3 tools/mttkrp_slabs.py``, one OpenBLAS thread on a 2-CPU x86-64
@@ -68,8 +74,43 @@ EPS = np.finfo(np.float64).eps
 # At 2c the gain is gone, as if the BLAS's small-matrix GEMM path ended near
 # I_N R c = 2^20 (an inference; the sum is exact on any BLAS).  Complex data
 # gains nothing (100^3 R=5 2.95 -> 3.09, 60^3 0.51 -> 0.52), so it keeps
-# one matmul.
+# one matmul.  Where one slab covers all K columns (every complex call and
+# every small tensor) the kernel returns that matmul without slicing.
 MTTKRP_SLAB = 2**19
+
+
+def _load_flapack(linalg_dir: Path) -> ModuleType:
+    """scipy's LAPACK extension ``scipy.linalg._flapack``, loaded from its
+    file in ``linalg_dir`` without running ``scipy.linalg``'s ``__init__``,
+    which costs about 0.3 s of import (scipy's array-API layer, numpy.f2py
+    and more) where the extension costs a few ms.  The interpreter keeps one
+    copy of an extension per file and name, so its routines are the objects
+    ``scipy.linalg.get_lapack_funcs`` returns, whichever loads first.  The
+    load leaves ``sys.modules`` as it was, so a later ``import scipy.linalg``
+    binds its own module, with those routines, to the package.  With the
+    extension already imported, that module; with no such file in
+    ``linalg_dir``, the plain import."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = Path(linalg_dir, "_flapack" + suffix)
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules.pop(name, None)
+            return module
+    from scipy.linalg import _flapack
+
+    return _flapack
+
+
+# find_spec on a top-level package runs none of its code.
+FLAPACK = _load_flapack(
+    Path(importlib.util.find_spec("scipy").origin).parent / "linalg"
+)
+_LAPACK_PREFIX = {np.dtype(np.float64): "d", np.dtype(np.complex128): "z"}
 
 
 @dataclass
@@ -281,9 +322,10 @@ def _last_mttkrp(y: DenseTensor, kr: np.ndarray) -> np.ndarray:
 
     For real data the product is summed over column slabs of the unfolding,
     c = max(64, ``MTTKRP_SLAB`` // (I_N R)) columns each, in ascending order;
-    for complex data c = K.  Where K <= c the first slab is the whole
-    product: one matmul.  A batch element's slabs, and their sum, are those
-    of the element alone, so its result does not depend on the batch."""
+    for complex data c = K.  Where K <= c the product is one matmul of the
+    whole unfolding, made without slicing.  A batch element's slabs, and
+    their sum, are those of the element alone, so its result does not depend
+    on the batch."""
     yt = y.data.reshape((-1, y.dims[-1]), order="F").T
     krc = kr.conj()
     i_last, k = yt.shape
@@ -291,6 +333,8 @@ def _last_mttkrp(y: DenseTensor, kr: np.ndarray) -> np.ndarray:
     # one matmul whose Python overhead counts.
     width = MTTKRP_SLAB // (i_last * kr.shape[-1])
     width = k if yt.dtype.kind == "c" else width if width > 64 else 64
+    if width >= k:
+        return yt @ krc
     out = yt[:, :width] @ krc[..., :width, :]
     s = width
     while s < k:
@@ -543,8 +587,12 @@ def _top_phase(u: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _lapack(name: str, dtype: np.dtype):
-    """The LAPACK routine ``?name`` for ``dtype``, such as ``getrf``."""
-    return get_lapack_funcs((name,), dtype=dtype)[0]
+    """The LAPACK routine ``?name`` for ``dtype``, such as ``getrf``: ``d``
+    for float64, ``z`` for complex128 (``TypeError`` for any other dtype)."""
+    prefix = _LAPACK_PREFIX.get(np.dtype(dtype))
+    if prefix is None:
+        raise TypeError(f"no LAPACK routine ?{name} for dtype {np.dtype(dtype)}")
+    return getattr(FLAPACK, prefix + name)
 
 
 def _top_eigh(gram: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -555,9 +603,7 @@ def _top_eigh(gram: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     documents as the most accurate setting (zero means eps ||T||)."""
     n = gram.shape[0]
     evr = _lapack("heevr" if gram.dtype.kind == "c" else "syevr", gram.dtype)
-    lam, v, _, _, info = evr(
-        gram, range="I", il=n - k + 1, iu=n, abstol=2.0 * np.finfo(np.float64).tiny
-    )
+    lam, v, _, _, info = evr(gram, range="I", il=n - k + 1, iu=n, abstol=2.0 * TINY)
     if info:
         raise np.linalg.LinAlgError(f"?evr failed (info {info})")
     return lam[:k][::-1], v[:, ::-1]

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from .hessian import SingularKernelError
 from .kruskal import (
@@ -171,6 +170,10 @@ class HessianParts:
 
 
 def build_parts(cache: GramCache, factors) -> HessianParts:
+    # Imported here so that ``import cpfast`` does not load scipy.linalg,
+    # which fitting never needs (see :data:`cpfast.kruskal.FLAPACK`).
+    import scipy.linalg
+
     r = cache.gamma_full.shape[0]
     G = scipy.linalg.block_diag(
         *[
@@ -244,6 +247,8 @@ def assemble_phi(cache: GramCache, mu: float, variant: str) -> np.ndarray:
     checks."""
     if variant not in ("phi1", "phi2"):
         raise ValueError(f"unknown variant {variant!r}")
+    import scipy.linalg  # not at module level: see :func:`build_parts`
+
     eye = np.eye(cache.gamma_full.shape[0])
     psi = scipy.linalg.block_diag(
         *[

@@ -382,7 +382,8 @@ class TestMttkrpSlabs:
     )
     def test_one_matmul_where_not_split(self, dims, rank, kind):
         """On the swamp shapes (K <= c) and on complex data of any size the
-        result is the single product's, bit for bit."""
+        result is the single product's, bit for bit, and real data takes no
+        slice of ``kr``: the kernel makes that product directly."""
         rng = np.random.default_rng(30)
         kr = khatri_rao_excl(random_model(rng, dims, rank, kind).factors, len(dims))
         y = random_tensor(rng, dims, kind)
@@ -390,7 +391,7 @@ class TestMttkrpSlabs:
         if kind == REAL:
             width = max(64, MTTKRP_SLAB // (dims[-1] * rank))
             assert width >= kr.shape[0]
-            assert self.slabs_taken(y, kr)[1] == [(0, width)]
+            assert self.slabs_taken(y, kr)[1] == []
 
 
 def projection(model, tensor):

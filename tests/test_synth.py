@@ -2,9 +2,6 @@
 MedSAE scoring, checked against measurements on the generated data itself."""
 
 import math
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +24,6 @@ from cpfast.synth import (
 from cpfast.tensor import COMPLEX, unfold
 
 NUS = (0.1, 0.3, 0.5, 0.7, 1.0, 2.0, 3.0, 4.0, 5.0)
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def measured_angle_deg(a, b):
@@ -317,16 +313,3 @@ class TestMedsae:
         scores = medsae_pair(truth, truth)
         assert scores["rest_db"] is None
 
-
-def test_import_leaves_scipy_optimize_unloaded():
-    """Fitting never needs scipy.optimize, so ``import cpfast`` does not load
-    it; only :func:`match_components` imports it, when called."""
-    code = (
-        f"import sys; sys.path.insert(0, {str(SRC)!r}); import cpfast; "
-        "print('scipy.optimize' in sys.modules)"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", code], check=True, capture_output=True, text=True,
-        timeout=120,
-    )
-    assert done.stdout.split() == ["False"]

@@ -106,3 +106,24 @@ def test_mttkrp_slabs_prints_header_and_one_row_per_item():
     assert (kind, dims, rank, k, width) == ("real", "50x60x40", "6", "3000", "2184")
     assert all(float(t) > 0 for t in times)
     assert float(diff) <= 1e-12
+
+
+def test_import_time_prints_median_modules_and_top_entries():
+    """With n=1 the tool prints the fresh-import line, one loaded-or-not line
+    for each of scipy.linalg and scipy.optimize (both False: ``import
+    cpfast`` loads neither), and five ``-X importtime`` entries, largest
+    first, ``cpfast`` itself the largest.  No timing is asserted."""
+    out = subprocess.run(
+        [sys.executable, str(TOOLS / "import_time.py"), "-n", "1"],
+        cwd=ROOT, capture_output=True, text=True, check=True, timeout=300,
+    )
+    rows = [line.split() for line in out.stdout.splitlines()]
+    assert len(rows) == 3 + 5
+    label, seconds, n = rows[0]
+    assert (label, n) == ("fresh_import_s", "n=1") and float(seconds) > 0
+    assert rows[1:3] == [["scipy.linalg", "False"], ["scipy.optimize", "False"]]
+    top = rows[3:]
+    assert all(row[0] == "importtime" and len(row) == 3 for row in top)
+    cumulative = [int(row[1]) for row in top]
+    assert cumulative == sorted(cumulative, reverse=True)
+    assert top[0][2] == "cpfast"
