@@ -6,8 +6,10 @@ comes out of a fit.  Inside the fit loops (:mod:`cpfast.solver`) the model is
 one N x R x I_max array instead, the stack of :func:`stack`, whose block n
 is A^(n)^T with zeros past column I_n, so every per-mode product is one
 batched matmul; :func:`model_from_stack` views its factors without a copy.
-The fit loops and the kernels they call read factors as :func:`_factor_views`
-of a stack and build no model.
+The fit loops and the kernels they call read a stack's blocks A^(n)^T as
+:func:`_row_views` and build no model; Khatri-Rao products are formed from
+such rows, transposed (:func:`~cpfast.tensor._khatri_rao_rows`), and taken
+as ``.mT`` views where a K x R product is needed.
 Complex models use the Hermitian Gram convention C^(n) = A^(n)^H A^(n); all
 transpose placements below are chosen so the same code path is exact for both
 scalar kinds.
@@ -20,18 +22,25 @@ factors, so :func:`stack` and :meth:`~KruskalModel.as_vector` of
 
 Every MTTKRP pass over a tensor Y goes through one of two kernels:
 :func:`_last_mttkrp`, the mode-N product Y_(N)^T conj(K) for an R-column K
-(summed over column slabs for real data), and :func:`_last_partial`, the partial product P = Y x_N conj(A^(N)), of
-which the MTTKRPs of modes 1..N-1 are contractions (Phan, Tichavsky &
-Cichocki, IEEE TSP 2013); :func:`_gradient` forms all N from the two.
-The fit loops' dense residuals are :func:`_residual_norms`.  A public
-function that takes a (tensor, model) pair checks it once, at entry; the
-kernels check nothing.
+(summed over column slabs for real data), and :func:`_last_partial`, the
+partial product P = Y x_N conj(A^(N)), of which the MTTKRPs of modes
+1..N-1 are contractions (Phan, Tichavsky & Cichocki, IEEE TSP 2013);
+:func:`_gradient` forms all N from the two.  The fit loops' dense residuals
+are :func:`_residual_norms`.  All three read Y through the unfolding views
+that the :class:`~cpfast.tensor.DenseTensor` makes once.  A public function
+that takes a (tensor, model) pair checks it once, at entry; the kernels
+check nothing.
 
 :func:`als_step` is one sweep of a stack, whose shape and scalar kind it
-checks against the tensor's.  The fit loop
-(:mod:`cpfast.solver`) scores a batch of candidate stacks, B x N x R x
-I_max, with one call of each kernel it needs: :func:`_batch_last_mttkrp`
-and :func:`_gram_error`, or :func:`_residual_norms`.
+checks against the tensor's; the sweep itself is :func:`_sweep`, which the
+ALS fit loop runs unchecked after one check per fit, and which returns the
+swept stack's Gram matrices with it.  What a sweep needs that depends only
+on the dims, the rank and the dtype (the contraction shapes, the LAPACK
+routines, the other modes of each mode) is a :func:`_sweep_plan`, built once
+per shape.  The fit loop (:mod:`cpfast.solver`) scores a batch of candidate
+stacks, B x N x R x I_max, with one call of each kernel it needs:
+:func:`_batch_last_mttkrp` and :func:`_gram_error`, or
+:func:`_residual_norms`.
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from types import ModuleType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,7 +64,7 @@ from .tensor import (
     ScalarKindError,
     _check_mode,
     _gaussian,
-    _khatri_rao_of,
+    _khatri_rao_rows,
     frobenius,
     unfold,
 )
@@ -165,17 +175,18 @@ def stack(factors) -> np.ndarray:
     return x
 
 
-def _factor_views(x: np.ndarray, dims) -> list:
-    """The views x[..., n, :, :I_n]^T (Fortran-ordered, no copy) for the
-    modes of ``dims``: the factors A^(n) of the stack ``x``, or, for a
-    batch of stacks (B x N x R x I_max), B x I_n x R arrays of them."""
-    return [x[..., n, :, :d].mT for n, d in enumerate(dims)]
+def _row_views(x: np.ndarray, dims) -> list:
+    """The blocks x[..., n, :, :I_n] (no copy) for the modes of ``dims``: the
+    transposed factors A^(n)^T of the stack ``x``, or, for a batch of stacks
+    (B x N x R x I_max), B x R x I_n arrays of them; the rows that
+    :func:`~cpfast.tensor._khatri_rao_rows` takes."""
+    return [x[..., n, :, :d] for n, d in enumerate(dims)]
 
 
 def model_from_stack(x: np.ndarray, dims) -> KruskalModel:
     """The model whose factor A^(n) is the view x[n, :, :I_n]^T of the stack
     ``x`` (Fortran-ordered, no copy)."""
-    return KruskalModel(_factor_views(x, dims))
+    return KruskalModel([r.T for r in _row_views(x, dims)])
 
 
 def model_from_vector(vec: np.ndarray, dims, rank: int) -> KruskalModel:
@@ -184,11 +195,11 @@ def model_from_vector(vec: np.ndarray, dims, rank: int) -> KruskalModel:
     return KruskalModel([b.reshape(rank, d).T for b, d in zip(blocks, dims)])
 
 
-def _unfolding_t(factors) -> np.ndarray:
-    """K A^(1)^T, the transposed mode-1 unfolding of the model with
-    ``factors``, K the Khatri-Rao product of modes 2..N: one matmul, or one
-    batched matmul for factors with leading batch axes."""
-    return _khatri_rao_of(factors[1:]) @ factors[0].mT
+def _unfolding_t(rows) -> np.ndarray:
+    """K A^(1)^T, the transposed mode-1 unfolding of the model whose
+    transposed factors are ``rows``, K the Khatri-Rao product of modes 2..N:
+    one matmul, or one batched matmul for rows with leading batch axes."""
+    return _khatri_rao_rows(rows[1:]).mT @ rows[0]
 
 
 def reconstruct(model: KruskalModel) -> DenseTensor:
@@ -198,7 +209,7 @@ def reconstruct(model: KruskalModel) -> DenseTensor:
     it is Fortran-ordered, so folding it back is a reshape view and the
     tensor is written once.
     """
-    mat = _unfolding_t(model.factors).T
+    mat = _unfolding_t([f.T for f in model.factors]).T
     return DenseTensor(mat.reshape(model.dims, order="F"))
 
 
@@ -254,28 +265,45 @@ def build_gram_cache(model: KruskalModel) -> GramCache:
     return gram_cache(gram_stack(stack(model.factors)))
 
 
-def _contract_all_but(zt: np.ndarray, factors, k: int) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _contraction_shapes(dims: tuple, rank: int) -> tuple:
+    """For each mode k < N - 1 (0-based) of a tensor of ``dims``, the shapes
+    (R, right, I_k left) and (R, I_k, left) through which
+    :func:`_contract_all_but` reads a partial product, with left and right
+    the products of the sizes of modes 0..k-1 and k+1..N-2; None where
+    there is no such mode to contract (k = N - 2 and k = 0)."""
+    head = dims[:-1]
+    shapes = []
+    for k, d in enumerate(head):
+        left = math.prod(head[:k])
+        right = math.prod(head[k + 1 :])
+        shapes.append((
+            (rank, right, d * left) if k + 1 < len(head) else None,
+            (rank, d, left) if k > 0 else None,
+        ))
+    return tuple(shapes)
+
+
+def _contract_all_but(zt: np.ndarray, rows, k: int, shapes) -> np.ndarray:
     """Contract every mode of a partial product except mode k (0-based).
 
     Row r of ``zt`` (R x prod I_m) is the column-major vectorization of an
-    array over the modes of ``factors``; each mode m != k is contracted with
-    conj(column r of its factor).  Returns the I_k x R result.  Batched matmul
-    over r keeps the cost at one pass over ``zt`` without copying it.
+    array over the modes of ``rows``, the transposed factors (R x I_m); each
+    mode m != k is contracted with conj(row r of its block).  ``shapes`` are
+    the tensor's :func:`_contraction_shapes`.  Returns the R x I_k
+    transposed result.  Batched matmul over r keeps the cost at one pass
+    over ``zt`` without copying it.
     """
-    dims = [f.shape[0] for f in factors]
-    r = zt.shape[0]
-    left = math.prod(dims[:k])
-    right = math.prod(dims[k + 1 :])
-    x = zt.reshape((r, right, dims[k] * left))
+    right, left = shapes[k]
+    x = zt
     # A mode of size one is contracted too: its factor's row still scales.
-    if k + 1 < len(factors):
-        kq = _khatri_rao_of(factors[k + 1 :]).conj().T
-        x = kq[:, None, :] @ x
-    x = x.reshape((r, dims[k], left))
-    if k > 0:
-        kl = _khatri_rao_of(factors[:k]).conj().T
-        x = x @ kl[:, :, None]
-    return x.reshape((r, dims[k])).T
+    if right is not None:
+        kq = _khatri_rao_rows(rows[k + 1 :]).conj()
+        x = (kq[:, None, :] @ zt.reshape(right))[:, 0]
+    if left is not None:
+        kl = _khatri_rao_rows(rows[:k]).conj()
+        x = (x.reshape(left) @ kl[:, :, None])[..., 0]
+    return x
 
 
 def _same_kind(first: np.ndarray, others) -> str:
@@ -307,16 +335,17 @@ def mttkrp(y: DenseTensor, model: KruskalModel, n: int) -> np.ndarray:
     """
     _check_pair(y, model)
     _check_mode(model.order, n)
-    factors = model.factors
+    rows = [f.T for f in model.factors]
     if n == model.order:
-        return _last_mttkrp(y, _khatri_rao_of(factors[:-1]))
-    return _contract_all_but(_last_partial(y, factors[-1]), factors[:-1], n - 1)
+        return _last_mttkrp(y, _khatri_rao_rows(rows[:-1]).mT)
+    shapes = _contraction_shapes(y.dims, model.rank)
+    return _contract_all_but(_last_partial(y, rows[-1]), rows[:-1], n - 1, shapes).T
 
 
 def _last_mttkrp(y: DenseTensor, kr: np.ndarray) -> np.ndarray:
     """Y_(N)^T conj(``kr``), I_N x R, for a K x R matrix ``kr``, K = J / I_N:
-    one pass over the tensor, read as its transposed mode-N unfolding (a
-    reshape view, no copy).  With ``kr`` the Khatri-Rao product of modes
+    one pass over the tensor, read as its mode-N unfolding (the view
+    ``y.last_unfolding``).  With ``kr`` the Khatri-Rao product of modes
     1..N-1 it is the mode-N MTTKRP.  A batch of B matrices ``kr`` gives B x
     I_N x R, one pass per batch element.
 
@@ -326,7 +355,7 @@ def _last_mttkrp(y: DenseTensor, kr: np.ndarray) -> np.ndarray:
     whole unfolding, made without slicing.  A batch element's slabs, and
     their sum, are those of the element alone, so its result does not depend
     on the batch."""
-    yt = y.data.reshape((-1, y.dims[-1]), order="F").T
+    yt = y.last_unfolding
     krc = kr.conj()
     i_last, k = yt.shape
     # The width and the loop make no call: on small tensors the kernel is
@@ -347,13 +376,14 @@ def _batch_last_mttkrp(y: DenseTensor, xs: np.ndarray) -> np.ndarray:
     """The mode-N MTTKRPs of the batch of stacks ``xs`` (B x N x R x I_max;
     see :func:`stack`), B x I_N x R: one broadcast Khatri-Rao product of
     modes 1..N-1 and one :func:`_last_mttkrp` call."""
-    return _last_mttkrp(y, _khatri_rao_of(_factor_views(xs, y.dims[:-1])))
+    return _last_mttkrp(y, _khatri_rao_rows(_row_views(xs, y.dims[:-1])).mT)
 
 
-def _last_partial(y: DenseTensor, last_factor: np.ndarray) -> np.ndarray:
-    """P = Y x_N conj(A^(N)) as R x (J / I_N): one pass over the tensor,
-    read as :func:`_last_mttkrp` reads it."""
-    return last_factor.conj().T @ y.data.reshape((-1, y.dims[-1]), order="F").T
+def _last_partial(y: DenseTensor, last_row: np.ndarray) -> np.ndarray:
+    """P = Y x_N conj(A^(N)) as R x (J / I_N), from ``last_row`` =
+    A^(N)^T: one pass over the tensor, read as :func:`_last_mttkrp` reads
+    it."""
+    return last_row.conj() @ y.last_unfolding
 
 
 def gradient(
@@ -389,14 +419,15 @@ def _gradient(
     2013).  Each MTTKRP is written straight into its block.
     """
     dims = y.dims
-    factors = _factor_views(x, dims)
-    head = factors[:-1]
+    rows = _row_views(x, dims)
+    head = rows[:-1]
     if last is None:
-        last = _last_mttkrp(y, _khatri_rao_of(head))
-    pt = _last_partial(y, factors[-1])
+        last = _last_mttkrp(y, _khatri_rao_rows(head).mT)
+    pt = _last_partial(y, rows[-1])
     g = np.zeros(x.shape, x.dtype)
+    shapes = _contraction_shapes(dims, x.shape[1])
     for k, d in enumerate(dims[:-1]):
-        g[k, :, :d] = _contract_all_but(pt, head, k).T
+        g[k, :, :d] = _contract_all_but(pt, head, k, shapes)
     g[-1, :, : dims[-1]] = last.T
     g -= (x.mT @ gamma_excl.mT).mT
     return g, last
@@ -489,9 +520,8 @@ def _residual_norms(y: DenseTensor, xs: np.ndarray) -> list:
     unfolding (a view), and one :func:`~cpfast.tensor.frobenius` per model,
     which sums in the memory order that :func:`relative_error` sums in.  One
     pass over the tensor per model."""
-    dims = y.dims
-    rows = _unfolding_t(_factor_views(xs, dims))
-    res = np.subtract(y.data.reshape((dims[0], -1), order="F").T, rows, out=rows)
+    rows = _unfolding_t(_row_views(xs, y.dims))
+    res = np.subtract(y.first_unfolding_t, rows, out=rows)
     return [frobenius(r) for r in res]
 
 
@@ -521,12 +551,12 @@ def residual_decrease(
     """
     n_modes = x.shape[0]
     s = cand - x
-    a, b, d = (_factor_views(z, y.dims) for z in (x, cand, s))
-    dk = _khatri_rao_of(d[:1] + a[1:-1])
+    a, b, d = (_row_views(z, y.dims) for z in (x, cand, s))
+    dk = _khatri_rao_rows(d[:1] + a[1:-1])
     for k in range(1, n_modes - 1):
-        dk = dk + _khatri_rao_of(b[:k] + d[k : k + 1] + a[k + 1 : -1])
-    dm = _last_mttkrp(y, dk)
-    cross = np.vdot(a[-1], dm).real + np.vdot(d[-1], last + dm).real
+        dk = dk + _khatri_rao_rows(b[:k] + d[k : k + 1] + a[k + 1 : -1])
+    dm = _last_mttkrp(y, dk.mT)
+    cross = np.vdot(a[-1].mT, dm).real + np.vdot(d[-1].mT, last + dm).real
     e = x.conj() @ s.mT
     dc = e + e.conj().mT + s.conj() @ s.mT
     # terms[k, j]: C'_j before mode k, dC_k at it, C_j after it.
@@ -654,7 +684,7 @@ def svd_init(y: DenseTensor, rank: int, rng) -> tuple[KruskalModel, np.ndarray]:
             extra = extra / np.linalg.norm(extra, axis=0, keepdims=True)
             cols.append(extra.astype(u.dtype))
         factors.append(np.hstack(cols))
-    last = _last_mttkrp(y, _khatri_rao_of(factors[:-1]))
+    last = _last_mttkrp(y, _khatri_rao_rows([f.T for f in factors[:-1]]).mT)
     inner = np.sum(factors[-1].conj() * last, axis=0)
     factors[-1] = factors[-1] * _unit_phase(inner)[None, :]
     return KruskalModel(factors), last
@@ -707,23 +737,57 @@ def pinv_psd(gamma: np.ndarray) -> np.ndarray:
     return (v * inv_w[None, :]) @ v.conj().T
 
 
-def _solve_gram(gamma: np.ndarray, rhs: np.ndarray, lapack) -> np.ndarray:
+class _SweepPlan(NamedTuple):
+    """What an ALS sweep needs besides the tensor and the stack, fixed by the
+    dims, the rank and the dtype: for each mode the other modes, ascending;
+    :func:`_contraction_shapes`; the LAPACK routines ``?potrf``, ``?pocon``,
+    ``?lange`` and ``?potrs``; and :func:`pinv_psd`'s cutoff eps * R on the
+    reciprocal condition estimate."""
+
+    others: tuple
+    shapes: tuple
+    lapack: tuple
+    rcond_min: float
+
+
+@lru_cache(maxsize=64)
+def _sweep_plan(dims: tuple, rank: int, dtype: np.dtype) -> _SweepPlan:
+    """The :class:`_SweepPlan` of ``dims``, ``rank`` and ``dtype``, built
+    once and then shared by every sweep of that shape."""
+    modes = range(len(dims))
+    return _SweepPlan(
+        tuple(tuple(k for k in modes if k != n) for n in modes),
+        _contraction_shapes(dims, rank),
+        tuple(_lapack(name, dtype) for name in ("potrf", "pocon", "lange", "potrs")),
+        EPS * rank,
+    )
+
+
+def _solve_gram(gamma: np.ndarray, rhs: np.ndarray, plan: _SweepPlan) -> np.ndarray:
     """Gamma^{-1} ``rhs`` for the Hermitian PSD R x R ``gamma``: one Cholesky
-    factorization and one solve, from ``lapack``, the routines ``?potrf``,
-    ``?pocon``, ``?lange`` and ``?potrs`` for its dtype.
+    factorization and one solve, from the LAPACK routines of ``plan``.
 
     Where ``?potrf`` fails, or the reciprocal condition estimate of ``?pocon``
     is at or below :func:`pinv_psd`'s cutoff eps * R, the result is
     ``pinv_psd(gamma) @ rhs`` instead, so a rank-deficient Gamma keeps the
     truncated pseudo-inverse rather than a huge solution.
     """
-    potrf, pocon, lange, potrs = lapack
+    potrf, pocon, lange, potrs = plan.lapack
     chol, info = potrf(gamma)
     if not info:
         rcond, _ = pocon(chol, lange("1", gamma))
-        if rcond > EPS * gamma.shape[0]:
+        if rcond > plan.rcond_min:
             return potrs(chol, rhs)[0]
     return pinv_psd(gamma) @ rhs
+
+
+def _check_stack(y: DenseTensor, x: np.ndarray) -> None:
+    """Raise unless the stack ``x`` holds a model of ``y``'s dims and scalar
+    kind (see :func:`stack`)."""
+    dims = y.dims
+    if x.ndim != 3 or len(x) != len(dims) or x.shape[2] < max(dims):
+        raise ValueError(f"stack of shape {x.shape} does not hold dims {dims}")
+    _same_kind(y.data, [x])
 
 
 def als_step(y: DenseTensor, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -743,28 +807,41 @@ def als_step(y: DenseTensor, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the stack's block, straight into it.  Gamma^(n) is Hermitian, so this is
     the textbook A^(n) = M^(n) Gamma^(n)^+T for real and complex data alike.
     The Gram stack is taken once and then refreshed one mode at a time, and
-    each Gamma^(n) is the product of the other modes' Grams in ascending
-    order, as in :func:`gram_cache`.  The stack's shape and scalar kind are
-    checked once, at entry.
+    each Gamma^(n) is the running product of the other modes' Grams in
+    ascending order, as in :func:`gram_cache`.
+
+    The stack's shape and scalar kind are checked at entry; the sweep itself
+    is :func:`_sweep`, which the fit loop runs after checking once per fit.
+    Everything that depends only on the dims, the rank and the dtype comes
+    from :func:`_sweep_plan`, built once per shape.
     """
-    dims = y.dims
-    n_modes = len(dims)
-    if x.ndim != 3 or len(x) != n_modes or x.shape[2] < max(dims):
-        raise ValueError(f"stack of shape {x.shape} does not hold dims {dims}")
-    _same_kind(y.data, [x])
+    _check_stack(y, x)
+    swept, last, _ = _sweep(y, x, _sweep_plan(y.dims, x.shape[1], x.dtype))
+    return swept, last
+
+
+def _sweep(
+    y: DenseTensor, x: np.ndarray, plan: _SweepPlan
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`als_step`'s sweep, unchecked, with ``plan`` the
+    :func:`_sweep_plan` of the pair: the swept stack, its mode-N MTTKRP and
+    its Gram stack, which equals ``gram_stack`` of the swept stack."""
     x = x.copy()
-    factors = _factor_views(x, dims)
-    head = factors[:-1]
-    others = _exclusion_mask(n_modes)[:n_modes, -1, :, 0, 0]
-    lapack = [_lapack(name, x.dtype) for name in ("potrf", "pocon", "lange", "potrs")]
+    rows = _row_views(x, y.dims)
+    head = rows[:-1]
+    n_head = len(head)
     grams = gram_stack(x)
-    pt = _last_partial(y, factors[-1])
-    for n, d in enumerate(dims):
-        if n < n_modes - 1:
-            m = _contract_all_but(pt, head, n)
+    pt = _last_partial(y, rows[-1])
+    for n, others in enumerate(plan.others):
+        if n < n_head:
+            rhs = _contract_all_but(pt, head, n, plan.shapes)
         else:
-            m = _last_mttkrp(y, _khatri_rao_of(head))
-        gamma = np.multiply.reduce(grams[others[n]])
-        x[n, :, :d] = _solve_gram(gamma, m.T, lapack)
-        grams[n] = gram_stack(x[n])
-    return x, m
+            last = _last_mttkrp(y, _khatri_rao_rows(head).mT)
+            rhs = last.T
+        gamma = grams[others[0]]
+        for k in others[1:]:
+            gamma = gamma * grams[k]
+        rows[n][...] = _solve_gram(gamma, rhs, plan)
+        # gram_stack of the new block, written in place.
+        np.matmul(x[n].conj(), x[n].mT, out=grams[n])
+    return x, last, grams

@@ -47,10 +47,12 @@ from .kruskal import (
     GramCache,
     KruskalModel,
     _batch_last_mttkrp,
+    _check_stack,
     _gradient,
     _gram_error,
     _residual_norms,
-    als_step,
+    _sweep,
+    _sweep_plan,
     gram_stack,
     model_from_stack,
     mttkrp,
@@ -272,9 +274,7 @@ def _start_error(y, x, last, grams, norm) -> float:
     its mode-N MTTKRP ``last`` and stacked Gram matrices ``grams``, and
     again by the dense residual over ``norm()``, the computed ||Y||, where
     the first is below ``GRAM_ERROR_GUARD``."""
-    (err,), _, _ = _candidate_error(
-        y, GRAM_ERROR_GUARD, x[None], norm, grams[None], last
-    )
+    (err,), _, _ = _candidate_error(y, GRAM_ERROR_GUARD, x[None], norm, grams, last)
     if err < GRAM_ERROR_GUARD:
         (err,), _, _ = _candidate_error(y, err, x[None], norm)
     return err
@@ -447,9 +447,9 @@ def _candidate_error(
     While the current error ``err`` is at least ``GRAM_ERROR_GUARD``, the
     errors come from the Gram identity, one batched
     :func:`~cpfast.kruskal._gram_error`, with the candidates' stacked Gram
-    matrices ``grams`` (B x N x R x R; one batched :func:`gram_stack` when
-    None) and their mode-N MTTKRPs: ``last`` is the first candidate's when
-    the caller has it, and the others come from one
+    matrices (B x N x R x R) and their mode-N MTTKRPs.  ``grams`` (N x R x R)
+    and ``last`` are the first candidate's when the caller has them; the
+    others' come from one batched :func:`gram_stack` and one
     :func:`~cpfast.kruskal._batch_last_mttkrp`, a pass over the tensor per
     candidate.  Below the guard each is the dense residual over ``norm()``,
     the computed ||Y||, from one batched reconstruction
@@ -461,15 +461,23 @@ def _candidate_error(
         ynorm = norm()
         errs = [r / ynorm for r in _residual_norms(y, xs)]
         return errs, (None,) * len(xs), "dense"
-    if last is None:
-        lasts = _batch_last_mttkrp(y, xs)
-    elif len(xs) == 1:
-        lasts = last[None]
-    else:
-        lasts = np.concatenate((last[None], _batch_last_mttkrp(y, xs[1:])))
-    if grams is None:
-        grams = gram_stack(xs)
+    lasts = _first_given(last, xs, functools.partial(_batch_last_mttkrp, y))
+    grams = _first_given(grams, xs, gram_stack)
     return _gram_error(xs, lasts, grams), lasts, "gram"
+
+
+def _first_given(first, xs: np.ndarray, compute) -> np.ndarray:
+    """``compute(xs)`` for the batch ``xs``, or, where ``first`` holds the
+    first element's result already, a batch array filled with ``first`` and
+    ``compute(xs[1:])``."""
+    if first is None:
+        return compute(xs)
+    if xs.shape[0] == 1:
+        return first[None]
+    out = np.empty(xs.shape[:1] + first.shape, first.dtype)
+    out[0] = first
+    out[1:] = compute(xs[1:])
+    return out
 
 
 def _fit_als(
@@ -491,10 +499,15 @@ def _fit_als(
     The loop holds the model as a stack (:func:`~cpfast.kruskal.stack`)
     and returns its :func:`~cpfast.kruskal.model_from_stack` views.  The
     start is scored by :func:`_start_error` from ``last``.  Each iteration
-    is one :func:`als_step` sweep of the stack, two passes over the tensor,
-    whose normal equations are solved by Cholesky (falling back to
-    :func:`~cpfast.kruskal.pinv_psd` where a Gram matrix is not numerically
-    positive definite).  ALS-ls then tries X_prev + s (X_als - X_prev) on
+    is one :func:`~cpfast.kruskal.als_step` sweep of the stack, two passes
+    over the tensor, whose normal equations are solved by Cholesky (falling
+    back to :func:`~cpfast.kruskal.pinv_psd` where a Gram matrix is not
+    numerically positive definite).  The loop checks the stack against the
+    tensor and builds the sweep's per-shape setup
+    (:func:`~cpfast.kruskal._sweep_plan`: the other modes of each mode, the
+    contraction shapes and the LAPACK routines) once per fit, and then runs
+    the unchecked sweep, which also returns the swept stack's Gram matrices
+    for the scorer.  ALS-ls then tries X_prev + s (X_als - X_prev) on
     stacks, with X_prev the model before the one swept, for s = 1.1 and
     s = t^(1/3), built from one difference as one B = 3 batch behind the
     swept stack; a candidate replaces the sweep only if its error is
@@ -504,24 +517,26 @@ def _fit_als(
     call, which is still one pass or one dense residual per candidate:
     above ``GRAM_ERROR_GUARD`` the sweep's own M^(N) scores the swept stack
     and each extrapolated candidate costs one pass (an ALS-ls sweep is four
-    passes, with no reconstruction); below it, each candidate costs one
-    dense residual, over ||Y|| taken at most once per loop, when first
-    needed.
+    passes, with no reconstruction), and the sweep's Gram matrices score it
+    too; below it, each candidate costs one dense residual, over ||Y|| taken
+    at most once per loop, when first needed.
     """
     trace = []
     norm = functools.cache(y.norm)
     x = stack(model.factors)
+    _check_stack(y, x)
+    plan = _sweep_plan(y.dims, x.shape[1], x.dtype)
     err = _start_error(y, x, last, gram_stack(x), norm)
     prev = None
     stop_reason, stop_test = "max_iters", None
     for t in range(1, config.max_iters + 1):
-        swept, last = als_step(y, x)
+        swept, last, grams = _sweep(y, x, plan)
         cands = swept[None]
         if config.variant == "als-ls" and prev is not None:
             d = swept - prev
             s = float(t) ** (1.0 / 3.0)
             cands = np.array((swept, prev + 1.1 * d, prev + s * d))
-        errs, _, scorer = _candidate_error(y, err, cands, norm, last=last)
+        errs, _, scorer = _candidate_error(y, err, cands, norm, grams, last)
         # The first of the lowest errors: the swept stack on a tie.
         best = errs.index(min(errs))
         prev, x = x, cands[best]
@@ -659,7 +674,7 @@ def _fit_lm(
             cand_err, scorer = math.sqrt(max(err * err - decrease, 0.0)), "decrease"
         else:
             (cand_err,), (cand_last,), scorer = _candidate_error(
-                y, err, cand[None], norm, grams[None]
+                y, err, cand[None], norm, grams
             )
         cand_sq = cand_err * cand_err
         finite = math.isfinite(cand_sq)

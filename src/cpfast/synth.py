@@ -225,13 +225,10 @@ def match_components(truth: KruskalModel, estimate: KruskalModel) -> np.ndarray:
     """Optimal assignment of estimate components to truth components.
 
     The congruence score multiplies the normalized |inner product| across all
-    modes; the Hungarian method maximizes total congruence.  Returns ``perm``
+    modes; the assignment maximizes total congruence
+    (:func:`min_cost_assignment` of the negated scores).  Returns ``perm``
     with truth component r matched to estimate column perm[r].
     """
-    # Imported here so that ``import cpfast`` does not load scipy.optimize,
-    # which fitting never needs.
-    from scipy.optimize import linear_sum_assignment
-
     if truth.rank != estimate.rank:
         raise ValueError("rank mismatch between truth and estimate")
     r = truth.rank
@@ -240,8 +237,71 @@ def match_components(truth: KruskalModel, estimate: KruskalModel) -> np.ndarray:
         tn = ft / np.linalg.norm(ft, axis=0, keepdims=True)
         en = fe / np.linalg.norm(fe, axis=0, keepdims=True)
         score *= np.abs(tn.conj().T @ en)
-    _, cols = linear_sum_assignment(-score)
-    return cols
+    return min_cost_assignment(-score)
+
+
+def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+    """The column assigned to each row by a minimum-cost assignment of the
+    square matrix ``cost``, in O(n^3): the shortest augmenting path method
+    (Jonker & Volgenant, Computing 38, 1987) in the form of Crouse (IEEE
+    TAES 52(4), 2016) that SciPy's ``linear_sum_assignment`` implements.
+
+    Rows are added one at a time.  Each Dijkstra-like search from the new
+    row scans the columns not yet reached in SciPy's order (descending, each
+    reached column replaced by the last one left), takes the lowest reduced
+    path cost, and among equal lowest costs an unassigned column (the last
+    such) over the first; the duals are then updated and the path
+    augmented.  Costs are summed as SciPy sums them, so the two give the
+    same assignment, ties included.  Raises ``ValueError`` for a matrix that
+    is not square or has entries that are not finite.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    n = len(cost)
+    if cost.shape != (n, n) or not np.isfinite(cost).all():
+        raise ValueError(f"need a finite square cost matrix, got shape {cost.shape}")
+    u = np.zeros(n)
+    v = np.zeros(n)
+    path = np.full(n, -1)
+    col4row = np.full(n, -1)
+    row4col = np.full(n, -1)
+    for row in range(n):
+        costs = np.full(n, np.inf)
+        seen_rows = np.zeros(n, bool)
+        seen_cols = np.zeros(n, bool)
+        remaining = np.arange(n - 1, -1, -1)
+        left = n
+        low = 0.0
+        i = row
+        while True:
+            seen_rows[i] = True
+            cols = remaining[:left]
+            reduced = low + cost[i, cols] - u[i] - v[cols]
+            better = reduced < costs[cols]
+            path[cols[better]] = i
+            costs[cols[better]] = reduced[better]
+            scanned = costs[cols]
+            low = scanned.min()
+            ties = np.flatnonzero(scanned == low)
+            free = ties[row4col[cols[ties]] == -1]
+            index = free[-1] if free.size else ties[0]
+            j = cols[index]
+            seen_cols[j] = True
+            left -= 1
+            remaining[index] = remaining[left]
+            if row4col[j] == -1:
+                break
+            i = row4col[j]
+        seen_rows[row] = False
+        u[row] += low
+        u[seen_rows] += low - costs[col4row[seen_rows]]
+        v[seen_cols] -= low - costs[seen_cols]
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == row:
+                break
+    return col4row
 
 
 def component_angles(truth: KruskalModel, estimate: KruskalModel) -> np.ndarray:

@@ -8,6 +8,7 @@ Mode indices in the public API are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +25,8 @@ class DenseTensor:
     """N-way dense array of float64 or complex128 scalars.
 
     ``data`` is an N-dimensional numpy array; the flat storage convention is
-    Fortran order (index along mode 1 varies fastest).
+    Fortran order (index along mode 1 varies fastest).  The two unfolding
+    views that every pass over the tensor reads are made once, on first use.
     """
 
     data: np.ndarray
@@ -39,7 +41,7 @@ class DenseTensor:
             )
         object.__setattr__(self, "data", arr)
 
-    @property
+    @cached_property
     def dims(self) -> tuple[int, ...]:
         return self.data.shape
 
@@ -57,6 +59,16 @@ class DenseTensor:
 
     def norm(self) -> float:
         return frobenius(self.data)
+
+    @cached_property
+    def last_unfolding(self) -> np.ndarray:
+        """Y_(N), I_N x (J / I_N): the transpose of a reshape view, no copy."""
+        return self.data.reshape((-1, self.dims[-1]), order="F").T
+
+    @cached_property
+    def first_unfolding_t(self) -> np.ndarray:
+        """Y_(1)^T, (J / I_1) x I_1: the transpose of a reshape view, no copy."""
+        return self.data.reshape((self.dims[0], -1), order="F").T
 
 
 def frobenius(a: np.ndarray) -> float:
@@ -120,18 +132,20 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"column count mismatch: {a.shape[1]} != {b.shape[1]}"
         )
-    return _khatri_rao_of([b, a])
+    return _khatri_rao_rows([b.T, a.T]).T
 
 
-def _khatri_rao_of(factors) -> np.ndarray:
-    """Khatri-Rao product whose row index runs over ``factors`` (I_n x R,
-    with equal column counts), first fastest.  Factors with leading batch
-    axes (... x I_n x R) give one product per batch element."""
-    out = factors[-1]
-    for f in factors[-2::-1]:
-        out = (out[..., :, None, :] * f[..., None, :, :]).reshape(
-            *f.shape[:-2], -1, f.shape[-1]
-        )
+def _khatri_rao_rows(rows) -> np.ndarray:
+    """The transposed Khatri-Rao product, R x K, of the factors whose
+    transposes are ``rows`` (R x I_n, with equal row counts): its column
+    index runs over the factors' rows, first fastest, so ``.mT`` of the
+    result is the K x R product.  Rows with leading batch axes (... x R x
+    I_n) give one product per batch element.  The long axis is the inner
+    one of every broadcast; an entry is the product of the last factor's
+    entry with the others', taken from the last factor down."""
+    out = rows[-1]
+    for f in rows[-2::-1]:
+        out = (out[..., :, :, None] * f[..., :, None, :]).reshape(*f.shape[:-1], -1)
     return out
 
 
@@ -145,4 +159,4 @@ def khatri_rao_excl(factors, n: int) -> np.ndarray:
     ranks = {f.shape[1] for f in factors}
     if len(ranks) > 1:
         raise ValueError("factors disagree on column count")
-    return _khatri_rao_of([f for k, f in enumerate(factors) if k != n - 1])
+    return _khatri_rao_rows([f.T for k, f in enumerate(factors) if k != n - 1]).T

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cpfast.kruskal
+import cpfast.solver
 from cpfast.kruskal import (
     MTTKRP_SLAB,
     KruskalModel,
@@ -16,6 +17,8 @@ from cpfast.kruskal import (
     _gram_error,
     _last_mttkrp,
     _leading_left_vectors,
+    _sweep,
+    _sweep_plan,
     als_step,
     build_gram_cache,
     gradient,
@@ -36,6 +39,7 @@ from cpfast.kruskal import (
 )
 from cpfast.oracle import dense_second_order_term, jacobian
 from cpfast.solver import FitConfig, fit
+from cpfast.synth import CollinearSpec, gen_collinear
 from cpfast.tensor import (
     COMPLEX,
     DenseTensor,
@@ -919,6 +923,64 @@ class TestInitAndAls:
         als_step(y, stack(m.factors))
         assert len(calls) == len(dims)
         self.assert_textbook_sweep(y, m)
+
+    @pytest.mark.parametrize("deficient", [False, True], ids=["cholesky", "pinv"])
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    @pytest.mark.parametrize("dims", [(5, 6), (4, 5, 6), (3, 4, 2, 5)])
+    def test_sweep_returns_the_swept_stacks_grams(
+        self, dims, kind, deficient, monkeypatch
+    ):
+        """The Gram stack that the fit loop's sweep returns, refreshed one
+        mode at a time, is == to ``gram_stack`` of the swept stack, and its
+        stack and M^(N) are ``als_step``'s.  With the first two components
+        equal in every mode, each Gamma^(n) is singular and every update
+        takes the ``pinv_psd`` fallback."""
+        rng = np.random.default_rng(67)
+        y = random_tensor(rng, dims, kind)
+        m = random_model(rng, dims, 3, kind)
+        if deficient:
+            for f in m.factors:
+                f[:, 1] = f[:, 0]
+        calls = []
+
+        def counted(gamma):
+            calls.append(None)
+            return pinv_psd(gamma)
+
+        monkeypatch.setattr(cpfast.kruskal, "pinv_psd", counted)
+        x = stack(m.factors)
+        swept, last, grams = _sweep(y, x, _sweep_plan(y.dims, 3, x.dtype))
+        assert len(calls) == (len(dims) if deficient else 0)
+        assert (grams == gram_stack(swept)).all()
+        stepped, stepped_last = als_step(y, x)
+        assert (stepped == swept).all() and (stepped_last == last).all()
+
+    @pytest.mark.parametrize(
+        "dims, kind",
+        [((20, 20, 20), REAL), ((20, 20, 20), COMPLEX), ((12, 12, 12, 12), REAL)],
+        ids=["real-20^3", "complex-20^3", "real-12^4"],
+    )
+    def test_chained_als_steps_are_the_fit_loops_sweeps(self, dims, kind, monkeypatch):
+        """50 public ``als_step`` sweeps chained from the start of a 50-sweep
+        ALS fit of a swamp tensor give, each compared with ==, the stack and
+        M^(N) of the loop's own sweep: the loop runs the same sweep, checked
+        once per fit instead of once per sweep."""
+        _, y = gen_collinear(CollinearSpec(dims, 3, 0.5, 30.0, 5, kind))
+        sweeps = []
+        sweep = cpfast.solver._sweep
+
+        def recorded(unit, x, plan):
+            out = sweep(unit, x, plan)
+            sweeps.append((unit, x, out))
+            return out
+
+        monkeypatch.setattr(cpfast.solver, "_sweep", recorded)
+        fit(y, FitConfig(rank=3, variant="als", max_iters=50, tol=0.0))
+        assert len(sweeps) == 50
+        unit, x, _ = sweeps[0]
+        for _, _, (swept, last, _) in sweeps:
+            x, stepped_last = als_step(unit, x)
+            assert (x == swept).all() and (stepped_last == last).all()
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
     @pytest.mark.parametrize("variant", ["als", "als-ls"])

@@ -2,10 +2,11 @@
 identity checker, the Monte-Carlo sweep, the CLI, the generators or the file
 format: dense oracles belong only to ``verify`` and the tests.
 
-Neither ``import cpfast`` nor a fit loads ``scipy.linalg`` or
-``scipy.optimize``: the LAPACK routines come from scipy's extension module,
-loaded by path (:func:`cpfast.kruskal._load_flapack`), and are the very
-objects ``scipy.linalg.get_lapack_funcs`` returns.  Import state is checked
+Neither ``import cpfast``, a fit nor scoring one against its truth loads
+``scipy.linalg`` or ``scipy.optimize``: the LAPACK routines come from
+scipy's extension module, loaded by path
+(:func:`cpfast.kruskal._load_flapack`), and are the very objects
+``scipy.linalg.get_lapack_funcs`` returns.  Import state is checked
 in a fresh interpreter."""
 
 import ast
@@ -85,6 +86,19 @@ def run_fresh(code: str) -> list:
 
 def test_import_loads_no_scipy_linalg_or_optimize():
     assert run_fresh(f"import cpfast\n{LOADED}") == ["False", "False"]
+
+
+def test_medsae_pair_loads_no_scipy_linalg_or_optimize():
+    """Scoring a fit against its truth, real and complex, imports nothing
+    more: the assignment is the package's own."""
+    code = f"""
+from cpfast import CollinearSpec, FitConfig, fit, gen_collinear
+from cpfast.synth import medsae_pair
+for kind in ("real", "complex"):
+    truth, y = gen_collinear(CollinearSpec((8, 8, 8), 3, 0.5, 30.0, 1, kind))
+    medsae_pair(truth, fit(y, FitConfig(rank=3, max_iters=5)).model)
+{LOADED}"""
+    assert run_fresh(code) == ["False", "False"]
 
 
 def test_fits_load_no_scipy_linalg_or_optimize():

@@ -2,6 +2,7 @@
 index-arithmetic oracles."""
 
 import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from cpfast.tensor import (
     DenseTensor,
     REAL,
     ScalarKindError,
+    _khatri_rao_rows,
     fold,
     frobenius,
     khatri_rao,
@@ -133,6 +135,36 @@ class TestProducts:
                 col = np.kron(col, f[:, r])
             expected[:, r] = col
         np.testing.assert_allclose(got, expected)
+
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    @pytest.mark.parametrize("n_factors", [1, 2, 3, 4])
+    def test_row_layout_kernel_matches_kron(self, n_factors, kind):
+        """Column r of the K x R product, ``.mT`` of ``_khatri_rao_rows``, is
+        ==, not just close, to np.kron of the factors' columns r taken from
+        the last factor down, kron(kron(a_N, a_N-1), ...), the association
+        the kernel uses; a batch of row sets (B x R x I_n each) gives each
+        set's product."""
+        rng = np.random.default_rng(9)
+        dims, rank, batch = (3, 1, 4, 2)[:n_factors], 3, 2
+
+        def draw(shape):
+            a = rng.standard_normal(shape)
+            return a + 1j * rng.standard_normal(shape) if kind == COMPLEX else a
+
+        rows = [draw((batch, rank, d)) for d in dims]
+
+        def kron_columns(factors):
+            cols = [reduce(np.kron, [f[:, r] for f in factors[::-1]])
+                    for r in range(rank)]
+            return np.stack(cols, axis=1)
+
+        batched = _khatri_rao_rows(rows)
+        assert batched.shape == (batch, rank, np.prod(dims))
+        for b in range(batch):
+            alone = _khatri_rao_rows([r[b] for r in rows])
+            expected = kron_columns([r[b].T for r in rows])
+            assert (alone.mT == expected).all()
+            assert (batched[b] == alone).all()
 
 
 class TestCommutation:

@@ -10,9 +10,11 @@ Each problem of each workload and seed (see ``perfbench/workloads.py``) is
 fitted with ``cpfast.fit`` at the default ``FitConfig`` of every variant, one
 BLAS thread.  A line holds the workload, the seed, the problem label, the
 variant, the iterations, the accepted steps, the stop reason, the final
-relative error as ``float.hex`` and a SHA-256 prefix of the factor bytes.
-Two checkouts fit the same way exactly when their outputs are equal
-(``diff`` them).
+relative error as ``float.hex``, a SHA-256 prefix of the factor bytes and
+the fit's MedSAE against the problem's truth (the mean over modes and
+components of ``medsae_pair``'s dB figures, as perfbench scores accuracy) as
+``float.hex``.  Two checkouts fit and score the same way exactly when their
+outputs are equal (``diff`` them).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench.workloads import WORKLOADS, make_problems  # noqa: E402
 from cpfast import FitConfig, fit  # noqa: E402
+from cpfast.synth import medsae_pair  # noqa: E402
 
 
 def _names(text: str) -> list:
@@ -51,11 +54,12 @@ def main(argv=None) -> int:
                     digest = hashlib.sha256()
                     for factor in result.model.factors:
                         digest.update(factor.tobytes(order="F"))
+                    medsae = medsae_pair(problem.truth, result.model)["per_component"]
                     print(
                         name, seed, problem.label, variant, result.iters,
                         result.accepted_iters, result.stop_reason,
                         float(result.final_relerr).hex(), digest.hexdigest()[:16],
-                        flush=True,
+                        float(medsae.mean()).hex(), flush=True,
                     )
     return 0
 
