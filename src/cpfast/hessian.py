@@ -19,6 +19,7 @@ The dense references these are checked against live in :mod:`cpfast.oracle`.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,13 +45,18 @@ class DampedCore:
     """(H + mu I)^{-1} at one model and mu, factored; :meth:`apply` applies
     it to a stack.
 
-    ``gtilde[n]`` is (Gamma^(n) + mu I)^{-1}, stacked N x R x R.  Gamma^(n) is
-    Hermitian, so (Gamma^(n)^T + mu I)^{-1}, which right-multiplies factors, is
-    ``gtilde[n].conj()`` (a no-op for real data), not a second inverse.
-    ``lu`` and ``piv`` are the ``?getrf`` factors of the NR^2 x NR^2 scaled
-    core system; ``kernel`` holds the pairwise Gammas (zero on the diagonal)
-    that apply K after the solve; ``x`` is the model's stack (see
-    :func:`~cpfast.kruskal.stack`), the caller's array and not a copy.
+    ``gtilde[n]`` is (Gamma^(n)^T + mu I)^{-1}, stacked N x R x R: the
+    damped Gram inverse in the form that right-multiplies factors.
+    Gamma^(n) is Hermitian, so it is the conjugate of (Gamma^(n) + mu
+    I)^{-1}, not a second inverse.  ``lu`` and ``piv`` are the ``?getrf``
+    factors of the NR^2 x NR^2 scaled core system and ``getrs`` the
+    ``?getrs`` routine that solves with them in their own type; ``kernel``
+    holds the pairwise Gammas (zero on the diagonal) that apply K after the
+    solve; ``x`` is the model's stack (see :func:`~cpfast.kruskal.stack`),
+    the caller's array and not a copy, and ``x_conj`` its conjugate.  Each conjugate is taken
+    once per core, by ``ndarray.conj``, which copies only complex arrays:
+    for real data ``gtilde`` is the inverse itself and ``x_conj`` is
+    ``x``.
     """
 
     gtilde: np.ndarray
@@ -58,13 +64,18 @@ class DampedCore:
     piv: np.ndarray
     kernel: np.ndarray
     x: np.ndarray
+    x_conj: np.ndarray
+    getrs: Callable
 
     def solve(self, u: np.ndarray) -> np.ndarray:
         """The N frontal R x R slices Z_n of Sb^{-1} K (I + Psi K)^{-1} Sb^{-1} u,
         where Sb = blkdiag((Gamma^(n) + mu I) kron I); it equals
         (Sb (K^{-1} + Psi) Sb)^{-1} u whenever K is invertible."""
         n_modes, r = self.gtilde.shape[:2]
-        getrs = _lapack("getrs", np.promote_types(self.lu.dtype, u.dtype))
+        getrs = self.getrs
+        if u.dtype != self.lu.dtype:
+            # A complex u for a real core: solve in the promoted type.
+            getrs = _lapack("getrs", np.promote_types(self.lu.dtype, u.dtype))
         z, info = getrs(self.lu, self.piv, u)
         _check_info(info, "getrs")
         # The core solve gives x from (Sb + Chat K) x = u; the slices are
@@ -72,7 +83,7 @@ class DampedCore:
         # = vec((Gamma^(n,m) * X)^T).
         z = z.reshape(n_modes, r, r).mT
         kx = np.add.reduce(self.kernel * z[None], axis=1).mT
-        return kx @ np.conj(self.gtilde)
+        return kx @ self.gtilde
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """(H + mu I)^{-1} v for the stack ``v``.
@@ -88,9 +99,9 @@ class DampedCore:
         result's block as Gtilde_n^H V_n^T - Z_n^T A^(n)^T, whose padding
         stays zero.
         """
-        u = v @ np.conj(self.x).mT
+        u = v @ self.x_conj.mT
         z = self.solve(u.reshape(-1))
-        out = np.conj(self.gtilde).mT @ v
+        out = self.gtilde.mT @ v
         out -= z.mT @ self.x
         return out
 
@@ -162,4 +173,6 @@ def damped_core(x: np.ndarray, cache: GramCache, mu: float) -> DampedCore:
     view[...] = damped[..., None]
     lu, piv, info = _lapack("getrf", core.dtype)(core, overwrite_a=True)
     _check_info(info, "getrf")
-    return DampedCore(np.linalg.inv(damped), lu, piv, kernel, x)
+    gtilde = np.linalg.inv(damped).conj()
+    getrs = _lapack("getrs", core.dtype)
+    return DampedCore(gtilde, lu, piv, kernel, x, x.conj(), getrs)

@@ -24,7 +24,10 @@ returned model back once.  On a tensor much larger than its rank-R Tucker
 core, :func:`fit` first compresses: it fits the ST-HOSVD core of Y / ||Y||,
 divided by its own norm, with the variant's loop and then refines the
 expanded model on Y / ||Y|| with the same loop and stop rule, whose window
-resumes where the core stage left it.
+resumes where the core stage left it.  An fLM fit judges both stages on Y:
+the core stage's gradient test is scaled by the error on Y that the core
+implies, and a core stage that ends stationary is refined until its first
+accepted step on Y that moves the error by less than tol.
 
 The same code path serves real and complex tensors: Gram matrices are
 Hermitian, and every place where a damped Gamma inverse right-multiplies a
@@ -146,6 +149,9 @@ class IterRecord:
     accepted candidate, or the unchanged model after a rejection), the norm
     of the step taken (v + a/2 or v) and the acceleration ratio 2 ||a|| /
     ||v||.  The last four are NaN for ALS, and the ratio is NaN where v = 0.
+    ``grad_norm`` is also NaN on an accepted fLM record that ends the fit on
+    a difference rule ("window" or "core", see :class:`FitResult`): the
+    model it returns needs no gradient, so none is formed.
     The damping parameter and the norms are those of the unit-norm problem
     that the fLM loop fits, so they do not depend on the scale of Y.
 
@@ -182,10 +188,12 @@ class FitResult:
     """A fit's model, trace and stop reason, its wall time, ``below``: the
     trailing run of differences below ``tol`` that its window counted when it
     stopped (see :func:`_fit_compressed`), and ``stop_test``: the test that
-    stopped a "tol" fit, "gradient" (the LM family's ||g|| <= tol * relerr,
-    reported whenever it holds) or "window" (``TOL_WINDOW`` small
-    differences alone), and None for any other stop reason.  A compressed
-    fit reports its refinement's test."""
+    stopped a "tol" fit, and None for any other stop reason.  The tests are
+    "gradient" (the LM family's ||g|| <= tol * relerr, checked at every
+    model whose gradient the loop forms), "window" (``TOL_WINDOW`` small
+    differences) and "core" (an fLM refinement's first accepted step with a
+    difference below ``tol`` after a core stage that stopped "gradient").  A
+    compressed fit reports its refinement's test."""
 
     model: KruskalModel
     trace: list
@@ -315,7 +323,10 @@ def fit(y: DenseTensor, config: FitConfig) -> FitResult:
     (Madsen, Nielsen & Tingleff, IMM 2004, section 3.2, in relative form).
     The gradient test ends a noisy fit on the step that converges; on
     noiseless data g shrinks along with the residual, so there the window
-    ends the fit.  ``FitResult.stop_test`` says which of the two it was.
+    ends the fit.  An accepted step that completes the window ends the fit
+    before its model's gradient is formed, so the gradient test is not
+    checked there.  ``FitResult.stop_test`` says which test it was; a
+    compressed LM fit has a third, "core" (see below).
     Otherwise a fit stops when the iteration budget runs out ("max_iters"),
     or, for the LM family, when the damping parameter overflows 1e30
     ("mu_overflow") or a candidate's squared residual is not finite
@@ -342,8 +353,12 @@ def fit(y: DenseTensor, config: FitConfig) -> FitResult:
     ``max_iters`` > 1, every variant first fits the ST-HOSVD core of Y / ||Y||
     and then refines the expanded model on Y / ||Y|| through the same loop,
     whose window resumes the core stage's (:func:`_fit_compressed`); the
-    refinement's start costs no pass over Y.  ``max_iters`` bounds both
-    stages together, the trace marks each record's stage, and
+    refinement's start costs no pass over Y.  The LM family measures
+    convergence on Y: the core stage's gradient test scales ``config.tol``
+    by the error on Y that the core implies, and after a core stage that
+    stopped on it, the refinement stops "tol" ("core") on its first
+    accepted step whose difference is below ``config.tol``.  ``max_iters``
+    bounds both stages together, the trace marks each record's stage, and
     ``final_relerr`` is that of the last record on Y.
     """
     if y.order < 2:
@@ -390,23 +405,47 @@ def _fit_compressed(loop, y: DenseTensor, config: FitConfig, t0: float):
     records from ``t0``.  The stop reason, its test and the model, a model
     of ``y``, are the refinement's.
 
-    The refinement's window starts at the core loop's own trailing run of
-    differences below ``tol``, which it returns as ``below``.  With
-    orthonormal U_n, ||Y - [[U B]]||^2 = ||Y||^2 - ||G||^2 + ||G - [[B]]||^2,
-    so e_Y^2 = 1 - k^2 + k^2 e_G^2 with k = ||G|| / ||Y|| = kappa <= 1, and
-    |De_Y| <= k |De_G|: each small difference on G is one at least as small
-    on Y.
+    With orthonormal U_n, ||Y - [[U B]]||^2 = ||Y||^2 - ||G||^2 + ||G -
+    [[B]]||^2, so e_Y^2 = 1 - k^2 + k^2 e_G^2 with k = ||G|| / ||Y|| = kappa
+    <= 1, and |De_Y| <= k |De_G|: each small difference on G is one at least
+    as small on Y.  So the refinement's window starts at the core loop's
+    own trailing run of differences below ``tol``, which it returns as
+    ``below``.
+
+    The fLM core stage's gradient test is on Y's scale: it stops once ||g_G||
+    <= tol * sqrt(e_G^2 + (1 - k^2) / k^2) = tol * e_Y / k (``lost_sq`` of
+    :func:`_fit_lm`).  That is conservative.  Expand the model B of G /
+    kappa with equal mode norms, A^(n) = k^(1/N) U_n B^(n).  Since U_n^H
+    Y_(n) conj(KR(U_m, m != n)) = G_(n) = k (G / kappa)_(n), and A's Gram
+    matrices are k^(2/N) times B's, block n of Y's gradient projected onto
+    the subspace is U_n^H g_Y = k^(2 - 1/N) g_G.  So the test gives ||U^H
+    g_Y|| <= k^(1 - 1/N) tol e_Y <= tol e_Y.  Where k = 1 it is the plain
+    test.
+
+    A core stage that stopped "gradient" is stationary on Y within the
+    subspace, so the refinement starts its window at zero and stops "tol"
+    ("core") on its first accepted step whose difference is below ``tol``;
+    a rejected step never ends it that way.  Any other core stage's
+    refinement resumes the window.
     """
     bases, core, lead = st_hosvd(y, config.rank)
     kappa = _tensor_norm(core)
     core = DenseTensor(core.data / kappa)
     budget = replace(config, max_iters=config.max_iters - 1)
-    first = loop(core, budget, t0, *_init_model(core, config))
+    stage = {}
+    if loop is _fit_lm:
+        # e_Y^2 / k^2 - e_G^2; rounding can put kappa above 1.
+        stage["lost_sq"] = max(1.0 - kappa * kappa, 0.0) / (kappa * kappa)
+    first = loop(core, budget, t0, *_init_model(core, config), **stage)
     for rec in first.trace:
         rec.stage = "core"
     rest = replace(config, max_iters=config.max_iters - first.iters)
     start = _expanded_start(bases, lead, first.model, kappa)
-    result = loop(y, rest, t0, *start, first.below)
+    # Only the LM loop has a gradient test to stop on.
+    if first.stop_test == "gradient":
+        result = loop(y, rest, t0, *start, settled=True)
+    else:
+        result = loop(y, rest, t0, *start, first.below)
     for rec in result.trace:
         rec.iter += first.iters
     result.trace = first.trace + result.trace
@@ -591,6 +630,9 @@ def _fit_lm(
     start: KruskalModel,
     last: np.ndarray,
     below: int = 0,
+    *,
+    lost_sq: float = 0.0,
+    settled: bool = False,
 ) -> FitResult:
     """Damped Gauss-Newton loop with the fast step ("auto") on the unit-norm
     tensor ``y``, from the model ``start`` of ``y`` and its mode-N MTTKRP
@@ -628,7 +670,9 @@ def _fit_lm(
     Cost per iteration in passes over the tensor: a candidate is scored, as
     a batch of one of :func:`_candidate_error`, with the Gram identity from
     its mode-N MTTKRP (one pass); if it is accepted, its gradient adds the
-    partial product for modes 1..N-1 (a second pass).  The identity rounds
+    partial product for modes 1..N-1 (a second pass), unless it ends the
+    fit on a difference rule: the model returned needs no gradient, and its
+    record's ``grad_norm`` is NaN.  The identity rounds
     at a few eps, so a step whose predicted decrease Re<v, g + mu v> is
     below ``DECREASE_RESOLUTION`` is scored by
     :func:`~cpfast.kruskal.residual_decrease` from the same one pass, whose
@@ -646,15 +690,23 @@ def _fit_lm(
     not finite ends the fit with stop reason "nonfinite".
 
     Besides the ten-difference window, the fit stops "tol" once ||g|| <=
-    tol * relerr at the current model (see :func:`fit`).  ||g|| comes from
-    the gradient that each accepted model needs for the next step anyway, so
-    the test costs no pass over the tensor.
+    tol * relerr at the current model (see :func:`fit`), or, with
+    ``lost_sq``, once ||g|| <= tol * sqrt(relerr^2 + ``lost_sq``): a core
+    stage's test on the scale of the error on Y (see
+    :func:`_fit_compressed`).  ||g|| comes from the gradient that each
+    accepted model needs for the next step anyway, so the test costs no
+    pass over the tensor.  With ``settled``, for a refinement whose core
+    stage stopped on that test, the first accepted step whose difference is
+    below tol also stops the fit "tol", with stop test "core".
     """
     norm = functools.cache(y.norm)
     x, cache, last, err = _scaled_start(y, start, last, norm)
     mu, growth = mu_init(cache, config.tau), 2.0
     g, last = _gradient(y, x, cache.gamma_excl, last)
     grad_norm = frobenius(g)
+    # The error the gradient test scales tol by: relerr itself on a plain
+    # fit, so no call is added there.
+    test_err = math.sqrt(err * err + lost_sq) if lost_sq else err
 
     trace = []
     stop_reason, stop_test = "max_iters", None
@@ -689,11 +741,22 @@ def _fit_lm(
         accepted = bool(rho > 0 and cand_err < err)
         diff = abs(err - cand_err) if accepted else 0.0
         below = below + 1 if diff < config.tol else 0
+        if settled and accepted and diff < config.tol:
+            ends = "core"
+        elif below >= TOL_WINDOW:
+            ends = "window"
+        else:
+            ends = None
         if accepted:
             x, cache, cand_last = normalize_with_grams(cand, grams, cand_last)
-            g, last = _gradient(y, x, cache.gamma_excl, cand_last)
-            grad_norm = frobenius(g)
             err = cand_err
+            test_err = math.sqrt(err * err + lost_sq) if lost_sq else err
+            if ends is None:
+                g, last = _gradient(y, x, cache.gamma_excl, cand_last)
+                grad_norm = frobenius(g)
+            else:
+                # A difference rule returns this model: no gradient for it.
+                grad_norm = math.nan
 
         trace.append(
             IterRecord(
@@ -705,11 +768,11 @@ def _fit_lm(
         if not finite:
             stop_reason = "nonfinite"
             break
-        if grad_norm <= config.tol * err:
+        if grad_norm <= config.tol * test_err:
             stop_reason, stop_test = "tol", "gradient"
             break
-        if below >= TOL_WINDOW:
-            stop_reason, stop_test = "tol", "window"
+        if ends is not None:
+            stop_reason, stop_test = "tol", ends
             break
         if mu > MU_OVERFLOW:
             stop_reason = "mu_overflow"

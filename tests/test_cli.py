@@ -150,6 +150,9 @@ class TestFit:
         run of "full" ones, numbered across both, and the printed relerr is
         that of the last "full" record.  ``scorer`` names the path that
         scored the iteration's candidates; only fLM scores by the decrease.
+        fLM's norms are numbers, except the ``grad_norm`` of an accepted
+        last record when a difference rule (``stop_test`` "window" or
+        "core") ended the fit: its model is returned with no gradient.
         ``elapsed_s``, the one timing field, is positive, never decreases
         across both stages, and ends at most at the printed ``time_ms`` (to
         its 0.1 ms print precision); no timing bound is checked."""
@@ -167,6 +170,7 @@ class TestFit:
             iters = int(result.output.split("iters=")[1].split()[0])
             assert len(lines) == iters > 0
             rows = [json.loads(line) for line in lines]
+            ended = re.search(r" stop_test=(window|core) ", result.output)
             for t, row in enumerate(rows, start=1):
                 assert list(row) == fields
                 assert row["iter"] == t and isinstance(row["accepted"], bool)
@@ -175,7 +179,8 @@ class TestFit:
                 paths = ("gram", "dense") + (("decrease",) if algo == "auto" else ())
                 assert row["scorer"] in paths
                 for key in ("rho", "grad_norm", "step_norm", "accel_ratio"):
-                    if algo == "als-ls":
+                    returned = t == iters and row["accepted"] and ended
+                    if algo == "als-ls" or (key == "grad_norm" and returned):
                         assert row[key] is None
                     else:
                         assert isinstance(row[key], float)

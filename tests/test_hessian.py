@@ -175,6 +175,18 @@ class TestFastInverse:
         mat = materialize_inverse(damped_core(stack(m.factors), cache, mu), m)
         assert np.linalg.norm(mat - dense) / np.linalg.norm(dense) < 1e-8
 
+    def test_real_core_applies_to_complex_stack(self):
+        """A real model's core, whose ``?getrs`` is fetched for its own
+        type, applied to a complex stack gives apply(Re v) + i apply(Im v)
+        (to 1e-12 relative): the solve promotes instead of dropping Im v."""
+        rng = np.random.default_rng(12)
+        m = unit_model(rng, (3, 4, 5), 2)
+        x = stack(m.factors)
+        core = damped_core(x, build_gram_cache(m), 0.1)
+        v = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
+        ref = core.apply(v.real) + 1j * core.apply(v.imag)
+        assert np.linalg.norm(core.apply(v) - ref) <= 1e-12 * np.linalg.norm(ref)
+
     def test_storage_count(self):
         """The core stores N R^2 + N^2 R^4 scalars of its own and keeps the
         model's stack it is given, not a copy."""

@@ -200,6 +200,11 @@ def rel(delta, ref):
     return np.linalg.norm(delta) / np.linalg.norm(ref)
 
 
+# The stop tests that end an fLM fit on an accepted step's difference alone,
+# with no gradient formed for the model returned.
+DIFFERENCE_RULES = ("window", "core")
+
+
 def count_tensor_passes(monkeypatch, dims=None) -> list:
     """Record the name of each pass over a tensor at the seam that every
     pass goes through: the mode-N kernel ``_last_mttkrp``, the partial
@@ -671,12 +676,18 @@ class TestFit:
         )
 
     def test_trace_records_gradient_and_step_norms(self):
+        """Every fLM record holds finite, positive norms, except that the
+        accepted record that ends the fit on a difference rule has no
+        gradient (NaN); ALS records hold none."""
         rng = np.random.default_rng(28)
         y, _ = noisy_instance(rng, (6, 6, 6), 2, noise=0.1)
         lm = fit(y, FitConfig(rank=2, max_iters=40))
+        assert lm.stop_test in DIFFERENCE_RULES and lm.trace[-1].accepted
+        assert np.isnan(lm.trace[-1].grad_norm)
         for rec in lm.trace:
-            assert 0 < rec.grad_norm < np.inf and 0 < rec.step_norm < np.inf
-            assert 0 <= rec.accel_ratio < np.inf
+            if rec is not lm.trace[-1]:
+                assert 0 < rec.grad_norm < np.inf
+            assert 0 < rec.step_norm < np.inf and 0 <= rec.accel_ratio < np.inf
         als = fit(y, FitConfig(rank=2, variant="als", max_iters=5))
         norms = [(r.grad_norm, r.step_norm, r.accel_ratio) for r in als.trace]
         assert np.isnan(norms).all()
@@ -733,7 +744,9 @@ class TestGradientStop:
         below tol (the nine that the trace holds when it has only ten
         records) or, for fLM, ||g|| <= tol * relerr at the final model, and
         ``stop_test`` names the test that holds: "gradient" whenever the
-        gradient test does.  Any other stop has no ``stop_test``."""
+        gradient test holds at a final model whose gradient the fit formed
+        (an accepted step that ends the fit on the window forms none).  Any
+        other stop has no ``stop_test``."""
         y, _ = noisy_instance(np.random.default_rng(seed), dims, rank, kind, noise)
         config = FitConfig(rank=rank, variant=variant, max_iters=200, seed=seed)
         result = fit(y, config)
@@ -753,17 +766,23 @@ class TestGradientStop:
         "case,expected",
         [
             ("noiseless-flm", "window"),
+            ("noisy-flm", "gradient"),
             ("noisy-als-ls", "window"),
             ("max-iters", None),
-            ("compressed-flm", "gradient"),
+            ("compressed-flm", "core"),
         ],
     )
     def test_stop_test_names_the_rule(self, case, expected, monkeypatch):
         """The noiseless 20^3, R=3, nu=0.1 swamp fit stops on the window (g
         shrinks with the residual), as does ALS-ls on the noisy Gaussian
         instance; a fit that runs out of iterations has no stop test, and a
-        compressed fit reports its refinement's.  The noisy fLM fit stops on
-        the gradient test (``test_noisy_fit_stops_on_converging_step``)."""
+        compressed fit reports its refinement's: after a core stage that
+        stopped on the gradient test, "core", on the refinement's first
+        accepted step whose difference is below tol, a step whose model's
+        gradient is not formed.  The noisy fLM fit stops on the gradient
+        test (``test_noisy_fit_stops_on_converging_step``).  An fLM record's
+        ``grad_norm`` is NaN exactly where it is the accepted last record of
+        a fit that a difference rule ended."""
         y = DenseTensor(gaussian_instance(0))
         config = FitConfig(rank=3)
         if case == "noiseless-flm":
@@ -772,14 +791,23 @@ class TestGradientStop:
             config = FitConfig(rank=3, variant="als-ls")
         elif case == "max-iters":
             config = FitConfig(rank=3, max_iters=3)
-        else:
+        elif case == "compressed-flm":
             monkeypatch.setattr(cpfast.solver, "COMPRESS_MIN_RATIO", 0)
         result = fit(y, config)
         assert result.stop_test == expected
         assert result.stop_reason == ("max_iters" if expected is None else "tol")
+        last = result.trace[-1]
+        if config.variant == "auto":
+            ended = last.accepted and expected in DIFFERENCE_RULES
+            assert [np.isnan(rec.grad_norm) for rec in result.trace] == (
+                [False] * (result.iters - 1) + [ended]
+            )
         if case == "compressed-flm":
-            assert result.trace[0].stage == "core"
-            assert result.trace[-1].grad_norm <= config.tol * result.final_relerr
+            assert result.trace[0].stage == "core" and last.stage == "full"
+            assert last.accepted and np.isnan(last.grad_norm)
+            # The refinement's window counts from zero, so its last
+            # difference is below tol.
+            assert result.below >= 1
 
 
 class TestGeodesicAcceleration:
@@ -1152,11 +1180,11 @@ class TestCandidateError:
             assert 0.01 < dense < 1.0
             assert e == pytest.approx(dense, rel=1e-10)
 
-    def test_flm_trace_records_scorer(self, monkeypatch):
+    def test_flm_trace_records_scorer(self):
         """A noiseless 20^3 nu=0.1 fLM fit records "gram" and then "dense",
-        each record the path that the error before it picks; a compressed
-        fit's refinement records "decrease"; an ALS-ls fit records its
-        candidates' path too."""
+        each record the path that the error before it picks; the noisy 30^3
+        fit records "decrease" on the step that converges; an ALS-ls fit
+        records its candidates' path too."""
         _, y = gen_collinear(CollinearSpec((20, 20, 20), 3, 0.1, None, 0))
         trace = fit(y, FitConfig(rank=3)).trace
         scorers = [rec.scorer for rec in trace]
@@ -1166,10 +1194,10 @@ class TestCandidateError:
             assert (rec.scorer == "dense") == dense
         als = fit(y, FitConfig(rank=3, variant="als-ls", max_iters=20)).trace
         assert {rec.scorer for rec in als} == {"gram"}
-        monkeypatch.setattr(cpfast.solver, "COMPRESS_MIN_RATIO", 0)
         y = DenseTensor(gaussian_instance(0))
         trace = fit(y, FitConfig(rank=3)).trace
-        assert "decrease" in {rec.scorer for rec in trace if rec.stage == "full"}
+        assert trace[-1].scorer == "decrease"
+        assert trace[-1].relerr > GRAM_ERROR_GUARD
 
 
 class TestCompression:
@@ -1220,18 +1248,30 @@ class TestCompression:
     ):
         """Stated bound: on these noisy Gaussian problems the compressed fit
         stops "tol" with |relerr - relerr_plain| <= tol * relerr_plain.
-        Its trace is the core fit's records (those of a plain fit of the
-        core of Y / ||Y|| with max_iters - 1, marked "core") followed by
-        "full" records,
+        Its trace is the core fit's records followed by "full" records,
         numbered across both; the returned model reconstructs Y with the
-        reported relerr.  The refinement resumes the core's ten-difference
-        window, so on these problems ALS-ls refines with one sweep."""
+        reported relerr.  The core records are those of the variant's loop
+        on G / ||G||, G the core of Y / ||Y||, from its init with
+        max_iters - 1, marked "core": a plain fit of the core for ALS-ls,
+        and for fLM with the gradient test scaled by the error on Y, through
+        ``lost_sq`` = (1 - kappa^2) / kappa^2, kappa = ||G||.  The
+        refinement resumes the core's ten-difference window, so on these
+        problems ALS-ls refines with one sweep."""
         y = DenseTensor(gaussian_instance(seed, dims=dims, rank=rank, kind=kind))
         config = FitConfig(rank=rank, variant=variant)
         plain = fit(y, config)
         unit = DenseTensor(y.data / cpfast.solver._tensor_norm(y))
         _, core, _ = st_hosvd(unit, rank)
-        core_fit = fit(core, replace(config, max_iters=config.max_iters - 1))
+        budget = replace(config, max_iters=config.max_iters - 1)
+        if variant == "auto":
+            kappa = cpfast.solver._tensor_norm(core)
+            core = DenseTensor(core.data / kappa)
+            core_fit = cpfast.solver._fit_lm(
+                core, budget, 0.0, *_init_model(core, config),
+                lost_sq=(1.0 - kappa**2) / kappa**2,
+            )
+        else:
+            core_fit = fit(core, budget)
         monkeypatch.setattr(cpfast.solver, "COMPRESS_MIN_RATIO", 0)
         comp = fit(y, config)
         assert plain.stop_reason == comp.stop_reason == "tol"
@@ -1253,6 +1293,114 @@ class TestCompression:
         assert relative_error(y, comp.model) == pytest.approx(
             comp.final_relerr, rel=1e-9
         )
+
+    @staticmethod
+    def record_lm_stages(monkeypatch) -> list:
+        """The results of every ``_fit_lm`` call, in order: a compressed
+        fit's core stage, then its refinement."""
+        results = []
+        loop = cpfast.solver._fit_lm
+
+        def recorded(*args, **kwargs):
+            results.append(loop(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cpfast.solver, "_fit_lm", recorded)
+        return results
+
+    @pytest.mark.parametrize(
+        "dims,rank,kind",
+        [
+            ((30, 30, 30), 3, REAL),
+            ((12, 10, 9), 3, COMPLEX),
+            ((8, 7, 6, 9), 2, REAL),
+            ((8, 7, 6, 9), 2, COMPLEX),
+            ((15, 3, 12), 3, REAL),  # I_2 = R: mode 2 uncompressed
+            ((14, 2, 11), 3, COMPLEX),  # I_2 < R
+        ],
+    )
+    def test_core_gradient_stop_is_stationary_on_y(
+        self, dims, rank, kind, monkeypatch
+    ):
+        """The fLM core stage's gradient test is on Y's scale.  On these
+        problems at 30% noise its core stage stops "gradient"; at the
+        expanded start A^(n) = kappa^(1/N) U_n B^(n) (equal mode norms) the
+        in-subspace gradient U_n^H g_Y is kappa^(2 - 1/N) times the core's
+        g_G (to 1e-4 relative) and meets tol * e_Y, and so does it at the
+        refinement's own start, the expanded model scaled by its
+        least-squares weight."""
+        monkeypatch.setattr(cpfast.solver, "COMPRESS_MIN_RATIO", 0)
+        stages = self.record_lm_stages(monkeypatch)
+        y = DenseTensor(
+            gaussian_instance(2, noise=0.3, dims=dims, rank=rank, kind=kind)
+        )
+        config = FitConfig(rank=rank)
+        fit(y, config)
+        core_stage = stages[0]
+        assert core_stage.stop_test == "gradient"
+        unit = DenseTensor(y.data / cpfast.solver._tensor_norm(y))
+        bases, core, lead = st_hosvd(unit, rank)
+        kappa = cpfast.solver._tensor_norm(core)
+        b = core_stage.model
+        g_core = np.linalg.norm(gradient(DenseTensor(core.data / kappa), b))
+
+        def in_subspace(model):
+            g = model_from_vector(gradient(unit, model), model.dims, rank)
+            blocks = [u.conj().T @ gn for u, gn in zip(bases, g.factors)]
+            return math.sqrt(sum(np.linalg.norm(blk) ** 2 for blk in blocks))
+
+        order = len(dims)
+        scale = kappa ** (1.0 / order)
+        expanded = KruskalModel([scale * u @ f for u, f in zip(bases, b.factors)])
+        g_sub = in_subspace(expanded)
+        assert g_sub == pytest.approx(kappa ** (2 - 1 / order) * g_core, rel=1e-4)
+        assert g_sub <= config.tol * relative_error(unit, expanded)
+        start = cpfast.solver._expanded_start(bases, lead, b, kappa)
+        x, _, _, err = _scaled_start(unit, *start, unit.norm)
+        assert in_subspace(model_from_stack(x, unit.dims)) <= config.tol * err
+
+    @pytest.mark.parametrize("carried", [False, True])
+    def test_rejected_first_step_does_not_end_refinement(
+        self, carried, monkeypatch
+    ):
+        """After a core stage that stopped "gradient", the refinement's first
+        candidate is forced to be rejected (its step reversed, so its gain
+        ratio is negative); the fit still takes an accepted step on Y, or
+        stops on the gradient test.  With ``carried``, the core stage
+        reports a trailing run of ``TOL_WINDOW`` - 1 small differences: a
+        refinement that resumed that window would end on the rejection and
+        return its unrefined start."""
+        monkeypatch.setattr(cpfast.solver, "COMPRESS_MIN_RATIO", 0)
+        stages = self.record_lm_stages(monkeypatch)
+        if carried:
+            loop = cpfast.solver._fit_lm
+
+            def carrying(*args, **kwargs):
+                result = loop(*args, **kwargs)
+                if len(stages) == 1:
+                    result.below = cpfast.solver.TOL_WINDOW - 1
+                return result
+
+            monkeypatch.setattr(cpfast.solver, "_fit_lm", carrying)
+        y = DenseTensor(gaussian_instance(0))
+        step = cpfast.solver.flm_step
+        reversed_steps = []
+
+        def first_reversed(x, cache, g, mu):
+            v, taken, ratio = step(x, cache, g, mu)
+            if x.shape[-1] == max(y.dims) and not reversed_steps:
+                reversed_steps.append(taken)
+                taken = -taken
+            return v, taken, ratio
+
+        monkeypatch.setattr(cpfast.solver, "flm_step", first_reversed)
+        result = fit(y, FitConfig(rank=3))
+        assert stages[0].stop_test == "gradient" and reversed_steps
+        refine = [rec for rec in result.trace if rec.stage == "full"]
+        assert not refine[0].accepted
+        assert result.stop_reason == "tol"
+        assert any(rec.accepted for rec in refine) or result.stop_test == "gradient"
+        assert result.stop_test in ("core", "gradient")
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
     @pytest.mark.parametrize(
@@ -1354,7 +1502,7 @@ class TestPassBudget:
     iteration" budgets, derived from the fit's trace and start error."""
 
     @staticmethod
-    def budget(variant, records, errs, init):
+    def budget(variant, records, errs, init, returned=False):
         """The seam calls that the budget gives one loop on Y, whose records
         are ``records`` and whose error before each record is ``errs``
         (``errs[0]`` the start's): ``init`` (the SVD init's mode-N pass, none
@@ -1365,7 +1513,9 @@ class TestPassBudget:
         - fLM above the guard: one mode-N pass per candidate, scored by the
           Gram identity or by its decrease alike, and the partial product
           for an accepted one; below it: one dense residual per candidate,
-          and both passes of its gradient for an accepted one;
+          and both passes of its gradient for an accepted one.  With
+          ``returned``, a difference rule ended the fit on its last record,
+          so that record's model, returned, has no gradient;
         - ALS-ls: the sweep's two passes, then, above the guard, one mode-N
           pass per extrapolated candidate (the swept one is scored free),
           and below it one dense residual per candidate.  The loop's first
@@ -1379,11 +1529,12 @@ class TestPassBudget:
         for t, (err, rec) in enumerate(zip(errs, records)):
             above = err >= GRAM_ERROR_GUARD
             if variant == "auto":
+                gradient = rec.accepted and not (returned and rec is records[-1])
                 if above:
-                    calls += ["_last_mttkrp"] + ["_last_partial"] * rec.accepted
+                    calls += ["_last_mttkrp"] + ["_last_partial"] * gradient
                 else:
                     calls += ["_residual_norms"]
-                    calls += ["_last_mttkrp", "_last_partial"] * rec.accepted
+                    calls += ["_last_mttkrp", "_last_partial"] * gradient
             else:
                 extrapolated = 0 if t == 0 else 2
                 calls += ["_last_partial", "_last_mttkrp"]
@@ -1393,12 +1544,17 @@ class TestPassBudget:
                     calls += ["_residual_norms"] * (1 + extrapolated)
         return calls
 
-    @pytest.mark.parametrize("case", ["flm", "als-ls", "compressed-flm"])
+    @pytest.mark.parametrize(
+        "case", ["flm", "noisy-flm", "als-ls", "compressed-flm"]
+    )
     def test_passes_match_budget(self, case, monkeypatch):
         """A noiseless 8^3 swamp fLM fit and a noiseless (12, 10, 9) ALS-ls
         fit cross the guard, with accepted and rejected fLM candidates, and
-        extrapolated ALS-ls candidates, on each side of it; a noisy 30^3
-        compressed fLM fit's refinement scores a candidate by its decrease.
+        extrapolated ALS-ls candidates, on each side of it, and the fLM fit
+        ends on the window with no gradient for its returned model; a noisy
+        30^3 fLM fit scores its last candidate by its decrease and ends on
+        the gradient test; the same fit compressed refines with one step
+        and ends "core", again with no gradient for the model it returns.
         Passes over the core are not passes over Y."""
         variant = "als-ls" if case == "als-ls" else "auto"
         if case == "flm":
@@ -1406,7 +1562,8 @@ class TestPassBudget:
         elif case == "als-ls":
             y = DenseTensor(gaussian_instance(0, noise=0.0, dims=(12, 10, 9)))
         else:
-            monkeypatch.setattr(cpfast.solver, "COMPRESS_MIN_RATIO", 0)
+            if case == "compressed-flm":
+                monkeypatch.setattr(cpfast.solver, "COMPRESS_MIN_RATIO", 0)
             y = DenseTensor(gaussian_instance(0))
         calls = count_tensor_passes(monkeypatch, y.dims)
         start_errs, decreases = [], []
@@ -1429,7 +1586,8 @@ class TestPassBudget:
         records = [rec for rec in result.trace if rec.stage == "full"]
         errs = [start_err] + [rec.relerr for rec in records[:-1]]
         init = [] if case == "compressed-flm" else ["_last_mttkrp"]
-        assert calls == self.budget(variant, records, errs, init)
+        returned = records[-1].accepted and result.stop_test in DIFFERENCE_RULES
+        assert calls == self.budget(variant, records, errs, init, returned)
         # fLM: (above the guard, accepted); ALS-ls: (above, extrapolated).
         kinds = {
             (err >= GRAM_ERROR_GUARD, rec.accepted if variant == "auto" else t > 0)
@@ -1437,10 +1595,14 @@ class TestPassBudget:
         }
         if case == "flm":
             assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+            assert (result.stop_test, returned) == ("window", True)
+        elif case == "noisy-flm":
+            assert result.stop_test == "gradient" and decreases
         elif case == "als-ls":
             assert {(True, True), (False, True)} <= kinds
         else:
-            assert len(records) < result.iters and decreases
+            assert len(records) < result.iters
+            assert (result.stop_test, returned) == ("core", True)
 
 
 class TestModePermutation:

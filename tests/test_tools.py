@@ -24,15 +24,17 @@ def digest_lines() -> list:
 
 
 def test_fit_digest_prints_one_stable_line_per_fit():
-    """Two problems times three variants give six lines of the ten
+    """Two problems times three variants give six lines of the eleven
     documented fields, and a second run prints the same lines."""
     lines = digest_lines()
     assert len(lines) == 2 * 3
     rows = [line.split() for line in lines]
     for row in rows:
-        assert len(row) == 10, row
-        workload, seed, _, _, iters, accepted, stop, relerr, digest, medsae = row
+        assert len(row) == 11, row
+        (workload, seed, _, _, iters, accepted, stop, relerr, digest, medsae,
+         stop_test) = row
         assert (workload, seed, stop) == ("tiny", "0", "tol")
+        assert stop_test in ("gradient", "window", "core")
         assert 0 < int(accepted) <= int(iters)
         assert 0.0 < float.fromhex(relerr) < 1.0
         assert len(digest) == 16 and int(digest, 16) >= 0

@@ -13,7 +13,8 @@ variant, the iterations, the accepted steps, the stop reason, the final
 relative error as ``float.hex``, a SHA-256 prefix of the factor bytes and
 the fit's MedSAE against the problem's truth (the mean over modes and
 components of ``medsae_pair``'s dB figures, as perfbench scores accuracy) as
-``float.hex``.  Two checkouts fit and score the same way exactly when their
+``float.hex`` and the test that stopped a "tol" fit (``FitResult.stop_test``,
+``None`` for any other stop).  Two checkouts fit and score the same way exactly when their
 outputs are equal (``diff`` them).
 """
 
@@ -59,7 +60,7 @@ def main(argv=None) -> int:
                         name, seed, problem.label, variant, result.iters,
                         result.accepted_iters, result.stop_reason,
                         float(result.final_relerr).hex(), digest.hexdigest()[:16],
-                        float(medsae.mean()).hex(), flush=True,
+                        float(medsae.mean()).hex(), result.stop_test, flush=True,
                     )
     return 0
 
