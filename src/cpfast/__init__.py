@@ -1,4 +1,10 @@
-"""Fast damped Gauss-Newton CP tensor decomposition toolkit."""
+"""Fast damped Gauss-Newton CP tensor decomposition toolkit.
+
+The package root holds the fit API: tensors, models, :func:`fit` and the
+benchmark generators and scores.  The dense oracles (:mod:`cpfast.oracle`),
+the identity checker (:mod:`cpfast.verify`), the Monte-Carlo sweep
+(:mod:`cpfast.bench`) and the file format (:mod:`cpfast.cptn`) are imported
+by name, so ``import cpfast`` loads none of them."""
 
 from .tensor import (
     COMPLEX,
@@ -23,7 +29,6 @@ from .kruskal import (
     relative_error,
 )
 from .hessian import SingularKernelError
-from .oracle import OracleSizeError, phi_density
 from .solver import FitConfig, FitResult, fit
 from .synth import (
     CollinearSpec,
@@ -35,9 +40,6 @@ from .synth import (
     medsae_pair,
     spectrum,
 )
-from .cptn import read_tensor, write_tensor
-from .bench import RunRecord, run_grid
-from .verify import run_suite
 
 __version__ = "0.1.0"
 
@@ -49,9 +51,7 @@ __all__ = [
     "FitResult",
     "GramCache",
     "KruskalModel",
-    "OracleSizeError",
     "REAL",
-    "RunRecord",
     "ScalarKindError",
     "SingularKernelError",
     "SpectrumReport",
@@ -69,14 +69,9 @@ __all__ = [
     "medsae",
     "medsae_pair",
     "mttkrp",
-    "phi_density",
-    "read_tensor",
     "reconstruct",
     "relative_error",
-    "run_grid",
-    "run_suite",
     "spectrum",
     "unfold",
     "vectorize",
-    "write_tensor",
 ]

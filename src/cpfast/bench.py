@@ -10,13 +10,12 @@ import statistics
 from dataclasses import dataclass, fields
 
 from .kruskal import KruskalModel
-from .solver import FitConfig, fit
+from .solver import STOP_REASONS, FitConfig, fit
 from .synth import CollinearSpec, add_noise, gen_collinear, medsae_pair
 from .tensor import DenseTensor
 
-# Stop reasons of a fit that ran to one of its stopping rules; any other
-# reason (an error message) is recorded as "error" with its text kept.
-STOP_REASONS = ("tol", "max_iters", "mu_overflow", "nonfinite")
+# A stop reason outside the solver's ``STOP_REASONS`` (an error message) is
+# recorded as "error" with its text kept.
 # Runs whose numbers are not a usable fit.
 FAILED = ("error", "nonfinite")
 
@@ -97,8 +96,8 @@ def run_grid(
     algos,
     seeds: int,
     scalar_kind: str = "real",
-    tol: float = 1e-8,
-    max_iters: int = 1000,
+    tol: float = FitConfig.tol,
+    max_iters: int = FitConfig.max_iters,
 ) -> list:
     """All (nu, R, snr) x seed x algo cells, deterministic order: each one
     fit of a :func:`~cpfast.synth.gen_collinear` tensor with

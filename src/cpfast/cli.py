@@ -18,7 +18,6 @@ from .kruskal import KruskalModel
 from .solver import FitConfig, INITS, VARIANTS, fit
 from .synth import CollinearSpec, SpectrumReport, add_noise, gen_collinear, spectrum
 from .tensor import COMPLEX, REAL
-from .verify import format_report, run_suite
 
 
 def _snr(text: str) -> float | None:
@@ -147,13 +146,14 @@ def _write_trace(path, trace) -> None:
 
 @main.command("fit")
 @click.argument("tensor_file", type=click.Path(exists=True))
-@click.option("--algo", type=click.Choice(VARIANTS), default="auto", show_default=True)
+@click.option("--algo", type=click.Choice(VARIANTS), default=FitConfig.variant,
+              show_default=True)
 @click.option("--rank", "-r", type=int, required=True)
-@click.option("--tau", type=float, default=1e-3, show_default=True)
-@click.option("--tol", type=float, default=1e-8, show_default=True)
-@click.option("--max-iters", type=int, default=1000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--init", type=click.Choice(INITS), default="svd")
+@click.option("--tau", type=float, default=FitConfig.tau, show_default=True)
+@click.option("--tol", type=float, default=FitConfig.tol, show_default=True)
+@click.option("--max-iters", type=int, default=FitConfig.max_iters, show_default=True)
+@click.option("--seed", type=int, default=FitConfig.seed, show_default=True)
+@click.option("--init", type=click.Choice(INITS), default=FitConfig.init)
 @click.option("--truth", default=None, type=click.Path(exists=True),
               help="Metadata sidecar of the generating run, for MedSAE scoring.")
 @click.option("--out", default=None, help="Prefix for fitted factors + CSV record.")
@@ -217,8 +217,8 @@ def cmd_fit(tensor_file, algo, rank, tau, tol, max_iters, seed, init, truth, out
               help=f"Comma-separated, from {', '.join(VARIANTS)}.")
 @click.option("--seeds", type=int, default=10, show_default=True)
 @click.option("--complex", "use_complex", is_flag=True)
-@click.option("--tol", type=float, default=1e-8, show_default=True)
-@click.option("--max-iters", type=int, default=1000, show_default=True)
+@click.option("--tol", type=float, default=FitConfig.tol, show_default=True)
+@click.option("--max-iters", type=int, default=FitConfig.max_iters, show_default=True)
 @click.option("--out", default="bench.csv", show_default=True)
 def cmd_bench(dims, ranks, nus, snrs, algos, seeds, use_complex, tol, max_iters,
               out):
@@ -296,6 +296,9 @@ def cmd_spectrum(size, rank, order, nus, snrs, csv_path):
               help="Inject a deliberate defect (the suite must then fail).")
 def cmd_verify(seeds, perturb):
     """Run every structural-identity check against dense oracles."""
+    # Imported here: no other command loads the dense oracles.
+    from .verify import format_report, run_suite
+
     results = run_suite(seeds=seeds, perturb=perturb)
     click.echo(format_report(results))
     if any(not r.passed for r in results):

@@ -45,6 +45,7 @@ stacks, B x N x R x I_max, with one call of each kernel it needs:
 
 from __future__ import annotations
 
+import importlib
 import importlib.machinery
 import importlib.util
 import math
@@ -89,37 +90,35 @@ TINY = np.finfo(np.float64).tiny
 MTTKRP_SLAB = 2**19
 
 
-def _load_flapack(linalg_dir: Path) -> ModuleType:
-    """scipy's LAPACK extension ``scipy.linalg._flapack``, loaded from its
-    file in ``linalg_dir`` without running ``scipy.linalg``'s ``__init__``,
-    which costs about 0.3 s of import (scipy's array-API layer, numpy.f2py
-    and more) where the extension costs a few ms.  The interpreter keeps one
-    copy of an extension per file and name, so its routines are the objects
-    ``scipy.linalg.get_lapack_funcs`` returns, whichever loads first.  The
-    load leaves ``sys.modules`` as it was, so a later ``import scipy.linalg``
-    binds its own module, with those routines, to the package.  With the
-    extension already imported, that module; with no such file in
-    ``linalg_dir``, the plain import."""
-    name = "scipy.linalg._flapack"
+def _load_scipy_extension(directory: Path, name: str) -> ModuleType:
+    """scipy's compiled extension ``name`` (dotted, say
+    ``scipy.linalg._flapack``), loaded from its file in ``directory``
+    without running its package's ``__init__``: ``scipy.linalg``'s costs
+    about 0.3 s of import (scipy's array-API layer, numpy.f2py and more),
+    ``scipy.optimize``'s, which imports it, about 0.4 s and 50 MB of memory,
+    where an extension costs a few ms.  The interpreter keeps one copy of an
+    extension per file and name, so its routines are the objects the
+    package's import gives, whichever loads first.  The load leaves
+    ``sys.modules`` as it was, so a later import of the package binds its
+    own module, with those routines, to the package.  With the extension
+    already imported, that module; with no such file in ``directory``, the
+    plain import."""
     if name in sys.modules:
         return sys.modules[name]
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = Path(linalg_dir, "_flapack" + suffix)
+        path = Path(directory, name.rpartition(".")[2] + suffix)
         if path.is_file():
             spec = importlib.util.spec_from_file_location(name, path)
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
             sys.modules.pop(name, None)
             return module
-    from scipy.linalg import _flapack
-
-    return _flapack
+    return importlib.import_module(name)
 
 
 # find_spec on a top-level package runs none of its code.
-FLAPACK = _load_flapack(
-    Path(importlib.util.find_spec("scipy").origin).parent / "linalg"
-)
+SCIPY_DIR = Path(importlib.util.find_spec("scipy").origin).parent
+FLAPACK = _load_scipy_extension(SCIPY_DIR / "linalg", "scipy.linalg._flapack")
 _LAPACK_PREFIX = {np.dtype(np.float64): "d", np.dtype(np.complex128): "z"}
 
 

@@ -102,6 +102,9 @@ ACCEL_MAX_RATIO = 0.75
 # A fit stops "tol" once this many consecutive relative-error differences
 # fall below ``FitConfig.tol``.
 TOL_WINDOW = 10
+# The stop reasons of a fit that ran to one of its stopping rules (see
+# :func:`fit`); a numerical failure of a step stops it with the error's text.
+STOP_REASONS = ("tol", "max_iters", "mu_overflow", "nonfinite")
 # A fit first fits the ST-HOSVD core of Y and then refines on Y (see
 # :func:`_fit_compressed`) once prod I_n is at least this many times prod
 # min(I_n, R), the core's size.  In a crossover grid of Gaussian-factor fits

@@ -4,6 +4,13 @@ feasibility analysis, and angular-error scoring.
 Benchmarks follow the standard swamp construction: every mode's components
 share a common direction u_1 plus a nu-scaled orthogonal perturbation, so the
 mutual angles (and the difficulty) are controlled by a single parameter.
+
+Scoring matches estimated components to true ones with SciPy's compiled
+assignment, ``linear_sum_assignment`` of ``scipy.optimize._lsap`` (Crouse,
+IEEE TAES 52(4), 2016), loaded by path
+(:func:`~cpfast.kruskal._load_scipy_extension`): the routine is
+``scipy.optimize``'s own, yet neither scoring nor ``import cpfast`` imports
+``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -13,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kruskal import KruskalModel, reconstruct
+from .kruskal import SCIPY_DIR, KruskalModel, _load_scipy_extension, reconstruct
 from .tensor import COMPLEX, DenseTensor, REAL, _gaussian
 
 MEDSAE_FLOOR_DB = -300.0
+LSAP = _load_scipy_extension(SCIPY_DIR / "optimize", "scipy.optimize._lsap")
 
 
 @dataclass
@@ -225,9 +233,10 @@ def match_components(truth: KruskalModel, estimate: KruskalModel) -> np.ndarray:
     """Optimal assignment of estimate components to truth components.
 
     The congruence score multiplies the normalized |inner product| across all
-    modes; the assignment maximizes total congruence
-    (:func:`min_cost_assignment` of the negated scores).  Returns ``perm``
-    with truth component r matched to estimate column perm[r].
+    modes; the assignment maximizes total congruence (SciPy's
+    ``linear_sum_assignment`` of the negated scores).  Returns
+    ``perm`` with truth component r matched to estimate column perm[r].  An
+    estimate with a zero column scores NaN, which raises ``ValueError``.
     """
     if truth.rank != estimate.rank:
         raise ValueError("rank mismatch between truth and estimate")
@@ -237,71 +246,7 @@ def match_components(truth: KruskalModel, estimate: KruskalModel) -> np.ndarray:
         tn = ft / np.linalg.norm(ft, axis=0, keepdims=True)
         en = fe / np.linalg.norm(fe, axis=0, keepdims=True)
         score *= np.abs(tn.conj().T @ en)
-    return min_cost_assignment(-score)
-
-
-def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
-    """The column assigned to each row by a minimum-cost assignment of the
-    square matrix ``cost``, in O(n^3): the shortest augmenting path method
-    (Jonker & Volgenant, Computing 38, 1987) in the form of Crouse (IEEE
-    TAES 52(4), 2016) that SciPy's ``linear_sum_assignment`` implements.
-
-    Rows are added one at a time.  Each Dijkstra-like search from the new
-    row scans the columns not yet reached in SciPy's order (descending, each
-    reached column replaced by the last one left), takes the lowest reduced
-    path cost, and among equal lowest costs an unassigned column (the last
-    such) over the first; the duals are then updated and the path
-    augmented.  Costs are summed as SciPy sums them, so the two give the
-    same assignment, ties included.  Raises ``ValueError`` for a matrix that
-    is not square or has entries that are not finite.
-    """
-    cost = np.asarray(cost, dtype=np.float64)
-    n = len(cost)
-    if cost.shape != (n, n) or not np.isfinite(cost).all():
-        raise ValueError(f"need a finite square cost matrix, got shape {cost.shape}")
-    u = np.zeros(n)
-    v = np.zeros(n)
-    path = np.full(n, -1)
-    col4row = np.full(n, -1)
-    row4col = np.full(n, -1)
-    for row in range(n):
-        costs = np.full(n, np.inf)
-        seen_rows = np.zeros(n, bool)
-        seen_cols = np.zeros(n, bool)
-        remaining = np.arange(n - 1, -1, -1)
-        left = n
-        low = 0.0
-        i = row
-        while True:
-            seen_rows[i] = True
-            cols = remaining[:left]
-            reduced = low + cost[i, cols] - u[i] - v[cols]
-            better = reduced < costs[cols]
-            path[cols[better]] = i
-            costs[cols[better]] = reduced[better]
-            scanned = costs[cols]
-            low = scanned.min()
-            ties = np.flatnonzero(scanned == low)
-            free = ties[row4col[cols[ties]] == -1]
-            index = free[-1] if free.size else ties[0]
-            j = cols[index]
-            seen_cols[j] = True
-            left -= 1
-            remaining[index] = remaining[left]
-            if row4col[j] == -1:
-                break
-            i = row4col[j]
-        seen_rows[row] = False
-        u[row] += low
-        u[seen_rows] += low - costs[col4row[seen_rows]]
-        v[seen_cols] -= low - costs[seen_cols]
-        while True:
-            i = path[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == row:
-                break
-    return col4row
+    return LSAP.linear_sum_assignment(-score)[1]
 
 
 def component_angles(truth: KruskalModel, estimate: KruskalModel) -> np.ndarray:

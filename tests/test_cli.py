@@ -3,6 +3,7 @@ verification exit codes."""
 
 import csv
 import dataclasses
+import inspect
 import itertools
 import json
 import math
@@ -34,6 +35,29 @@ def invoke(runner, args):
     result = runner.invoke(main, args, catch_exceptions=False)
     assert result.exit_code == 0, result.output
     return result
+
+
+def test_fit_defaults_are_fitconfigs():
+    """The fit settings that ``fit``, ``bench`` and ``run_grid`` are not
+    given default to FitConfig's, so the CLI cannot drift from the library."""
+    config = cpfast.solver.FitConfig(rank=1)
+    expected = {
+        "algo": config.variant, "tau": config.tau, "tol": config.tol,
+        "max_iters": config.max_iters, "seed": config.seed, "init": config.init,
+    }
+    fit_defaults = {p.name: p.default for p in main.commands["fit"].params}
+    assert {name: fit_defaults[name] for name in expected} == expected
+    sweep = {"tol": config.tol, "max_iters": config.max_iters}
+    bench_defaults = {p.name: p.default for p in main.commands["bench"].params}
+    grid_defaults = {
+        name: p.default for name, p in inspect.signature(run_grid).parameters.items()
+    }
+    for defaults in (bench_defaults, grid_defaults):
+        assert {name: defaults[name] for name in sweep} == sweep
+
+
+def test_bench_stop_reasons_are_the_solvers():
+    assert cpfast.bench.STOP_REASONS is cpfast.solver.STOP_REASONS
 
 
 class TestGen:

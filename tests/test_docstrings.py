@@ -34,10 +34,15 @@ def lookup(obj, dotted) -> bool:
 
 def resolves(module, target) -> bool:
     """``target`` from the module's own namespace, else as ``cpfast.<target>``
-    (a leading ``cpfast.`` is optional)."""
+    (a leading ``cpfast.`` is optional), with the cpfast module it names
+    imported first, so the answer does not depend on what ran before."""
     if lookup(module, target):
         return True
-    return lookup(importlib.import_module("cpfast"), target.removeprefix("cpfast."))
+    dotted = target.removeprefix("cpfast.")
+    head = dotted.split(".")[0]
+    if (PACKAGE / f"{head}.py").is_file():
+        importlib.import_module(f"cpfast.{head}")
+    return lookup(importlib.import_module("cpfast"), dotted)
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

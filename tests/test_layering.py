@@ -2,12 +2,13 @@
 identity checker, the Monte-Carlo sweep, the CLI, the generators or the file
 format: dense oracles belong only to ``verify`` and the tests.
 
-Neither ``import cpfast``, a fit nor scoring one against its truth loads
-``scipy.linalg`` or ``scipy.optimize``: the LAPACK routines come from
-scipy's extension module, loaded by path
-(:func:`cpfast.kruskal._load_flapack`), and are the very objects
-``scipy.linalg.get_lapack_funcs`` returns.  Import state is checked
-in a fresh interpreter."""
+``import cpfast`` loads only the fit path and the generators and scores of
+``synth``.  Neither it, a fit nor scoring one against its truth loads
+``scipy.linalg`` or ``scipy.optimize``: the LAPACK routines and the
+assignment come from scipy's extension modules, loaded by path
+(:func:`cpfast.kruskal._load_scipy_extension`), and are the very objects
+``scipy.linalg.get_lapack_funcs`` and ``scipy.optimize.linear_sum_assignment``
+give.  Import state is checked in a fresh interpreter."""
 
 import ast
 import subprocess
@@ -88,9 +89,23 @@ def test_import_loads_no_scipy_linalg_or_optimize():
     assert run_fresh(f"import cpfast\n{LOADED}") == ["False", "False"]
 
 
+def test_import_loads_only_the_fit_api():
+    """The package root imports no oracle, checker, sweep, file format or
+    CLI module."""
+    code = "import cpfast\nprint(*sorted(m for m in sys.modules if 'cpfast.' in m))"
+    assert run_fresh(code) == [f"cpfast.{m}" for m in sorted(FIT_PATH + ("synth",))]
+
+
+def test_cli_loads_no_dense_oracle():
+    """Only ``cpfast verify`` imports the identity checker and its oracles."""
+    code = "import cpfast.cli\nprint(*sorted(m for m in sys.modules if 'cpfast.' in m))"
+    loaded = set(run_fresh(code))
+    assert "cpfast.cli" in loaded and not {"cpfast.oracle", "cpfast.verify"} & loaded
+
+
 def test_medsae_pair_loads_no_scipy_linalg_or_optimize():
     """Scoring a fit against its truth, real and complex, imports nothing
-    more: the assignment is the package's own."""
+    more: the assignment is scipy's extension, loaded by path."""
     code = f"""
 from cpfast import CollinearSpec, FitConfig, fit, gen_collinear
 from cpfast.synth import medsae_pair
@@ -134,19 +149,46 @@ for name, dtype in {LAPACK_USED!r}:
     assert run_fresh(code) == ["True"] * len(LAPACK_USED)
 
 
-def test_loader_falls_back_to_plain_import(tmp_path):
-    """Pointed at a directory with no ``_flapack`` file, the loader imports
-    scipy.linalg's own extension, whose ``dgetrf`` is scipy's."""
+@pytest.mark.parametrize("first", ["cpfast", "scipy.optimize"])
+def test_assignment_is_scipys(first):
+    """``synth`` matches with the object ``scipy.optimize`` exports,
+    whichever of cpfast and scipy.optimize is imported first."""
     code = f"""
-import numpy as np
-from cpfast import kruskal
-module = kruskal._load_flapack({str(tmp_path)!r})
-print('scipy.linalg' in sys.modules)
-import scipy.linalg
-print(module is scipy.linalg._flapack, module is not kruskal.FLAPACK)
-print(module.dgetrf is scipy.linalg.get_lapack_funcs(("getrf",), dtype=np.float64)[0])
+import {first}
+import cpfast
+import scipy.optimize
+from cpfast.synth import LSAP
+print(LSAP.linear_sum_assignment is scipy.optimize.linear_sum_assignment)
 """
-    assert run_fresh(code) == ["True"] * 4
+    assert run_fresh(code) == ["True"]
+
+
+# (extension, the module cpfast loaded by path, a check that the plain
+# import's routine is scipy's).
+FALLBACKS = [
+    ("scipy.linalg._flapack", "kruskal.FLAPACK",
+     "module.dgetrf is scipy.linalg.get_lapack_funcs(('getrf',), dtype=np.float64)[0]"),
+    ("scipy.optimize._lsap", "synth.LSAP",
+     "module.linear_sum_assignment is scipy.optimize.linear_sum_assignment"),
+]
+
+
+def test_loader_falls_back_to_plain_import(tmp_path):
+    """Pointed at a directory with no file of the extension, the loader
+    imports the package and its extension, whose routines are scipy's; each
+    extension in its own fresh interpreter."""
+    for name, loaded, same in FALLBACKS:
+        package = name.rpartition(".")[0]
+        code = f"""
+import numpy as np
+from cpfast import kruskal, synth
+module = kruskal._load_scipy_extension({str(tmp_path)!r}, {name!r})
+print({package!r} in sys.modules)
+import {package}
+print(module is {name}, module is not {loaded})
+print({same})
+"""
+        assert run_fresh(code) == ["True"] * 4, name
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.int64])
