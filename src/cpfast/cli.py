@@ -153,7 +153,12 @@ def _write_trace(path, trace) -> None:
 @click.option("--tol", type=float, default=FitConfig.tol, show_default=True)
 @click.option("--max-iters", type=int, default=FitConfig.max_iters, show_default=True)
 @click.option("--seed", type=int, default=FitConfig.seed, show_default=True)
-@click.option("--init", type=click.Choice(INITS), default=FitConfig.init)
+@click.option("--init", type=click.Choice(INITS), default=FitConfig.init,
+              show_default=True,
+              help="svd: the GEVD start on an order-3 tensor or compressed "
+              "core whose first two dims equal the rank, else the leading "
+              "singular vectors; random: Gaussian factors.  The start that "
+              "ran is printed as start=gevd, svd or random.")
 @click.option("--truth", default=None, type=click.Path(exists=True),
               help="Metadata sidecar of the generating run, for MedSAE scoring.")
 @click.option("--out", default=None, help="Prefix for fitted factors + CSV record.")
@@ -187,7 +192,7 @@ def cmd_fit(tensor_file, algo, rank, tau, tol, max_iters, seed, init, truth, out
     click.echo(
         f"algo={algo} iters={record.iters} accepted={record.accepted_iters} "
         f"relerr={record.final_relerr:.3e} stop={record.stop_reason}{stop_test} "
-        f"time_ms={record.time_ms:.1f}"
+        f"time_ms={record.time_ms:.1f} start={result.start}"
     )
     if out:
         for n, factor in enumerate(result.model.factors, start=1):

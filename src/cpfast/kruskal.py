@@ -672,6 +672,8 @@ def svd_init(y: DenseTensor, rank: int, rng) -> tuple[KruskalModel, np.ndarray]:
 
     Returns ``(model, M^(N))``: the phase rule needs the init's mode-N
     MTTKRP M^(N), which does not depend on A^(N), so the fit reuses it.
+    A fit takes this start for ``init="svd"`` wherever :func:`gevd_init`
+    does not apply or returns None (see :func:`cpfast.solver._init_model`).
     """
     factors = []
     for n in range(1, y.order + 1):
@@ -687,6 +689,43 @@ def svd_init(y: DenseTensor, rank: int, rng) -> tuple[KruskalModel, np.ndarray]:
     inner = np.sum(factors[-1].conj() * last, axis=0)
     factors[-1] = factors[-1] * _unit_phase(inner)[None, :]
     return KruskalModel(factors), last
+
+
+def gevd_init(y: DenseTensor, rng) -> tuple[KruskalModel, np.ndarray] | None:
+    """The GEVD start of an R x R x K tensor, K >= 2 (Sanchez & Kowalski,
+    J. Chemometrics 4, 1990; Leurgans, Ross & Abel, SIAM J. Matrix Anal.
+    Appl. 14(4), 1993; Tensorlab's ``cpd_gevd``), exact on a noiseless
+    rank-R tensor whose A and B are invertible.
+
+    Two mixtures of the mode-3 slices, S_i = Y x_3 w_i with real Gaussian
+    weights w_1, w_2 from ``rng``, are A diag(C^T w_i) B^T, so A is the
+    eigenvectors of S_1 S_2^{-1} = A diag(C^T w_1 / C^T w_2) A^{-1}; each
+    column's largest-magnitude entry is made real and positive, as in
+    :func:`svd_init`.  Then B^T = A^{-1} S_1, and C solves the normal
+    equations C Gamma^T = M^(3), Gamma = (A^H A) * (B^H B), with M^(3) the
+    mode-3 MTTKRP, which does not depend on C.  Every inverse is a
+    ``np.linalg.solve``.
+
+    Returns ``(model, M^(3))``, or None where the start does not exist: a
+    real tensor whose pencil has a complex eigenvalue pair, a singular
+    solve or a non-finite factor.
+    """
+    s1, s2 = np.moveaxis(y.data @ rng.standard_normal((y.dims[2], 2)), -1, 0)
+    try:
+        a = np.linalg.eig(np.linalg.solve(s2.T, s1.T).T).eigenvectors
+        # eig returns complex vectors for real data only at a complex pair.
+        if a.dtype.kind != s1.dtype.kind:
+            return None
+        a = a / _top_phase(a)[None, :]
+        b = np.linalg.solve(a, s1).T
+        last = _last_mttkrp(y, _khatri_rao_rows([a.T, b.T]).mT)
+        gamma = (a.conj().T @ a) * (b.conj().T @ b)
+        c = np.linalg.solve(gamma, last.T).T
+    except np.linalg.LinAlgError:
+        return None
+    if not (np.isfinite(b).all() and np.isfinite(c).all()):
+        return None
+    return KruskalModel([a, b, c]), last
 
 
 def st_hosvd(y: DenseTensor, rank: int) -> tuple[list, DenseTensor, np.ndarray]:

@@ -56,6 +56,7 @@ from .kruskal import (
     _residual_norms,
     _sweep,
     _sweep_plan,
+    gevd_init,
     gram_stack,
     model_from_stack,
     mttkrp,
@@ -108,13 +109,25 @@ STOP_REASONS = ("tol", "max_iters", "mu_overflow", "nonfinite")
 # A fit first fits the ST-HOSVD core of Y and then refines on Y (see
 # :func:`_fit_compressed`) once prod I_n is at least this many times prod
 # min(I_n, R), the core's size.  In a crossover grid of Gaussian-factor fits
-# (README, "Compression") the fLM fit got slower with compression at ratio
-# 1000 (30^3 R=3, 50^3 R=5) and faster from 1728 (60^3 R=5) up.
-COMPRESS_MIN_RATIO = 1500
+# (README, "Compression"), with the GEVD start for order-3 cores, every cell
+# from ratio 512 (40^3 R=5) up ran faster compressed, fLM and ALS-ls alike,
+# in two runs; the swamp shapes (ratios 296 and 81) stay plain.
+COMPRESS_MIN_RATIO = 512
 
 
 @dataclass
 class FitConfig:
+    """What :func:`fit` does: the rank R, the variant ("auto" for fLM, "als"
+    or "als-ls"), the initial damping factor ``tau``, the tolerance ``tol``
+    of the stop tests, the iteration budget, the seed of every random draw
+    and the init.  ``init="svd"`` (the default) starts an order-3 tensor
+    with I_1 = I_2 = R and I_3 >= 2, such as the core of a compressed
+    order-3 fit whose first two modes kept R columns, from the GEVD of two
+    slice mixtures, and any other tensor, or one whose GEVD start does not
+    exist, from the leading singular vectors; ``init="random"`` starts from
+    Gaussian factors (see :func:`_init_model`).  ``FitResult.start`` says
+    which start ran."""
+
     rank: int
     variant: str = "auto"
     tau: float = 1e-3
@@ -196,7 +209,9 @@ class FitResult:
     model whose gradient the loop forms), "window" (``TOL_WINDOW`` small
     differences) and "core" (an fLM refinement's first accepted step with a
     difference below ``tol`` after a core stage that stopped "gradient").  A
-    compressed fit reports its refinement's test."""
+    compressed fit reports its refinement's test.  ``start`` is the start
+    that :func:`_init_model` built: "gevd", "svd" or "random"; a compressed
+    fit reports its core stage's."""
 
     model: KruskalModel
     trace: list
@@ -204,6 +219,7 @@ class FitResult:
     time_ms: float = 0.0
     below: int = 0
     stop_test: str | None = None
+    start: str | None = None
 
     @property
     def iters(self) -> int:
@@ -266,16 +282,31 @@ def nielsen_update(mu: float, growth: float, rho: float) -> tuple[float, float]:
     return mu * growth, 2.0 * growth
 
 
-def _init_model(y: DenseTensor, config: FitConfig) -> tuple[KruskalModel, np.ndarray]:
-    """The configured init of ``y`` and its mode-N MTTKRP: the SVD init's
-    own, or one pass over the tensor.  :func:`fit` calls it once per stage,
-    on the unit-norm tensor that the stage's loop fits; the random draws come
-    from ``config.seed`` alone."""
-    rng = np.random.default_rng([config.seed, 0])
-    if config.init == "svd":
-        return svd_init(y, config.rank, rng)
-    start = random_init(y.dims, config.rank, rng, y.scalar_kind)
-    return start, mttkrp(y, start, start.order)
+def _init_model(
+    y: DenseTensor, config: FitConfig
+) -> tuple[KruskalModel, np.ndarray, str]:
+    """The configured init of ``y``, its mode-N MTTKRP and the start that
+    ran (``FitResult.start``).  :func:`fit` calls it once per stage, on the
+    unit-norm tensor that the stage's loop fits; the random draws come from
+    ``config.seed`` alone.
+
+    ``init="svd"`` on an order-3 tensor with I_1 = I_2 = R and I_3 >= 2,
+    such as the core of a compressed order-3 fit, builds the GEVD start
+    (:func:`~cpfast.kruskal.gevd_init`, "gevd"), and the SVD start where
+    that start does not exist.  Every other ``init="svd"`` takes the SVD
+    start (:func:`~cpfast.kruskal.svd_init`, "svd").  Both return their own
+    MTTKRP; ``init="random"`` ("random") costs one pass over the tensor.
+    The SVD start draws from a generator of its own, so a fallback is the
+    SVD start bit for bit."""
+    rng = functools.partial(np.random.default_rng, [config.seed, 0])
+    if config.init == "random":
+        start = random_init(y.dims, config.rank, rng(), y.scalar_kind)
+        return start, mttkrp(y, start, start.order), "random"
+    if y.order == 3 and y.dims[:2] == (config.rank,) * 2 and y.dims[2] >= 2:
+        gevd = gevd_init(y, rng())
+        if gevd is not None:
+            return *gevd, "gevd"
+    return *svd_init(y, config.rank, rng()), "svd"
 
 
 def _start_error(y, x, last, grams, norm) -> float:
@@ -341,9 +372,12 @@ def fit(y: DenseTensor, config: FitConfig) -> FitResult:
     initialization.
 
     Every fit solves the unit-norm problem: ``fit`` divides Y by ||Y|| once,
-    builds the configured init of Y / ||Y|| (:func:`_init_model`) and hands
-    both to the loop, :func:`_fit_lm` or :func:`_fit_als`, which only
-    iterates.  It then scales the returned model back once: the LM family's
+    builds the configured init of Y / ||Y|| (:func:`_init_model`: for
+    ``init="svd"`` the GEVD start where Y, or a compressed fit's core, is
+    R x R x K with K >= 2 and that start exists, else the SVD start) and
+    hands both to the loop, :func:`_fit_lm` or :func:`_fit_als`, which only
+    iterates; ``FitResult.start`` names the start.  It then scales the
+    returned model back once: the LM family's
     factors are multiplied by ||Y||^(1/N), which keeps every component's mode
     norms equal, and ALS's first factor by ||Y||.  So the trace does not
     depend on the scale of Y, and ALS's scaling is exact for powers of two:
@@ -375,7 +409,9 @@ def fit(y: DenseTensor, config: FitConfig) -> FitResult:
     if config.max_iters > 1 and _compresses(y.dims, config.rank):
         result = _fit_compressed(loop, unit, config, t0)
     else:
-        result = loop(unit, config, t0, *_init_model(unit, config))
+        model, last, start = _init_model(unit, config)
+        result = loop(unit, config, t0, model, last)
+        result.start = start
     factors = result.model.factors
     if loop is _fit_als:
         factors = [factors[0] * ynorm] + factors[1:]
@@ -439,19 +475,21 @@ def _fit_compressed(loop, y: DenseTensor, config: FitConfig, t0: float):
     if loop is _fit_lm:
         # e_Y^2 / k^2 - e_G^2; rounding can put kappa above 1.
         stage["lost_sq"] = max(1.0 - kappa * kappa, 0.0) / (kappa * kappa)
-    first = loop(core, budget, t0, *_init_model(core, config), **stage)
+    model, last, start = _init_model(core, config)
+    first = loop(core, budget, t0, model, last, **stage)
     for rec in first.trace:
         rec.stage = "core"
     rest = replace(config, max_iters=config.max_iters - first.iters)
-    start = _expanded_start(bases, lead, first.model, kappa)
+    expanded = _expanded_start(bases, lead, first.model, kappa)
     # Only the LM loop has a gradient test to stop on.
     if first.stop_test == "gradient":
-        result = loop(y, rest, t0, *start, settled=True)
+        result = loop(y, rest, t0, *expanded, settled=True)
     else:
-        result = loop(y, rest, t0, *start, first.below)
+        result = loop(y, rest, t0, *expanded, first.below)
     for rec in result.trace:
         rec.iter += first.iters
     result.trace = first.trace + result.trace
+    result.start = start
     return result
 
 

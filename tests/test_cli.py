@@ -166,6 +166,20 @@ class TestFit:
         out = invoke(runner, args + ["--max-iters", "2"]).output
         assert " stop=max_iters time_ms=" in out and "stop_test" not in out
 
+    @pytest.mark.parametrize(
+        "dims,init,start",
+        [("6,6,6", "svd", "svd"), ("6,6,6", "random", "random"),
+         ("2,2,5", "svd", "gevd")],
+    )
+    def test_start_printed_last(self, runner, tmp_path, dims, init, start):
+        """The line ends with the start that ran: the GEVD start for a rank-2
+        2 x 2 x 5 tensor under the default init, else the init named."""
+        invoke(runner, ["gen", "--dims", dims, "--rank", "2", "--nu", "0.5",
+                        "--snr", "30", "--seed", "1", "--out", str(tmp_path / "t")])
+        out = invoke(runner, ["fit", str(tmp_path / "t_noisy.cptn"), "--rank", "2",
+                              "--init", init]).output
+        assert out.splitlines()[0].endswith(f" start={start}")
+
     @pytest.mark.parametrize("algo", ["auto", "als-ls"])
     def test_trace_jsonl_schema(self, runner, tmp_path, algo, monkeypatch):
         """``--trace`` writes one JSON object per iteration with exactly the

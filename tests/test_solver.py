@@ -89,6 +89,13 @@ def gaussian_instance(seed, noise=0.01, dims=(30, 30, 30), rank=3, kind=REAL):
     return clean + noise * np.linalg.norm(clean) / np.linalg.norm(e) * e
 
 
+def keep_plain(monkeypatch):
+    """Route every fit through the plain path.  The noisy 30^3 R=3
+    instances (ratio 1000) compress by default, and the tests that call
+    this check plain-fit behaviour on them."""
+    monkeypatch.setattr(cpfast.solver, "COMPRESS_MIN_RATIO", math.inf)
+
+
 def unit_gradient_norm(y, model):
     """||g|| of the unit-norm problem Y / ||Y|| at a fit's returned ``model``
     scaled back by ||Y||^(-1/N), recomputed from scratch."""
@@ -719,7 +726,8 @@ class TestGradientStop:
     """Besides the ten-difference window, an fLM fit stops "tol" once ||g|| <=
     tol * relerr at its current model."""
 
-    def test_noisy_fit_stops_on_converging_step(self):
+    def test_noisy_fit_stops_on_converging_step(self, monkeypatch):
+        keep_plain(monkeypatch)
         y = DenseTensor(gaussian_instance(0))
         config = FitConfig(rank=3)
         result = fit(y, config)
@@ -783,6 +791,7 @@ class TestGradientStop:
         test (``test_noisy_fit_stops_on_converging_step``).  An fLM record's
         ``grad_norm`` is NaN exactly where it is the accepted last record of
         a fit that a difference rule ended."""
+        keep_plain(monkeypatch)
         y = DenseTensor(gaussian_instance(0))
         config = FitConfig(rank=3)
         if case == "noiseless-flm":
@@ -824,7 +833,7 @@ class TestGeodesicAcceleration:
         config = FitConfig(rank=3, tau=tau, max_iters=1)
         rec = fit(y, config).trace[0]
         unit = DenseTensor(y.data / y.norm())
-        x, cache, _, err = _scaled_start(unit, *_init_model(unit, config), unit.norm)
+        x, cache, _, err = _scaled_start(unit, *_init_model(unit, config)[:2], unit.norm)
         model = model_from_stack(x, unit.dims)
         mu = mu_init(cache, tau)
         g = gradient(unit, model, cache)
@@ -943,12 +952,13 @@ class TestScaleFree:
         assert relative_error(y, back) <= 1e-12
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_noisy_fit_does_not_depend_on_scale(self, seed):
+    def test_noisy_fit_does_not_depend_on_scale(self, seed, monkeypatch):
         """30^3, R=3 Gaussian factors at 1% noise, times 1 and 1e3: the same
         stop reason and relerr, and the same accept decisions and errors while
         the error is above its final value (so the same first accepted step:
         iteration 1 at seed 0, 4 at seed 1).  At the final value, whether a
         candidate lowers the error turns on the last bits."""
+        keep_plain(monkeypatch)
         y = gaussian_instance(seed)
         one, big = (fit(DenseTensor(s * y), FitConfig(rank=3)) for s in (1.0, 1e3))
         assert one.stop_reason == big.stop_reason == "tol"
@@ -1180,11 +1190,12 @@ class TestCandidateError:
             assert 0.01 < dense < 1.0
             assert e == pytest.approx(dense, rel=1e-10)
 
-    def test_flm_trace_records_scorer(self):
+    def test_flm_trace_records_scorer(self, monkeypatch):
         """A noiseless 20^3 nu=0.1 fLM fit records "gram" and then "dense",
         each record the path that the error before it picks; the noisy 30^3
         fit records "decrease" on the step that converges; an ALS-ls fit
         records its candidates' path too."""
+        keep_plain(monkeypatch)
         _, y = gen_collinear(CollinearSpec((20, 20, 20), 3, 0.1, None, 0))
         trace = fit(y, FitConfig(rank=3)).trace
         scorers = [rec.scorer for rec in trace]
@@ -1267,7 +1278,7 @@ class TestCompression:
             kappa = cpfast.solver._tensor_norm(core)
             core = DenseTensor(core.data / kappa)
             core_fit = cpfast.solver._fit_lm(
-                core, budget, 0.0, *_init_model(core, config),
+                core, budget, 0.0, *_init_model(core, config)[:2],
                 lost_sq=(1.0 - kappa**2) / kappa**2,
             )
         else:
@@ -1486,14 +1497,142 @@ class TestCompression:
     @pytest.mark.parametrize("max_iters", [2, 3, 7])
     def test_max_iters_bounds_both_stages(self, variant, max_iters, monkeypatch):
         """The core stage takes at most max_iters - 1 iterations, and the
-        two stages together at most max_iters; the last record is "full"."""
+        two stages together at most max_iters; the last record is "full".
+        At tol = 0 no stop test can end the fit before its budget."""
         monkeypatch.setattr(cpfast.solver, "COMPRESS_MIN_RATIO", 0)
         y = DenseTensor(gaussian_instance(2, dims=(12, 10, 9)))
-        result = fit(y, FitConfig(rank=3, variant=variant, max_iters=max_iters))
+        config = FitConfig(rank=3, variant=variant, max_iters=max_iters, tol=0.0)
+        result = fit(y, config)
         stages = [rec.stage for rec in result.trace]
         assert result.iters == max_iters and result.stop_reason == "max_iters"
         assert stages[0] == "core" and stages[-1] == "full"
         assert result.final_relerr == result.trace[-1].relerr
+
+
+class TestGevdStart:
+    """``init="svd"`` on an order-3 tensor with I_1 = I_2 = R and I_3 >= 2,
+    such as a compressed order-3 core, starts from the GEVD of two slice
+    mixtures (:func:`~cpfast.kruskal.gevd_init`); ``FitResult.start`` says
+    which start ran."""
+
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    @pytest.mark.parametrize("dims", [(4, 4, 7), (5, 5, 2)])
+    def test_start_alone_reconstructs_noiseless_tensor(self, dims, kind):
+        """Stated bound: on a noiseless rank-R R x R x K tensor with Gaussian
+        factors, the start that ``_init_model`` builds is the GEVD start and
+        reconstructs the tensor to relerr <= 1e-12 with no iteration, and
+        its MTTKRP is the start's mode-3 MTTKRP."""
+        rng = np.random.default_rng(3)
+        y = reconstruct(random_init(dims, dims[0], rng, kind))
+        model, last, start = _init_model(y, FitConfig(rank=dims[0]))
+        assert start == "gevd"
+        assert relative_error(y, model) <= 1e-12
+        np.testing.assert_allclose(last, mttkrp(y, model, 3), rtol=0, atol=1e-12)
+
+    def test_start_alone_recovers_noiseless_swamp_core(self):
+        """Stated bound: the compressed core of a noiseless 20^3 swamp
+        tensor (nu = 0.1, R = 3) is reconstructed to relerr <= 1e-12 by its
+        GEVD start alone."""
+        _, y = gen_collinear(CollinearSpec((20, 20, 20), 3, 0.1, None, 0))
+        _, core, _ = st_hosvd(DenseTensor(y.data / y.norm()), 3)
+        model, _, start = _init_model(core, FitConfig(rank=3))
+        assert start == "gevd"
+        assert relative_error(core, model) <= 1e-12
+
+    def test_complex_pair_falls_back_to_svd_start(self):
+        """The real 2 x 2 x 2 tensor with slices [[0, -1], [1, 0]] and I: any
+        real mixture pencil has the eigenvalues of a Moebius map of +-i, a
+        complex pair, so no real GEVD start exists.  The fallback is the SVD
+        start bit for bit, and the fit says "svd"."""
+        data = np.stack([[[0.0, -1.0], [1.0, 0.0]], np.eye(2)], axis=-1)
+        y = DenseTensor(data)
+        config = FitConfig(rank=2)
+        assert cpfast.kruskal.gevd_init(y, np.random.default_rng(0)) is None
+        model, last, start = _init_model(y, config)
+        svd_model, svd_last = cpfast.kruskal.svd_init(
+            y, 2, np.random.default_rng([config.seed, 0])
+        )
+        assert start == "svd"
+        for f, g in zip(model.factors, svd_model.factors):
+            assert f.tobytes() == g.tobytes()
+        assert last.tobytes() == svd_last.tobytes()
+        assert fit(y, config).start == "svd"
+
+    def test_singular_solve_falls_back(self):
+        """A zero first row makes every slice mixture singular (an exact
+        zero pivot), so the builder returns None and the start is "svd"."""
+        data = np.random.default_rng(4).standard_normal((3, 3, 4))
+        data[0] = 0.0
+        y = DenseTensor(data)
+        assert cpfast.kruskal.gevd_init(y, np.random.default_rng(0)) is None
+        assert _init_model(y, FitConfig(rank=3))[2] == "svd"
+
+    @pytest.mark.parametrize(
+        "dims,rank,kind,variant,expected",
+        [
+            ((30, 30, 30), 3, REAL, "auto", "gevd"),
+            ((30, 30, 30), 3, REAL, "als-ls", "gevd"),
+            ((12, 10, 9), 3, COMPLEX, "auto", "gevd"),
+            ((14, 2, 11), 3, COMPLEX, "auto", "svd"),  # core I_2 = 2 < R
+            ((8, 7, 6, 9), 2, REAL, "auto", "svd"),  # order 4
+        ],
+    )
+    def test_compressed_fit_reports_its_core_start(
+        self, dims, rank, kind, variant, expected, monkeypatch
+    ):
+        """A compressed fit's ``start`` is its core stage's: the GEVD start
+        for an order-3 core with I_1 = I_2 = R, whichever the variant, and
+        the SVD start for a core with I_2 < R or of order 4."""
+        monkeypatch.setattr(cpfast.solver, "COMPRESS_MIN_RATIO", 0)
+        y = DenseTensor(gaussian_instance(0, dims=dims, rank=rank, kind=kind))
+        result = fit(y, FitConfig(rank=rank, variant=variant))
+        assert result.trace[0].stage == "core"
+        assert result.start == expected
+
+    @pytest.mark.parametrize("variant", ["auto", "als-ls"])
+    def test_random_init_reports_random(self, variant, monkeypatch):
+        """``init="random"`` never builds the GEVD start, also on a
+        qualifying core."""
+
+        def refuse(*args):
+            raise AssertionError("gevd_init called")
+
+        monkeypatch.setattr(cpfast.solver, "gevd_init", refuse)
+        monkeypatch.setattr(cpfast.solver, "COMPRESS_MIN_RATIO", 0)
+        y = DenseTensor(gaussian_instance(0))
+        assert fit(y, FitConfig(rank=3, variant=variant, init="random")).start == (
+            "random"
+        )
+
+    @pytest.mark.parametrize("variant", ["auto", "als-ls", "als"])
+    def test_swamp_shapes_never_build_it(self, variant, monkeypatch):
+        """Plain 20^3 R=3 and 12^4 R=4 fits, the ``swamp-small`` shapes,
+        never call the GEVD builder and report the SVD start."""
+
+        def refuse(*args):
+            raise AssertionError("gevd_init called")
+
+        monkeypatch.setattr(cpfast.solver, "gevd_init", refuse)
+        for dims, rank in (((20, 20, 20), 3), ((12, 12, 12, 12), 4)):
+            _, y = gen_collinear(CollinearSpec(dims, rank, 0.5, 40.0, 0))
+            result = fit(y, FitConfig(rank=rank, variant=variant))
+            assert result.start == "svd"
+            assert {rec.stage for rec in result.trace} == {"full"}
+
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    def test_same_seed_same_start(self, kind):
+        """The start is a function of the tensor and the seed: two builds
+        with one seed are equal bit for bit, and another seed mixes the
+        slices with other weights."""
+        y = DenseTensor(gaussian_instance(1, dims=(4, 4, 6), rank=4, kind=kind))
+        first, again, other = (
+            _init_model(y, FitConfig(rank=4, seed=seed)) for seed in (5, 5, 6)
+        )
+        assert first[2] == again[2] == other[2] == "gevd"
+        for f, g in zip(first[0].factors, again[0].factors):
+            assert f.tobytes() == g.tobytes()
+        assert first[1].tobytes() == again[1].tobytes()
+        assert first[0].factors[1].tobytes() != other[0].factors[1].tobytes()
 
 
 class TestPassBudget:
@@ -1564,6 +1703,8 @@ class TestPassBudget:
         else:
             if case == "compressed-flm":
                 monkeypatch.setattr(cpfast.solver, "COMPRESS_MIN_RATIO", 0)
+            else:
+                keep_plain(monkeypatch)
             y = DenseTensor(gaussian_instance(0))
         calls = count_tensor_passes(monkeypatch, y.dims)
         start_errs, decreases = [], []

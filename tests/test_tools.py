@@ -1,7 +1,8 @@
 """Smoke tests of the repository tools: ``tools/fit_digest.py``, whose output
 shows that a change leaves every benchmark fit bit for bit the same,
-``tools/code_lines.py``, which counts the package's code lines, and
-``tools/mttkrp_slabs.py``, which times the sliced mode-N MTTKRP pass."""
+``tools/code_lines.py``, which counts the package's code lines,
+``tools/mttkrp_slabs.py``, which times the sliced mode-N MTTKRP pass, and
+``tools/import_time.py``, which times a fresh ``import cpfast``."""
 
 import importlib.util
 import subprocess
@@ -24,16 +25,18 @@ def digest_lines() -> list:
 
 
 def test_fit_digest_prints_one_stable_line_per_fit():
-    """Two problems times three variants give six lines of the eleven
-    documented fields, and a second run prints the same lines."""
+    """Two problems times three variants give six lines of the twelve
+    documented fields, and a second run prints the same lines.  Neither
+    ``tiny`` shape (6^3 R=2, 5x4x3 R=2) has its first two dims equal to the
+    rank, so every start is the SVD start."""
     lines = digest_lines()
     assert len(lines) == 2 * 3
     rows = [line.split() for line in lines]
     for row in rows:
-        assert len(row) == 11, row
+        assert len(row) == 12, row
         (workload, seed, _, _, iters, accepted, stop, relerr, digest, medsae,
-         stop_test) = row
-        assert (workload, seed, stop) == ("tiny", "0", "tol")
+         stop_test, start) = row
+        assert (workload, seed, stop, start) == ("tiny", "0", "tol", "svd")
         assert stop_test in ("gradient", "window", "core")
         assert 0 < int(accepted) <= int(iters)
         assert 0.0 < float.fromhex(relerr) < 1.0
@@ -130,3 +133,22 @@ def test_import_time_prints_median_modules_and_top_entries():
     cumulative = [int(row[1]) for row in top]
     assert cumulative == sorted(cumulative, reverse=True)
     assert top[0][2] == "cpfast"
+
+
+def test_import_time_exits_quietly_when_the_reader_closes_early():
+    """Read as by ``| head -1``: the reader takes the first line and closes
+    the pipe while the tool still has lines to print.  The tool exits with
+    status 1 and writes nothing on stderr (no ``BrokenPipeError``
+    traceback).  ``-u`` writes each line at once, so the close comes before
+    the lines that follow the ``-X importtime`` interpreter."""
+    proc = subprocess.Popen(
+        [sys.executable, "-u", str(TOOLS / "import_time.py"), "-n", "1"],
+        cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 1
+    assert first.startswith("fresh_import_s ")
+    assert err == ""

@@ -13,9 +13,11 @@ variant, the iterations, the accepted steps, the stop reason, the final
 relative error as ``float.hex``, a SHA-256 prefix of the factor bytes and
 the fit's MedSAE against the problem's truth (the mean over modes and
 components of ``medsae_pair``'s dB figures, as perfbench scores accuracy) as
-``float.hex`` and the test that stopped a "tol" fit (``FitResult.stop_test``,
-``None`` for any other stop).  Two checkouts fit and score the same way exactly when their
-outputs are equal (``diff`` them).
+``float.hex``, the test that stopped a "tol" fit (``FitResult.stop_test``,
+``None`` for any other stop) and the start that ran (``FitResult.start``:
+``gevd``, ``svd`` or ``random``; a compressed fit's is its core stage's).
+Two checkouts fit and score the same way exactly when their outputs are
+equal (``diff`` them).
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ def main(argv=None) -> int:
                         name, seed, problem.label, variant, result.iters,
                         result.accepted_iters, result.stop_reason,
                         float(result.final_relerr).hex(), digest.hexdigest()[:16],
-                        float(medsae.mean()).hex(), result.stop_test, flush=True,
+                        float(medsae.mean()).hex(), result.stop_test, result.start,
+                        flush=True,
                     )
     return 0
 

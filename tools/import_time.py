@@ -16,12 +16,15 @@ Prints, one item a line:
   of ``python -X importtime -c "import cpfast"``, in microseconds.
 
 ``--src`` (default: this checkout's ``src``) is the directory cpfast is
-imported from, so one copy of the tool can time another checkout.
+imported from, so one copy of the tool can time another checkout.  A reader
+that closes the pipe early (``| head -1``) ends the tool quietly, with exit
+status 1 and nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import statistics
 import subprocess
 import sys
@@ -83,4 +86,13 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early (``| head -1``): point stdout at devnull so
+        # the interpreter's final flush cannot fail too, and exit quietly
+        # (the recipe of the Python docs, "Note on SIGPIPE").
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    raise SystemExit(status)
