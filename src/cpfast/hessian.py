@@ -6,11 +6,13 @@ A^(n)), K the permuted-diagonal kernel of pairwise Gammas), the binomial
 inverse reduces (H + mu I)^{-1} to the N damped Gram inverses and one
 NR^2 x NR^2 core: the paper's Phi_1 = I + Psi K, congruence-scaled so its
 entries stay O(Gamma + mu) as mu shrinks.  :func:`damped_core` builds the
-Gram inverses with one batched inverse, writes the core through strided views
-and LU-factors it once by LAPACK ``?getrf``; :meth:`DampedCore.apply`, the
-only way to apply (H + mu I)^{-1}, takes a stack (see
-:func:`~cpfast.kruskal.stack`) and wraps one ``?getrs`` solve in batched
-matmuls.  Both routines come from the cached lookup that
+Gram inverses with one batched inverse (``_batched_inv``, ``np.linalg.inv``
+without its wrapper), writes the core through strided views from the Gram
+cache, whose pairwise Gammas with zero diagonal (``GramCache.kernel``) are
+made once per model, and LU-factors it once by LAPACK ``?getrf``;
+:meth:`DampedCore.apply`, the only way to apply (H + mu I)^{-1}, takes a
+stack (see :func:`~cpfast.kruskal.stack`) and wraps one ``?getrs`` solve in
+batched matmuls.  Both routines come from the cached lookup that
 :mod:`cpfast.kruskal` also uses for ``?syevr``.  The fLM step
 (:func:`cpfast.solver.flm_step`) applies one core twice.
 
@@ -24,20 +26,34 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .kruskal import GramCache, _lapack
 
 
-class SingularKernelError(np.linalg.LinAlgError):
+class SingularKernelError(LinAlgError):
     """A singular small system: an exact zero pivot in the LU factorization of
     the core, or a singular K in the oracle's closed-form K^{-1}."""
 
 
-def _check_info(info: int, routine: str) -> None:
+def _raise_info(info: int, routine: str) -> None:
+    """Raise for the nonzero LAPACK ``info`` of ``routine``; callers test
+    ``info`` first, so a success costs no call."""
     if info < 0:
-        raise np.linalg.LinAlgError(f"{routine}: illegal value in argument {-info}")
-    if info > 0:
-        raise SingularKernelError(f"core system is singular (zero pivot {info})")
+        raise LinAlgError(f"{routine}: illegal value in argument {-info}")
+    raise SingularKernelError(f"core system is singular (zero pivot {info})")
+
+
+def _singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+# ``np.linalg.inv`` without its wrapper: its gufunc under its error state, so
+# an exactly singular matrix raises ``LinAlgError("Singular matrix")`` as
+# there and a stack of float64 or complex128 matrices gives the same bits.
+_batched_inv = np.errstate(
+    call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"
+)(_umath_linalg.inv)
 
 
 @dataclass
@@ -51,12 +67,12 @@ class DampedCore:
     I)^{-1}, not a second inverse.  ``lu`` and ``piv`` are the ``?getrf``
     factors of the NR^2 x NR^2 scaled core system and ``getrs`` the
     ``?getrs`` routine that solves with them in their own type; ``kernel``
-    holds the pairwise Gammas (zero on the diagonal) that apply K after the
-    solve; ``x`` is the model's stack (see :func:`~cpfast.kruskal.stack`),
-    the caller's array and not a copy, and ``x_conj`` its conjugate.  Each conjugate is taken
-    once per core, by ``ndarray.conj``, which copies only complex arrays:
-    for real data ``gtilde`` is the inverse itself and ``x_conj`` is
-    ``x``.
+    holds the pairwise Gammas (zero on the diagonal, the cache's
+    ``kernel``) that apply K after the solve; ``x`` is the model's stack
+    (see :func:`~cpfast.kruskal.stack`), the caller's array and not a copy,
+    and ``x_conj`` its conjugate.  Each conjugate is taken once per core, by
+    ``ndarray.conj``, which copies only complex arrays: for real data
+    ``gtilde`` is the inverse itself and ``x_conj`` is ``x``.
     """
 
     gtilde: np.ndarray
@@ -77,7 +93,8 @@ class DampedCore:
             # A complex u for a real core: solve in the promoted type.
             getrs = _lapack("getrs", np.promote_types(self.lu.dtype, u.dtype))
         z, info = getrs(self.lu, self.piv, u)
-        _check_info(info, "getrs")
+        if info:
+            _raise_info(info, "getrs")
         # The core solve gives x from (Sb + Chat K) x = u; the slices are
         # (Gtilde kron I) K x, with K^(n,m) vec(X) = P_R vec(Gamma^(n,m) * X)
         # = vec((Gamma^(n,m) * X)^T).
@@ -109,9 +126,8 @@ class DampedCore:
 @lru_cache(maxsize=None)
 def _core_layout(n_modes: int, r: int, itemsize: int):
     """The fixed parts of the core for N modes, rank R and scalars of
-    ``itemsize`` bytes: the N x N x 1 x 1 off-diagonal mode mask and the
-    R x R identity (read-only), and the byte strides of the two views through
-    which the core is filled.
+    ``itemsize`` bytes: the R x R identity (read-only) and the byte strides
+    of the two views through which the core is filled.
 
     The core is stored in Fortran order, the layout ``?getrf`` factors in
     place; row and column (n, b, a) are n R^2 + b R + a, so entry (row, col)
@@ -123,12 +139,9 @@ def _core_layout(n_modes: int, r: int, itemsize: int):
     r2 = r * r
     kernel = (r2, r2 * size, r + size, 1, r * size)
     sb = (r2 * (1 + size), r, r * size, 1 + size)
-    off = ~np.eye(n_modes, dtype=bool)[:, :, None, None]
-    off.setflags(write=False)
     eye = np.eye(r)
     eye.setflags(write=False)
     return (
-        off,
         eye,
         tuple(st * itemsize for st in kernel),
         tuple(st * itemsize for st in sb),
@@ -160,10 +173,10 @@ def damped_core(x: np.ndarray, cache: GramCache, mu: float) -> DampedCore:
     c = cache.C
     n_modes, r = c.shape[:2]
     size = n_modes * r * r
-    off, eye, kernel_strides, sb_strides = _core_layout(n_modes, r, c.itemsize)
+    eye, kernel_strides, sb_strides = _core_layout(n_modes, r, c.itemsize)
     damped = cache.gamma_excl + mu * eye
     core = np.zeros((size, size), dtype=damped.dtype, order="F")
-    kernel = np.where(off, cache.gamma_pair, 0.0)
+    kernel = cache.kernel
     # Chat K block (n, m): C^(n)[a, a'] Gamma^(n,m)[b, a'] at column (m, a', b);
     # the zero diagonal of ``kernel`` leaves the diagonal blocks to Sb.
     view = np.ndarray((n_modes,) * 2 + (r,) * 3, core.dtype, core, 0, kernel_strides)
@@ -172,7 +185,8 @@ def damped_core(x: np.ndarray, cache: GramCache, mu: float) -> DampedCore:
     view = np.ndarray((n_modes,) + (r,) * 3, core.dtype, core, 0, sb_strides)
     view[...] = damped[..., None]
     lu, piv, info = _lapack("getrf", core.dtype)(core, overwrite_a=True)
-    _check_info(info, "getrf")
-    gtilde = np.linalg.inv(damped).conj()
+    if info:
+        _raise_info(info, "getrf")
+    gtilde = _batched_inv(damped).conj()
     getrs = _lapack("getrs", core.dtype)
     return DampedCore(gtilde, lu, piv, kernel, x, x.conj(), getrs)

@@ -219,22 +219,30 @@ class GramCache:
     ``C[n]`` is A^(n)^H A^(n), N x R x R; ``gamma_excl[n]`` is the Hadamard
     product of all C^(k) except k = n, N x R x R; ``gamma_pair[n, m]``
     excludes both n and m (and equals ``gamma_excl[n]`` on the diagonal),
-    N x N x R x R; ``gamma_full`` includes every mode.
+    N x N x R x R; ``gamma_full`` includes every mode.  Two more depend on
+    the model alone, so a rejected step reuses them: ``kernel`` is
+    ``gamma_pair`` with zero diagonal blocks, the pairwise Gammas of the
+    Hessian's kernel K (see :func:`~cpfast.hessian.damped_core`), and
+    ``c_masked[j, k]`` is C^(j), except the identity for the Hadamard
+    product, all ones, where j = k (see :func:`second_order_term`).
     """
 
     C: np.ndarray
     gamma_excl: np.ndarray
     gamma_pair: np.ndarray
     gamma_full: np.ndarray
+    kernel: np.ndarray
+    c_masked: np.ndarray
 
 
 @lru_cache(maxsize=None)
 def _exclusion_mask(n_modes: int) -> np.ndarray:
-    """keep[n, m, k]: mode k enters the product that excludes modes n and m,
-    for n, m in 0..N, where index N excludes nothing.  Read-only."""
+    """keep[m, k, n]: mode k enters the product that excludes modes n and m,
+    for n, m in 0..N, where index N excludes nothing; N + 1 x N x N + 1 x 1
+    x 1, symmetric in n and m.  Read-only."""
     skip = np.arange(n_modes + 1)
     k = np.arange(n_modes)
-    keep = (k != skip[:, None, None]) & (k != skip[None, :, None])
+    keep = (k[:, None] != skip) & (k[:, None] != skip[:, None, None])
     keep = keep[..., None, None]
     keep.setflags(write=False)
     return keep
@@ -252,11 +260,18 @@ def gram_cache(C: np.ndarray) -> GramCache:
 
     Every Hadamard product comes from one masked ``multiply.reduce`` over the
     modes in ascending order; an excluded mode contributes an exact one.
+    The masked stack is laid out [m, k, n] (see :func:`_exclusion_mask`):
+    its slice m = N, [j, k] = C^(j) unless j = k, is ``c_masked``, whose
+    blocks ``c_masked[j]`` are contiguous for the elementwise products of
+    :func:`second_order_term`.
     """
-    n_modes = C.shape[0]
-    prods = np.multiply.reduce(np.where(_exclusion_mask(n_modes), C, 1.0), axis=2)
+    n = C.shape[0]
+    keep = _exclusion_mask(n)
+    masked = np.where(keep, C[:, None], 1.0)
+    prods = np.multiply.reduce(masked, axis=1)
+    kernel = np.where(keep[-1, :, :n], prods[:n, :n], 0.0)
     return GramCache(
-        C, prods[:n_modes, n_modes], prods[:n_modes, :n_modes], prods[-1, -1]
+        C, prods[:n, n], prods[:n, :n], prods[-1, -1], kernel, masked[-1, :, :n]
     )
 
 
@@ -432,11 +447,10 @@ def _gradient(
     return g, last
 
 
-def second_order_term(x: np.ndarray, grams: np.ndarray, v: np.ndarray) -> np.ndarray:
+def second_order_term(x: np.ndarray, cache: GramCache, v: np.ndarray) -> np.ndarray:
     """J^H M''(v, v) as a stack: the second directional derivative of the
     model with stack ``x`` (see :func:`stack`) along the stack ``v``,
-    projected like :func:`gradient`; ``grams`` are the model's stacked Gram
-    matrices (N x R x R).
+    projected like :func:`gradient`; ``cache`` is the model's Gram cache.
 
     M(x + t v) = [[A^(1) + t V^(1), ..., A^(N) + t V^(N)]], so M''(v, v) =
     2 sum_{n<m} [[... V^(n) ... V^(m) ...]].  Block k of J^H applied to
@@ -447,13 +461,14 @@ def second_order_term(x: np.ndarray, grams: np.ndarray, v: np.ndarray) -> np.nda
     coefficients of P_k.  They come from a three-term recurrence over the
     modes, run for every k at once on N x N x R x R stacks in which mode k is
     masked (C -> 1, E -> 0), and each block is formed transposed, 2 (p1_k
-    V^(k)^T + p2_k A^(k)^T), which is the stack's block.  Cost O(T R^2 +
-    N^2 R^2) with T = sum I_n, and no pass over the tensor.
+    V^(k)^T + p2_k A^(k)^T), which is the stack's block.  The masked C stack
+    is the cache's ``c_masked``.  Cost O(T R^2 + N^2 R^2) with T = sum I_n,
+    and no pass over the tensor.
     """
     n_modes = x.shape[0]
     # c[j, k] is C^(j) and e[j, k] is E^(j), except 1 and 0 where j = k.
-    keep = _exclusion_mask(n_modes)[:n_modes, n_modes]
-    c = np.where(keep, grams[:, None], 1.0)
+    c = cache.c_masked
+    keep = _exclusion_mask(n_modes)[-1, :, :n_modes]
     e = np.where(keep, (x.conj() @ v.mT)[:, None], 0.0)
     # Multiply (q0 + q1 t + q2 t^2) by (c[j] + e[j] t) for j = 1..N-1,
     # dropping t^3; q0 is brought up to date one mode late, as the last
@@ -507,9 +522,17 @@ def _gram_error(xs: np.ndarray, lasts: np.ndarray, grams: np.ndarray) -> list:
     a_last = xs[:, -1, :, :i_last].mT.reshape(b, -1)
     cross = np.vecdot(a_last, lasts.reshape(b, -1)).real
     # Kept as a quadratic form: gamma_full.sum() rounds differently.
-    ones = np.ones(grams.shape[-1], dtype=grams.dtype)
+    ones = _ones(grams.shape[-1], grams.dtype)
     model_sq = np.vecdot(ones, gamma_full @ ones).real
     return np.sqrt(np.maximum(1.0 - 2.0 * cross + model_sq, 0.0)).tolist()
+
+
+@lru_cache(maxsize=None)
+def _ones(r: int, dtype: np.dtype) -> np.ndarray:
+    """The read-only all-ones vector of length ``r`` and ``dtype``."""
+    ones = np.ones(r, dtype)
+    ones.setflags(write=False)
+    return ones
 
 
 def _residual_norms(y: DenseTensor, xs: np.ndarray) -> list:
@@ -587,7 +610,8 @@ def normalize_with_grams(
     if not norms.all():
         zero = np.flatnonzero(~norms.all(axis=0))
         raise ZeroDivisionError(f"component {zero[0]} has a zero-norm vector")
-    scales = (np.multiply.reduce(norms) ** (1.0 / n_modes) / norms).astype(x.dtype)
+    scales = np.multiply.reduce(norms) ** (1.0 / n_modes) / norms
+    scales = scales.astype(x.dtype, copy=False)
     # The padding's zeros are never a row's largest magnitude.
     phase = _top_phase(x[0].T)
     scales[0] /= phase
@@ -610,8 +634,11 @@ def _unit_phase(x: np.ndarray) -> np.ndarray:
 
 
 def _top_phase(u: np.ndarray) -> np.ndarray:
-    """Phase of each column's largest-magnitude entry (1 for a zero column)."""
-    return _unit_phase(u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])])
+    """Phase of each column's largest-magnitude entry (1 for a zero column).
+    For real data it is ``copysign(1, entry)``: the value of
+    :func:`_unit_phase` at every nonzero entry and at +0, from one call."""
+    top = u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])]
+    return _unit_phase(top) if top.dtype.kind == "c" else np.copysign(1.0, top)
 
 
 @lru_cache(maxsize=None)
@@ -663,12 +690,13 @@ def svd_init(y: DenseTensor, rank: int, rng) -> tuple[KruskalModel, np.ndarray]:
     when tall; see :func:`_leading_left_vectors`).
 
     Missing columns (R above the unfolding's rank) are random unit-norm draws
-    from ``rng``.  Signs/phases follow a fixed rule, so the init does not
-    depend on which LAPACK routine produced the vectors: in modes 1..N-1 each
-    singular vector's largest-magnitude entry is real and positive; in mode N
-    each column is rotated so that its rank-one term has a real, positive
-    inner product with Y, i.e. every component starts out pointing toward the
-    data rather than away from it.
+    from ``rng``, a ``numpy.random.Generator`` or a function that returns
+    one, called only where a column is missing.  Signs/phases follow a fixed
+    rule, so the init does not depend on which LAPACK routine produced the
+    vectors: in modes 1..N-1 each singular vector's largest-magnitude entry
+    is real and positive; in mode N each column is rotated so that its
+    rank-one term has a real, positive inner product with Y, i.e. every
+    component starts out pointing toward the data rather than away from it.
 
     Returns ``(model, M^(N))``: the phase rule needs the init's mode-N
     MTTKRP M^(N), which does not depend on A^(N), so the fit reuses it.
@@ -678,16 +706,17 @@ def svd_init(y: DenseTensor, rank: int, rng) -> tuple[KruskalModel, np.ndarray]:
     factors = []
     for n in range(1, y.order + 1):
         u = _leading_left_vectors(unfold(y, n), rank)
-        u = u / _top_phase(u)[None, :]
-        cols = [u]
+        u = u / _top_phase(u)
         if u.shape[1] < rank:
+            if callable(rng):
+                rng = rng()
             extra = _gaussian(rng, (u.shape[0], rank - u.shape[1]), y.scalar_kind)
             extra = extra / np.linalg.norm(extra, axis=0, keepdims=True)
-            cols.append(extra.astype(u.dtype))
-        factors.append(np.hstack(cols))
+            u = np.concatenate((u, extra.astype(u.dtype)), axis=1)
+        factors.append(u)
     last = _last_mttkrp(y, _khatri_rao_rows([f.T for f in factors[:-1]]).mT)
     inner = np.sum(factors[-1].conj() * last, axis=0)
-    factors[-1] = factors[-1] * _unit_phase(inner)[None, :]
+    factors[-1] = factors[-1] * _unit_phase(inner)
     return KruskalModel(factors), last
 
 
@@ -716,7 +745,7 @@ def gevd_init(y: DenseTensor, rng) -> tuple[KruskalModel, np.ndarray] | None:
         # eig returns complex vectors for real data only at a complex pair.
         if a.dtype.kind != s1.dtype.kind:
             return None
-        a = a / _top_phase(a)[None, :]
+        a = a / _top_phase(a)
         b = np.linalg.solve(a, s1).T
         last = _last_mttkrp(y, _khatri_rao_rows([a.T, b.T]).mT)
         gamma = (a.conj().T @ a) * (b.conj().T @ b)
@@ -778,9 +807,9 @@ def pinv_psd(gamma: np.ndarray) -> np.ndarray:
 class _SweepPlan(NamedTuple):
     """What an ALS sweep needs besides the tensor and the stack, fixed by the
     dims, the rank and the dtype: for each mode the other modes, ascending;
-    :func:`_contraction_shapes`; the LAPACK routines ``?potrf``, ``?pocon``,
-    ``?lange`` and ``?potrs``; and :func:`pinv_psd`'s cutoff eps * R on the
-    reciprocal condition estimate."""
+    :func:`_contraction_shapes`; the LAPACK routines ``?posv``, ``?pocon``
+    and ``?lange``; and :func:`pinv_psd`'s cutoff eps * R on the reciprocal
+    condition estimate."""
 
     others: tuple
     shapes: tuple
@@ -796,26 +825,28 @@ def _sweep_plan(dims: tuple, rank: int, dtype: np.dtype) -> _SweepPlan:
     return _SweepPlan(
         tuple(tuple(k for k in modes if k != n) for n in modes),
         _contraction_shapes(dims, rank),
-        tuple(_lapack(name, dtype) for name in ("potrf", "pocon", "lange", "potrs")),
+        tuple(_lapack(name, dtype) for name in ("posv", "pocon", "lange")),
         EPS * rank,
     )
 
 
 def _solve_gram(gamma: np.ndarray, rhs: np.ndarray, plan: _SweepPlan) -> np.ndarray:
     """Gamma^{-1} ``rhs`` for the Hermitian PSD R x R ``gamma``: one Cholesky
-    factorization and one solve, from the LAPACK routines of ``plan``.
+    factorization and solve, one ``?posv`` call from the LAPACK routines of
+    ``plan``, which also returns the factor.
 
-    Where ``?potrf`` fails, or the reciprocal condition estimate of ``?pocon``
-    is at or below :func:`pinv_psd`'s cutoff eps * R, the result is
-    ``pinv_psd(gamma) @ rhs`` instead, so a rank-deficient Gamma keeps the
-    truncated pseudo-inverse rather than a huge solution.
+    Where the factorization fails, or the reciprocal condition estimate of
+    ``?pocon`` from that factor is at or below :func:`pinv_psd`'s cutoff
+    eps * R, the result is ``pinv_psd(gamma) @ rhs`` instead, so a
+    rank-deficient Gamma keeps the truncated pseudo-inverse rather than a
+    huge solution.
     """
-    potrf, pocon, lange, potrs = plan.lapack
-    chol, info = potrf(gamma)
+    posv, pocon, lange = plan.lapack
+    chol, solution, info = posv(gamma, rhs)
     if not info:
         rcond, _ = pocon(chol, lange("1", gamma))
         if rcond > plan.rcond_min:
-            return potrs(chol, rhs)[0]
+            return solution
     return pinv_psd(gamma) @ rhs
 
 

@@ -253,7 +253,7 @@ def flm_step(x: np.ndarray, cache: GramCache, g: np.ndarray, mu: float):
     """
     core = damped_core(x, cache, mu)
     v = core.apply(g)
-    minus_a = core.apply(second_order_term(x, cache.C, v))
+    minus_a = core.apply(second_order_term(x, cache, v))
     v_norm = frobenius(v)
     ratio = 2.0 * frobenius(minus_a) / v_norm if v_norm > 0 else math.nan
     if not ratio <= ACCEL_MAX_RATIO:
@@ -296,8 +296,8 @@ def _init_model(
     that start does not exist.  Every other ``init="svd"`` takes the SVD
     start (:func:`~cpfast.kruskal.svd_init`, "svd").  Both return their own
     MTTKRP; ``init="random"`` ("random") costs one pass over the tensor.
-    The SVD start draws from a generator of its own, so a fallback is the
-    SVD start bit for bit."""
+    The SVD start draws from a generator of its own, made only where it
+    draws, so a fallback is the SVD start bit for bit."""
     rng = functools.partial(np.random.default_rng, [config.seed, 0])
     if config.init == "random":
         start = random_init(y.dims, config.rank, rng(), y.scalar_kind)
@@ -306,7 +306,7 @@ def _init_model(
         gevd = gevd_init(y, rng())
         if gevd is not None:
             return *gevd, "gevd"
-    return *svd_init(y, config.rank, rng()), "svd"
+    return *svd_init(y, config.rank, rng), "svd"
 
 
 def _start_error(y, x, last, grams, norm) -> float:
@@ -541,22 +541,22 @@ def _candidate_error(
         ynorm = norm()
         errs = [r / ynorm for r in _residual_norms(y, xs)]
         return errs, (None,) * len(xs), "dense"
-    lasts = _first_given(last, xs, functools.partial(_batch_last_mttkrp, y))
-    grams = _first_given(grams, xs, gram_stack)
+    if last is None:
+        lasts = _batch_last_mttkrp(y, xs)
+    else:
+        lasts = _first_given(last, xs, _batch_last_mttkrp, y)
+    grams = gram_stack(xs) if grams is None else _first_given(grams, xs, gram_stack)
     return _gram_error(xs, lasts, grams), lasts, "gram"
 
 
-def _first_given(first, xs: np.ndarray, compute) -> np.ndarray:
-    """``compute(xs)`` for the batch ``xs``, or, where ``first`` holds the
-    first element's result already, a batch array filled with ``first`` and
-    ``compute(xs[1:])``."""
-    if first is None:
-        return compute(xs)
+def _first_given(first: np.ndarray, xs: np.ndarray, compute, *args) -> np.ndarray:
+    """The batch array for ``xs`` of ``first``, the first element's result,
+    and ``compute(*args, xs[1:])``."""
     if xs.shape[0] == 1:
         return first[None]
     out = np.empty(xs.shape[:1] + first.shape, first.dtype)
     out[0] = first
-    out[1:] = compute(xs[1:])
+    out[1:] = compute(*args, xs[1:])
     return out
 
 

@@ -7,6 +7,7 @@ Mode indices in the public API are 1-based.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -74,12 +75,13 @@ class DenseTensor:
 def frobenius(a: np.ndarray) -> float:
     """||a||, summed in memory order as ``np.linalg.norm`` sums it, without
     that function's overhead: sqrt(a . a), or for complex ``a`` the dot
-    products of its real and imaginary parts."""
+    products of its real and imaginary parts, by ``math.sqrt`` (the IEEE
+    square root, as ``np.sqrt``)."""
     flat = a.ravel("K")
     if flat.dtype.kind == "c":
         re, im = flat.real, flat.imag
-        return float(np.sqrt(re.dot(re) + im.dot(im)))
-    return float(np.sqrt(flat @ flat))
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(flat @ flat)
 
 
 def as_complex(y: DenseTensor) -> DenseTensor:
@@ -105,9 +107,8 @@ def _check_mode(t_order: int, n: int) -> None:
 def unfold(t: DenseTensor, n: int) -> np.ndarray:
     """Mode-n unfolding: I_n x (J / I_n), remaining modes in ascending order."""
     _check_mode(t.order, n)
-    return np.moveaxis(t.data, n - 1, 0).reshape(
-        (t.dims[n - 1], -1), order="F"
-    )
+    axes = (n - 1, *range(n - 1), *range(n, t.order))
+    return t.data.transpose(axes).reshape((t.dims[n - 1], -1), order="F")
 
 
 def fold(mat: np.ndarray, n: int, dims) -> DenseTensor:

@@ -197,7 +197,7 @@ def run_suite(seeds: int = 10, perturb: bool = False) -> list:
             record(f"gradient-fd-{tag}", _rel(g - g_fd, g), 1e-5)
 
             v = random_init(model.dims, model.rank, rng, kind)
-            term = _as_vector(second_order_term(x, cache.C, stack(v.factors)), model)
+            term = _as_vector(second_order_term(x, cache, stack(v.factors)), model)
             ref = dense_second_order_term(model, v.as_vector())
             record(f"second-order-{tag}", _rel(term - ref, ref), 1e-10)
 

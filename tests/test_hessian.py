@@ -3,6 +3,7 @@ against finite differences."""
 
 import ast
 import inspect
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -205,6 +206,18 @@ class TestFastInverse:
         cache = gram_cache(np.array([[[-1.0]], [[0.5]]]))
         with pytest.raises(SingularKernelError, match="singular"):
             damped_core(np.zeros((0, 1, 0)), cache, 0.5)
+
+    def test_singular_damped_gram_raises(self):
+        """N = 2, R = 1 with C = (1/2, -1/2) and mu = 1/2: D_1 = C^(2) + mu
+        is exactly 0, while the core [[0, 1/2], [-1/2, 1]] is not singular.
+        The damped Gram inverse raises ``LinAlgError("Singular matrix")``, as
+        ``np.linalg.inv`` does, with no warning and no NaN core."""
+        cache = gram_cache(np.array([[[0.5]], [[-0.5]]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="Singular matrix") as info:
+                damped_core(np.zeros((0, 1, 0)), cache, 0.5)
+        assert not isinstance(info.value, SingularKernelError)
 
     def test_illegal_argument_raises_linalg_error(self, monkeypatch):
         lapack = cpfast.hessian._lapack

@@ -191,6 +191,24 @@ class TestGramCache:
             for mm in range(n_modes):
                 assert np.array_equal(cache.gamma_pair[n, mm], ascending((n, mm)))
 
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    @pytest.mark.parametrize("n_modes", [2, 3, 4])
+    def test_model_parts_of_the_step(self, kind, n_modes):
+        """``kernel`` is ``gamma_pair`` with zero diagonal blocks, and
+        ``c_masked[j, k]`` is C^(j), or ones where j = k, each block
+        ``c_masked[j]`` contiguous."""
+        rng = np.random.default_rng(40 + n_modes)
+        m = random_model(rng, (2, 3, 4, 3)[:n_modes], 3, kind)
+        cache = build_gram_cache(m)
+        for n in range(n_modes):
+            assert cache.c_masked[n].flags.c_contiguous
+            for mm in range(n_modes):
+                pair = cache.gamma_pair[n, mm]
+                kernel = 0 * pair if n == mm else pair
+                assert np.array_equal(cache.kernel[n, mm], kernel)
+                ref = np.ones_like(pair) if n == mm else cache.C[n]
+                assert np.array_equal(cache.c_masked[n, mm], ref)
+
     def test_empty_pair_product_is_ones(self):
         rng = np.random.default_rng(4)
         m = random_model(rng, (3, 4), 2)
@@ -416,7 +434,7 @@ class TestSecondOrderTerm:
         """The term on the stacks of ``model`` and ``direction``, as a stacked
         vector."""
         x = stack(model.factors)
-        term = second_order_term(x, gram_stack(x), stack(direction.factors))
+        term = second_order_term(x, build_gram_cache(model), stack(direction.factors))
         return model_from_stack(term, model.dims).as_vector()
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
@@ -570,6 +588,16 @@ class TestErrorsAndNormalization:
             lead = normalized.factors[0][:, r]
             top = lead[np.argmax(np.abs(lead))]
             assert abs(np.imag(top)) < 1e-12 and np.real(top) > 0
+
+    def test_real_top_phase_is_unit_phase(self):
+        """For real columns the sign of the largest-magnitude entry, the
+        first on a tie, is the unit phase of that entry bit for bit; a zero
+        column's phase is 1."""
+        u = np.array([[0.5, -3.0, 0.0, 2.0], [-1.5, 1.0, 0.0, -2.0]])
+        phase = cpfast.kruskal._top_phase(u)
+        assert phase.tolist() == [-1.0, -1.0, 1.0, 1.0]
+        top = u[np.abs(u).argmax(axis=0), np.arange(4)]
+        assert np.array_equal(phase, cpfast.kruskal._unit_phase(top))
 
 
 def mode_products(y, mats):
@@ -764,6 +792,27 @@ class TestInitAndAls:
         np.testing.assert_allclose(
             np.linalg.norm(m.factors[0][:, 2:], axis=0), np.ones(2)
         )
+
+    @pytest.mark.parametrize(
+        "dims, rank, draws", [((2, 6, 6), 4, 1), ((4, 5, 6), 3, 0)]
+    )
+    def test_svd_init_makes_its_generator_only_to_draw(self, dims, rank, draws):
+        """Given a function that makes the generator, the SVD start calls it
+        once where a column is missing and never where none is, and gives
+        the start of that generator bit for bit."""
+        y = DenseTensor(np.random.default_rng(13).standard_normal(dims))
+        made = []
+
+        def make():
+            made.append(1)
+            return np.random.default_rng(5)
+
+        lazy, lazy_last = svd_init(y, rank, make)
+        eager, eager_last = svd_init(y, rank, np.random.default_rng(5))
+        assert len(made) == draws
+        assert np.array_equal(lazy_last, eager_last)
+        for a, b in zip(lazy.factors, eager.factors):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
     def test_svd_init_returns_its_last_mttkrp(self, kind):

@@ -1,6 +1,7 @@
 """Damped Gauss-Newton iteration: step pieces against dense oracles, damping
 schedule arithmetic, and full-fit behavior."""
 
+import gc
 import itertools
 import math
 import sys
@@ -279,7 +280,8 @@ class TestFlmStep:
     @pytest.mark.parametrize("variant", ["auto"])
     def test_one_core_factorization_per_step(self, dims, variant, monkeypatch):
         """One fit iteration: the damped Gram inverses come from one batched
-        inverse, and the core is factored once (``?getrf``) and solved twice
+        inverse (``cpfast.hessian._batched_inv``, never ``np.linalg.inv``),
+        and the core is factored once (``?getrf``) and solved twice
         (``?getrs``), for the step and for its geodesic acceleration."""
         rng = np.random.default_rng(23)
         y, m = noisy_instance(rng, dims, 2)
@@ -299,6 +301,7 @@ class TestFlmStep:
 
         monkeypatch.setattr(cpfast.hessian, "_lapack", counted_lapack)
         for mod, name in [
+            (cpfast.hessian, "_batched_inv"),
             (np.linalg, "inv"),
             (np.linalg, "solve"),
             (scipy.linalg, "lu_factor"),
@@ -306,7 +309,7 @@ class TestFlmStep:
         ]:
             monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
         fit(y, FitConfig(rank=2, variant=variant, max_iters=1))
-        assert sorted(calls) == ["getrf", "getrs", "getrs", "inv"]
+        assert sorted(calls) == ["_batched_inv", "getrf", "getrs", "getrs"]
 
     @pytest.mark.parametrize("nu", [0.05, 0.3])
     def test_matches_extended_precision_oracle(self, nu, damped_step):
@@ -551,7 +554,10 @@ class TestFit:
         "call" and "c_call" events) per iteration on the noiseless 20^3,
         R=3, nu=0.1 swamp fit, over iterations 11 to 40: the count for a
         budget of 40 minus that for 10 (a fit with a smaller budget is a
-        prefix of the same run), over 30.  A count, not a timing."""
+        prefix of the same run), over 30.  A count, not a timing.  The
+        cyclic garbage collector is off while a fit is counted: a collection
+        runs whenever earlier allocations make it due, and its callbacks
+        (Hypothesis registers one) and finalizers are not the fit's calls."""
         _, y = gen_collinear(CollinearSpec((20, 20, 20), 3, 0.1, None, 0))
         fit(y, FitConfig(rank=3, variant=variant, max_iters=3))
         counts = []
@@ -563,26 +569,30 @@ class TestFit:
                     events[0] += 1
 
             config = FitConfig(rank=3, variant=variant, max_iters=budget)
+            gc_enabled = gc.isenabled()
+            gc.disable()
             sys.setprofile(profile)
             try:
                 result = fit(y, config)
             finally:
                 sys.setprofile(None)
+                if gc_enabled:
+                    gc.enable()
             assert result.iters == budget
             counts.append(events[0])
         return (counts[1] - counts[0]) / 30
 
     def test_calls_per_iteration(self):
-        """fLM calls per iteration (see ``_calls_per_iteration``): 98.73
+        """fLM calls per iteration (see ``_calls_per_iteration``): 80.27
         measured (NumPy 2.4.6, Python 3.11)."""
-        assert self._calls_per_iteration("auto") <= 98.8
+        assert self._calls_per_iteration("auto") <= 80.3
 
     @pytest.mark.parametrize(
-        "variant,bound", [("als", 44.0), ("als-ls", 55.3)], ids=["als", "als-ls"]
+        "variant,bound", [("als", 41.0), ("als-ls", 53.4)], ids=["als", "als-ls"]
     )
     def test_als_calls_per_iteration(self, variant, bound):
         """ALS and ALS-ls calls per iteration (see ``_calls_per_iteration``):
-        44.0 and 55.3 measured (NumPy 2.4.6, Python 3.11)."""
+        41.0 and 53.33 measured (NumPy 2.4.6, Python 3.11)."""
         assert self._calls_per_iteration(variant) <= bound
 
     @pytest.mark.parametrize("variant", ["auto", "als", "als-ls"])
@@ -840,7 +850,7 @@ class TestGeodesicAcceleration:
         g = stack(model_from_vector(g, model.dims, model.rank).factors)
         core = damped_core(x, cache, mu)
         v = core.apply(g)
-        a = -core.apply(second_order_term(x, cache.C, v))
+        a = -core.apply(second_order_term(x, cache, v))
         ratio = 2.0 * np.linalg.norm(a) / np.linalg.norm(v)
         assert (ratio <= ACCEL_MAX_RATIO) == accelerated
         step = v + 0.5 * a if accelerated else v

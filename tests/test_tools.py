@@ -24,6 +24,26 @@ def digest_lines() -> list:
     return out.stdout.splitlines()
 
 
+def test_fit_digest_exits_quietly_when_the_reader_closes_early():
+    """Read as by ``| head -1``: the reader takes the first line and closes
+    the pipe while the tool still has 59 fLM fits of ``swamp-small`` to
+    print.  The tool exits with status 1 and writes nothing on stderr (no
+    ``BrokenPipeError`` traceback).  Each line is flushed as it is printed,
+    so the close comes long before the last fit's line."""
+    proc = subprocess.Popen(
+        [sys.executable, str(TOOLS / "fit_digest.py"), "--workloads",
+         "swamp-small", "--seeds", "0", "--variants", "auto"],
+        cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 1
+    assert first.startswith("swamp-small 0 ")
+    assert err == ""
+
+
 def test_fit_digest_prints_one_stable_line_per_fit():
     """Two problems times three variants give six lines of the twelve
     documented fields, and a second run prints the same lines.  Neither

@@ -17,7 +17,8 @@ components of ``medsae_pair``'s dB figures, as perfbench scores accuracy) as
 ``None`` for any other stop) and the start that ran (``FitResult.start``:
 ``gevd``, ``svd`` or ``random``; a compressed fit's is its core stage's).
 Two checkouts fit and score the same way exactly when their outputs are
-equal (``diff`` them).
+equal (``diff`` them).  A reader that closes the pipe early (``| head -1``)
+ends the tool quietly, with exit status 1.
 """
 
 from __future__ import annotations
@@ -69,4 +70,13 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early (``| head -1``): point stdout at devnull so
+        # the interpreter's final flush cannot fail too, and exit quietly
+        # (the recipe of the Python docs, "Note on SIGPIPE").
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    raise SystemExit(status)
