@@ -155,10 +155,11 @@ def _write_trace(path, trace) -> None:
 @click.option("--seed", type=int, default=FitConfig.seed, show_default=True)
 @click.option("--init", type=click.Choice(INITS), default=FitConfig.init,
               show_default=True,
-              help="svd: the GEVD start on an order-3 tensor or compressed "
-              "core whose first two dims equal the rank, else the leading "
-              "singular vectors; random: Gaussian factors.  The start that "
-              "ran is printed as start=gevd, svd or random.")
+              help="svd: the GEVD start of the ST-HOSVD core on a tensor of "
+              "order >= 3 whose first two dims are at least the rank, else, "
+              "or where that start does not exist, the leading singular "
+              "vectors; random: Gaussian factors.  The start that ran is "
+              "printed as start=gevd, svd or random.")
 @click.option("--truth", default=None, type=click.Path(exists=True),
               help="Metadata sidecar of the generating run, for MedSAE scoring.")
 @click.option("--out", default=None, help="Prefix for fitted factors + CSV record.")

@@ -700,8 +700,9 @@ def svd_init(y: DenseTensor, rank: int, rng) -> tuple[KruskalModel, np.ndarray]:
 
     Returns ``(model, M^(N))``: the phase rule needs the init's mode-N
     MTTKRP M^(N), which does not depend on A^(N), so the fit reuses it.
-    A fit takes this start for ``init="svd"`` wherever :func:`gevd_init`
-    does not apply or returns None (see :func:`cpfast.solver._init_model`).
+    A fit takes this start for ``init="svd"`` wherever the GEVD start does
+    not apply (order 2, I_1 < R or I_2 < R) or does not exist (see
+    :func:`cpfast.solver._init_model`).
     """
     factors = []
     for n in range(1, y.order + 1):
@@ -735,10 +736,15 @@ def gevd_init(y: DenseTensor, rng) -> tuple[KruskalModel, np.ndarray] | None:
     mode-3 MTTKRP, which does not depend on C.  Every inverse is a
     ``np.linalg.solve``.
 
-    Returns ``(model, M^(3))``, or None where the start does not exist: a
-    real tensor whose pencil has a complex eigenvalue pair, a singular
-    solve or a non-finite factor.
+    Returns ``(model, M^(3))``, or None where the start does not exist: K <
+    2, a real tensor whose pencil has a complex eigenvalue pair, a singular
+    solve or a non-finite factor.  :func:`cpfast.solver._init_model` takes
+    it for ``init="svd"`` at every order >= 3 with I_1, I_2 >= R: of Y
+    itself where Y is R x R x K, else of Y's ST-HOSVD core with modes 3..N
+    merged into one.
     """
+    if y.dims[2] < 2:
+        return None
     s1, s2 = np.moveaxis(y.data @ rng.standard_normal((y.dims[2], 2)), -1, 0)
     try:
         a = np.linalg.eig(np.linalg.solve(s2.T, s1.T).T).eigenvectors

@@ -120,13 +120,12 @@ class FitConfig:
     """What :func:`fit` does: the rank R, the variant ("auto" for fLM, "als"
     or "als-ls"), the initial damping factor ``tau``, the tolerance ``tol``
     of the stop tests, the iteration budget, the seed of every random draw
-    and the init.  ``init="svd"`` (the default) starts an order-3 tensor
-    with I_1 = I_2 = R and I_3 >= 2, such as the core of a compressed
-    order-3 fit whose first two modes kept R columns, from the GEVD of two
-    slice mixtures, and any other tensor, or one whose GEVD start does not
-    exist, from the leading singular vectors; ``init="random"`` starts from
-    Gaussian factors (see :func:`_init_model`).  ``FitResult.start`` says
-    which start ran."""
+    and the init.  ``init="svd"`` (the default) starts a tensor of order >=
+    3 with I_1, I_2 >= R from the GEVD of two slice mixtures of its
+    ST-HOSVD core (of itself where it is R x R x K), and any other tensor,
+    or one whose GEVD start does not exist, from the leading singular
+    vectors; ``init="random"`` starts from Gaussian factors (see
+    :func:`_init_model`).  ``FitResult.start`` says which start ran."""
 
     rank: int
     variant: str = "auto"
@@ -210,8 +209,10 @@ class FitResult:
     differences) and "core" (an fLM refinement's first accepted step with a
     difference below ``tol`` after a core stage that stopped "gradient").  A
     compressed fit reports its refinement's test.  ``start`` is the start
-    that :func:`_init_model` built: "gevd", "svd" or "random"; a compressed
-    fit reports its core stage's."""
+    that :func:`_init_model` built: "gevd" (the GEVD start of the ST-HOSVD
+    core, :func:`_gevd_start`), "svd" (the leading singular vectors, also
+    where the GEVD start does not exist) or "random"; a compressed fit
+    reports its core stage's."""
 
     model: KruskalModel
     trace: list
@@ -290,23 +291,70 @@ def _init_model(
     unit-norm tensor that the stage's loop fits; the random draws come from
     ``config.seed`` alone.
 
-    ``init="svd"`` on an order-3 tensor with I_1 = I_2 = R and I_3 >= 2,
-    such as the core of a compressed order-3 fit, builds the GEVD start
-    (:func:`~cpfast.kruskal.gevd_init`, "gevd"), and the SVD start where
-    that start does not exist.  Every other ``init="svd"`` takes the SVD
-    start (:func:`~cpfast.kruskal.svd_init`, "svd").  Both return their own
-    MTTKRP; ``init="random"`` ("random") costs one pass over the tensor.
-    The SVD start draws from a generator of its own, made only where it
-    draws, so a fallback is the SVD start bit for bit."""
+    ``init="svd"`` on a tensor of order >= 3 with I_1, I_2 >= R builds the
+    GEVD start of its ST-HOSVD core (:func:`_gevd_start`, "gevd"), and the
+    SVD start where that start does not exist.  Every other ``init="svd"``
+    takes the SVD start (:func:`~cpfast.kruskal.svd_init`, "svd").  Each
+    start comes with its mode-N MTTKRP: the GEVD start of an ST-HOSVD core
+    costs no pass over the tensor for it, the SVD start, the GEVD start of
+    an R x R x K tensor and ``init="random"`` ("random") one.  The SVD
+    start draws from a generator of its own, made only where it draws,
+    so a fallback is the SVD start bit for bit."""
     rng = functools.partial(np.random.default_rng, [config.seed, 0])
     if config.init == "random":
         start = random_init(y.dims, config.rank, rng(), y.scalar_kind)
         return start, mttkrp(y, start, start.order), "random"
-    if y.order == 3 and y.dims[:2] == (config.rank,) * 2 and y.dims[2] >= 2:
-        gevd = gevd_init(y, rng())
+    if y.order >= 3 and min(y.dims[:2]) >= config.rank:
+        gevd = _gevd_start(y, config.rank, rng)
         if gevd is not None:
             return *gevd, "gevd"
     return *svd_init(y, config.rank, rng), "svd"
+
+
+def _gevd_start(
+    y: DenseTensor, rank: int, rng
+) -> tuple[KruskalModel, np.ndarray] | None:
+    """The GEVD start of ``y`` (order >= 3, I_1, I_2 >= ``rank``) and its
+    mode-N MTTKRP, or None where it does not exist; ``rng()`` gives the
+    generator of :func:`~cpfast.kruskal.gevd_init`'s slice weights.
+
+    An order-3 ``y`` with I_1 = I_2 = R, such as the core of a compressed
+    order-3 fit, is its own core: it gets :func:`~cpfast.kruskal.gevd_init`
+    of itself.  Any other ``y`` is compressed by :func:`st_hosvd` to bases
+    U_n and a core G, which needs R_1 = R_2 = R.  G / kappa, kappa = ||G||,
+    with modes 3..N merged into one (the Fortran-order reshape to R x R x
+    prod_{n>=3} R_n, whose mode-3 factor is KR(B^(N), ..., B^(3))), has
+    the GEVD start B^(1), B^(2), C.  At order >= 4 each column of C, read as
+    an R_3 x ... x R_N tensor, is split into its mode-3..N columns by
+    successive rank-1 SVDs, exact where the column is rank-1, as it is on a
+    noiseless rank-R tensor.  The model of G / kappa is mapped to Y by
+    :func:`_expanded_start`, which also gives its mode-N MTTKRP with no pass
+    over Y.  A split that fails or is not finite gives None.
+    """
+    if y.order == 3 and y.dims[:2] == (rank, rank):
+        return gevd_init(y, rng())
+    bases, core, lead = st_hosvd(y, rank)
+    if core.dims[:2] != (rank, rank):
+        return None
+    kappa = _tensor_norm(core)
+    merged = core.data.reshape((rank, rank, -1), order="F") / kappa
+    gevd = gevd_init(DenseTensor(merged), rng())
+    if gevd is None:
+        return None
+    *factors, rest = gevd[0].factors
+    try:
+        for d in core.dims[2:-1]:
+            # Column r of ``rest`` as a d x (rest rows / d) matrix, batched.
+            mats = rest.reshape((d, -1, rank), order="F").transpose(2, 0, 1)
+            u, s, vh = np.linalg.svd(mats, full_matrices=False)
+            factors.append((u[:, :, 0] * s[:, :1]).T)
+            rest = vh[:, 0, :].T
+    except np.linalg.LinAlgError:
+        return None
+    factors.append(rest)
+    if not all(np.isfinite(f).all() for f in factors[2:]):
+        return None
+    return _expanded_start(bases, lead, KruskalModel(factors), kappa)
 
 
 def _start_error(y, x, last, grams, norm) -> float:
@@ -373,11 +421,11 @@ def fit(y: DenseTensor, config: FitConfig) -> FitResult:
 
     Every fit solves the unit-norm problem: ``fit`` divides Y by ||Y|| once,
     builds the configured init of Y / ||Y|| (:func:`_init_model`: for
-    ``init="svd"`` the GEVD start where Y, or a compressed fit's core, is
-    R x R x K with K >= 2 and that start exists, else the SVD start) and
-    hands both to the loop, :func:`_fit_lm` or :func:`_fit_als`, which only
-    iterates; ``FitResult.start`` names the start.  It then scales the
-    returned model back once: the LM family's
+    ``init="svd"`` the GEVD start of the ST-HOSVD core where Y, or a
+    compressed fit's core, has order >= 3 and I_1, I_2 >= R and that start
+    exists, else the SVD start) and hands both to the loop, :func:`_fit_lm`
+    or :func:`_fit_als`, which only iterates; ``FitResult.start`` names the
+    start.  It then scales the returned model back once: the LM family's
     factors are multiplied by ||Y||^(1/N), which keeps every component's mode
     norms equal, and ALS's first factor by ||Y||.  So the trace does not
     depend on the scale of Y, and ALS's scaling is exact for powers of two:

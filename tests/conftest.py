@@ -16,6 +16,7 @@ from cpfast.kruskal import (
     model_from_vector,
     stack,
 )
+import cpfast.solver
 from cpfast.oracle import assemble_phi, build_parts
 from cpfast.solver import flm_step
 
@@ -73,3 +74,14 @@ def equal_energy_loop():
     folding the phase into the last mode; the reference for
     :func:`cpfast.kruskal.normalize_with_grams`."""
     return _equal_energy_loop
+
+
+@pytest.fixture
+def svd_start(monkeypatch):
+    """Every ``init="svd"`` fit in the test takes the SVD start: the GEVD
+    builder (:func:`cpfast.solver._gevd_start`) returns None, its documented
+    fallback, so each fit is the SVD-start fit bit for bit.  For tests that
+    measure the loop, not the start: from the GEVD start a noiseless fit is
+    exact before its first step, and a noisy one skips the iterations these
+    tests count."""
+    monkeypatch.setattr(cpfast.solver, "_gevd_start", lambda *args: None)

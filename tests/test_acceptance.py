@@ -244,10 +244,15 @@ def test_criterion_09b_second_angle():
     assert abs(theta_qr - 8.10) <= 0.02, f"theta_qr = {theta_qr:.4f} degrees"
 
 
-def test_criterion_10_convergence_and_ordering():
+def test_criterion_10_convergence_and_ordering(request):
     """On 20^3, R = 3, noise-free: nu = 0.5 reaches eps < 1e-8 within 1000
-    iterations for >= 90% of 20 seeds; nu = 0.1 median fLM iterations are
-    strictly below median ALS-ls iterations.  Under 5 minutes."""
+    iterations for >= 90% of 20 seeds; at nu = 0.1, fLM and ALS-ls both
+    reach eps < 1e-12 from the default start (the GEVD of the ST-HOSVD
+    core, exact on noiseless data) on 10 seeds, and from the SVD start
+    (``svd_start``) median fLM iterations are strictly below median ALS-ls
+    iterations: the paper's swamp comparison, which an exact start, where
+    both loops stop on the ten-difference window, cannot make.  Under 5
+    minutes."""
     t0 = time.monotonic()
     hits = 0
     for seed in range(20):
@@ -257,15 +262,23 @@ def test_criterion_10_convergence_and_ordering():
             hits += 1
     assert hits >= 18, f"only {hits}/20 seeds converged"
 
-    flm_iters, als_iters = [], []
-    for seed in range(10):
-        _, y = gen_collinear(CollinearSpec((20, 20, 20), 3, 0.1, seed=seed))
-        flm_iters.append(
-            fit(y, FitConfig(rank=3, variant="auto", seed=seed, max_iters=1000)).iters
-        )
-        als_iters.append(
-            fit(y, FitConfig(rank=3, variant="als-ls", seed=seed, max_iters=1000)).iters
-        )
+    swamps = [
+        gen_collinear(CollinearSpec((20, 20, 20), 3, 0.1, seed=seed))[1]
+        for seed in range(10)
+    ]
+
+    def swamp_fits(variant):
+        return [
+            fit(y, FitConfig(rank=3, variant=variant, seed=seed, max_iters=1000))
+            for seed, y in enumerate(swamps)
+        ]
+
+    for variant in ("auto", "als-ls"):
+        assert all(r.final_relerr < 1e-12 for r in swamp_fits(variant)), variant
+    request.getfixturevalue("svd_start")
+    flm_iters, als_iters = (
+        [r.iters for r in swamp_fits(variant)] for variant in ("auto", "als-ls")
+    )
     assert statistics.median(flm_iters) < statistics.median(als_iters)
     assert time.monotonic() - t0 < 300.0
 

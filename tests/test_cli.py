@@ -168,12 +168,13 @@ class TestFit:
 
     @pytest.mark.parametrize(
         "dims,init,start",
-        [("6,6,6", "svd", "svd"), ("6,6,6", "random", "random"),
+        [("6,6,6", "svd", "gevd"), ("6,6,6", "random", "random"),
          ("2,2,5", "svd", "gevd")],
     )
     def test_start_printed_last(self, runner, tmp_path, dims, init, start):
-        """The line ends with the start that ran: the GEVD start for a rank-2
-        2 x 2 x 5 tensor under the default init, else the init named."""
+        """The line ends with the start that ran: under the default init the
+        GEVD start, of the 2 x 2 x 5 tensor itself and of the 6^3 tensor's
+        ST-HOSVD core, else the init named."""
         invoke(runner, ["gen", "--dims", dims, "--rank", "2", "--nu", "0.5",
                         "--snr", "30", "--seed", "1", "--out", str(tmp_path / "t")])
         out = invoke(runner, ["fit", str(tmp_path / "t_noisy.cptn"), "--rank", "2",

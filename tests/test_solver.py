@@ -278,11 +278,15 @@ class TestFlmStep:
 
     @pytest.mark.parametrize("dims", [(4, 5, 6), (3, 4, 3, 2)])
     @pytest.mark.parametrize("variant", ["auto"])
-    def test_one_core_factorization_per_step(self, dims, variant, monkeypatch):
+    def test_one_core_factorization_per_step(
+        self, dims, variant, monkeypatch, svd_start
+    ):
         """One fit iteration: the damped Gram inverses come from one batched
         inverse (``cpfast.hessian._batched_inv``, never ``np.linalg.inv``),
         and the core is factored once (``?getrf``) and solved twice
-        (``?getrs``), for the step and for its geodesic acceleration."""
+        (``?getrs``), for the step and for its geodesic acceleration.  The
+        fit takes the SVD start, which makes none of these calls (the GEVD
+        start's are ``np.linalg.solve``)."""
         rng = np.random.default_rng(23)
         y, m = noisy_instance(rng, dims, 2)
         calls = []
@@ -552,9 +556,11 @@ class TestFit:
     def _calls_per_iteration(variant):
         """Python-level calls and calls of C functions (``sys.setprofile``
         "call" and "c_call" events) per iteration on the noiseless 20^3,
-        R=3, nu=0.1 swamp fit, over iterations 11 to 40: the count for a
-        budget of 40 minus that for 10 (a fit with a smaller budget is a
-        prefix of the same run), over 30.  A count, not a timing.  The
+        R=3, nu=0.1 swamp fit from the SVD start (the caller takes
+        ``svd_start``: from the GEVD start the fit ends at 10 iterations),
+        over iterations 11 to 40: the count for a budget of 40 minus that
+        for 10 (a fit with a smaller budget is a prefix of the same run),
+        over 30.  A count, not a timing.  The
         cyclic garbage collector is off while a fit is counted: a collection
         runs whenever earlier allocations make it due, and its callbacks
         (Hypothesis registers one) and finalizers are not the fit's calls."""
@@ -582,7 +588,7 @@ class TestFit:
             counts.append(events[0])
         return (counts[1] - counts[0]) / 30
 
-    def test_calls_per_iteration(self):
+    def test_calls_per_iteration(self, svd_start):
         """fLM calls per iteration (see ``_calls_per_iteration``): 80.27
         measured (NumPy 2.4.6, Python 3.11)."""
         assert self._calls_per_iteration("auto") <= 80.3
@@ -590,7 +596,7 @@ class TestFit:
     @pytest.mark.parametrize(
         "variant,bound", [("als", 41.0), ("als-ls", 53.4)], ids=["als", "als-ls"]
     )
-    def test_als_calls_per_iteration(self, variant, bound):
+    def test_als_calls_per_iteration(self, variant, bound, svd_start):
         """ALS and ALS-ls calls per iteration (see ``_calls_per_iteration``):
         41.0 and 53.33 measured (NumPy 2.4.6, Python 3.11)."""
         assert self._calls_per_iteration(variant) <= bound
@@ -612,11 +618,14 @@ class TestFit:
         assert elapsed[-1] <= result.time_ms / 1e3
 
     @pytest.mark.parametrize("variant", ["auto", "als", "als-ls"])
-    def test_models_built_do_not_grow_with_iterations(self, variant, monkeypatch):
+    def test_models_built_do_not_grow_with_iterations(
+        self, variant, monkeypatch, svd_start
+    ):
         """Both loops run on stacks alone: a fit builds its
         :class:`KruskalModel` objects at its boundary only, as many with a
         budget of 40 iterations as with 10 on the noiseless 20^3, R=3,
-        nu=0.1 swamp fit.  Each model is counted by its ``__post_init__``."""
+        nu=0.1 swamp fit from the SVD start (from the GEVD start it ends at
+        10).  Each model is counted by its ``__post_init__``."""
         _, y = gen_collinear(CollinearSpec((20, 20, 20), 3, 0.1, None, 0))
         built = [0]
         post_init = KruskalModel.__post_init__
@@ -636,11 +645,12 @@ class TestFit:
 
     @pytest.mark.parametrize("kind, seed", [(REAL, 0), (COMPLEX, 1)])
     def test_error_guard_crossing_keeps_dense_trajectory(
-        self, kind, seed, monkeypatch
+        self, kind, seed, monkeypatch, svd_start
     ):
-        """Noiseless swamp fits pass from the Gram-identity error to the dense
-        one, reach relerr <= 1e-12 and take as many iterations as a fit that
-        scores every candidate densely."""
+        """Noiseless swamp fits from the SVD start pass from the Gram-identity
+        error to the dense one, reach relerr <= 1e-12 and take as many
+        iterations as a fit that scores every candidate densely.  (The GEVD
+        start is below the guard before the first step.)"""
         spec = CollinearSpec((20, 20, 20), 3, 0.1, None, seed, kind)
         _, y = gen_collinear(spec)
         config = FitConfig(rank=3, variant="auto")
@@ -680,10 +690,10 @@ class TestFit:
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_grad_norm_is_at_model_after_iteration(self, kind, k):
+    def test_grad_norm_is_at_model_after_iteration(self, kind, k, svd_start):
         """The recorded ||g|| is that of the model an iteration ends on: the
         start after each of the first three (rejected) steps, the accepted
-        candidate after the fourth."""
+        candidate after the fourth, from the SVD start."""
         rng = np.random.default_rng(40)
         y, _ = noisy_instance(rng, (5, 6, 7), 3, kind, noise=0.1)
         result = fit(y, FitConfig(rank=3, max_iters=k, tol=0.0))
@@ -790,7 +800,7 @@ class TestGradientStop:
             ("compressed-flm", "core"),
         ],
     )
-    def test_stop_test_names_the_rule(self, case, expected, monkeypatch):
+    def test_stop_test_names_the_rule(self, case, expected, monkeypatch, request):
         """The noiseless 20^3, R=3, nu=0.1 swamp fit stops on the window (g
         shrinks with the residual), as does ALS-ls on the noisy Gaussian
         instance; a fit that runs out of iterations has no stop test, and a
@@ -809,6 +819,9 @@ class TestGradientStop:
         elif case == "noisy-als-ls":
             config = FitConfig(rank=3, variant="als-ls")
         elif case == "max-iters":
+            # From the SVD start: from the GEVD start this fit stops "tol"
+            # on its third step.
+            request.getfixturevalue("svd_start")
             config = FitConfig(rank=3, max_iters=3)
         elif case == "compressed-flm":
             monkeypatch.setattr(cpfast.solver, "COMPRESS_MIN_RATIO", 0)
@@ -835,10 +848,10 @@ class TestGeodesicAcceleration:
     gain ratio keeps v's Gauss-Newton prediction."""
 
     @pytest.mark.parametrize("tau,accelerated", [(1e-3, False), (1.0, True)])
-    def test_first_record_describes_step_taken(self, tau, accelerated):
+    def test_first_record_describes_step_taken(self, tau, accelerated, svd_start):
         """The first record's ratio, step norm, error and gain ratio are those
-        of the step rebuilt from the scaled start: accelerated at tau = 1,
-        plain at the default tau, where the ratio is 1.2."""
+        of the step rebuilt from the scaled SVD start: accelerated at tau =
+        1, plain at the default tau, where the ratio is 1.2."""
         y = DenseTensor(gaussian_instance(0))
         config = FitConfig(rank=3, tau=tau, max_iters=1)
         rec = fit(y, config).trace[0]
@@ -865,12 +878,17 @@ class TestGeodesicAcceleration:
     @pytest.mark.parametrize(
         "dims,rank,kind", [((8, 8, 8), 3, REAL), ((5, 4, 6), 2, COMPLEX)]
     )
-    def test_dgn_oracle_takes_the_same_steps(self, dims, rank, kind, monkeypatch):
+    def test_dgn_oracle_takes_the_same_steps(
+        self, dims, rank, kind, monkeypatch, svd_start
+    ):
         """A fit whose solves use the dense H + mu I of :mod:`cpfast.oracle`
         in place of the core takes the same steps: the same accept decisions,
         ratios and errors while the error is above its final value.  The loop
         applies the core to stacks, so the dense solve goes through the
-        stacked vector of each."""
+        stacked vector of each.  Both fits take the SVD start: from the GEVD
+        start the real case's last three ratios before the floor differ by
+        1.2e-6 to 2.7e-5, near convergence, where the ratio is dominated by
+        rounding, with every accept decision and error the same."""
         y, _ = noisy_instance(np.random.default_rng(16), dims, rank, kind, 0.05)
         config = FitConfig(rank=rank)
         fast = fit(y, config)
@@ -1200,11 +1218,12 @@ class TestCandidateError:
             assert 0.01 < dense < 1.0
             assert e == pytest.approx(dense, rel=1e-10)
 
-    def test_flm_trace_records_scorer(self, monkeypatch):
+    def test_flm_trace_records_scorer(self, monkeypatch, svd_start):
         """A noiseless 20^3 nu=0.1 fLM fit records "gram" and then "dense",
         each record the path that the error before it picks; the noisy 30^3
         fit records "decrease" on the step that converges; an ALS-ls fit
-        records its candidates' path too."""
+        records its candidates' path too.  All from the SVD start, so each
+        path is taken."""
         keep_plain(monkeypatch)
         _, y = gen_collinear(CollinearSpec((20, 20, 20), 3, 0.1, None, 0))
         trace = fit(y, FitConfig(rank=3)).trace
@@ -1238,19 +1257,27 @@ class TestCompression:
         assert not compresses((5, 5, 5), 5)
 
     def test_plain_path_never_projects(self, monkeypatch):
-        """Below the rule, and at max_iters = 1 above it, fit makes no
-        ST-HOSVD and marks every record "full"."""
+        """Below the rule, and at max_iters = 1 above it, fit has no core
+        stage: it marks every record "full", and its one ST-HOSVD is the
+        GEVD start's, of the tensor fitted."""
+        calls = []
+        original = cpfast.solver.st_hosvd
 
-        def refuse(*args):
-            raise AssertionError("st_hosvd called")
+        def counted(y, rank):
+            calls.append(y.dims)
+            return original(y, rank)
 
-        monkeypatch.setattr(cpfast.solver, "st_hosvd", refuse)
+        monkeypatch.setattr(cpfast.solver, "st_hosvd", counted)
         _, y = gen_collinear(CollinearSpec((20, 20, 20), 3, 0.5, 40.0, 0))
-        assert {rec.stage for rec in fit(y, FitConfig(rank=3)).trace} == {"full"}
+        result = fit(y, FitConfig(rank=3))
+        assert {rec.stage for rec in result.trace} == {"full"}
+        assert (calls, result.start) == ([y.dims], "gevd")
         monkeypatch.setattr(cpfast.solver, "COMPRESS_MIN_RATIO", 0)
+        calls.clear()
         y = DenseTensor(gaussian_instance(0, dims=(12, 10, 9)))
         one = fit(y, FitConfig(rank=3, max_iters=1))
         assert [rec.stage for rec in one.trace] == ["full"]
+        assert (calls, one.start) == ([y.dims], "gevd")
 
     @pytest.mark.parametrize(
         "dims,rank,kind,variant",
@@ -1520,10 +1547,13 @@ class TestCompression:
 
 
 class TestGevdStart:
-    """``init="svd"`` on an order-3 tensor with I_1 = I_2 = R and I_3 >= 2,
-    such as a compressed order-3 core, starts from the GEVD of two slice
-    mixtures (:func:`~cpfast.kruskal.gevd_init`); ``FitResult.start`` says
-    which start ran."""
+    """``init="svd"`` on a tensor of order >= 3 with I_1, I_2 >= R starts
+    from the GEVD of two slice mixtures (:func:`~cpfast.kruskal.gevd_init`):
+    of the tensor itself where it is R x R x K of order 3, such as a
+    compressed order-3 core, else of its ST-HOSVD core with modes 3..N
+    merged, split back into modes 3..N and expanded
+    (:func:`cpfast.solver._gevd_start`).  ``FitResult.start`` says which
+    start ran."""
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
     @pytest.mark.parametrize("dims", [(4, 4, 7), (5, 5, 2)])
@@ -1539,6 +1569,39 @@ class TestGevdStart:
         assert relative_error(y, model) <= 1e-12
         np.testing.assert_allclose(last, mttkrp(y, model, 3), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    @pytest.mark.parametrize(
+        "dims,rank",
+        [((9, 8, 7), 3), ((7, 6, 5, 4), 3), ((6, 5, 4, 4, 3), 3), ((4, 4, 4, 4), 4)],
+    )
+    def test_core_start_alone_reconstructs_noiseless_tensor(self, dims, rank, kind):
+        """Stated bound: on a noiseless rank-R tensor of order 3, 4 or 5 with
+        Gaussian factors, the GEVD start of its ST-HOSVD core, mapped back
+        to Y, reconstructs Y to relerr <= 1e-12, and its mode-N MTTKRP,
+        which costs no pass over Y, equals ``mttkrp`` to 1e-12 relative."""
+        rng = np.random.default_rng(7)
+        y = reconstruct(random_init(dims, rank, rng, kind))
+        model, last, start = _init_model(y, FitConfig(rank=rank))
+        assert start == "gevd"
+        assert relative_error(y, model) <= 1e-12
+        direct = mttkrp(y, model, y.order)
+        assert np.linalg.norm(last - direct) <= 1e-12 * np.linalg.norm(direct)
+
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    @pytest.mark.parametrize(
+        "dims,rank,nu", [((20, 20, 20), 3, 0.1), ((12, 12, 12, 12), 4, 0.5)]
+    )
+    def test_start_alone_reconstructs_noiseless_swamp(self, dims, rank, nu, kind):
+        """Stated bound: the plain ``swamp-small`` shapes, noiseless (20^3
+        R=3 at nu = 0.1 and 12^4 R=4), are reconstructed to relerr <= 1e-12
+        by their start alone, real and complex."""
+        _, y = gen_collinear(CollinearSpec(dims, rank, nu, None, 0, kind))
+        model, last, start = _init_model(y, FitConfig(rank=rank))
+        assert start == "gevd"
+        assert relative_error(y, model) <= 1e-12
+        direct = mttkrp(y, model, y.order)
+        assert np.linalg.norm(last - direct) <= 1e-12 * np.linalg.norm(direct)
+
     def test_start_alone_recovers_noiseless_swamp_core(self):
         """Stated bound: the compressed core of a noiseless 20^3 swamp
         tensor (nu = 0.1, R = 3) is reconstructed to relerr <= 1e-12 by its
@@ -1549,6 +1612,20 @@ class TestGevdStart:
         assert start == "gevd"
         assert relative_error(core, model) <= 1e-12
 
+    @staticmethod
+    def assert_svd_start(y, config):
+        """``_init_model`` gives the SVD start bit for bit, and says "svd",
+        as does the fit."""
+        model, last, start = _init_model(y, config)
+        svd_model, svd_last = cpfast.kruskal.svd_init(
+            y, config.rank, np.random.default_rng([config.seed, 0])
+        )
+        assert start == "svd"
+        for f, g in zip(model.factors, svd_model.factors):
+            assert f.tobytes() == g.tobytes()
+        assert last.tobytes() == svd_last.tobytes()
+        assert fit(y, config).start == "svd"
+
     def test_complex_pair_falls_back_to_svd_start(self):
         """The real 2 x 2 x 2 tensor with slices [[0, -1], [1, 0]] and I: any
         real mixture pencil has the eigenvalues of a Moebius map of +-i, a
@@ -1556,17 +1633,27 @@ class TestGevdStart:
         start bit for bit, and the fit says "svd"."""
         data = np.stack([[[0.0, -1.0], [1.0, 0.0]], np.eye(2)], axis=-1)
         y = DenseTensor(data)
-        config = FitConfig(rank=2)
         assert cpfast.kruskal.gevd_init(y, np.random.default_rng(0)) is None
-        model, last, start = _init_model(y, config)
-        svd_model, svd_last = cpfast.kruskal.svd_init(
-            y, 2, np.random.default_rng([config.seed, 0])
-        )
-        assert start == "svd"
-        for f, g in zip(model.factors, svd_model.factors):
-            assert f.tobytes() == g.tobytes()
-        assert last.tobytes() == svd_last.tobytes()
-        assert fit(y, config).start == "svd"
+        self.assert_svd_start(y, FitConfig(rank=2))
+
+    def test_order_4_complex_pair_falls_back_to_svd_start(self):
+        """A real 5 x 4 x 3 x 3 tensor whose every (mode-3, mode-4) slice is
+        U_1 (alpha J + beta I) U_2^T, J = [[0, -1], [1, 0]], with orthonormal
+        U_1, U_2: its ST-HOSVD core at R = 2 keeps that form, so the merged
+        core's real pencils have a complex eigenvalue pair.  No GEVD start
+        exists, and the fallback is the SVD start bit for bit."""
+        rng = np.random.default_rng(9)
+        alpha, beta = rng.standard_normal((2, 3, 3))
+        j = np.array([[0.0, -1.0], [1.0, 0.0]])
+        slices = j[:, :, None, None] * alpha + np.eye(2)[:, :, None, None] * beta
+        u1 = np.linalg.qr(rng.standard_normal((5, 2)))[0]
+        u2 = np.linalg.qr(rng.standard_normal((4, 2)))[0]
+        y = DenseTensor(np.einsum("ia,jb,abkl->ijkl", u1, u2, slices))
+        config = FitConfig(rank=2)
+        assert cpfast.solver._gevd_start(
+            y, 2, lambda: np.random.default_rng([config.seed, 0])
+        ) is None
+        self.assert_svd_start(y, config)
 
     def test_singular_solve_falls_back(self):
         """A zero first row makes every slice mixture singular (an exact
@@ -1577,6 +1664,17 @@ class TestGevdStart:
         assert cpfast.kruskal.gevd_init(y, np.random.default_rng(0)) is None
         assert _init_model(y, FitConfig(rank=3))[2] == "svd"
 
+    def test_rank_above_first_dims_takes_svd_start(self, monkeypatch):
+        """With I_1 < R or I_2 < R there is no R x R core to take the GEVD
+        of: the builder is not called and the start is "svd"."""
+
+        def refuse(*args):
+            raise AssertionError("_gevd_start called")
+
+        monkeypatch.setattr(cpfast.solver, "_gevd_start", refuse)
+        y = DenseTensor(gaussian_instance(0, dims=(6, 2, 5), rank=3))
+        assert _init_model(y, FitConfig(rank=3))[2] == "svd"
+
     @pytest.mark.parametrize(
         "dims,rank,kind,variant,expected",
         [
@@ -1584,15 +1682,15 @@ class TestGevdStart:
             ((30, 30, 30), 3, REAL, "als-ls", "gevd"),
             ((12, 10, 9), 3, COMPLEX, "auto", "gevd"),
             ((14, 2, 11), 3, COMPLEX, "auto", "svd"),  # core I_2 = 2 < R
-            ((8, 7, 6, 9), 2, REAL, "auto", "svd"),  # order 4
+            ((8, 7, 6, 9), 2, REAL, "auto", "gevd"),  # order 4
         ],
     )
     def test_compressed_fit_reports_its_core_start(
         self, dims, rank, kind, variant, expected, monkeypatch
     ):
         """A compressed fit's ``start`` is its core stage's: the GEVD start
-        for an order-3 core with I_1 = I_2 = R, whichever the variant, and
-        the SVD start for a core with I_2 < R or of order 4."""
+        for a core with I_1 = I_2 = R, of order 3 or 4, whichever the
+        variant, and the SVD start for a core with I_2 < R."""
         monkeypatch.setattr(cpfast.solver, "COMPRESS_MIN_RATIO", 0)
         y = DenseTensor(gaussian_instance(0, dims=dims, rank=rank, kind=kind))
         result = fit(y, FitConfig(rank=rank, variant=variant))
@@ -1615,34 +1713,42 @@ class TestGevdStart:
         )
 
     @pytest.mark.parametrize("variant", ["auto", "als-ls", "als"])
-    def test_swamp_shapes_never_build_it(self, variant, monkeypatch):
+    def test_swamp_shapes_build_it(self, variant, monkeypatch):
         """Plain 20^3 R=3 and 12^4 R=4 fits, the ``swamp-small`` shapes,
-        never call the GEVD builder and report the SVD start."""
+        stay plain and start from the GEVD of their ST-HOSVD core, modes
+        3..N merged: R x R x R and R x R x R^2.  Every variant takes the
+        same start."""
+        merged = []
+        original = cpfast.solver.gevd_init
 
-        def refuse(*args):
-            raise AssertionError("gevd_init called")
+        def recorded(y, rng):
+            merged.append(y.dims)
+            return original(y, rng)
 
-        monkeypatch.setattr(cpfast.solver, "gevd_init", refuse)
+        monkeypatch.setattr(cpfast.solver, "gevd_init", recorded)
         for dims, rank in (((20, 20, 20), 3), ((12, 12, 12, 12), 4)):
             _, y = gen_collinear(CollinearSpec(dims, rank, 0.5, 40.0, 0))
             result = fit(y, FitConfig(rank=rank, variant=variant))
-            assert result.start == "svd"
+            assert result.start == "gevd"
             assert {rec.stage for rec in result.trace} == {"full"}
+        assert merged == [(3, 3, 3), (4, 4, 16)]
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
     def test_same_seed_same_start(self, kind):
         """The start is a function of the tensor and the seed: two builds
         with one seed are equal bit for bit, and another seed mixes the
-        slices with other weights."""
-        y = DenseTensor(gaussian_instance(1, dims=(4, 4, 6), rank=4, kind=kind))
-        first, again, other = (
-            _init_model(y, FitConfig(rank=4, seed=seed)) for seed in (5, 5, 6)
-        )
-        assert first[2] == again[2] == other[2] == "gevd"
-        for f, g in zip(first[0].factors, again[0].factors):
-            assert f.tobytes() == g.tobytes()
-        assert first[1].tobytes() == again[1].tobytes()
-        assert first[0].factors[1].tobytes() != other[0].factors[1].tobytes()
+        slices with other weights, of the tensor itself (4 x 4 x 6, R=4) or
+        of its ST-HOSVD core (9 x 8 x 7 x 6, R=3)."""
+        for dims, rank in (((4, 4, 6), 4), ((9, 8, 7, 6), 3)):
+            y = DenseTensor(gaussian_instance(1, dims=dims, rank=rank, kind=kind))
+            first, again, other = (
+                _init_model(y, FitConfig(rank=rank, seed=seed)) for seed in (5, 5, 6)
+            )
+            assert first[2] == again[2] == other[2] == "gevd"
+            for f, g in zip(first[0].factors, again[0].factors):
+                assert f.tobytes() == g.tobytes()
+            assert first[1].tobytes() == again[1].tobytes()
+            assert first[0].factors[1].tobytes() != other[0].factors[1].tobytes()
 
 
 class TestPassBudget:
@@ -1654,8 +1760,9 @@ class TestPassBudget:
     def budget(variant, records, errs, init, returned=False):
         """The seam calls that the budget gives one loop on Y, whose records
         are ``records`` and whose error before each record is ``errs``
-        (``errs[0]`` the start's): ``init`` (the SVD init's mode-N pass, none
-        for a refinement start), a dense residual for a start below
+        (``errs[0]`` the start's): ``init`` (the SVD or random init's mode-N
+        pass, none for the GEVD start of Y's ST-HOSVD core or a refinement
+        start), a dense residual for a start below
         ``GRAM_ERROR_GUARD``, fLM's first gradient's partial product, then
         per record, from the error before it:
 
@@ -1694,21 +1801,26 @@ class TestPassBudget:
         return calls
 
     @pytest.mark.parametrize(
-        "case", ["flm", "noisy-flm", "als-ls", "compressed-flm"]
+        "case",
+        ["flm", "flm-random", "noisy-flm", "als-ls", "als-ls-random", "compressed-flm"],
     )
     def test_passes_match_budget(self, case, monkeypatch):
         """A noiseless 8^3 swamp fLM fit and a noiseless (12, 10, 9) ALS-ls
-        fit cross the guard, with accepted and rejected fLM candidates, and
-        extrapolated ALS-ls candidates, on each side of it, and the fLM fit
-        ends on the window with no gradient for its returned model; a noisy
-        30^3 fLM fit scores its last candidate by its decrease and ends on
-        the gradient test; the same fit compressed refines with one step
-        and ends "core", again with no gradient for the model it returns.
-        Passes over the core are not passes over Y."""
-        variant = "als-ls" if case == "als-ls" else "auto"
-        if case == "flm":
+        fit, from random starts, cross the guard, with accepted and rejected
+        fLM candidates, and extrapolated ALS-ls candidates, on each side of
+        it, and the fLM fit ends on the window with no gradient for its
+        returned model.  From the default start, the GEVD of Y's ST-HOSVD
+        core, which costs no pass over Y, both fits start below the guard,
+        exact.  A noisy 30^3 fLM fit from that start scores its last
+        candidate by its decrease and ends on the gradient test; the same
+        fit compressed refines with one step and ends "core", again with no
+        gradient for the model it returns.  Passes over the core are not
+        passes over Y."""
+        variant = "als-ls" if case.startswith("als-ls") else "auto"
+        init = "random" if case.endswith("random") else "svd"
+        if case.startswith("flm"):
             _, y = gen_collinear(CollinearSpec((8, 8, 8), 3, 0.3, None, 0))
-        elif case == "als-ls":
+        elif case.startswith("als-ls"):
             y = DenseTensor(gaussian_instance(0, noise=0.0, dims=(12, 10, 9)))
         else:
             if case == "compressed-flm":
@@ -1731,26 +1843,30 @@ class TestPassBudget:
                 return out
 
             monkeypatch.setattr(cpfast.solver, name, recorded)
-        result = fit(y, FitConfig(rank=3, variant=variant))
+        result = fit(y, FitConfig(rank=3, variant=variant, seed=1, init=init))
         assert result.stop_reason == "tol"
         (start_err,) = start_errs
         records = [rec for rec in result.trace if rec.stage == "full"]
         errs = [start_err] + [rec.relerr for rec in records[:-1]]
-        init = [] if case == "compressed-flm" else ["_last_mttkrp"]
+        assert result.start == ("random" if init == "random" else "gevd")
+        passes = ["_last_mttkrp"] if init == "random" else []
         returned = records[-1].accepted and result.stop_test in DIFFERENCE_RULES
-        assert calls == self.budget(variant, records, errs, init, returned)
+        assert calls == self.budget(variant, records, errs, passes, returned)
         # fLM: (above the guard, accepted); ALS-ls: (above, extrapolated).
         kinds = {
             (err >= GRAM_ERROR_GUARD, rec.accepted if variant == "auto" else t > 0)
             for t, (err, rec) in enumerate(zip(errs, records))
         }
-        if case == "flm":
+        if case == "flm-random":
             assert kinds == {(True, True), (True, False), (False, True), (False, False)}
             assert (result.stop_test, returned) == ("window", True)
+        elif case == "als-ls-random":
+            assert {(True, True), (False, True)} <= kinds
+        elif case in ("flm", "als-ls"):
+            assert start_err < GRAM_ERROR_GUARD
+            assert result.stop_test == "window"
         elif case == "noisy-flm":
             assert result.stop_test == "gradient" and decreases
-        elif case == "als-ls":
-            assert {(True, True), (False, True)} <= kinds
         else:
             assert len(records) < result.iters
             assert (result.stop_test, returned) == ("core", True)

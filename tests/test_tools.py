@@ -1,5 +1,6 @@
 """Smoke tests of the repository tools: ``tools/fit_digest.py``, whose output
 shows that a change leaves every benchmark fit bit for bit the same,
+``tools/digest_cells.py``, which sums that output per cell,
 ``tools/code_lines.py``, which counts the package's code lines,
 ``tools/mttkrp_slabs.py``, which times the sliced mode-N MTTKRP pass, and
 ``tools/import_time.py``, which times a fresh ``import cpfast``."""
@@ -46,9 +47,10 @@ def test_fit_digest_exits_quietly_when_the_reader_closes_early():
 
 def test_fit_digest_prints_one_stable_line_per_fit():
     """Two problems times three variants give six lines of the twelve
-    documented fields, and a second run prints the same lines.  Neither
-    ``tiny`` shape (6^3 R=2, 5x4x3 R=2) has its first two dims equal to the
-    rank, so every start is the SVD start."""
+    documented fields, and a second run prints the same lines.  Both
+    ``tiny`` shapes (6^3 R=2, 5x4x3 R=2) are noisy rank-2 tensors of order
+    3 with I_1, I_2 >= R, so every start is the GEVD start of the ST-HOSVD
+    core."""
     lines = digest_lines()
     assert len(lines) == 2 * 3
     rows = [line.split() for line in lines]
@@ -56,7 +58,7 @@ def test_fit_digest_prints_one_stable_line_per_fit():
         assert len(row) == 12, row
         (workload, seed, _, _, iters, accepted, stop, relerr, digest, medsae,
          stop_test, start) = row
-        assert (workload, seed, stop, start) == ("tiny", "0", "tol", "svd")
+        assert (workload, seed, stop, start) == ("tiny", "0", "tol", "gevd")
         assert stop_test in ("gradient", "window", "core")
         assert 0 < int(accepted) <= int(iters)
         assert 0.0 < float.fromhex(relerr) < 1.0
@@ -65,6 +67,43 @@ def test_fit_digest_prints_one_stable_line_per_fit():
     assert [row[3] for row in rows] == ["auto", "als-ls", "als"] * 2
     assert len({row[2] for row in rows}) == 2
     assert digest_lines() == lines
+
+
+def test_digest_cells_sums_each_cell_side_by_side(tmp_path):
+    """On the ``tiny`` digest (two one-problem cells, three variants), one
+    line per cell and variant holds one fit, its iterations, start, stop
+    test and MedSAE; given the digest twice, every figure reads ``A->A``,
+    and a cell that the second digest lacks reads ``-`` there."""
+    lines = digest_lines()
+    full, part = tmp_path / "full.txt", tmp_path / "part.txt"
+    full.write_text("\n".join(lines) + "\n")
+    part.write_text(lines[0] + "\n")
+
+    def cells(*paths):
+        out = subprocess.run(
+            [sys.executable, str(TOOLS / "digest_cells.py"), *map(str, paths)],
+            cwd=ROOT, capture_output=True, text=True, check=True, timeout=60,
+        )
+        return [line.split() for line in out.stdout.splitlines()]
+
+    one = cells(full)
+    assert len(one) == len(lines) == 6
+    for row, line in zip(one, lines):
+        (workload, seed, label, variant, iters, _, _, _, _, medsae, stop_test,
+         start) = line.split()
+        assert row[:4] == [workload, seed, label.rsplit("-s", 1)[0], variant]
+        assert row[4:] == [
+            "fits=1", f"iters={iters}", f"start={start}:1",
+            f"stop={stop_test}:1", f"medsae={float.fromhex(medsae):.2f}",
+        ]
+    both = cells(full, full)
+    for row, alone in zip(both, one):
+        assert row[4:] == [
+            f"{field}->{field.split('=')[1]}" for field in alone[4:]
+        ]
+    missing = cells(full, part)
+    assert missing[0] == both[0]
+    assert all(field.endswith("->-") for row in missing[1:] for field in row[4:])
 
 
 def load_code_lines():

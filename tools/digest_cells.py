@@ -1,0 +1,83 @@
+"""Sum ``tools/fit_digest.py`` output per benchmark cell, side by side for
+two digests.
+
+Usage (from the root of a checkout):
+
+    python3 tools/digest_cells.py A.txt [B.txt]
+
+For each workload, seed, cell (a problem label without its ``-s<seed>``
+suffix) and variant, in the order they first appear in A and then in B, one
+line holds the number of fits and, over them, the total iterations, the
+count of each start (``gevd:9,svd:3``), the count of each stop test
+(``window:12``; a fit that did not stop "tol" counts under its stop reason,
+``error`` for a numerical failure) and the median of the per-fit MedSAE, in
+dB.  Given B, each figure reads ``A->B``, and ``-`` stands for a cell that
+one digest lacks.  A digest line that does not have the fields of
+``fit_digest.py`` is an error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import statistics
+import sys
+from collections import Counter
+
+FIELDS = ("fits", "iters", "start", "stop", "medsae")
+
+
+def read_cells(path: str) -> dict:
+    """The figures of each (workload, seed, cell, variant) of the digest at
+    ``path``, in the order of first appearance."""
+    fits = {}
+    with open(path) as lines:
+        for number, line in enumerate(lines, 1):
+            parts = line.split()
+            # The stop reason of a failed step holds spaces; the five fields
+            # after it do not.
+            if len(parts) < 12:
+                raise ValueError(f"{path}:{number}: not a fit_digest.py line")
+            workload, seed, label, variant, iters = parts[:5]
+            medsae, stop_test, start = parts[-3:]
+            stop = parts[6] if stop_test == "None" else stop_test
+            key = (workload, seed, label.rsplit("-s", 1)[0], variant)
+            fits.setdefault(key, []).append(
+                (int(iters), start, stop, float.fromhex(medsae))
+            )
+    return {key: _figures(rows) for key, rows in fits.items()}
+
+
+def _figures(rows: list) -> dict:
+    def counts(values):
+        return ",".join(f"{k}:{n}" for k, n in sorted(Counter(values).items()))
+
+    iters, starts, stops, medsaes = zip(*rows)
+    return {
+        "fits": str(len(rows)),
+        "iters": str(sum(iters)),
+        "start": counts(starts),
+        "stop": counts(stops),
+        "medsae": f"{statistics.median(medsaes):.2f}",
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("digests", nargs="+", metavar="DIGEST")
+    args = parser.parse_args(argv)
+    if len(args.digests) > 2:
+        parser.error("at most two digests")
+    tables = [read_cells(path) for path in args.digests]
+    keys = list(dict.fromkeys(key for table in tables for key in table))
+    for key in keys:
+        figures = [table.get(key) for table in tables]
+        cols = [
+            "->".join("-" if f is None else f[name] for f in figures)
+            for name in FIELDS
+        ]
+        print(*key, *(f"{name}={col}" for name, col in zip(FIELDS, cols)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
