@@ -14,9 +14,9 @@ from .solver import STOP_REASONS, FitConfig, fit
 from .synth import CollinearSpec, add_noise, gen_collinear, medsae_pair
 from .tensor import DenseTensor
 
-# A stop reason outside the solver's ``STOP_REASONS`` (an error message) is
-# recorded as "error" with its text kept.
-# Runs whose numbers are not a usable fit.
+# Runs whose numbers are not a usable fit: "error" (a stop reason outside
+# the solver's ``STOP_REASONS``, an error message, is recorded as "error"
+# with its text kept) and "nonfinite".
 FAILED = ("error", "nonfinite")
 
 

@@ -155,9 +155,9 @@ def _write_trace(path, trace) -> None:
 @click.option("--seed", type=int, default=FitConfig.seed, show_default=True)
 @click.option("--init", type=click.Choice(INITS), default=FitConfig.init,
               show_default=True,
-              help="svd: the GEVD start of the ST-HOSVD core on a tensor of "
-              "order >= 3 whose first two dims are at least the rank, else, "
-              "or where that start does not exist, the leading singular "
+              help="svd: the GEVD start of the ST-HOSVD core where the core "
+              "has order >= 3 and its first two dims equal the rank, else, or "
+              "where that start does not exist, the core's leading singular "
               "vectors; random: Gaussian factors.  The start that ran is "
               "printed as start=gevd, svd or random.")
 @click.option("--truth", default=None, type=click.Path(exists=True),

@@ -684,7 +684,7 @@ def _leading_left_vectors(mat: np.ndarray, rank: int) -> np.ndarray:
     return q * _unit_phase(r.diagonal())[None, :]
 
 
-def svd_init(y: DenseTensor, rank: int, rng) -> tuple[KruskalModel, np.ndarray]:
+def svd_init(y: DenseTensor, rank: int, rng) -> KruskalModel:
     """Leading mode-n left singular vectors, from the top R eigenpairs of the
     smaller Gram of each unfolding (I_n x I_n when wide, (J/I_n) x (J/I_n)
     when tall; see :func:`_leading_left_vectors`).
@@ -697,12 +697,12 @@ def svd_init(y: DenseTensor, rank: int, rng) -> tuple[KruskalModel, np.ndarray]:
     is real and positive; in mode N each column is rotated so that its
     rank-one term has a real, positive inner product with Y, i.e. every
     component starts out pointing toward the data rather than away from it.
+    That rule takes the mode-N MTTKRP, one pass over ``y``.
 
-    Returns ``(model, M^(N))``: the phase rule needs the init's mode-N
-    MTTKRP M^(N), which does not depend on A^(N), so the fit reuses it.
-    A fit takes this start for ``init="svd"`` wherever the GEVD start does
-    not apply (order 2, I_1 < R or I_2 < R) or does not exist (see
-    :func:`cpfast.solver._init_model`).
+    A fit takes this start for ``init="svd"`` of Y's ST-HOSVD core wherever
+    the core's GEVD start does not apply (order 2, fewer than R columns in
+    mode 1 or 2) or does not exist (see :func:`cpfast.solver._start`); it
+    never runs on Y itself.
     """
     factors = []
     for n in range(1, y.order + 1):
@@ -718,34 +718,40 @@ def svd_init(y: DenseTensor, rank: int, rng) -> tuple[KruskalModel, np.ndarray]:
     last = _last_mttkrp(y, _khatri_rao_rows([f.T for f in factors[:-1]]).mT)
     inner = np.sum(factors[-1].conj() * last, axis=0)
     factors[-1] = factors[-1] * _unit_phase(inner)
-    return KruskalModel(factors), last
+    return KruskalModel(factors)
 
 
-def gevd_init(y: DenseTensor, rng) -> tuple[KruskalModel, np.ndarray] | None:
-    """The GEVD start of an R x R x K tensor, K >= 2 (Sanchez & Kowalski,
-    J. Chemometrics 4, 1990; Leurgans, Ross & Abel, SIAM J. Matrix Anal.
-    Appl. 14(4), 1993; Tensorlab's ``cpd_gevd``), exact on a noiseless
-    rank-R tensor whose A and B are invertible.
+def gevd_init(y: DenseTensor, rng) -> KruskalModel | None:
+    """The GEVD start of a tensor of order >= 3 whose first two dims both
+    equal R, such as the ST-HOSVD core of a fit (Sanchez & Kowalski, J.
+    Chemometrics 4, 1990; Leurgans, Ross & Abel, SIAM J. Matrix Anal. Appl.
+    14(4), 1993; Tensorlab's ``cpd_gevd``), exact on a noiseless rank-R
+    tensor whose first two factors are invertible.
 
-    Two mixtures of the mode-3 slices, S_i = Y x_3 w_i with real Gaussian
+    Modes 3..N are merged into one, the Fortran-order reshape to R x R x K,
+    K = prod_{n>=3} I_n, whose mode-3 factor is KR(A^(N), ..., A^(3)).  Two
+    mixtures of its mode-3 slices, S_i = Y x_3 w_i with real Gaussian
     weights w_1, w_2 from ``rng``, are A diag(C^T w_i) B^T, so A is the
     eigenvectors of S_1 S_2^{-1} = A diag(C^T w_1 / C^T w_2) A^{-1}; each
     column's largest-magnitude entry is made real and positive, as in
     :func:`svd_init`.  Then B^T = A^{-1} S_1, and C solves the normal
     equations C Gamma^T = M^(3), Gamma = (A^H A) * (B^H B), with M^(3) the
-    mode-3 MTTKRP, which does not depend on C.  Every inverse is a
-    ``np.linalg.solve``.
+    merged tensor's mode-3 MTTKRP, which does not depend on C.  Every
+    inverse is a ``np.linalg.solve``.  At order >= 4 each column of C, read
+    as an I_3 x ... x I_N tensor, is split into its mode-3..N columns by
+    successive rank-1 SVDs (one batched ``np.linalg.svd`` per split mode),
+    exact where the column is rank-1, as it is on a noiseless rank-R tensor.
 
-    Returns ``(model, M^(3))``, or None where the start does not exist: K <
-    2, a real tensor whose pencil has a complex eigenvalue pair, a singular
-    solve or a non-finite factor.  :func:`cpfast.solver._init_model` takes
-    it for ``init="svd"`` at every order >= 3 with I_1, I_2 >= R: of Y
-    itself where Y is R x R x K, else of Y's ST-HOSVD core with modes 3..N
-    merged into one.
+    Returns the model, or None where the start does not exist: K < 2, a
+    real tensor whose pencil has a complex eigenvalue pair, a singular
+    solve, a failed split or a non-finite factor.
     """
-    if y.dims[2] < 2:
+    rank = y.dims[0]
+    merged = DenseTensor(y.data.reshape((rank, rank, -1), order="F"))
+    if merged.dims[2] < 2:
         return None
-    s1, s2 = np.moveaxis(y.data @ rng.standard_normal((y.dims[2], 2)), -1, 0)
+    weights = rng.standard_normal((merged.dims[2], 2))
+    s1, s2 = np.moveaxis(merged.data @ weights, -1, 0)
     try:
         a = np.linalg.eig(np.linalg.solve(s2.T, s1.T).T).eigenvectors
         # eig returns complex vectors for real data only at a complex pair.
@@ -753,14 +759,22 @@ def gevd_init(y: DenseTensor, rng) -> tuple[KruskalModel, np.ndarray] | None:
             return None
         a = a / _top_phase(a)
         b = np.linalg.solve(a, s1).T
-        last = _last_mttkrp(y, _khatri_rao_rows([a.T, b.T]).mT)
+        last = _last_mttkrp(merged, _khatri_rao_rows([a.T, b.T]).mT)
         gamma = (a.conj().T @ a) * (b.conj().T @ b)
-        c = np.linalg.solve(gamma, last.T).T
+        rest = np.linalg.solve(gamma, last.T).T
+        # The split of finite columns is finite.
+        if not (np.isfinite(b).all() and np.isfinite(rest).all()):
+            return None
+        factors = [a, b]
+        for d in y.dims[2:-1]:
+            # Column r of ``rest`` as a d x (rest rows / d) matrix, batched.
+            mats = rest.reshape((d, -1, rank), order="F").transpose(2, 0, 1)
+            u, s, vh = np.linalg.svd(mats, full_matrices=False)
+            factors.append((u[:, :, 0] * s[:, :1]).T)
+            rest = vh[:, 0, :].T
     except np.linalg.LinAlgError:
         return None
-    if not (np.isfinite(b).all() and np.isfinite(c).all()):
-        return None
-    return KruskalModel([a, b, c]), last
+    return KruskalModel(factors + [rest])
 
 
 def st_hosvd(y: DenseTensor, rank: int) -> tuple[list, DenseTensor, np.ndarray]:

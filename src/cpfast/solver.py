@@ -18,16 +18,16 @@ batched call over the modes; a :class:`~cpfast.kruskal.KruskalModel` goes in
 and comes out.
 
 :func:`fit` owns the problem each loop solves: it divides Y by ||Y|| once,
-builds the configured init of that unit-norm tensor, hands both to the loop
-(:func:`_fit_lm` or :func:`_fit_als`), which only iterates, and scales the
-returned model back once.  On a tensor much larger than its rank-R Tucker
-core, :func:`fit` first compresses: it fits the ST-HOSVD core of Y / ||Y||,
-divided by its own norm, with the variant's loop and then refines the
-expanded model on Y / ||Y|| with the same loop and stop rule, whose window
-resumes where the core stage left it.  An fLM fit judges both stages on Y:
-the core stage's gradient test is scaled by the error on Y that the core
-implies, and a core stage that ends stationary is refined until its first
-accepted step on Y that moves the error by less than tol.
+builds the configured start of that unit-norm tensor (:func:`_fit_unit`),
+hands both to the loop (:func:`_fit_lm` or :func:`_fit_als`), which only
+iterates, and scales the returned model back once.  On a tensor much larger
+than its rank-R Tucker core, :func:`fit` first compresses: it fits the
+ST-HOSVD core of Y / ||Y||, divided by its own norm, with the variant's loop
+and then refines the expanded model on Y / ||Y|| with the same loop and stop
+rule, whose window resumes where the core stage left it.  An fLM fit judges
+both stages on Y: the core stage's gradient test is scaled by the error on Y
+that the core implies, and a core stage that ends stationary is refined
+until its first accepted step on Y that moves the error by less than tol.
 
 The same code path serves real and complex tensors: Gram matrices are
 Hermitian, and every place where a damped Gamma inverse right-multiplies a
@@ -107,7 +107,7 @@ TOL_WINDOW = 10
 # :func:`fit`); a numerical failure of a step stops it with the error's text.
 STOP_REASONS = ("tol", "max_iters", "mu_overflow", "nonfinite")
 # A fit first fits the ST-HOSVD core of Y and then refines on Y (see
-# :func:`_fit_compressed`) once prod I_n is at least this many times prod
+# :func:`_fit_unit`) once prod I_n is at least this many times prod
 # min(I_n, R), the core's size.  In a crossover grid of Gaussian-factor fits
 # (README, "Compression"), with the GEVD start for order-3 cores, every cell
 # from ratio 512 (40^3 R=5) up ran faster compressed, fLM and ALS-ls alike,
@@ -120,12 +120,13 @@ class FitConfig:
     """What :func:`fit` does: the rank R, the variant ("auto" for fLM, "als"
     or "als-ls"), the initial damping factor ``tau``, the tolerance ``tol``
     of the stop tests, the iteration budget, the seed of every random draw
-    and the init.  ``init="svd"`` (the default) starts a tensor of order >=
-    3 with I_1, I_2 >= R from the GEVD of two slice mixtures of its
-    ST-HOSVD core (of itself where it is R x R x K), and any other tensor,
-    or one whose GEVD start does not exist, from the leading singular
-    vectors; ``init="random"`` starts from Gaussian factors (see
-    :func:`_init_model`).  ``FitResult.start`` says which start ran."""
+    and the init.  ``init="svd"`` (the default) starts every fit from its
+    ST-HOSVD core: from the GEVD of two slice mixtures of the core where it
+    has order >= 3 and its first two dims are R, else, or where that start
+    does not exist, from the core's leading singular vectors.
+    ``init="random"`` starts from Gaussian factors, of the core where the fit
+    compresses, else of Y (see :func:`_fit_unit`).  ``FitResult.start``
+    says which start ran."""
 
     rank: int
     variant: str = "auto"
@@ -171,7 +172,7 @@ class IterRecord:
     that the fLM loop fits, so they do not depend on the scale of Y.
 
     ``stage`` is "full" for an iteration on Y and "core" for one on the
-    ST-HOSVD core G of a compressed fit (see :func:`_fit_compressed`); a
+    ST-HOSVD core G of a compressed fit (see :func:`_fit_unit`); a
     core record's ``relerr`` is the core's own ||G - Ghat|| / ||G||, not an
     error on Y.  Iterations are numbered across both stages.
 
@@ -202,17 +203,17 @@ class IterRecord:
 class FitResult:
     """A fit's model, trace and stop reason, its wall time, ``below``: the
     trailing run of differences below ``tol`` that its window counted when it
-    stopped (see :func:`_fit_compressed`), and ``stop_test``: the test that
+    stopped (see :func:`_fit_unit`), and ``stop_test``: the test that
     stopped a "tol" fit, and None for any other stop reason.  The tests are
     "gradient" (the LM family's ||g|| <= tol * relerr, checked at every
     model whose gradient the loop forms), "window" (``TOL_WINDOW`` small
     differences) and "core" (an fLM refinement's first accepted step with a
     difference below ``tol`` after a core stage that stopped "gradient").  A
     compressed fit reports its refinement's test.  ``start`` is the start
-    that :func:`_init_model` built: "gevd" (the GEVD start of the ST-HOSVD
-    core, :func:`_gevd_start`), "svd" (the leading singular vectors, also
-    where the GEVD start does not exist) or "random"; a compressed fit
-    reports its core stage's."""
+    that :func:`_start` built: "gevd" (the GEVD start of the ST-HOSVD core),
+    "svd" (the core's leading singular vectors, also where the GEVD start
+    does not exist) or "random"; a compressed fit reports its core
+    stage's."""
 
     model: KruskalModel
     trace: list
@@ -283,78 +284,27 @@ def nielsen_update(mu: float, growth: float, rho: float) -> tuple[float, float]:
     return mu * growth, 2.0 * growth
 
 
-def _init_model(
-    y: DenseTensor, config: FitConfig
-) -> tuple[KruskalModel, np.ndarray, str]:
-    """The configured init of ``y``, its mode-N MTTKRP and the start that
-    ran (``FitResult.start``).  :func:`fit` calls it once per stage, on the
-    unit-norm tensor that the stage's loop fits; the random draws come from
-    ``config.seed`` alone.
+def _start(y: DenseTensor, config: FitConfig) -> tuple[KruskalModel, str]:
+    """The configured start of ``y`` and its name (``FitResult.start``).
+    :func:`_fit_unit` calls it once per fit, on Y's ST-HOSVD core over its
+    norm, or on Y / ||Y|| itself for an uncompressed ``init="random"`` fit;
+    the random draws come from ``config.seed`` alone.
 
-    ``init="svd"`` on a tensor of order >= 3 with I_1, I_2 >= R builds the
-    GEVD start of its ST-HOSVD core (:func:`_gevd_start`, "gevd"), and the
-    SVD start where that start does not exist.  Every other ``init="svd"``
-    takes the SVD start (:func:`~cpfast.kruskal.svd_init`, "svd").  Each
-    start comes with its mode-N MTTKRP: the GEVD start of an ST-HOSVD core
-    costs no pass over the tensor for it, the SVD start, the GEVD start of
-    an R x R x K tensor and ``init="random"`` ("random") one.  The SVD
-    start draws from a generator of its own, made only where it draws,
-    so a fallback is the SVD start bit for bit."""
+    ``init="random"`` gives Gaussian factors ("random").  ``init="svd"``
+    gives the GEVD start (:func:`~cpfast.kruskal.gevd_init`, "gevd") of a
+    ``y`` of order >= 3 whose first two dims are R, and the SVD start
+    (:func:`~cpfast.kruskal.svd_init`, "svd") of any other ``y`` or where
+    the GEVD start does not exist.  The SVD start draws from a generator of
+    its own, made only where it draws, so a fallback is the SVD start bit
+    for bit."""
     rng = functools.partial(np.random.default_rng, [config.seed, 0])
     if config.init == "random":
-        start = random_init(y.dims, config.rank, rng(), y.scalar_kind)
-        return start, mttkrp(y, start, start.order), "random"
-    if y.order >= 3 and min(y.dims[:2]) >= config.rank:
-        gevd = _gevd_start(y, config.rank, rng)
-        if gevd is not None:
-            return *gevd, "gevd"
-    return *svd_init(y, config.rank, rng), "svd"
-
-
-def _gevd_start(
-    y: DenseTensor, rank: int, rng
-) -> tuple[KruskalModel, np.ndarray] | None:
-    """The GEVD start of ``y`` (order >= 3, I_1, I_2 >= ``rank``) and its
-    mode-N MTTKRP, or None where it does not exist; ``rng()`` gives the
-    generator of :func:`~cpfast.kruskal.gevd_init`'s slice weights.
-
-    An order-3 ``y`` with I_1 = I_2 = R, such as the core of a compressed
-    order-3 fit, is its own core: it gets :func:`~cpfast.kruskal.gevd_init`
-    of itself.  Any other ``y`` is compressed by :func:`st_hosvd` to bases
-    U_n and a core G, which needs R_1 = R_2 = R.  G / kappa, kappa = ||G||,
-    with modes 3..N merged into one (the Fortran-order reshape to R x R x
-    prod_{n>=3} R_n, whose mode-3 factor is KR(B^(N), ..., B^(3))), has
-    the GEVD start B^(1), B^(2), C.  At order >= 4 each column of C, read as
-    an R_3 x ... x R_N tensor, is split into its mode-3..N columns by
-    successive rank-1 SVDs, exact where the column is rank-1, as it is on a
-    noiseless rank-R tensor.  The model of G / kappa is mapped to Y by
-    :func:`_expanded_start`, which also gives its mode-N MTTKRP with no pass
-    over Y.  A split that fails or is not finite gives None.
-    """
-    if y.order == 3 and y.dims[:2] == (rank, rank):
-        return gevd_init(y, rng())
-    bases, core, lead = st_hosvd(y, rank)
-    if core.dims[:2] != (rank, rank):
-        return None
-    kappa = _tensor_norm(core)
-    merged = core.data.reshape((rank, rank, -1), order="F") / kappa
-    gevd = gevd_init(DenseTensor(merged), rng())
-    if gevd is None:
-        return None
-    *factors, rest = gevd[0].factors
-    try:
-        for d in core.dims[2:-1]:
-            # Column r of ``rest`` as a d x (rest rows / d) matrix, batched.
-            mats = rest.reshape((d, -1, rank), order="F").transpose(2, 0, 1)
-            u, s, vh = np.linalg.svd(mats, full_matrices=False)
-            factors.append((u[:, :, 0] * s[:, :1]).T)
-            rest = vh[:, 0, :].T
-    except np.linalg.LinAlgError:
-        return None
-    factors.append(rest)
-    if not all(np.isfinite(f).all() for f in factors[2:]):
-        return None
-    return _expanded_start(bases, lead, KruskalModel(factors), kappa)
+        return random_init(y.dims, config.rank, rng(), y.scalar_kind), "random"
+    if y.order >= 3 and y.dims[:2] == (config.rank, config.rank):
+        model = gevd_init(y, rng())
+        if model is not None:
+            return model, "gevd"
+    return svd_init(y, config.rank, rng), "svd"
 
 
 def _start_error(y, x, last, grams, norm) -> float:
@@ -419,13 +369,13 @@ def fit(y: DenseTensor, config: FitConfig) -> FitResult:
     ``ZeroDivisionError`` for an all-zero tensor, all before any
     initialization.
 
-    Every fit solves the unit-norm problem: ``fit`` divides Y by ||Y|| once,
-    builds the configured init of Y / ||Y|| (:func:`_init_model`: for
-    ``init="svd"`` the GEVD start of the ST-HOSVD core where Y, or a
-    compressed fit's core, has order >= 3 and I_1, I_2 >= R and that start
-    exists, else the SVD start) and hands both to the loop, :func:`_fit_lm`
-    or :func:`_fit_als`, which only iterates; ``FitResult.start`` names the
-    start.  It then scales the returned model back once: the LM family's
+    Every fit solves the unit-norm problem: ``fit`` divides Y by ||Y|| once
+    and hands Y / ||Y|| to the front end (:func:`_fit_unit`), which builds
+    the configured start (for ``init="svd"`` the GEVD start of the
+    ST-HOSVD core where the core has order >= 3, its first two dims are R
+    and that start exists, else the SVD start of the core) and hands it to
+    the loop, :func:`_fit_lm` or :func:`_fit_als`, which only iterates;
+    ``FitResult.start`` names the start.  It then scales the returned model back once: the LM family's
     factors are multiplied by ||Y||^(1/N), which keeps every component's mode
     norms equal, and ALS's first factor by ||Y||.  So the trace does not
     depend on the scale of Y, and ALS's scaling is exact for powers of two:
@@ -437,7 +387,7 @@ def fit(y: DenseTensor, config: FitConfig) -> FitResult:
     Where prod I_n >= ``COMPRESS_MIN_RATIO`` * prod min(I_n, R) and
     ``max_iters`` > 1, every variant first fits the ST-HOSVD core of Y / ||Y||
     and then refines the expanded model on Y / ||Y|| through the same loop,
-    whose window resumes the core stage's (:func:`_fit_compressed`); the
+    whose window resumes the core stage's (:func:`_fit_unit`); the
     refinement's start costs no pass over Y.  The LM family measures
     convergence on Y: the core stage's gradient test scales ``config.tol``
     by the error on Y that the core implies, and after a core stage that
@@ -453,13 +403,7 @@ def fit(y: DenseTensor, config: FitConfig) -> FitResult:
     ynorm = _tensor_norm(y)
     t0 = time.monotonic()
     loop = _fit_als if config.variant in ("als", "als-ls") else _fit_lm
-    unit = DenseTensor(y.data / ynorm)
-    if config.max_iters > 1 and _compresses(y.dims, config.rank):
-        result = _fit_compressed(loop, unit, config, t0)
-    else:
-        model, last, start = _init_model(unit, config)
-        result = loop(unit, config, t0, model, last)
-        result.start = start
+    result = _fit_unit(loop, DenseTensor(y.data / ynorm), config, t0)
     factors = result.model.factors
     if loop is _fit_als:
         factors = [factors[0] * ynorm] + factors[1:]
@@ -477,20 +421,29 @@ def _compresses(dims, rank: int) -> bool:
     return math.prod(dims) >= COMPRESS_MIN_RATIO * core
 
 
-def _fit_compressed(loop, y: DenseTensor, config: FitConfig, t0: float):
-    """Compress, fit the core, refine (Bro & Andersson, Chemom. Intell. Lab.
-    Syst. 42, 1998) on the unit-norm tensor ``y``.
+def _fit_unit(loop, y: DenseTensor, config: FitConfig, t0: float) -> FitResult:
+    """The front end of every fit of the unit-norm tensor ``y`` with
+    ``loop`` (:func:`_fit_lm` or :func:`_fit_als`), whose records are timed
+    from ``t0``.
 
-    :func:`st_hosvd` of ``y`` gives bases U_n, the core G, of dims
+    Every ``init="svd"`` fit and every compressed fit runs one ST-HOSVD
+    (Vannieuwenhoven, Vandebril & Meerbergen, SIAM J. Sci. Comput. 34(2),
+    2012): :func:`st_hosvd` of ``y`` gives bases U_n, the core G, of dims
     min(I_n, R) at most, and ``lead``, ``y`` projected in modes 1..N-1.
-    ``loop`` (:func:`_fit_lm` or :func:`_fit_als`) fits G / kappa, kappa =
-    ||G||, from its configured init, then fits ``y`` from the expanded model
-    and its mode-N MTTKRP (:func:`_expanded_start`, no pass over ``y``),
-    with the same stop rule.  The core stage may take ``max_iters`` - 1
-    iterations and the refinement the rest, so ``max_iters`` bounds both
-    together.  The core's records are marked "core"; both stages time their
-    records from ``t0``.  The stop reason, its test and the model, a model
-    of ``y``, are the refinement's.
+    G / kappa, kappa = ||G||, gets the configured start (:func:`_start`).  A
+    plain fit maps that start to ``y`` with :func:`_expanded_start`, which
+    also gives its mode-N MTTKRP, so the start costs no pass over ``y``.
+    Only an uncompressed ``init="random"`` fit skips the ST-HOSVD: it draws
+    its start on ``y`` and forms its mode-N MTTKRP in one pass.
+
+    A compressed fit (:func:`_compresses`, ``max_iters`` > 1) runs compress,
+    fit, refine (Bro & Andersson, Chemom. Intell. Lab. Syst. 42, 1998):
+    ``loop`` fits G / kappa from the start and its mode-N MTTKRP, then fits
+    ``y`` from the expanded result with the same stop rule.  The core stage
+    may take ``max_iters`` - 1 iterations and the refinement the rest, so
+    ``max_iters`` bounds both together.  The core's records are marked
+    "core".  The stop reason, its test and the model, a model of ``y``, are
+    the refinement's; ``start`` is the core stage's.
 
     With orthonormal U_n, ||Y - [[U B]]||^2 = ||Y||^2 - ||G||^2 + ||G -
     [[B]]||^2, so e_Y^2 = 1 - k^2 + k^2 e_G^2 with k = ||G|| / ||Y|| = kappa
@@ -515,28 +468,39 @@ def _fit_compressed(loop, y: DenseTensor, config: FitConfig, t0: float):
     a rejected step never ends it that way.  Any other core stage's
     refinement resumes the window.
     """
-    bases, core, lead = st_hosvd(y, config.rank)
-    kappa = _tensor_norm(core)
-    core = DenseTensor(core.data / kappa)
-    budget = replace(config, max_iters=config.max_iters - 1)
-    stage = {}
-    if loop is _fit_lm:
-        # e_Y^2 / k^2 - e_G^2; rounding can put kappa above 1.
-        stage["lost_sq"] = max(1.0 - kappa * kappa, 0.0) / (kappa * kappa)
-    model, last, start = _init_model(core, config)
-    first = loop(core, budget, t0, model, last, **stage)
-    for rec in first.trace:
-        rec.stage = "core"
-    rest = replace(config, max_iters=config.max_iters - first.iters)
-    expanded = _expanded_start(bases, lead, first.model, kappa)
-    # Only the LM loop has a gradient test to stop on.
-    if first.stop_test == "gradient":
-        result = loop(y, rest, t0, *expanded, settled=True)
+    compress = config.max_iters > 1 and _compresses(y.dims, config.rank)
+    first, resume = None, {}
+    if config.init == "random" and not compress:
+        model, start = _start(y, config)
+        handed = model, mttkrp(y, model, y.order)
     else:
-        result = loop(y, rest, t0, *expanded, first.below)
-    for rec in result.trace:
-        rec.iter += first.iters
-    result.trace = first.trace + result.trace
+        bases, core, lead = st_hosvd(y, config.rank)
+        kappa = _tensor_norm(core)
+        core = DenseTensor(core.data / kappa)
+        model, start = _start(core, config)
+        if compress:
+            stage = {}
+            if loop is _fit_lm:
+                # e_Y^2 / k^2 - e_G^2; rounding can put kappa above 1.
+                stage["lost_sq"] = max(1.0 - kappa * kappa, 0.0) / (kappa * kappa)
+            budget = replace(config, max_iters=config.max_iters - 1)
+            last = mttkrp(core, model, core.order)
+            first = loop(core, budget, t0, model, last, **stage)
+            for rec in first.trace:
+                rec.stage = "core"
+            model = first.model
+            config = replace(config, max_iters=config.max_iters - first.iters)
+            # Only the LM loop has a gradient test to stop on.
+            if first.stop_test == "gradient":
+                resume = {"settled": True}
+            else:
+                resume = {"below": first.below}
+        handed = _expanded_start(bases, lead, model, kappa)
+    result = loop(y, config, t0, *handed, **resume)
+    if first is not None:
+        for rec in result.trace:
+            rec.iter += first.iters
+        result.trace = first.trace + result.trace
     result.start = start
     return result
 
@@ -618,10 +582,10 @@ def _fit_als(
 ) -> FitResult:
     """ALS and ALS with line search on the unit-norm tensor ``y``, from the
     start ``model`` of ``y`` and its mode-N MTTKRP ``last``; ``below``
-    starts the window's count (see :func:`_fit_compressed`), and each
+    starts the window's count (see :func:`_fit_unit`), and each
     record's ``elapsed_s`` counts from ``t0``, a ``time.monotonic``
-    reading.  :func:`fit` scales ``y``, builds the start and scales the
-    returned model back, so neither the Gram matrices nor the normal
+    reading.  :func:`fit` scales ``y`` and the returned model back, and
+    :func:`_fit_unit` builds the start, so neither the Gram matrices nor the normal
     equations' solves over- or underflow.
 
     The loop holds the model as a stack (:func:`~cpfast.kruskal.stack`)
@@ -726,11 +690,11 @@ def _fit_lm(
     """Damped Gauss-Newton loop with the fast step ("auto") on the unit-norm
     tensor ``y``, from the model ``start`` of ``y`` and its mode-N MTTKRP
     ``last``; ``below`` starts the window's count (see
-    :func:`_fit_compressed`), and each record's ``elapsed_s`` counts from
-    ``t0``, a ``time.monotonic`` reading.  :func:`fit` scales ``y`` and
-    builds the start, so ``mu_init``, ``MU_OVERFLOW`` and
-    ``RHO_DENOM_GUARD`` act on an O(1) problem, and scales the returned
-    model back.
+    :func:`_fit_unit`), and each record's ``elapsed_s`` counts from
+    ``t0``, a ``time.monotonic`` reading.  :func:`fit` scales ``y``, so
+    ``mu_init``, ``MU_OVERFLOW`` and ``RHO_DENOM_GUARD`` act on an O(1)
+    problem, and scales the returned model back; :func:`_fit_unit` builds
+    the start.
 
     The loop starts from ``start``, at any scale, scaled by its
     least-squares weight (:func:`_scaled_start`), which costs no pass over
@@ -782,7 +746,7 @@ def _fit_lm(
     tol * relerr at the current model (see :func:`fit`), or, with
     ``lost_sq``, once ||g|| <= tol * sqrt(relerr^2 + ``lost_sq``): a core
     stage's test on the scale of the error on Y (see
-    :func:`_fit_compressed`).  ||g|| comes from the gradient that each
+    :func:`_fit_unit`).  ||g|| comes from the gradient that each
     accepted model needs for the next step anyway, so the test costs no
     pass over the tensor.  With ``settled``, for a refinement whose core
     stage stopped on that test, the first accepted step whose difference is

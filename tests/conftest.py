@@ -5,6 +5,8 @@ example database, so every run draws the same examples and slow hosts do not
 fail on timing.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -14,7 +16,9 @@ from cpfast.kruskal import (
     gradient,
     model_from_stack,
     model_from_vector,
+    mttkrp,
     stack,
+    svd_init,
 )
 import cpfast.solver
 from cpfast.oracle import assemble_phi, build_parts
@@ -76,12 +80,36 @@ def equal_energy_loop():
     return _equal_energy_loop
 
 
+def _svd_start(y, config):
+    """``svd_init`` of ``y`` from the generator of ``config.seed`` that a fit
+    draws from, and its mode-N MTTKRP."""
+    rng = functools.partial(np.random.default_rng, [config.seed, 0])
+    model = svd_init(y, config.rank, rng)
+    return model, mttkrp(y, model, y.order)
+
+
+def _handing_svd_start(loop):
+    """``loop`` run from :func:`_svd_start` of its tensor, whatever start it
+    is handed."""
+
+    def handed(y, config, t0, start, last, *args, **kwargs):
+        return loop(y, config, t0, *_svd_start(y, config), *args, **kwargs)
+
+    return handed
+
+
 @pytest.fixture
 def svd_start(monkeypatch):
-    """Every ``init="svd"`` fit in the test takes the SVD start: the GEVD
-    builder (:func:`cpfast.solver._gevd_start`) returns None, its documented
-    fallback, so each fit is the SVD-start fit bit for bit.  For tests that
-    measure the loop, not the start: from the GEVD start a noiseless fit is
-    exact before its first step, and a noisy one skips the iterations these
-    tests count."""
-    monkeypatch.setattr(cpfast.solver, "_gevd_start", lambda *args: None)
+    """Every plain fit in the test iterates from the SVD start of Y / ||Y||
+    itself, not from a start of its ST-HOSVD core: each loop
+    (:func:`cpfast.solver._fit_lm`, :func:`cpfast.solver._fit_als`) is
+    handed ``svd_init`` of the unit tensor and its mode-N MTTKRP in place of
+    the start the front end built.  For tests that measure the loop, not the
+    start, on that trajectory bit for bit: from the GEVD start a noiseless
+    fit is exact before its first step, and a noisy one skips the iterations
+    these tests count.  Returns the function that builds the handed start
+    from the unit tensor and the ``FitConfig``."""
+    for name in ("_fit_lm", "_fit_als"):
+        loop = getattr(cpfast.solver, name)
+        monkeypatch.setattr(cpfast.solver, name, _handing_svd_start(loop))
+    return _svd_start

@@ -173,8 +173,8 @@ class TestFit:
     )
     def test_start_printed_last(self, runner, tmp_path, dims, init, start):
         """The line ends with the start that ran: under the default init the
-        GEVD start, of the 2 x 2 x 5 tensor itself and of the 6^3 tensor's
-        ST-HOSVD core, else the init named."""
+        GEVD start of the ST-HOSVD core, of the 2 x 2 x 5 tensor and of the
+        6^3 tensor alike, else the init named."""
         invoke(runner, ["gen", "--dims", dims, "--rank", "2", "--nu", "0.5",
                         "--snr", "30", "--seed", "1", "--out", str(tmp_path / "t")])
         out = invoke(runner, ["fit", str(tmp_path / "t_noisy.cptn"), "--rank", "2",

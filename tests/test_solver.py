@@ -36,10 +36,14 @@ from cpfast.kruskal import (
 from cpfast.solver import (
     ACCEL_MAX_RATIO,
     FitConfig,
+    FitResult,
     GRAM_ERROR_GUARD,
     MU_OVERFLOW,
-    _init_model,
+    _expanded_start,
+    _fit_unit,
     _scaled_start,
+    _start,
+    _tensor_norm,
     fit,
     mu_init,
     nielsen_update,
@@ -88,6 +92,20 @@ def gaussian_instance(seed, noise=0.01, dims=(30, 30, 30), rank=3, kind=REAL):
     if kind == COMPLEX:
         e = e + 1j * rng.standard_normal(clean.shape)
     return clean + noise * np.linalg.norm(clean) / np.linalg.norm(e) * e
+
+
+def handed_start(y, config):
+    """The start that the front end (``_fit_unit``) hands the loop of a
+    plain fit of ``y``: its model, its mode-N MTTKRP and its name.  The
+    stand-in loop only records them."""
+    handed = []
+
+    def loop(y, config, t0, start, last, **kwargs):
+        handed.append((start, last))
+        return FitResult(start, [], "max_iters")
+
+    start = _fit_unit(loop, y, config, 0.0).start
+    return *handed[0], start
 
 
 def keep_plain(monkeypatch):
@@ -278,15 +296,13 @@ class TestFlmStep:
 
     @pytest.mark.parametrize("dims", [(4, 5, 6), (3, 4, 3, 2)])
     @pytest.mark.parametrize("variant", ["auto"])
-    def test_one_core_factorization_per_step(
-        self, dims, variant, monkeypatch, svd_start
-    ):
+    def test_one_core_factorization_per_step(self, dims, variant, monkeypatch):
         """One fit iteration: the damped Gram inverses come from one batched
         inverse (``cpfast.hessian._batched_inv``, never ``np.linalg.inv``),
         and the core is factored once (``?getrf``) and solved twice
         (``?getrs``), for the step and for its geodesic acceleration.  The
-        fit takes the SVD start, which makes none of these calls (the GEVD
-        start's are ``np.linalg.solve``)."""
+        fit takes ``init="random"``, which makes none of these calls (the
+        GEVD start's are ``np.linalg.solve``)."""
         rng = np.random.default_rng(23)
         y, m = noisy_instance(rng, dims, 2)
         calls = []
@@ -312,7 +328,7 @@ class TestFlmStep:
             (scipy.linalg, "lu_solve"),
         ]:
             monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
-        fit(y, FitConfig(rank=2, variant=variant, max_iters=1))
+        fit(y, FitConfig(rank=2, variant=variant, max_iters=1, init="random"))
         assert sorted(calls) == ["_batched_inv", "getrf", "getrs", "getrs"]
 
     @pytest.mark.parametrize("nu", [0.05, 0.3])
@@ -477,7 +493,7 @@ class TestFit:
         def no_init(*args, **kwargs):
             raise AssertionError("the init ran on a zero tensor")
 
-        monkeypatch.setattr(cpfast.solver, "svd_init", no_init)
+        monkeypatch.setattr(cpfast.solver, "st_hosvd", no_init)
         zero = DenseTensor(np.zeros((3, 3, 3)))
         with pytest.raises(ZeroDivisionError, match="cannot fit a zero tensor"):
             fit(zero, FitConfig(rank=1, variant=variant))
@@ -492,7 +508,7 @@ class TestFit:
             raise AssertionError("the norm or the init ran on an empty tensor")
 
         monkeypatch.setattr(cpfast.solver, "_tensor_norm", no_call)
-        monkeypatch.setattr(cpfast.solver, "_init_model", no_call)
+        monkeypatch.setattr(cpfast.solver, "_fit_unit", no_call)
         dtype = np.complex128 if kind == COMPLEX else np.float64
         y = DenseTensor(np.zeros((0, 3, 3), dtype=dtype))
         with pytest.raises(ValueError, match=r"zero-size mode, dims \(0, 3, 3\)"):
@@ -508,7 +524,7 @@ class TestFit:
         def no_init(*args, **kwargs):
             raise AssertionError("the init ran on a non-finite tensor")
 
-        monkeypatch.setattr(cpfast.solver, "svd_init", no_init)
+        monkeypatch.setattr(cpfast.solver, "st_hosvd", no_init)
         rng = np.random.default_rng(19)
         y, _ = noisy_instance(rng, (4, 4, 4), 2, kind)
         data = y.data.copy()
@@ -856,7 +872,7 @@ class TestGeodesicAcceleration:
         config = FitConfig(rank=3, tau=tau, max_iters=1)
         rec = fit(y, config).trace[0]
         unit = DenseTensor(y.data / y.norm())
-        x, cache, _, err = _scaled_start(unit, *_init_model(unit, config)[:2], unit.norm)
+        x, cache, _, err = _scaled_start(unit, *svd_start(unit, config), unit.norm)
         model = model_from_stack(x, unit.dims)
         mu = mu_init(cache, tau)
         g = gradient(unit, model, cache)
@@ -1256,10 +1272,9 @@ class TestCompression:
         assert not compresses((3, 3, 3), 5)
         assert not compresses((5, 5, 5), 5)
 
-    def test_plain_path_never_projects(self, monkeypatch):
-        """Below the rule, and at max_iters = 1 above it, fit has no core
-        stage: it marks every record "full", and its one ST-HOSVD is the
-        GEVD start's, of the tensor fitted."""
+    @staticmethod
+    def record_st_hosvd(monkeypatch) -> list:
+        """The dims of the tensor of every ``st_hosvd`` call, in order."""
         calls = []
         original = cpfast.solver.st_hosvd
 
@@ -1268,6 +1283,13 @@ class TestCompression:
             return original(y, rank)
 
         monkeypatch.setattr(cpfast.solver, "st_hosvd", counted)
+        return calls
+
+    def test_plain_path_never_projects(self, monkeypatch):
+        """Below the rule, and at max_iters = 1 above it, fit has no core
+        stage: it marks every record "full", and its one ST-HOSVD is the
+        start's, of the tensor fitted."""
+        calls = self.record_st_hosvd(monkeypatch)
         _, y = gen_collinear(CollinearSpec((20, 20, 20), 3, 0.5, 40.0, 0))
         result = fit(y, FitConfig(rank=3))
         assert {rec.stage for rec in result.trace} == {"full"}
@@ -1278,6 +1300,29 @@ class TestCompression:
         one = fit(y, FitConfig(rank=3, max_iters=1))
         assert [rec.stage for rec in one.trace] == ["full"]
         assert (calls, one.start) == ([y.dims], "gevd")
+
+    @pytest.mark.parametrize(
+        "dims,rank,init,compressed,runs",
+        [
+            ((30, 30, 30, 30), 3, "svd", True, 1),  # order 4
+            ((30, 30, 30, 30), 3, "random", True, 1),
+            ((6, 6, 40), 6, "svd", False, 1),  # R x R x K
+            ((9, 7), 2, "svd", False, 1),  # order 2
+            ((20, 20, 20), 3, "svd", False, 1),
+            ((20, 20, 20), 3, "random", False, 0),
+        ],
+    )
+    def test_one_st_hosvd_per_fit(
+        self, dims, rank, init, compressed, runs, monkeypatch
+    ):
+        """Every ``init="svd"`` fit and every compressed fit runs
+        ``st_hosvd`` once, on Y / ||Y||, whatever the order or shape; an
+        uncompressed ``init="random"`` fit runs it never."""
+        calls = self.record_st_hosvd(monkeypatch)
+        y = DenseTensor(gaussian_instance(0, dims=dims, rank=rank))
+        result = fit(y, FitConfig(rank=rank, init=init, max_iters=20))
+        assert ("core" in {rec.stage for rec in result.trace}) == compressed
+        assert calls == [dims] * runs
 
     @pytest.mark.parametrize(
         "dims,rank,kind,variant",
@@ -1299,10 +1344,10 @@ class TestCompression:
         Its trace is the core fit's records followed by "full" records,
         numbered across both; the returned model reconstructs Y with the
         reported relerr.  The core records are those of the variant's loop
-        on G / ||G||, G the core of Y / ||Y||, from its init with
-        max_iters - 1, marked "core": a plain fit of the core for ALS-ls,
-        and for fLM with the gradient test scaled by the error on Y, through
-        ``lost_sq`` = (1 - kappa^2) / kappa^2, kappa = ||G||.  The
+        on G / ||G||, G the core of Y / ||Y||, from its start
+        (``_start``) with max_iters - 1, marked "core": the loop alone for
+        ALS-ls, and for fLM with the gradient test scaled by the error on Y,
+        through ``lost_sq`` = (1 - kappa^2) / kappa^2, kappa = ||G||.  The
         refinement resumes the core's ten-difference window, so on these
         problems ALS-ls refines with one sweep."""
         y = DenseTensor(gaussian_instance(seed, dims=dims, rank=rank, kind=kind))
@@ -1311,15 +1356,16 @@ class TestCompression:
         unit = DenseTensor(y.data / cpfast.solver._tensor_norm(y))
         _, core, _ = st_hosvd(unit, rank)
         budget = replace(config, max_iters=config.max_iters - 1)
+        kappa = _tensor_norm(core)
+        core = DenseTensor(core.data / kappa)
+        model = _start(core, config)[0]
+        start = model, mttkrp(core, model, core.order)
         if variant == "auto":
-            kappa = cpfast.solver._tensor_norm(core)
-            core = DenseTensor(core.data / kappa)
             core_fit = cpfast.solver._fit_lm(
-                core, budget, 0.0, *_init_model(core, config)[:2],
-                lost_sq=(1.0 - kappa**2) / kappa**2,
+                core, budget, 0.0, *start, lost_sq=(1.0 - kappa**2) / kappa**2
             )
         else:
-            core_fit = fit(core, budget)
+            core_fit = cpfast.solver._fit_als(core, budget, 0.0, *start)
         monkeypatch.setattr(cpfast.solver, "COMPRESS_MIN_RATIO", 0)
         comp = fit(y, config)
         assert plain.stop_reason == comp.stop_reason == "tol"
@@ -1547,24 +1593,22 @@ class TestCompression:
 
 
 class TestGevdStart:
-    """``init="svd"`` on a tensor of order >= 3 with I_1, I_2 >= R starts
-    from the GEVD of two slice mixtures (:func:`~cpfast.kruskal.gevd_init`):
-    of the tensor itself where it is R x R x K of order 3, such as a
-    compressed order-3 core, else of its ST-HOSVD core with modes 3..N
-    merged, split back into modes 3..N and expanded
-    (:func:`cpfast.solver._gevd_start`).  ``FitResult.start`` says which
-    start ran."""
+    """``init="svd"`` starts from Y's ST-HOSVD core: from the GEVD of two
+    slice mixtures (:func:`~cpfast.kruskal.gevd_init`, modes 3..N merged and
+    split back) where the core has order >= 3 and its first two dims are R,
+    else from the core's SVD start, expanded to Y (:func:`_fit_unit`).
+    ``FitResult.start`` says which start ran."""
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
     @pytest.mark.parametrize("dims", [(4, 4, 7), (5, 5, 2)])
     def test_start_alone_reconstructs_noiseless_tensor(self, dims, kind):
         """Stated bound: on a noiseless rank-R R x R x K tensor with Gaussian
-        factors, the start that ``_init_model`` builds is the GEVD start and
-        reconstructs the tensor to relerr <= 1e-12 with no iteration, and
-        its MTTKRP is the start's mode-3 MTTKRP."""
+        factors, the start that a fit hands its loop is the GEVD start of
+        the ST-HOSVD core and reconstructs the tensor to relerr <= 1e-12 with
+        no iteration, and its MTTKRP is the start's mode-3 MTTKRP."""
         rng = np.random.default_rng(3)
         y = reconstruct(random_init(dims, dims[0], rng, kind))
-        model, last, start = _init_model(y, FitConfig(rank=dims[0]))
+        model, last, start = handed_start(y, FitConfig(rank=dims[0]))
         assert start == "gevd"
         assert relative_error(y, model) <= 1e-12
         np.testing.assert_allclose(last, mttkrp(y, model, 3), rtol=0, atol=1e-12)
@@ -1581,7 +1625,7 @@ class TestGevdStart:
         which costs no pass over Y, equals ``mttkrp`` to 1e-12 relative."""
         rng = np.random.default_rng(7)
         y = reconstruct(random_init(dims, rank, rng, kind))
-        model, last, start = _init_model(y, FitConfig(rank=rank))
+        model, last, start = handed_start(y, FitConfig(rank=rank))
         assert start == "gevd"
         assert relative_error(y, model) <= 1e-12
         direct = mttkrp(y, model, y.order)
@@ -1596,7 +1640,7 @@ class TestGevdStart:
         R=3 at nu = 0.1 and 12^4 R=4), are reconstructed to relerr <= 1e-12
         by their start alone, real and complex."""
         _, y = gen_collinear(CollinearSpec(dims, rank, nu, None, 0, kind))
-        model, last, start = _init_model(y, FitConfig(rank=rank))
+        model, last, start = handed_start(y, FitConfig(rank=rank))
         assert start == "gevd"
         assert relative_error(y, model) <= 1e-12
         direct = mttkrp(y, model, y.order)
@@ -1608,18 +1652,22 @@ class TestGevdStart:
         GEVD start alone."""
         _, y = gen_collinear(CollinearSpec((20, 20, 20), 3, 0.1, None, 0))
         _, core, _ = st_hosvd(DenseTensor(y.data / y.norm()), 3)
-        model, _, start = _init_model(core, FitConfig(rank=3))
+        model, start = _start(core, FitConfig(rank=3))
         assert start == "gevd"
         assert relative_error(core, model) <= 1e-12
 
     @staticmethod
     def assert_svd_start(y, config):
-        """``_init_model`` gives the SVD start bit for bit, and says "svd",
-        as does the fit."""
-        model, last, start = _init_model(y, config)
-        svd_model, svd_last = cpfast.kruskal.svd_init(
-            y, config.rank, np.random.default_rng([config.seed, 0])
+        """The handed start is the SVD start of the ST-HOSVD core over its
+        norm, expanded to Y, bit for bit, and says "svd", as does the fit."""
+        model, last, start = handed_start(y, config)
+        bases, core, lead = st_hosvd(y, config.rank)
+        kappa = _tensor_norm(core)
+        core_start = cpfast.kruskal.svd_init(
+            DenseTensor(core.data / kappa), config.rank,
+            np.random.default_rng([config.seed, 0]),
         )
+        svd_model, svd_last = _expanded_start(bases, lead, core_start, kappa)
         assert start == "svd"
         for f, g in zip(model.factors, svd_model.factors):
             assert f.tobytes() == g.tobytes()
@@ -1630,7 +1678,7 @@ class TestGevdStart:
         """The real 2 x 2 x 2 tensor with slices [[0, -1], [1, 0]] and I: any
         real mixture pencil has the eigenvalues of a Moebius map of +-i, a
         complex pair, so no real GEVD start exists.  The fallback is the SVD
-        start bit for bit, and the fit says "svd"."""
+        start of its core bit for bit, and the fit says "svd"."""
         data = np.stack([[[0.0, -1.0], [1.0, 0.0]], np.eye(2)], axis=-1)
         y = DenseTensor(data)
         assert cpfast.kruskal.gevd_init(y, np.random.default_rng(0)) is None
@@ -1641,7 +1689,7 @@ class TestGevdStart:
         U_1 (alpha J + beta I) U_2^T, J = [[0, -1], [1, 0]], with orthonormal
         U_1, U_2: its ST-HOSVD core at R = 2 keeps that form, so the merged
         core's real pencils have a complex eigenvalue pair.  No GEVD start
-        exists, and the fallback is the SVD start bit for bit."""
+        exists, and the fallback is the SVD start of the core bit for bit."""
         rng = np.random.default_rng(9)
         alpha, beta = rng.standard_normal((2, 3, 3))
         j = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -1650,30 +1698,31 @@ class TestGevdStart:
         u2 = np.linalg.qr(rng.standard_normal((4, 2)))[0]
         y = DenseTensor(np.einsum("ia,jb,abkl->ijkl", u1, u2, slices))
         config = FitConfig(rank=2)
-        assert cpfast.solver._gevd_start(
-            y, 2, lambda: np.random.default_rng([config.seed, 0])
-        ) is None
+        _, core, _ = st_hosvd(y, 2)
+        assert core.dims == (2, 2, 2, 2)
+        assert cpfast.kruskal.gevd_init(core, np.random.default_rng(0)) is None
         self.assert_svd_start(y, config)
 
     def test_singular_solve_falls_back(self):
         """A zero first row makes every slice mixture singular (an exact
-        zero pivot), so the builder returns None and the start is "svd"."""
+        zero pivot), of the tensor and of its ST-HOSVD core, so the builder
+        returns None and the start is "svd"."""
         data = np.random.default_rng(4).standard_normal((3, 3, 4))
         data[0] = 0.0
         y = DenseTensor(data)
         assert cpfast.kruskal.gevd_init(y, np.random.default_rng(0)) is None
-        assert _init_model(y, FitConfig(rank=3))[2] == "svd"
+        assert handed_start(y, FitConfig(rank=3))[2] == "svd"
 
     def test_rank_above_first_dims_takes_svd_start(self, monkeypatch):
         """With I_1 < R or I_2 < R there is no R x R core to take the GEVD
         of: the builder is not called and the start is "svd"."""
 
         def refuse(*args):
-            raise AssertionError("_gevd_start called")
+            raise AssertionError("gevd_init called")
 
-        monkeypatch.setattr(cpfast.solver, "_gevd_start", refuse)
+        monkeypatch.setattr(cpfast.solver, "gevd_init", refuse)
         y = DenseTensor(gaussian_instance(0, dims=(6, 2, 5), rank=3))
-        assert _init_model(y, FitConfig(rank=3))[2] == "svd"
+        assert handed_start(y, FitConfig(rank=3))[2] == "svd"
 
     @pytest.mark.parametrize(
         "dims,rank,kind,variant,expected",
@@ -1715,14 +1764,13 @@ class TestGevdStart:
     @pytest.mark.parametrize("variant", ["auto", "als-ls", "als"])
     def test_swamp_shapes_build_it(self, variant, monkeypatch):
         """Plain 20^3 R=3 and 12^4 R=4 fits, the ``swamp-small`` shapes,
-        stay plain and start from the GEVD of their ST-HOSVD core, modes
-        3..N merged: R x R x R and R x R x R^2.  Every variant takes the
-        same start."""
-        merged = []
+        stay plain and start from the GEVD of their ST-HOSVD core, R x R x R
+        and R x R x R x R.  Every variant takes the same start."""
+        cores = []
         original = cpfast.solver.gevd_init
 
         def recorded(y, rng):
-            merged.append(y.dims)
+            cores.append(y.dims)
             return original(y, rng)
 
         monkeypatch.setattr(cpfast.solver, "gevd_init", recorded)
@@ -1731,18 +1779,18 @@ class TestGevdStart:
             result = fit(y, FitConfig(rank=rank, variant=variant))
             assert result.start == "gevd"
             assert {rec.stage for rec in result.trace} == {"full"}
-        assert merged == [(3, 3, 3), (4, 4, 16)]
+        assert cores == [(3, 3, 3), (4, 4, 4, 4)]
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
     def test_same_seed_same_start(self, kind):
         """The start is a function of the tensor and the seed: two builds
         with one seed are equal bit for bit, and another seed mixes the
-        slices with other weights, of the tensor itself (4 x 4 x 6, R=4) or
-        of its ST-HOSVD core (9 x 8 x 7 x 6, R=3)."""
+        slices of the ST-HOSVD core with other weights, on an order-3 (4 x 4
+        x 6, R=4) and an order-4 (9 x 8 x 7 x 6, R=3) tensor."""
         for dims, rank in (((4, 4, 6), 4), ((9, 8, 7, 6), 3)):
             y = DenseTensor(gaussian_instance(1, dims=dims, rank=rank, kind=kind))
             first, again, other = (
-                _init_model(y, FitConfig(rank=rank, seed=seed)) for seed in (5, 5, 6)
+                handed_start(y, FitConfig(rank=rank, seed=seed)) for seed in (5, 5, 6)
             )
             assert first[2] == again[2] == other[2] == "gevd"
             for f, g in zip(first[0].factors, again[0].factors):
@@ -1760,9 +1808,9 @@ class TestPassBudget:
     def budget(variant, records, errs, init, returned=False):
         """The seam calls that the budget gives one loop on Y, whose records
         are ``records`` and whose error before each record is ``errs``
-        (``errs[0]`` the start's): ``init`` (the SVD or random init's mode-N
-        pass, none for the GEVD start of Y's ST-HOSVD core or a refinement
-        start), a dense residual for a start below
+        (``errs[0]`` the start's): ``init`` (the random init's mode-N pass,
+        none for a start from Y's ST-HOSVD core, GEVD or SVD, or a
+        refinement start), a dense residual for a start below
         ``GRAM_ERROR_GUARD``, fLM's first gradient's partial product, then
         per record, from the error before it:
 
@@ -1802,7 +1850,10 @@ class TestPassBudget:
 
     @pytest.mark.parametrize(
         "case",
-        ["flm", "flm-random", "noisy-flm", "als-ls", "als-ls-random", "compressed-flm"],
+        [
+            "flm", "flm-random", "flm-svd", "noisy-flm", "als-ls", "als-ls-random",
+            "compressed-flm",
+        ],
     )
     def test_passes_match_budget(self, case, monkeypatch):
         """A noiseless 8^3 swamp fLM fit and a noiseless (12, 10, 9) ALS-ls
@@ -1811,13 +1862,19 @@ class TestPassBudget:
         it, and the fLM fit ends on the window with no gradient for its
         returned model.  From the default start, the GEVD of Y's ST-HOSVD
         core, which costs no pass over Y, both fits start below the guard,
-        exact.  A noisy 30^3 fLM fit from that start scores its last
+        exact.  Where the GEVD start does not exist, the fLM fit starts from
+        the core's SVD start, also at no pass over Y, and crosses the guard.
+        A noisy 30^3 fLM fit from that start scores its last
         candidate by its decrease and ends on the gradient test; the same
         fit compressed refines with one step and ends "core", again with no
         gradient for the model it returns.  Passes over the core are not
         passes over Y."""
         variant = "als-ls" if case.startswith("als-ls") else "auto"
         init = "random" if case.endswith("random") else "svd"
+        start = {"random": "random", "svd": "svd"}.get(case.split("-")[-1], "gevd")
+        if start == "svd":
+            # The GEVD start's documented fallback: the core's SVD start.
+            monkeypatch.setattr(cpfast.solver, "gevd_init", lambda *args: None)
         if case.startswith("flm"):
             _, y = gen_collinear(CollinearSpec((8, 8, 8), 3, 0.3, None, 0))
         elif case.startswith("als-ls"):
@@ -1848,7 +1905,7 @@ class TestPassBudget:
         (start_err,) = start_errs
         records = [rec for rec in result.trace if rec.stage == "full"]
         errs = [start_err] + [rec.relerr for rec in records[:-1]]
-        assert result.start == ("random" if init == "random" else "gevd")
+        assert result.start == start
         passes = ["_last_mttkrp"] if init == "random" else []
         returned = records[-1].accepted and result.stop_test in DIFFERENCE_RULES
         assert calls == self.budget(variant, records, errs, passes, returned)
@@ -1861,6 +1918,9 @@ class TestPassBudget:
             assert kinds == {(True, True), (True, False), (False, True), (False, False)}
             assert (result.stop_test, returned) == ("window", True)
         elif case == "als-ls-random":
+            assert {(True, True), (False, True)} <= kinds
+        elif case == "flm-svd":
+            assert start_err >= GRAM_ERROR_GUARD
             assert {(True, True), (False, True)} <= kinds
         elif case in ("flm", "als-ls"):
             assert start_err < GRAM_ERROR_GUARD

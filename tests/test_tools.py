@@ -72,12 +72,18 @@ def test_fit_digest_prints_one_stable_line_per_fit():
 def test_digest_cells_sums_each_cell_side_by_side(tmp_path):
     """On the ``tiny`` digest (two one-problem cells, three variants), one
     line per cell and variant holds one fit, its iterations, start, stop
-    test and MedSAE; given the digest twice, every figure reads ``A->A``,
-    and a cell that the second digest lacks reads ``-`` there."""
+    test and MedSAE; given the digest twice, every figure reads ``A->A``
+    and every fit is the same (``same=1/1``), a cell that the second digest
+    lacks reads ``-`` there and ``same=0/1``, and a fit whose line differs
+    only in its factor hash reads ``same=0/1`` with its figures unchanged."""
     lines = digest_lines()
     full, part = tmp_path / "full.txt", tmp_path / "part.txt"
     full.write_text("\n".join(lines) + "\n")
     part.write_text(lines[0] + "\n")
+    fields = lines[0].split()
+    fields[8] = "0" * len(fields[8])
+    moved = tmp_path / "moved.txt"
+    moved.write_text("\n".join([" ".join(fields)] + lines[1:]) + "\n")
 
     def cells(*paths):
         out = subprocess.run(
@@ -100,10 +106,15 @@ def test_digest_cells_sums_each_cell_side_by_side(tmp_path):
     for row, alone in zip(both, one):
         assert row[4:] == [
             f"{field}->{field.split('=')[1]}" for field in alone[4:]
-        ]
+        ] + ["same=1/1"]
     missing = cells(full, part)
     assert missing[0] == both[0]
-    assert all(field.endswith("->-") for row in missing[1:] for field in row[4:])
+    for row in missing[1:]:
+        assert all(field.endswith("->-") for field in row[4:-1])
+        assert row[-1] == "same=0/1"
+    changed = cells(full, moved)
+    assert changed[0] == both[0][:-1] + ["same=0/1"]
+    assert changed[1:] == both[1:]
 
 
 def load_code_lines():

@@ -12,7 +12,9 @@ count of each start (``gevd:9,svd:3``), the count of each stop test
 (``window:12``; a fit that did not stop "tol" counts under its stop reason,
 ``error`` for a numerical failure) and the median of the per-fit MedSAE, in
 dB.  Given B, each figure reads ``A->B``, and ``-`` stands for a cell that
-one digest lacks.  A digest line that does not have the fields of
+one digest lacks; a last field, ``same=k/n``, counts the k of the cell's n
+fits (a problem label and variant in either digest) whose digest line is
+identical in A and B.  A digest line that does not have the fields of
 ``fit_digest.py`` is an error.
 """
 
@@ -27,8 +29,9 @@ FIELDS = ("fits", "iters", "start", "stop", "medsae")
 
 
 def read_cells(path: str) -> dict:
-    """The figures of each (workload, seed, cell, variant) of the digest at
-    ``path``, in the order of first appearance."""
+    """The fits of each (workload, seed, cell, variant) of the digest at
+    ``path``, in the order of first appearance: for each, its problem label,
+    its digest line and the figures that :func:`_figures` sums."""
     fits = {}
     with open(path) as lines:
         for number, line in enumerate(lines, 1):
@@ -41,17 +44,25 @@ def read_cells(path: str) -> dict:
             medsae, stop_test, start = parts[-3:]
             stop = parts[6] if stop_test == "None" else stop_test
             key = (workload, seed, label.rsplit("-s", 1)[0], variant)
-            fits.setdefault(key, []).append(
-                (int(iters), start, stop, float.fromhex(medsae))
-            )
-    return {key: _figures(rows) for key, rows in fits.items()}
+            figures = (int(iters), start, stop, float.fromhex(medsae))
+            fits.setdefault(key, []).append((label, line.rstrip("\n"), figures))
+    return fits
+
+
+def _same(a: list, b: list) -> str:
+    """``k/n``: of the n fits in cell rows ``a`` or ``b``, the k whose
+    digest line is the same in both."""
+    lines = [{label: line for label, line, _ in rows} for rows in (a, b)]
+    labels = lines[0].keys() | lines[1].keys()
+    same = sum(lines[0].get(label) == lines[1].get(label) for label in labels)
+    return f"{same}/{len(labels)}"
 
 
 def _figures(rows: list) -> dict:
     def counts(values):
         return ",".join(f"{k}:{n}" for k, n in sorted(Counter(values).items()))
 
-    iters, starts, stops, medsaes = zip(*rows)
+    iters, starts, stops, medsaes = zip(*(figures for _, _, figures in rows))
     return {
         "fits": str(len(rows)),
         "iters": str(sum(iters)),
@@ -70,12 +81,15 @@ def main(argv=None) -> int:
     tables = [read_cells(path) for path in args.digests]
     keys = list(dict.fromkeys(key for table in tables for key in table))
     for key in keys:
-        figures = [table.get(key) for table in tables]
-        cols = [
-            "->".join("-" if f is None else f[name] for f in figures)
+        cells = [table.get(key, []) for table in tables]
+        figures = [_figures(rows) if rows else None for rows in cells]
+        fields = [
+            f"{name}=" + "->".join("-" if f is None else f[name] for f in figures)
             for name in FIELDS
         ]
-        print(*key, *(f"{name}={col}" for name, col in zip(FIELDS, cols)))
+        if len(cells) == 2:
+            fields.append(f"same={_same(*cells)}")
+        print(*key, *fields)
     return 0
 
 
