@@ -158,8 +158,8 @@ def _write_trace(path, trace) -> None:
               help="svd: the GEVD start of the ST-HOSVD core where the core "
               "has order >= 3 and its first two dims equal the rank, else, or "
               "where that start does not exist, the core's leading singular "
-              "vectors; random: Gaussian factors.  The start that ran is "
-              "printed as start=gevd, svd or random.")
+              "vectors; random: Gaussian factors of the core.  The start that "
+              "ran is printed as start=gevd, svd or random.")
 @click.option("--truth", default=None, type=click.Path(exists=True),
               help="Metadata sidecar of the generating run, for MedSAE scoring.")
 @click.option("--out", default=None, help="Prefix for fitted factors + CSV record.")

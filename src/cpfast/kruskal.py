@@ -33,14 +33,14 @@ check nothing.
 
 :func:`als_step` is one sweep of a stack, whose shape and scalar kind it
 checks against the tensor's; the sweep itself is :func:`_sweep`, which the
-ALS fit loop runs unchecked after one check per fit, and which returns the
-swept stack's Gram matrices with it.  What a sweep needs that depends only
-on the dims, the rank and the dtype (the contraction shapes, the LAPACK
-routines, the other modes of each mode) is a :func:`_sweep_plan`, built once
-per shape.  The fit loop (:mod:`cpfast.solver`) scores a batch of candidate
-stacks, B x N x R x I_max, with one call of each kernel it needs:
-:func:`_batch_last_mttkrp` and :func:`_gram_error`, or
-:func:`_residual_norms`.
+ALS fit loop runs unchecked on a start that the fit built from the tensor,
+and which returns the swept stack's Gram matrices with it.  What a sweep
+needs that depends only on the dims, the rank and the dtype (the
+contraction shapes, the LAPACK routines, the other modes of each mode) is a
+:func:`_sweep_plan`, built once per shape.  The fit loop
+(:mod:`cpfast.solver`) scores a batch of candidate stacks, B x N x R x
+I_max, with one call of each kernel it needs: :func:`_batch_last_mttkrp`
+and :func:`_gram_error`, or :func:`_residual_norms`.
 """
 
 from __future__ import annotations
@@ -690,8 +690,7 @@ def svd_init(y: DenseTensor, rank: int, rng) -> KruskalModel:
     when tall; see :func:`_leading_left_vectors`).
 
     Missing columns (R above the unfolding's rank) are random unit-norm draws
-    from ``rng``, a ``numpy.random.Generator`` or a function that returns
-    one, called only where a column is missing.  Signs/phases follow a fixed
+    from ``rng``, a ``numpy.random.Generator``.  Signs/phases follow a fixed
     rule, so the init does not depend on which LAPACK routine produced the
     vectors: in modes 1..N-1 each singular vector's largest-magnitude entry
     is real and positive; in mode N each column is rotated so that its
@@ -709,8 +708,6 @@ def svd_init(y: DenseTensor, rank: int, rng) -> KruskalModel:
         u = _leading_left_vectors(unfold(y, n), rank)
         u = u / _top_phase(u)
         if u.shape[1] < rank:
-            if callable(rng):
-                rng = rng()
             extra = _gaussian(rng, (u.shape[0], rank - u.shape[1]), y.scalar_kind)
             extra = extra / np.linalg.norm(extra, axis=0, keepdims=True)
             u = np.concatenate((u, extra.astype(u.dtype)), axis=1)
@@ -900,7 +897,7 @@ def als_step(y: DenseTensor, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ascending order, as in :func:`gram_cache`.
 
     The stack's shape and scalar kind are checked at entry; the sweep itself
-    is :func:`_sweep`, which the fit loop runs after checking once per fit.
+    is :func:`_sweep`, which the fit loop runs unchecked.
     Everything that depends only on the dims, the rank and the dtype comes
     from :func:`_sweep_plan`, built once per shape.
     """

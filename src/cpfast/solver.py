@@ -18,9 +18,11 @@ batched call over the modes; a :class:`~cpfast.kruskal.KruskalModel` goes in
 and comes out.
 
 :func:`fit` owns the problem each loop solves: it divides Y by ||Y|| once,
-builds the configured start of that unit-norm tensor (:func:`_fit_unit`),
-hands both to the loop (:func:`_fit_lm` or :func:`_fit_als`), which only
-iterates, and scales the returned model back once.  On a tensor much larger
+builds the configured start, a model of the ST-HOSVD core of that unit-norm
+tensor expanded to it (:func:`_fit_unit`), hands both to the loop
+(:func:`_fit_lm` or :func:`_fit_als`), which enters through one start
+scaling (:func:`_scaled_start`) and then only iterates, and scales the
+returned model back once.  On a tensor much larger
 than its rank-R Tucker core, :func:`fit` first compresses: it fits the
 ST-HOSVD core of Y / ||Y||, divided by its own norm, with the variant's loop
 and then refines the expanded model on Y / ||Y|| with the same loop and stop
@@ -50,7 +52,6 @@ from .kruskal import (
     GramCache,
     KruskalModel,
     _batch_last_mttkrp,
-    _check_stack,
     _gradient,
     _gram_error,
     _residual_norms,
@@ -124,9 +125,9 @@ class FitConfig:
     ST-HOSVD core: from the GEVD of two slice mixtures of the core where it
     has order >= 3 and its first two dims are R, else, or where that start
     does not exist, from the core's leading singular vectors.
-    ``init="random"`` starts from Gaussian factors, of the core where the fit
-    compresses, else of Y (see :func:`_fit_unit`).  ``FitResult.start``
-    says which start ran."""
+    ``init="random"`` starts from Gaussian factors of the core.  Either
+    start is a model of the core, expanded to Y (see :func:`_fit_unit`);
+    ``FitResult.start`` says which start ran."""
 
     rank: int
     variant: str = "auto"
@@ -210,10 +211,10 @@ class FitResult:
     differences) and "core" (an fLM refinement's first accepted step with a
     difference below ``tol`` after a core stage that stopped "gradient").  A
     compressed fit reports its refinement's test.  ``start`` is the start
-    that :func:`_start` built: "gevd" (the GEVD start of the ST-HOSVD core),
-    "svd" (the core's leading singular vectors, also where the GEVD start
-    does not exist) or "random"; a compressed fit reports its core
-    stage's."""
+    that :func:`_start` built of the ST-HOSVD core: "gevd" (its GEVD
+    start), "svd" (its leading singular vectors, also where the GEVD start
+    does not exist) or "random" (Gaussian factors of it); a compressed fit
+    reports its core stage's."""
 
     model: KruskalModel
     trace: list
@@ -287,16 +288,14 @@ def nielsen_update(mu: float, growth: float, rho: float) -> tuple[float, float]:
 def _start(y: DenseTensor, config: FitConfig) -> tuple[KruskalModel, str]:
     """The configured start of ``y`` and its name (``FitResult.start``).
     :func:`_fit_unit` calls it once per fit, on Y's ST-HOSVD core over its
-    norm, or on Y / ||Y|| itself for an uncompressed ``init="random"`` fit;
-    the random draws come from ``config.seed`` alone.
+    norm; the random draws come from ``config.seed`` alone.
 
     ``init="random"`` gives Gaussian factors ("random").  ``init="svd"``
     gives the GEVD start (:func:`~cpfast.kruskal.gevd_init`, "gevd") of a
     ``y`` of order >= 3 whose first two dims are R, and the SVD start
     (:func:`~cpfast.kruskal.svd_init`, "svd") of any other ``y`` or where
-    the GEVD start does not exist.  The SVD start draws from a generator of
-    its own, made only where it draws, so a fallback is the SVD start bit
-    for bit."""
+    the GEVD start does not exist.  The SVD start draws from a fresh
+    generator of the seed, so a fallback is the SVD start bit for bit."""
     rng = functools.partial(np.random.default_rng, [config.seed, 0])
     if config.init == "random":
         return random_init(y.dims, config.rank, rng(), y.scalar_kind), "random"
@@ -304,20 +303,7 @@ def _start(y: DenseTensor, config: FitConfig) -> tuple[KruskalModel, str]:
         model = gevd_init(y, rng())
         if model is not None:
             return model, "gevd"
-    return svd_init(y, config.rank, rng), "svd"
-
-
-def _start_error(y, x, last, grams, norm) -> float:
-    """The relative error of the start with stack ``x`` (see
-    :func:`~cpfast.kruskal.stack`) on the unit-norm tensor ``y``, scored by
-    :func:`_candidate_error` as a batch of one: by the Gram identity from
-    its mode-N MTTKRP ``last`` and stacked Gram matrices ``grams``, and
-    again by the dense residual over ``norm()``, the computed ||Y||, where
-    the first is below ``GRAM_ERROR_GUARD``."""
-    (err,), _, _ = _candidate_error(y, GRAM_ERROR_GUARD, x[None], norm, grams, last)
-    if err < GRAM_ERROR_GUARD:
-        (err,), _, _ = _candidate_error(y, err, x[None], norm)
-    return err
+    return svd_init(y, config.rank, rng()), "svd"
 
 
 def _tensor_norm(y: DenseTensor) -> float:
@@ -371,11 +357,12 @@ def fit(y: DenseTensor, config: FitConfig) -> FitResult:
 
     Every fit solves the unit-norm problem: ``fit`` divides Y by ||Y|| once
     and hands Y / ||Y|| to the front end (:func:`_fit_unit`), which builds
-    the configured start (for ``init="svd"`` the GEVD start of the
-    ST-HOSVD core where the core has order >= 3, its first two dims are R
-    and that start exists, else the SVD start of the core) and hands it to
-    the loop, :func:`_fit_lm` or :func:`_fit_als`, which only iterates;
-    ``FitResult.start`` names the start.  It then scales the returned model back once: the LM family's
+    the configured start of the ST-HOSVD core (for ``init="svd"`` its GEVD
+    start where the core has order >= 3, its first two dims are R and that
+    start exists, else its SVD start; for ``init="random"`` Gaussian
+    factors of it) and hands it to the loop, :func:`_fit_lm` or
+    :func:`_fit_als`, which only iterates; ``FitResult.start`` names the
+    start.  It then scales the returned model back once: the LM family's
     factors are multiplied by ||Y||^(1/N), which keeps every component's mode
     norms equal, and ALS's first factor by ||Y||.  So the trace does not
     depend on the scale of Y, and ALS's scaling is exact for powers of two:
@@ -426,15 +413,13 @@ def _fit_unit(loop, y: DenseTensor, config: FitConfig, t0: float) -> FitResult:
     ``loop`` (:func:`_fit_lm` or :func:`_fit_als`), whose records are timed
     from ``t0``.
 
-    Every ``init="svd"`` fit and every compressed fit runs one ST-HOSVD
-    (Vannieuwenhoven, Vandebril & Meerbergen, SIAM J. Sci. Comput. 34(2),
-    2012): :func:`st_hosvd` of ``y`` gives bases U_n, the core G, of dims
+    Every fit, whatever its init, runs one ST-HOSVD (Vannieuwenhoven,
+    Vandebril & Meerbergen, SIAM J. Sci. Comput. 34(2), 2012):
+    :func:`st_hosvd` of ``y`` gives bases U_n, the core G, of dims
     min(I_n, R) at most, and ``lead``, ``y`` projected in modes 1..N-1.
     G / kappa, kappa = ||G||, gets the configured start (:func:`_start`).  A
     plain fit maps that start to ``y`` with :func:`_expanded_start`, which
     also gives its mode-N MTTKRP, so the start costs no pass over ``y``.
-    Only an uncompressed ``init="random"`` fit skips the ST-HOSVD: it draws
-    its start on ``y`` and forms its mode-N MTTKRP in one pass.
 
     A compressed fit (:func:`_compresses`, ``max_iters`` > 1) runs compress,
     fit, refine (Bro & Andersson, Chemom. Intell. Lab. Syst. 42, 1998):
@@ -468,35 +453,29 @@ def _fit_unit(loop, y: DenseTensor, config: FitConfig, t0: float) -> FitResult:
     a rejected step never ends it that way.  Any other core stage's
     refinement resumes the window.
     """
-    compress = config.max_iters > 1 and _compresses(y.dims, config.rank)
     first, resume = None, {}
-    if config.init == "random" and not compress:
-        model, start = _start(y, config)
-        handed = model, mttkrp(y, model, y.order)
-    else:
-        bases, core, lead = st_hosvd(y, config.rank)
-        kappa = _tensor_norm(core)
-        core = DenseTensor(core.data / kappa)
-        model, start = _start(core, config)
-        if compress:
-            stage = {}
-            if loop is _fit_lm:
-                # e_Y^2 / k^2 - e_G^2; rounding can put kappa above 1.
-                stage["lost_sq"] = max(1.0 - kappa * kappa, 0.0) / (kappa * kappa)
-            budget = replace(config, max_iters=config.max_iters - 1)
-            last = mttkrp(core, model, core.order)
-            first = loop(core, budget, t0, model, last, **stage)
-            for rec in first.trace:
-                rec.stage = "core"
-            model = first.model
-            config = replace(config, max_iters=config.max_iters - first.iters)
-            # Only the LM loop has a gradient test to stop on.
-            if first.stop_test == "gradient":
-                resume = {"settled": True}
-            else:
-                resume = {"below": first.below}
-        handed = _expanded_start(bases, lead, model, kappa)
-    result = loop(y, config, t0, *handed, **resume)
+    bases, core, lead = st_hosvd(y, config.rank)
+    kappa = _tensor_norm(core)
+    core = DenseTensor(core.data / kappa)
+    model, start = _start(core, config)
+    if config.max_iters > 1 and _compresses(y.dims, config.rank):
+        stage = {}
+        if loop is _fit_lm:
+            # e_Y^2 / k^2 - e_G^2; rounding can put kappa above 1.
+            stage["lost_sq"] = max(1.0 - kappa * kappa, 0.0) / (kappa * kappa)
+        budget = replace(config, max_iters=config.max_iters - 1)
+        last = mttkrp(core, model, core.order)
+        first = loop(core, budget, t0, model, last, **stage)
+        for rec in first.trace:
+            rec.stage = "core"
+        model = first.model
+        config = replace(config, max_iters=config.max_iters - first.iters)
+        # Only the LM loop has a gradient test to stop on.
+        if first.stop_test == "gradient":
+            resume = {"settled": True}
+        else:
+            resume = {"below": first.below}
+    result = loop(y, config, t0, *_expanded_start(bases, lead, model, kappa), **resume)
     if first is not None:
         for rec in result.trace:
             rec.iter += first.iters
@@ -585,21 +564,23 @@ def _fit_als(
     starts the window's count (see :func:`_fit_unit`), and each
     record's ``elapsed_s`` counts from ``t0``, a ``time.monotonic``
     reading.  :func:`fit` scales ``y`` and the returned model back, and
-    :func:`_fit_unit` builds the start, so neither the Gram matrices nor the normal
-    equations' solves over- or underflow.
+    :func:`_fit_unit` builds the start, so neither the Gram matrices nor
+    the normal equations' solves over- or underflow.
 
-    The loop holds the model as a stack (:func:`~cpfast.kruskal.stack`)
-    and returns its :func:`~cpfast.kruskal.model_from_stack` views.  The
-    start is scored by :func:`_start_error` from ``last``.  Each iteration
-    is one :func:`~cpfast.kruskal.als_step` sweep of the stack, two passes
-    over the tensor, whose normal equations are solved by Cholesky (falling
-    back to :func:`~cpfast.kruskal.pinv_psd` where a Gram matrix is not
-    numerically positive definite).  The loop checks the stack against the
-    tensor and builds the sweep's per-shape setup
+    The loop enters as :func:`_fit_lm` does, through :func:`_scaled_start`,
+    which scales the start to its least-squares weight, normalizes it and
+    scores it from ``last``.  It holds the model as a stack
+    (:func:`~cpfast.kruskal.stack`) and returns its
+    :func:`~cpfast.kruskal.model_from_stack` views.  Each iteration is one
+    :func:`~cpfast.kruskal.als_step` sweep of the stack, two passes over the
+    tensor, whose normal equations are solved by Cholesky (falling back to
+    :func:`~cpfast.kruskal.pinv_psd` where a Gram matrix is not numerically
+    positive definite).  The loop builds the sweep's per-shape setup
     (:func:`~cpfast.kruskal._sweep_plan`: the other modes of each mode, the
     contraction shapes and the LAPACK routines) once per fit, and then runs
-    the unchecked sweep, which also returns the swept stack's Gram matrices
-    for the scorer.  ALS-ls then tries X_prev + s (X_als - X_prev) on
+    the unchecked sweep (the front end builds the start from ``y``'s own
+    dims and scalar kind), which also returns the swept stack's Gram
+    matrices for the scorer.  ALS-ls then tries X_prev + s (X_als - X_prev) on
     stacks, with X_prev the model before the one swept, for s = 1.1 and
     s = t^(1/3), built from one difference as one B = 3 batch behind the
     swept stack; a candidate replaces the sweep only if its error is
@@ -615,10 +596,8 @@ def _fit_als(
     """
     trace = []
     norm = functools.cache(y.norm)
-    x = stack(model.factors)
-    _check_stack(y, x)
+    x, _, last, err = _scaled_start(y, model, last, norm)
     plan = _sweep_plan(y.dims, x.shape[1], x.dtype)
-    err = _start_error(y, x, last, gram_stack(x), norm)
     prev = None
     stop_reason, stop_test = "max_iters", None
     for t in range(1, config.max_iters + 1):
@@ -656,14 +635,16 @@ def _scaled_start(
     its mode-N MTTKRP ``last``, scaled by its least-squares weight and
     normalized, as a stack (see :func:`~cpfast.kruskal.stack`), with its Gram
     cache, mode-N MTTKRP and relative error; ``norm()`` gives the computed
-    ||Y||.
+    ||Y||.  Both loops, :func:`_fit_lm` and :func:`_fit_als`, enter through
+    it.
 
     The last factor is multiplied by alpha = Re<A^(N), M^(N)> / 1^T Gamma_full
     1, the one overall scale that minimizes the residual, when alpha > 0; one
     scalar keeps every component's direction and relative size.  The error
-    comes from the Gram identity (:func:`~cpfast.kruskal._gram_error`) on
-    M^(N), which the caller has already formed, and from the dense residual only below
-    ``GRAM_ERROR_GUARD``.
+    is scored by :func:`_candidate_error` as a batch of one: by the Gram
+    identity (:func:`~cpfast.kruskal._gram_error`) on M^(N), which the
+    caller has already formed, and again by the dense residual where the
+    first is below ``GRAM_ERROR_GUARD``.
     """
     x = stack(start.factors)
     grams = gram_stack(x)
@@ -673,7 +654,10 @@ def _scaled_start(
         x[-1] *= alpha
         grams[-1] *= alpha**2
     x, cache, last = normalize_with_grams(x, grams, last)
-    return x, cache, last, _start_error(y, x, last, cache.C, norm)
+    (err,), _, _ = _candidate_error(y, GRAM_ERROR_GUARD, x[None], norm, cache.C, last)
+    if err < GRAM_ERROR_GUARD:
+        (err,), _, _ = _candidate_error(y, err, x[None], norm)
+    return x, cache, last, err
 
 
 def _fit_lm(
@@ -697,7 +681,8 @@ def _fit_lm(
     the start.
 
     The loop starts from ``start``, at any scale, scaled by its
-    least-squares weight (:func:`_scaled_start`), which costs no pass over
+    least-squares weight (:func:`_scaled_start`, as :func:`_fit_als`
+    does), which costs no pass over
     the tensor and no dense residual above ``GRAM_ERROR_GUARD``; ``last``
     also serves the first gradient (:func:`~cpfast.kruskal._gradient`).
 

@@ -5,8 +5,6 @@ example database, so every run draws the same examples and slow hosts do not
 fail on timing.
 """
 
-import functools
-
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -17,6 +15,7 @@ from cpfast.kruskal import (
     model_from_stack,
     model_from_vector,
     mttkrp,
+    random_init,
     stack,
     svd_init,
 )
@@ -83,33 +82,51 @@ def equal_energy_loop():
 def _svd_start(y, config):
     """``svd_init`` of ``y`` from the generator of ``config.seed`` that a fit
     draws from, and its mode-N MTTKRP."""
-    rng = functools.partial(np.random.default_rng, [config.seed, 0])
-    model = svd_init(y, config.rank, rng)
+    model = svd_init(y, config.rank, np.random.default_rng([config.seed, 0]))
     return model, mttkrp(y, model, y.order)
 
 
-def _handing_svd_start(loop):
-    """``loop`` run from :func:`_svd_start` of its tensor, whatever start it
-    is handed."""
+def _random_start(y, config):
+    """``random_init`` of ``y`` from the generator of ``config.seed`` that a
+    fit draws from, and its mode-N MTTKRP."""
+    rng = np.random.default_rng([config.seed, 0])
+    model = random_init(y.dims, config.rank, rng, y.scalar_kind)
+    return model, mttkrp(y, model, y.order)
 
-    def handed(y, config, t0, start, last, *args, **kwargs):
-        return loop(y, config, t0, *_svd_start(y, config), *args, **kwargs)
 
-    return handed
+def _hand_starts(monkeypatch, build):
+    """Run each loop (:func:`cpfast.solver._fit_lm`,
+    :func:`cpfast.solver._fit_als`) from ``build`` of its tensor and the
+    ``FitConfig``, whatever start the front end hands it, and return
+    ``build``."""
+
+    def handing(loop):
+        def handed(y, config, t0, start, last, *args, **kwargs):
+            return loop(y, config, t0, *build(y, config), *args, **kwargs)
+
+        return handed
+
+    for name in ("_fit_lm", "_fit_als"):
+        monkeypatch.setattr(cpfast.solver, name, handing(getattr(cpfast.solver, name)))
+    return build
 
 
 @pytest.fixture
 def svd_start(monkeypatch):
     """Every plain fit in the test iterates from the SVD start of Y / ||Y||
-    itself, not from a start of its ST-HOSVD core: each loop
-    (:func:`cpfast.solver._fit_lm`, :func:`cpfast.solver._fit_als`) is
-    handed ``svd_init`` of the unit tensor and its mode-N MTTKRP in place of
-    the start the front end built.  For tests that measure the loop, not the
+    itself, not from a start of its ST-HOSVD core: each loop is handed
+    ``svd_init`` of the unit tensor and its mode-N MTTKRP in place of the
+    start the front end built.  For tests that measure the loop, not the
     start, on that trajectory bit for bit: from the GEVD start a noiseless
     fit is exact before its first step, and a noisy one skips the iterations
     these tests count.  Returns the function that builds the handed start
     from the unit tensor and the ``FitConfig``."""
-    for name in ("_fit_lm", "_fit_als"):
-        loop = getattr(cpfast.solver, name)
-        monkeypatch.setattr(cpfast.solver, name, _handing_svd_start(loop))
-    return _svd_start
+    return _hand_starts(monkeypatch, _svd_start)
+
+
+@pytest.fixture
+def random_start(monkeypatch):
+    """As ``svd_start``, with Gaussian factors of Y / ||Y|| itself, drawn
+    from the fit's seed, in place of the SVD start: the handed start costs
+    one pass over Y, its mode-N MTTKRP."""
+    return _hand_starts(monkeypatch, _random_start)

@@ -793,26 +793,6 @@ class TestInitAndAls:
             np.linalg.norm(m.factors[0][:, 2:], axis=0), np.ones(2)
         )
 
-    @pytest.mark.parametrize(
-        "dims, rank, draws", [((2, 6, 6), 4, 1), ((4, 5, 6), 3, 0)]
-    )
-    def test_svd_init_makes_its_generator_only_to_draw(self, dims, rank, draws):
-        """Given a function that makes the generator, the SVD start calls it
-        once where a column is missing and never where none is, and gives
-        the start of that generator bit for bit."""
-        y = DenseTensor(np.random.default_rng(13).standard_normal(dims))
-        made = []
-
-        def make():
-            made.append(1)
-            return np.random.default_rng(5)
-
-        lazy = svd_init(y, rank, make)
-        eager = svd_init(y, rank, np.random.default_rng(5))
-        assert len(made) == draws
-        for a, b in zip(lazy.factors, eager.factors):
-            assert np.array_equal(a, b)
-
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
     @pytest.mark.parametrize(
         "dims, rank",

@@ -1309,15 +1309,14 @@ class TestCompression:
             ((6, 6, 40), 6, "svd", False, 1),  # R x R x K
             ((9, 7), 2, "svd", False, 1),  # order 2
             ((20, 20, 20), 3, "svd", False, 1),
-            ((20, 20, 20), 3, "random", False, 0),
+            ((20, 20, 20), 3, "random", False, 1),
         ],
     )
     def test_one_st_hosvd_per_fit(
         self, dims, rank, init, compressed, runs, monkeypatch
     ):
-        """Every ``init="svd"`` fit and every compressed fit runs
-        ``st_hosvd`` once, on Y / ||Y||, whatever the order or shape; an
-        uncompressed ``init="random"`` fit runs it never."""
+        """Every fit runs ``st_hosvd`` once, on Y / ||Y||, whatever the
+        init, the order or the shape, and whether it compresses or not."""
         calls = self.record_st_hosvd(monkeypatch)
         y = DenseTensor(gaussian_instance(0, dims=dims, rank=rank))
         result = fit(y, FitConfig(rank=rank, init=init, max_iters=20))
@@ -1799,6 +1798,62 @@ class TestGevdStart:
             assert first[0].factors[1].tobytes() != other[0].factors[1].tobytes()
 
 
+class TestOneStartPath:
+    """Every fit starts from a model of Y's ST-HOSVD core, whatever its
+    init, and both loops take their start through ``_scaled_start``."""
+
+    @pytest.mark.parametrize("variant", ["auto", "als", "als-ls"])
+    @pytest.mark.parametrize("compressed", [False, True])
+    def test_each_loop_enters_through_scaled_start(
+        self, variant, compressed, monkeypatch
+    ):
+        """A plain fit of the noisy 30^3 R=3 instance calls
+        ``_scaled_start`` once, on Y / ||Y||; the same fit compressed calls
+        it once on its 3 x 3 x 3 core, then once on Y / ||Y||."""
+        calls = []
+        original = cpfast.solver._scaled_start
+
+        def recorded(y, *args):
+            calls.append(y.dims)
+            return original(y, *args)
+
+        monkeypatch.setattr(cpfast.solver, "_scaled_start", recorded)
+        if compressed:
+            monkeypatch.setattr(cpfast.solver, "COMPRESS_MIN_RATIO", 0)
+        else:
+            keep_plain(monkeypatch)
+        y = DenseTensor(gaussian_instance(0))
+        result = fit(y, FitConfig(rank=3, variant=variant))
+        assert ("core" in {rec.stage for rec in result.trace}) == compressed
+        assert calls == [(3, 3, 3)] * compressed + [y.dims]
+
+    @pytest.mark.parametrize("kind", [REAL, COMPLEX])
+    @pytest.mark.parametrize("dims,rank", [((20, 20, 20), 3), ((9, 7), 2)])
+    def test_random_start_is_a_model_of_the_core(
+        self, dims, rank, kind, monkeypatch
+    ):
+        """A plain ``init="random"`` fit runs ``st_hosvd`` once, on Y /
+        ||Y||, and starts from Gaussian factors of its core, expanded: each
+        factor of the start lies in the span of its mode's basis U_n,
+        ||U_n U_n^H A^(n) - A^(n)|| <= 1e-12 ||A^(n)||.  The start and its
+        mode-N MTTKRP, which the handed one matches to 1e-12, cost no pass
+        over Y."""
+        y = DenseTensor(gaussian_instance(0, dims=dims, rank=rank, kind=kind))
+        unit = DenseTensor(y.data / _tensor_norm(y))
+        calls = TestCompression.record_st_hosvd(monkeypatch)
+        passes = count_tensor_passes(monkeypatch, dims)
+        model, last, start = handed_start(unit, FitConfig(rank=rank, init="random"))
+        assert (calls, passes, start) == ([dims], [], "random")
+        bases, _, _ = st_hosvd(unit, rank)
+        for u, a in zip(bases, model.factors):
+            assert np.linalg.norm(u @ (u.conj().T @ a) - a) <= (
+                1e-12 * np.linalg.norm(a)
+            )
+        np.testing.assert_allclose(
+            last, mttkrp(unit, model, unit.order), rtol=1e-12, atol=0
+        )
+
+
 class TestPassBudget:
     """Every pass over Y that a fit makes, counted at the seam
     (``count_tensor_passes``), is the one that the README's "Cost per
@@ -1808,8 +1863,9 @@ class TestPassBudget:
     def budget(variant, records, errs, init, returned=False):
         """The seam calls that the budget gives one loop on Y, whose records
         are ``records`` and whose error before each record is ``errs``
-        (``errs[0]`` the start's): ``init`` (the random init's mode-N pass,
-        none for a start from Y's ST-HOSVD core, GEVD or SVD, or a
+        (``errs[0]`` the start's): ``init`` (the passes of a start of Y
+        that a fixture hands the loop; none for every start that the front
+        end builds from Y's ST-HOSVD core, GEVD, SVD or random, or for a
         refinement start), a dense residual for a start below
         ``GRAM_ERROR_GUARD``, fLM's first gradient's partial product, then
         per record, from the error before it:
@@ -1855,11 +1911,13 @@ class TestPassBudget:
             "compressed-flm",
         ],
     )
-    def test_passes_match_budget(self, case, monkeypatch):
-        """A noiseless 8^3 swamp fLM fit and a noiseless (12, 10, 9) ALS-ls
-        fit, from random starts, cross the guard, with accepted and rejected
-        fLM candidates, and extrapolated ALS-ls candidates, on each side of
-        it, and the fLM fit ends on the window with no gradient for its
+    def test_passes_match_budget(self, case, monkeypatch, request):
+        """A noiseless 8^3 swamp fLM fit from Gaussian factors of Y, handed
+        to the loop by ``random_start`` at one pass over Y, and a noiseless
+        (12, 10, 9) ALS-ls fit from the random start of Y's ST-HOSVD core,
+        which costs none, cross the guard, with accepted and rejected fLM
+        candidates, and extrapolated ALS-ls candidates, on each side of it,
+        and the fLM fit ends on the window with no gradient for its
         returned model.  From the default start, the GEVD of Y's ST-HOSVD
         core, which costs no pass over Y, both fits start below the guard,
         exact.  Where the GEVD start does not exist, the fLM fit starts from
@@ -1875,6 +1933,8 @@ class TestPassBudget:
         if start == "svd":
             # The GEVD start's documented fallback: the core's SVD start.
             monkeypatch.setattr(cpfast.solver, "gevd_init", lambda *args: None)
+        if case == "flm-random":
+            request.getfixturevalue("random_start")
         if case.startswith("flm"):
             _, y = gen_collinear(CollinearSpec((8, 8, 8), 3, 0.3, None, 0))
         elif case.startswith("als-ls"):
@@ -1888,7 +1948,7 @@ class TestPassBudget:
         calls = count_tensor_passes(monkeypatch, y.dims)
         start_errs, decreases = [], []
         for name, seen in [
-            ("_start_error", start_errs),
+            ("_scaled_start", start_errs),
             ("residual_decrease", decreases),
         ]:
             original = getattr(cpfast.solver, name)
@@ -1902,11 +1962,12 @@ class TestPassBudget:
             monkeypatch.setattr(cpfast.solver, name, recorded)
         result = fit(y, FitConfig(rank=3, variant=variant, seed=1, init=init))
         assert result.stop_reason == "tol"
-        (start_err,) = start_errs
+        # _scaled_start returns the start's error last.
+        ((*_, start_err),) = start_errs
         records = [rec for rec in result.trace if rec.stage == "full"]
         errs = [start_err] + [rec.relerr for rec in records[:-1]]
         assert result.start == start
-        passes = ["_last_mttkrp"] if init == "random" else []
+        passes = ["_last_mttkrp"] if case == "flm-random" else []
         returned = records[-1].accepted and result.stop_test in DIFFERENCE_RULES
         assert calls == self.budget(variant, records, errs, passes, returned)
         # fLM: (above the guard, accepted); ALS-ls: (above, extrapolated).

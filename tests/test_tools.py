@@ -73,17 +73,37 @@ def test_digest_cells_sums_each_cell_side_by_side(tmp_path):
     """On the ``tiny`` digest (two one-problem cells, three variants), one
     line per cell and variant holds one fit, its iterations, start, stop
     test and MedSAE; given the digest twice, every figure reads ``A->A``
-    and every fit is the same (``same=1/1``), a cell that the second digest
-    lacks reads ``-`` there and ``same=0/1``, and a fit whose line differs
-    only in its factor hash reads ``same=0/1`` with its figures unchanged."""
+    and every fit takes the same steps and is the same (``steps=1/1``,
+    ``same=1/1``), a cell that the second digest lacks reads ``-`` there
+    and ``steps=0/1 same=0/1``, a fit whose line differs only in its factor
+    hash reads ``same=0/1`` with its figures and steps unchanged, one whose
+    relative error, hash and MedSAE bits all differ still reads
+    ``steps=1/1``, and one with another iteration count reads
+    ``steps=0/1``."""
     lines = digest_lines()
     full, part = tmp_path / "full.txt", tmp_path / "part.txt"
     full.write_text("\n".join(lines) + "\n")
     part.write_text(lines[0] + "\n")
+
+    def edited(name, changes):
+        """The digest with line 0's fields at the keys of ``changes``
+        replaced by their values."""
+        fields = lines[0].split()
+        for index, text in changes.items():
+            fields[index] = text
+        path = tmp_path / name
+        path.write_text("\n".join([" ".join(fields)] + lines[1:]) + "\n")
+        return path
+
     fields = lines[0].split()
-    fields[8] = "0" * len(fields[8])
-    moved = tmp_path / "moved.txt"
-    moved.write_text("\n".join([" ".join(fields)] + lines[1:]) + "\n")
+    zero_hash = "0" * len(fields[8])
+    moved = edited("moved.txt", {8: zero_hash})
+    medsae = float.fromhex(fields[9])
+    nudged = edited("nudged.txt", {
+        7: (2 * float.fromhex(fields[7])).hex(), 8: zero_hash,
+        9: (medsae + 1e-9 * abs(medsae)).hex(),
+    })
+    longer = edited("longer.txt", {4: str(int(fields[4]) + 1)})
 
     def cells(*paths):
         out = subprocess.run(
@@ -106,15 +126,21 @@ def test_digest_cells_sums_each_cell_side_by_side(tmp_path):
     for row, alone in zip(both, one):
         assert row[4:] == [
             f"{field}->{field.split('=')[1]}" for field in alone[4:]
-        ] + ["same=1/1"]
+        ] + ["steps=1/1", "same=1/1"]
     missing = cells(full, part)
     assert missing[0] == both[0]
     for row in missing[1:]:
-        assert all(field.endswith("->-") for field in row[4:-1])
-        assert row[-1] == "same=0/1"
+        assert all(field.endswith("->-") for field in row[4:-2])
+        assert row[-2:] == ["steps=0/1", "same=0/1"]
     changed = cells(full, moved)
     assert changed[0] == both[0][:-1] + ["same=0/1"]
     assert changed[1:] == both[1:]
+    bits = cells(full, nudged)
+    assert bits[0][-2:] == ["steps=1/1", "same=0/1"]
+    assert bits[1:] == both[1:]
+    steps = cells(full, longer)
+    assert steps[0][-2:] == ["steps=0/1", "same=0/1"]
+    assert steps[1:] == both[1:]
 
 
 def load_code_lines():

@@ -12,10 +12,12 @@ count of each start (``gevd:9,svd:3``), the count of each stop test
 (``window:12``; a fit that did not stop "tol" counts under its stop reason,
 ``error`` for a numerical failure) and the median of the per-fit MedSAE, in
 dB.  Given B, each figure reads ``A->B``, and ``-`` stands for a cell that
-one digest lacks; a last field, ``same=k/n``, counts the k of the cell's n
-fits (a problem label and variant in either digest) whose digest line is
-identical in A and B.  A digest line that does not have the fields of
-``fit_digest.py`` is an error.
+one digest lacks; two last fields count, of the cell's n fits (a problem
+label and variant in either digest), the k that take the same steps in A
+and B, ``steps=k/n``: the same iterations, accepted steps, stop reason,
+stop test and start, even where their bits differ; and the k whose digest
+line is identical, ``same=k/n``.  A digest line that does not have the
+fields of ``fit_digest.py`` is an error.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ FIELDS = ("fits", "iters", "start", "stop", "medsae")
 def read_cells(path: str) -> dict:
     """The fits of each (workload, seed, cell, variant) of the digest at
     ``path``, in the order of first appearance: for each, its problem label,
-    its digest line and the figures that :func:`_figures` sums."""
+    its digest line, its steps (the line without its final relative error,
+    factor hash and MedSAE) and the figures that :func:`_figures` sums."""
     fits = {}
     with open(path) as lines:
         for number, line in enumerate(lines, 1):
@@ -45,16 +48,19 @@ def read_cells(path: str) -> dict:
             stop = parts[6] if stop_test == "None" else stop_test
             key = (workload, seed, label.rsplit("-s", 1)[0], variant)
             figures = (int(iters), start, stop, float.fromhex(medsae))
-            fits.setdefault(key, []).append((label, line.rstrip("\n"), figures))
+            steps = tuple(parts[:-5] + parts[-2:])
+            fits.setdefault(key, []).append(
+                (label, line.rstrip("\n"), steps, figures)
+            )
     return fits
 
 
-def _same(a: list, b: list) -> str:
+def _matching(a: list, b: list, field: int) -> str:
     """``k/n``: of the n fits in cell rows ``a`` or ``b``, the k whose
-    digest line is the same in both."""
-    lines = [{label: line for label, line, _ in rows} for rows in (a, b)]
-    labels = lines[0].keys() | lines[1].keys()
-    same = sum(lines[0].get(label) == lines[1].get(label) for label in labels)
+    ``field`` (1 the digest line, 2 the steps) is the same in both."""
+    values = [{row[0]: row[field] for row in rows} for rows in (a, b)]
+    labels = values[0].keys() | values[1].keys()
+    same = sum(values[0].get(label) == values[1].get(label) for label in labels)
     return f"{same}/{len(labels)}"
 
 
@@ -62,7 +68,7 @@ def _figures(rows: list) -> dict:
     def counts(values):
         return ",".join(f"{k}:{n}" for k, n in sorted(Counter(values).items()))
 
-    iters, starts, stops, medsaes = zip(*(figures for _, _, figures in rows))
+    iters, starts, stops, medsaes = zip(*(row[-1] for row in rows))
     return {
         "fits": str(len(rows)),
         "iters": str(sum(iters)),
@@ -88,7 +94,8 @@ def main(argv=None) -> int:
             for name in FIELDS
         ]
         if len(cells) == 2:
-            fields.append(f"same={_same(*cells)}")
+            fields.append(f"steps={_matching(*cells, 2)}")
+            fields.append(f"same={_matching(*cells, 1)}")
         print(*key, *fields)
     return 0
 
