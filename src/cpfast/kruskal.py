@@ -12,13 +12,9 @@ such rows, transposed (:func:`~cpfast.tensor._khatri_rao_rows`), and taken
 as ``.mT`` views where a K x R product is needed.
 Complex models use the Hermitian Gram convention C^(n) = A^(n)^H A^(n); all
 transpose placements below are chosen so the same code path is exact for both
-scalar kinds.
-
-A stacked vector has one block per mode, vec(V^(n)) in column-major order
-(:meth:`KruskalModel.as_vector`); :func:`model_from_vector` views its
-factors, so :func:`stack` and :meth:`~KruskalModel.as_vector` of
-:func:`model_from_stack` convert between the two layouts.  Only the public
-:func:`gradient` returns one; everything the fit loops call takes stacks.
+scalar kinds.  The module speaks models and stacks only: the stacked
+vector that the dense Jacobian's columns index is the dense oracles' layout
+(:func:`cpfast.oracle.as_vector`).
 
 Every MTTKRP pass over a tensor Y goes through one of two kernels:
 :func:`_last_mttkrp`, the mode-N product Y_(N)^T conj(K) for an R-column K
@@ -151,18 +147,6 @@ class KruskalModel:
     def scalar_kind(self) -> str:
         return _same_kind(self.factors[0], self.factors[1:])
 
-    def copy(self) -> "KruskalModel":
-        return KruskalModel([f.copy() for f in self.factors])
-
-    def as_vector(self) -> np.ndarray:
-        """Concatenated column-major vectorizations of all factors."""
-        return np.concatenate([f.reshape(-1, order="F") for f in self.factors])
-
-
-def complex_model(model: KruskalModel) -> KruskalModel:
-    """The same model with complex128 factors."""
-    return KruskalModel([f.astype(np.complex128) for f in model.factors])
-
 
 def stack(factors) -> np.ndarray:
     """The factors A^(n) as one N x R x I_max array whose block n is A^(n)^T,
@@ -188,12 +172,6 @@ def model_from_stack(x: np.ndarray, dims) -> KruskalModel:
     return KruskalModel([r.T for r in _row_views(x, dims)])
 
 
-def model_from_vector(vec: np.ndarray, dims, rank: int) -> KruskalModel:
-    """The model whose factor A^(n) is block n of ``vec``, as a view."""
-    blocks = np.split(np.asarray(vec), np.cumsum([d * rank for d in dims])[:-1])
-    return KruskalModel([b.reshape(rank, d).T for b, d in zip(blocks, dims)])
-
-
 def _unfolding_t(rows) -> np.ndarray:
     """K A^(1)^T, the transposed mode-1 unfolding of the model whose
     transposed factors are ``rows``, K the Khatri-Rao product of modes 2..N:
@@ -217,20 +195,18 @@ class GramCache:
     """Per-iteration Gram products of a model's factors, stacked (R x R each).
 
     ``C[n]`` is A^(n)^H A^(n), N x R x R; ``gamma_excl[n]`` is the Hadamard
-    product of all C^(k) except k = n, N x R x R; ``gamma_pair[n, m]``
-    excludes both n and m (and equals ``gamma_excl[n]`` on the diagonal),
-    N x N x R x R; ``gamma_full`` includes every mode.  Two more depend on
-    the model alone, so a rejected step reuses them: ``kernel`` is
-    ``gamma_pair`` with zero diagonal blocks, the pairwise Gammas of the
-    Hessian's kernel K (see :func:`~cpfast.hessian.damped_core`), and
-    ``c_masked[j, k]`` is C^(j), except the identity for the Hadamard
-    product, all ones, where j = k (see :func:`second_order_term`).
+    product of all C^(k) except k = n, N x R x R.  Two more depend on the
+    model alone, so a rejected step reuses them: ``kernel[n, m]``, N x N x R
+    x R, is the Hadamard product of all C^(k) except k = n and k = m where
+    n != m and zero where n = m, the pairwise Gammas of the Hessian's kernel
+    K (see :func:`~cpfast.hessian.damped_core`), and ``c_masked[j, k]`` is
+    C^(j), except the identity for the Hadamard product, all ones, where j =
+    k (see :func:`second_order_term`).  The product of every C^(n),
+    Gamma_full, is ``np.multiply.reduce(C)``.
     """
 
     C: np.ndarray
     gamma_excl: np.ndarray
-    gamma_pair: np.ndarray
-    gamma_full: np.ndarray
     kernel: np.ndarray
     c_masked: np.ndarray
 
@@ -270,9 +246,7 @@ def gram_cache(C: np.ndarray) -> GramCache:
     masked = np.where(keep, C[:, None], 1.0)
     prods = np.multiply.reduce(masked, axis=1)
     kernel = np.where(keep[-1, :, :n], prods[:n, :n], 0.0)
-    return GramCache(
-        C, prods[:n, n], prods[:n, :n], prods[-1, -1], kernel, masked[-1, :, :n]
-    )
+    return GramCache(C, prods[:n, n], kernel, masked[-1, :, :n])
 
 
 def build_gram_cache(model: KruskalModel) -> GramCache:
@@ -400,31 +374,17 @@ def _last_partial(y: DenseTensor, last_row: np.ndarray) -> np.ndarray:
     return last_row.conj() @ y.last_unfolding
 
 
-def gradient(
-    y: DenseTensor, model: KruskalModel, cache: GramCache | None = None
-) -> np.ndarray:
-    """Stacked residual projection J^H vec(E) with E = Y - Yhat.
-
-    Block n is vec(M^(n) - A^(n) Gamma^(n)^T), with M^(n) the mode-n MTTKRP,
-    from two passes over the tensor; see :func:`_gradient` for the stacked
-    form.
-    """
-    _check_pair(y, model)
-    cache = cache or build_gram_cache(model)
-    g, _ = _gradient(y, stack(model.factors), cache.gamma_excl)
-    return model_from_stack(g, model.dims).as_vector()
-
-
 def _gradient(
     y: DenseTensor,
     x: np.ndarray,
     gamma_excl: np.ndarray,
     last: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The gradient as a stack, from the model's stack ``x`` (see
-    :func:`stack`), and its mode-N MTTKRP M^(N): block n is the transpose of
-    M^(n) - A^(n) Gamma^(n)^T (the transpose is exact for the complex
-    Hermitian Gamma and redundant for real data).
+    """The gradient, the residual projection J^H vec(Y - Yhat), as a stack,
+    from the model's stack ``x`` (see :func:`stack`), and its mode-N MTTKRP
+    M^(N): block n is the transpose of M^(n) - A^(n) Gamma^(n)^T (the
+    transpose is exact for the complex Hermitian Gamma and redundant for real
+    data).
 
     All N MTTKRPs take two passes over the tensor.  Pass one is M^(N)
     (skipped when ``last`` already holds it).  Pass two is the partial
@@ -450,7 +410,7 @@ def _gradient(
 def second_order_term(x: np.ndarray, cache: GramCache, v: np.ndarray) -> np.ndarray:
     """J^H M''(v, v) as a stack: the second directional derivative of the
     model with stack ``x`` (see :func:`stack`) along the stack ``v``,
-    projected like :func:`gradient`; ``cache`` is the model's Gram cache.
+    projected like :func:`_gradient`; ``cache`` is the model's Gram cache.
 
     M(x + t v) = [[A^(1) + t V^(1), ..., A^(N) + t V^(N)]], so M''(v, v) =
     2 sum_{n<m} [[... V^(n) ... V^(m) ...]].  Block k of J^H applied to

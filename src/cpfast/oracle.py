@@ -6,6 +6,14 @@ K^{-1} + Psi with their densities.  Every right-hand side is projected by
 the dense Jacobian, so no reference reuses the MTTKRP or gradient kernels it
 checks.  Only :mod:`cpfast.verify` and the tests use them; the size guard
 keeps them at desk scale.
+
+The Jacobian's columns index the stacked vector of a model, one block per
+mode, vec(A^(n)) in column-major order: :func:`as_vector` forms it and
+:func:`model_from_vector` views its factors, so with
+:func:`~cpfast.kruskal.stack` and :func:`~cpfast.kruskal.model_from_stack`
+they convert between the fit loops' stacks and this layout.  The pairwise
+Gammas are the off-diagonal blocks of the Gram cache's ``kernel``, and
+Gamma_full is ``np.multiply.reduce`` of its ``C``.
 """
 
 from __future__ import annotations
@@ -16,13 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .hessian import SingularKernelError
-from .kruskal import (
-    GramCache,
-    KruskalModel,
-    build_gram_cache,
-    model_from_vector,
-    reconstruct,
-)
+from .kruskal import GramCache, KruskalModel, build_gram_cache, reconstruct
 from .tensor import DenseTensor, _check_mode, khatri_rao_excl
 
 ORACLE_MAX_ENTRIES = 10**7
@@ -63,8 +65,22 @@ def mode_commutation(dims, n: int) -> np.ndarray:
     return np.kron(np.eye(trail), commutation(lead, dims[n - 1]))
 
 
+def as_vector(model: KruskalModel) -> np.ndarray:
+    """The stacked vector of ``model``: the column-major vectorizations of
+    its factors, concatenated in mode order (a copy)."""
+    return np.concatenate([f.reshape(-1, order="F") for f in model.factors])
+
+
+def model_from_vector(vec: np.ndarray, dims, rank: int) -> KruskalModel:
+    """The model whose factor A^(n) is block n of the stacked vector ``vec``,
+    as a view."""
+    blocks = np.split(np.asarray(vec), np.cumsum([d * rank for d in dims])[:-1])
+    return KruskalModel([b.reshape(rank, d).T for b, d in zip(blocks, dims)])
+
+
 def jacobian(model: KruskalModel) -> np.ndarray:
-    """Dense Jacobian of vec(reconstruct) w.r.t. the stacked factor vector.
+    """Dense Jacobian of vec(reconstruct) w.r.t. the stacked vector
+    (:func:`as_vector`).
 
     Block n is Q_n ((KR_excl(n)) kron I_{I_n}) where Q_n maps mode-n
     vectorization to mode-1 vectorization.
@@ -81,10 +97,10 @@ def jacobian(model: KruskalModel) -> np.ndarray:
 
 def kernel_block(cache: GramCache, n: int, m: int) -> np.ndarray:
     """K^(n,m) = (1 - delta) P_R diag(vec(Gamma^(n,m))), R^2 x R^2, 1-based."""
-    r = cache.gamma_full.shape[0]
+    r = cache.C.shape[-1]
     if n == m:
-        return np.zeros((r * r, r * r), dtype=cache.gamma_full.dtype)
-    d = cache.gamma_pair[n - 1][m - 1].reshape(-1, order="F")
+        return np.zeros((r * r, r * r), dtype=cache.C.dtype)
+    d = cache.kernel[n - 1][m - 1].reshape(-1, order="F")
     return commutation(r, r) * d[None, :]
 
 
@@ -102,7 +118,7 @@ def kernel_is_invertible(cache: GramCache, rtol: float = 1e-10) -> bool:
     """Magnitude proxy for invertibility of K: every entry of every pairwise
     Gamma^(n,m) must be nonzero relative to the largest one."""
     n_modes = len(cache.C)
-    mags = np.abs(cache.gamma_pair)[~np.eye(n_modes, dtype=bool)]
+    mags = np.abs(cache.kernel)[~np.eye(n_modes, dtype=bool)]
     top = mags.max()
     return bool(top > 0.0 and mags.min() > rtol * top)
 
@@ -120,7 +136,7 @@ def kernel_inverse(cache: GramCache) -> np.ndarray:
     c = cache.C
     p = commutation(*c.shape[1:])
     # vec(C^(n) * C^(m) / Gamma_full) in row (n, m), column-major within a block.
-    q = (c[:, None] * c[None, :] / cache.gamma_full).transpose(0, 1, 3, 2)
+    q = (c[:, None] * c[None, :] / np.multiply.reduce(c)).transpose(0, 1, 3, 2)
     q = q.reshape(n_modes, n_modes, -1)
     coeff = 1.0 / (n_modes - 1) - np.eye(n_modes)
     return np.block(
@@ -174,7 +190,7 @@ def build_parts(cache: GramCache, factors) -> HessianParts:
     # which fitting never needs (see :data:`cpfast.kruskal.FLAPACK`).
     import scipy.linalg
 
-    r = cache.gamma_full.shape[0]
+    r = cache.C.shape[-1]
     G = scipy.linalg.block_diag(
         *[
             np.kron(cache.gamma_excl[n], np.eye(factors[n].shape[0]))
@@ -249,7 +265,7 @@ def assemble_phi(cache: GramCache, mu: float, variant: str) -> np.ndarray:
         raise ValueError(f"unknown variant {variant!r}")
     import scipy.linalg  # not at module level: see :func:`build_parts`
 
-    eye = np.eye(cache.gamma_full.shape[0])
+    eye = np.eye(cache.C.shape[-1])
     psi = scipy.linalg.block_diag(
         *[
             np.kron(np.linalg.inv(g + mu * eye), c)

@@ -54,13 +54,13 @@ from .kruskal import (
     _batch_last_mttkrp,
     _gradient,
     _gram_error,
+    _last_mttkrp,
     _residual_norms,
     _sweep,
     _sweep_plan,
     gevd_init,
     gram_stack,
     model_from_stack,
-    mttkrp,
     normalize_with_grams,
     random_init,
     residual_decrease,
@@ -69,7 +69,7 @@ from .kruskal import (
     stack,
     svd_init,
 )
-from .tensor import DenseTensor, frobenius, khatri_rao_excl
+from .tensor import DenseTensor, _khatri_rao_rows, frobenius
 
 VARIANTS = ("auto", "als", "als-ls")
 INITS = ("svd", "random")
@@ -273,7 +273,8 @@ def mu_init(cache: GramCache, tau: float) -> float:
     scaled to its least-squares weight, so the rule sees a model at the
     data's scale (Madsen, Nielsen & Tingleff, IMM 2004, section 3.2).
     """
-    return float(tau * max(1.0, np.max(np.real(np.diag(cache.gamma_full)))))
+    diag_full = np.multiply.reduce(cache.C.diagonal(0, 1, 2))
+    return float(tau * max(1.0, np.max(np.real(diag_full))))
 
 
 def nielsen_update(mu: float, growth: float, rho: float) -> tuple[float, float]:
@@ -464,7 +465,8 @@ def _fit_unit(loop, y: DenseTensor, config: FitConfig, t0: float) -> FitResult:
             # e_Y^2 / k^2 - e_G^2; rounding can put kappa above 1.
             stage["lost_sq"] = max(1.0 - kappa * kappa, 0.0) / (kappa * kappa)
         budget = replace(config, max_iters=config.max_iters - 1)
-        last = mttkrp(core, model, core.order)
+        kr = _khatri_rao_rows([f.T for f in model.factors[:-1]]).mT
+        last = _last_mttkrp(core, kr)
         first = loop(core, budget, t0, model, last, **stage)
         for rec in first.trace:
             rec.stage = "core"
@@ -497,7 +499,7 @@ def _expanded_start(
     """
     start = KruskalModel([u @ b for u, b in zip(bases, core_model.factors)])
     start.factors[0] *= kappa
-    kr = khatri_rao_excl(core_model.factors, core_model.order)
+    kr = _khatri_rao_rows([f.T for f in core_model.factors[:-1]]).mT
     return start, kappa * (lead @ kr.conj())
 
 
@@ -506,7 +508,7 @@ def _candidate_error(
     err: float,
     xs: np.ndarray,
     norm,
-    grams: np.ndarray | None = None,
+    grams: np.ndarray,
     last: np.ndarray | None = None,
 ) -> tuple[list, np.ndarray | tuple, str]:
     """The one candidate scorer: the relative errors of the batch of
@@ -519,7 +521,7 @@ def _candidate_error(
     errors come from the Gram identity, one batched
     :func:`~cpfast.kruskal._gram_error`, with the candidates' stacked Gram
     matrices (B x N x R x R) and their mode-N MTTKRPs.  ``grams`` (N x R x R)
-    and ``last`` are the first candidate's when the caller has them; the
+    is the first candidate's, and so is ``last`` when the caller has it; the
     others' come from one batched :func:`gram_stack` and one
     :func:`~cpfast.kruskal._batch_last_mttkrp`, a pass over the tensor per
     candidate.  Below the guard each is the dense residual over ``norm()``,
@@ -536,8 +538,7 @@ def _candidate_error(
         lasts = _batch_last_mttkrp(y, xs)
     else:
         lasts = _first_given(last, xs, _batch_last_mttkrp, y)
-    grams = gram_stack(xs) if grams is None else _first_given(grams, xs, gram_stack)
-    return _gram_error(xs, lasts, grams), lasts, "gram"
+    return _gram_error(xs, lasts, _first_given(grams, xs, gram_stack)), lasts, "gram"
 
 
 def _first_given(first: np.ndarray, xs: np.ndarray, compute, *args) -> np.ndarray:
@@ -641,10 +642,10 @@ def _scaled_start(
     The last factor is multiplied by alpha = Re<A^(N), M^(N)> / 1^T Gamma_full
     1, the one overall scale that minimizes the residual, when alpha > 0; one
     scalar keeps every component's direction and relative size.  The error
-    is scored by :func:`_candidate_error` as a batch of one: by the Gram
-    identity (:func:`~cpfast.kruskal._gram_error`) on M^(N), which the
-    caller has already formed, and again by the dense residual where the
-    first is below ``GRAM_ERROR_GUARD``.
+    comes from the Gram identity (:func:`~cpfast.kruskal._gram_error`) on
+    M^(N), which the caller has already formed, and again from the dense
+    residual (:func:`~cpfast.kruskal._residual_norms`) where the first is
+    below ``GRAM_ERROR_GUARD``.
     """
     x = stack(start.factors)
     grams = gram_stack(x)
@@ -654,9 +655,9 @@ def _scaled_start(
         x[-1] *= alpha
         grams[-1] *= alpha**2
     x, cache, last = normalize_with_grams(x, grams, last)
-    (err,), _, _ = _candidate_error(y, GRAM_ERROR_GUARD, x[None], norm, cache.C, last)
+    (err,) = _gram_error(x[None], last[None], cache.C[None])
     if err < GRAM_ERROR_GUARD:
-        (err,), _, _ = _candidate_error(y, err, x[None], norm)
+        err = _residual_norms(y, x[None])[0] / norm()
     return x, cache, last, err
 
 

@@ -1,8 +1,8 @@
 """Dense tensor storage and the multilinear kernels used throughout the package.
 
-Tensors are stored column-major (first index varies fastest), so
-``vectorize(t)`` equals ``vectorize(unfold(t, 1))`` by construction.
-Mode indices in the public API are 1-based.
+Tensors are stored column-major (first index varies fastest), so the
+column-major flattening of ``t.data`` equals that of ``unfold(t, 1)`` by
+construction.  Mode indices in the public API are 1-based.
 """
 
 from __future__ import annotations
@@ -84,11 +84,6 @@ def frobenius(a: np.ndarray) -> float:
     return math.sqrt(flat @ flat)
 
 
-def as_complex(y: DenseTensor) -> DenseTensor:
-    """Promote a real tensor to the complex pipeline (explicit, never implicit)."""
-    return DenseTensor(y.data.astype(np.complex128))
-
-
 def _gaussian(rng, shape, scalar_kind: str) -> np.ndarray:
     """Standard normal draws of ``shape`` from ``rng``; for COMPLEX, the real
     parts are drawn first and then the imaginary parts, each of unit
@@ -118,22 +113,6 @@ def fold(mat: np.ndarray, n: int, dims) -> DenseTensor:
     shape = (dims[n - 1],) + dims[: n - 1] + dims[n:]
     arr = np.asarray(mat).reshape(shape, order="F")
     return DenseTensor(np.moveaxis(arr, 0, n - 1))
-
-
-def vectorize(t: DenseTensor) -> np.ndarray:
-    """vec(Y): column-major flattening; equals unfold(t, 1) read column-major."""
-    return t.data.reshape(-1, order="F")
-
-
-def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Column-wise Kronecker product of I x R and K x R matrices."""
-    a = np.atleast_2d(a)
-    b = np.atleast_2d(b)
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(
-            f"column count mismatch: {a.shape[1]} != {b.shape[1]}"
-        )
-    return _khatri_rao_rows([b.T, a.T]).T
 
 
 def _khatri_rao_rows(rows) -> np.ndarray:

@@ -15,10 +15,9 @@ import numpy as np
 from .hessian import damped_core
 from .kruskal import (
     KruskalModel,
+    _gradient,
     build_gram_cache,
-    gradient,
     model_from_stack,
-    model_from_vector,
     random_init,
     reconstruct,
     second_order_term,
@@ -26,6 +25,7 @@ from .kruskal import (
     stack,
 )
 from .oracle import (
+    as_vector,
     assemble_hessian,
     build_parts,
     dense_damped_solve,
@@ -33,6 +33,7 @@ from .oracle import (
     jacobian,
     kernel_inverse,
     kernel_matrix,
+    model_from_vector,
 )
 from .solver import ACCEL_MAX_RATIO, _expanded_start, flm_step
 from .synth import (
@@ -70,7 +71,7 @@ def _as_stack(vec: np.ndarray, model: KruskalModel) -> np.ndarray:
 
 def _as_vector(x: np.ndarray, model: KruskalModel) -> np.ndarray:
     """The stack ``x`` of a model like ``model``, as a stacked vector."""
-    return model_from_stack(x, model.dims).as_vector()
+    return as_vector(model_from_stack(x, model.dims))
 
 
 def _random_instance(rng, scalar_kind):
@@ -94,7 +95,7 @@ def fd_gradient(y: DenseTensor, model: KruskalModel):
         m = model_from_vector(vec, model.dims, model.rank)
         return float(np.linalg.norm(y.data - reconstruct(m).data) ** 2)
 
-    base = model.as_vector()
+    base = as_vector(model)
     out = np.zeros_like(base)
     for k in range(base.size):
         for direction in ([1.0] if out.dtype.kind != "c" else [1.0, 1.0j]):
@@ -179,10 +180,10 @@ def run_suite(seeds: int = 10, perturb: bool = False) -> list:
                 )
                 record(f"fast-inverse-{tag}", _rel(mat - dense, dense), 1e-8)
 
-            g = gradient(y, model, cache)
+            g, _ = _gradient(y, x, cache.gamma_excl)
             for mu in (1e-4, 1e-1, 10.0):
                 # The step the fit takes: v, then v + a/2 or v by the ratio.
-                v, step, ratio = flm_step(x, cache, _as_stack(g, model), mu)
+                v, step, ratio = flm_step(x, cache, g, mu)
                 v_ref = dense_damped_solve(y, model, mu)
                 term = dense_second_order_term(model, v_ref)
                 a_ref = -np.linalg.solve(h + mu * eye, term)
@@ -193,12 +194,13 @@ def run_suite(seeds: int = 10, perturb: bool = False) -> list:
                 )
                 record(f"step-equivalence-{tag}", err, 1e-8)
 
+            g = _as_vector(g, model)
             g_fd = fd_gradient(y, model)
             record(f"gradient-fd-{tag}", _rel(g - g_fd, g), 1e-5)
 
             v = random_init(model.dims, model.rank, rng, kind)
             term = _as_vector(second_order_term(x, cache, stack(v.factors)), model)
-            ref = dense_second_order_term(model, v.as_vector())
+            ref = dense_second_order_term(model, as_vector(v))
             record(f"second-order-{tag}", _rel(term - ref, ref), 1e-10)
 
             record(f"compress-{tag}", compression_error(y, model.rank), 1e-10)

@@ -10,30 +10,46 @@ import pytest
 from hypothesis import settings
 
 from cpfast.kruskal import (
+    _gradient,
     build_gram_cache,
-    gradient,
     model_from_stack,
-    model_from_vector,
     mttkrp,
     random_init,
     stack,
     svd_init,
 )
 import cpfast.solver
-from cpfast.oracle import assemble_phi, build_parts
+from cpfast.oracle import as_vector, assemble_phi, build_parts
 from cpfast.solver import flm_step
 
 settings.register_profile("cpfast", derandomize=True, deadline=None, database=None)
 settings.load_profile("cpfast")
 
 
+def _gradient_vector(y, model, cache=None):
+    """J^H vec(Y - Yhat) of ``model``, a stacked vector: the fit's gradient
+    stack (:func:`cpfast.kruskal._gradient`) in the dense oracles' layout
+    (:func:`cpfast.oracle.as_vector`)."""
+    cache = cache or build_gram_cache(model)
+    g, _ = _gradient(y, stack(model.factors), cache.gamma_excl)
+    return as_vector(model_from_stack(g, model.dims))
+
+
+@pytest.fixture(scope="session")
+def gradient_vector():
+    """The gradient J^H vec(Y - Yhat) of a model of ``y`` as a stacked
+    vector, from the fit's stacked kernel: ``gradient_vector(y, model,
+    cache=None)``.  Session-scoped, so property tests can take it."""
+    return _gradient_vector
+
+
 def _damped_step(form, y, model, mu):
     cache = build_gram_cache(model)
-    g = gradient(y, model, cache)
     if form == "flm-a":
-        g = stack(model_from_vector(g, model.dims, model.rank).factors)
+        g, _ = _gradient(y, stack(model.factors), cache.gamma_excl)
         v = flm_step(stack(model.factors), cache, g, mu)[0]
-        return model_from_stack(v, model.dims).as_vector()
+        return as_vector(model_from_stack(v, model.dims))
+    g = _gradient_vector(y, model, cache)
     parts = build_parts(cache, model.factors)
     gtilde = np.linalg.inv(parts.G + mu * np.eye(parts.G.shape[0]))
     u = gtilde @ g

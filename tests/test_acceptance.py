@@ -20,14 +20,13 @@ from cpfast.hessian import damped_core
 from cpfast.kruskal import (
     KruskalModel,
     build_gram_cache,
-    gradient,
     model_from_stack,
-    model_from_vector,
     random_init,
     reconstruct,
     stack,
 )
 from cpfast.oracle import (
+    as_vector,
     assemble_hessian,
     assemble_phi,
     build_parts,
@@ -36,6 +35,7 @@ from cpfast.oracle import (
     kernel_inverse,
     kernel_is_invertible,
     kernel_matrix,
+    model_from_vector,
     phi_density,
 )
 from cpfast.solver import FitConfig, fit
@@ -56,14 +56,14 @@ MU_INVERSE_GRID = (1e-6, 1e-2, 1.0, 1e3)
 MU_STEP_GRID = (1e-4, 1e-1, 10.0)
 
 
-def as_stack(vec, model):
+def stack_of(vec, model):
     """The stacked vector ``vec`` of a model like ``model``, as a stack."""
     return stack(model_from_vector(vec, model.dims, model.rank).factors)
 
 
-def as_vector(x, model):
+def vector_of(x, model):
     """The stack ``x`` of a model like ``model``, as a stacked vector."""
-    return model_from_stack(x, model.dims).as_vector()
+    return as_vector(model_from_stack(x, model.dims))
 
 
 def ensemble_instance(seed):
@@ -127,7 +127,7 @@ def test_criterion_03_fast_inverse():
             dense = np.linalg.inv(h + mu * eye)
             core = damped_core(stack(model.factors), cache, mu)
             mat = np.column_stack(
-                [as_vector(core.apply(as_stack(e, model)), model) for e in eye]
+                [vector_of(core.apply(stack_of(e, model)), model) for e in eye]
             )
             worst = max(worst, rel(mat - dense, dense))
             n, r = model.order, model.rank
@@ -172,11 +172,11 @@ def test_criterion_05_kernel_inverse(damped_step):
     assert rel(delta - ref, ref) <= 1e-8
 
 
-def test_criterion_06_gradient_finite_differences():
+def test_criterion_06_gradient_finite_differences(gradient_vector):
     """Analytic gradient matches central differences (h = 1e-6) to 1e-5."""
     for seed in (0, 1, 2, 3):
         y, model = ensemble_instance(seed)
-        g = gradient(y, model)
+        g = gradient_vector(y, model)
         fd = fd_gradient(y, model)
         assert rel(g - fd, g) <= 1e-5, f"instance {seed}"
 

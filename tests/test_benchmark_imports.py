@@ -1,16 +1,19 @@
-"""Every name that the benchmark scripts import from cpfast still exists, so
-a removal from the package cannot break the benchmark unnoticed."""
+"""Every name that the benchmark scripts and the tools import from cpfast
+still exists, so a removal from the package cannot break the benchmark or
+the digest tools unnoticed."""
 
 import ast
 import importlib
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT_DIRS = (ROOT / "perfbench", ROOT / "tools")
 
 
-def cpfast_imports():
-    """(script, module, name) for each ``from cpfast... import name``."""
-    for path in sorted(PERFBENCH.glob("*.py")):
+def cpfast_imports(directory):
+    """(script, module, name) for each ``from cpfast... import name`` in the
+    scripts of ``directory``."""
+    for path in sorted(directory.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if (
                 isinstance(node, ast.ImportFrom)
@@ -32,8 +35,11 @@ def resolves(module, name) -> bool:
 
 
 def test_benchmark_imports_resolve():
-    found = list(cpfast_imports())
-    assert found, f"no cpfast imports found under {PERFBENCH}"
+    found = []
+    for directory in SCRIPT_DIRS:
+        imports = list(cpfast_imports(directory))
+        assert imports, f"no cpfast imports found under {directory}"
+        found += imports
     missing = [
         f"{script}: from {module} import {name}"
         for script, module, name in found

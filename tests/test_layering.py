@@ -18,6 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cpfast
+from cpfast import CollinearSpec, FitConfig, fit, gen_collinear
 from cpfast.kruskal import _lapack
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -52,6 +54,55 @@ def cpfast_imports(module):
 def test_fit_path_imports_no_outside_module(module):
     found = sorted(set(cpfast_imports(module)) & OUTSIDE)
     assert not found, f"cpfast.{module} imports {found}"
+
+
+# What a program imports from the package root: the fit API, and the
+# benchmark generators and scores.
+ROOT_API = {
+    "COMPLEX", "CollinearSpec", "DenseTensor", "FitConfig", "FitResult",
+    "KruskalModel", "REAL", "ScalarKindError", "SingularKernelError",
+    "SpectrumReport", "add_noise", "collinearity_angles", "fit", "gen_collinear",
+    "medsae", "medsae_pair", "reconstruct", "relative_error", "spectrum",
+}
+
+
+def test_root_exports_the_fit_api():
+    assert set(cpfast.__all__) == ROOT_API
+    assert len(cpfast.__all__) == len(ROOT_API)
+    assert all(hasattr(cpfast, name) for name in cpfast.__all__)
+
+
+# The checked public entry points that a fit must not call, and the module
+# that defines each: their checks belong at a program's call, and a fit
+# builds its own operands.
+CHECKED = {"_check_pair": "kruskal", "mttkrp": "kruskal", "khatri_rao_excl": "tensor"}
+
+
+@pytest.mark.parametrize("variant", ["auto", "als-ls"])
+@pytest.mark.parametrize(
+    "dims", [(20, 20, 20), (60, 60, 60)], ids=["plain", "compressed"]
+)
+def test_fit_calls_no_checked_entry_point(dims, variant, monkeypatch):
+    """A plain (20^3) and a compressed (60^3) R=3 fit run on the kernels
+    alone: each of ``kruskal._check_pair``, ``mttkrp`` and
+    ``khatri_rao_excl`` raises, in every cpfast module that binds it, and
+    the fit still runs."""
+    for name, home in CHECKED.items():
+        original = getattr(sys.modules[f"cpfast.{home}"], name)
+
+        def refuse(*args, name=name, **kwargs):
+            raise AssertionError(f"a fit called {name}")
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "cpfast" and (
+                getattr(module, name, None) is original
+            ):
+                monkeypatch.setattr(module, name, refuse)
+    _, y = gen_collinear(CollinearSpec(dims, 3, 0.5, 30.0, 1))
+    result = fit(y, FitConfig(rank=3, variant=variant, max_iters=20))
+    compressed = "core" in [rec.stage for rec in result.trace]
+    assert compressed == (dims[0] == 60)
+    assert result.iters > 0
 
 
 def test_scanner_sees_every_import_form():

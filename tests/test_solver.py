@@ -19,10 +19,9 @@ import cpfast.kruskal
 import cpfast.solver
 from cpfast.kruskal import (
     KruskalModel,
+    _gradient,
     build_gram_cache,
-    gradient,
     model_from_stack,
-    model_from_vector,
     mttkrp,
     gram_stack,
     normalize_with_grams,
@@ -50,11 +49,13 @@ from cpfast.solver import (
 )
 from cpfast.bench import record_from_result
 from cpfast.oracle import (
+    as_vector,
     damped_hessian,
     dense_damped_solve,
     dense_second_order_term,
     kernel_inverse,
     kernel_matrix,
+    model_from_vector,
 )
 from cpfast.synth import CollinearSpec, gen_collinear
 from cpfast.tensor import COMPLEX, DenseTensor, REAL
@@ -115,13 +116,19 @@ def keep_plain(monkeypatch):
     monkeypatch.setattr(cpfast.solver, "COMPRESS_MIN_RATIO", math.inf)
 
 
+def gradient_stack(y, model):
+    """The gradient J^H vec(Y - Yhat) of ``model`` as a stack, from a fresh
+    Gram cache."""
+    return _gradient(y, stack(model.factors), build_gram_cache(model).gamma_excl)[0]
+
+
 def unit_gradient_norm(y, model):
     """||g|| of the unit-norm problem Y / ||Y|| at a fit's returned ``model``
     scaled back by ||Y||^(-1/N), recomputed from scratch."""
     ynorm = y.norm()
     scale = ynorm ** (-1.0 / model.order)
     unit = KruskalModel([f * scale for f in model.factors])
-    return float(np.linalg.norm(gradient(DenseTensor(y.data / ynorm), unit)))
+    return float(np.linalg.norm(gradient_stack(DenseTensor(y.data / ynorm), unit)))
 
 
 def dense_core_product(cache, mu, use_kernel_inverse, w):
@@ -129,7 +136,7 @@ def dense_core_product(cache, mu, use_kernel_inverse, w):
     blkdiag((Gamma^(n) + mu I) kron I): Sb^{-1} inv(K^{-1} + Psi) Sb^{-1} w
     with the oracle's closed-form K^{-1} (the paper's Phi_2), Sb^{-1} K
     (I + Psi K)^{-1} Sb^{-1} w without (Phi_1)."""
-    r = cache.gamma_full.shape[0]
+    r = cache.C.shape[-1]
     gtilde = [np.linalg.inv(g + mu * np.eye(r)) for g in cache.gamma_excl]
     psi = scipy.linalg.block_diag(
         *[np.kron(gt, c) for gt, c in zip(gtilde, cache.C)]
@@ -332,12 +339,14 @@ class TestFlmStep:
         assert sorted(calls) == ["_batched_inv", "getrf", "getrs", "getrs"]
 
     @pytest.mark.parametrize("nu", [0.05, 0.3])
-    def test_matches_extended_precision_oracle(self, nu, damped_step):
+    def test_matches_extended_precision_oracle(
+        self, nu, damped_step, gradient_vector
+    ):
         """Down to mu = 1e-9 on collinear factors, the fast step is as close to
         a 40-digit solve as the dense float64 solve is (within 10x), or 1e-8.
 
         Both float64 solves take the same right-hand side, the fast
-        :func:`gradient`, so this compares the solves alone.  At nu = 0.3 and
+        gradient, so this compares the solves alone.  At nu = 0.3 and
         mu = 1e-9 the oracle's Jacobian-projected residual, 5e-15 from that
         gradient, gives a dense step 1e-5 from the 40-digit one, and the
         gradient gives one 4e-4 from it."""
@@ -348,7 +357,7 @@ class TestFlmStep:
             [3.0 * f + 0.05 * rng.standard_normal(f.shape) for f in truth.factors]
         )
         y = DenseTensor(27.0 * y.data + 0.01 * rng.standard_normal(y.dims))
-        g = gradient(y, model)
+        g = gradient_vector(y, model)
         mus = (1e-9, 1e-8, 1e-6, 1e-4, 1e-1)
         for mu, exact in zip(mus, mp_oracle_steps(mpmath, y, model, mus)):
             scale = np.linalg.norm(exact)
@@ -367,7 +376,7 @@ class TestFlmStep:
         rng = np.random.default_rng(10)
         y, m = noisy_instance(rng, (3, 4, 5), 2)
         step = damped_step("flm-a", y, m, 1e12)
-        rel = np.linalg.norm(step) / np.linalg.norm(m.as_vector())
+        rel = np.linalg.norm(step) / np.linalg.norm(as_vector(m))
         assert rel < 1e-6
 
 
@@ -537,9 +546,10 @@ class TestFit:
         """A (9, 7, 8) fit holds its model, gradient and steps in stacks
         padded to I_max = 9: past column I_n every entry stays exactly zero
         over five iterations, accepted and rejected.  ALS-ls on the same
-        problem scores every stack it holds, swept, extrapolated and kept,
-        through ``_candidate_error``, in batches, and each of those stays zero
-        there too over five sweeps."""
+        problem holds its scaled start (``_scaled_start``) and scores every
+        stack it holds after, swept, extrapolated and kept, through
+        ``_candidate_error``, in batches, and each of those stays zero there
+        too over five sweeps."""
         y, _ = noisy_instance(np.random.default_rng(33), (9, 7, 8), 3, kind, 0.05)
         seen = []
         flm_step = cpfast.solver.flm_step
@@ -553,12 +563,19 @@ class TestFit:
         result = fit(y, FitConfig(rank=3, max_iters=5))
         assert result.iters == len(seen) // 4 == 5 and result.accepted_iters >= 1
         candidate_error = cpfast.solver._candidate_error
+        scaled_start = cpfast.solver._scaled_start
 
         def scored(y, err, xs, *args, **kwargs):
             seen.extend(xs)
             return candidate_error(y, err, xs, *args, **kwargs)
 
+        def started(*args):
+            out = scaled_start(*args)
+            seen.append(out[0])
+            return out
+
         monkeypatch.setattr(cpfast.solver, "_candidate_error", scored)
+        monkeypatch.setattr(cpfast.solver, "_scaled_start", started)
         result = fit(y, FitConfig(rank=3, variant="als-ls", max_iters=5))
         # The start, one swept stack per sweep and two extrapolations from
         # the second.
@@ -750,8 +767,7 @@ class TestFit:
         rng = np.random.default_rng(18)
         y, m = noisy_instance(rng, (3, 4, 5), 2)
         yc = DenseTensor(y.data.astype(complex))
-        mc = m.copy()
-        mc = type(m)([f.astype(complex) for f in mc.factors])
+        mc = type(m)([f.astype(complex) for f in m.factors])
         real_step = damped_step("flm-a", y, m, 0.1)
         complex_step = damped_step("flm-a", yc, mc, 0.1)
         assert np.abs(complex_step - real_step).max() < 1e-10
@@ -875,8 +891,7 @@ class TestGeodesicAcceleration:
         x, cache, _, err = _scaled_start(unit, *svd_start(unit, config), unit.norm)
         model = model_from_stack(x, unit.dims)
         mu = mu_init(cache, tau)
-        g = gradient(unit, model, cache)
-        g = stack(model_from_vector(g, model.dims, model.rank).factors)
+        g, _ = _gradient(unit, x, cache.gamma_excl)
         core = damped_core(x, cache, mu)
         v = core.apply(g)
         a = -core.apply(second_order_term(x, cache, v))
@@ -913,7 +928,7 @@ class TestGeodesicAcceleration:
             h = damped_hessian(model_from_stack(x, dims), mu, cache)
 
             def apply(v):
-                w = np.linalg.solve(h, model_from_stack(v, dims).as_vector())
+                w = np.linalg.solve(h, as_vector(model_from_stack(v, dims)))
                 return stack(model_from_vector(w, dims, rank).factors)
 
             return SimpleNamespace(apply=apply)
@@ -969,7 +984,7 @@ class TestGeodesicAcceleration:
             model = model_from_stack(rec["x"], dims)
             h = damped_hessian(model, rec["mu"])
             g, v, step = (
-                model_from_stack(rec[k], dims).as_vector() for k in ("g", "v", "step")
+                as_vector(model_from_stack(rec[k], dims)) for k in ("g", "v", "step")
             )
             a = -np.linalg.solve(h, dense_second_order_term(model, v))
             ratio = 2.0 * np.linalg.norm(a) / np.linalg.norm(v)
@@ -1117,7 +1132,7 @@ class TestCarriedOverCache:
         cand = self.candidate(kind, n_modes)
         normalized, cache, _ = normalize(cand)
         fresh = build_gram_cache(normalized)
-        for name in ("C", "gamma_excl", "gamma_pair", "gamma_full"):
+        for name in ("C", "gamma_excl", "kernel", "c_masked"):
             got, ref = getattr(cache, name), getattr(fresh, name)
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), name
 
@@ -1208,20 +1223,21 @@ class TestCandidateError:
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
     def test_batch_scores_as_alone(self, kind, dims, err, scorer, size):
         """Each candidate of a batch of 1-3 stacks gets, compared with ==,
-        the error and mode-N MTTKRP that it gets scored alone, whether the
-        first candidate's MTTKRP, Gram stack or both are passed in or formed
-        by the scorer, on both sides of ``GRAM_ERROR_GUARD``; the errors
-        agree with the dense ``relative_error`` to 1e-10 relative."""
+        the error and mode-N MTTKRP that it gets scored alone, given the
+        first candidate's Gram stack, whether its MTTKRP is passed in or
+        formed by the scorer, on both sides of ``GRAM_ERROR_GUARD``; the
+        errors agree with the dense ``relative_error`` to 1e-10 relative."""
         assert (err >= GRAM_ERROR_GUARD) == (scorer == "gram")
         y, xs = self.batch(kind, dims, size)
         score = cpfast.solver._candidate_error
         norm = y.norm
-        alone = [score(y, err, xs[k : k + 1], norm) for k in range(size)]
+        alone = [
+            score(y, err, xs[k : k + 1], norm, gram_stack(xs[k])) for k in range(size)
+        ]
         last = mttkrp(y, model_from_stack(xs[0], dims), len(dims))
         grams = gram_stack(xs[0])
-        given = ({}, {"last": last}, {"grams": grams}, {"last": last, "grams": grams})
-        for kwargs in given:
-            errs, lasts, path = score(y, err, xs, norm, **kwargs)
+        for kwargs in ({}, {"last": last}):
+            errs, lasts, path = score(y, err, xs, norm, grams, **kwargs)
             assert path == scorer and len(errs) == len(lasts) == size
             assert errs == [a[0][0] for a in alone]
             for got, (_, ref, _) in zip(lasts, alone):
@@ -1435,10 +1451,10 @@ class TestCompression:
         bases, core, lead = st_hosvd(unit, rank)
         kappa = cpfast.solver._tensor_norm(core)
         b = core_stage.model
-        g_core = np.linalg.norm(gradient(DenseTensor(core.data / kappa), b))
+        g_core = np.linalg.norm(gradient_stack(DenseTensor(core.data / kappa), b))
 
         def in_subspace(model):
-            g = model_from_vector(gradient(unit, model), model.dims, rank)
+            g = model_from_stack(gradient_stack(unit, model), model.dims)
             blocks = [u.conj().T @ gn for u, gn in zip(bases, g.factors)]
             return math.sqrt(sum(np.linalg.norm(blk) ** 2 for blk in blocks))
 

@@ -262,7 +262,7 @@ class TestMedsae:
 
     def test_exact_estimate_hits_floor(self):
         truth = self._truth()
-        scores = medsae_pair(truth, truth.copy())
+        scores = medsae_pair(truth, KruskalModel([f.copy() for f in truth.factors]))
         assert scores["first_db"] == -300.0
         assert scores["rest_db"] == -300.0
         assert np.all(scores["per_component"] == -300.0)
@@ -312,7 +312,7 @@ class TestMedsae:
         """An estimate with a zero-norm column scores NaN, which the
         assignment rejects instead of matching at random."""
         truth = self._truth(5)
-        estimate = truth.copy()
+        estimate = KruskalModel([f.copy() for f in truth.factors])
         estimate.factors[1][:, 2] = 0.0
         with np.errstate(invalid="ignore"):
             with pytest.raises(ValueError, match="invalid numeric entries"):

@@ -17,10 +17,8 @@ from cpfast.tensor import (
     _khatri_rao_rows,
     fold,
     frobenius,
-    khatri_rao,
     khatri_rao_excl,
     unfold,
-    vectorize,
 )
 
 
@@ -94,13 +92,6 @@ class TestUnfold:
             back = fold(unfold(t, n), n, dims)
             np.testing.assert_array_equal(back.data, t.data)
 
-    def test_vectorize_is_mode1_vec(self):
-        rng = np.random.default_rng(4)
-        t = random_tensor(rng, (3, 4, 2))
-        np.testing.assert_array_equal(
-            vectorize(t), unfold(t, 1).reshape(-1, order="F")
-        )
-
     def test_bad_mode_raises(self):
         t = DenseTensor(np.zeros((2, 2)))
         with pytest.raises(ValueError):
@@ -110,17 +101,9 @@ class TestUnfold:
 
 
 class TestProducts:
-    def test_khatri_rao_columnwise_oracle(self):
-        rng = np.random.default_rng(7)
-        a, b = rng.standard_normal((3, 4)), rng.standard_normal((5, 4))
-        kr = khatri_rao(a, b)
-        assert kr.shape == (15, 4)
-        for r in range(4):
-            np.testing.assert_allclose(kr[:, r], np.kron(a[:, r], b[:, r]))
-
     def test_khatri_rao_column_mismatch(self):
-        with pytest.raises(ValueError):
-            khatri_rao(np.zeros((2, 3)), np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="column count"):
+            khatri_rao_excl([np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((2, 3))], 3)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_khatri_rao_excl_descending_order(self, n):
@@ -190,5 +173,5 @@ class TestCommutation:
         for n in range(1, len(dims) + 1):
             q = mode_commutation(dims, n)
             np.testing.assert_array_equal(
-                q @ unfold(t, n).reshape(-1, order="F"), vectorize(t)
+                q @ unfold(t, n).reshape(-1, order="F"), t.data.reshape(-1, order="F")
             )
