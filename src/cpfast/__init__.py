@@ -2,8 +2,7 @@
 
 The package root holds the fit API: tensors, models, :func:`fit` and the
 benchmark generators and scores.  The kernels a program may call on a
-model, :func:`cpfast.kruskal.mttkrp`, :func:`cpfast.kruskal.als_step`,
-:func:`cpfast.kruskal.build_gram_cache` and the unfoldings of
+model, :func:`cpfast.kruskal.build_gram_cache` and the unfoldings of
 :mod:`cpfast.tensor`, are imported from their modules.  The dense oracles
 (:mod:`cpfast.oracle`), the identity checker (:mod:`cpfast.verify`), the
 Monte-Carlo sweep (:mod:`cpfast.bench`) and the file format

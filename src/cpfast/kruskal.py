@@ -23,14 +23,13 @@ partial product P = Y x_N conj(A^(N)), of which the MTTKRPs of modes
 1..N-1 are contractions (Phan, Tichavsky & Cichocki, IEEE TSP 2013);
 :func:`_gradient` forms all N from the two.  The fit loops' dense residuals
 are :func:`_residual_norms`.  All three read Y through the unfolding views
-that the :class:`~cpfast.tensor.DenseTensor` makes once.  A public function
-that takes a (tensor, model) pair checks it once, at entry; the kernels
-check nothing.
+that the :class:`~cpfast.tensor.DenseTensor` makes once.  The one public
+function that takes a (tensor, model) pair, :func:`relative_error`, checks
+it at entry; the kernels check nothing.
 
-:func:`als_step` is one sweep of a stack, whose shape and scalar kind it
-checks against the tensor's; the sweep itself is :func:`_sweep`, which the
-ALS fit loop runs unchecked on a start that the fit built from the tensor,
-and which returns the swept stack's Gram matrices with it.  What a sweep
+:func:`_sweep` is one ALS sweep of a stack.  The ALS fit loop runs it on a
+start that the fit built from the tensor, so it checks nothing, and it
+returns the swept stack's Gram matrices with it.  What a sweep
 needs that depends only on the dims, the rank and the dtype (the
 contraction shapes, the LAPACK routines, the other modes of each mode) is a
 :func:`_sweep_plan`, built once per shape.  The fit loop
@@ -59,7 +58,6 @@ from .tensor import (
     REAL,
     DenseTensor,
     ScalarKindError,
-    _check_mode,
     _gaussian,
     _khatri_rao_rows,
     frobenius,
@@ -214,11 +212,11 @@ class GramCache:
 @lru_cache(maxsize=None)
 def _exclusion_mask(n_modes: int) -> np.ndarray:
     """keep[m, k, n]: mode k enters the product that excludes modes n and m,
-    for n, m in 0..N, where index N excludes nothing; N + 1 x N x N + 1 x 1
-    x 1, symmetric in n and m.  Read-only."""
-    skip = np.arange(n_modes + 1)
+    for n in 0..N-1 and m in 0..N, where m = N excludes n alone; N + 1 x N x
+    N x 1 x 1, symmetric in n and m below m = N.  Read-only."""
     k = np.arange(n_modes)
-    keep = (k[:, None] != skip) & (k[:, None] != skip[:, None, None])
+    skip = np.arange(n_modes + 1)[:, None, None]
+    keep = (k[:, None] != k) & (k[:, None] != skip)
     keep = keep[..., None, None]
     keep.setflags(write=False)
     return keep
@@ -236,17 +234,19 @@ def gram_cache(C: np.ndarray) -> GramCache:
 
     Every Hadamard product comes from one masked ``multiply.reduce`` over the
     modes in ascending order; an excluded mode contributes an exact one.
-    The masked stack is laid out [m, k, n] (see :func:`_exclusion_mask`):
-    its slice m = N, [j, k] = C^(j) unless j = k, is ``c_masked``, whose
-    blocks ``c_masked[j]`` are contiguous for the elementwise products of
-    :func:`second_order_term`.
+    The masked stack is laid out [m, k, n] (see :func:`_exclusion_mask`).
+    Its slices m < N reduce to the N x N products that exclude modes m and
+    n, which are ``kernel`` once their diagonal is zeroed.  Its slice m = N,
+    [j, k] = C^(j) unless j = k, reduces to ``gamma_excl`` and is
+    ``c_masked``, whose blocks ``c_masked[j]`` are contiguous for the
+    elementwise products of :func:`second_order_term`.
     """
     n = C.shape[0]
     keep = _exclusion_mask(n)
     masked = np.where(keep, C[:, None], 1.0)
     prods = np.multiply.reduce(masked, axis=1)
-    kernel = np.where(keep[-1, :, :n], prods[:n, :n], 0.0)
-    return GramCache(C, prods[:n, n], kernel, masked[-1, :, :n])
+    kernel = np.where(keep[-1], prods[:n], 0.0)
+    return GramCache(C, prods[n], kernel, masked[-1])
 
 
 def build_gram_cache(model: KruskalModel) -> GramCache:
@@ -308,26 +308,6 @@ def _check_pair(y: DenseTensor, model: KruskalModel) -> None:
     if y.dims != model.dims:
         raise ValueError(f"tensor dims {y.dims} do not match model {model.dims}")
     _same_kind(y.data, model.factors)
-
-
-def mttkrp(y: DenseTensor, model: KruskalModel, n: int) -> np.ndarray:
-    """Matricized tensor times Khatri-Rao product for mode n (1-based).
-
-    Equals ``unfold(y, n) @ khatri_rao_excl(model.factors, n).conj()`` but
-    reads the Fortran-ordered tensor through reshape views, never copying an
-    unfolding.  Mode N is one matmul with the Khatri-Rao product of modes
-    1..N-1; a mode n < N is a contraction of the partial product
-    P = Y x_N conj(A^(N)), as in :func:`_gradient`.  For complex data the
-    Khatri-Rao factors are conjugated, matching the Hermitian normal
-    equations; for real data the conjugation is a no-op.
-    """
-    _check_pair(y, model)
-    _check_mode(model.order, n)
-    rows = [f.T for f in model.factors]
-    if n == model.order:
-        return _last_mttkrp(y, _khatri_rao_rows(rows[:-1]).mT)
-    shapes = _contraction_shapes(y.dims, model.rank)
-    return _contract_all_but(_last_partial(y, rows[-1]), rows[:-1], n - 1, shapes).T
 
 
 def _last_mttkrp(y: DenseTensor, kr: np.ndarray) -> np.ndarray:
@@ -428,7 +408,7 @@ def second_order_term(x: np.ndarray, cache: GramCache, v: np.ndarray) -> np.ndar
     n_modes = x.shape[0]
     # c[j, k] is C^(j) and e[j, k] is E^(j), except 1 and 0 where j = k.
     c = cache.c_masked
-    keep = _exclusion_mask(n_modes)[-1, :, :n_modes]
+    keep = _exclusion_mask(n_modes)[-1]
     e = np.where(keep, (x.conj() @ v.mT)[:, None], 0.0)
     # Multiply (q0 + q1 t + q2 t^2) by (c[j] + e[j] t) for j = 1..N-1,
     # dropping t^3; q0 is brought up to date one mode late, as the last
@@ -644,13 +624,15 @@ def _leading_left_vectors(mat: np.ndarray, rank: int) -> np.ndarray:
     return q * _unit_phase(r.diagonal())[None, :]
 
 
-def svd_init(y: DenseTensor, rank: int, rng) -> KruskalModel:
+def svd_init(y: DenseTensor, rank: int, seed: int) -> KruskalModel:
     """Leading mode-n left singular vectors, from the top R eigenpairs of the
     smaller Gram of each unfolding (I_n x I_n when wide, (J/I_n) x (J/I_n)
     when tall; see :func:`_leading_left_vectors`).
 
     Missing columns (R above the unfolding's rank) are random unit-norm draws
-    from ``rng``, a ``numpy.random.Generator``.  Signs/phases follow a fixed
+    from ``np.random.default_rng([seed, 0])``, made at the first mode that
+    has fewer than R columns and shared by the later ones, so a start that
+    draws nothing makes no generator.  Signs/phases follow a fixed
     rule, so the init does not depend on which LAPACK routine produced the
     vectors: in modes 1..N-1 each singular vector's largest-magnitude entry
     is real and positive; in mode N each column is rotated so that its
@@ -663,11 +645,12 @@ def svd_init(y: DenseTensor, rank: int, rng) -> KruskalModel:
     mode 1 or 2) or does not exist (see :func:`cpfast.solver._start`); it
     never runs on Y itself.
     """
-    factors = []
+    factors, rng = [], None
     for n in range(1, y.order + 1):
         u = _leading_left_vectors(unfold(y, n), rank)
         u = u / _top_phase(u)
         if u.shape[1] < rank:
+            rng = rng or np.random.default_rng([seed, 0])
             extra = _gaussian(rng, (u.shape[0], rank - u.shape[1]), y.scalar_kind)
             extra = extra / np.linalg.norm(extra, axis=0, keepdims=True)
             u = np.concatenate((u, extra.astype(u.dtype)), axis=1)
@@ -770,9 +753,9 @@ def st_hosvd(y: DenseTensor, rank: int) -> tuple[list, DenseTensor, np.ndarray]:
 def pinv_psd(gamma: np.ndarray) -> np.ndarray:
     """Pseudo-inverse of a Hermitian PSD matrix via eigendecomposition.
 
-    Eigenvalues below eps * R * lambda_max are truncated.  :func:`als_step`
-    falls back to it where a Gram matrix is not numerically positive
-    definite (see :func:`_solve_gram`).
+    Eigenvalues below eps * R * lambda_max are truncated.  An ALS sweep
+    (:func:`_sweep`) falls back to it where a Gram matrix is not numerically
+    positive definite (see :func:`_solve_gram`).
     """
     w, v = np.linalg.eigh(gamma)
     r = gamma.shape[0]
@@ -827,21 +810,16 @@ def _solve_gram(gamma: np.ndarray, rhs: np.ndarray, plan: _SweepPlan) -> np.ndar
     return pinv_psd(gamma) @ rhs
 
 
-def _check_stack(y: DenseTensor, x: np.ndarray) -> None:
-    """Raise unless the stack ``x`` holds a model of ``y``'s dims and scalar
-    kind (see :func:`stack`)."""
-    dims = y.dims
-    if x.ndim != 3 or len(x) != len(dims) or x.shape[2] < max(dims):
-        raise ValueError(f"stack of shape {x.shape} does not hold dims {dims}")
-    _same_kind(y.data, [x])
-
-
-def als_step(y: DenseTensor, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sweep(
+    y: DenseTensor, x: np.ndarray, plan: _SweepPlan
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One ALS sweep of the model with stack ``x`` (see :func:`stack`),
-    updating factors in ascending mode order.
+    updating factors in ascending mode order, with ``plan`` the
+    :func:`_sweep_plan` of the pair.
 
-    Returns the swept stack, a new array, and its mode-N MTTKRP M^(N).  Cost:
-    two passes over the tensor.  The partial product P = Y x_N conj(A^(N)) is
+    Returns the swept stack, a new array, its mode-N MTTKRP M^(N) and its
+    Gram stack, which equals ``gram_stack`` of the swept stack.  Cost: two
+    passes over the tensor.  The partial product P = Y x_N conj(A^(N)) is
     formed once, and modes 1..N-1 are contractions of P with the current
     factors; this is exact because A^(N) changes only in the last update.
     Mode N is one full MTTKRP of the updated factors 1..N-1, which is also
@@ -854,24 +832,9 @@ def als_step(y: DenseTensor, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the textbook A^(n) = M^(n) Gamma^(n)^+T for real and complex data alike.
     The Gram stack is taken once and then refreshed one mode at a time, and
     each Gamma^(n) is the running product of the other modes' Grams in
-    ascending order, as in :func:`gram_cache`.
-
-    The stack's shape and scalar kind are checked at entry; the sweep itself
-    is :func:`_sweep`, which the fit loop runs unchecked.
-    Everything that depends only on the dims, the rank and the dtype comes
-    from :func:`_sweep_plan`, built once per shape.
+    ascending order, as in :func:`gram_cache`.  Nothing is checked: the
+    caller passes a stack of ``y``'s dims and scalar kind.
     """
-    _check_stack(y, x)
-    swept, last, _ = _sweep(y, x, _sweep_plan(y.dims, x.shape[1], x.dtype))
-    return swept, last
-
-
-def _sweep(
-    y: DenseTensor, x: np.ndarray, plan: _SweepPlan
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`als_step`'s sweep, unchecked, with ``plan`` the
-    :func:`_sweep_plan` of the pair: the swept stack, its mode-N MTTKRP and
-    its Gram stack, which equals ``gram_stack`` of the swept stack."""
     x = x.copy()
     rows = _row_views(x, y.dims)
     head = rows[:-1]

@@ -1,11 +1,10 @@
 """Dense references for the fast path of :mod:`cpfast.hessian`,
 :func:`cpfast.solver.flm_step` and :func:`cpfast.kruskal.second_order_term`:
 Jacobian, Hessian, H = G + Z K Z^H, K and its closed-form inverse, the dense
-dGN step, J^H M''(v, v), and the paper's Phi_1 = I + Psi K and Phi_2 =
-K^{-1} + Psi with their densities.  Every right-hand side is projected by
-the dense Jacobian, so no reference reuses the MTTKRP or gradient kernels it
-checks.  Only :mod:`cpfast.verify` and the tests use them; the size guard
-keeps them at desk scale.
+dGN step and J^H M''(v, v).  Every right-hand side is projected by the dense
+Jacobian, so no reference reuses the MTTKRP or gradient kernels it checks.
+Only :mod:`cpfast.verify` and the tests use them; the size guard keeps them
+at desk scale.
 
 The Jacobian's columns index the stacked vector of a model, one block per
 mode, vec(A^(n)) in column-major order: :func:`as_vector` forms it and
@@ -19,7 +18,6 @@ Gamma_full is ``np.multiply.reduce`` of its ``C``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -240,38 +238,3 @@ def dense_second_order_term(model: KruskalModel, vec: np.ndarray) -> np.ndarray:
             second += reconstruct(KruskalModel(factors)).data
     return _project(model, 2.0 * second)
 
-
-def phi_density(n_modes: int, rank: int, variant: str) -> Fraction:
-    """Exact density of the small system matrix.
-
-    ``variant`` is "phi1" (I + Psi K, the core the solver factors) or "phi2"
-    (K^{-1} + Psi, requires invertible K).
-    """
-    if n_modes < 2 or rank < 1:
-        raise ValueError("need N >= 2 and R >= 1")
-    r2 = rank * rank
-    if variant == "phi1":
-        return Fraction((n_modes - 1) * r2 + 1, n_modes * r2)
-    if variant == "phi2":
-        return Fraction(r2 + n_modes - 1, n_modes * r2)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def assemble_phi(cache: GramCache, mu: float, variant: str) -> np.ndarray:
-    """The paper's unscaled Phi_1 = I + Psi K or Phi_2 = K^{-1} + Psi, with
-    Psi = blkdiag((Gamma^(n) + mu I)^{-1} kron C^(n)), densely for density
-    checks."""
-    if variant not in ("phi1", "phi2"):
-        raise ValueError(f"unknown variant {variant!r}")
-    import scipy.linalg  # not at module level: see :func:`build_parts`
-
-    eye = np.eye(cache.C.shape[-1])
-    psi = scipy.linalg.block_diag(
-        *[
-            np.kron(np.linalg.inv(g + mu * eye), c)
-            for g, c in zip(cache.gamma_excl, cache.C)
-        ]
-    )
-    if variant == "phi2":
-        return kernel_inverse(cache) + psi
-    return np.eye(psi.shape[0]) + psi @ kernel_matrix(cache)

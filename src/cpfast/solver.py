@@ -295,8 +295,10 @@ def _start(y: DenseTensor, config: FitConfig) -> tuple[KruskalModel, str]:
     gives the GEVD start (:func:`~cpfast.kruskal.gevd_init`, "gevd") of a
     ``y`` of order >= 3 whose first two dims are R, and the SVD start
     (:func:`~cpfast.kruskal.svd_init`, "svd") of any other ``y`` or where
-    the GEVD start does not exist.  The SVD start draws from a fresh
-    generator of the seed, so a fallback is the SVD start bit for bit."""
+    the GEVD start does not exist.  Each start draws from its own generator
+    of the seed, ``np.random.default_rng([config.seed, 0])``, which the SVD
+    start makes only where it draws, so a fallback is the SVD start bit for
+    bit."""
     rng = functools.partial(np.random.default_rng, [config.seed, 0])
     if config.init == "random":
         return random_init(y.dims, config.rank, rng(), y.scalar_kind), "random"
@@ -304,7 +306,7 @@ def _start(y: DenseTensor, config: FitConfig) -> tuple[KruskalModel, str]:
         model = gevd_init(y, rng())
         if model is not None:
             return model, "gevd"
-    return svd_init(y, config.rank, rng()), "svd"
+    return svd_init(y, config.rank, config.seed), "svd"
 
 
 def _tensor_norm(y: DenseTensor) -> float:
@@ -573,16 +575,16 @@ def _fit_als(
     scores it from ``last``.  It holds the model as a stack
     (:func:`~cpfast.kruskal.stack`) and returns its
     :func:`~cpfast.kruskal.model_from_stack` views.  Each iteration is one
-    :func:`~cpfast.kruskal.als_step` sweep of the stack, two passes over the
+    :func:`~cpfast.kruskal._sweep` of the stack, two passes over the
     tensor, whose normal equations are solved by Cholesky (falling back to
     :func:`~cpfast.kruskal.pinv_psd` where a Gram matrix is not numerically
     positive definite).  The loop builds the sweep's per-shape setup
     (:func:`~cpfast.kruskal._sweep_plan`: the other modes of each mode, the
     contraction shapes and the LAPACK routines) once per fit, and then runs
-    the unchecked sweep (the front end builds the start from ``y``'s own
-    dims and scalar kind), which also returns the swept stack's Gram
-    matrices for the scorer.  ALS-ls then tries X_prev + s (X_als - X_prev) on
-    stacks, with X_prev the model before the one swept, for s = 1.1 and
+    the sweep, which checks nothing (the front end builds the start from
+    ``y``'s own dims and scalar kind) and also returns the swept stack's
+    Gram matrices for the scorer.  ALS-ls then tries X_prev + s (X_als -
+    X_prev) on stacks, with X_prev the model before the one swept, for s = 1.1 and
     s = t^(1/3), built from one difference as one B = 3 batch behind the
     swept stack; a candidate replaces the sweep only if its error is
     strictly lower, checked in that order.  The recipe is a documented

@@ -13,14 +13,14 @@ from cpfast.kruskal import (
     _gradient,
     build_gram_cache,
     model_from_stack,
-    mttkrp,
     random_init,
     stack,
     svd_init,
 )
 import cpfast.solver
-from cpfast.oracle import as_vector, assemble_phi, build_parts
+from cpfast.oracle import as_vector, build_parts
 from cpfast.solver import flm_step
+from references import assemble_phi, last_mttkrp
 
 settings.register_profile("cpfast", derandomize=True, deadline=None, database=None)
 settings.load_profile("cpfast")
@@ -96,10 +96,10 @@ def equal_energy_loop():
 
 
 def _svd_start(y, config):
-    """``svd_init`` of ``y`` from the generator of ``config.seed`` that a fit
-    draws from, and its mode-N MTTKRP."""
-    model = svd_init(y, config.rank, np.random.default_rng([config.seed, 0]))
-    return model, mttkrp(y, model, y.order)
+    """``svd_init`` of ``y`` from the seed that a fit draws from, and its
+    mode-N MTTKRP."""
+    model = svd_init(y, config.rank, config.seed)
+    return model, last_mttkrp(y, model)
 
 
 def _random_start(y, config):
@@ -107,7 +107,7 @@ def _random_start(y, config):
     fit draws from, and its mode-N MTTKRP."""
     rng = np.random.default_rng([config.seed, 0])
     model = random_init(y.dims, config.rank, rng, y.scalar_kind)
-    return model, mttkrp(y, model, y.order)
+    return model, last_mttkrp(y, model)
 
 
 def _hand_starts(monkeypatch, build):

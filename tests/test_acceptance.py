@@ -28,7 +28,6 @@ from cpfast.kruskal import (
 from cpfast.oracle import (
     as_vector,
     assemble_hessian,
-    assemble_phi,
     build_parts,
     dense_damped_solve,
     jacobian,
@@ -36,7 +35,6 @@ from cpfast.oracle import (
     kernel_is_invertible,
     kernel_matrix,
     model_from_vector,
-    phi_density,
 )
 from cpfast.solver import FitConfig, fit
 from cpfast.synth import (
@@ -50,6 +48,7 @@ from cpfast.synth import (
 )
 from cpfast.tensor import COMPLEX, DenseTensor, REAL, unfold
 from cpfast.verify import fd_gradient
+from references import assemble_phi, phi_density
 
 N_INSTANCES = 50
 MU_INVERSE_GRID = (1e-6, 1e-2, 1.0, 1e3)

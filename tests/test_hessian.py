@@ -24,7 +24,6 @@ from cpfast.oracle import (
     OracleSizeError,
     as_vector,
     assemble_hessian,
-    assemble_phi,
     build_parts,
     dense_damped_solve,
     hessian_block,
@@ -34,9 +33,9 @@ from cpfast.oracle import (
     kernel_is_invertible,
     kernel_matrix,
     model_from_vector,
-    phi_density,
 )
 from cpfast.tensor import COMPLEX, DenseTensor, REAL
+from references import assemble_phi, phi_density
 
 
 def unit_model(rng, dims, rank, kind=REAL):

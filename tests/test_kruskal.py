@@ -13,17 +13,18 @@ from cpfast.kruskal import (
     MTTKRP_SLAB,
     KruskalModel,
     _batch_last_mttkrp,
+    _contract_all_but,
+    _contraction_shapes,
     _gradient,
     _gram_error,
     _last_mttkrp,
+    _last_partial,
     _leading_left_vectors,
     _sweep,
     _sweep_plan,
-    als_step,
     build_gram_cache,
     gram_stack,
     model_from_stack,
-    mttkrp,
     normalize_with_grams,
     pinv_psd,
     random_init,
@@ -48,10 +49,18 @@ from cpfast.tensor import (
     DenseTensor,
     REAL,
     ScalarKindError,
+    _khatri_rao_rows,
     fold,
     khatri_rao_excl,
     unfold,
 )
+from references import dense_mttkrp, last_mttkrp
+
+
+def sweep(y, x):
+    """One ALS sweep of the stack ``x`` on ``y``, as the fit loop runs it:
+    the swept stack, its mode-N MTTKRP and its Gram stack."""
+    return _sweep(y, x, _sweep_plan(y.dims, x.shape[1], x.dtype))
 
 
 def normalize(model):
@@ -231,15 +240,25 @@ class TestGramCache:
 class TestMttkrpGradient:
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
     def test_mttkrp_dense_oracle(self, kind):
+        """The fit's MTTKRP kernels match the unfolding definition: mode N is
+        ``_last_mttkrp`` of the Khatri-Rao product of modes 1..N-1, and a
+        mode n < N a contraction of the partial product ``_last_partial``."""
         rng = np.random.default_rng(6)
         m = random_model(rng, (3, 4, 5), 2, kind)
         y = DenseTensor(
             rng.standard_normal((3, 4, 5))
             + (1j * rng.standard_normal((3, 4, 5)) if kind == COMPLEX else 0)
         )
+        rows = [f.T for f in m.factors]
+        pt = _last_partial(y, rows[-1])
+        shapes = _contraction_shapes(y.dims, m.rank)
         for n in range(1, 4):
-            expected = unfold(y, n) @ khatri_rao_excl(m.factors, n).conj()
-            np.testing.assert_allclose(mttkrp(y, m, n), expected)
+            expected = dense_mttkrp(y, m, n)
+            if n == 3:
+                got = _last_mttkrp(y, _khatri_rao_rows(rows[:-1]).mT)
+            else:
+                got = _contract_all_but(pt, rows[:-1], n - 1, shapes).T
+            np.testing.assert_allclose(got, expected)
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
     @pytest.mark.parametrize(
@@ -247,8 +266,8 @@ class TestMttkrpGradient:
         [(4, 5), (3, 4, 5), (3, 2, 4, 5), (2, 3, 2, 3, 2), (1, 3, 1, 2), (2, 1, 4)],
     )
     def test_shared_mttkrps_dense_oracle(self, dims, kind, gradient_vector):
-        """mttkrp and the MTTKRPs that _gradient writes into its stack match
-        the unfolding oracle for N = 2..5, also with modes of size one, and
+        """The MTTKRPs that _gradient writes into its stack match the
+        unfolding oracle for N = 2..5, also with modes of size one, and
         the gradient built from them is J^H vec(Y - Yhat) with the dense
         Jacobian, also where the stack is padded (unequal dims, I_n = 1 and
         I_n < R).  With a zero Gamma the gradient's blocks are the MTTKRPs
@@ -258,10 +277,7 @@ class TestMttkrpGradient:
         rng = np.random.default_rng(61)
         m = random_model(rng, dims, 3, kind)
         y = random_tensor(rng, dims, kind)
-        expected = [
-            unfold(y, n) @ khatri_rao_excl(m.factors, n).conj()
-            for n in range(1, len(dims) + 1)
-        ]
+        expected = [dense_mttkrp(y, m, n) for n in range(1, len(dims) + 1)]
         x = stack(m.factors)
         zero = np.zeros((len(dims), 3, 3), x.dtype)
         shared, last = _gradient(y, x, zero)
@@ -271,7 +287,6 @@ class TestMttkrpGradient:
         np.testing.assert_array_equal(given[-1, :, : dims[-1]].T, expected[-1])
         np.testing.assert_array_equal(given[:-1], shared[:-1])
         for n, (d, ref) in enumerate(zip(dims, expected), start=1):
-            np.testing.assert_allclose(mttkrp(y, m, n), ref, atol=1e-12)
             np.testing.assert_allclose(shared[n - 1, :, :d].T, ref, atol=1e-12)
             np.testing.assert_allclose(given[n - 1, :, :d].T, ref, atol=1e-12)
             assert not shared[n - 1, :, d:].any()
@@ -286,31 +301,10 @@ class TestMttkrpGradient:
         g = gradient_vector(reconstruct(m), m)
         assert np.abs(g).max() < 1e-10
 
-    def test_dim_mismatch_rejected(self):
-        rng = np.random.default_rng(8)
-        m = random_model(rng, (3, 4), 2)
-        with pytest.raises(ValueError):
-            mttkrp(DenseTensor(np.zeros((3, 5))), m, 1)
-
-    @pytest.mark.parametrize("n", [-1, 0, 4])
-    def test_mode_out_of_range_rejected(self, n):
-        rng = np.random.default_rng(8)
-        m = random_model(rng, (6, 7, 8), 2)
-        with pytest.raises(ValueError, match="out of range"):
-            mttkrp(random_tensor(rng, m.dims), m, n)
-
     @pytest.mark.parametrize(
         "tensor_kind,model_kind", [(REAL, COMPLEX), (COMPLEX, REAL)]
     )
-    @pytest.mark.parametrize(
-        "kernel",
-        [
-            lambda y, m: mttkrp(y, m, 1),
-            lambda y, m: als_step(y, stack(m.factors)),
-            relative_error,
-        ],
-        ids=["mttkrp", "als_step", "relative_error"],
-    )
+    @pytest.mark.parametrize("kernel", [relative_error], ids=["relative_error"])
     def test_mixed_kinds_rejected(self, kernel, tensor_kind, model_kind):
         rng = np.random.default_rng(81)
         y = random_tensor(rng, (3, 4, 2), tensor_kind)
@@ -416,7 +410,7 @@ def projection(model, tensor):
     """J^H vec(T) at ``model``: the stacked column-major mode MTTKRPs of T."""
     return np.concatenate(
         [
-            mttkrp(tensor, model, n).reshape(-1, order="F")
+            dense_mttkrp(tensor, model, n).reshape(-1, order="F")
             for n in range(1, model.order + 1)
         ]
     )
@@ -505,7 +499,7 @@ class TestErrorsAndNormalization:
         y, m = unit_pair(DenseTensor(clean + noise), m)
         dense = relative_error(y, m)
         x = stack(m.factors)[None]
-        (gram,) = _gram_error(x, mttkrp(y, m, m.order)[None], gram_stack(x))
+        (gram,) = _gram_error(x, last_mttkrp(y, m)[None], gram_stack(x))
         assert dense == pytest.approx(target, rel=0.2)
         assert gram == pytest.approx(dense, rel=1e-9)
 
@@ -542,13 +536,13 @@ class TestErrorsAndNormalization:
             cand = x + size / np.linalg.norm(s) * s
             moved = model_from_stack(cand, dims)
             decrease, last = residual_decrease(
-                y, x, cand, gram_stack(x), gram_stack(cand), mttkrp(y, m, len(dims))
+                y, x, cand, gram_stack(x), gram_stack(cand), last_mttkrp(y, m)
             )
             with mpmath.workdps(50):
                 ref = float(before - exact_sq_residual(moved))
             assert abs(decrease - ref) <= 1e-8 * abs(ref), size
             np.testing.assert_allclose(
-                last, mttkrp(y, moved, len(dims)), rtol=0, atol=1e-13
+                last, dense_mttkrp(y, moved, len(dims)), rtol=0, atol=1e-13
             )
 
     def test_equal_energy_preserves_reconstruction(self):
@@ -655,7 +649,7 @@ class TestStHosvd:
         rng = np.random.default_rng(72)
         y = random_tensor(rng, (9, 8, 7), kind)
         u = st_hosvd(y, 3)[0][0]
-        init = svd_init(y, 3, rng).factors[0]
+        init = svd_init(y, 3, 72).factors[0]
         phases = np.sum(u.conj() * init, axis=0)
         np.testing.assert_allclose(np.abs(phases), 1.0, atol=1e-12)
         np.testing.assert_allclose(init, u * phases, atol=1e-12)
@@ -783,7 +777,7 @@ class TestInitAndAls:
     def test_svd_init_pads_when_rank_exceeds_dim(self):
         rng = np.random.default_rng(13)
         y = DenseTensor(rng.standard_normal((2, 6, 6)))
-        m = svd_init(y, 4, rng)
+        m = svd_init(y, 4, 13)
         assert m.factors[0].shape == (2, 4)
         np.testing.assert_allclose(
             np.linalg.norm(m.factors[0][:, 2:], axis=0), np.ones(2)
@@ -808,8 +802,8 @@ class TestInitAndAls:
         truth.factors[-1] = truth.factors[-1] * (10.0 * 0.5 ** np.arange(rank))
         noise = 1e-3 * random_tensor(rng, dims, kind).data
         y = DenseTensor(reconstruct(truth).data + noise)
-        m = svd_init(y, rank, rng)
-        last = mttkrp(y, m, m.order)  # independent of the mode-N factor
+        m = svd_init(y, rank, 63)
+        last = last_mttkrp(y, m)  # independent of the mode-N factor
         inner = np.sum(m.factors[-1].conj() * last, axis=0)
         assert np.all(np.abs(inner.imag) <= 1e-12 * np.abs(inner))
         assert np.all(inner.real > 0)
@@ -838,7 +832,7 @@ class TestInitAndAls:
         x = stack(random_init(y.dims, 3, rng, kind).factors)
         errs = [relative_error(y, model_from_stack(x, y.dims))]
         for _ in range(5):
-            x, _ = als_step(y, x)
+            x = sweep(y, x)[0]
             errs.append(relative_error(y, model_from_stack(x, y.dims)))
         assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
 
@@ -846,19 +840,8 @@ class TestInitAndAls:
         rng = np.random.default_rng(15)
         truth = random_model(rng, (5, 5, 5), 2)
         y = reconstruct(truth)
-        stepped, _ = als_step(y, stack(truth.factors))
+        stepped = sweep(y, stack(truth.factors))[0]
         assert relative_error(y, model_from_stack(stepped, y.dims)) < 1e-12
-
-    @pytest.mark.parametrize(
-        "shape", [(2, 2, 5), (4, 2, 5), (3, 2, 4), (3, 2, 5, 1)],
-        ids=["fewer-modes", "more-modes", "narrow", "extra-axis"],
-    )
-    def test_als_step_rejects_a_stack_that_does_not_fit(self, shape):
-        """A stack of the wrong mode count, or narrower than the tensor's
-        largest mode, raises at entry instead of sweeping part of it."""
-        y = random_tensor(np.random.default_rng(17), (3, 4, 5))
-        with pytest.raises(ValueError, match="does not hold dims"):
-            als_step(y, np.ones(shape))
 
     def test_line_search_no_worse_than_plain_als(self):
         """Each ALS-ls iteration keeps a model no worse than the plain sweep
@@ -876,33 +859,30 @@ class TestInitAndAls:
         m = als_ls(1)
         for t in range(2, 7):
             nxt = als_ls(t)
-            plain, _ = als_step(y, stack(m.factors))
+            plain = sweep(y, stack(m.factors))[0]
             plain = model_from_stack(plain, y.dims)
             assert relative_error(y, nxt) <= relative_error(y, plain) + 1e-12
             m = nxt
 
     @staticmethod
     def assert_textbook_sweep(y, m):
-        """Every factor of ``als_step`` equals the unfolding update
+        """Every factor of the ALS sweep equals the unfolding update
         M^(n) pinv_psd(Gamma^(n))^T from the factors swept so far, the
         returned matrix is the new model's mode-N MTTKRP, and the stack
         passed in is left as it was."""
         x = stack(m.factors)
         before = x.copy()
-        stepped, last = als_step(y, x)
+        stepped, last, _ = sweep(y, x)
         stepped = model_from_stack(stepped, y.dims)
         factors = list(m.factors)
         for n in range(1, y.order + 1):
-            gamma = build_gram_cache(KruskalModel(factors)).gamma_excl[n - 1]
-            factors[n - 1] = (
-                unfold(y, n)
-                @ khatri_rao_excl(factors, n).conj()
-                @ pinv_psd(gamma).T
-            )
+            model = KruskalModel(factors)
+            gamma = build_gram_cache(model).gamma_excl[n - 1]
+            factors[n - 1] = dense_mttkrp(y, model, n) @ pinv_psd(gamma).T
             got = stepped.factors[n - 1]
             err = np.linalg.norm(got - factors[n - 1])
             assert err <= 1e-12 * np.linalg.norm(factors[n - 1])
-        ref = mttkrp(y, stepped, y.order)
+        ref = dense_mttkrp(y, stepped, y.order)
         assert np.linalg.norm(last - ref) <= 1e-12 * np.linalg.norm(ref)
         np.testing.assert_array_equal(x, before)
 
@@ -937,7 +917,7 @@ class TestInitAndAls:
             return pinv_psd(gamma)
 
         monkeypatch.setattr(cpfast.kruskal, "pinv_psd", counted)
-        als_step(y, stack(m.factors))
+        sweep(y, stack(m.factors))
         assert len(calls) == len(dims)
         self.assert_textbook_sweep(y, m)
 
@@ -948,8 +928,8 @@ class TestInitAndAls:
         self, dims, kind, deficient, monkeypatch
     ):
         """The Gram stack that the fit loop's sweep returns, refreshed one
-        mode at a time, is == to ``gram_stack`` of the swept stack, and its
-        stack and M^(N) are ``als_step``'s.  With the first two components
+        mode at a time, is == to ``gram_stack`` of the swept stack.  With the
+        first two components
         equal in every mode, each Gamma^(n) is singular and every update
         takes the ``pinv_psd`` fallback."""
         rng = np.random.default_rng(67)
@@ -966,11 +946,9 @@ class TestInitAndAls:
 
         monkeypatch.setattr(cpfast.kruskal, "pinv_psd", counted)
         x = stack(m.factors)
-        swept, last, grams = _sweep(y, x, _sweep_plan(y.dims, 3, x.dtype))
+        swept, _, grams = sweep(y, x)
         assert len(calls) == (len(dims) if deficient else 0)
         assert (grams == gram_stack(swept)).all()
-        stepped, stepped_last = als_step(y, x)
-        assert (stepped == swept).all() and (stepped_last == last).all()
 
     @pytest.mark.parametrize(
         "dims, kind",
@@ -978,16 +956,16 @@ class TestInitAndAls:
         ids=["real-20^3", "complex-20^3", "real-12^4"],
     )
     def test_chained_als_steps_are_the_fit_loops_sweeps(self, dims, kind, monkeypatch):
-        """50 public ``als_step`` sweeps chained from the start of a 50-sweep
-        ALS fit of a swamp tensor give, each compared with ==, the stack and
-        M^(N) of the loop's own sweep: the loop runs the same sweep, checked
-        once per fit instead of once per sweep."""
+        """50 sweeps chained from the start of a 50-sweep ALS fit of a swamp
+        tensor give, each compared with ==, the stack and M^(N) of the
+        loop's own sweep: the loop hands each sweep the stack that the one
+        before it returned, with nothing done between them."""
         _, y = gen_collinear(CollinearSpec(dims, 3, 0.5, 30.0, 5, kind))
         sweeps = []
-        sweep = cpfast.solver._sweep
+        original = cpfast.solver._sweep
 
         def recorded(unit, x, plan):
-            out = sweep(unit, x, plan)
+            out = original(unit, x, plan)
             sweeps.append((unit, x, out))
             return out
 
@@ -996,7 +974,7 @@ class TestInitAndAls:
         assert len(sweeps) == 50
         unit, x, _ = sweeps[0]
         for _, _, (swept, last, _) in sweeps:
-            x, stepped_last = als_step(unit, x)
+            x, stepped_last, _ = sweep(unit, x)
             assert (x == swept).all() and (stepped_last == last).all()
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
@@ -1045,6 +1023,6 @@ def test_gram_error_property(pair):
     target = pair[2]
     dense = relative_error(y, m)
     x = stack(m.factors)[None]
-    (gram,) = _gram_error(x, mttkrp(y, m, m.order)[None], gram_stack(x))
+    (gram,) = _gram_error(x, last_mttkrp(y, m)[None], gram_stack(x))
     assert dense == pytest.approx(target, rel=1e-6)
     assert gram == pytest.approx(dense, rel=1e-9)

@@ -11,6 +11,8 @@ assignment come from scipy's extension modules, loaded by path
 give.  Import state is checked in a fresh interpreter."""
 
 import ast
+import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -22,8 +24,10 @@ import cpfast
 from cpfast import CollinearSpec, FitConfig, fit, gen_collinear
 from cpfast.kruskal import _lapack
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 PACKAGE = SRC / "cpfast"
+SCRIPT_DIRS = (ROOT / "perfbench", ROOT / "tools")
 FIT_PATH = ("tensor", "kruskal", "hessian", "solver")
 OUTSIDE = {"oracle", "verify", "bench", "cli", "synth", "cptn"}
 
@@ -75,7 +79,7 @@ def test_root_exports_the_fit_api():
 # The checked public entry points that a fit must not call, and the module
 # that defines each: their checks belong at a program's call, and a fit
 # builds its own operands.
-CHECKED = {"_check_pair": "kruskal", "mttkrp": "kruskal", "khatri_rao_excl": "tensor"}
+CHECKED = {"_check_pair": "kruskal", "khatri_rao_excl": "tensor"}
 
 
 @pytest.mark.parametrize("variant", ["auto", "als-ls"])
@@ -84,9 +88,8 @@ CHECKED = {"_check_pair": "kruskal", "mttkrp": "kruskal", "khatri_rao_excl": "te
 )
 def test_fit_calls_no_checked_entry_point(dims, variant, monkeypatch):
     """A plain (20^3) and a compressed (60^3) R=3 fit run on the kernels
-    alone: each of ``kruskal._check_pair``, ``mttkrp`` and
-    ``khatri_rao_excl`` raises, in every cpfast module that binds it, and
-    the fit still runs."""
+    alone: each of ``kruskal._check_pair`` and ``khatri_rao_excl`` raises,
+    in every cpfast module that binds it, and the fit still runs."""
     for name, home in CHECKED.items():
         original = getattr(sys.modules[f"cpfast.{home}"], name)
 
@@ -103,6 +106,50 @@ def test_fit_calls_no_checked_entry_point(dims, variant, monkeypatch):
     compressed = "core" in [rec.stage for rec in result.trace]
     assert compressed == (dims[0] == 60)
     assert result.iters > 0
+
+
+def code_names(path) -> set:
+    """The names that the source at ``path`` uses as code: each ``Name``,
+    the attribute of each ``Attribute`` and each part of an imported name
+    and its alias; no string or docstring.  A module-level function's own
+    name inside its own definition is left out."""
+    found = set()
+    for stmt in ast.parse(path.read_text(), str(path)).body:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update(node.name.split("."))
+                names.add(node.asname)
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.discard(stmt.name)
+        found |= names
+    return found
+
+
+def test_every_fit_path_function_has_a_caller():
+    """Every public module-level function of the fit path is exported by
+    the package root or named as code in a module of the package, outside
+    its own definition, or in a script of the benchmark or the tools: a
+    function that only the tests call does not belong in ``src/``."""
+    paths = [*PACKAGE.glob("*.py")]
+    for directory in SCRIPT_DIRS:
+        paths += directory.glob("*.py")
+    named = set().union(*map(code_names, paths))
+    uncalled = [
+        f"{layer}.{name}"
+        for layer in FIT_PATH
+        for name, fn in vars(importlib.import_module(f"cpfast.{layer}")).items()
+        if inspect.isfunction(fn)
+        and fn.__module__ == f"cpfast.{layer}"
+        and not name.startswith("_")
+        and name not in cpfast.__all__
+        and name not in named
+    ]
+    assert not uncalled, uncalled
 
 
 def test_scanner_sees_every_import_form():

@@ -22,7 +22,6 @@ from cpfast.kruskal import (
     _gradient,
     build_gram_cache,
     model_from_stack,
-    mttkrp,
     gram_stack,
     normalize_with_grams,
     random_init,
@@ -59,6 +58,7 @@ from cpfast.oracle import (
 )
 from cpfast.synth import CollinearSpec, gen_collinear
 from cpfast.tensor import COMPLEX, DenseTensor, REAL
+from references import dense_mttkrp, last_mttkrp
 
 
 def normalize(model, last=None):
@@ -757,8 +757,8 @@ class TestFit:
         rng = np.random.default_rng(20)
         y, m = noisy_instance(rng, (3, 4, 5), 2, kind)
         m = type(m)([f * rng.uniform(0.5, 2.0, 2) for f in m.factors])
-        normalized, _, last = normalize(m, mttkrp(y, m, 3))
-        np.testing.assert_allclose(last, mttkrp(y, normalized, 3), atol=1e-12)
+        normalized, _, last = normalize(m, dense_mttkrp(y, m, 3))
+        np.testing.assert_allclose(last, dense_mttkrp(y, normalized, 3), atol=1e-12)
 
     def test_mu_overflow_constant(self):
         assert MU_OVERFLOW == 1e30
@@ -1234,7 +1234,7 @@ class TestCandidateError:
         alone = [
             score(y, err, xs[k : k + 1], norm, gram_stack(xs[k])) for k in range(size)
         ]
-        last = mttkrp(y, model_from_stack(xs[0], dims), len(dims))
+        last = last_mttkrp(y, model_from_stack(xs[0], dims))
         grams = gram_stack(xs[0])
         for kwargs in ({}, {"last": last}):
             errs, lasts, path = score(y, err, xs, norm, grams, **kwargs)
@@ -1374,7 +1374,7 @@ class TestCompression:
         kappa = _tensor_norm(core)
         core = DenseTensor(core.data / kappa)
         model = _start(core, config)[0]
-        start = model, mttkrp(core, model, core.order)
+        start = model, last_mttkrp(core, model)
         if variant == "auto":
             core_fit = cpfast.solver._fit_lm(
                 core, budget, 0.0, *start, lost_sq=(1.0 - kappa**2) / kappa**2
@@ -1523,8 +1523,8 @@ class TestCompression:
     )
     def test_start_mttkrp_from_lead(self, dims, rank, kind):
         """The expanded start's M^(N), formed from the ST-HOSVD's ``lead``
-        and the core model with no pass over Y, equals ``mttkrp`` of the
-        start on Y within 1e-12 relative; the start is U_n B^(n), with
+        and the core model with no pass over Y, equals the dense MTTKRP of
+        the start on Y within 1e-12 relative; the start is U_n B^(n), with
         A^(1) times kappa."""
         rng = np.random.default_rng(75)
         y = DenseTensor(gaussian_instance(5, dims=dims, rank=rank, kind=kind))
@@ -1533,7 +1533,7 @@ class TestCompression:
         start, last = cpfast.solver._expanded_start(bases, lead, b, 0.7)
         for n, (u, a) in enumerate(zip(bases, start.factors)):
             np.testing.assert_allclose(a, (0.7 if n == 0 else 1.0) * u @ b.factors[n])
-        ref = mttkrp(y, start, len(dims))
+        ref = dense_mttkrp(y, start, len(dims))
         assert np.linalg.norm(last - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_refinement_passes(self, monkeypatch):
@@ -1626,7 +1626,7 @@ class TestGevdStart:
         model, last, start = handed_start(y, FitConfig(rank=dims[0]))
         assert start == "gevd"
         assert relative_error(y, model) <= 1e-12
-        np.testing.assert_allclose(last, mttkrp(y, model, 3), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(last, dense_mttkrp(y, model, 3), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
     @pytest.mark.parametrize(
@@ -1637,13 +1637,14 @@ class TestGevdStart:
         """Stated bound: on a noiseless rank-R tensor of order 3, 4 or 5 with
         Gaussian factors, the GEVD start of its ST-HOSVD core, mapped back
         to Y, reconstructs Y to relerr <= 1e-12, and its mode-N MTTKRP,
-        which costs no pass over Y, equals ``mttkrp`` to 1e-12 relative."""
+        which costs no pass over Y, equals the dense MTTKRP to 1e-12
+        relative."""
         rng = np.random.default_rng(7)
         y = reconstruct(random_init(dims, rank, rng, kind))
         model, last, start = handed_start(y, FitConfig(rank=rank))
         assert start == "gevd"
         assert relative_error(y, model) <= 1e-12
-        direct = mttkrp(y, model, y.order)
+        direct = dense_mttkrp(y, model, y.order)
         assert np.linalg.norm(last - direct) <= 1e-12 * np.linalg.norm(direct)
 
     @pytest.mark.parametrize("kind", [REAL, COMPLEX])
@@ -1658,7 +1659,7 @@ class TestGevdStart:
         model, last, start = handed_start(y, FitConfig(rank=rank))
         assert start == "gevd"
         assert relative_error(y, model) <= 1e-12
-        direct = mttkrp(y, model, y.order)
+        direct = dense_mttkrp(y, model, y.order)
         assert np.linalg.norm(last - direct) <= 1e-12 * np.linalg.norm(direct)
 
     def test_start_alone_recovers_noiseless_swamp_core(self):
@@ -1866,7 +1867,7 @@ class TestOneStartPath:
                 1e-12 * np.linalg.norm(a)
             )
         np.testing.assert_allclose(
-            last, mttkrp(unit, model, unit.order), rtol=1e-12, atol=0
+            last, last_mttkrp(unit, model), rtol=1e-12, atol=0
         )
 
 
